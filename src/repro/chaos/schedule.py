@@ -360,7 +360,6 @@ class FaultInjector:
             fragment = candidates[draw % len(candidates)]
         slice_._postings[fragment].seal()
         slice_._postings[fragment] = FragmentPostings()
-        slice_._legacy_cache = None
         self.record("replica-rot", node.name,
                     f"fragment {fragment} postings silently wiped")
         return fragment

@@ -196,10 +196,6 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="record per-probe spans (cache lookup, prefix "
                              "filter, positional bound, verification); "
                              "writes JSONL to PATH plus a Chrome trace twin")
-    search.add_argument("--probe-path", choices=["columnar", "legacy"],
-                        default="columnar",
-                        help="evaluator: columnar hot path (default) or the "
-                             "legacy reference path; results are identical")
 
     cluster = sub.add_parser(
         "cluster", help="sharded, replicated serving cluster (build/search/"
@@ -241,9 +237,6 @@ def _build_parser() -> argparse.ArgumentParser:
     csearch.add_argument("--fail-shard", type=int, metavar="SHARD",
                          help="inject a failure: kill replica 0 of this shard "
                               "before searching (exercises failover)")
-    csearch.add_argument("--executor", choices=("serial", "thread"),
-                         default="serial",
-                         help="scatter legs run serially or on threads")
     csearch.add_argument("--trace", metavar="PATH",
                          help="record the cross-shard request tree (route, "
                               "per-shard probes, merge); writes JSONL to PATH "
@@ -301,7 +294,7 @@ def _build_parser() -> argparse.ArgumentParser:
     ingest.add_argument("--verify", action="store_true",
                         help="after the stream: major-compact and check the "
                              "result is bit-identical to a fresh offline "
-                             "index over the same records (both probe paths)")
+                             "index over the same records")
     ingest.add_argument("--snapshot", metavar="PATH",
                         help="save the final index as a regular snapshot "
                              "loadable by 'repro search'")
@@ -680,8 +673,7 @@ def _cmd_search(args) -> int:
     from repro.service import SimilarityService
 
     tracer = Tracer() if args.trace else NOOP_TRACER
-    service = SimilarityService.load(args.index, tracer=tracer,
-                                     probe_path=args.probe_path)
+    service = SimilarityService.load(args.index, tracer=tracer)
     func = SimilarityFunction(args.func)
 
     if args.query_file:
@@ -763,11 +755,7 @@ def _cmd_cluster_search(args) -> int:
     from repro.cluster import load_cluster
 
     tracer = Tracer() if args.trace else NOOP_TRACER
-    router = load_cluster(
-        args.cluster_dir,
-        tracer=tracer,
-        executor=None if args.executor == "serial" else args.executor,
-    )
+    router = load_cluster(args.cluster_dir, tracer=tracer)
     func = SimilarityFunction(args.func)
     if args.fail_shard is not None:
         _fail_replica(router, args.fail_shard)
@@ -966,8 +954,6 @@ def _cmd_ingest(args) -> int:
     }
 
     if args.verify:
-        from repro.service.index import PROBE_PATHS
-
         streaming.compact(major=True)
         offline = streaming.to_segment_index()
         structural = pickle.dumps(
@@ -975,17 +961,14 @@ def _cmd_ingest(args) -> int:
         ) == pickle.dumps(offline)
         probe_mismatches = 0
         sample = records[::max(1, len(records) // 50)]
-        for path in PROBE_PATHS:
-            streaming.probe_path = path
-            offline.probe_path = path
-            for record in sample:
-                if streaming.probe(record.tokens, args.theta) != offline.probe(
-                    record.tokens, args.theta
-                ):
-                    probe_mismatches += 1
+        for record in sample:
+            if streaming.probe(record.tokens, args.theta) != offline.probe(
+                record.tokens, args.theta
+            ):
+                probe_mismatches += 1
         document["verify"] = {
             "structural_identical": structural,
-            "probes": len(sample) * len(PROBE_PATHS),
+            "probes": len(sample),
             "probe_mismatches": probe_mismatches,
             "ok": structural and probe_mismatches == 0,
         }

@@ -29,7 +29,6 @@ from repro.core.config import FilterConfig
 from repro.core.pivots import PivotMethod
 from repro.data.records import RecordCollection
 from repro.errors import ClusterError, ConfigError
-from repro.mapreduce.executors import ExecutorKind
 from repro.observability.tracer import Tracer
 from repro.service.index import SegmentIndex
 from repro.service.snapshot import load_index, save_index
@@ -55,7 +54,6 @@ def build_cluster(
     max_in_flight: int = 64,
     queue_timeout: float = 0.25,
     tracer: Optional[Tracer] = None,
-    executor: Union[ExecutorKind, str, None] = None,
     retry: Optional[RetryPolicy] = None,
     breaker: Optional[BreakerConfig] = None,
     hedge: Optional[HedgeConfig] = None,
@@ -102,7 +100,6 @@ def build_cluster(
         max_in_flight=max_in_flight,
         queue_timeout=queue_timeout,
         tracer=tracer,
-        executor=executor,
         retry=retry,
         breaker=breaker,
         hedge=hedge,
@@ -159,7 +156,6 @@ def load_cluster(
     max_in_flight: int = 64,
     queue_timeout: float = 0.25,
     tracer: Optional[Tracer] = None,
-    executor: Union[ExecutorKind, str, None] = None,
     retry: Optional[RetryPolicy] = None,
     breaker: Optional[BreakerConfig] = None,
     hedge: Optional[HedgeConfig] = None,
@@ -235,7 +231,6 @@ def load_cluster(
         max_in_flight=max_in_flight,
         queue_timeout=queue_timeout,
         tracer=tracer,
-        executor=executor,
         retry=retry,
         breaker=breaker,
         hedge=hedge,

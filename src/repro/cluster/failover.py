@@ -91,7 +91,7 @@ class RetryPolicy:
 
 @dataclass(frozen=True)
 class HedgeConfig:
-    """Shape of deadline-aware hedged scatter on the batched probe path.
+    """Shape of deadline-aware hedged scatter.
 
     When a shard leg is still unanswered after the rolling p95 of
     observed leg latencies (clamped to ``[min_delay, max_delay]``), the

@@ -5,8 +5,7 @@ restricted to the fragments a shard owns: it keeps the columnar posting
 runs for owned fragments only, plus the *full* id column and segment bounds
 of every record that posts into them — which is exactly what the
 StrL/SegL/SegI/SegD lemmas and the final verification need, so a slice
-evaluates its candidates with the unmodified single-node code path (both
-probe paths included).
+evaluates its candidates with the unmodified single-node code path.
 
 The one thing a slice does differently is candidate *claiming*.  On a
 single node, a candidate's "first hit" is the globally smallest-id common
@@ -105,7 +104,6 @@ class ShardSlice(SegmentIndex):
         slice_ = cls(
             index.order, index.partitioner, index.pivot_method, fragments
         )
-        slice_.probe_path = index.probe_path
         touched: set = set()
         for v in slice_._owned:
             source = index._postings[v]
@@ -125,8 +123,16 @@ class ShardSlice(SegmentIndex):
         func: SimilarityFunction,
         counters: Optional[Counters],
     ) -> Dict[int, FirstHit]:
-        """Columnar twin of :meth:`_candidates` — same claim rule, scanned
-        over the flat posting runs."""
+        """Candidates whose globally-first prefix collision is owned here.
+
+        Probe tokens are scanned in ascending id order (fragments are id
+        ranges), so by the time an owned fragment's token is scanned,
+        ``foreign`` holds every smaller-id probe token that lives on some
+        other shard.  A record containing one of those tokens collides
+        earlier on that other shard — it is that shard's candidate, not
+        ours — which makes the per-shard candidate sets disjoint and their
+        union exactly the single-node candidate set.
+        """
         candidates: Dict[int, FirstHit] = {}
         rejected: set = set()
         foreign: List[int] = []
@@ -164,42 +170,6 @@ class ShardSlice(SegmentIndex):
                         candidates[rid] = (v, qpos, positions[k])
         _bump(counters, "posting_lookups", lookups)
         _bump(counters, "ceded_candidates", ceded)
-        return candidates
-
-    def _candidates(
-        self,
-        query: EncodedQuery,
-        theta: float,
-        func: SimilarityFunction,
-        counters: Optional[Counters],
-    ) -> Dict[int, FirstHit]:
-        """Candidates whose globally-first prefix collision is owned here.
-
-        Probe tokens arrive in ascending id order (fragments are id
-        ranges), so by the time an owned fragment's token is scanned,
-        ``foreign`` holds every smaller-id probe token that lives on some
-        other shard.  A record containing one of those tokens collides
-        earlier on that other shard — it is that shard's candidate, not
-        ours — which makes the per-shard candidate sets disjoint and their
-        union exactly the single-node candidate set.
-        """
-        candidates: Dict[int, FirstHit] = {}
-        rejected: set = set()
-        foreign: List[int] = []
-        postings_view = self._legacy_postings()
-        for v, token, qpos in self._probe_tokens(query, theta, func):
-            if v not in self._owned:
-                foreign.append(token)
-                continue
-            _bump(counters, "posting_lookups")
-            for rid, pos in postings_view[v].get(token, ()):
-                if rid in candidates or rid in rejected:
-                    continue
-                if foreign and _any_rank_present(foreign, self._ranks[rid]):
-                    rejected.add(rid)
-                    _bump(counters, "ceded_candidates")
-                else:
-                    candidates[rid] = (v, qpos, pos)
         return candidates
 
     def _batch_candidates_columnar(
@@ -293,33 +263,6 @@ class ShardSlice(SegmentIndex):
         _bump(counters, "ceded_candidates", ceded)
         return candidate_sets
 
-    def probe_batch(
-        self,
-        queries,
-        theta: float,
-        func: SimilarityFunction = SimilarityFunction.JACCARD,
-        filters: Optional[FilterConfig] = None,
-        counters: Optional[Counters] = None,
-        tracer: Tracer = NOOP_TRACER,
-    ):
-        """Batched probes that preserve the claim rule.
-
-        On the columnar path the base class's fragment-grouped scan calls
-        this slice's :meth:`_batch_candidates_columnar`, which applies the
-        claim rule inside the one-pass scan — shared tokens cost one
-        posting lookup for the whole batch, results stay disjoint across
-        shards.  The legacy fragment-grouped scan has no claim-rule twin,
-        so that path probes queries one by one instead.
-        """
-        if self._use_columnar():
-            return super().probe_batch(
-                queries, theta, func, filters, counters, tracer
-            )
-        return [
-            self.probe_encoded(query, theta, func, filters, counters, tracer)
-            for query in queries
-        ]
-
     # -- replica independence ------------------------------------------
     def clone(self) -> "ShardSlice":
         """A deep, independent copy of this slice.
@@ -373,7 +316,6 @@ class ShardSlice(SegmentIndex):
         for rid, (ranks, bounds) in payload.records.items():
             self._ranks.setdefault(rid, ranks)
             self._segbounds.setdefault(rid, bounds)
-        self._legacy_cache = None
 
     def drop_fragment(self, fragment: int) -> None:
         """Release a migrated-away fragment and garbage-collect its records.
@@ -397,7 +339,6 @@ class ShardSlice(SegmentIndex):
             ):
                 del self._ranks[rid]
                 del self._segbounds[rid]
-        self._legacy_cache = None
 
 
 def _any_rank_present(ranks: List[int], t_ranks: Sequence[int]) -> bool:
@@ -497,8 +438,8 @@ class ShardNode:
         filters: Optional[FilterConfig] = None,
         tracer: Tracer = NOOP_TRACER,
     ) -> List[List[SearchHit]]:
-        """Serve one batched scatter leg (fragment-grouped on the columnar
-        path, claim rule preserved); raises :class:`ShardDownError` if
+        """Serve one batched scatter leg (fragment-grouped posting scans,
+        claim rule preserved); raises :class:`ShardDownError` if
         failed.  The fault hook fires once per batch — a crashed replica
         loses the whole leg, exactly like a crashed single probe."""
         if not self.alive or self.fenced:

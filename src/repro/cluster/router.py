@@ -1,16 +1,23 @@
 """Scatter-gather routing, admission control, failover and rebalancing.
 
-:class:`ClusterRouter` is the cluster's front door.  One ``search`` is:
+:class:`ClusterRouter` is the cluster's front door.  Every request —
+``search``, ``search_partial``, ``search_rid``, ``search_batch`` — takes
+one route, ``_serve`` → ``_batch_scatter`` → ``_probe_shard_batch`` →
+:meth:`ShardNode.probe_batch <repro.cluster.node.ShardNode.probe_batch>`;
+a single search is a batch of one.  One request is:
 
 1. **Admission** — a bounded in-flight semaphore with a queue timeout;
    when the cluster is saturated the request is shed with a typed
    :class:`~repro.errors.ClusterOverloadError` instead of queueing
-   unboundedly (fail fast, the caller can retry elsewhere).
-2. **Routing** — the probe prefix is split at the shared pivots; only
+   unboundedly (fail fast, the caller can retry elsewhere).  A batch
+   occupies one slot.
+2. **Routing** — identical queries of a batch are computed once; each
+   distinct probe prefix is split at the shared pivots and only
    shards owning at least one fragment the prefix touches are contacted
    (V-SMART-Join's scatter discipline: never fan out to nodes that cannot
    contribute a candidate).
-3. **Scatter** — each target shard is probed on one healthy replica
+3. **Scatter** — each target shard serves every query routed to it in
+   one ``probe_batch`` call on one healthy replica
    (round-robin across replicas, gated by a per-replica
    :class:`~repro.cluster.failover.CircuitBreaker`).  A replica that
    fails mid-probe feeds its breaker and the next replica is tried; when
@@ -21,8 +28,8 @@
    is skipped without contact while its breaker is OPEN, but once the
    reset timeout elapses a single half-open trial probe decides whether
    it rejoins rotation — so flapping replicas come back on their own.
-   Legs run serially by default or fanned out on the thread backend of
-   :mod:`repro.mapreduce.executors`.
+   With a :class:`~repro.cluster.failover.HedgeConfig`, a slow leg
+   races a backup replica and the first answer wins.
 4. **Gather** — per-shard hit lists are concatenated and sorted.  No
    dedup pass is needed: the shard slices' claim rule (see
    :mod:`repro.cluster.node`) assigns every (query, candidate) pair to
@@ -50,7 +57,7 @@ updated in place.  Search results are bit-identical before and after a
 migration (McCauley & Silvestri's adaptive-load argument, realised on the
 serving path).
 
-Every hop emits ``phase="cluster"`` spans (``cluster-search`` →
+Every hop emits ``phase="cluster"`` spans (``cluster-batch`` →
 ``route``/``shard-probe``/``merge``), with the slices' own
 ``phase="service"`` spans nested under each ``shard-probe``, so
 ``repro trace`` renders the full cross-shard request tree.
@@ -62,7 +69,7 @@ import threading
 import time
 from concurrent.futures import FIRST_COMPLETED, ThreadPoolExecutor, wait
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.analysis.loadbalance import LoadBalanceReport, summarize_loads
 from repro.core.config import FilterConfig
@@ -77,7 +84,6 @@ from repro.errors import (
     ShardDownError,
 )
 from repro.mapreduce.counters import Counters
-from repro.mapreduce.executors import ExecutorKind, create_executor
 from repro.mapreduce.shuffle import stable_hash
 from repro.observability.histogram import LatencyHistogram
 from repro.observability.tracer import NOOP_TRACER, Tracer
@@ -97,6 +103,10 @@ from repro.cluster.node import IngestNode, ShardNode
 from repro.cluster.plan import ShardPlan
 
 ROUTE_GROUP = "cluster.route"
+
+#: One distinct query's gathered answer:
+#: ``(merged hits, missing shard ids, missing fragment ids)``.
+_Answer = Tuple[List[SearchHit], Tuple[int, ...], Tuple[int, ...]]
 
 
 @dataclass(frozen=True)
@@ -141,7 +151,6 @@ class ClusterRouter:
         max_in_flight: int = 64,
         queue_timeout: float = 0.25,
         tracer: Optional[Tracer] = None,
-        executor: Union[ExecutorKind, str, None] = None,
         retry: Optional[RetryPolicy] = None,
         breaker: Optional[BreakerConfig] = None,
         hedge: Optional[HedgeConfig] = None,
@@ -149,14 +158,12 @@ class ClusterRouter:
         sleep=time.sleep,
     ) -> None:
         """``groups[s]`` is shard ``s``'s replica list (all non-empty, same
-        length = the replication factor).  ``executor`` fans scatter legs
-        out (``thread``); the default probes shards serially in the calling
-        thread.  ``max_in_flight`` bounds concurrently admitted searches;
-        a request that cannot be admitted within ``queue_timeout`` seconds
-        is shed with :class:`ClusterOverloadError`.  ``retry`` is the
-        per-leg retry budget, ``breaker`` shapes the per-replica circuit
-        breakers; ``hedge`` (default off) enables deadline-aware hedged
-        scatter on the batched probe path — see
+        length = the replication factor).  ``max_in_flight`` bounds
+        concurrently admitted requests; one that cannot be admitted within
+        ``queue_timeout`` seconds is shed with
+        :class:`ClusterOverloadError`.  ``retry`` is the per-leg retry
+        budget, ``breaker`` shapes the per-replica circuit breakers;
+        ``hedge`` (default off) enables deadline-aware hedged scatter — see
         :class:`~repro.cluster.failover.HedgeConfig`; ``clock``/``sleep``
         are injectable so breaker timeouts, deadlines and backoff waits
         are testable (and chaos-replayable) without real time passing.
@@ -171,11 +178,6 @@ class ClusterRouter:
             raise ConfigError("every shard needs at least one replica")
         if max_in_flight < 1:
             raise ConfigError("max_in_flight must be >= 1")
-        if executor is not None and ExecutorKind(executor) is ExecutorKind.PROCESS:
-            raise ConfigError(
-                "scatter legs share in-memory shard state; use the serial or "
-                "thread backend"
-            )
         self.order = order
         self.vocab = TokenVocab(order)
         self.partitioner = partitioner
@@ -198,7 +200,6 @@ class ClusterRouter:
             [self._breaker_config.build(clock) for _ in group]
             for group in self._groups
         ]
-        self._executor = executor
         self._admission = threading.BoundedSemaphore(max_in_flight)
         self.queue_timeout = queue_timeout
         self._lock = threading.Lock()
@@ -620,7 +621,33 @@ class ClusterRouter:
         deadline: Optional[float],
         allow_partial: bool,
     ) -> PartialSearchResult:
-        func = SimilarityFunction(func)
+        """A search is a batch of one through :meth:`_serve`."""
+        answers, _slots = self._serve(
+            [tokens], theta, SimilarityFunction(func), deadline,
+            allow_partial=allow_partial,
+        )
+        hits, missing_shards, missing_fragments = answers[0]
+        if missing_shards:
+            self.metrics.increment(ROUTE_GROUP, "partial_results")
+        return PartialSearchResult(
+            hits=tuple(_view(hits, exclude, k)),
+            complete=not missing_shards,
+            missing_shards=missing_shards,
+            missing_fragments=missing_fragments,
+        )
+
+    def _serve(
+        self,
+        queries: Sequence[Iterable[str]],
+        theta: float,
+        func: SimilarityFunction,
+        deadline: Optional[float],
+        hedge_delay: Optional[float] = None,
+        allow_partial: bool = False,
+    ) -> Tuple[List[_Answer], List[int]]:
+        """Admit once, scatter, enforce the deadline — every entry point's
+        one way into the cluster.  Returns :meth:`_batch_scatter`'s
+        per-distinct-query answers and input → answer slots."""
         # One clock for everything: deadlines, breakers and the latency
         # histogram all read ``self._clock``, so injected (chaos) latency
         # is visible in ``latency_info()`` — and shed or deadline-exceeded
@@ -636,65 +663,16 @@ class ClusterRouter:
                 )
             try:
                 self._check_deadline(deadline_at)
-                query = self.encode_query(tokens)
-                with self.tracer.span(
-                    "cluster-search", phase="cluster", theta=theta,
-                    func=func.value, query_size=query.size,
-                ) as span:
-                    with self.tracer.span("route",
-                                          phase="cluster") as route_span:
-                        fragments = self.target_fragments(query, theta, func)
-                        targets = self._target_shards(fragments)
-                        route_span.attrs["fragments"] = len(fragments)
-                        route_span.attrs["shards"] = sorted(targets)
-                    self.metrics.increment(ROUTE_GROUP, "searches")
-                    self.metrics.increment(ROUTE_GROUP, "shards_probed",
-                                           len(targets))
-                    partials = self._scatter(
-                        targets, query, theta, func, deadline_at,
-                        allow_partial
-                    )
-                    ingest_leg = self._ingest_leg(query, theta, func,
-                                                  allow_partial)
-                    if ingest_leg is not None:
-                        partials.append(ingest_leg)
-                    # Heat is charged only now — after the scatter came
-                    # back — and only for shards that answered, so shed,
-                    # deadline-exceeded and all-replicas-down requests
-                    # never skew the rebalancer toward fragments that
-                    # served nothing.
-                    self._charge_heat(targets, partials)
-                    missing = [s for s, leg_hits in partials
-                               if leg_hits is None]
-                    with self.tracer.span("merge",
-                                          phase="cluster") as merge_span:
-                        hits = _gather(
-                            [leg_hits for _s, leg_hits in partials
-                             if leg_hits is not None]
-                        )
-                        merge_span.attrs["hits"] = len(hits)
-                    span.attrs["hits"] = len(hits)
-                    if missing:
-                        span.attrs["missing_shards"] = missing
+                served = self._batch_scatter(
+                    queries, theta, func, deadline_at, hedge_delay,
+                    allow_partial,
+                )
             finally:
                 self._admission.release()
         finally:
             self.latency.record(self._clock() - started)
-        if exclude is not None:
-            hits = [hit for hit in hits if hit.rid != exclude]
-        if k is not None:
-            hits = hits[: max(k, 0)]
-        if missing:
-            self.metrics.increment(ROUTE_GROUP, "partial_results")
-        missing_fragments = sorted(
-            fragment for shard in missing for fragment in targets.get(shard, ())
-        )
-        return PartialSearchResult(
-            hits=tuple(hits),
-            complete=not missing,
-            missing_shards=tuple(missing),
-            missing_fragments=tuple(missing_fragments),
-        )
+        self._check_deadline(deadline_at)
+        return served
 
     def _ingest_leg(
         self,
@@ -702,17 +680,14 @@ class ClusterRouter:
         theta: float,
         func: SimilarityFunction,
         allow_partial: bool,
-    ) -> Optional[Tuple[int, Optional[List[SearchHit]]]]:
-        """The write tier's scatter leg, as a ``(shard=-1, hits)`` pair.
+    ) -> Optional[List[SearchHit]]:
+        """The write tier's scatter leg for one query (shard id ``-1``).
 
-        ``None`` when no tier is attached or it holds no records (nothing
-        to contribute, not a degradation).  A down ingest node behaves
-        like a down shard: fail the request, or mark shard ``-1`` missing
-        in partial mode.
+        A down ingest node behaves like a down shard: fail the request,
+        or — in partial mode — return ``None`` so the caller marks shard
+        ``-1`` missing.
         """
         node = self._ingest
-        if node is None or not len(node.streaming):
-            return None
         with self.tracer.span(
             "ingest-probe", phase="cluster",
             records=len(node.streaming),
@@ -725,9 +700,9 @@ class ClusterRouter:
                 self.metrics.increment(ROUTE_GROUP, "ingest_unavailable")
                 if not allow_partial:
                     raise ClusterError(f"ingest tier down: {exc}") from exc
-                return (IngestNode.shard_id, None)
+                return None
             span.attrs["hits"] = len(hits)
-        return (IngestNode.shard_id, hits)
+        return hits
 
     def _check_deadline(self, deadline_at: Optional[float]) -> None:
         if deadline_at is not None and self._clock() >= deadline_at:
@@ -735,21 +710,6 @@ class ClusterRouter:
             raise DeadlineExceededError(
                 "request deadline exceeded before the cluster could answer"
             )
-
-    def _charge_heat(
-        self,
-        targets: Dict[int, List[int]],
-        partials: List[Tuple[int, Optional[List[SearchHit]]]],
-    ) -> None:
-        """Charge fragment heat for the shards whose leg answered."""
-        answered = {s for s, leg_hits in partials if leg_hits is not None}
-        if not answered:
-            return
-        with self._lock:
-            for shard, shard_fragments in targets.items():
-                if shard in answered:
-                    for fragment in shard_fragments:
-                        self._heat[fragment] = self._heat.get(fragment, 0) + 1
 
     def search_rid(
         self,
@@ -779,7 +739,7 @@ class ClusterRouter:
         of paying the queue timeout query by query), duplicate queries are
         computed once, and each target shard serves every query routed to
         it in one :meth:`~repro.cluster.node.ShardNode.probe_batch` call —
-        the columnar fragment-grouped fast path, claim rule preserved.
+        fragment-grouped posting scans, claim rule preserved.
         Results align with ``queries`` and are bit-identical to per-query
         :meth:`search` calls.
 
@@ -801,35 +761,16 @@ class ClusterRouter:
                 f"exclude must align with queries: got {len(exclude)} "
                 f"entries for {len(queries)} queries"
             )
-        started = self._clock()
-        deadline_at = None if deadline is None else started + deadline
-        try:
-            if not self._admission.acquire(timeout=self.queue_timeout):
-                self.metrics.increment(ROUTE_GROUP, "shed")
-                raise ClusterOverloadError(
-                    f"cluster at max in-flight capacity; batch shed after "
-                    f"{self.queue_timeout:.3f}s in queue"
-                )
-            try:
-                self._check_deadline(deadline_at)
-                merged = self._batch_scatter(queries, theta, func,
-                                             deadline_at, hedge_delay)
-            finally:
-                self._admission.release()
-        finally:
-            self.latency.record(self._clock() - started)
-        self._check_deadline(deadline_at)
-        results: List[List[SearchHit]] = []
-        for i, hits in enumerate(merged):
-            drop = exclude[i] if exclude is not None else None
-            if drop is not None:
-                hits = [hit for hit in hits if hit.rid != drop]
-            else:
-                hits = list(hits)
-            if k is not None:
-                hits = hits[: max(k, 0)]
-            results.append(hits)
-        return results
+        answers, slots = self._serve(queries, theta, func, deadline,
+                                     hedge_delay)
+        self.metrics.increment(ROUTE_GROUP, "batches")
+        self.metrics.increment(ROUTE_GROUP, "batch_deduped",
+                               len(queries) - len(answers))
+        return [
+            _view(answers[di][0],
+                  exclude[i] if exclude is not None else None, k)
+            for i, di in enumerate(slots)
+        ]
 
     def _batch_scatter(
         self,
@@ -837,10 +778,16 @@ class ClusterRouter:
         theta: float,
         func: SimilarityFunction,
         deadline_at: Optional[float],
-        hedge_delay: Optional[float] = None,
-    ) -> List[List[SearchHit]]:
-        """Dedupe, route, scatter shard-batched, gather — one merged hit
-        list per input query (order preserved, excludes/k not yet applied)."""
+        hedge_delay: Optional[float],
+        allow_partial: bool,
+    ) -> Tuple[List[_Answer], List[int]]:
+        """Dedupe, route, scatter shard-batched, gather.
+
+        Returns one ``(hits, missing_shards, missing_fragments)`` answer
+        per *distinct* query (excludes/k not yet applied) plus, per input
+        query, the slot of its answer.  An unavailable shard fails the
+        request unless ``allow_partial``, where it is named in the
+        answers of the queries routed to it instead."""
         encoded = [self.encode_query(tokens) for tokens in queries]
         # Dedup key must include n_unknown: unknown tokens change |q| and
         # with it prefix lengths and similarity denominators.
@@ -855,9 +802,6 @@ class ClusterRouter:
                 uniques.append(query)
             slots.append(di)
         self.metrics.increment(ROUTE_GROUP, "searches", len(queries))
-        self.metrics.increment(ROUTE_GROUP, "batches")
-        self.metrics.increment(ROUTE_GROUP, "batch_deduped",
-                               len(queries) - len(uniques))
         with self.tracer.span(
             "cluster-batch", phase="cluster", theta=theta, func=func.value,
             queries=len(queries), distinct=len(uniques),
@@ -881,25 +825,40 @@ class ClusterRouter:
             legs_by_query: List[List[List[SearchHit]]] = [
                 [] for _ in uniques
             ]
+            missing: List[List[int]] = [[] for _ in uniques]
             for shard in sorted(shard_queries):
                 dis = shard_queries[shard]
-                shard_hits = self._probe_shard_batch(
-                    shard, [uniques[di] for di in dis], theta, func,
-                    self.tracer, deadline_at, hedge_delay,
-                )
+                try:
+                    shard_hits = self._probe_shard_batch(
+                        shard, [uniques[di] for di in dis], theta, func,
+                        self.tracer, deadline_at, hedge_delay,
+                    )
+                except ClusterError:
+                    # Deadline overruns are not ClusterErrors and always
+                    # propagate: a partial answer must still be timely.
+                    if not allow_partial:
+                        raise
+                    for di in dis:
+                        missing[di].append(shard)
+                    continue
                 for di, hits in zip(dis, shard_hits):
                     legs_by_query[di].append(hits)
             if self._ingest is not None and len(self._ingest.streaming):
                 for di, query in enumerate(uniques):
-                    leg = self._ingest_leg(query, theta, func,
-                                           allow_partial=False)
-                    if leg is not None:
-                        legs_by_query[di].append(leg[1])
-            # Every targeted shard answered (failures raised above), so
-            # each distinct query charges its fragments exactly once.
+                    hits = self._ingest_leg(query, theta, func, allow_partial)
+                    if hits is None:
+                        missing[di].append(IngestNode.shard_id)
+                    else:
+                        legs_by_query[di].append(hits)
+            # Heat is charged only now — after the scatter came back — and
+            # only for shards that answered, once per distinct query, so
+            # shed, deadline-exceeded and all-replicas-down requests never
+            # skew the rebalancer toward fragments that served nothing.
             with self._lock:
-                for targets in per_query_targets:
-                    for shard_fragments in targets.values():
+                for targets, lost in zip(per_query_targets, missing):
+                    for shard, shard_fragments in targets.items():
+                        if shard in lost:
+                            continue
                         for fragment in shard_fragments:
                             self._heat[fragment] = (
                                 self._heat.get(fragment, 0) + 1
@@ -908,7 +867,19 @@ class ClusterRouter:
                 merged = [_gather(legs) for legs in legs_by_query]
                 merge_span.attrs["hits"] = sum(len(m) for m in merged)
             span.attrs["hits"] = sum(len(m) for m in merged)
-        return [merged[di] for di in slots]
+            if any(missing):
+                span.attrs["missing_shards"] = sorted(
+                    {shard for lost in missing for shard in lost}
+                )
+        answers = [
+            (hits, tuple(lost), tuple(sorted(
+                fragment for shard in lost
+                for fragment in targets.get(shard, ())
+            )))
+            for hits, lost, targets in zip(merged, missing,
+                                           per_query_targets)
+        ]
+        return answers, slots
 
     def rids(self) -> List[int]:
         """All record ids indexed anywhere in the cluster, ascending."""
@@ -933,157 +904,6 @@ class ClusterRouter:
         raise DataError(f"no record with id {rid} in the cluster")
 
     # -- scatter internals ---------------------------------------------
-    def _scatter(
-        self,
-        targets: Dict[int, List[int]],
-        query: EncodedQuery,
-        theta: float,
-        func: SimilarityFunction,
-        deadline_at: Optional[float],
-        allow_partial: bool,
-    ) -> List[Tuple[int, Optional[List[SearchHit]]]]:
-        """Per-shard ``(shard, hits)`` legs; ``hits is None`` marks a shard
-        that stayed unavailable in partial mode."""
-        shards = list(targets)
-        if not shards:
-            return []
-        if self._executor is None or len(shards) == 1:
-            return [
-                (shard,
-                 self._leg(shard, query, theta, func, self.tracer,
-                           deadline_at, allow_partial))
-                for shard in shards
-            ]
-        executor = create_executor(self._executor)
-        traced = self.tracer.enabled
-
-        def leg(shard: int):
-            tracer = Tracer() if traced else NOOP_TRACER
-            hits = self._leg(shard, query, theta, func, tracer,
-                             deadline_at, allow_partial)
-            return hits, tracer.spans()
-
-        outputs = executor.run_tasks(leg, shards)
-        partials: List[Tuple[int, Optional[List[SearchHit]]]] = []
-        # Adopted in shard-id order, like the runtime's task-index-order
-        # commit, so traces are deterministic across backends.
-        for shard, (hits, spans) in zip(shards, outputs):
-            partials.append((shard, hits))
-            self.tracer.adopt(spans)
-        return partials
-
-    def _leg(
-        self,
-        shard: int,
-        query: EncodedQuery,
-        theta: float,
-        func: SimilarityFunction,
-        tracer: Tracer,
-        deadline_at: Optional[float],
-        allow_partial: bool,
-    ) -> Optional[List[SearchHit]]:
-        """One scatter leg; in partial mode an unavailable shard yields
-        ``None`` instead of failing the whole request.  Deadline overruns
-        always propagate — a partial answer must still be a *timely* one."""
-        try:
-            return self._probe_shard(shard, query, theta, func, tracer,
-                                     deadline_at)
-        except DeadlineExceededError:
-            raise
-        except ClusterError:
-            if not allow_partial:
-                raise
-            return None
-
-    def _probe_shard(
-        self,
-        shard: int,
-        query: EncodedQuery,
-        theta: float,
-        func: SimilarityFunction,
-        tracer: Tracer,
-        deadline_at: Optional[float] = None,
-    ) -> List[SearchHit]:
-        """Probe one available replica of ``shard``, failing over as needed.
-
-        Replica order is round-robin from a per-shard cursor; a replica
-        whose breaker is OPEN is skipped without contact.  A failed ping or
-        mid-probe :class:`ShardDownError` feeds the replica's breaker and
-        moves on to the next replica.  When one full sweep finds no
-        answer, the sweep retries under :attr:`retry` (deterministic
-        backoff) before the shard is declared unavailable — one
-        ``unavailable`` count and one :class:`ClusterError` per request,
-        however many attempts were burned."""
-        group = self._groups[shard]
-        breakers = self._breakers[shard]
-        with self._lock:
-            start = self._cursor[shard] % len(group)
-            self._cursor[shard] += 1
-        last_error: Optional[ShardDownError] = None
-        for sweep in range(self.retry.max_retries + 1):
-            if sweep:
-                self._check_deadline(deadline_at)
-                self.metrics.increment(ROUTE_GROUP, "retries")
-                self._sleep(self.retry.backoff((shard, query.ranks), sweep - 1))
-            for offset in range(len(group)):
-                index = (start + offset) % len(group)
-                node = group[index]
-                breaker = breakers[index]
-                self._check_deadline(deadline_at)
-                if not breaker.allow():
-                    # OPEN (or a busy half-open trial): known bad, skip
-                    # without paying for a contact.
-                    self.metrics.increment(ROUTE_GROUP, "breaker_skipped")
-                    continue
-                if not node.ping():
-                    self._note_failure(breaker, shard, node, tracer)
-                    continue
-                with tracer.span(
-                    "shard-probe", phase="cluster", shard=shard,
-                    replica=node.replica_id,
-                ) as span:
-                    try:
-                        leg_started = self._clock()
-                        try:
-                            hits = node.probe(query, theta, func,
-                                              self.filters, tracer)
-                        finally:
-                            self.leg_latency.record(
-                                self._clock() - leg_started)
-                    except ShardDownError as exc:
-                        # Failed mid-probe (e.g. injected between ping and
-                        # probe): feed the breaker, try the next replica.
-                        span.attrs["status"] = "failed-over"
-                        self.metrics.increment(ROUTE_GROUP, "failovers")
-                        if tracer.enabled:
-                            tracer.add(
-                                f"failover:{node.name}", "recovery",
-                                start=time.perf_counter(), duration=0.0,
-                                action="failover", shard=shard,
-                                replica=node.replica_id,
-                            )
-                        self._note_failure(breaker, shard, node, tracer)
-                        last_error = exc
-                        continue
-                    if breaker.record_success():
-                        # A previously tripped replica answered its
-                        # half-open trial: it rejoins rotation.
-                        self.metrics.increment(ROUTE_GROUP, "breaker_closed")
-                        if tracer.enabled:
-                            tracer.add(
-                                f"breaker-close:{node.name}", "recovery",
-                                start=time.perf_counter(), duration=0.0,
-                                action="breaker-close", shard=shard,
-                                replica=node.replica_id,
-                            )
-                    span.attrs["hits"] = len(hits)
-                    return hits
-        self.metrics.increment(ROUTE_GROUP, "unavailable")
-        raise ClusterError(
-            f"shard {shard}: all {len(group)} replicas down"
-            + (f" ({last_error})" if last_error else "")
-        )
-
     def _probe_shard_batch(
         self,
         shard: int,
@@ -1096,10 +916,15 @@ class ClusterRouter:
     ) -> List[List[SearchHit]]:
         """Serve all of ``queries`` on one available replica of ``shard``.
 
-        Same failover discipline as :meth:`_probe_shard` — round-robin
-        cursor, breaker-gated replicas, retry sweeps with deterministic
-        backoff — but the whole query group rides one
-        :meth:`~repro.cluster.node.ShardNode.probe_batch` call.  With
+        Replica order is round-robin from a per-shard cursor; a replica
+        whose breaker is OPEN is skipped without contact.  A failed ping or
+        mid-probe :class:`ShardDownError` feeds the replica's breaker and
+        moves on to the next replica.  When one full sweep finds no
+        answer, the sweep retries under :attr:`retry` (deterministic
+        backoff) before the shard is declared unavailable — one
+        ``unavailable`` count and one :class:`ClusterError` per request,
+        however many attempts were burned.  The whole query group rides
+        one :meth:`~repro.cluster.node.ShardNode.probe_batch` call.  With
         :attr:`hedge` configured and a second healthy replica available,
         a leg still unanswered after the rolling leg-latency p95 races a
         backup probe on that replica and the first answer wins; replicas
@@ -1351,6 +1176,19 @@ def _distinct_slices(group: Sequence[ShardNode]):
     for node in group:
         seen.setdefault(id(node.slice), node.slice)
     return list(seen.values())
+
+
+def _view(hits: List[SearchHit], exclude: Optional[int],
+          k: Optional[int]) -> List[SearchHit]:
+    """A caller's own copy of a gathered hit list, minus ``exclude``,
+    cut to ``k`` — duplicate queries of one batch share the gathered list."""
+    if exclude is not None:
+        hits = [hit for hit in hits if hit.rid != exclude]
+    else:
+        hits = list(hits)
+    if k is not None:
+        hits = hits[: max(k, 0)]
+    return hits
 
 
 def _gather(partials: List[List[SearchHit]]) -> List[SearchHit]:

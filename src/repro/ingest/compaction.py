@@ -104,11 +104,9 @@ def merge_generations(
     partitioner: VerticalPartitioner,
     pivot_method: PivotMethod,
     executor: TaskExecutor,
-    probe_path: str = "columnar",
 ) -> SegmentIndex:
     """Build the merged index for a plan's input generations."""
     merged = SegmentIndex(order, partitioner, pivot_method)
-    merged.probe_path = probe_path
     for record in gather_records(generations, executor):
         merged._insert(record)
     merged._seal()

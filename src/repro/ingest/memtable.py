@@ -14,7 +14,7 @@ that record's own columns), so probing the memtable and each generation
 separately with the same :class:`~repro.service.index.EncodedQuery` and
 concatenating — record ids are disjoint across tiers — is bit-identical
 to probing a single index built from the union.  The property tests in
-``tests/test_ingest_memtable.py`` pin this down on both probe paths.
+``tests/test_ingest_memtable.py`` pin this down.
 
 Sealing is cheap by design: the memtable's inner index *becomes* the
 flushed generation (its posting columns are sealed in place), and a new
@@ -40,10 +40,8 @@ class Memtable:
         order: GlobalOrder,
         partitioner: VerticalPartitioner,
         pivot_method: PivotMethod = PivotMethod.EVEN_TF,
-        probe_path: str = "columnar",
     ) -> None:
         self.index = SegmentIndex(order, partitioner, pivot_method)
-        self.index.probe_path = probe_path
 
     def __len__(self) -> int:
         return len(self.index)

@@ -54,7 +54,6 @@ from repro.mapreduce.hdfs import InMemoryDFS
 from repro.mapreduce.runtime import SimulatedCluster
 from repro.observability.tracer import NOOP_TRACER, Tracer
 from repro.service.index import (
-    PROBE_PATHS,
     EncodedQuery,
     SearchHit,
     SegmentIndex,
@@ -138,12 +137,9 @@ class StreamingIndex:
         self.manifest_version = 0
         self._next_gen = 0
         self._wal_applied_seq = -1
-        self._probe_path = "columnar"
         self._flushes = 0
         self._compactions = 0
-        self.memtable = Memtable(
-            order, partitioner, self.pivot_method, self._probe_path
-        )
+        self.memtable = Memtable(order, partitioner, self.pivot_method)
 
     # -- construction ---------------------------------------------------
     @classmethod
@@ -227,7 +223,6 @@ class StreamingIndex:
             tracer if tracer is not None else NOOP_TRACER,
             counters if counters is not None else Counters(),
         )
-        base.probe_path = self._probe_path
         gen = self.segments.persist(self._next_gen, 0, base)
         self._next_gen += 1
         self.generations.append(gen)
@@ -282,9 +277,7 @@ class StreamingIndex:
         self._next_gen = doc["next_gen"]
         self._wal_applied_seq = doc["wal_applied_seq"]
         self.pivot_epoch = doc["pivot_epoch"]
-        self.memtable = Memtable(
-            order, partitioner, self.pivot_method, self._probe_path
-        )
+        self.memtable = Memtable(order, partitioner, self.pivot_method)
         self._gc_orphans(doc)
         self._replay_wal()
         # Batch ids never go backwards, even when the replayed WAL tail
@@ -399,8 +392,7 @@ class StreamingIndex:
             self._next_gen += 1
             self.generations.append(gen)
             self.memtable = Memtable(
-                self.order, self.partitioner, self.pivot_method,
-                self._probe_path,
+                self.order, self.partitioner, self.pivot_method
             )
             self._wal_applied_seq = applied_seq
             self._commit_manifest()
@@ -463,7 +455,7 @@ class StreamingIndex:
         ) as span:
             merged = merge_generations(
                 inputs, self.order, partitioner, self.pivot_method,
-                executor, self._probe_path,
+                executor,
             )
             gen = self.segments.persist(self._next_gen, level, merged)
             self._next_gen += 1
@@ -476,8 +468,7 @@ class StreamingIndex:
                 self.partitioner = partitioner
                 self.pivot_epoch = epoch
                 self.memtable = Memtable(
-                    self.order, partitioner, self.pivot_method,
-                    self._probe_path,
+                    self.order, partitioner, self.pivot_method
                 )
             self._commit_manifest()
             # Post-commit cleanup: the old payloads are now unreferenced.
@@ -512,21 +503,6 @@ class StreamingIndex:
     @property
     def vocab(self) -> TokenVocab:
         return TokenVocab(self.order)
-
-    @property
-    def probe_path(self) -> str:
-        return self._probe_path
-
-    @probe_path.setter
-    def probe_path(self, value: str) -> None:
-        if value not in PROBE_PATHS:
-            raise ConfigError(
-                f"probe_path must be one of {PROBE_PATHS}, got {value!r}"
-            )
-        self._probe_path = value
-        self.memtable.index.probe_path = value
-        for gen in self.generations:
-            gen.index.probe_path = value
 
     def _tiers(self) -> List[SegmentIndex]:
         tiers = [gen.index for gen in self.generations]
@@ -654,7 +630,6 @@ class StreamingIndex:
         Used for snapshot export and the chaos drill's identity check.
         """
         union = SegmentIndex(self.order, self.partitioner, self.pivot_method)
-        union.probe_path = self._probe_path
         for rid in self.rids():
             union._insert(Record(rid, self.tokens_of(rid)))
         union._seal()

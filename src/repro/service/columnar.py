@@ -11,13 +11,12 @@ flat :class:`array.array` columns instead of a dict of lists of tuples::
 The win over the dict layout is threefold: a posting entry costs 12 bytes
 (8 + 4) instead of a ~60-byte tuple-in-list, a probe batch scans each run
 with two array reads per entry and zero allocations, and the whole
-structure pickles as machine bytes — which is what makes snapshot v3
-smaller than v2 for the same index.
+structure pickles as machine bytes.
 
 Mutation is staged: :meth:`add` appends into a small pending dict and
 :meth:`seal` merges the stage into the flat columns (new entries of an
-existing token append *after* its old run, preserving the dict layout's
-insertion order).  Build/ingest paths seal once per batch; probing assumes
+existing token append *after* its old run, preserving insertion
+order).  Build/ingest paths seal once per batch; probing assumes
 a sealed structure and is read-only, so sealed postings are safe to share
 across threads and processes.
 """
@@ -33,7 +32,7 @@ from typing import Dict, Iterator, List, Tuple
 ID_TYPECODE = "l"
 POS_TYPECODE = "i"
 
-#: A posting entry in the legacy dict layout: (record id, position).
+#: A posting entry as the tuple views yield it: (record id, position).
 Posting = Tuple[int, int]
 
 
@@ -105,12 +104,13 @@ class FragmentPostings:
         return self.offsets[slot], self.offsets[slot + 1]
 
     def postings_of(self, token: int) -> List[Posting]:
-        """One token's postings in the legacy ``[(rid, pos), ...]`` shape."""
+        """One token's postings as ``[(rid, pos), ...]`` tuples."""
         lo, hi = self.run(token)
         return list(zip(self.rids[lo:hi], self.positions[lo:hi]))
 
     def items(self) -> Iterator[Tuple[int, List[Posting]]]:
-        """Iterate ``(token, [(rid, pos), ...])`` — compat/debugging view."""
+        """Iterate ``(token, [(rid, pos), ...])`` in ascending token order —
+        the content-digest and debugging view."""
         self.seal()
         for slot, token in enumerate(self.tokens):
             lo, hi = self.offsets[slot], self.offsets[slot + 1]
@@ -147,20 +147,6 @@ class FragmentPostings:
         dup.positions = array(POS_TYPECODE, self.positions)
         dup._slots = dict(self._slots)
         return dup
-
-    @classmethod
-    def from_dict(cls, postings: Dict[int, List[Posting]]) -> "FragmentPostings":
-        """Build from the legacy dict-of-lists layout (snapshot v2 load)."""
-        built = cls()
-        for token, plist in postings.items():
-            for rid, pos in plist:
-                built.add(token, rid, pos)
-        built.seal()
-        return built
-
-    def to_dict(self) -> Dict[int, List[Posting]]:
-        """Export to the legacy dict-of-lists layout (tests, migration)."""
-        return {token: plist for token, plist in self.items()}
 
     # -- pickling (snapshot v3 payload) --------------------------------
     def __getstate__(self):

@@ -28,22 +28,15 @@ survivors go through the same early-terminating merge + threshold rule as
 property-tests that ``probe`` returns precisely the partner set
 ``FSJoin.run`` produces, for several θ and similarity functions.
 
-Two probe paths share this contract and return bit-identical results:
-
-* ``probe_path="columnar"`` (the default) — batched candidate generation
-  over the flat posting columns, with the filter battery inlined and its
-  threshold algebra (``required_overlap``/``length_lower_bound``) cached
-  per partner size; this is the hot path.
-* ``probe_path="legacy"`` — the original object-per-segment evaluator,
-  kept as the reference the CI ``columnar-smoke`` job diffs against (it
-  reads memoized dict/:class:`~repro.core.partitioning.Segment` views of
-  the same columnar storage).
+Candidate generation is batched over the flat posting columns, with the
+filter battery inlined and its threshold algebra
+(``required_overlap``/``length_lower_bound``) cached per partner size.
 
 **Result-ordering contract**: every probe's hit list is sorted by
 ``(-score, rid)`` — descending score, ascending record id on ties — and
 ``probe_batch`` returns lists aligned with its input queries in input
-order.  The order is deterministic on both probe paths and across the
-serial, thread and process fan-outs of
+order.  The order is deterministic across the serial, thread and process
+fan-outs of
 :meth:`repro.service.service.SimilarityService.search_batch`
 (``tests/test_service_columnar.py`` regression-tests this).
 
@@ -62,13 +55,12 @@ from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.core.config import FilterConfig
-from repro.core.filters import FragmentFilters
 from repro.core.joins import bounded_merge_intersection
 from repro.core.ordering import GlobalOrder, compute_global_ordering
-from repro.core.partitioning import Segment, SegmentInfo, VerticalPartitioner
+from repro.core.partitioning import VerticalPartitioner
 from repro.core.pivots import PivotMethod, select_pivots
 from repro.data.records import Record, RecordCollection
-from repro.errors import ConfigError, DataError
+from repro.errors import DataError
 from repro.mapreduce.counters import Counters
 from repro.mapreduce.runtime import SimulatedCluster
 from repro.observability.tracer import NOOP_TRACER, Tracer
@@ -85,14 +77,8 @@ from repro.similarity.verify import verify_overlap
 #: Counter group for probe-side work (mirrors ``fsjoin.filter`` naming).
 PROBE_GROUP = "service.probe"
 
-#: A posting entry: (record id, token's position within that segment).
-Posting = Tuple[int, int]
-
 #: A candidate's first prefix collision: (fragment, query pos, segment pos).
 FirstHit = Tuple[int, int, int]
-
-#: Valid values of :attr:`SegmentIndex.probe_path`.
-PROBE_PATHS = ("columnar", "legacy")
 
 
 @dataclass(frozen=True)
@@ -153,8 +139,6 @@ class SegmentIndex:
         self.vocab = TokenVocab(order)
         self.partitioner = partitioner
         self.pivot_method = PivotMethod(pivot_method)
-        #: which evaluator ``probe*`` uses: "columnar" (default) | "legacy".
-        self.probe_path: str = "columnar"
         #: rid → full token-id column (strictly increasing ``array('l')``).
         self._ranks: Dict[int, array] = {}
         #: rid → flat ``(fragment, start, end)`` triples over the id column.
@@ -163,8 +147,6 @@ class SegmentIndex:
         self._postings: List[FragmentPostings] = [
             FragmentPostings() for _ in range(partitioner.n_partitions)
         ]
-        #: memoized dict/Segment views for the legacy probe path.
-        self._legacy_cache = None
 
     # -- construction --------------------------------------------------
     @classmethod
@@ -209,7 +191,6 @@ class SegmentIndex:
             for pos in range(end - start):
                 postings.add(ids[start + pos], record.rid, pos)
         self._segbounds[record.rid] = tuple(flat)
-        self._legacy_cache = None
 
     def _seal(self) -> None:
         """Merge staged posting inserts into the flat columns."""
@@ -326,11 +307,8 @@ class SegmentIndex:
         if postings._pending:
             postings.seal()
         hasher = hashlib.sha256()
-        runs = postings.to_dict()
-        for token in sorted(runs):
-            hasher.update(
-                repr((token, sorted(runs[token]))).encode("utf-8")
-            )
+        for token, run in postings.items():
+            hasher.update(repr((token, sorted(run))).encode("utf-8"))
         for rid in sorted(set(postings.rids)):
             hasher.update(
                 repr((rid, tuple(self._ranks[rid]),
@@ -380,25 +358,15 @@ class SegmentIndex:
         ``tracer``, when enabled, records the probe stages as spans:
         ``prefix-filter`` (posting scans), then the per-stage accumulations
         of the evaluator (``positional-bound``, ``fragment-filters``,
-        ``verification``).  Tracing never changes results, and both probe
-        paths emit the same span names.
+        ``verification``).  Tracing never changes results.
         """
         func = SimilarityFunction(func)
         filters = filters if filters is not None else FilterConfig()
         tracer = tracer if tracer is not None else NOOP_TRACER
-        columnar = self._use_columnar()
         with tracer.span("prefix-filter", phase="service") as span:
-            if columnar:
-                candidates = self._candidates_columnar(query, theta, func,
-                                                       counters)
-            else:
-                candidates = self._candidates(query, theta, func, counters)
+            candidates = self._candidates_columnar(query, theta, func, counters)
             span.attrs["candidates"] = len(candidates)
-        if columnar:
-            return self._evaluate_columnar(
-                query, candidates, theta, func, filters, counters, tracer
-            )
-        return self._evaluate(
+        return self._evaluate_columnar(
             query, candidates, theta, func, filters, counters, tracer
         )
 
@@ -422,52 +390,27 @@ class SegmentIndex:
 
         The returned lists align with ``queries`` (input order) and each
         hit list follows the module's ``(-score, rid)`` ordering contract;
-        on the columnar path the grouped tokens are additionally scanned
-        in ascending id order, so each candidate's recorded first hit is
-        the globally smallest common prefix token — exactly what the
-        sequential probe records.
+        the grouped tokens are scanned in ascending id order, so each
+        candidate's recorded first hit is the globally smallest common
+        prefix token — exactly what the sequential probe records.
         """
         func = SimilarityFunction(func)
         filters = filters if filters is not None else FilterConfig()
         tracer = tracer if tracer is not None else NOOP_TRACER
-        if self._use_columnar():
-            with tracer.span("prefix-filter", phase="service",
-                             queries=len(queries)):
-                candidate_sets = self._batch_candidates_columnar(
-                    queries, theta, func, counters
-                )
-            # One threshold-algebra memo for the whole batch: τ(|q|, |t|)
-            # and the StrL lower bounds depend only on sizes, so queries
-            # share every hit.
-            tau_cache: Dict[Tuple[int, int], int] = {}
-            lower_cache: Dict[int, int] = {}
-            return [
-                self._evaluate_columnar(
-                    query, candidate_sets[qi], theta, func, filters, counters,
-                    tracer, tau_cache, lower_cache,
-                )
-                for qi, query in enumerate(queries)
-            ]
-        with tracer.span("prefix-filter", phase="service", queries=len(queries)):
-            # Fragment → token → (query index, token position in query).
-            grouped: List[Dict[int, List[Tuple[int, int]]]] = [
-                {} for _ in range(self.n_fragments)
-            ]
-            for qi, query in enumerate(queries):
-                for v, token, qpos in self._probe_tokens(query, theta, func):
-                    grouped[v].setdefault(token, []).append((qi, qpos))
-            candidate_sets: List[Dict[int, FirstHit]] = [{} for _ in queries]
-            postings_view = self._legacy_postings()
-            for v, token_map in enumerate(grouped):
-                postings = postings_view[v]
-                for token, probes in token_map.items():
-                    _bump(counters, "posting_lookups")
-                    for rid, pos in postings.get(token, ()):
-                        for qi, qpos in probes:
-                            candidate_sets[qi].setdefault(rid, (v, qpos, pos))
+        with tracer.span("prefix-filter", phase="service",
+                         queries=len(queries)):
+            candidate_sets = self._batch_candidates_columnar(
+                queries, theta, func, counters
+            )
+        # One threshold-algebra memo for the whole batch: τ(|q|, |t|) and
+        # the StrL lower bounds depend only on sizes, so queries share
+        # every hit.
+        tau_cache: Dict[Tuple[int, int], int] = {}
+        lower_cache: Dict[int, int] = {}
         return [
-            self._evaluate(
-                query, candidate_sets[qi], theta, func, filters, counters, tracer
+            self._evaluate_columnar(
+                query, candidate_sets[qi], theta, func, filters, counters,
+                tracer, tau_cache, lower_cache,
             )
             for qi, query in enumerate(queries)
         ]
@@ -500,16 +443,6 @@ class SegmentIndex:
         return pairs
 
     # -- columnar hot path ---------------------------------------------
-    def _use_columnar(self) -> bool:
-        path = self.probe_path
-        if path == "columnar":
-            return True
-        if path == "legacy":
-            return False
-        raise ConfigError(
-            f"unknown probe_path {path!r}; expected one of {PROBE_PATHS}"
-        )
-
     def _candidates_columnar(
         self,
         query: EncodedQuery,
@@ -629,9 +562,9 @@ class SegmentIndex:
     ) -> List[SearchHit]:
         """The inlined filter battery + verification over columnar storage.
 
-        Decision-identical to the legacy :meth:`_evaluate` (same lemmas,
-        same merge bounds, same comparison counts) but with the
-        per-candidate overhead flattened:
+        The lemmas and merge bounds are those of
+        :class:`repro.core.filters.FragmentFilters`, with the per-candidate
+        overhead flattened:
 
         * ``required_overlap``/``length_lower_bound`` are memoized per
           size pair — one threshold-algebra call per distinct
@@ -651,10 +584,11 @@ class SegmentIndex:
         fragment_clock = _StageClock() if traced else None
         verify_clock = _StageClock() if traced else None
         if query.n_unknown:
-            # The segment lemmas assume the segment token lists they see
-            # are complete; unknown probe tokens break that for the last
-            # fragment (see _query_segments), so fall back to StrL + the
-            # early-terminating verify — still exact, just less pruning.
+            # Unknown tokens sort after every known id, so a query segment
+            # in the *last* fragment would absorb them: its token list
+            # would no longer match the segment length the lemmas see.
+            # Fall back to StrL + the early-terminating verify (both only
+            # need the corrected |q|) — still exact, just less pruning.
             filter_config = FilterConfig(
                 strl=filter_config.strl, segl=False, segi=False, segd=False,
                 early_verify=filter_config.early_verify,
@@ -714,8 +648,13 @@ class SegmentIndex:
                 )
             tb = bounds_of[rid]
             if positional:
-                # PPJoin's positional filter at the first collision (see
-                # the legacy _positional_prune for the derivation).
+                # PPJoin's positional filter at the first collision: with
+                # query-segment position i and indexed-segment position j,
+                # the fragment intersection is at most min(i, j) + 1 +
+                # min(remaining_q, remaining_t) (both segments are sorted,
+                # so matches either side of the collision are bounded by
+                # the shorter flank).  Below the smallest intersection
+                # surviving SegI/SegD, no merge needs to run.
                 if positional_clock:
                     positional_clock.start()
                 v, qpos, tpos = first_hit
@@ -870,357 +809,17 @@ class SegmentIndex:
         hits.sort(key=lambda hit: (-hit.score, hit.rid))
         return hits
 
-    # -- legacy reference path -----------------------------------------
-    def _legacy_postings(self) -> List[Dict[int, List[Posting]]]:
-        """Memoized dict-of-lists views of the posting columns."""
-        return self._legacy_views()[0]
-
-    def _legacy_segments(self) -> Dict[int, Dict[int, Segment]]:
-        """Memoized rid → {fragment → Segment} views of the bound triples."""
-        return self._legacy_views()[1]
-
-    def _legacy_views(self):
-        cache = self._legacy_cache
-        if cache is None:
-            postings = [fp.to_dict() for fp in self._postings]
-            segments = {
-                rid: self._segment_map(rid) for rid in self._ranks
-            }
-            cache = self._legacy_cache = (postings, segments)
-        return cache
-
-    def _segment_map(self, rid: int) -> Dict[int, Segment]:
-        """One record's ``{fragment → Segment}`` view (legacy shape)."""
-        ranks = self._ranks[rid]
-        total = len(ranks)
-        bounds = self._segbounds[rid]
-        return {
-            bounds[k]: Segment(
-                SegmentInfo(
-                    rid=rid,
-                    str_len=total,
-                    ahead=bounds[k + 1],
-                    behind=total - bounds[k + 2],
-                ),
-                tuple(ranks[bounds[k + 1]:bounds[k + 2]]),
-            )
-            for k in range(0, len(bounds), 3)
-        }
-
-    def _probe_tokens(
-        self, query: EncodedQuery, theta: float, func: SimilarityFunction
-    ):
-        """Yield ``(fragment, token, qpos)`` for the query's prefix tokens.
-
-        The record-level prefix filter: if ``sim(q, t) ≥ θ`` then
-        ``|q ∩ t| ≥ τ_min(|q|)``, and at most ``τ_min − 1`` of those common
-        tokens can sit beyond the first ``|q| − τ_min + 1`` positions — so
-        probing the prefix against the *full-token* postings cannot miss a
-        result.  Unknown tokens are modelled as ids beyond the vocabulary
-        (they sort last), so the probed prefix is the first
-        ``min(P, known)`` known ids.
-        """
-        if not query.ranks:
-            return
-        limit = min(prefix_length(func, theta, query.size), len(query.ranks))
-        prefix = query.ranks[:limit]
-        for v, start, end in self.partitioner.split_bounds(prefix):
-            # ``ahead`` of a prefix segment equals the token's global
-            # position in the full query (a prefix is itself a prefix of
-            # every segment it touches).
-            for qpos in range(start, end):
-                yield v, prefix[qpos], qpos
-
-    def _candidates(
-        self,
-        query: EncodedQuery,
-        theta: float,
-        func: SimilarityFunction,
-        counters: Optional[Counters],
-    ) -> Dict[int, FirstHit]:
-        """Candidates colliding with the probe prefix, with their first hit.
-
-        The first collision's coordinates — fragment, position in the
-        query, position in the indexed segment — feed the positional
-        filter in :meth:`_evaluate`.
-        """
-        candidates: Dict[int, FirstHit] = {}
-        postings_view = self._legacy_postings()
-        for v, token, qpos in self._probe_tokens(query, theta, func):
-            _bump(counters, "posting_lookups")
-            for rid, pos in postings_view[v].get(token, ()):
-                candidates.setdefault(rid, (v, qpos, pos))
-        return candidates
-
-    def _query_segments(self, query: EncodedQuery) -> List[Tuple[int, Segment]]:
-        """Split the query like an indexed record, sizes counting unknowns.
-
-        Unknown tokens are placed after every known id, which makes them
-        trailing members of the query's token sequence: every segment's
-        ``str_len`` grows by ``n_unknown`` and every segment gains that
-        many ``behind`` tokens, except that a segment in the *last*
-        fragment would absorb them into itself — where the per-segment
-        token list would no longer match the segment length the lemmas
-        see.  The caller therefore disables the segment lemmas for
-        unknown-token probes (see :meth:`_evaluate`); StrL only needs the
-        corrected ``str_len``.
-        """
-        split = self.partitioner.split(-1, query.ranks)
-        if not query.n_unknown:
-            return split
-        adjusted = []
-        for v, segment in split:
-            info = segment.info
-            adjusted.append(
-                (
-                    v,
-                    Segment(
-                        SegmentInfo(
-                            rid=info.rid,
-                            str_len=info.str_len + query.n_unknown,
-                            ahead=info.ahead,
-                            behind=info.behind + query.n_unknown,
-                        ),
-                        segment.tokens,
-                    ),
-                )
-            )
-        return adjusted
-
-    def _evaluate(
-        self,
-        query: EncodedQuery,
-        candidates: Dict[int, FirstHit],
-        theta: float,
-        func: SimilarityFunction,
-        filter_config: FilterConfig,
-        counters: Optional[Counters],
-        tracer: Tracer = NOOP_TRACER,
-    ) -> List[SearchHit]:
-        """Filter candidates fragment-wise, then verify survivors exactly.
-
-        With an enabled tracer, the per-candidate stage costs are summed
-        into three spans per probe — ``positional-bound``,
-        ``fragment-filters`` and ``verification`` — because one span per
-        candidate would dwarf the work being measured.
-        """
-        _bump(counters, "probes")
-        if not candidates:
-            return []
-        traced = tracer.enabled
-        positional_clock = _StageClock() if traced else None
-        fragment_clock = _StageClock() if traced else None
-        verify_clock = _StageClock() if traced else None
-        if query.n_unknown:
-            # The segment lemmas assume the segment token lists they see
-            # are complete; unknown probe tokens break that for the last
-            # fragment (see _query_segments), so fall back to StrL + the
-            # early-terminating verify — still exact, just less pruning.
-            filter_config = FilterConfig(
-                strl=filter_config.strl, segl=False, segi=False, segd=False,
-                early_verify=filter_config.early_verify,
-            )
-        filters = FragmentFilters(theta, func, filter_config)
-        query_segments = self._query_segments(query)
-        qseg_by_fragment = dict(query_segments)
-        positional = filter_config.segi or filter_config.segd
-        size_q = query.size
-        segments_view = self._legacy_segments()
-        hits: List[SearchHit] = []
-        for rid, first_hit in candidates.items():
-            _bump(counters, "candidates")
-            t_ranks = self._ranks[rid]
-            size_t = len(t_ranks)
-            # Record-level StrL (Lemma 1) before any segment work: the
-            # *larger* side fixes the lower bound the smaller must meet.
-            if filter_config.strl:
-                small, large = (
-                    (size_q, size_t) if size_q <= size_t else (size_t, size_q)
-                )
-                if small < length_lower_bound(func, theta, large):
-                    _bump(counters, "pruned_strl")
-                    continue
-            if positional:
-                if positional_clock:
-                    positional_clock.start()
-                pruned_positional = self._positional_prune(
-                    first_hit, qseg_by_fragment, segments_view[rid], filters
-                )
-                if positional_clock:
-                    positional_clock.stop()
-                if pruned_positional:
-                    _bump(counters, "pruned_positional")
-                    continue
-            if fragment_clock:
-                fragment_clock.start()
-            survives = self._survives_fragments(
-                query_segments, segments_view[rid], filters, counters
-            )
-            if fragment_clock:
-                fragment_clock.stop()
-            if not survives:
-                continue
-            if verify_clock:
-                verify_clock.start()
-            hit = self._verify(query, t_ranks, size_t, theta, func,
-                               filter_config.early_verify, counters)
-            if verify_clock:
-                verify_clock.stop()
-            if hit is not None:
-                hits.append(SearchHit(rid, hit))
-                _bump(counters, "results")
-        if traced:
-            positional_clock.emit(tracer, "positional-bound")
-            fragment_clock.emit(tracer, "fragment-filters")
-            verify_clock.emit(tracer, "verification")
-        hits.sort(key=lambda hit: (-hit.score, hit.rid))
-        return hits
-
-    @staticmethod
-    def _positional_prune(
-        first_hit: FirstHit,
-        qseg_by_fragment: Dict[int, Segment],
-        t_segments: Dict[int, Segment],
-        filters: FragmentFilters,
-    ) -> bool:
-        """PPJoin's positional filter, per fragment (postings carry positions).
-
-        At the first collision — query-segment position ``i``, indexed
-        segment position ``j`` — the fragment intersection is at most
-        ``min(i, j) + 1 + min(remaining_q, remaining_t)`` (both segments
-        are sorted by rank, so matches before/after the collision token
-        are bounded by the shorter flank).  When even that upper bound is
-        below the smallest intersection surviving SegI/SegD, the pair is
-        provably dissimilar and no merge needs to run.
-        """
-        v, qpos, tpos = first_hit
-        qseg = qseg_by_fragment[v]
-        tseg = t_segments[v]
-        i = qpos - qseg.info.ahead
-        upper = (
-            min(i, tpos)
-            + 1
-            + min(len(qseg) - i - 1, len(tseg) - tpos - 1)
-        )
-        return upper < filters.min_required_common(qseg, tseg)
-
-    def _survives_fragments(
-        self,
-        query_segments: List[Tuple[int, Segment]],
-        t_segments: Dict[int, Segment],
-        filters: FragmentFilters,
-        counters: Optional[Counters],
-    ) -> bool:
-        """Apply the SegL/SegI/SegD lemmas in every shared fragment.
-
-        Each lemma is safe per fragment (its proof needs only one
-        fragment's view), so a single pruning fragment is enough to
-        discard the pair — exactly the suppression a reduce task performs
-        in the offline filter job.
-        """
-        for v, qseg in query_segments:
-            tseg = t_segments.get(v)
-            if tseg is None:
-                continue
-            pruned = filters.pre_intersection(qseg, tseg)
-            if pruned:
-                _bump(counters, f"pruned_{pruned}")
-                return False
-            if not (filters.config.segi or filters.config.segd):
-                continue
-            required = (
-                filters.min_required_common(qseg, tseg)
-                if filters.early_termination
-                else 1
-            )
-            common, comparisons, completed = bounded_merge_intersection(
-                qseg.tokens, tseg.tokens, required
-            )
-            _bump(counters, "filter_token_comparisons", comparisons)
-            if not completed:
-                # The merge was abandoned because even a full remaining
-                # suffix match could not satisfy SegI/SegD — the pair is
-                # provably below threshold.
-                _bump(counters, "pruned_overlap_bound")
-                return False
-            pruned = filters.post_intersection(qseg, tseg, common)
-            if pruned:
-                _bump(counters, f"pruned_{pruned}")
-                return False
-        return True
-
-    def _verify(
-        self,
-        query: EncodedQuery,
-        t_ranks: Sequence[int],
-        size_t: int,
-        theta: float,
-        func: SimilarityFunction,
-        early_termination: bool,
-        counters: Optional[Counters],
-    ) -> Optional[float]:
-        """Exact verification — ``verify_pair``'s early-terminating merge.
-
-        Unknown query tokens intersect nothing, so the merge runs over the
-        known ids while the threshold rule sees the full query size; with
-        no unknowns this is exactly
-        ``verify_pair(q, t, θ, func, sorted_input=True)``.
-        """
-        size_q = query.size
-        required = (
-            required_overlap(func, theta, size_q, size_t)
-            if early_termination
-            else 1
-        )
-        common, comparisons, _completed = bounded_merge_intersection(
-            query.ranks, t_ranks, required
-        )
-        _bump(counters, "verified_pairs")
-        _bump(counters, "verify_token_comparisons", comparisons)
-        return verify_overlap(func, theta, common, size_q, size_t)
-
     # -- persistence (snapshot v3 payload) ------------------------------
     def __getstate__(self):
         self._seal()
         state = dict(self.__dict__)
-        # Rebuilt on load: the vocab shares the order object, the legacy
-        # views are derived caches.
+        # Rebuilt on load: the vocab shares the order object.
         state.pop("vocab", None)
-        state.pop("_legacy_cache", None)
         return state
 
     def __setstate__(self, state) -> None:
-        state.setdefault("probe_path", "columnar")
-        if "_segments" in state:
-            # Snapshot v2 payload: dict-of-Segment metadata, dict-of-list
-            # postings, tuple rank encodings.  Convert to the columnar
-            # layout; results are identical by construction.
-            segments = state.pop("_segments")
-            state["_ranks"] = {
-                rid: array(ID_TYPECODE, ranks)
-                for rid, ranks in state["_ranks"].items()
-            }
-            state["_segbounds"] = {
-                rid: _bounds_from_segments(segmap)
-                for rid, segmap in segments.items()
-            }
-            state["_postings"] = [
-                FragmentPostings.from_dict(fragment)
-                for fragment in state["_postings"]
-            ]
         self.__dict__.update(state)
         self.vocab = TokenVocab(self.order)
-        self._legacy_cache = None
-
-
-def _bounds_from_segments(segmap: Dict[int, Segment]) -> Tuple[int, ...]:
-    """Flat ``(fragment, start, end)`` triples from a legacy segment map."""
-    flat: List[int] = []
-    for v in sorted(segmap):
-        info = segmap[v].info
-        start = info.ahead
-        flat.extend((v, start, start + len(segmap[v].tokens)))
-    return tuple(flat)
 
 
 class _StageClock:

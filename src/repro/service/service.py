@@ -60,7 +60,6 @@ class SimilarityService:
         executor: Union[ExecutorKind, str, TaskExecutor, None] = None,
         tracer: Optional[Tracer] = None,
         clock=time.monotonic,
-        probe_path: Optional[str] = None,
     ) -> None:
         """``executor`` sets the default backend for :meth:`search_batch`
         (``None`` = in-process, fragment-grouped only); ``cache_size=0``
@@ -68,12 +67,7 @@ class SimilarityService:
         tracer) records one ``probe``/``batch`` span per request with
         ``cache-lookup``, ``prefix-filter``, ``positional-bound``,
         ``fragment-filters`` and ``verification`` children; results are
-        bit-identical with tracing on or off.  ``probe_path`` overrides
-        the index's evaluator — ``"columnar"`` (the default hot path) or
-        ``"legacy"`` (the reference path); results are bit-identical on
-        both."""
-        if probe_path is not None:
-            index.probe_path = probe_path
+        bit-identical with tracing on or off."""
         self.index = index
         self.filters = filters if filters is not None else FilterConfig()
         self.metrics = Counters()
@@ -295,11 +289,10 @@ class SimilarityService:
         cache_size: int = 1024,
         executor: Union[ExecutorKind, str, TaskExecutor, None] = None,
         tracer: Optional[Tracer] = None,
-        probe_path: Optional[str] = None,
     ) -> "SimilarityService":
         """Build a service over a snapshot written by :meth:`save`."""
         return cls(load_index(path), filters=filters, cache_size=cache_size,
-                   executor=executor, tracer=tracer, probe_path=probe_path)
+                   executor=executor, tracer=tracer)
 
     # -- introspection -------------------------------------------------
     def cache_info(self) -> Dict[str, int]:

@@ -7,15 +7,14 @@ otherwise corrupted payload fails the digest check with a clear
 :class:`~repro.errors.SnapshotError` *before* the payload is unpickled —
 never a pickle crash deep inside ``loads`` and never a silently wrong
 index.  A truncated file fails the outer header parse the same way.
-Version-1 snapshots (no digest) still load, with a ``RuntimeWarning``
-recommending a re-save.
+The outer envelope holds only builtins, so it is parsed by an unpickler
+that resolves no classes: no object a file names is ever constructed
+before its bytes pass the digest check.
 
-Version 3 (current) pickles the columnar index — flat ``array`` posting
-and rank columns — which serializes as machine bytes and is smaller than
-the version-2 dict-of-objects payload for the same corpus.  Version-2
-snapshots load transparently: the index's ``__setstate__`` detects the old
-layout and converts it on the fly (results identical by construction);
-re-save to upgrade.
+Only version 3 — the columnar index, flat ``array`` posting and rank
+columns serialized as machine bytes — is read.  Files of the older
+dict-of-objects layouts (versions 1 and 2) are refused with the same typed
+error as any other version mismatch; rebuild them with ``repro index``.
 
 Writes go to a temporary sibling file first and are atomically swapped
 into place with :func:`os.replace` — the same write-then-swap convention
@@ -29,7 +28,6 @@ from __future__ import annotations
 import hashlib
 import os
 import pickle
-import warnings
 from pathlib import Path
 from typing import Union
 
@@ -37,14 +35,8 @@ from repro.errors import SnapshotError
 from repro.service.index import SegmentIndex
 
 SNAPSHOT_FORMAT = "repro-segment-index"
-#: v3: the columnar index payload (flat array posting/rank columns).  The
-#: envelope is unchanged since v2 — same digest check, same keys.
+#: v3: the columnar index payload (flat array posting/rank columns).
 SNAPSHOT_VERSION = 3
-#: The dict-of-Segment payload written before the columnar rewrite; loads
-#: transparently (``SegmentIndex.__setstate__`` converts the old layout).
-SNAPSHOT_VERSION_V2 = 2
-#: The digest-less layout still accepted (with a warning) by `load_index`.
-SNAPSHOT_VERSION_LEGACY = 1
 
 _PICKLE_ERRORS = (
     pickle.UnpicklingError, EOFError, AttributeError, ImportError, IndexError,
@@ -71,14 +63,31 @@ def save_index(index: SegmentIndex, path: Union[str, Path]) -> int:
     return len(data)
 
 
+class _EnvelopeUnpickler(pickle.Unpickler):
+    """Parses the snapshot envelope — builtins only, no class lookups.
+
+    A version-1 file embeds the index object in the envelope itself; it
+    (and any hostile header) is refused here instead of being constructed.
+    """
+
+    def find_class(self, module, name):
+        raise SnapshotError(
+            f"snapshot header references {module}.{name}; this build reads "
+            f"version {SNAPSHOT_VERSION} envelopes only — rebuild the index "
+            "with 'repro index'"
+        )
+
+
 def load_index(path: Union[str, Path]) -> SegmentIndex:
     """Load a snapshot, validating format, version and integrity digest."""
     path = Path(path)
     try:
         with path.open("rb") as handle:
-            payload = pickle.load(handle)
+            payload = _EnvelopeUnpickler(handle).load()
     except FileNotFoundError:
         raise SnapshotError(f"no snapshot at {path}") from None
+    except SnapshotError as exc:
+        raise SnapshotError(f"{path}: {exc}") from None
     except _PICKLE_ERRORS as exc:
         raise SnapshotError(
             f"{path} is not a readable index snapshot: {exc}"
@@ -88,40 +97,30 @@ def load_index(path: Union[str, Path]) -> SegmentIndex:
             f"{path} is not a {SNAPSHOT_FORMAT!r} snapshot"
         )
     version = payload.get("version")
-    if version == SNAPSHOT_VERSION_LEGACY:
-        warnings.warn(
-            f"snapshot at {path} is version {SNAPSHOT_VERSION_LEGACY} and "
-            "carries no integrity digest; re-save it (service.save / "
-            "'repro index') to upgrade",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-        index = payload.get("index")
-    elif version in (SNAPSHOT_VERSION, SNAPSHOT_VERSION_V2):
-        body = payload.get("index_bytes")
-        if not isinstance(body, bytes):
-            raise SnapshotError(f"snapshot at {path} carries no index payload")
-        digest = hashlib.sha256(body).hexdigest()
-        if digest != payload.get("digest"):
-            raise SnapshotError(
-                f"snapshot at {path} failed its integrity check "
-                f"(sha256 {digest[:12]}… != recorded "
-                f"{str(payload.get('digest'))[:12]}…) — the file is "
-                "corrupted; rebuild the index with 'repro index'"
-            )
-        try:
-            index = pickle.loads(body)
-        except _PICKLE_ERRORS as exc:
-            raise SnapshotError(
-                f"snapshot payload at {path} is unreadable despite a valid "
-                f"digest (written by an incompatible build?): {exc}"
-            ) from None
-    else:
+    if version != SNAPSHOT_VERSION:
         raise SnapshotError(
             f"snapshot version mismatch at {path}: file has {version!r}, "
-            f"this build reads {SNAPSHOT_VERSION_V2}–{SNAPSHOT_VERSION} — "
+            f"this build reads {SNAPSHOT_VERSION} — "
             "rebuild the index with 'repro index'"
         )
+    body = payload.get("index_bytes")
+    if not isinstance(body, bytes):
+        raise SnapshotError(f"snapshot at {path} carries no index payload")
+    digest = hashlib.sha256(body).hexdigest()
+    if digest != payload.get("digest"):
+        raise SnapshotError(
+            f"snapshot at {path} failed its integrity check "
+            f"(sha256 {digest[:12]}… != recorded "
+            f"{str(payload.get('digest'))[:12]}…) — the file is "
+            "corrupted; rebuild the index with 'repro index'"
+        )
+    try:
+        index = pickle.loads(body)
+    except _PICKLE_ERRORS as exc:
+        raise SnapshotError(
+            f"snapshot payload at {path} is unreadable despite a valid "
+            f"digest (written by an incompatible build?): {exc}"
+        ) from None
     if not isinstance(index, SegmentIndex):
         raise SnapshotError(f"snapshot at {path} carries no index payload")
     return index

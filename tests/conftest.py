@@ -9,6 +9,9 @@ import pytest
 
 from repro.data.records import Record, RecordCollection
 from repro.mapreduce.runtime import ClusterSpec, SimulatedCluster
+from repro.service.index import SearchHit
+from repro.similarity.functions import get_similarity_function
+from repro.similarity.thresholds import EPS
 
 
 def random_collection(
@@ -39,6 +42,24 @@ def random_collection(
             length = rng.randint(1, max_len)
             records.append(Record.make(rid, rng.sample(tokens, min(length, vocab))))
     return RecordCollection(records)
+
+
+def brute_force_search(records, tokens, theta, func="jaccard"):
+    """Every record with ``sim(tokens, record) ≥ θ``, best first.
+
+    The per-query form of :func:`repro.baselines.naive.naive_self_join`:
+    a linear scan over token sets that shares no logic with the index
+    (no ordering, pivots, prefixes, filters or merge) — the reference the
+    serving-path identity tests compare against.
+    """
+    similarity = get_similarity_function(func)
+    query = frozenset(tokens)
+    hits = []
+    for record in records:
+        score = similarity(query, record.token_set())
+        if score + EPS >= theta:
+            hits.append(SearchHit(record.rid, score))
+    return sorted(hits, key=lambda hit: (-hit.score, hit.rid))
 
 
 @pytest.fixture

@@ -2,9 +2,9 @@
 
 The load-bearing property (the PR's acceptance criterion) is
 *bit-identity*: for every query, :meth:`ClusterRouter.search` must return
-exactly what a single-node probe over the same index returns — same rids,
-same scores, same order — including with a replica failed and after a
-rebalance migration.
+exactly what a brute-force scan of the corpus (and a single-node probe
+over the same index) returns — same rids, same scores, same order —
+including with a replica failed and after a rebalance migration.
 """
 
 from __future__ import annotations
@@ -13,18 +13,21 @@ import threading
 
 import pytest
 
-from repro.cluster import ClusterRouter, build_cluster
+from repro.cluster import ClusterRouter, HedgeConfig, build_cluster
+from repro.data.records import RecordCollection
 from repro.errors import (
     ClusterError,
     ClusterOverloadError,
     ConfigError,
     DataError,
 )
+from repro.ingest import IngestConfig, StreamingIndex
+from repro.mapreduce.hdfs import InMemoryDFS
 from repro.observability.tracer import Tracer
 from repro.service.index import SegmentIndex
 from repro.service.service import SimilarityService
 from repro.similarity.functions import SimilarityFunction
-from tests.conftest import random_collection
+from tests.conftest import brute_force_search, random_collection
 
 THETAS = (0.5, 0.8)
 FUNCS = (SimilarityFunction.JACCARD, SimilarityFunction.COSINE)
@@ -64,13 +67,13 @@ def cluster(index):
 
 
 def assert_parity(router, index, corpus, theta, func):
-    service = SimilarityService(index, cache_size=0)
     for record in corpus:
-        expected = service.search(record.tokens, theta, func=func)
+        expected = brute_force_search(corpus, record.tokens, theta, func)
         got = router.search(record.tokens, theta, func=func)
         assert got == expected, (
             f"rid={record.rid} theta={theta} func={func.value}"
         )
+        assert got == index.probe(record.tokens, theta, func=func)
 
 
 class TestBitIdentity:
@@ -150,13 +153,78 @@ class TestBitIdentity:
         )
 
     def test_thread_executor_matches_serial(self, index, corpus):
-        threaded = build_cluster(index, n_shards=4, replication=1,
-                                 executor="thread")
+        # With hedging on, every leg of every search runs on the hedge
+        # pool's threads (and may be answered by either replica).
+        threaded = build_cluster(index, n_shards=4, replication=2,
+                                 hedge=HedgeConfig())
         serial = build_cluster(index, n_shards=4, replication=1)
         for record in corpus[:30]:
             assert threaded.search(record.tokens, 0.5) == serial.search(
                 record.tokens, 0.5
             )
+
+    @pytest.mark.parametrize(
+        "scenario", ["healthy", "replica-failed", "ingest", "shard-down"]
+    )
+    @pytest.mark.parametrize("theta", THETAS)
+    def test_search_is_a_batch_of_one(self, index, corpus, theta, scenario):
+        """Every entry point takes the one scatter: ``search(q)``,
+        ``search_batch([q])[0]``, the single-node probe and the oracle
+        agree — and a whole shard down is a typed failure for both, or a
+        ``search_partial`` answer naming exactly what is missing."""
+        down = 1
+        if scenario == "ingest":
+            router = build_cluster(
+                RecordCollection(list(corpus)[:90]), n_shards=4,
+                replication=2, n_vertical=8,
+            )
+            router.attach_ingest(StreamingIndex.attach(
+                InMemoryDFS(), "ingest", router.order, router.partitioner,
+                config=IngestConfig(memtable_limit=8, fanout=2),
+            ))
+            router.apply_batch(list(corpus)[90:])
+        else:
+            router = build_cluster(index, n_shards=4, replication=2,
+                                   sleep=lambda seconds: None)
+            if scenario == "replica-failed":
+                router.replica(down, 0).fail()
+            elif scenario == "shard-down":
+                router.replica(down, 0).fail()
+                router.replica(down, 1).fail()
+        for record in corpus:
+            tokens = record.tokens
+            full = brute_force_search(corpus, tokens, theta)
+            assert full == index.probe(tokens, theta)
+            targets = router._target_shards(router.target_fragments(
+                router.encode_query(tokens), theta, SimilarityFunction.JACCARD
+            ))
+            if scenario == "shard-down" and down in targets:
+                with pytest.raises(ClusterError, match="replicas down"):
+                    router.search(tokens, theta)
+                with pytest.raises(ClusterError, match="replicas down"):
+                    router.search_batch([tokens], theta)
+                partial = router.search_partial(tokens, theta)
+                assert not partial.complete
+                assert partial.missing_shards == (down,)
+                assert partial.missing_fragments == tuple(
+                    sorted(targets[down])
+                )
+                # What the live shards claimed: the full answer minus the
+                # dead shard's disjoint share, order preserved.
+                live = set(partial.hits)
+                assert list(partial.hits) == [h for h in full if h in live]
+            else:
+                assert router.search(tokens, theta) == full
+                assert router.search_batch([tokens], theta) == [full]
+                partial = router.search_partial(tokens, theta)
+                assert partial.complete and list(partial.hits) == full
+                assert partial.missing_shards == ()
+                assert partial.missing_fragments == ()
+        if scenario == "shard-down":
+            # Heat is charged only for the shards that answered.
+            for fragment in router.plan.fragments_of(down):
+                assert fragment not in router.fragment_heat()
+            assert router.metrics.get("cluster.route", "partial_results")
 
 
 class TestRouting:
@@ -245,8 +313,6 @@ class TestRouting:
         with pytest.raises(ConfigError):
             build_cluster(index, n_shards=2, max_in_flight=0)
         with pytest.raises(ConfigError):
-            build_cluster(index, n_shards=2, executor="process")
-        with pytest.raises(ConfigError):
             build_cluster(index, n_shards=2, replication=0)
 
 
@@ -265,8 +331,7 @@ class TestAdmissionControl:
         assert router.search(router.tokens_of(0), 0.3)
 
     def test_concurrent_searches_within_capacity(self, index):
-        router = build_cluster(index, n_shards=2, max_in_flight=8,
-                               executor="thread")
+        router = build_cluster(index, n_shards=2, max_in_flight=8)
         errors: list = []
 
         def worker():
@@ -374,10 +439,11 @@ class TestTracing:
         router.search(router.tokens_of(0), 0.5)
         spans = tracer.spans()
         names = {span.name for span in spans}
-        assert {"cluster-search", "route", "merge", "shard-probe"} <= names
+        assert {"cluster-batch", "route", "merge", "shard-probe"} <= names
         phases = {span.phase for span in spans}
         assert {"cluster", "service"} <= phases
-        root = next(s for s in spans if s.name == "cluster-search")
+        root = next(s for s in spans if s.name == "cluster-batch")
+        assert root.attrs["queries"] == 1
         children = [s for s in spans if s.parent_id == root.span_id]
         assert {"route", "merge"} <= {s.name for s in children}
 
@@ -390,9 +456,11 @@ class TestTracing:
             )
 
     def test_thread_scatter_traces_deterministically(self, index):
+        # With hedging on, every leg runs on the hedge pool's threads and
+        # traces into a leg-local tracer; spans are adopted in shard order.
         tracer = Tracer()
-        router = build_cluster(index, n_shards=4, tracer=tracer,
-                               executor="thread")
+        router = build_cluster(index, n_shards=4, replication=2,
+                               tracer=tracer, hedge=HedgeConfig())
         router.search(router.tokens_of(0), 0.3)
         probes = [s for s in tracer.spans() if s.name == "shard-probe"]
         shards = [s.attrs["shard"] for s in probes]

@@ -3,9 +3,9 @@
 The streaming index's read path concatenates per-tier probe results
 (memtable + immutable generations) and sorts by ``(-score, rid)``.  That
 is only sound if it is bit-identical to probing one index built from the
-union of all tiers' records — the property the hypothesis test below
-pins down for both probe paths, arbitrary tier splits, and queries that
-mix known and memtable-only vocabulary.
+union of all tiers' records (and to a brute-force scan of them) — the
+property the hypothesis test below pins down for arbitrary tier splits
+and queries that mix known and memtable-only vocabulary.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 from repro.data.records import Record, RecordCollection
 from repro.ingest import Memtable
 from repro.service import SegmentIndex
-from repro.service.index import PROBE_PATHS
+from tests.conftest import brute_force_search
 
 TOKENS = [f"w{i}" for i in range(30)]
 
@@ -63,17 +63,16 @@ class TestMergeExactness:
         union = _build_tier(
             base_records + fresh_records, order, partitioner
         )
-        for path in PROBE_PATHS:
-            generation.probe_path = path
-            memtable.index.probe_path = path
-            union.probe_path = path
-            encoded = union.encode_query(query)
-            merged = sorted(
-                generation.probe_encoded(encoded, theta)
-                + memtable.index.probe_encoded(encoded, theta),
-                key=lambda hit: (-hit.score, hit.rid),
-            )
-            assert merged == union.probe_encoded(encoded, theta)
+        encoded = union.encode_query(query)
+        merged = sorted(
+            generation.probe_encoded(encoded, theta)
+            + memtable.index.probe_encoded(encoded, theta),
+            key=lambda hit: (-hit.score, hit.rid),
+        )
+        assert merged == union.probe_encoded(encoded, theta)
+        assert merged == brute_force_search(
+            base_records + fresh_records, query, theta
+        )
 
     def test_memtable_vocabulary_growth_keeps_generations_valid(self):
         """Interned ids are append-only: a generation built before the

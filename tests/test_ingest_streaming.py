@@ -18,8 +18,7 @@ from repro.errors import ClusterError, ConfigError, DataError
 from repro.ingest import IngestConfig, StreamingIndex
 from repro.mapreduce.hdfs import InMemoryDFS
 from repro.service import SegmentIndex, SimilarityService, load_index
-from repro.service.index import PROBE_PATHS
-from tests.conftest import random_collection
+from tests.conftest import brute_force_search, random_collection
 
 
 @pytest.fixture(scope="module")
@@ -49,12 +48,10 @@ class TestWritePath:
     def test_probe_equals_single_index_oracle(self, corpus):
         streaming = _feed(_stream(corpus), corpus)
         oracle = SegmentIndex.build(corpus, n_vertical=5)
-        for path in PROBE_PATHS:
-            streaming.probe_path = path
-            for record in corpus:
-                assert streaming.probe(record.tokens, 0.5) == oracle.probe(
-                    record.tokens, 0.5
-                ), f"record {record.rid} diverged on {path}"
+        for record in corpus:
+            hits = streaming.probe(record.tokens, 0.5)
+            assert hits == oracle.probe(record.tokens, 0.5)
+            assert hits == brute_force_search(corpus, record.tokens, 0.5)
 
     def test_probe_batch_equals_sequential(self, corpus):
         streaming = _feed(_stream(corpus), corpus)
@@ -129,11 +126,6 @@ class TestWritePath:
             assert streaming.probe(record.tokens, 0.6) == oracle.probe(
                 record.tokens, 0.6
             )
-
-    def test_invalid_probe_path_is_typed(self, corpus):
-        streaming = _stream(corpus)
-        with pytest.raises(ConfigError):
-            streaming.probe_path = "quantum"
 
     def test_invalid_config_is_typed(self):
         with pytest.raises(ConfigError):

@@ -106,27 +106,36 @@ class TestSimulatedTimeShape:
     beats the baselines (see repro.analysis.calibration for why raw
     miniature timings are startup-dominated)."""
 
-    def test_fsjoin_fastest_on_email_corpus(self):
-        from repro.analysis.calibration import PAPER_SCALE
-
+    @pytest.fixture(scope="class")
+    def email(self):
+        """The corpus and the two baseline runs both tests compare FS-Join
+        against — built once: ``MassJoin.run`` alone is ~54 s here."""
         cluster = SimulatedCluster(ClusterSpec(workers=10))
         records = make_corpus("email", 200, seed=13)
+        return {
+            "cluster": cluster,
+            "records": records,
+            "ridpairs": RIDPairsPPJoin(0.8, cluster=cluster).run(records),
+            "massjoin": MassJoin(0.8, cluster=cluster).run(records),
+        }
+
+    def test_fsjoin_fastest_on_email_corpus(self, email):
+        from repro.analysis.calibration import PAPER_SCALE
+
+        cluster, records = email["cluster"], email["records"]
+        ridpairs, massjoin = email["ridpairs"], email["massjoin"]
         theta = 0.8
         spec = cluster.spec
         fsjoin = FSJoin(
             FSJoinConfig(theta=theta, n_vertical=30, n_horizontal=10), cluster
         ).run(records)
-        ridpairs = RIDPairsPPJoin(theta, cluster=cluster).run(records)
-        massjoin = MassJoin(theta, cluster=cluster).run(records)
         fsjoin_time = fsjoin.simulated_time(spec, PAPER_SCALE).total_s
         assert fsjoin_time < ridpairs.simulated_time(spec, PAPER_SCALE).total_s
         assert fsjoin_time < massjoin.simulated_time(spec, PAPER_SCALE).total_s
 
-    def test_fsjoin_less_shuffle_than_all_on_email(self):
-        cluster = SimulatedCluster(ClusterSpec(workers=10))
-        records = make_corpus("email", 200, seed=13)
+    def test_fsjoin_less_shuffle_than_all_on_email(self, email):
+        cluster, records = email["cluster"], email["records"]
+        ridpairs, massjoin = email["ridpairs"], email["massjoin"]
         fsjoin = FSJoin(FSJoinConfig(theta=0.8, n_vertical=30), cluster).run(records)
-        ridpairs = RIDPairsPPJoin(0.8, cluster=cluster).run(records)
-        massjoin = MassJoin(0.8, cluster=cluster).run(records)
         assert fsjoin.total_shuffle_bytes() < ridpairs.total_shuffle_bytes()
         assert fsjoin.total_shuffle_bytes() < massjoin.total_shuffle_bytes()

@@ -18,11 +18,7 @@ from repro.service import (
     load_index,
     save_index,
 )
-from repro.service.snapshot import (
-    SNAPSHOT_FORMAT,
-    SNAPSHOT_VERSION,
-    SNAPSHOT_VERSION_LEGACY,
-)
+from repro.service.snapshot import SNAPSHOT_FORMAT, SNAPSHOT_VERSION
 from tests.conftest import random_collection
 
 CACHE = "service.cache"
@@ -295,20 +291,27 @@ class TestSnapshotIntegrity:
         with pytest.raises(SnapshotError, match="despite a valid digest"):
             load_index(path)
 
-    def test_legacy_v1_loads_with_warning(self, service, corpus, tmp_path):
+    def test_legacy_v1_loads_with_warning(self, service, tmp_path,
+                                          monkeypatch):
+        """No longer: a version-1 file embeds the index object in its
+        header, with no digest, so it is refused with the typed rebuild
+        error — and nothing it names is constructed on the way."""
         path = tmp_path / "v1.idx"
         path.write_bytes(pickle.dumps({
             "format": SNAPSHOT_FORMAT,
-            "version": SNAPSHOT_VERSION_LEGACY,
+            "version": 1,
             "stats": service.index.posting_stats(),
             "index": service.index,
         }))
-        with pytest.warns(RuntimeWarning, match="no integrity digest"):
-            index = load_index(path)
-        for record in corpus[:5]:
-            assert index.probe(record.tokens, 0.6) == service.index.probe(
-                record.tokens, 0.6
-            )
+        restored = []
+        monkeypatch.setattr(
+            SegmentIndex, "__setstate__",
+            lambda self, state: restored.append(state),
+        )
+        with pytest.raises(SnapshotError, match="rebuild the index with "
+                                                "'repro index'"):
+            load_index(path)
+        assert not restored
 
     def test_current_snapshots_load_without_warning(self, service, tmp_path):
         import warnings

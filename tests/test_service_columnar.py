@@ -1,11 +1,13 @@
-"""Columnar hot path vs legacy reference path: bit-identical by contract.
+"""The columnar index vs an independent oracle: bit-identical by contract.
 
-The columnar rewrite (flat array posting columns, batched candidate
-generation, inlined filter battery) must change *nothing* observable:
-probe results, batch results, self-join pairs and hit ordering all match
-the legacy evaluator exactly.  These tests pin that contract, the
+The index's one evaluator (flat array posting columns, batched candidate
+generation, inlined filter battery) must return exactly what a brute-force
+scan over token sets returns — same rids, same scores, same order — for
+probes, batches and the self-join.  The oracle
+(:func:`tests.conftest.brute_force_search`, ``naive_self_join``,
+``FSJoin.run``) shares no logic with the index.  Also pinned here: the
 ``probe_batch`` result-ordering guarantee across executor fan-outs, the
-byte-accurate ``posting_stats``, and snapshot v2→v3 compatibility.
+byte-accurate ``posting_stats``, and the v3 snapshot format.
 """
 
 from __future__ import annotations
@@ -15,14 +17,14 @@ import pickle
 
 import pytest
 
-from repro.core import FilterConfig
-from repro.data.records import Record
+from repro.baselines.naive import naive_self_join
+from repro.core import FilterConfig, FSJoin, FSJoinConfig
+from repro.errors import SnapshotError
 from repro.mapreduce.counters import Counters
-from repro.errors import ConfigError
 from repro.service import SegmentIndex, SimilarityService, load_index
 from repro.service.columnar import FragmentPostings
-from repro.service.snapshot import SNAPSHOT_FORMAT, SNAPSHOT_VERSION
-from tests.conftest import random_collection
+from repro.service.snapshot import SNAPSHOT_FORMAT
+from tests.conftest import brute_force_search, random_collection
 
 
 @pytest.fixture(scope="module")
@@ -35,25 +37,18 @@ def index(corpus):
     return SegmentIndex.build(corpus, n_vertical=5)
 
 
-def _with_path(index, path):
-    """Flip the probe path (restored by the caller via the same helper)."""
-    index.probe_path = path
-    return index
-
-
 class TestPathEquivalence:
+    """Two paths to every answer: the index and the brute-force oracle."""
+
     @pytest.mark.parametrize("theta", [0.4, 0.6, 0.85])
     @pytest.mark.parametrize("func", ["jaccard", "cosine", "dice"])
     def test_probe_identical_across_paths(self, corpus, index, theta, func):
         for record in corpus:
-            columnar = _with_path(index, "columnar").probe(
+            assert index.probe(
                 record.tokens, theta, func=func
-            )
-            legacy = _with_path(index, "legacy").probe(
-                record.tokens, theta, func=func
-            )
-            _with_path(index, "columnar")
-            assert columnar == legacy, f"rid {record.rid} diverged"
+            ) == brute_force_search(
+                corpus, record.tokens, theta, func
+            ), f"rid {record.rid} diverged"
 
     @pytest.mark.parametrize(
         "filters",
@@ -66,59 +61,58 @@ class TestPathEquivalence:
     )
     def test_probe_identical_under_every_filter_config(self, corpus, index,
                                                        filters):
+        # Filters only prune provably dissimilar pairs: every config
+        # returns the oracle's answer.
         for record in list(corpus)[:20]:
-            columnar = _with_path(index, "columnar").probe(
+            assert index.probe(
                 record.tokens, 0.5, filters=filters
-            )
-            legacy = _with_path(index, "legacy").probe(
-                record.tokens, 0.5, filters=filters
-            )
-            _with_path(index, "columnar")
-            assert columnar == legacy
+            ) == brute_force_search(corpus, record.tokens, 0.5)
 
     def test_probe_batch_identical_across_paths(self, corpus, index):
         queries = [index.encode_query(r.tokens) for r in corpus]
-        columnar = _with_path(index, "columnar").probe_batch(queries, 0.5)
-        legacy = _with_path(index, "legacy").probe_batch(queries, 0.5)
-        _with_path(index, "columnar")
-        assert columnar == legacy
+        assert index.probe_batch(queries, 0.5) == [
+            brute_force_search(corpus, r.tokens, 0.5) for r in corpus
+        ]
 
-    def test_self_join_identical_across_paths(self, index):
-        columnar = _with_path(index, "columnar").self_join(0.6)
-        legacy = _with_path(index, "legacy").self_join(0.6)
-        _with_path(index, "columnar")
-        assert columnar == legacy
+    def test_self_join_identical_across_paths(self, corpus, index):
+        pairs = index.self_join(0.6)
+        assert pairs == naive_self_join(corpus, 0.6)
+        assert pairs == FSJoin(
+            FSJoinConfig(theta=0.6, n_vertical=5)
+        ).run(corpus).result_pairs
 
-    def test_unknown_token_probes_agree(self, index):
-        tokens = ["t001", "t002", "never-seen-a", "never-seen-b"]
-        columnar = _with_path(index, "columnar").probe(tokens, 0.3)
-        legacy = _with_path(index, "legacy").probe(tokens, 0.3)
-        _with_path(index, "columnar")
-        assert columnar == legacy
+    def test_unknown_token_probes_agree(self, corpus, index):
+        # Unknown tokens match nothing but still enlarge the query set.
+        queries = [["t001", "t002", "never-seen-a", "never-seen-b"]] + [
+            list(record.tokens) + ["never-seen-a"]
+            for record in list(corpus)[:20]
+        ]
+        answered = 0
+        for tokens in queries:
+            hits = index.probe(tokens, 0.3)
+            assert hits == brute_force_search(corpus, tokens, 0.3)
+            answered += bool(hits)
+        assert answered
 
     def test_comparison_counters_match_across_paths(self, corpus, index):
-        """The honest speedup metric: identical verify/filter comparison
-        totals on both paths (the columnar path is faster, not lazier)."""
-        totals = {}
-        for path in ("columnar", "legacy"):
-            counters = Counters()
-            _with_path(index, path)
-            for record in corpus:
-                index.probe(record.tokens, 0.5, counters=counters)
-            totals[path] = counters.group("service.probe")
-        _with_path(index, "columnar")
+        """Sequential and batched candidate generation feed the evaluator
+        the same candidates: identical comparison totals, with the batch
+        sharing posting lookups (faster, not lazier), and the funnel
+        narrowing monotonically."""
+        sequential, batched = Counters(), Counters()
+        for record in corpus:
+            index.probe(record.tokens, 0.5, counters=sequential)
+        index.probe_batch(
+            [index.encode_query(r.tokens) for r in corpus], 0.5,
+            counters=batched,
+        )
+        seq = sequential.group("service.probe")
+        bat = batched.group("service.probe")
         for key in ("verify_token_comparisons", "filter_token_comparisons",
-                    "verified_pairs", "candidates", "results",
-                    "posting_lookups"):
-            assert totals["columnar"][key] == totals["legacy"][key], key
-
-    def test_unknown_probe_path_is_rejected(self, index):
-        index.probe_path = "simd"
-        try:
-            with pytest.raises(ConfigError, match="unknown probe_path"):
-                index.probe(["t001"], 0.5)
-        finally:
-            index.probe_path = "columnar"
+                    "verified_pairs", "candidates", "results", "probes"):
+            assert seq[key] == bat[key], key
+        assert bat["posting_lookups"] <= seq["posting_lookups"]
+        assert seq["candidates"] >= seq["verified_pairs"] >= seq["results"] > 0
 
 
 class TestBatchOrderingContract:
@@ -204,21 +198,8 @@ class TestFragmentPostings:
         for token, rid, pos in [(4, 1, 0), (4, 2, 1), (9, 3, 0)]:
             fp.add(token, rid, pos)
         clone = pickle.loads(pickle.dumps(fp))
-        assert clone.to_dict() == fp.to_dict()
+        assert list(clone.items()) == list(fp.items())
         assert clone.nbytes() == fp.nbytes()
-
-
-def _legacy_v2_state(index):
-    """Reshape a columnar index's state into the v2 (pre-columnar) layout."""
-    index._seal()
-    postings_view, segments_view = index._legacy_views()
-    state = dict(index.__dict__)
-    for derived in ("vocab", "_legacy_cache", "probe_path", "_segbounds"):
-        state.pop(derived)
-    state["_ranks"] = {rid: tuple(col) for rid, col in index._ranks.items()}
-    state["_segments"] = segments_view
-    state["_postings"] = [dict(p) for p in postings_view]
-    return state
 
 
 class TestSnapshotCompat:
@@ -227,66 +208,24 @@ class TestSnapshotCompat:
         path = tmp_path / "wiki.idx"
         service.save(path)
         restored = load_index(path)
-        assert restored.probe_path == "columnar"
+        assert pickle.dumps(restored) == pickle.dumps(index)
         for record in list(corpus)[:15]:
             assert (restored.probe(record.tokens, 0.5)
                     == index.probe(record.tokens, 0.5))
 
-    def test_v2_snapshot_loads_transparently(self, corpus, index, tmp_path,
-                                             monkeypatch):
-        """A pre-columnar snapshot (dict-of-Segment payload, version 2)
-        loads into the columnar layout with identical results."""
-        monkeypatch.setattr(
-            SegmentIndex, "__getstate__", _legacy_v2_state, raising=True
-        )
-        body = pickle.dumps(index, protocol=pickle.HIGHEST_PROTOCOL)
-        monkeypatch.undo()
-        payload = {
+    def test_v2_snapshot_loads_transparently(self, tmp_path):
+        """No longer: a pre-columnar (version 2) file gets the typed
+        rebuild error from its header alone — the payload is never
+        unpickled."""
+        body = b"not a pickle: unpickling this would raise, not refuse"
+        path = tmp_path / "old.idx"
+        path.write_bytes(pickle.dumps({
             "format": SNAPSHOT_FORMAT,
             "version": 2,
             "stats": {},
             "digest": hashlib.sha256(body).hexdigest(),
             "index_bytes": body,
-        }
-        path = tmp_path / "old.idx"
-        path.write_bytes(pickle.dumps(payload))
-        restored = load_index(path)
-        assert restored.probe_path == "columnar"
-        assert isinstance(restored._postings[0], FragmentPostings)
-        for record in list(corpus)[:15]:
-            assert (restored.probe(record.tokens, 0.5)
-                    == index.probe(record.tokens, 0.5))
-        rid = index.rids()[0]
-        assert restored.tokens_of(rid) == index.tokens_of(rid)
-
-    def test_v3_snapshot_smaller_than_v2_payload(self, index):
-        """The columnar payload serializes as machine bytes — smaller than
-        the dict-of-objects layout it replaced."""
-        columnar_bytes = len(pickle.dumps(index, protocol=pickle.HIGHEST_PROTOCOL))
-        legacy_state = _legacy_v2_state(index)
-        legacy_bytes = len(
-            pickle.dumps(legacy_state, protocol=pickle.HIGHEST_PROTOCOL)
-        )
-        assert columnar_bytes < legacy_bytes
-
-    def test_growth_after_v2_load(self, index, tmp_path, monkeypatch):
-        """A converted index keeps working as a live index (apply_batch)."""
-        monkeypatch.setattr(
-            SegmentIndex, "__getstate__", _legacy_v2_state, raising=True
-        )
-        body = pickle.dumps(index, protocol=pickle.HIGHEST_PROTOCOL)
-        monkeypatch.undo()
-        payload = {
-            "format": SNAPSHOT_FORMAT,
-            "version": 2,
-            "stats": {},
-            "digest": hashlib.sha256(body).hexdigest(),
-            "index_bytes": body,
-        }
-        path = tmp_path / "old.idx"
-        path.write_bytes(pickle.dumps(payload))
-        restored = load_index(path)
-        rid = max(restored.rids()) + 1
-        restored.apply_batch([Record.make(rid, ["t001", "brand-new-token"])])
-        hits = restored.probe(["t001", "brand-new-token"], 0.5)
-        assert any(hit.rid == rid for hit in hits)
+        }))
+        with pytest.raises(SnapshotError, match="rebuild the index with "
+                                                "'repro index'"):
+            load_index(path)
