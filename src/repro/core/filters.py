@@ -24,7 +24,7 @@ makes the same inequalities valid for Dice and Cosine:
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Dict, Optional, Tuple
 
 from repro.core.config import FilterConfig
 from repro.core.partitioning import Segment
@@ -34,15 +34,24 @@ from repro.similarity.thresholds import (
     required_overlap,
 )
 
+#: ``(pruned_by, segi_min, segd_min)`` — see :meth:`FragmentFilters.bounds`.
+PairBounds = Tuple[Optional[str], int, int]
+
 
 class FragmentFilters:
     """Filter battery applied inside one fragment's join.
 
-    Stateless with respect to the data; construct once per reduce task.
-    ``pre_intersection`` runs the filters that need only lengths (cheap,
-    before computing the segment intersection); ``post_intersection`` runs
-    the filters that need the intersection size.  Both return the name of
-    the filter that pruned the pair, or ``None`` to keep it.
+    Construct once per fragment: the instance memoises the threshold
+    algebra — ``τ`` by length pair, StrL's admissible lower bound by length
+    — so a fragment derives each from ``θ`` once however many segment
+    pairs share those lengths.
+
+    :meth:`bounds` is the one place Lemmas 1–4 are evaluated.  It runs the
+    length-only filters and turns the two intersection-dependent ones into
+    thresholds on the segment intersection, which the caller reads twice:
+    as the early-termination bound of the segment merge
+    (:meth:`min_required_common`) and as the post-intersection decision
+    (:meth:`verdict`).
     """
 
     def __init__(
@@ -54,100 +63,87 @@ class FragmentFilters:
         self.theta = theta
         self.func = SimilarityFunction(func)
         self.config = config
+        self._needs_tau = config.segl or config.segi or config.segd
+        self._tau: Dict[Tuple[int, int], int] = {}
+        self._strl_low: Dict[int, int] = {}
 
-    # -- Lemma 1 ------------------------------------------------------
-    def _strl_prune(self, len_s: int, len_t: int) -> bool:
-        small, large = (len_s, len_t) if len_s <= len_t else (len_t, len_s)
-        return small < length_lower_bound(self.func, self.theta, large)
+    def bounds(self, seg_s: Segment, seg_t: Segment) -> PairBounds:
+        """Evaluate Lemmas 1–4 for one segment pair, intersection unseen.
 
-    # -- Lemma 2 ------------------------------------------------------
-    def _segl_prune(self, tau: int, seg_s: Segment, seg_t: Segment) -> bool:
-        budget = (
-            tau
-            - min(seg_s.info.ahead, seg_t.info.ahead)
-            - min(seg_s.info.behind, seg_t.info.behind)
-        )
-        return min(len(seg_s), len(seg_t)) < budget
-
-    # -- Lemma 3 ------------------------------------------------------
-    def _segi_prune(self, tau: int, common: int, seg_s: Segment, seg_t: Segment) -> bool:
-        budget = (
-            tau
-            - min(seg_s.info.ahead, seg_t.info.ahead)
-            - min(seg_s.info.behind, seg_t.info.behind)
-        )
-        return common < budget
-
-    # -- Lemma 4 ------------------------------------------------------
-    def _segd_prune(self, tau: int, common: int, seg_s: Segment, seg_t: Segment) -> bool:
-        len_s, len_t = seg_s.info.str_len, seg_t.info.str_len
-        seg_diff = len(seg_s) + len(seg_t) - 2 * common
-        budget = (
-            (len_s + len_t - 2 * tau)
-            - abs(seg_s.info.ahead - seg_t.info.ahead)
-            - abs(seg_s.info.behind - seg_t.info.behind)
-        )
-        return seg_diff > budget
-
-    # ------------------------------------------------------------------
-    @property
-    def early_termination(self) -> bool:
-        """Whether the fragment merge may use the early-termination bound."""
-        return self.config.early_verify
-
-    def min_required_common(self, seg_s: Segment, seg_t: Segment) -> int:
-        """Smallest segment intersection that survives ``post_intersection``.
-
-        Both post-intersection filters are monotone in ``common`` (a larger
-        intersection can only help a pair survive), so the segment merge
-        may be abandoned as soon as the remaining suffixes cannot reach
-        this value: the pair would be pruned — or, at 0 overlap, dropped
-        as disjoint — whatever the exact count turned out to be.  The
-        result is always ≥ 1 because zero-overlap segment pairs are never
-        emitted.
+        Returns ``(pruned_by, segi_min, segd_min)``.  ``pruned_by`` names
+        the length-only filter (``"strl"``/``"segl"``) that prunes the pair,
+        else ``None``.  ``segi_min`` and ``segd_min`` are the smallest
+        segment intersections Lemma 3 and Lemma 4 let survive — both
+        filters are monotone in the intersection, so each is one threshold
+        — and are 0 for a disabled filter or a pruned pair.
         """
-        required = 1
-        if not (self.config.segi or self.config.segd):
-            return required
-        len_s, len_t = seg_s.info.str_len, seg_t.info.str_len
-        tau = required_overlap(self.func, self.theta, len_s, len_t)
-        head = min(seg_s.info.ahead, seg_t.info.ahead)
-        tail = min(seg_s.info.behind, seg_t.info.behind)
-        if self.config.segi:
-            # Lemma 3 prunes when common < tau − head − tail.
-            required = max(required, tau - head - tail)
-        if self.config.segd:
-            # Lemma 4 prunes when |seg_s| + |seg_t| − 2·common > budget,
-            # i.e. the pair survives iff common ≥ ⌈(|seg_s|+|seg_t|−budget)/2⌉.
+        info_s, info_t = seg_s.info, seg_t.info
+        len_s, len_t = info_s.str_len, info_t.str_len
+        config = self.config
+        if config.strl:
+            # Lemma 1: the shorter record is below the longer one's band.
+            small, large = (len_s, len_t) if len_s <= len_t else (len_t, len_s)
+            low = self._strl_low.get(large)
+            if low is None:
+                low = self._strl_low[large] = length_lower_bound(
+                    self.func, self.theta, large
+                )
+            if small < low:
+                return "strl", 0, 0
+        if not self._needs_tau:
+            return None, 0, 0
+        tau = self._tau.get((len_s, len_t))
+        if tau is None:
+            tau = self._tau[len_s, len_t] = required_overlap(
+                self.func, self.theta, len_s, len_t
+            )
+        ahead_s, ahead_t = info_s.ahead, info_t.ahead
+        behind_s, behind_t = info_s.behind, info_t.behind
+        size_s, size_t = len(seg_s.tokens), len(seg_t.tokens)
+        # Lemmas 2 and 3 share one slack: what the segments themselves must
+        # contribute once heads and tails overlap as fully as they can.
+        slack = (
+            tau
+            - (ahead_s if ahead_s < ahead_t else ahead_t)
+            - (behind_s if behind_s < behind_t else behind_t)
+        )
+        # Lemma 2: even a full overlap of the shorter segment falls short.
+        if config.segl and (size_s if size_s < size_t else size_t) < slack:
+            return "segl", 0, 0
+        # Lemma 3 prunes when common < slack.
+        segi_min = slack if config.segi else 0
+        segd_min = 0
+        if config.segd:
+            # Lemma 4 prunes when |seg_s| + |seg_t| − 2·common > budget, the
+            # symmetric-difference budget left after the unavoidable
+            # head/tail differences; i.e. the pair survives iff
+            # common ≥ ⌈(|seg_s| + |seg_t| − budget) / 2⌉.
             budget = (
                 (len_s + len_t - 2 * tau)
-                - abs(seg_s.info.ahead - seg_t.info.ahead)
-                - abs(seg_s.info.behind - seg_t.info.behind)
+                - abs(ahead_s - ahead_t)
+                - abs(behind_s - behind_t)
             )
-            required = max(required, -((budget - len(seg_s) - len(seg_t)) // 2))
-        return required
+            segd_min = -((budget - size_s - size_t) // 2)
+        return None, segi_min, segd_min
 
-    def pre_intersection(self, seg_s: Segment, seg_t: Segment) -> Optional[str]:
-        """Filters that run before the segment intersection is computed."""
-        len_s, len_t = seg_s.info.str_len, seg_t.info.str_len
-        if self.config.strl and self._strl_prune(len_s, len_t):
-            return "strl"
-        if self.config.segl:
-            tau = required_overlap(self.func, self.theta, len_s, len_t)
-            if self._segl_prune(tau, seg_s, seg_t):
-                return "segl"
-        return None
+    @staticmethod
+    def min_required_common(segi_min: int, segd_min: int) -> int:
+        """Smallest segment intersection that survives :meth:`verdict`.
 
-    def post_intersection(
-        self, seg_s: Segment, seg_t: Segment, common: int
-    ) -> Optional[str]:
-        """Filters that need the exact segment intersection size."""
-        if not (self.config.segi or self.config.segd):
-            return None
-        len_s, len_t = seg_s.info.str_len, seg_t.info.str_len
-        tau = required_overlap(self.func, self.theta, len_s, len_t)
-        if self.config.segi and self._segi_prune(tau, common, seg_s, seg_t):
+        The segment merge may be abandoned as soon as the remaining
+        suffixes cannot reach this value: the pair would be pruned — or, at
+        0 overlap, dropped as disjoint — whatever the exact count turned
+        out to be.  Always ≥ 1 because zero-overlap segment pairs are never
+        emitted.
+        """
+        return max(1, segi_min, segd_min)
+
+    @staticmethod
+    def verdict(common: int, segi_min: int, segd_min: int) -> Optional[str]:
+        """The filter (``"segi"``/``"segd"``) that prunes a pair whose exact
+        segment intersection is ``common``, or ``None`` to keep it."""
+        if common < segi_min:
             return "segi"
-        if self.config.segd and self._segd_prune(tau, common, seg_s, seg_t):
+        if common < segd_min:
             return "segd"
         return None

@@ -39,6 +39,17 @@ EmitPair = Callable[[int, int, int, int, int], None]
 PairPredicate = Callable[[Segment, Segment], bool]
 
 _COUNTER_GROUP = "fsjoin.filter"
+_COUNTER_NAMES = (
+    "pairs_considered",
+    "pruned_strl",
+    "pruned_segl",
+    "verify_token_comparisons",
+    "pruned_overlap_bound",
+    "disjoint_segments",
+    "pruned_segi",
+    "pruned_segd",
+    "candidates_emitted",
+)
 
 
 def merge_intersection(a: Sequence[int], b: Sequence[int]) -> int:
@@ -102,22 +113,26 @@ def join_fragment(
     context: Optional[JobContext] = None,
     pair_allowed: Optional[PairPredicate] = None,
 ) -> None:
-    """Join one fragment's segments and emit surviving partial counts."""
+    """Join one fragment's segments and emit surviving partial counts.
+
+    The ``fsjoin.filter`` counters are tallied locally and added to
+    ``context`` once, after the fragment is joined.
+    """
     method = JoinMethod(method)
     filters = FragmentFilters(theta, func, filter_config)
+    counts = dict.fromkeys(_COUNTER_NAMES, 0)
     if method is JoinMethod.LOOP:
-        _loop_join(segments, filters, emit_pair, context, pair_allowed)
+        _loop_join(segments, filters, emit_pair, counts, pair_allowed)
     elif method is JoinMethod.INDEX:
-        _index_join(segments, filters, emit_pair, context, pair_allowed)
+        _index_join(segments, filters, emit_pair, counts, pair_allowed)
     else:
         _prefix_join(
-            segments, filters, theta, func, emit_pair, context, pair_allowed
+            segments, filters, theta, func, emit_pair, counts, pair_allowed
         )
-
-
-def _bump(context: Optional[JobContext], name: str, amount: int = 1) -> None:
-    if context is not None and amount:
-        context.increment(_COUNTER_GROUP, name, amount)
+    if context is not None:
+        for name, amount in counts.items():
+            if amount:
+                context.increment(_COUNTER_GROUP, name, amount)
 
 
 def _consider_pair(
@@ -125,41 +140,38 @@ def _consider_pair(
     seg_b: Segment,
     filters: FragmentFilters,
     emit_pair: EmitPair,
-    context: Optional[JobContext],
+    counts: Dict[str, int],
     common: Optional[int] = None,
 ) -> None:
     """Run the filter battery on one segment pair and emit if it survives."""
-    _bump(context, "pairs_considered")
-    pruned = filters.pre_intersection(seg_a, seg_b)
-    if pruned:
-        _bump(context, f"pruned_{pruned}")
-        return
-    if common is None:
-        # Early-termination merge: abandon as soon as the remaining
-        # suffixes cannot reach the smallest intersection that would
-        # survive the post-intersection filters.  Safe because those
-        # filters are monotone in ``common`` (see FragmentFilters.
-        # min_required_common); an abandoned pair was doomed either way.
-        required = (
-            filters.min_required_common(seg_a, seg_b)
-            if filters.early_termination
-            else 1
-        )
-        common, comparisons, completed = bounded_merge_intersection(
-            seg_a.tokens, seg_b.tokens, required
-        )
-        _bump(context, "verify_token_comparisons", comparisons)
-        if not completed:
-            _bump(context, "pruned_overlap_bound")
+    counts["pairs_considered"] += 1
+    pruned, segi_min, segd_min = filters.bounds(seg_a, seg_b)
+    if pruned is None:
+        if common is None:
+            # Early-termination merge: abandon as soon as the remaining
+            # suffixes cannot reach the smallest intersection the
+            # post-intersection filters would keep; an abandoned pair was
+            # doomed either way.
+            required = (
+                filters.min_required_common(segi_min, segd_min)
+                if filters.config.early_verify
+                else 1
+            )
+            common, comparisons, completed = bounded_merge_intersection(
+                seg_a.tokens, seg_b.tokens, required
+            )
+            counts["verify_token_comparisons"] += comparisons
+            if not completed:
+                counts["pruned_overlap_bound"] += 1
+                return
+        if common == 0:
+            counts["disjoint_segments"] += 1
             return
-    if common == 0:
-        _bump(context, "disjoint_segments")
+        pruned = filters.verdict(common, segi_min, segd_min)
+    if pruned is not None:
+        counts["pruned_" + pruned] += 1
         return
-    pruned = filters.post_intersection(seg_a, seg_b, common)
-    if pruned:
-        _bump(context, f"pruned_{pruned}")
-        return
-    _bump(context, "candidates_emitted")
+    counts["candidates_emitted"] += 1
     info_a, info_b = seg_a.info, seg_b.info
     # Self-joins order pairs by rid; R-S joins put the left collection
     # (side 0) first so the output key is always (rid_left, rid_right).
@@ -177,7 +189,7 @@ def _loop_join(
     segments: List[Segment],
     filters: FragmentFilters,
     emit_pair: EmitPair,
-    context: Optional[JobContext],
+    counts: Dict[str, int],
     pair_allowed: Optional[PairPredicate],
 ) -> None:
     n = len(segments)
@@ -187,14 +199,14 @@ def _loop_join(
             seg_b = segments[j]
             if pair_allowed is not None and not pair_allowed(seg_a, seg_b):
                 continue
-            _consider_pair(seg_a, seg_b, filters, emit_pair, context)
+            _consider_pair(seg_a, seg_b, filters, emit_pair, counts)
 
 
 def _index_join(
     segments: List[Segment],
     filters: FragmentFilters,
     emit_pair: EmitPair,
-    context: Optional[JobContext],
+    counts: Dict[str, int],
     pair_allowed: Optional[PairPredicate],
 ) -> None:
     # token rank -> indices of already-inserted segments containing it.
@@ -211,7 +223,7 @@ def _index_join(
             other = segments[earlier]
             if pair_allowed is not None and not pair_allowed(segment, other):
                 continue
-            _consider_pair(segment, other, filters, emit_pair, context, common)
+            _consider_pair(segment, other, filters, emit_pair, counts, common)
         for token in segment.tokens:
             inverted.setdefault(token, []).append(current_index)
 
@@ -222,7 +234,7 @@ def _prefix_join(
     theta: float,
     func: SimilarityFunction,
     emit_pair: EmitPair,
-    context: Optional[JobContext],
+    counts: Dict[str, int],
     pair_allowed: Optional[PairPredicate],
 ) -> None:
     prefix_lens = [
@@ -239,6 +251,6 @@ def _prefix_join(
             other = segments[earlier]
             if pair_allowed is not None and not pair_allowed(segment, other):
                 continue
-            _consider_pair(segment, other, filters, emit_pair, context)
+            _consider_pair(segment, other, filters, emit_pair, counts)
         for token in segment.tokens[: prefix_lens[current_index]]:
             inverted.setdefault(token, []).append(current_index)

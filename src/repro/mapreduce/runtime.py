@@ -20,6 +20,7 @@ and "the number of reduce tasks set to be three times the number of nodes";
 from __future__ import annotations
 
 import functools
+import operator
 import time
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
@@ -104,13 +105,28 @@ class JobResult:
 
 
 @dataclass
+class _Partition:
+    """One reduce partition's key groups and the volume they were sized at.
+
+    A pair is sized once, when a map task emits it; that size is added
+    here and nowhere else, so a job's shuffle volume and each reduce
+    task's input volume are sums of these totals rather than further walks
+    over the values.
+    """
+
+    groups: Dict[Any, List[Any]] = field(default_factory=dict)
+    records: int = 0
+    nbytes: int = 0
+
+
+@dataclass
 class _TaskOutcome:
     """What one completed task ships back to the driver.
 
-    ``payload`` is the map task's partition buffer or the reduce task's
-    output list; the driver publishes it — Hadoop's task commit — only
-    after the whole attempt loop succeeded, so a retried attempt's partial
-    output never leaks.
+    ``payload`` is the map task's ``{partition index: _Partition}`` buffer
+    or the reduce task's output list; the driver publishes it — Hadoop's
+    task commit — only after the whole attempt loop succeeded, so a retried
+    attempt's partial output (and the volume it was sized at) never leaks.
     """
 
     metrics: TaskMetrics
@@ -373,9 +389,7 @@ class SimulatedCluster:
             reduce_tasks=n_reduce,
         ):
             # ---- map phase --------------------------------------------
-            partitions: List[Dict[Any, List[Any]]] = [
-                dict() for _ in range(n_reduce)
-            ]
+            partitions = [_Partition() for _ in range(n_reduce)]
             with tracer.span("map-wave", phase="map-wave", tasks=n_map):
                 for outcome in self._run_phase(
                     "map", job, _split(input_pairs, n_map), n_reduce, has_combiner
@@ -383,25 +397,19 @@ class SimulatedCluster:
                     # Hadoop's task commit: published in task-index order so
                     # the merged partitions (and adopted spans) are identical
                     # whichever backend ran the task.
-                    for index, groups in outcome.payload.items():
+                    for index, part in outcome.payload.items():
                         target = partitions[index]
-                        for key, values in groups.items():
-                            target.setdefault(key, []).extend(values)
+                        for key, values in part.groups.items():
+                            target.groups.setdefault(key, []).extend(values)
+                        target.records += part.records
+                        target.nbytes += part.nbytes
                     self._fold(counters, metrics.map_tasks, "map", outcome)
                     tracer.adopt(outcome.spans)
 
             # ---- shuffle accounting -----------------------------------
             with tracer.span("shuffle", phase="shuffle") as shuffle_span:
-                shuffle_records = 0
-                shuffle_bytes = 0
-                for partition in partitions:
-                    for key, values in partition.items():
-                        shuffle_records += len(values)
-                        key_size = estimate_pair_size(key, None) - 1
-                        shuffle_bytes += sum(
-                            key_size + estimate_pair_size(None, v) - 1
-                            for v in values
-                        )
+                shuffle_records = sum(part.records for part in partitions)
+                shuffle_bytes = sum(part.nbytes for part in partitions)
                 metrics.shuffle_records = shuffle_records
                 metrics.shuffle_bytes = shuffle_bytes
                 shuffle_span.attrs.update(
@@ -492,94 +500,110 @@ def _run_map_task(
     split: Sequence[Pair],
     n_reduce: int,
     has_combiner: bool,
-) -> Tuple[TaskMetrics, Dict[int, Dict[Any, List[Any]]], Counters]:
+) -> Tuple[TaskMetrics, Dict[int, _Partition], Counters]:
     """Run one map task attempt; returns its metrics, buffered output and
     counters without publishing anything (the caller commits on success)."""
     task = TaskMetrics(task_id=task_id)
     counters = Counters()
     context = JobContext(task_id, "map", counters)
-    buffer: Dict[int, Dict[Any, List[Any]]] = {}
+    buffer: Dict[int, _Partition] = {}
 
     def emit(key: Any, value: Any) -> None:
         index = job.partition(key, n_reduce)
+        try:
+            index = operator.index(index)
+        except TypeError:
+            raise ExecutionError(
+                f"job {job.name!r} partitioned key {key!r} to {index!r}, "
+                f"not an integer"
+            ) from None
         if not 0 <= index < n_reduce:
             raise ExecutionError(
                 f"job {job.name!r} partitioned key {key!r} to {index}, "
                 f"outside [0, {n_reduce})"
             )
-        buffer.setdefault(index, {}).setdefault(key, []).append(value)
-        task.output_records += 1
-        task.output_bytes += estimate_pair_size(key, value)
+        part = buffer.get(index)
+        if part is None:
+            part = buffer[index] = _Partition()
+        group = part.groups.get(key)
+        if group is None:
+            part.groups[key] = [value]
+        else:
+            group.append(value)
+        part.records += 1
+        part.nbytes += estimate_pair_size(key, value)
 
     started = time.perf_counter()
     job.setup(context)
+    input_bytes = 0
     for key, value in split:
-        task.input_records += 1
-        task.input_bytes += estimate_pair_size(key, value)
+        input_bytes += estimate_pair_size(key, value)
         job.map(key, value, emit, context)
+    task.input_records = len(split)
+    task.input_bytes = input_bytes
     if has_combiner:
-        _apply_combiner(job, context, buffer, task)
+        _apply_combiner(job, context, buffer)
+    task.output_records = sum(part.records for part in buffer.values())
+    task.output_bytes = sum(part.nbytes for part in buffer.values())
     task.compute_seconds = time.perf_counter() - started
     return task, buffer, counters
 
 
 def _apply_combiner(
-    job: MapReduceJob,
-    context: JobContext,
-    buffer: Dict[int, Dict[Any, List[Any]]],
-    task: TaskMetrics,
+    job: MapReduceJob, context: JobContext, buffer: Dict[int, _Partition]
 ) -> None:
-    """Run the combiner over each buffered key group, updating output stats."""
-    for index, groups in buffer.items():
+    """Run the combiner over each buffered key group, moving the
+    partition's totals from the pairs it replaces to the pairs it returns."""
+    for part in buffer.values():
+        groups = part.groups
         for key in list(groups):
             values = groups[key]
             combined = job.combine(key, values, context)
             if combined is None:
                 continue
-            new_pairs = list(combined)
-            # Adjust accounting: the combiner replaces this key's pairs.
-            task.output_records -= len(values)
-            task.output_bytes -= sum(estimate_pair_size(key, v) for v in values)
-            groups[key] = []
-            for new_key, new_value in new_pairs:
+            part.records -= len(values)
+            part.nbytes -= sum(estimate_pair_size(key, v) for v in values)
+            kept = groups[key] = []
+            for new_key, new_value in combined:
                 if new_key != key:
                     raise ExecutionError(
                         f"combiner of job {job.name!r} changed key "
                         f"{key!r} -> {new_key!r}; combiners must preserve keys"
                     )
-                groups[key].append(new_value)
-                task.output_records += 1
-                task.output_bytes += estimate_pair_size(new_key, new_value)
-            if not groups[key]:
+                kept.append(new_value)
+                part.records += 1
+                part.nbytes += estimate_pair_size(new_key, new_value)
+            if not kept:
                 del groups[key]
 
 
 def _run_reduce_task(
     job: MapReduceJob,
     task_id: int,
-    partition: Dict[Any, List[Any]],
+    partition: _Partition,
 ) -> Tuple[TaskMetrics, List[Pair], Counters]:
     """Run one reduce task attempt; output is buffered, not published."""
-    task = TaskMetrics(task_id=task_id)
+    task = TaskMetrics(
+        task_id=task_id,
+        input_records=partition.records,
+        input_bytes=partition.nbytes,
+    )
     counters = Counters()
     context = JobContext(task_id, "reduce", counters)
     output: List[Pair] = []
+    output_bytes = 0
 
     def emit(key: Any, value: Any) -> None:
+        nonlocal output_bytes
         output.append((key, value))
-        task.output_records += 1
-        task.output_bytes += estimate_pair_size(key, value)
+        output_bytes += estimate_pair_size(key, value)
 
-    for key, values in partition.items():
-        task.input_records += len(values)
-        key_size = estimate_pair_size(key, None) - 1
-        task.input_bytes += sum(
-            key_size + estimate_pair_size(None, v) - 1 for v in values
-        )
-
+    groups = partition.groups
     started = time.perf_counter()
     job.setup(context)
-    for key in sorted(partition, key=group_sort_key):
-        job.reduce(key, partition[key], emit, context)
+    for key in sorted(groups, key=group_sort_key):
+        job.reduce(key, groups[key], emit, context)
+    task.output_records = len(output)
+    task.output_bytes = output_bytes
     task.compute_seconds = time.perf_counter() - started
     return task, output, counters

@@ -32,6 +32,7 @@ import zlib
 from typing import Any
 
 _MASK = (1 << 61) - 1
+_INT_MULTIPLIER = 0x9E3779B97F4A7C15
 
 
 def stable_hash(value: Any) -> int:
@@ -39,14 +40,37 @@ def stable_hash(value: Any) -> int:
 
     Equal keys hash equal even across numeric types (see the module
     docstring): ``stable_hash(True) == stable_hash(1) == stable_hash(1.0)``.
+
+    Join keys are ints, flat tuples of ints (record-id pairs, fragment
+    coordinates) and token strings, so the exact ``type(value)`` is tried
+    first; every other value — ``bool``, floats, subclasses — takes the
+    general chain, which hashes those kinds to the same number.
     """
+    kind = type(value)
+    if kind is int:
+        return (value * _INT_MULTIPLIER) & _MASK
+    if kind is tuple:
+        acc = 0x345678
+        for item in value:
+            if type(item) is int:
+                acc = ((acc * 1000003) ^ ((item * _INT_MULTIPLIER) & _MASK)) & _MASK
+            else:
+                acc = ((acc * 1000003) ^ stable_hash(item)) & _MASK
+        return acc ^ len(value)
+    if kind is str:
+        return zlib.crc32(value.encode("utf-8")) * 0x9E3779B1 & _MASK
+    return _hash_general(value)
+
+
+def _hash_general(value: Any) -> int:
+    """The full ``isinstance`` dispatch behind :func:`stable_hash`."""
     if value is None:
         return 0x9E3779B1
     if isinstance(value, bool):
         # bool is an int subclass and True == 1: hash through the int path.
         return stable_hash(int(value))
     if isinstance(value, int):
-        return (value * 0x9E3779B97F4A7C15) & _MASK
+        return (value * _INT_MULTIPLIER) & _MASK
     if isinstance(value, float):
         if math.isfinite(value) and value.is_integer():
             # 2.0 == 2 must land on the same partition as the int form.

@@ -23,17 +23,37 @@ _NUMBER_SIZE = 8
 
 
 def estimate_size(value: Any) -> int:
-    """Approximate serialized byte size of ``value``."""
+    """Approximate serialized byte size of ``value``.
+
+    Record ids, token ranks, flat tuples of them and token strings are
+    nearly everything a join shuffles, so the exact ``type(value)`` is
+    tried first; any other value (subclasses included) takes the general
+    ``isinstance`` chain, which sizes those kinds to the same number.
+    """
+    kind = type(value)
+    if kind is int:
+        # varint-style, 7 bits a byte: small ids are cheap, token ranks
+        # stay small.
+        return (value.bit_length() + 6) // 7 or 1
+    if kind is tuple:
+        size = _CONTAINER_OVERHEAD
+        for item in value:
+            if type(item) is int:
+                size += (item.bit_length() + 6) // 7 or 1
+            else:
+                size += estimate_size(item)
+        return size
+    if kind is str:
+        return len(value) + 1
+    return _estimate_general(value)
+
+
+def _estimate_general(value: Any) -> int:
+    """The full ``isinstance`` dispatch behind :func:`estimate_size`."""
     if value is None or isinstance(value, bool):
         return 1
     if isinstance(value, int):
-        # varint-style: small ids are cheap, token ranks stay small.
-        magnitude = abs(value)
-        size = 1
-        while magnitude >= 128:
-            magnitude >>= 7
-            size += 1
-        return size
+        return (value.bit_length() + 6) // 7 or 1
     if isinstance(value, float):
         return _NUMBER_SIZE
     if isinstance(value, str):

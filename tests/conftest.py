@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
+import enum
 import random
 from typing import Optional
 
 import pytest
+from hypothesis import strategies as st
 
 from repro.data.records import Record, RecordCollection
 from repro.mapreduce.runtime import ClusterSpec, SimulatedCluster
@@ -42,6 +44,73 @@ def random_collection(
             length = rng.randint(1, max_len)
             records.append(Record.make(rid, rng.sample(tokens, min(length, vocab))))
     return RecordCollection(records)
+
+
+class Rank(enum.IntEnum):
+    """An ``int`` subclass, as jobs may emit: not ``type(v) is int``."""
+
+    NEGATIVE = -300
+    SMALL = 1
+    HUGE = 2**70
+
+
+class Sized:
+    """Sized through the ``payload_size`` hook, like a ``Segment``."""
+
+    def __init__(self, size: int) -> None:
+        self.size = size
+
+    def payload_size(self) -> int:
+        return self.size
+
+    def __repr__(self) -> str:
+        return f"Sized({self.size})"
+
+
+class ReprOnly:
+    """Nothing but a ``repr`` to size or hash it by."""
+
+    def __init__(self, text: str) -> None:
+        self.text = text
+
+    def __repr__(self) -> str:
+        return self.text
+
+
+_hashable_leaves = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.sampled_from(list(Rank)),
+    st.integers(-(2**70), 2**70),
+    st.floats(),
+    st.text(max_size=8),
+    st.binary(max_size=8),
+)
+_hashables = st.recursive(
+    _hashable_leaves,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4).map(tuple),
+        st.frozensets(inner, max_size=4),
+    ),
+    max_leaves=8,
+)
+#: Every kind of value the sizer and the partition hash dispatch on —
+#: the exact-type fast paths (ints, flat int tuples, strings), their
+#: subclasses, and everything only the general ``isinstance`` chain knows.
+shuffled_values = st.recursive(
+    st.one_of(
+        _hashables,
+        st.builds(Sized, st.integers(0, 500)),
+        st.builds(ReprOnly, st.text(max_size=10)),
+    ),
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4),
+        st.lists(inner, max_size=4).map(tuple),
+        st.sets(_hashables, max_size=4),
+        st.dictionaries(_hashables, inner, max_size=4),
+    ),
+    max_leaves=10,
+)
 
 
 def brute_force_search(records, tokens, theta, func="jaccard"):

@@ -7,16 +7,30 @@ are allowed to keep dissimilar pairs; verification removes them).
 
 from __future__ import annotations
 
+import random
+from itertools import product
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.config import FilterConfig
+from repro.core.config import FilterConfig, JoinMethod
 from repro.core.filters import FragmentFilters
-from repro.core.joins import merge_intersection
+from repro.core.joins import (
+    bounded_merge_intersection,
+    join_fragment,
+    merge_intersection,
+)
 from repro.core.partitioning import VerticalPartitioner
 from repro.errors import ConfigError
+from repro.mapreduce.counters import Counters
+from repro.mapreduce.job import JobContext
 from repro.similarity.functions import SimilarityFunction, get_similarity_function
+from repro.similarity.thresholds import (
+    length_lower_bound,
+    prefix_length,
+    required_overlap,
+)
 
 rank_sets = st.lists(st.integers(0, 59), min_size=1, max_size=25, unique=True).map(
     lambda xs: tuple(sorted(xs))
@@ -26,6 +40,17 @@ cut_sets = st.lists(st.integers(1, 59), min_size=0, max_size=6, unique=True).map
 )
 thetas = st.sampled_from([0.5, 0.6, 0.75, 0.8, 0.9, 0.95])
 funcs = st.sampled_from(list(SimilarityFunction))
+
+
+def _pre(filters, seg_s, seg_t):
+    """The length-only filter that prunes the pair, or None."""
+    return filters.bounds(seg_s, seg_t)[0]
+
+
+def _post(filters, seg_s, seg_t, common):
+    """The intersection-dependent filter that prunes the pair, or None."""
+    _, segi_min, segd_min = filters.bounds(seg_s, seg_t)
+    return filters.verdict(common, segi_min, segd_min)
 
 
 class TestFilterConfig:
@@ -62,13 +87,13 @@ class TestKnownCases:
         seg_t = dict(partitioner.split(1, (1, 3, 4, 5, 10)))
         filters = FragmentFilters(0.8, SimilarityFunction.JACCARD, FilterConfig())
         for i in set(seg_s) & set(seg_t):
-            pruned = filters.pre_intersection(seg_s[i], seg_t[i])
+            pruned = _pre(filters, seg_s[i], seg_t[i])
             if pruned is None:
                 common = merge_intersection(seg_s[i].tokens, seg_t[i].tokens)
                 pruned = (
                     "disjoint"
                     if common == 0
-                    else filters.post_intersection(seg_s[i], seg_t[i], common)
+                    else _post(filters, seg_s[i], seg_t[i], common)
                 )
             assert pruned is not None
 
@@ -77,7 +102,7 @@ class TestKnownCases:
         (_, short), = partitioner.split(0, (1, 2))
         (_, long), = partitioner.split(1, tuple(range(20)))
         filters = FragmentFilters(0.8, SimilarityFunction.JACCARD, FilterConfig())
-        assert filters.pre_intersection(short, long) == "strl"
+        assert _pre(filters, short, long) == "strl"
 
     def test_identical_records_never_pruned(self):
         partitioner = VerticalPartitioner((5,))
@@ -86,17 +111,17 @@ class TestKnownCases:
         filters = FragmentFilters(0.9, SimilarityFunction.JACCARD, FilterConfig())
         for i in segs_a:
             seg_a, seg_b = segs_a[i], segs_b[i]
-            assert filters.pre_intersection(seg_a, seg_b) is None
+            assert _pre(filters, seg_a, seg_b) is None
             common = merge_intersection(seg_a.tokens, seg_b.tokens)
-            assert filters.post_intersection(seg_a, seg_b, common) is None
+            assert _post(filters, seg_a, seg_b, common) is None
 
     def test_disabled_filters_never_prune(self):
         partitioner = VerticalPartitioner(())
         (_, short), = partitioner.split(0, (1,))
         (_, long), = partitioner.split(1, tuple(range(30)))
         filters = FragmentFilters(0.9, SimilarityFunction.JACCARD, FilterConfig.none())
-        assert filters.pre_intersection(short, long) is None
-        assert filters.post_intersection(short, long, 0) is None
+        assert _pre(filters, short, long) is None
+        assert _post(filters, short, long, 0) is None
 
 
 class TestFilterSafety:
@@ -113,10 +138,10 @@ class TestFilterSafety:
         filters = FragmentFilters(theta, func, FilterConfig())
         for i in set(segs_s) & set(segs_t):
             seg_s, seg_t = segs_s[i], segs_t[i]
-            pruned = filters.pre_intersection(seg_s, seg_t)
+            pruned = _pre(filters, seg_s, seg_t)
             if pruned is None:
                 common = merge_intersection(seg_s.tokens, seg_t.tokens)
-                pruned = filters.post_intersection(seg_s, seg_t, common)
+                pruned = _post(filters, seg_s, seg_t, common)
             if pruned is not None:
                 assert score < theta + 1e-9, (
                     f"filter {pruned} pruned a pair with sim={score} >= {theta}"
@@ -131,9 +156,9 @@ class TestFilterSafety:
         segs_b = dict(partitioner.split(1, ranks))
         filters = FragmentFilters(theta, SimilarityFunction.JACCARD, FilterConfig())
         for i in segs_a:
-            assert filters.pre_intersection(segs_a[i], segs_b[i]) is None
+            assert _pre(filters, segs_a[i], segs_b[i]) is None
             common = len(segs_a[i])
-            assert filters.post_intersection(segs_a[i], segs_b[i], common) is None
+            assert _post(filters, segs_a[i], segs_b[i], common) is None
 
 
 class TestFilterPowerOrdering:
@@ -150,5 +175,171 @@ class TestFilterPowerOrdering:
         for i in set(segs_s) & set(segs_t):
             seg_s, seg_t = segs_s[i], segs_t[i]
             common = merge_intersection(seg_s.tokens, seg_t.tokens)
-            if segl_only.pre_intersection(seg_s, seg_t) == "segl":
-                assert segi_only.post_intersection(seg_s, seg_t, common) == "segi"
+            if _pre(segl_only, seg_s, seg_t) == "segl":
+                assert _post(segi_only, seg_s, seg_t, common) == "segi"
+
+
+def _reference_join(segments, method, theta, func, config):
+    """Lemma-by-lemma fragment join, each lemma as the paper states it.
+
+    Every lemma derives ``τ`` from ``θ`` on its own, and the
+    early-termination bound is found by searching for the smallest
+    intersection neither Lemma 3 nor Lemma 4 prunes — no shared slack, no
+    closed form.  Returns the emitted tuples and the ``fsjoin.filter``
+    counters the production join must reproduce.
+    """
+    emitted, counts = [], {}
+
+    def bump(name, amount=1):
+        if amount:
+            counts[name] = counts.get(name, 0) + amount
+
+    def tau(s, t):
+        return required_overlap(func, theta, s.info.str_len, t.info.str_len)
+
+    def lemma1(s, t):
+        small, large = sorted((s.info.str_len, t.info.str_len))
+        return small < length_lower_bound(func, theta, large)
+
+    def lemma2(s, t):
+        return min(len(s), len(t)) < (
+            tau(s, t)
+            - min(s.info.ahead, t.info.ahead)
+            - min(s.info.behind, t.info.behind)
+        )
+
+    def lemma3(s, t, common):
+        return common < (
+            tau(s, t)
+            - min(s.info.ahead, t.info.ahead)
+            - min(s.info.behind, t.info.behind)
+        )
+
+    def lemma4(s, t, common):
+        budget = (
+            s.info.str_len + t.info.str_len - 2 * tau(s, t)
+            - abs(s.info.ahead - t.info.ahead)
+            - abs(s.info.behind - t.info.behind)
+        )
+        return len(s) + len(t) - 2 * common > budget
+
+    def post(s, t, common):
+        if config.segi and lemma3(s, t, common):
+            return "segi"
+        if config.segd and lemma4(s, t, common):
+            return "segd"
+        return None
+
+    def consider(s, t, common=None):
+        bump("pairs_considered")
+        if config.strl and lemma1(s, t):
+            return bump("pruned_strl")
+        if config.segl and lemma2(s, t):
+            return bump("pruned_segl")
+        if common is None:
+            required = 1
+            if config.early_verify:
+                shorter = min(len(s), len(t))
+                required = next(
+                    (c for c in range(1, shorter + 1) if post(s, t, c) is None),
+                    shorter + 1,
+                )
+            common, comparisons, completed = bounded_merge_intersection(
+                s.tokens, t.tokens, required
+            )
+            bump("verify_token_comparisons", comparisons)
+            if not completed:
+                return bump("pruned_overlap_bound")
+        if common == 0:
+            return bump("disjoint_segments")
+        pruned = post(s, t, common)
+        if pruned:
+            return bump(f"pruned_{pruned}")
+        bump("candidates_emitted")
+        first, second = sorted((s, t), key=lambda seg: seg.info.rid)
+        emitted.append(
+            (first.info.rid, first.info.str_len,
+             second.info.rid, second.info.str_len, common)
+        )
+
+    prefixes = [
+        set(seg.tokens[: prefix_length(func, theta, seg.info.str_len)])
+        for seg in segments
+    ]
+    for j, current in enumerate(segments):
+        for i, earlier in enumerate(segments[:j]):
+            if method is JoinMethod.LOOP:
+                consider(earlier, current)
+            elif method is JoinMethod.INDEX:
+                common = len(set(current.tokens) & set(earlier.tokens))
+                if common:
+                    consider(current, earlier, common)
+            elif prefixes[i] & prefixes[j]:
+                consider(current, earlier)
+    return sorted(emitted), counts
+
+
+def _mixed_fragment(seed):
+    """The middle fragment of records built to reach every filter: wide
+    length spread (StrL), near-duplicates (survivors), and head/tail-heavy
+    variants of one base record (SegL/SegI/SegD)."""
+    rng = random.Random(seed)
+    records = []
+    for _ in range(8):
+        base = sorted(rng.sample(range(90), rng.randint(8, 40)))
+        records.append(base)
+        for _ in range(3):
+            variant = set(base)
+            for _ in range(rng.randint(0, 6)):
+                variant.discard(rng.choice(base))
+                variant.add(rng.randrange(90))
+            records.append(sorted(variant))
+    partitioner = VerticalPartitioner((30, 60))
+    return [
+        segment
+        for rid, ranks in enumerate(records)
+        for partition, segment in partitioner.split(rid, tuple(ranks))
+        if partition == 1
+    ]
+
+
+ALL_FILTER_CONFIGS = [
+    FilterConfig(*flags) for flags in product((False, True), repeat=5)
+]
+
+
+class TestSinglePassMatchesLemmaByLemma:
+    """``FragmentFilters.bounds`` evaluates the four lemmas once per segment
+    pair; the joins must still emit and count exactly what a lemma-by-lemma
+    evaluation does, under every filter combination."""
+
+    @pytest.mark.parametrize("method", list(JoinMethod))
+    @pytest.mark.parametrize("func", list(SimilarityFunction))
+    def test_same_tuples_and_counters(self, func, method):
+        assert len(ALL_FILTER_CONFIGS) == 32
+        fired = set()
+        for seed, theta in ((1, 0.6), (2, 0.8)):
+            segments = _mixed_fragment(seed)
+            for config in ALL_FILTER_CONFIGS:
+                emitted = []
+                counters = Counters()
+                join_fragment(
+                    segments,
+                    method=method,
+                    theta=theta,
+                    func=func,
+                    filter_config=config,
+                    emit_pair=lambda *pair: emitted.append(pair),
+                    context=JobContext(0, "reduce", counters),
+                )
+                expected, expected_counts = _reference_join(
+                    segments, method, theta, func, config
+                )
+                assert sorted(emitted) == expected, config
+                assert counters.as_dict().get("fsjoin.filter", {}) == expected_counts, config
+                fired.update(expected_counts)
+        # The corpus is not vacuous: every outcome is reached.
+        assert fired >= {
+            "pairs_considered", "pruned_strl", "pruned_segl", "pruned_segi",
+            "pruned_segd", "candidates_emitted",
+        }

@@ -1,0 +1,139 @@
+"""Accounting identity: the volumes and counters of one small FS-Join.
+
+A pair is sized once, when a task emits it, and shuffle / reducer-input
+volumes are sums of the map tasks' per-partition totals.  ``EXPECTED`` was
+recorded from the commit *before* that change, when the runtime still
+re-walked every shuffled value, so these tests pin the single-pass
+accounting to the multi-pass one — on every executor, through the
+combiner (the ordering and verification jobs both combine: their map
+tasks put out fewer records than they took in), and when an attempt's
+work is thrown away by a retry or a lost speculative race.
+"""
+
+from __future__ import annotations
+
+import pytest
+
+from repro.core import FSJoin, FSJoinConfig
+from repro.data import make_corpus
+from repro.mapreduce import ClusterSpec, SimulatedCluster
+
+SPEC = ClusterSpec(workers=2, map_slots=2, reduce_slots=3)
+
+#: job -> shuffle (records, bytes); per task (input_records, input_bytes,
+#: output_records, output_bytes); every ``fsjoin.*`` counter.
+EXPECTED = {
+    "fsjoin-ordering": {
+        "shuffle": (3360, 26880),
+        "map": [(30, 19740, 971, 7768), (30, 16140, 791, 6328),
+                (30, 16590, 801, 6408), (30, 16220, 797, 6376)],
+        "reduce": [(526, 4208, 330, 2640), (533, 4264, 327, 2616),
+                   (573, 4584, 343, 2744), (630, 5040, 377, 3016),
+                   (579, 4632, 342, 2736), (519, 4152, 308, 2464)],
+        "counters": {},
+    },
+    "fsjoin-filter": {
+        "shuffle": (5948, 148065),
+        "map": [(30, 19740, 1496, 37488), (30, 16140, 1520, 37830),
+                (30, 16590, 1347, 33597), (30, 16220, 1585, 39150)],
+        "reduce": [(990, 24567, 913, 11915), (933, 23496, 1179, 15377),
+                   (960, 24468, 1547, 20159), (1003, 24846, 1811, 23603),
+                   (996, 25260, 1977, 25760), (1066, 25428, 2164, 28193)],
+        "counters": {
+            "fsjoin.map": {
+                "records": 120, "segments": 5948, "horizontal_replicas": 147,
+            },
+            "fsjoin.filter": {
+                "pairs_considered": 16400,
+                "pruned_strl": 4913,
+                "verify_token_comparisons": 25122,
+                "candidates_emitted": 9591,
+                "pruned_segl": 1277,
+                "pruned_overlap_bound": 438,
+                "pruned_segi": 181,
+            },
+        },
+    },
+    "fsjoin-verify": {
+        "shuffle": (5212, 67856),
+        "map": [(2398, 31270, 1150, 14975), (2398, 31235, 1179, 15352),
+                (2398, 31280, 1436, 18693), (2397, 31222, 1447, 18836)],
+        "reduce": [(701, 9125, 2, 28), (889, 11569, 1, 14),
+                   (892, 11612, 4, 56), (838, 10914, 3, 42),
+                   (983, 12803, 5, 70), (909, 11833, 2, 28)],
+        "counters": {"fsjoin.verify": {"candidates": 1483, "results": 17}},
+    },
+}
+
+
+def _volumes(task):
+    return (
+        task.input_records, task.input_bytes,
+        task.output_records, task.output_bytes,
+    )
+
+
+def _snapshot(result):
+    return {
+        job.metrics.job_name: {
+            "shuffle": (job.metrics.shuffle_records, job.metrics.shuffle_bytes),
+            "map": [_volumes(task) for task in job.metrics.map_tasks],
+            "reduce": [_volumes(task) for task in job.metrics.reduce_tasks],
+            "counters": {
+                group: names
+                for group, names in job.counters.as_dict().items()
+                if group.startswith("fsjoin.")
+            },
+        }
+        for job in result.job_results
+    }
+
+
+def _join(**cluster_kwargs):
+    records = make_corpus("wiki", 120, seed=3)
+    config = FSJoinConfig(theta=0.8, n_vertical=30, n_horizontal=10)
+    return FSJoin(config, SimulatedCluster(SPEC, **cluster_kwargs)).run(records)
+
+
+def _first_attempt_of_task_one_dies(phase, task_id, attempt):
+    return task_id == 1 and attempt == 1
+
+
+def _map_task_zero_straggles(phase, task_id, attempt):
+    """Primary attempts of map task 0 crawl; its backups (attempt ≥ 1000) fly."""
+    return 0.5 if phase == "map" and task_id == 0 and attempt < 1000 else 0.0
+
+
+class TestAccountingIdentity:
+    @pytest.mark.parametrize("executor", ["serial", "thread"])
+    def test_matches_recorded_volumes(self, executor):
+        assert _snapshot(_join(executor=executor)) == EXPECTED
+
+    def test_retried_attempts_do_not_leak(self):
+        result = _join(failure_injector=_first_attempt_of_task_one_dies)
+        for job in result.job_results:
+            assert job.counters.get("mapreduce", "map_task_retries") == 1
+            assert job.counters.get("mapreduce", "reduce_task_retries") == 1
+        assert _snapshot(result) == EXPECTED
+
+    def test_speculative_loser_does_not_leak(self):
+        result = _join(
+            straggler_injector=_map_task_zero_straggles, speculative=True
+        )
+        for job in result.job_results:
+            assert job.counters.get("mapreduce", "map_speculative_wins") == 1
+        assert _snapshot(result) == EXPECTED
+
+    def test_shuffle_is_the_sum_of_both_sides(self):
+        for job in _join().job_results:
+            metrics = job.metrics
+            assert (
+                metrics.shuffle_records
+                == sum(task.output_records for task in metrics.map_tasks)
+                == sum(task.input_records for task in metrics.reduce_tasks)
+            )
+            assert (
+                metrics.shuffle_bytes
+                == sum(task.output_bytes for task in metrics.map_tasks)
+                == sum(task.input_bytes for task in metrics.reduce_tasks)
+            )

@@ -100,6 +100,29 @@ class TestExecutionSemantics:
         with pytest.raises(ExecutionError):
             cluster.run_job(BadPartition(), [("k", "v")])
 
+    def test_partition_non_integer_rejected(self, cluster):
+        """A float that compares inside the range is still not an index:
+        the map task's emit rejects it with the runtime's typed error."""
+        class FloatPartition(IdentityJob):
+            def partition(self, key, n):
+                return float(key % n)
+
+        with pytest.raises(ExecutionError, match="not an integer"):
+            cluster.run_job(FloatPartition(), [(i, i) for i in range(5)])
+
+    def test_partition_index_like_normalised(self, cluster):
+        """Anything with ``__index__`` (``bool``, numpy ints) routes like
+        the plain int it equals."""
+        class BoolPartition(IdentityJob):
+            def partition(self, key, n):
+                return key % 2 == 1
+
+        result = cluster.run_job(
+            BoolPartition(), [(i, i) for i in range(10)], num_reduce_tasks=2
+        )
+        assert [t.input_records for t in result.metrics.reduce_tasks] == [5, 5]
+        assert sorted(result.output) == [(i, i) for i in range(10)]
+
     def test_custom_partitioner_respected(self, cluster):
         class AllToZero(IdentityJob):
             def partition(self, key, n):

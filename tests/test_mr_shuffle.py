@@ -2,15 +2,55 @@
 
 from __future__ import annotations
 
+import math
 import subprocess
 import sys
+import zlib
 
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.mapreduce.job import MapReduceJob
 from repro.mapreduce.runtime import ClusterSpec, SimulatedCluster
 from repro.mapreduce.shuffle import default_partition, group_sort_key, stable_hash
+from tests.conftest import Rank, shuffled_values
+
+_MASK = (1 << 61) - 1
+
+
+def reference_hash(value) -> int:
+    """The partition hash as one plain recursive ``isinstance`` chain — the
+    definition ``stable_hash``'s exact-type dispatch must agree with."""
+    if value is None:
+        return 0x9E3779B1
+    if isinstance(value, bool):
+        return reference_hash(int(value))
+    if isinstance(value, int):
+        return (value * 0x9E3779B97F4A7C15) & _MASK
+    if isinstance(value, float):
+        if math.isfinite(value) and value.is_integer():
+            return reference_hash(int(value))
+        if math.isinf(value):
+            return 0x7F4A7C15 if value > 0 else 0x2545F491
+        if math.isnan(value):
+            return 0x6C62272E
+        return reference_hash(value.as_integer_ratio())
+    if isinstance(value, str):
+        return zlib.crc32(value.encode("utf-8")) * 0x9E3779B1 & _MASK
+    if isinstance(value, bytes):
+        return zlib.crc32(value) * 0x9E3779B1 & _MASK
+    if isinstance(value, (tuple, list)):
+        acc = 0x345678
+        for item in value:
+            acc = (acc * 1000003) ^ reference_hash(item)
+            acc &= _MASK
+        return acc ^ len(value)
+    if isinstance(value, frozenset):
+        acc = 0
+        for item in value:
+            acc ^= reference_hash(item)
+        return acc & _MASK
+    return zlib.crc32(repr(value).encode("utf-8")) & _MASK
 
 keys = st.one_of(
     st.integers(-(2**40), 2**40),
@@ -29,6 +69,19 @@ numeric_keys = st.one_of(
     st.floats(allow_nan=False, width=64),
     st.integers(-(2**60), 2**60).map(float).filter(lambda f: abs(f) < 2**63),
 )
+
+
+class TestMatchesReference:
+    @settings(max_examples=150, deadline=None)
+    @given(shuffled_values)
+    def test_any_value(self, value):
+        assert stable_hash(value) == reference_hash(value)
+
+    @given(st.lists(st.integers(-(2**70), 2**70), max_size=6))
+    def test_flat_int_tuples(self, items):
+        assert stable_hash(tuple(items)) == reference_hash(tuple(items))
+        mixed = tuple(items) + (Rank.HUGE, True, 2.0, "x", (1, 2))
+        assert stable_hash(mixed) == reference_hash(mixed)
 
 
 class TestStableHash:

@@ -2,11 +2,59 @@
 
 from __future__ import annotations
 
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.partitioning import Segment, SegmentInfo
 from repro.mapreduce.sizer import estimate_pair_size, estimate_size
+from tests.conftest import Rank, shuffled_values
+
+
+def reference_size(value) -> int:
+    """The sizer as one plain recursive ``isinstance`` chain — the
+    definition ``estimate_size``'s exact-type dispatch must agree with."""
+    if value is None or isinstance(value, bool):
+        return 1
+    if isinstance(value, int):
+        magnitude = abs(value)
+        size = 1
+        while magnitude >= 128:
+            magnitude >>= 7
+            size += 1
+        return size
+    if isinstance(value, float):
+        return 8
+    if isinstance(value, (str, bytes)):
+        return len(value) + 1
+    if isinstance(value, (tuple, list, set, frozenset)):
+        return 4 + sum(reference_size(item) for item in value)
+    if isinstance(value, dict):
+        return 4 + sum(
+            reference_size(k) + reference_size(v) for k, v in value.items()
+        )
+    payload = getattr(value, "payload_size", None)
+    if callable(payload):
+        return int(payload())
+    return len(repr(value))
+
+
+class TestMatchesReference:
+    @settings(max_examples=150, deadline=None)
+    @given(shuffled_values)
+    def test_any_value(self, value):
+        assert estimate_size(value) == reference_size(value)
+
+    @given(st.integers(-(2**70), 2**70))
+    def test_varint_closed_form(self, value):
+        assert estimate_size(value) == reference_size(value)
+        assert estimate_size((value, Rank.HUGE, -value)) == reference_size(
+            (value, Rank.HUGE, -value)
+        )
+
+    def test_varint_boundaries(self):
+        for bits in range(0, 80):
+            for value in (2**bits - 1, 2**bits, -(2**bits), 2**bits + 1):
+                assert estimate_size(value) == reference_size(value), value
 
 
 class TestScalarSizes:
