@@ -429,13 +429,13 @@ def run_search_scenario(
     detail["in_deadline_ok"] = hits == expected
     injector.record("latency-spike", "service",
                     "+1.000s on the chaos clock mid-request")
-    original_probe = service.index.probe
+    original_probe = service.index.probe_batch
 
     def slow_probe(*args, **kwargs):
         clock.advance(1.0)
         return original_probe(*args, **kwargs)
 
-    service.index.probe = slow_probe  # type: ignore[method-assign]
+    service.index.probe_batch = slow_probe  # type: ignore[method-assign]
     service._cache.clear()
     deadline_typed = False
     try:
@@ -443,7 +443,7 @@ def run_search_scenario(
     except DeadlineExceededError:
         deadline_typed = True
     finally:
-        del service.index.probe
+        del service.index.probe_batch
     detail["deadline_typed"] = deadline_typed
     detail["deadline_counter"] = service.metrics.get(
         "service.deadline", "exceeded"

@@ -667,47 +667,45 @@ def _rid_tokens(backend, rid):
         ) from None
 
 
-def _cmd_search(args) -> int:
+def _print_search(args, backend, rid_source, tracer, **batch_options) -> int:
+    """Answer ``repro search`` / ``repro cluster search`` as one JSON
+    document: the service and the router take the same three calls."""
     import json
 
-    from repro.service import SimilarityService
-
-    tracer = Tracer() if args.trace else NOOP_TRACER
-    service = SimilarityService.load(args.index, tracer=tracer)
     func = SimilarityFunction(args.func)
-
+    document = {"theta": args.theta, "func": func.value}
     if args.query_file:
         queries = [record.tokens for record in _read_query_file(args.query_file)]
-        results = service.search_batch(
-            queries, args.theta, k=args.k, func=func, executor=args.executor
+        results = backend.search_batch(
+            queries, args.theta, k=args.k, func=func, **batch_options
         )
-        document = {
-            "theta": args.theta,
-            "func": func.value,
-            "results": [
-                {"query": list(tokens), "hits": _hit_rows(hits)}
-                for tokens, hits in zip(queries, results)
-            ],
-        }
+        document["results"] = [
+            {"query": list(tokens), "hits": _hit_rows(hits)}
+            for tokens, hits in zip(queries, results)
+        ]
     else:
         if args.rid is not None:
-            tokens = _rid_tokens(service.index, args.rid)
-            hits = service.search_rid(args.rid, args.theta, k=args.k, func=func)
+            tokens = _rid_tokens(rid_source, args.rid)
+            hits = backend.search_rid(args.rid, args.theta, k=args.k, func=func)
         else:
             tokens = args.query.split()
-            hits = service.search(tokens, args.theta, k=args.k, func=func)
-        document = {
-            "query": tokens,
-            "theta": args.theta,
-            "func": func.value,
-            "hits": _hit_rows(hits),
-        }
+            hits = backend.search(tokens, args.theta, k=args.k, func=func)
+        document = {"query": tokens, **document, "hits": _hit_rows(hits)}
     if args.trace:
-        document["latency"] = service.latency_info()
+        document["latency"] = backend.latency.snapshot()
         _export_trace(tracer, args.trace)
         _print_phase_breakdown(tracer)
     print(json.dumps(document))
     return 0
+
+
+def _cmd_search(args) -> int:
+    from repro.service import SimilarityService
+
+    tracer = Tracer() if args.trace else NOOP_TRACER
+    service = SimilarityService.load(args.index, tracer=tracer)
+    return _print_search(args, service, service.index, tracer,
+                         executor=args.executor)
 
 
 def _fail_replica(router, shard) -> None:
@@ -750,46 +748,13 @@ def _cmd_cluster_build(args) -> int:
 
 
 def _cmd_cluster_search(args) -> int:
-    import json
-
     from repro.cluster import load_cluster
 
     tracer = Tracer() if args.trace else NOOP_TRACER
     router = load_cluster(args.cluster_dir, tracer=tracer)
-    func = SimilarityFunction(args.func)
     if args.fail_shard is not None:
         _fail_replica(router, args.fail_shard)
-
-    if args.query_file:
-        queries = [record.tokens for record in _read_query_file(args.query_file)]
-        results = router.search_batch(queries, args.theta, k=args.k, func=func)
-        document = {
-            "theta": args.theta,
-            "func": func.value,
-            "results": [
-                {"query": list(tokens), "hits": _hit_rows(hits)}
-                for tokens, hits in zip(queries, results)
-            ],
-        }
-    else:
-        if args.rid is not None:
-            tokens = _rid_tokens(router, args.rid)
-            hits = router.search_rid(args.rid, args.theta, k=args.k, func=func)
-        else:
-            tokens = args.query.split()
-            hits = router.search(tokens, args.theta, k=args.k, func=func)
-        document = {
-            "query": tokens,
-            "theta": args.theta,
-            "func": func.value,
-            "hits": _hit_rows(hits),
-        }
-    if args.trace:
-        document["latency"] = router.latency.snapshot()
-        _export_trace(tracer, args.trace)
-        _print_phase_breakdown(tracer)
-    print(json.dumps(document))
-    return 0
+    return _print_search(args, router, router, tracer)
 
 
 def _cmd_cluster_status(args) -> int:

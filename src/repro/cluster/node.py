@@ -5,13 +5,16 @@ restricted to the fragments a shard owns: it keeps the columnar posting
 runs for owned fragments only, plus the *full* id column and segment bounds
 of every record that posts into them — which is exactly what the
 StrL/SegL/SegI/SegD lemmas and the final verification need, so a slice
-evaluates its candidates with the unmodified single-node code path.
+probes with the unmodified single-node code: it defines no candidate
+generator of its own.
 
-The one thing a slice does differently is candidate *claiming*.  On a
-single node, a candidate's "first hit" is the globally smallest-id common
-prefix token (Theorem 1: each pair is generated in exactly one fragment).
-Across shards the same pair would collide on several shards' fragments, so
-each slice applies the claim rule:
+The one thing a slice changes is the *owned set* the base scan
+(:meth:`SegmentIndex._scan_candidates
+<repro.service.index.SegmentIndex._scan_candidates>`) reads.  On a single
+node, a candidate's "first hit" is the globally smallest-id common prefix
+token (Theorem 1: each pair is generated in exactly one fragment).  Across
+shards the same pair would collide on several shards' fragments, so the
+scan applies the claim rule:
 
     a slice claims candidate ``t`` iff the first common token between the
     probe prefix and ``t`` lies in a fragment this slice owns.
@@ -23,7 +26,8 @@ shard.  The claimed first-hit coordinates equal the single-node ones, so
 positional filtering, fragment lemmas and verification make identical
 per-pair decisions, and the union of per-shard hit lists is bit-identical
 to ``SegmentIndex.probe`` (``tests/test_cluster_router.py`` property-tests
-this, failure injection and rebalance included).
+this, failure injection and rebalance included).  The full index is the
+slice that owns every fragment: no foreign tokens, nothing ceded.
 
 A :class:`ShardNode` wraps one slice as a routable endpoint: replica
 identity, a liveness flag the failure injector flips, and per-node
@@ -34,7 +38,6 @@ each replica its own copy restored from the same per-shard snapshot.
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
@@ -43,15 +46,8 @@ from repro.errors import ClusterError, ShardDownError
 from repro.mapreduce.counters import Counters
 from repro.observability.tracer import NOOP_TRACER, Tracer
 from repro.service.columnar import FragmentPostings
-from repro.service.index import (
-    EncodedQuery,
-    FirstHit,
-    SearchHit,
-    SegmentIndex,
-    _bump,
-)
+from repro.service.index import EncodedQuery, SearchHit, SegmentIndex
 from repro.similarity.functions import SimilarityFunction
-from repro.similarity.thresholds import prefix_length
 
 
 @dataclass
@@ -114,154 +110,6 @@ class ShardSlice(SegmentIndex):
             slice_._ranks[rid] = index._ranks[rid]
             slice_._segbounds[rid] = index._segbounds[rid]
         return slice_
-
-    # -- the claim rule ------------------------------------------------
-    def _candidates_columnar(
-        self,
-        query: EncodedQuery,
-        theta: float,
-        func: SimilarityFunction,
-        counters: Optional[Counters],
-    ) -> Dict[int, FirstHit]:
-        """Candidates whose globally-first prefix collision is owned here.
-
-        Probe tokens are scanned in ascending id order (fragments are id
-        ranges), so by the time an owned fragment's token is scanned,
-        ``foreign`` holds every smaller-id probe token that lives on some
-        other shard.  A record containing one of those tokens collides
-        earlier on that other shard — it is that shard's candidate, not
-        ours — which makes the per-shard candidate sets disjoint and their
-        union exactly the single-node candidate set.
-        """
-        candidates: Dict[int, FirstHit] = {}
-        rejected: set = set()
-        foreign: List[int] = []
-        q_ids = query.ranks
-        if not q_ids:
-            return candidates
-        limit = min(prefix_length(func, theta, query.size), len(q_ids))
-        lookups = ceded = 0
-        ranks_of = self._ranks
-        owned = self._owned
-        for v, start, end in self.partitioner.split_bounds(q_ids[:limit]):
-            if v not in owned:
-                foreign.extend(q_ids[start:end])
-                continue
-            postings = self._postings[v]
-            if postings._pending:
-                postings.seal()
-            slots = postings._slots
-            offsets = postings.offsets
-            rids = postings.rids
-            positions = postings.positions
-            for qpos in range(start, end):
-                lookups += 1
-                slot = slots.get(q_ids[qpos])
-                if slot is None:
-                    continue
-                for k in range(offsets[slot], offsets[slot + 1]):
-                    rid = rids[k]
-                    if rid in candidates or rid in rejected:
-                        continue
-                    if foreign and _any_rank_present(foreign, ranks_of[rid]):
-                        rejected.add(rid)
-                        ceded += 1
-                    else:
-                        candidates[rid] = (v, qpos, positions[k])
-        _bump(counters, "posting_lookups", lookups)
-        _bump(counters, "ceded_candidates", ceded)
-        return candidates
-
-    def _batch_candidates_columnar(
-        self,
-        queries: Sequence[EncodedQuery],
-        theta: float,
-        func: SimilarityFunction,
-        counters: Optional[Counters],
-    ) -> List[Dict[int, FirstHit]]:
-        """One-pass batched candidate generation *with* the claim rule.
-
-        Stage 1 mirrors the base class but splits each query's prefix into
-        owned tokens (grouped per fragment for the shared posting scans)
-        and a sorted foreign-id list.  Stage 2 walks owned fragments in
-        ascending token-id order; because fragments are contiguous id
-        ranges, the foreign tokens a sequential probe would have
-        accumulated before reaching token ``t`` are exactly the query's
-        foreign ids smaller than ``t`` — a ``bisect`` prefix of the
-        per-query foreign list.  Applying :func:`_any_rank_present` to
-        that prefix reproduces the sequential claim decision for every
-        (query, candidate) pair, so the batch stays disjoint across
-        shards and bit-identical to per-query probes.
-        """
-        grouped: List[Dict[int, List[Tuple[int, int]]]] = [
-            {} for _ in range(self.n_fragments)
-        ]
-        plen_cache: Dict[int, int] = {}
-        foreign_of: List[List[int]] = [[] for _ in queries]
-        owned = self._owned
-        for qi, query in enumerate(queries):
-            q_ids = query.ranks
-            if not q_ids:
-                continue
-            size = query.size
-            plen = plen_cache.get(size)
-            if plen is None:
-                plen = plen_cache[size] = prefix_length(func, theta, size)
-            limit = min(plen, len(q_ids))
-            foreign = foreign_of[qi]
-            for v, start, end in self.partitioner.split_bounds(q_ids[:limit]):
-                if v not in owned:
-                    foreign.extend(q_ids[start:end])
-                    continue
-                token_map = grouped[v]
-                for qpos in range(start, end):
-                    token = q_ids[qpos]
-                    probes = token_map.get(token)
-                    if probes is None:
-                        token_map[token] = probes = []
-                    probes.append((qi, qpos))
-        candidate_sets: List[Dict[int, FirstHit]] = [{} for _ in queries]
-        rejected_sets: List[set] = [set() for _ in queries]
-        ranks_of = self._ranks
-        lookups = ceded = 0
-        for v, token_map in enumerate(grouped):
-            if not token_map:
-                continue
-            postings = self._postings[v]
-            if postings._pending:
-                postings.seal()
-            slots = postings._slots
-            offsets = postings.offsets
-            rids = postings.rids
-            positions = postings.positions
-            for token in sorted(token_map):
-                lookups += 1
-                slot = slots.get(token)
-                if slot is None:
-                    continue
-                # Foreign ids already "seen" by a sequential scan at this
-                # token: the bisect prefix of each probing query's list.
-                cuts = [
-                    (qi, qpos,
-                     foreign_of[qi][:bisect_left(foreign_of[qi], token)])
-                    for qi, qpos in token_map[token]
-                ]
-                for k in range(offsets[slot], offsets[slot + 1]):
-                    rid = rids[k]
-                    pos = positions[k]
-                    for qi, qpos, foreign in cuts:
-                        candidates = candidate_sets[qi]
-                        if rid in candidates or rid in rejected_sets[qi]:
-                            continue
-                        if foreign and _any_rank_present(foreign,
-                                                         ranks_of[rid]):
-                            rejected_sets[qi].add(rid)
-                            ceded += 1
-                        else:
-                            candidates[rid] = (v, qpos, pos)
-        _bump(counters, "posting_lookups", lookups)
-        _bump(counters, "ceded_candidates", ceded)
-        return candidate_sets
 
     # -- replica independence ------------------------------------------
     def clone(self) -> "ShardSlice":
@@ -341,22 +189,12 @@ class ShardSlice(SegmentIndex):
                 del self._segbounds[rid]
 
 
-def _any_rank_present(ranks: List[int], t_ranks: Sequence[int]) -> bool:
-    """True if any of ``ranks`` occurs in the sorted id column ``t_ranks``."""
-    for rank in ranks:
-        i = bisect_left(t_ranks, rank)
-        if i < len(t_ranks) and t_ranks[i] == rank:
-            return True
-    return False
+class _ScatterNode:
+    """What the router asks of a scatter participant: liveness, fencing,
+    a fault hook, counters, and one serving call over the index it wraps
+    (``self.slice`` — anything with ``probe_batch``/``tokens_of``)."""
 
-
-class ShardNode:
-    """One routable replica of one shard."""
-
-    def __init__(self, shard_id: int, replica_id: int,
-                 slice_: ShardSlice) -> None:
-        self.shard_id = shard_id
-        self.replica_id = replica_id
+    def __init__(self, slice_) -> None:
         self.slice = slice_
         self.alive = True
         #: fencing flag: a fenced replica refuses *all* service (pings
@@ -372,10 +210,6 @@ class ShardNode:
         #: deadline checks run on the same clock, so injected latency is
         #: observable without real sleeps.
         self.fault_hook = None
-
-    @property
-    def name(self) -> str:
-        return f"shard{self.shard_id}/r{self.replica_id}"
 
     # -- health --------------------------------------------------------
     def fail(self) -> None:
@@ -404,32 +238,11 @@ class ShardNode:
         """Health check: can this replica serve a probe right now?"""
         return self.alive and not self.fenced
 
-    def adopt_slice(self, slice_: ShardSlice) -> None:
+    def adopt_slice(self, slice_) -> None:
         """Swap in a rebuilt slice (the repair path's re-hydration step)."""
         self.slice = slice_
 
     # -- serving -------------------------------------------------------
-    def probe(
-        self,
-        query: EncodedQuery,
-        theta: float,
-        func: SimilarityFunction,
-        filters: Optional[FilterConfig] = None,
-        tracer: Tracer = NOOP_TRACER,
-    ) -> List[SearchHit]:
-        """Serve one scatter leg; raises :class:`ShardDownError` if failed."""
-        # Serving checks the raw flags, not ping(): a replica whose health
-        # check lies (or is stubbed in tests) must still crash the probe so
-        # the router fails over instead of serving from a dead copy.
-        if not self.alive or self.fenced:
-            raise ShardDownError(f"{self.name} is {self._down_state()}")
-        if self.fault_hook is not None:
-            self.fault_hook(self)
-        self.counters.increment("cluster.node", "probes")
-        return self.slice.probe_encoded(
-            query, theta, func, filters, self.counters, tracer
-        )
-
     def probe_batch(
         self,
         queries: Sequence[EncodedQuery],
@@ -438,12 +251,11 @@ class ShardNode:
         filters: Optional[FilterConfig] = None,
         tracer: Tracer = NOOP_TRACER,
     ) -> List[List[SearchHit]]:
-        """Serve one batched scatter leg (fragment-grouped posting scans,
-        claim rule preserved); raises :class:`ShardDownError` if
-        failed.  The fault hook fires once per batch — a crashed replica
-        loses the whole leg, exactly like a crashed single probe."""
-        if not self.alive or self.fenced:
-            raise ShardDownError(f"{self.name} is {self._down_state()}")
+        """Serve one scatter leg (fragment-grouped posting scans, claim
+        rule preserved); raises :class:`ShardDownError` if failed.  The
+        fault hook fires once per batch — a crashed replica loses the
+        whole leg."""
+        self._check_serving()
         if self.fault_hook is not None:
             self.fault_hook(self)
         self.counters.increment("cluster.node", "probes", len(queries))
@@ -452,15 +264,44 @@ class ShardNode:
         )
 
     def tokens_of(self, rid: int) -> Tuple[str, ...]:
-        if not self.alive or self.fenced:
-            raise ShardDownError(f"{self.name} is {self._down_state()}")
+        self._check_serving()
         return self.slice.tokens_of(rid)
 
-    def _down_state(self) -> str:
-        return "fenced" if (self.alive and self.fenced) else "down"
+    def _check_serving(self) -> None:
+        # Serving checks the raw flags, not ping(): a replica whose health
+        # check lies (or is stubbed in tests) must still crash the probe so
+        # the router fails over instead of serving from a dead copy.
+        if not self.alive or self.fenced:
+            state = "fenced" if self.alive else "down"
+            raise ShardDownError(f"{self.name} is {state}")
 
     def __contains__(self, rid: int) -> bool:
         return rid in self.slice
+
+
+class ShardNode(_ScatterNode):
+    """One routable replica of one shard."""
+
+    def __init__(self, shard_id: int, replica_id: int,
+                 slice_: ShardSlice) -> None:
+        super().__init__(slice_)
+        self.shard_id = shard_id
+        self.replica_id = replica_id
+
+    @property
+    def name(self) -> str:
+        return f"shard{self.shard_id}/r{self.replica_id}"
+
+    def probe(
+        self,
+        query: EncodedQuery,
+        theta: float,
+        func: SimilarityFunction,
+        filters: Optional[FilterConfig] = None,
+        tracer: Tracer = NOOP_TRACER,
+    ) -> List[SearchHit]:
+        """Serve one query: a batch of one through :meth:`probe_batch`."""
+        return self.probe_batch([query], theta, func, filters, tracer)[0]
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = "up" if self.ping() else (
@@ -472,74 +313,25 @@ class ShardNode:
         )
 
 
-class IngestNode:
+class IngestNode(_ScatterNode):
     """The write tier as a routable scatter participant.
 
-    Wraps a :class:`~repro.ingest.streaming.StreamingIndex` with the same
-    surface the router expects of a :class:`ShardNode` — liveness, fault
-    hook, counters, ``probe`` — so freshly ingested records are served by
-    one extra scatter leg.  Exactness needs no claim rule here: the
-    ingest tier's record ids are disjoint from every shard's (the router
-    rejects duplicates at admission), and the streaming index is exact
-    over its own records, so gather stays concat-and-sort, dedup-free.
+    Wraps a :class:`~repro.ingest.streaming.StreamingIndex` as the node's
+    slice, so freshly ingested records are served by one extra scatter
+    leg per batch.  Exactness needs no claim rule here: the ingest tier's
+    record ids are disjoint from every shard's (the router rejects
+    duplicates at admission), and the streaming index is exact over its
+    own records, so gather stays concat-and-sort, dedup-free.
     """
 
     shard_id = -1
     replica_id = 0
-
-    def __init__(self, streaming) -> None:
-        self.streaming = streaming
-        self.alive = True
-        #: same contract as :attr:`ShardNode.fenced`.
-        self.fenced = False
-        self.counters = Counters()
-        #: same contract as :attr:`ShardNode.fault_hook`.
-        self.fault_hook = None
+    name = "ingest/r0"
 
     @property
-    def name(self) -> str:
-        return "ingest/r0"
-
-    def fail(self) -> None:
-        self.alive = False
-
-    def restore(self) -> None:
-        self.alive = True
-
-    def fence(self) -> None:
-        self.fenced = True
-
-    def unfence(self) -> None:
-        self.fenced = False
-
-    def ping(self) -> bool:
-        return self.alive and not self.fenced
-
-    def probe(
-        self,
-        query: EncodedQuery,
-        theta: float,
-        func: SimilarityFunction,
-        filters: Optional[FilterConfig] = None,
-        tracer: Tracer = NOOP_TRACER,
-    ) -> List[SearchHit]:
-        if not self.alive or self.fenced:
-            raise ShardDownError(f"{self.name} is down")
-        if self.fault_hook is not None:
-            self.fault_hook(self)
-        self.counters.increment("cluster.node", "probes")
-        return self.streaming.probe_encoded(
-            query, theta, func, filters, self.counters, tracer
-        )
-
-    def tokens_of(self, rid: int) -> Tuple[str, ...]:
-        if not self.alive or self.fenced:
-            raise ShardDownError(f"{self.name} is down")
-        return self.streaming.tokens_of(rid)
-
-    def __contains__(self, rid: int) -> bool:
-        return rid in self.streaming
+    def streaming(self):
+        return self.slice
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = "up" if self.alive else "DOWN"
-        return f"IngestNode({state}, records={len(self.streaming)})"
+        return f"IngestNode({state}, records={len(self.slice)})"

@@ -183,7 +183,7 @@ class RepairManager:
                 counters=streaming.counters,
             )
             self._align_order(recovered)
-            ingest.streaming = recovered
+            ingest.adopt_slice(recovered)
             ingest.restore()
             ingest.unfence()
             return (

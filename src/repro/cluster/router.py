@@ -29,7 +29,10 @@ a single search is a batch of one.  One request is:
    reset timeout elapses a single half-open trial probe decides whether
    it rejoins rotation — so flapping replicas come back on their own.
    With a :class:`~repro.cluster.failover.HedgeConfig`, a slow leg
-   races a backup replica and the first answer wins.
+   races a backup replica and the first answer wins.  An attached
+   ingest tier is one more leg, also batched: one
+   :meth:`IngestNode.probe_batch <repro.cluster.node.IngestNode>` call
+   (one ``ingest-probe`` span) per request.
 4. **Gather** — per-shard hit lists are concatenated and sorted.  No
    dedup pass is needed: the shard slices' claim rule (see
    :mod:`repro.cluster.node`) assigns every (query, candidate) pair to
@@ -87,7 +90,13 @@ from repro.mapreduce.counters import Counters
 from repro.mapreduce.shuffle import stable_hash
 from repro.observability.histogram import LatencyHistogram
 from repro.observability.tracer import NOOP_TRACER, Tracer
-from repro.service.index import EncodedQuery, SearchHit
+from repro.service.index import (
+    EncodedQuery,
+    SearchHit,
+    checked_probe_args,
+    merge_hits,
+    view_hits,
+)
 from repro.service.vocab import TokenVocab
 from repro.similarity.functions import SimilarityFunction
 from repro.similarity.thresholds import prefix_length
@@ -275,8 +284,8 @@ class ClusterRouter:
                     rid = rids[stable_hash(("verify", shard, replica))
                                % len(rids)]
                     query = EncodedQuery(tuple(node.slice._ranks[rid]), 0)
-                    node.slice.probe_encoded(
-                        query, 0.5, SimilarityFunction.JACCARD, self.filters
+                    node.slice.probe_batch(
+                        [query], 0.5, SimilarityFunction.JACCARD, self.filters
                     )
             except Exception as exc:  # pragma: no cover - defensive
                 return {"ok": False, "detail": f"self-check failed: {exc}"}
@@ -300,11 +309,11 @@ class ClusterRouter:
             rid = rids[stable_hash(("verify", shard, replica, i)) % len(rids)]
             query = EncodedQuery(tuple(peer.slice._ranks[rid]), 0)
             for theta in (0.5, 0.8):
-                expected = peer.slice.probe_encoded(
-                    query, theta, SimilarityFunction.JACCARD, self.filters
+                (expected,) = peer.slice.probe_batch(
+                    [query], theta, SimilarityFunction.JACCARD, self.filters
                 )
-                got = node.slice.probe_encoded(
-                    query, theta, SimilarityFunction.JACCARD, self.filters
+                (got,) = node.slice.probe_batch(
+                    [query], theta, SimilarityFunction.JACCARD, self.filters
                 )
                 if got != expected:
                     return {
@@ -623,14 +632,13 @@ class ClusterRouter:
     ) -> PartialSearchResult:
         """A search is a batch of one through :meth:`_serve`."""
         answers, _slots = self._serve(
-            [tokens], theta, SimilarityFunction(func), deadline,
-            allow_partial=allow_partial,
+            [tokens], theta, func, deadline, allow_partial=allow_partial,
         )
         hits, missing_shards, missing_fragments = answers[0]
         if missing_shards:
             self.metrics.increment(ROUTE_GROUP, "partial_results")
         return PartialSearchResult(
-            hits=tuple(_view(hits, exclude, k)),
+            hits=tuple(view_hits(hits, k, exclude)),
             complete=not missing_shards,
             missing_shards=missing_shards,
             missing_fragments=missing_fragments,
@@ -647,7 +655,9 @@ class ClusterRouter:
     ) -> Tuple[List[_Answer], List[int]]:
         """Admit once, scatter, enforce the deadline — every entry point's
         one way into the cluster.  Returns :meth:`_batch_scatter`'s
-        per-distinct-query answers and input → answer slots."""
+        per-distinct-query answers and input → answer slots.  θ/func are
+        checked here: a batch that routes to no shard must not skip it."""
+        func = checked_probe_args(theta, func)
         # One clock for everything: deadlines, breakers and the latency
         # histogram all read ``self._clock``, so injected (chaos) latency
         # is visible in ``latency_info()`` — and shed or deadline-exceeded
@@ -676,32 +686,32 @@ class ClusterRouter:
 
     def _ingest_leg(
         self,
-        query: EncodedQuery,
+        queries: Sequence[EncodedQuery],
         theta: float,
         func: SimilarityFunction,
         allow_partial: bool,
-    ) -> Optional[List[SearchHit]]:
-        """The write tier's scatter leg for one query (shard id ``-1``).
+    ) -> Optional[List[List[SearchHit]]]:
+        """The write tier's scatter leg for one batch (shard id ``-1``).
 
         A down ingest node behaves like a down shard: fail the request,
         or — in partial mode — return ``None`` so the caller marks shard
-        ``-1`` missing.
+        ``-1`` missing for every query.
         """
         node = self._ingest
         with self.tracer.span(
             "ingest-probe", phase="cluster",
-            records=len(node.streaming),
+            records=len(node.streaming), queries=len(queries),
         ) as span:
             try:
-                hits = node.probe(query, theta, func, self.filters,
-                                  self.tracer)
+                hits = node.probe_batch(queries, theta, func, self.filters,
+                                        self.tracer)
             except ShardDownError as exc:
                 span.attrs["status"] = "unavailable"
                 self.metrics.increment(ROUTE_GROUP, "ingest_unavailable")
                 if not allow_partial:
                     raise ClusterError(f"ingest tier down: {exc}") from exc
                 return None
-            span.attrs["hits"] = len(hits)
+            span.attrs["hits"] = sum(len(h) for h in hits)
         return hits
 
     def _check_deadline(self, deadline_at: Optional[float]) -> None:
@@ -755,7 +765,6 @@ class ClusterRouter:
         per-tenant hedging rides this, and since hedging only picks
         *which replica answers*, any override keeps results bit-identical.
         """
-        func = SimilarityFunction(func)
         if exclude is not None and len(exclude) != len(queries):
             raise ConfigError(
                 f"exclude must align with queries: got {len(exclude)} "
@@ -767,8 +776,8 @@ class ClusterRouter:
         self.metrics.increment(ROUTE_GROUP, "batch_deduped",
                                len(queries) - len(answers))
         return [
-            _view(answers[di][0],
-                  exclude[i] if exclude is not None else None, k)
+            view_hits(answers[di][0], k,
+                      exclude[i] if exclude is not None else None)
             for i, di in enumerate(slots)
         ]
 
@@ -844,12 +853,13 @@ class ClusterRouter:
                 for di, hits in zip(dis, shard_hits):
                     legs_by_query[di].append(hits)
             if self._ingest is not None and len(self._ingest.streaming):
-                for di, query in enumerate(uniques):
-                    hits = self._ingest_leg(query, theta, func, allow_partial)
-                    if hits is None:
+                ingest_hits = self._ingest_leg(uniques, theta, func,
+                                               allow_partial)
+                for di, legs in enumerate(legs_by_query):
+                    if ingest_hits is None:
                         missing[di].append(IngestNode.shard_id)
                     else:
-                        legs_by_query[di].append(hits)
+                        legs.append(ingest_hits[di])
             # Heat is charged only now — after the scatter came back — and
             # only for shards that answered, once per distinct query, so
             # shed, deadline-exceeded and all-replicas-down requests never
@@ -864,7 +874,7 @@ class ClusterRouter:
                                 self._heat.get(fragment, 0) + 1
                             )
             with self.tracer.span("merge", phase="cluster") as merge_span:
-                merged = [_gather(legs) for legs in legs_by_query]
+                merged = [merge_hits(legs) for legs in legs_by_query]
                 merge_span.attrs["hits"] = sum(len(m) for m in merged)
             span.attrs["hits"] = sum(len(m) for m in merged)
             if any(missing):
@@ -1176,30 +1186,3 @@ def _distinct_slices(group: Sequence[ShardNode]):
     for node in group:
         seen.setdefault(id(node.slice), node.slice)
     return list(seen.values())
-
-
-def _view(hits: List[SearchHit], exclude: Optional[int],
-          k: Optional[int]) -> List[SearchHit]:
-    """A caller's own copy of a gathered hit list, minus ``exclude``,
-    cut to ``k`` — duplicate queries of one batch share the gathered list."""
-    if exclude is not None:
-        hits = [hit for hit in hits if hit.rid != exclude]
-    else:
-        hits = list(hits)
-    if k is not None:
-        hits = hits[: max(k, 0)]
-    return hits
-
-
-def _gather(partials: List[List[SearchHit]]) -> List[SearchHit]:
-    """Merge per-shard hit lists: concatenate and sort, no dedup needed.
-
-    The claim rule makes shard results disjoint by record id, so the
-    gather step is a plain sort by ``(-score, rid)`` — the same final
-    order the single-node probe produces.
-    """
-    merged: List[SearchHit] = []
-    for hits in partials:
-        merged.extend(hits)
-    merged.sort(key=lambda hit: (-hit.score, hit.rid))
-    return merged

@@ -57,15 +57,11 @@ from repro.mapreduce.counters import Counters
 from repro.observability.histogram import LatencyHistogram
 from repro.observability.tracer import NOOP_TRACER, Tracer
 from repro.service.cache import LRUCache
-from repro.service.index import SearchHit
+from repro.service.index import QueryKey, SearchHit, query_key, view_hits
 from repro.similarity.functions import SimilarityFunction
 
 GATEWAY_GROUP = "gateway"
 QUOTA_GROUP = "gateway.quota"
-
-#: Coalescing key: (canonical token tuple, θ, func value) — the same
-#: canonical form the service cache uses.
-GatewayKey = Tuple[Tuple[str, ...], float, str]
 
 
 @dataclass(frozen=True)
@@ -160,7 +156,7 @@ class GatewayResponse:
 class _Pending:
     """One queued probe awaiting dispatch."""
 
-    key: GatewayKey
+    key: QueryKey
     theta: float
     func: SimilarityFunction
     tenant: str = "default"
@@ -192,7 +188,7 @@ class SimilarityGateway:
         self._cache: LRUCache[Tuple[int, List[SearchHit]]] = LRUCache(
             self.config.cache_size
         )
-        self._inflight: Dict[GatewayKey, asyncio.Future] = {}
+        self._inflight: Dict[QueryKey, asyncio.Future] = {}
         self._queues: Dict[str, Deque[_Pending]] = {}
         self._outstanding: Dict[str, int] = {}
         self._dispatcher: Optional[asyncio.Task] = None
@@ -241,7 +237,7 @@ class SimilarityGateway:
         status = "ok"
         try:
             self._check_deadline(deadline_at)
-            key = self._key(tokens, theta, func)
+            key = query_key(tokens, theta, func)
             hits = self._cache_get(key)
             if hits is not None:
                 self.metrics.increment(GATEWAY_GROUP, "cache_hits")
@@ -258,7 +254,7 @@ class SimilarityGateway:
                                                    tenant))
                 hits = await future
             self._check_deadline(deadline_at)
-            return _view(hits, k, exclude)
+            return view_hits(hits, k, exclude)
         except ReproError as exc:
             status = type(exc).__name__
             raise
@@ -425,17 +421,11 @@ class SimilarityGateway:
                 "gateway request ran past its deadline; result abandoned"
             )
 
-    @staticmethod
-    def _key(
-        tokens: Iterable[str], theta: float, func: SimilarityFunction
-    ) -> GatewayKey:
-        return (tuple(sorted(set(tokens))), float(theta), func.value)
-
     def _router_epoch(self) -> int:
         """The router's index epoch (0 for routers without one)."""
         return getattr(self.router, "index_epoch", 0)
 
-    def _cache_get(self, key: GatewayKey) -> Optional[List[SearchHit]]:
+    def _cache_get(self, key: QueryKey) -> Optional[List[SearchHit]]:
         """A cached result, unless the index mutated since it was put —
         an epoch-stale entry counts as ``cache_invalidated`` and misses,
         so the probe recomputes against the current index."""
@@ -488,16 +478,3 @@ class SimilarityGateway:
                 start=time.perf_counter(), duration=0.0,
                 tenant=tenant, status=status,
             )
-
-
-def _view(
-    hits: List[SearchHit], k: Optional[int], exclude: Optional[int]
-) -> List[SearchHit]:
-    """The per-caller ``exclude``/``k`` view over a shared result."""
-    if exclude is not None:
-        hits = [hit for hit in hits if hit.rid != exclude]
-    else:
-        hits = list(hits)
-    if k is not None:
-        hits = hits[: max(k, 0)]
-    return hits

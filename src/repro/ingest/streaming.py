@@ -57,6 +57,7 @@ from repro.service.index import (
     EncodedQuery,
     SearchHit,
     SegmentIndex,
+    merge_hits,
 )
 from repro.service.vocab import TokenVocab
 from repro.similarity.functions import SimilarityFunction
@@ -576,28 +577,11 @@ class StreamingIndex:
         counters: Optional[Counters] = None,
         tracer: Optional[Tracer] = None,
     ) -> List[SearchHit]:
-        query = self.encode_query(tokens)
-        return self.probe_encoded(query, theta, func, filters, counters,
-                                  tracer)
-
-    def probe_encoded(
-        self,
-        query: EncodedQuery,
-        theta: float,
-        func: SimilarityFunction = SimilarityFunction.JACCARD,
-        filters: Optional[FilterConfig] = None,
-        counters: Optional[Counters] = None,
-        tracer: Optional[Tracer] = None,
-    ) -> List[SearchHit]:
-        """Merged exact probe across all tiers (one encode, N scans)."""
-        hits: List[SearchHit] = []
-        for tier in self._tiers():
-            hits.extend(
-                tier.probe_encoded(query, theta, func, filters, counters,
-                                   tracer)
-            )
-        hits.sort(key=lambda hit: (-hit.score, hit.rid))
-        return hits
+        """A batch of one through :meth:`probe_batch`."""
+        return self.probe_batch(
+            [self.encode_query(tokens)], theta, func, filters, counters,
+            tracer,
+        )[0]
 
     def probe_batch(
         self,
@@ -608,16 +592,14 @@ class StreamingIndex:
         counters: Optional[Counters] = None,
         tracer: Optional[Tracer] = None,
     ) -> List[List[SearchHit]]:
-        """Batched merged probe: each tier's batched scan, merged per query."""
-        merged: List[List[SearchHit]] = [[] for _ in queries]
-        for tier in self._tiers():
-            per_query = tier.probe_batch(queries, theta, func, filters,
-                                         counters, tracer)
-            for qi, hits in enumerate(per_query):
-                merged[qi].extend(hits)
-        for hits in merged:
-            hits.sort(key=lambda hit: (-hit.score, hit.rid))
-        return merged
+        """Merged exact probe: each tier's batched scan over one shared
+        encoding, merged per query.  (There is always a tier: the bootstrap
+        generation, so θ/func never go unchecked.)"""
+        per_tier = [
+            tier.probe_batch(queries, theta, func, filters, counters, tracer)
+            for tier in self._tiers()
+        ]
+        return [merge_hits(answers) for answers in zip(*per_tier)]
 
     # -- materialization & status ----------------------------------------
     def to_segment_index(self) -> SegmentIndex:

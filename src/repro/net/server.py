@@ -70,6 +70,8 @@ from .protocol import (
 
 NET_GROUP = "net"
 
+_FUNC_NAMES = tuple(func.value for func in SimilarityFunction)
+
 #: Closed-connection histograms retained for ``stats()`` (oldest dropped).
 _RETAINED_HISTOGRAMS = 64
 
@@ -121,6 +123,70 @@ class _Connection:
         self.tasks: Set[asyncio.Task] = set()
         self.histogram = LatencyHistogram()
         self.frames = 0
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_number(value) -> bool:
+    """A JSON number a float can hold (an integer past 1e308 cannot)."""
+    if not isinstance(value, float) and not _is_int(value):
+        return False
+    try:
+        float(value)
+    except OverflowError:
+        return False
+    return True
+
+
+def _is_tokens(value) -> bool:
+    return isinstance(value, list) and all(isinstance(t, str) for t in value)
+
+
+def _is_record(value) -> bool:
+    return (isinstance(value, list) and len(value) == 2
+            and _is_int(value[0]) and _is_tokens(value[1]))
+
+
+def _list_of(check):
+    return lambda value: isinstance(value, list) and all(map(check, value))
+
+
+def _optional(check):
+    return lambda value: value is None or check(value)
+
+
+_SEARCH_OPTIONS = {
+    "theta": _is_number,
+    "func": _optional(lambda value: value in _FUNC_NAMES),
+    "k": _optional(_is_int),
+    "exclude": _optional(_is_int),
+    "deadline": _optional(_is_number),
+}
+#: Request kind → payload field → what a well-formed value looks like.
+_PAYLOAD_SHAPES = {
+    SEARCH: {"tokens": _is_tokens, **_SEARCH_OPTIONS},
+    SEARCH_BATCH: {"queries": _list_of(_is_tokens), **_SEARCH_OPTIONS},
+    APPEND: {"records": _list_of(_is_record)},
+}
+
+
+def _checked_payload(frame: Frame) -> Dict:
+    """A request frame's payload, once every field
+    :meth:`GatewayServer._dispatch` reads has the right shape — or a typed
+    :class:`ProtocolError`.  Framing is intact, so the request gets an
+    error frame and the connection stays open.  Values of the right type
+    but out of range (θ = 1.5, an oversized rid) are not judged here: they
+    get the same typed error a local caller sees."""
+    payload = frame.payload
+    for name, well_formed in _PAYLOAD_SHAPES[frame.kind].items():
+        if not well_formed(payload.get(name)):
+            raise ProtocolError(
+                f"malformed {frame.kind} payload: field {name!r} is "
+                f"{'not well-formed' if name in payload else 'missing'}"
+            )
+    return payload
 
 
 class GatewayServer:
@@ -379,12 +445,12 @@ class GatewayServer:
             )
 
     async def _dispatch(self, connection: _Connection, frame: Frame) -> Dict:
-        payload = frame.payload
+        payload = _checked_payload(frame)
         if frame.kind == SEARCH:
             hits = await self.gateway.search(
                 payload["tokens"], payload["theta"],
                 k=payload.get("k"),
-                func=SimilarityFunction(payload.get("func", "jaccard")),
+                func=SimilarityFunction(payload.get("func") or "jaccard"),
                 tenant=connection.tenant,
                 exclude=payload.get("exclude"),
                 deadline=payload.get("deadline"),
@@ -399,7 +465,7 @@ class GatewayServer:
             # itself — the quota still bites across frames.
             quota = self.gateway.config.tenant(connection.tenant)
             gate = asyncio.Semaphore(max(1, quota.max_outstanding))
-            func = SimilarityFunction(payload.get("func", "jaccard"))
+            func = SimilarityFunction(payload.get("func") or "jaccard")
 
             async def one(tokens):
                 async with gate:
@@ -416,8 +482,7 @@ class GatewayServer:
             return {"results": [hits_to_wire(hits) for hits in results]}
         # APPEND: routed straight to the cluster's ingest tier.
         records = [
-            Record.make(int(rid), tokens)
-            for rid, tokens in payload["records"]
+            Record.make(rid, tokens) for rid, tokens in payload["records"]
         ]
         added = self.gateway.router.apply_batch(records)
         self.metrics.increment(NET_GROUP, "appended_records", added)

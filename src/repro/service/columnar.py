@@ -24,7 +24,6 @@ across threads and processes.
 from __future__ import annotations
 
 from array import array
-from bisect import bisect_left
 from typing import Dict, Iterator, List, Tuple
 
 #: Typecodes: token ids / record ids / offsets are native longs, positions
@@ -91,23 +90,7 @@ class FragmentPostings:
         self._slots = slots
         self._pending = {}
 
-    # -- lookup --------------------------------------------------------
-    def run(self, token: int) -> Tuple[int, int]:
-        """Half-open ``(lo, hi)`` run of ``token`` in the entry columns.
-
-        ``(0, 0)`` when the token has no postings.  Requires a sealed
-        structure (probe paths seal at build/ingest time).
-        """
-        slot = self._slots.get(token)
-        if slot is None:
-            return 0, 0
-        return self.offsets[slot], self.offsets[slot + 1]
-
-    def postings_of(self, token: int) -> List[Posting]:
-        """One token's postings as ``[(rid, pos), ...]`` tuples."""
-        lo, hi = self.run(token)
-        return list(zip(self.rids[lo:hi], self.positions[lo:hi]))
-
+    # -- views ---------------------------------------------------------
     def items(self) -> Iterator[Tuple[int, List[Posting]]]:
         """Iterate ``(token, [(rid, pos), ...])`` in ascending token order —
         the content-digest and debugging view."""
@@ -163,9 +146,3 @@ class FragmentPostings:
             f"FragmentPostings(tokens={self.n_tokens}, entries={len(self)}, "
             f"bytes={self.nbytes()})"
         )
-
-
-def bisect_contains(column, value: int) -> bool:
-    """Membership test on a strictly increasing id column (binary search)."""
-    i = bisect_left(column, value)
-    return i < len(column) and column[i] == value

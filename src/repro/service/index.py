@@ -28,9 +28,14 @@ survivors go through the same early-terminating merge + threshold rule as
 property-tests that ``probe`` returns precisely the partner set
 ``FSJoin.run`` produces, for several θ and similarity functions.
 
-Candidate generation is batched over the flat posting columns, with the
-filter battery inlined and its threshold algebra
-(``required_overlap``/``length_lower_bound``) cached per partner size.
+There is one candidate scan, :meth:`SegmentIndex._scan_candidates`, and
+one way to it, :meth:`SegmentIndex.probe_batch`: a single probe is a batch
+of one, and a full index is the slice that owns every fragment (the
+cross-shard claim rule lives in the scan and reads the owned set, which
+only :class:`~repro.cluster.node.ShardSlice` narrows).  The scan is batched
+over the flat posting columns; the filter battery is inlined and its
+threshold algebra (``required_overlap``/``length_lower_bound``) cached per
+partner size.
 
 **Result-ordering contract**: every probe's hit list is sorted by
 ``(-score, rid)`` — descending score, ascending record id on ties — and
@@ -50,6 +55,7 @@ from __future__ import annotations
 
 import time
 from array import array
+from bisect import bisect_left
 from collections import Counter as TokenCounter
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
@@ -60,14 +66,15 @@ from repro.core.ordering import GlobalOrder, compute_global_ordering
 from repro.core.partitioning import VerticalPartitioner
 from repro.core.pivots import PivotMethod, select_pivots
 from repro.data.records import Record, RecordCollection
-from repro.errors import DataError
+from repro.errors import ConfigError, DataError
 from repro.mapreduce.counters import Counters
 from repro.mapreduce.runtime import SimulatedCluster
 from repro.observability.tracer import NOOP_TRACER, Tracer
-from repro.service.columnar import ID_TYPECODE, FragmentPostings
+from repro.service.columnar import FragmentPostings
 from repro.service.vocab import TokenVocab
 from repro.similarity.functions import SimilarityFunction
 from repro.similarity.thresholds import (
+    check_threshold,
     length_lower_bound,
     prefix_length,
     required_overlap,
@@ -89,6 +96,40 @@ class SearchHit:
     score: float
 
 
+#: What identifies a shared computation in the result caches and the
+#: coalescing layers: (canonical token tuple, θ, func value).
+QueryKey = Tuple[Tuple[str, ...], float, str]
+
+
+def query_key(
+    tokens: Iterable[str], theta: float, func: SimilarityFunction
+) -> QueryKey:
+    return (tuple(sorted(set(tokens))), float(theta), func.value)
+
+
+def merge_hits(partials: Iterable[List[SearchHit]]) -> List[SearchHit]:
+    """Hit lists over disjoint record ids (a shard's slices, an ingest
+    tier's generations) as one list in the ``(-score, rid)`` order a
+    single index returns — concatenate and sort, nothing to dedupe."""
+    merged = [hit for hits in partials for hit in hits]
+    merged.sort(key=lambda hit: (-hit.score, hit.rid))
+    return merged
+
+
+def view_hits(
+    hits: List[SearchHit], k: Optional[int], exclude: Optional[int]
+) -> List[SearchHit]:
+    """A caller's own copy of a shared (cached, coalesced or gathered) hit
+    list, minus ``exclude``, cut to ``k``."""
+    if exclude is not None:
+        hits = [hit for hit in hits if hit.rid != exclude]
+    else:
+        hits = list(hits)
+    if k is not None:
+        hits = hits[: max(k, 0)]
+    return hits
+
+
 @dataclass(frozen=True)
 class EncodedQuery:
     """A probe after interning.
@@ -98,10 +139,8 @@ class EncodedQuery:
     Unknown tokens can match nothing, but they still enlarge the query
     set, so they take part in every size-dependent bound.
 
-    ``ranks`` stays a plain tuple — it is hashed by the cluster router's
-    deterministic retry backoff and compared by the dedup layers — while
-    :attr:`ids` offers the same ids as a cached ``array('l')`` column for
-    the kernels that want a buffer.
+    ``ranks`` is a plain tuple: it is hashed by the cluster router's
+    deterministic retry backoff and compared by the dedup layers.
     """
 
     ranks: Tuple[int, ...]
@@ -111,15 +150,6 @@ class EncodedQuery:
     def size(self) -> int:
         return len(self.ranks) + self.n_unknown
 
-    @property
-    def ids(self) -> array:
-        """The query's id column (``array('l')`` view of ``ranks``, cached)."""
-        cached = self.__dict__.get("_ids")
-        if cached is None:
-            cached = array(ID_TYPECODE, self.ranks)
-            object.__setattr__(self, "_ids", cached)
-        return cached
-
 
 class SegmentIndex:
     """Vertical-partitioned inverted index over a record collection.
@@ -128,6 +158,11 @@ class SegmentIndex:
     with :mod:`repro.service.snapshot`.  Probing is read-only and safe to
     share across threads.
     """
+
+    #: The fragments whose posting runs this index scans; ``None`` = all.
+    #: A :class:`~repro.cluster.node.ShardSlice` narrows it — the one
+    #: thing a slice changes about candidate generation.
+    _owned: Optional[set] = None
 
     def __init__(
         self,
@@ -337,38 +372,14 @@ class SegmentIndex:
     ) -> List[SearchHit]:
         """Exact similarity search: all indexed records with ``sim ≥ θ``.
 
-        Results are sorted best first (ties by record id).  The query
-        record itself — when indexed — appears like any other partner;
-        callers that probe by an indexed record exclude its own id.
+        A batch of one through :meth:`probe_batch`.  Results are sorted
+        best first (ties by record id).  The query record itself — when
+        indexed — appears like any other partner; callers that probe by
+        an indexed record exclude its own id.
         """
-        query = self.encode_query(tokens)
-        return self.probe_encoded(query, theta, func, filters, counters, tracer)
-
-    def probe_encoded(
-        self,
-        query: EncodedQuery,
-        theta: float,
-        func: SimilarityFunction = SimilarityFunction.JACCARD,
-        filters: Optional[FilterConfig] = None,
-        counters: Optional[Counters] = None,
-        tracer: Optional[Tracer] = None,
-    ) -> List[SearchHit]:
-        """Probe with an already-encoded query (the cacheable inner path).
-
-        ``tracer``, when enabled, records the probe stages as spans:
-        ``prefix-filter`` (posting scans), then the per-stage accumulations
-        of the evaluator (``positional-bound``, ``fragment-filters``,
-        ``verification``).  Tracing never changes results.
-        """
-        func = SimilarityFunction(func)
-        filters = filters if filters is not None else FilterConfig()
-        tracer = tracer if tracer is not None else NOOP_TRACER
-        with tracer.span("prefix-filter", phase="service") as span:
-            candidates = self._candidates_columnar(query, theta, func, counters)
-            span.attrs["candidates"] = len(candidates)
-        return self._evaluate_columnar(
-            query, candidates, theta, func, filters, counters, tracer
-        )
+        return self.probe_batch(
+            [self.encode_query(tokens)], theta, func, filters, counters, tracer
+        )[0]
 
     def probe_batch(
         self,
@@ -379,29 +390,31 @@ class SegmentIndex:
         counters: Optional[Counters] = None,
         tracer: Optional[Tracer] = None,
     ) -> List[List[SearchHit]]:
-        """Probe many queries with fragment-grouped posting scans.
+        """Probe encoded queries — the one way into the posting columns.
 
-        Per fragment, the distinct probe tokens of *all* queries are looked
-        up once and fanned out to every query that carries the token, so
-        shared tokens cost one posting scan instead of one per query (the
-        ``posting_lookups`` counter makes the saving measurable).
-        Filtering/verification then runs per query, identical to
-        :meth:`probe_encoded`.
+        ``theta`` and ``func`` are validated here, once, whatever the
+        queries contain (:class:`~repro.errors.ConfigError`).  The
+        distinct probe tokens of *all* queries are looked up once each,
+        so shared tokens cost one posting lookup instead of one per query
+        (the ``posting_lookups`` counter makes the saving measurable).
+        Filtering/verification then runs per query.
 
         The returned lists align with ``queries`` (input order) and each
-        hit list follows the module's ``(-score, rid)`` ordering contract;
-        the grouped tokens are scanned in ascending id order, so each
-        candidate's recorded first hit is the globally smallest common
-        prefix token — exactly what the sequential probe records.
+        hit list follows the module's ``(-score, rid)`` ordering contract.
+        ``tracer``, when enabled, records the probe stages as spans:
+        ``prefix-filter`` (posting scans), then each query's per-stage
+        accumulations (``positional-bound``, ``fragment-filters``,
+        ``verification``).  Tracing never changes results.
         """
-        func = SimilarityFunction(func)
+        func = checked_probe_args(theta, func)
         filters = filters if filters is not None else FilterConfig()
         tracer = tracer if tracer is not None else NOOP_TRACER
         with tracer.span("prefix-filter", phase="service",
-                         queries=len(queries)):
-            candidate_sets = self._batch_candidates_columnar(
+                         queries=len(queries)) as span:
+            candidate_sets = self._scan_candidates(
                 queries, theta, func, counters
             )
+            span.attrs["candidates"] = sum(map(len, candidate_sets))
         # One threshold-algebra memo for the whole batch: τ(|q|, |t|) and
         # the StrL lower bounds depend only on sizes, so queries share
         # every hit.
@@ -443,66 +456,37 @@ class SegmentIndex:
         return pairs
 
     # -- columnar hot path ---------------------------------------------
-    def _candidates_columnar(
-        self,
-        query: EncodedQuery,
-        theta: float,
-        func: SimilarityFunction,
-        counters: Optional[Counters],
-    ) -> Dict[int, FirstHit]:
-        """Candidates colliding with the probe prefix, with their first hit.
-
-        Prefix tokens are scanned in ascending id order (fragments are id
-        ranges), so each candidate's recorded first hit is its globally
-        smallest common prefix token — the coordinates the positional
-        filter uses.
-        """
-        candidates: Dict[int, FirstHit] = {}
-        q_ids = query.ranks
-        lookups = 0
-        if q_ids:
-            limit = min(prefix_length(func, theta, query.size), len(q_ids))
-            for v, start, end in self.partitioner.split_bounds(q_ids[:limit]):
-                postings = self._postings[v]
-                if postings._pending:
-                    postings.seal()
-                slots = postings._slots
-                offsets = postings.offsets
-                rids = postings.rids
-                positions = postings.positions
-                for qpos in range(start, end):
-                    lookups += 1
-                    slot = slots.get(q_ids[qpos])
-                    if slot is None:
-                        continue
-                    for k in range(offsets[slot], offsets[slot + 1]):
-                        rid = rids[k]
-                        if rid not in candidates:
-                            candidates[rid] = (v, qpos, positions[k])
-        _bump(counters, "posting_lookups", lookups)
-        return candidates
-
-    def _batch_candidates_columnar(
+    def _scan_candidates(
         self,
         queries: Sequence[EncodedQuery],
         theta: float,
         func: SimilarityFunction,
         counters: Optional[Counters],
     ) -> List[Dict[int, FirstHit]]:
-        """Drive the whole probe batch through each posting run in one pass.
+        """Each query's candidates and their first prefix collision.
 
-        Stage 1 groups every query's prefix tokens per fragment; stage 2
-        walks each fragment's probed tokens in ascending id order, scans
-        the token's posting run *once*, and fans each ``(rid, pos)`` entry
-        out to all probing queries.  Ascending order makes each query's
-        first hit identical to the sequential probe's (smallest common
-        prefix token), which keeps ``probe_batch == [probe_encoded...]``
-        exact — including the positional filter's inputs.
+        Every query's prefix tokens are collected and sorted — ascending
+        token id is ascending fragment, fragments being id ranges — so
+        each distinct token's posting run is looked up *once* and walked
+        for every query that probes it, and a candidate's recorded first
+        hit is its globally smallest common prefix token (the coordinates
+        the positional filter uses) whether the query comes alone or in a
+        batch.
+
+        **The claim rule.**  Prefix tokens in fragments outside
+        :attr:`_owned` are not scanned here; they are the query's
+        *foreign* tokens.  A candidate that holds one of them below its
+        first hit collides earlier in a fragment another slice scans — it
+        is that slice's candidate and is ceded here — so the slices'
+        candidate sets are disjoint, their union is the full index's
+        (Theorem 1, across shards), and every claimed first hit equals
+        the full index's.  An index that scans every fragment has no
+        foreign tokens and cedes nothing.
         """
-        grouped: List[Dict[int, List[Tuple[int, int]]]] = [
-            {} for _ in range(self.n_fragments)
-        ]
+        probes: List[Tuple[int, int, int, int]] = []
+        foreign_of: Dict[int, List[int]] = {}
         plen_cache: Dict[int, int] = {}
+        owned = self._owned
         for qi, query in enumerate(queries):
             q_ids = query.ranks
             if not q_ids:
@@ -513,39 +497,57 @@ class SegmentIndex:
                 plen = plen_cache[size] = prefix_length(func, theta, size)
             limit = min(plen, len(q_ids))
             for v, start, end in self.partitioner.split_bounds(q_ids[:limit]):
-                token_map = grouped[v]
+                if owned is not None and v not in owned:
+                    foreign_of.setdefault(qi, []).extend(q_ids[start:end])
+                    continue
                 for qpos in range(start, end):
-                    token = q_ids[qpos]
-                    probes = token_map.get(token)
-                    if probes is None:
-                        token_map[token] = probes = []
-                    probes.append((qi, qpos))
+                    probes.append((q_ids[qpos], qi, qpos, v))
+        # Ascending (token, query): fragment by fragment, token by token.
+        probes.sort()
         candidate_sets: List[Dict[int, FirstHit]] = [{} for _ in queries]
         lookups = 0
-        for v, token_map in enumerate(grouped):
-            if not token_map:
-                continue
-            postings = self._postings[v]
-            if postings._pending:
-                postings.seal()
-            slots = postings._slots
-            offsets = postings.offsets
-            rids = postings.rids
-            positions = postings.positions
-            for token in sorted(token_map):
+        scanned_token = scanned_v = -1
+        run = rids = positions = ()
+        for token, qi, qpos, v in probes:
+            if token != scanned_token:
+                scanned_token = token
                 lookups += 1
+                if v != scanned_v:
+                    scanned_v = v
+                    postings = self._postings[v]
+                    if postings._pending:
+                        postings.seal()
+                    slots = postings._slots
+                    offsets = postings.offsets
+                    rids = postings.rids
+                    positions = postings.positions
                 slot = slots.get(token)
-                if slot is None:
-                    continue
-                probes = token_map[token]
-                for k in range(offsets[slot], offsets[slot + 1]):
-                    rid = rids[k]
-                    pos = positions[k]
-                    for qi, qpos in probes:
-                        candidates = candidate_sets[qi]
-                        if rid not in candidates:
-                            candidates[rid] = (v, qpos, pos)
+                run = (() if slot is None
+                       else range(offsets[slot], offsets[slot + 1]))
+            candidates = candidate_sets[qi]
+            for k in run:
+                rid = rids[k]
+                if rid not in candidates:
+                    candidates[rid] = (v, qpos, positions[k])
+        ceded = 0
+        ranks_of = self._ranks
+        for qi, foreign in foreign_of.items():
+            q_ids = queries[qi].ranks
+            claimed = {}
+            # First hits were recorded in ascending qpos order, so the
+            # foreign tokens below them change only when qpos does.
+            at_qpos, earlier = -1, ()
+            for rid, hit in candidate_sets[qi].items():
+                if hit[1] != at_qpos:
+                    at_qpos = hit[1]
+                    earlier = foreign[:bisect_left(foreign, q_ids[at_qpos])]
+                if earlier and _any_rank_present(earlier, ranks_of[rid]):
+                    ceded += 1
+                else:
+                    claimed[rid] = hit
+            candidate_sets[qi] = claimed
         _bump(counters, "posting_lookups", lookups)
+        _bump(counters, "ceded_candidates", ceded)
         return candidate_sets
 
     def _evaluate_columnar(
@@ -556,9 +558,9 @@ class SegmentIndex:
         func: SimilarityFunction,
         filter_config: FilterConfig,
         counters: Optional[Counters],
-        tracer: Tracer = NOOP_TRACER,
-        tau_cache: Optional[Dict[Tuple[int, int], int]] = None,
-        lower_cache: Optional[Dict[int, int]] = None,
+        tracer: Tracer,
+        tau_cache: Dict[Tuple[int, int], int],
+        lower_cache: Dict[int, int],
     ) -> List[SearchHit]:
         """The inlined filter battery + verification over columnar storage.
 
@@ -567,9 +569,9 @@ class SegmentIndex:
         overhead flattened:
 
         * ``required_overlap``/``length_lower_bound`` are memoized per
-          size pair — one threshold-algebra call per distinct
-          ``(|q|, |t|)`` instead of three per candidate-fragment
-          (``probe_batch`` shares the memo across the whole batch);
+          size pair in ``tau_cache``/``lower_cache`` — one
+          threshold-algebra call per distinct ``(|q|, |t|)`` of the whole
+          batch instead of three per candidate-fragment;
         * ``segInfo`` is recovered from the flat ``(fragment, start, end)``
           bounds with integer subtraction — no Segment objects, no
           attribute chains;
@@ -613,12 +615,6 @@ class SegmentIndex:
             for v, start, end in self.partitioner.split_bounds(q_ranks)
         ]
         qspan_by_v = {v: (start, end) for v, start, end, _behind in qgeo}
-        # Threshold algebra, memoized per size pair: τ(|q|, |t|) and the
-        # StrL lower bound of the larger side.
-        if tau_cache is None:
-            tau_cache = {}
-        if lower_cache is None:
-            lower_cache = {}
         hits: List[SearchHit] = []
         n_candidates = n_results = n_verified = 0
         n_pruned_strl = n_pruned_positional = n_pruned_overlap = 0
@@ -852,6 +848,27 @@ class _StageClock:
             tracer.add(name, "service", self.first, self.total, calls=self.calls)
 
 
-def _bump(counters: Optional[Counters], name: str, amount: int = 1) -> None:
+def checked_probe_args(theta: float, func) -> SimilarityFunction:
+    """A probe's ``func`` as the enum and its θ in ``(0, 1]``, or a typed
+    :class:`ConfigError` — decided before the queries are looked at, so
+    an empty batch and an empty query are judged like any other."""
+    try:
+        func = SimilarityFunction(func)
+    except ValueError:
+        raise ConfigError(f"unknown similarity function {func!r}") from None
+    check_threshold(theta)
+    return func
+
+
+def _any_rank_present(ranks: Sequence[int], t_ranks: Sequence[int]) -> bool:
+    """True if any of ``ranks`` occurs in the sorted id column ``t_ranks``."""
+    for rank in ranks:
+        i = bisect_left(t_ranks, rank)
+        if i < len(t_ranks) and t_ranks[i] == rank:
+            return True
+    return False
+
+
+def _bump(counters: Optional[Counters], name: str, amount: int) -> None:
     if counters is not None and amount:
         counters.increment(PROBE_GROUP, name, amount)

@@ -3,11 +3,12 @@
 :class:`SimilarityService` is the serving-layer entry point:
 
 * ``search(tokens, theta, k=None)`` — one exact probe, LRU-cached by
-  ``(canonical token tuple, θ, func)``;
+  ``(canonical token tuple, θ, func)``; a batch of one through the same
+  private path (``_serve``) as
 * ``search_batch(queries, theta, ...)`` — deduplicates the batch, serves
-  repeats from one computation, and probes the distinct misses with
-  fragment-grouped posting scans (optionally fanned out over the
-  executor backends of :mod:`repro.mapreduce.executors`);
+  repeats from one computation, and probes the distinct misses in one
+  ``probe_batch`` (optionally fanned out over the executor backends of
+  :mod:`repro.mapreduce.executors`);
 * ``apply_batch(new_records)`` — extends the index in place (and
   invalidates the cache), the online twin of
   :class:`~repro.core.incremental.IncrementalSelfJoin`;
@@ -39,14 +40,18 @@ from repro.mapreduce.executors import ExecutorKind, TaskExecutor, create_executo
 from repro.observability.histogram import LatencyHistogram
 from repro.observability.tracer import NOOP_TRACER, Tracer
 from repro.service.cache import LRUCache
-from repro.service.index import EncodedQuery, SearchHit, SegmentIndex
+from repro.service.index import (
+    QueryKey,
+    SearchHit,
+    SegmentIndex,
+    checked_probe_args,
+    query_key,
+    view_hits,
+)
 from repro.service.snapshot import load_index, save_index
 from repro.similarity.functions import SimilarityFunction
 
 CACHE_GROUP = "service.cache"
-
-#: Cache key: (canonical token tuple, θ, func value).
-CacheKey = Tuple[Tuple[str, ...], float, str]
 
 
 class SimilarityService:
@@ -78,7 +83,7 @@ class SimilarityService:
         #: injectable so deadline tests (and chaos replays) control time.
         self._clock = clock
 
-    # -- single probe --------------------------------------------------
+    # -- serving -------------------------------------------------------
     def search(
         self,
         tokens: Iterable[str],
@@ -90,47 +95,18 @@ class SimilarityService:
     ) -> List[SearchHit]:
         """All indexed records with ``sim(query, record) ≥ θ``, best first.
 
-        ``k`` truncates the (fully computed and cached) result list;
-        ``exclude`` drops one record id — pass the query's own id when
-        probing by an indexed record.  ``deadline`` bounds the request in
-        seconds on the service clock: a probe that runs past it raises a
-        typed :class:`DeadlineExceededError` (the answer is discarded — a
-        client that stopped waiting must not receive a late result, and
-        the overrun is visible in ``service.deadline`` counters).
+        A batch of one through :meth:`_serve`.  ``k`` truncates the (fully
+        computed and cached) result list; ``exclude`` drops one record id —
+        pass the query's own id when probing by an indexed record.
+        ``deadline`` bounds the request in seconds on the service clock: a
+        probe that runs past it raises a typed
+        :class:`DeadlineExceededError` (the answer is discarded — a client
+        that stopped waiting must not receive a late result, and the
+        overrun is visible in ``service.deadline`` counters).
         """
-        func = SimilarityFunction(func)
-        # Latency is recorded on the same injectable clock the deadline
-        # checks read — one clock per service — so injected (chaos)
-        # latency shows up in ``latency_info()``, and a request that is
-        # abandoned at its deadline is still an observation (overload
-        # percentiles must include the requests that failed).
-        started = self._clock()
-        deadline_at = None if deadline is None else started + deadline
-        try:
-            self._check_deadline(deadline_at)
-            key = self._cache_key(tokens, theta, func)
-            with self.tracer.span(
-                "probe", phase="service", theta=theta, func=func.value,
-                query_size=len(key[0]),
-            ) as span:
-                with self.tracer.span("cache-lookup", phase="service"):
-                    hits = self._cache.get(key)
-                if hits is None:
-                    self.metrics.increment(CACHE_GROUP, "misses")
-                    span.attrs["cache"] = "miss"
-                    hits = self.index.probe(
-                        key[0], theta, func, self.filters, self.metrics,
-                        tracer=self.tracer,
-                    )
-                    self._put(key, hits)
-                else:
-                    self.metrics.increment(CACHE_GROUP, "hits")
-                    span.attrs["cache"] = "hit"
-                span.attrs["hits"] = len(hits)
-            self._check_deadline(deadline_at)
-        finally:
-            self.latency.record(self._clock() - started)
-        return _finish(hits, k, exclude)
+        (hits,), _misses = self._serve("probe", [tokens], theta, func, None,
+                                       deadline)
+        return view_hits(hits, k, exclude)
 
     def search_rid(
         self,
@@ -144,7 +120,6 @@ class SimilarityService:
             self.index.tokens_of(rid), theta, k=k, func=func, exclude=rid
         )
 
-    # -- batched probes ------------------------------------------------
     def search_batch(
         self,
         queries: Sequence[Iterable[str]],
@@ -168,26 +143,53 @@ class SimilarityService:
         the batched twin of :meth:`search`'s ``exclude``, applied after
         the shared computation so duplicates still coalesce.
         """
-        func = SimilarityFunction(func)
         if exclude is not None and len(exclude) != len(queries):
             raise DataError(
                 f"exclude must align with queries: got {len(exclude)} "
                 f"entries for {len(queries)} queries"
             )
+        self.metrics.increment("service.batch", "batches")
+        self.metrics.increment("service.batch", "queries", len(queries))
+        results, misses = self._serve("batch", queries, theta, func,
+                                      executor, deadline)
+        self.metrics.increment("service.batch", "unique_misses", misses)
+        return [
+            view_hits(hits, k, exclude[i] if exclude is not None else None)
+            for i, hits in enumerate(results)
+        ]
+
+    def _serve(
+        self,
+        span_name: str,
+        queries: Sequence[Iterable[str]],
+        theta: float,
+        func: SimilarityFunction,
+        executor: Union[ExecutorKind, str, TaskExecutor, None],
+        deadline: Optional[float],
+    ) -> Tuple[List[List[SearchHit]], int]:
+        """Every request's one way to the index: canonicalize, dedupe,
+        cache-check, probe the distinct misses in one ``probe_batch``.
+
+        Returns the shared (uncopied, unviewed) hit list of each query
+        and the number of distinct misses.
+        """
+        func = checked_probe_args(theta, func)
+        # Latency is recorded on the same injectable clock the deadline
+        # checks read — one clock per service — so injected (chaos)
+        # latency shows up in ``latency_info()``, and a request that is
+        # abandoned at its deadline is still an observation (overload
+        # percentiles must include the requests that failed).
         started = self._clock()
         deadline_at = None if deadline is None else started + deadline
         try:
             self._check_deadline(deadline_at)
-            self.metrics.increment("service.batch", "batches")
-            self.metrics.increment("service.batch", "queries", len(queries))
             with self.tracer.span(
-                "batch", phase="service", theta=theta, func=func.value,
+                span_name, phase="service", theta=theta, func=func.value,
                 queries=len(queries),
             ) as span:
-                keys = [self._cache_key(tokens, theta, func)
-                        for tokens in queries]
-                resolved: Dict[CacheKey, List[SearchHit]] = {}
-                misses: List[CacheKey] = []
+                keys = [query_key(tokens, theta, func) for tokens in queries]
+                resolved: Dict[QueryKey, List[SearchHit]] = {}
+                misses: List[QueryKey] = []
                 with self.tracer.span("cache-lookup", phase="service"):
                     for key in keys:
                         if key in resolved:
@@ -200,9 +202,8 @@ class SimilarityService:
                         else:
                             self.metrics.increment(CACHE_GROUP, "hits")
                             resolved[key] = hits
-                self.metrics.increment("service.batch", "unique_misses",
-                                       len(misses))
                 span.attrs["unique_misses"] = len(misses)
+                span.attrs["cache"] = "miss" if misses else "hit"
                 if misses:
                     for key, hits in zip(misses,
                                          self._probe_misses(misses, theta,
@@ -212,15 +213,11 @@ class SimilarityService:
             self._check_deadline(deadline_at)
         finally:
             self.latency.record(self._clock() - started)
-        return [
-            _finish(resolved[key], k,
-                    exclude[i] if exclude is not None else None)
-            for i, key in enumerate(keys)
-        ]
+        return [resolved[key] for key in keys], len(misses)
 
     def _probe_misses(
         self,
-        misses: List[CacheKey],
+        misses: List[QueryKey],
         theta: float,
         func: SimilarityFunction,
         executor: Union[ExecutorKind, str, TaskExecutor, None],
@@ -319,31 +316,12 @@ class SimilarityService:
                 "service request ran past its deadline; result abandoned"
             )
 
-    @staticmethod
-    def _cache_key(
-        tokens: Iterable[str], theta: float, func: SimilarityFunction
-    ) -> CacheKey:
-        return (tuple(sorted(set(tokens))), float(theta), func.value)
-
-    def _put(self, key: CacheKey, hits: List[SearchHit]) -> None:
+    def _put(self, key: QueryKey, hits: List[SearchHit]) -> None:
         before = self._cache.evictions
         self._cache.put(key, hits)
         evicted = self._cache.evictions - before
         if evicted:
             self.metrics.increment(CACHE_GROUP, "evictions", evicted)
-
-
-def _finish(
-    hits: List[SearchHit], k: Optional[int], exclude: Optional[int]
-) -> List[SearchHit]:
-    """Apply the per-call ``exclude``/``k`` view over a cached result."""
-    if exclude is not None:
-        hits = [hit for hit in hits if hit.rid != exclude]
-    else:
-        hits = list(hits)
-    if k is not None:
-        hits = hits[: max(k, 0)]
-    return hits
 
 
 def _chunk(items: Sequence, workers: int) -> List[List]:

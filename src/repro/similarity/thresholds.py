@@ -31,7 +31,7 @@ from repro.similarity.functions import SimilarityFunction
 EPS = 1e-9
 
 
-def _check_threshold(theta: float) -> None:
+def check_threshold(theta: float) -> None:
     if not 0.0 < theta <= 1.0:
         raise ConfigError(f"similarity threshold must be in (0, 1], got {theta!r}")
 
@@ -55,7 +55,7 @@ def required_overlap(
     SegI-Filter (Lemma 3).  Dice: ``c ≥ θ/2·(|s|+|t|)``.  Cosine:
     ``c ≥ θ·sqrt(|s|·|t|)``.
     """
-    _check_threshold(theta)
+    check_threshold(theta)
     func = SimilarityFunction(func)
     if func is SimilarityFunction.JACCARD:
         return _ceil(theta / (1.0 + theta) * (size_s + size_t))
@@ -66,7 +66,7 @@ def required_overlap(
 
 def length_lower_bound(func: SimilarityFunction, theta: float, size: int) -> int:
     """Smallest partner size that can be similar to a record of ``size`` tokens."""
-    _check_threshold(theta)
+    check_threshold(theta)
     func = SimilarityFunction(func)
     if func is SimilarityFunction.JACCARD:
         return _ceil(theta * size)
@@ -77,7 +77,7 @@ def length_lower_bound(func: SimilarityFunction, theta: float, size: int) -> int
 
 def length_upper_bound(func: SimilarityFunction, theta: float, size: int) -> int:
     """Largest partner size that can be similar to a record of ``size`` tokens."""
-    _check_threshold(theta)
+    check_threshold(theta)
     func = SimilarityFunction(func)
     if func is SimilarityFunction.JACCARD:
         return _floor(size / theta)
@@ -140,7 +140,7 @@ def passes_threshold(
     Uses cross-multiplied comparisons so no division is performed; ties at
     the threshold are accepted.
     """
-    _check_threshold(theta)
+    check_threshold(theta)
     func = SimilarityFunction(func)
     if common <= 0:
         # Zero overlap means similarity 0 under all three functions, which

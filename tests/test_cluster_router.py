@@ -12,8 +12,10 @@ from __future__ import annotations
 import threading
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.cluster import ClusterRouter, HedgeConfig, build_cluster
+from repro.cluster.node import ShardSlice
 from repro.data.records import RecordCollection
 from repro.errors import (
     ClusterError,
@@ -22,6 +24,7 @@ from repro.errors import (
     DataError,
 )
 from repro.ingest import IngestConfig, StreamingIndex
+from repro.mapreduce.counters import Counters
 from repro.mapreduce.hdfs import InMemoryDFS
 from repro.observability.tracer import Tracer
 from repro.service.index import SegmentIndex
@@ -225,6 +228,239 @@ class TestBitIdentity:
             for fragment in router.plan.fragments_of(down):
                 assert fragment not in router.fragment_heat()
             assert router.metrics.get("cluster.route", "partial_results")
+
+
+#: A probe batch: corpus-vocabulary tokens plus a few the index never saw.
+query_batches = st.lists(
+    st.lists(
+        st.one_of(st.integers(0, 59).map("t{:03d}".format),
+                  st.sampled_from(["zz-0", "zz-1"])),
+        max_size=14,
+    ),
+    min_size=1, max_size=6,
+)
+PROBE = "service.probe"
+
+
+class TestOneScan:
+    """There is one candidate scan; a slice only narrows the fragments it
+    owns, a full index owns them all, and a probe is a batch of one."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(owners=st.lists(st.integers(0, 7), min_size=8, max_size=8),
+           batch=query_batches,
+           theta=st.sampled_from([0.3, 0.5, 0.8]),
+           func=st.sampled_from(FUNCS))
+    def test_any_partition_of_the_fragments(self, index, corpus, owners,
+                                            batch, theta, func):
+        """``owners[v]`` names fragment ``v``'s slice: the slices' candidate
+        sets are disjoint, their union is the full index's (same first
+        hits), and their gathered answers are the index's and the
+        brute-force scan's."""
+        fragments_of = {}
+        for fragment, owner in enumerate(owners):
+            fragments_of.setdefault(owner, []).append(fragment)
+        slices = [ShardSlice.carve(index, fragments)
+                  for fragments in fragments_of.values()]
+        queries = [index.encode_query(tokens) for tokens in batch]
+        whole = index._scan_candidates(queries, theta, func, None)
+        parts = [slice_._scan_candidates(queries, theta, func, None)
+                 for slice_ in slices]
+        answers = [slice_.probe_batch(queries, theta, func)
+                   for slice_ in slices]
+        expected = index.probe_batch(queries, theta, func)
+        for qi, tokens in enumerate(batch):
+            union = {}
+            for part in parts:
+                assert union.keys().isdisjoint(part[qi])
+                union.update(part[qi])
+            assert union == whole[qi]
+            gathered = sorted(
+                (hit for answer in answers for hit in answer[qi]),
+                key=lambda hit: (-hit.score, hit.rid),
+            )
+            assert gathered == expected[qi]
+            assert gathered == brute_force_search(corpus, tokens, theta, func)
+
+    @settings(max_examples=40, deadline=None)
+    @given(batch=query_batches,
+           theta=st.sampled_from([0.3, 0.5, 0.8]),
+           func=st.sampled_from(FUNCS))
+    def test_owning_every_fragment_is_the_full_index(self, index, batch,
+                                                     theta, func):
+        everything = ShardSlice.carve(index, range(index.n_fragments))
+        queries = [index.encode_query(tokens) for tokens in batch]
+        full, sliced = Counters(), Counters()
+        assert everything.probe_batch(
+            queries, theta, func, counters=sliced
+        ) == index.probe_batch(queries, theta, func, counters=full)
+        assert sliced.group(PROBE) == full.group(PROBE)
+        assert "ceded_candidates" not in sliced.group(PROBE)
+
+    @settings(max_examples=40, deadline=None)
+    @given(owned=st.sets(st.integers(0, 7), min_size=1),
+           batch=query_batches,
+           theta=st.sampled_from([0.3, 0.5, 0.8]),
+           func=st.sampled_from(FUNCS))
+    def test_a_batch_is_n_batches_of_one(self, index, owned, batch, theta,
+                                         func):
+        """Same hits, same first-hit coordinates, and so every counter the
+        same — ``pruned_positional`` included; only ``posting_lookups``
+        may shrink (tokens shared across the batch are looked up once)."""
+        for scanner in (index, ShardSlice.carve(index, owned)):
+            queries = [scanner.encode_query(tokens) for tokens in batch]
+            together, alone = Counters(), Counters()
+            hits = scanner.probe_batch(queries, theta, func,
+                                       counters=together)
+            assert hits == [
+                scanner.probe_batch([query], theta, func, counters=alone)[0]
+                for query in queries
+            ]
+            assert scanner._scan_candidates(queries, theta, func, None) == [
+                scanner._scan_candidates([query], theta, func, None)[0]
+                for query in queries
+            ]
+            batched, singles = together.group(PROBE), alone.group(PROBE)
+            assert (batched.pop("posting_lookups", 0)
+                    <= singles.pop("posting_lookups", 0))
+            assert batched == singles
+
+
+def _entry_points(index):
+    """name → ``call(queries, theta, func)`` over every in-process way to
+    probe token lists (the wire's is in ``tests/test_net_server.py``)."""
+    service = SimilarityService(index)
+    router = build_cluster(index, n_shards=3, replication=1)
+    streaming = StreamingIndex.create(InMemoryDFS(), records=None,
+                                      n_vertical=4)
+
+    def encoded(target, call):
+        return lambda queries, theta, func: call(
+            [target.encode_query(tokens) for tokens in queries], theta, func)
+
+    def each(call):
+        return lambda queries, theta, func: [
+            call(tokens, theta, func) for tokens in queries]
+
+    return {
+        "index.probe": each(index.probe),
+        "index.probe_batch": encoded(index, index.probe_batch),
+        "service.search": each(
+            lambda tokens, theta, func: service.search(tokens, theta,
+                                                       func=func)),
+        "service.search_batch": lambda queries, theta, func:
+            service.search_batch(queries, theta, func=func),
+        "router.search": each(
+            lambda tokens, theta, func: router.search(tokens, theta,
+                                                      func=func)),
+        "router.search_batch": lambda queries, theta, func:
+            router.search_batch(queries, theta, func=func),
+        "streaming.probe": each(streaming.probe),
+        "streaming.probe_batch": encoded(streaming, streaming.probe_batch),
+    }
+
+
+class TestThetaFuncValidation:
+    """θ and func are judged before the queries are looked at: an empty
+    batch, an empty query and an unknown-tokens-only query are refused
+    exactly like a query that would have reached the thresholds."""
+
+    QUERIES = {
+        "empty-batch": [],
+        "empty-query": [[]],
+        "unknown-only": [["never-indexed", "nor-this"]],
+        "known": [["t000", "t001", "t002"]],
+    }
+
+    @pytest.fixture(scope="class")
+    def entry_points(self, index):
+        return _entry_points(index)
+
+    @pytest.mark.parametrize("theta", [0, -0.1, 1.5, float("nan")])
+    @pytest.mark.parametrize("shape", sorted(QUERIES))
+    def test_bad_theta_is_a_config_error(self, entry_points, shape, theta):
+        for name, call in entry_points.items():
+            if shape == "empty-batch" and not name.endswith("_batch"):
+                continue  # a single-query entry point has no empty batch
+            with pytest.raises(ConfigError, match="similarity threshold"):
+                call(self.QUERIES[shape], theta, "jaccard")
+
+    @pytest.mark.parametrize("shape", sorted(QUERIES))
+    def test_unknown_func_is_a_config_error(self, entry_points, shape):
+        for name, call in entry_points.items():
+            if shape == "empty-batch" and not name.endswith("_batch"):
+                continue
+            with pytest.raises(ConfigError, match="similarity function"):
+                call(self.QUERIES[shape], 0.5, "bogus")
+
+    @pytest.mark.parametrize("shape", sorted(QUERIES))
+    def test_good_arguments_still_answer(self, entry_points, shape):
+        for call in entry_points.values():
+            answers = call(self.QUERIES[shape], 1.0, "cosine")
+            assert len(answers) == len(self.QUERIES[shape])
+
+
+class TestIngestLeg:
+    """The write tier rides the batch: one ``ingest-probe`` leg per
+    ``search_batch``, exact over base + stream, typed when it is down."""
+
+    @pytest.fixture
+    def tiered(self, corpus):
+        tracer = Tracer()
+        router = build_cluster(
+            RecordCollection(list(corpus)[:70]), n_shards=4, replication=2,
+            n_vertical=8, tracer=tracer,
+        )
+        streaming = StreamingIndex.attach(
+            InMemoryDFS(), "ingest", router.order, router.partitioner,
+            config=IngestConfig(memtable_limit=12, fanout=8),
+        )
+        router.attach_ingest(streaming)
+        stream = list(corpus)[70:]
+        for i in range(0, len(stream), 10):
+            router.apply_batch(stream[i:i + 10])
+        status = streaming.status()
+        # Bootstrap + flushed generations, and a memtable still filling.
+        assert len(status["generations"]) >= 3
+        assert status["memtable"]["records"] > 0
+        return router, tracer
+
+    @staticmethod
+    def distinct_queries(corpus):
+        return [list(tokens) for tokens in
+                dict.fromkeys(record.tokens for record in corpus[::9])]
+
+    def test_one_leg_per_batch(self, tiered, corpus):
+        router, tracer = tiered
+        queries = self.distinct_queries(corpus)
+        node = router.ingest
+        before = node.counters.get("cluster.node", "probes")
+        mark = len(tracer.spans())
+        batch = router.search_batch(queries, 0.5)
+        legs = [span for span in tracer.spans()[mark:]
+                if span.name == "ingest-probe"]
+        assert [leg.attrs["queries"] for leg in legs] == [len(queries)]
+        assert legs[0].attrs["hits"] > 0
+        assert (node.counters.get("cluster.node", "probes")
+                == before + len(queries))
+        assert batch == [router.search(tokens, 0.5) for tokens in queries]
+        assert batch == [brute_force_search(corpus, tokens, 0.5)
+                         for tokens in queries]
+
+    def test_ingest_node_down(self, tiered, corpus):
+        router, _tracer = tiered
+        queries = self.distinct_queries(corpus)
+        router.ingest.fail()
+        with pytest.raises(ClusterError, match="ingest tier down"):
+            router.search(queries[0], 0.5)
+        with pytest.raises(ClusterError, match="ingest tier down"):
+            router.search_batch(queries, 0.5)
+        base = list(corpus)[:70]
+        for tokens in queries:
+            partial = router.search_partial(tokens, 0.5)
+            assert not partial.complete
+            assert partial.missing_shards == (-1,)
+            assert list(partial.hits) == brute_force_search(base, tokens, 0.5)
 
 
 class TestRouting:

@@ -65,11 +65,11 @@ class TestMergeExactness:
         )
         encoded = union.encode_query(query)
         merged = sorted(
-            generation.probe_encoded(encoded, theta)
-            + memtable.index.probe_encoded(encoded, theta),
+            generation.probe_batch([encoded], theta)[0]
+            + memtable.index.probe_batch([encoded], theta)[0],
             key=lambda hit: (-hit.score, hit.rid),
         )
-        assert merged == union.probe_encoded(encoded, theta)
+        assert [merged] == union.probe_batch([encoded], theta)
         assert merged == brute_force_search(
             base_records + fresh_records, query, theta
         )

@@ -60,7 +60,7 @@ class TestWritePath:
             for record in list(corpus)[::7]
         ]
         assert streaming.probe_batch(encoded, 0.5) == [
-            streaming.probe_encoded(query, 0.5) for query in encoded
+            streaming.probe_batch([query], 0.5)[0] for query in encoded
         ]
 
     def test_auto_flush_and_compaction_bound_the_generations(self, corpus):

@@ -23,6 +23,7 @@ import pytest
 from repro.cluster import build_cluster
 from repro.data.records import Record
 from repro.errors import (
+    ConfigError,
     DeadlineExceededError,
     ProtocolError,
     QuotaExceededError,
@@ -34,11 +35,16 @@ from repro.mapreduce.hdfs import InMemoryDFS
 from repro.net import AsyncGatewayClient, GatewayClient, GatewayServer, ServerConfig
 from repro.net.protocol import (
     ERROR,
+    RESULT,
+    SEARCH,
+    SEARCH_BATCH,
+    Frame,
     FrameDecoder,
     encode_frame,
     hello_frame,
     hits_from_wire,
     search_frame,
+    status_frame,
 )
 from repro.observability.tracer import Tracer
 from repro.service.index import SegmentIndex
@@ -270,6 +276,52 @@ class TestTypedErrorsOverTheWire:
             assert frames and frames[0].payload["error"] == "ProtocolError"
         assert harness.server.metrics.get(
             "net", "protocol_errors") == before + 1
+
+
+#: Well-framed requests whose payloads used to kill the request task with
+#: an untyped exception — the peer got no response at all.
+MALFORMED_PAYLOADS = {
+    "unknown-func": Frame(SEARCH, 1, {"tokens": ["a"], "theta": THETA,
+                                      "func": "bogus"}),
+    "no-theta": Frame(SEARCH, 1, {"tokens": ["a"]}),
+    "theta-not-a-number": Frame(SEARCH, 1, {"tokens": ["a"], "theta": "x"}),
+    "mixed-token-types": Frame(SEARCH, 1, {"tokens": [1, "a"],
+                                           "theta": THETA}),
+    "batch-without-queries": Frame(SEARCH_BATCH, 1, {"theta": THETA}),
+}
+
+
+class TestMalformedPayloads:
+    @pytest.mark.parametrize("name", sorted(MALFORMED_PAYLOADS))
+    def test_answers_typed_and_keeps_the_connection(self, harness, name):
+        host, port = harness.address
+        with socket.create_connection((host, port), timeout=2.0) as raw:
+            decoder = FrameDecoder()
+
+            def exchange(frame):
+                raw.sendall(encode_frame(frame))
+                frames = []
+                while not frames:
+                    # socket.timeout after 2 s: the server never answered.
+                    frames = decoder.feed(raw.recv(65536))
+                return frames[0]
+
+            exchange(hello_frame(0, "t"))
+            answer = exchange(MALFORMED_PAYLOADS[name])
+            assert answer.kind == ERROR and answer.request_id == 1
+            assert answer.payload["error"] == "ProtocolError"
+            # Framing is intact: the same connection keeps serving.
+            status = exchange(status_frame(2))
+            assert status.kind == RESULT and "status" in status.payload
+
+    def test_out_of_range_theta_is_the_local_typed_error(self, harness):
+        """Right type, wrong value: not the wire's business — the same
+        ConfigError an in-process caller gets, even for an empty query."""
+        host, port = harness.address
+        with GatewayClient(host, port, tenant="t") as client:
+            with pytest.raises(ConfigError):
+                client.search([], 1.5)
+            assert client.search([], THETA) == []
 
 
 class TestTornFramesAndRetry:

@@ -101,7 +101,7 @@ class TestProbeBatch:
     def test_batch_equals_sequential(self, corpus, index):
         queries = [index.encode_query(r.tokens) for r in corpus]
         batch = index.probe_batch(queries, 0.6)
-        sequential = [index.probe_encoded(q, 0.6) for q in queries]
+        sequential = [index.probe_batch([q], 0.6)[0] for q in queries]
         assert batch == sequential
 
     def test_batch_amortizes_posting_lookups(self, corpus, index):
@@ -110,7 +110,7 @@ class TestProbeBatch:
         batched, sequential = Counters(), Counters()
         index.probe_batch(queries, 0.6, counters=batched)
         for query in queries:
-            index.probe_encoded(query, 0.6, counters=sequential)
+            index.probe_batch([query], 0.6, counters=sequential)
         group = "service.probe"
         assert batched.get(group, "posting_lookups") < sequential.get(
             group, "posting_lookups"

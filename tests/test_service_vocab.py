@@ -119,5 +119,3 @@ class TestCrossPathEncoding:
         limit = min(prefix_length(func, theta, via_index.size),
                     len(via_index.ranks))
         assert via_index.ranks[:limit] == via_router.ranks[:limit]
-        # The array view carries the same ids as the hashable tuple.
-        assert tuple(via_index.ids) == via_index.ranks
