@@ -194,8 +194,8 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="fan batched probes out over this backend")
     search.add_argument("--trace", metavar="PATH",
                         help="record per-probe spans (cache lookup, prefix "
-                             "filter, positional bound, verification); "
-                             "writes JSONL to PATH plus a Chrome trace twin")
+                             "filter, verification); writes JSONL to PATH "
+                             "plus a Chrome trace twin")
 
     cluster = sub.add_parser(
         "cluster", help="sharded, replicated serving cluster (build/search/"

@@ -25,7 +25,6 @@ import time
 from pathlib import Path
 from typing import Optional, Union
 
-from repro.core.config import FilterConfig
 from repro.core.pivots import PivotMethod
 from repro.data.records import RecordCollection
 from repro.errors import ClusterError, ConfigError
@@ -50,7 +49,6 @@ def build_cluster(
     n_vertical: int = 30,
     pivot_method: PivotMethod = PivotMethod.EVEN_TF,
     pivot_seed: int = 0,
-    filters: Optional[FilterConfig] = None,
     max_in_flight: int = 64,
     queue_timeout: float = 0.25,
     tracer: Optional[Tracer] = None,
@@ -96,7 +94,6 @@ def build_cluster(
         partitioner=index.partitioner,
         plan=plan,
         groups=groups,
-        filters=filters,
         max_in_flight=max_in_flight,
         queue_timeout=queue_timeout,
         tracer=tracer,
@@ -152,7 +149,6 @@ def save_cluster(router: ClusterRouter, directory: Union[str, Path]) -> int:
 def load_cluster(
     directory: Union[str, Path],
     replication: Optional[int] = None,
-    filters: Optional[FilterConfig] = None,
     max_in_flight: int = 64,
     queue_timeout: float = 0.25,
     tracer: Optional[Tracer] = None,
@@ -227,7 +223,6 @@ def load_cluster(
         partitioner=partitioner,
         plan=plan,
         groups=groups,
-        filters=filters,
         max_in_flight=max_in_flight,
         queue_timeout=queue_timeout,
         tracer=tracer,

@@ -3,10 +3,9 @@
 A :class:`ShardSlice` is a :class:`~repro.service.index.SegmentIndex`
 restricted to the fragments a shard owns: it keeps the columnar posting
 runs for owned fragments only, plus the *full* id column and segment bounds
-of every record that posts into them — which is exactly what the
-StrL/SegL/SegI/SegD lemmas and the final verification need, so a slice
-probes with the unmodified single-node code: it defines no candidate
-generator of its own.
+of every record that posts into them — the id column is exactly what the
+claim rule and verification read, so a slice probes with the unmodified
+single-node code: it defines no candidate generator of its own.
 
 The one thing a slice changes is the *owned set* the base scan
 (:meth:`SegmentIndex._scan_candidates
@@ -22,12 +21,12 @@ scan applies the claim rule:
 The rule is locally checkable — the slice holds ``t``'s full id column, so
 it can test whether any *earlier* probed token from a foreign fragment is in
 ``t`` — and it partitions every (query, candidate) pair to exactly one
-shard.  The claimed first-hit coordinates equal the single-node ones, so
-positional filtering, fragment lemmas and verification make identical
-per-pair decisions, and the union of per-shard hit lists is bit-identical
-to ``SegmentIndex.probe`` (``tests/test_cluster_router.py`` property-tests
-this, failure injection and rebalance included).  The full index is the
-slice that owns every fragment: no foreign tokens, nothing ceded.
+shard.  Verification reads only the pair's two id columns, so it decides
+every pair as the single node does, and the union of per-shard hit lists
+is bit-identical to ``SegmentIndex.probe``
+(``tests/test_cluster_router.py`` property-tests this, failure injection
+and rebalance included).  The full index is the slice that owns every
+fragment: no foreign tokens, nothing ceded.
 
 A :class:`ShardNode` wraps one slice as a routable endpoint: replica
 identity, a liveness flag the failure injector flips, and per-node
@@ -39,10 +38,9 @@ each replica its own copy restored from the same per-shard snapshot.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Sequence, Tuple
 
-from repro.core.config import FilterConfig
-from repro.errors import ClusterError, ShardDownError
+from repro.errors import ClusterError, ConfigError, ShardDownError
 from repro.mapreduce.counters import Counters
 from repro.observability.tracer import NOOP_TRACER, Tracer
 from repro.service.columnar import FragmentPostings
@@ -248,7 +246,6 @@ class _ScatterNode:
         queries: Sequence[EncodedQuery],
         theta: float,
         func: SimilarityFunction,
-        filters: Optional[FilterConfig] = None,
         tracer: Tracer = NOOP_TRACER,
     ) -> List[List[SearchHit]]:
         """Serve one scatter leg (fragment-grouped posting scans, claim
@@ -260,7 +257,7 @@ class _ScatterNode:
             self.fault_hook(self)
         self.counters.increment("cluster.node", "probes", len(queries))
         return self.slice.probe_batch(
-            queries, theta, func, filters, self.counters, tracer
+            queries, theta, func, self.counters, tracer
         )
 
     def tokens_of(self, rid: int) -> Tuple[str, ...]:
@@ -297,11 +294,15 @@ class ShardNode(_ScatterNode):
         query: EncodedQuery,
         theta: float,
         func: SimilarityFunction,
-        filters: Optional[FilterConfig] = None,
+        filters: None = None,
         tracer: Tracer = NOOP_TRACER,
     ) -> List[SearchHit]:
         """Serve one query: a batch of one through :meth:`probe_batch`."""
-        return self.probe_batch([query], theta, func, filters, tracer)[0]
+        # Harness-pinned slot: benchmarks/perf/layers.py:266,280 call
+        # probe(query, theta, func, router.filters[, tracer]) positionally.
+        if filters is not None:
+            raise ConfigError("the serving probe takes no filter config")
+        return self.probe_batch([query], theta, func, tracer)[0]
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = "up" if self.ping() else (

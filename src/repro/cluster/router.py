@@ -75,7 +75,6 @@ from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.analysis.loadbalance import LoadBalanceReport, summarize_loads
-from repro.core.config import FilterConfig
 from repro.core.ordering import GlobalOrder
 from repro.core.partitioning import VerticalPartitioner
 from repro.errors import (
@@ -156,7 +155,6 @@ class ClusterRouter:
         partitioner: VerticalPartitioner,
         plan: ShardPlan,
         groups: Sequence[Sequence[ShardNode]],
-        filters: Optional[FilterConfig] = None,
         max_in_flight: int = 64,
         queue_timeout: float = 0.25,
         tracer: Optional[Tracer] = None,
@@ -191,7 +189,9 @@ class ClusterRouter:
         self.vocab = TokenVocab(order)
         self.partitioner = partitioner
         self.plan = plan
-        self.filters = filters if filters is not None else FilterConfig()
+        #: Harness-pinned: benchmarks/perf/layers.py:266,280 pass
+        #: ``router.filters`` into ``ShardNode.probe``'s fourth slot.
+        self.filters = None
         self.tracer = tracer if tracer is not None else NOOP_TRACER
         self.metrics = Counters()
         self.latency = LatencyHistogram()
@@ -285,7 +285,7 @@ class ClusterRouter:
                                % len(rids)]
                     query = EncodedQuery(tuple(node.slice._ranks[rid]), 0)
                     node.slice.probe_batch(
-                        [query], 0.5, SimilarityFunction.JACCARD, self.filters
+                        [query], 0.5, SimilarityFunction.JACCARD
                     )
             except Exception as exc:  # pragma: no cover - defensive
                 return {"ok": False, "detail": f"self-check failed: {exc}"}
@@ -310,10 +310,10 @@ class ClusterRouter:
             query = EncodedQuery(tuple(peer.slice._ranks[rid]), 0)
             for theta in (0.5, 0.8):
                 (expected,) = peer.slice.probe_batch(
-                    [query], theta, SimilarityFunction.JACCARD, self.filters
+                    [query], theta, SimilarityFunction.JACCARD
                 )
                 (got,) = node.slice.probe_batch(
-                    [query], theta, SimilarityFunction.JACCARD, self.filters
+                    [query], theta, SimilarityFunction.JACCARD
                 )
                 if got != expected:
                     return {
@@ -703,8 +703,7 @@ class ClusterRouter:
             records=len(node.streaming), queries=len(queries),
         ) as span:
             try:
-                hits = node.probe_batch(queries, theta, func, self.filters,
-                                        self.tracer)
+                hits = node.probe_batch(queries, theta, func, self.tracer)
             except ShardDownError as exc:
                 span.attrs["status"] = "unavailable"
                 self.metrics.increment(ROUTE_GROUP, "ingest_unavailable")
@@ -960,7 +959,7 @@ class ClusterRouter:
                 ) as span:
                     try:
                         hits = node.probe_batch(queries, theta, func,
-                                                self.filters, leg_tracer)
+                                                leg_tracer)
                     except ShardDownError as exc:
                         span.attrs["status"] = "failed-over"
                         return None, leg_tracer.spans(), exc

@@ -23,7 +23,7 @@ Three implementations, as in the paper:
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional
 
 from repro.core.config import FilterConfig, JoinMethod
 from repro.core.filters import FragmentFilters
@@ -31,6 +31,7 @@ from repro.core.partitioning import Segment
 from repro.mapreduce.job import JobContext
 from repro.similarity.functions import SimilarityFunction
 from repro.similarity.thresholds import prefix_length
+from repro.similarity.verify import bounded_merge_intersection
 
 #: emit_pair(rid_s, len_s, rid_t, len_t, common_in_fragment)
 EmitPair = Callable[[int, int, int, int, int], None]
@@ -50,57 +51,6 @@ _COUNTER_NAMES = (
     "pruned_segd",
     "candidates_emitted",
 )
-
-
-def merge_intersection(a: Sequence[int], b: Sequence[int]) -> int:
-    """Exact ``|a ∩ b|`` of two strictly increasing rank tuples."""
-    i = j = count = 0
-    len_a, len_b = len(a), len(b)
-    while i < len_a and j < len_b:
-        x, y = a[i], b[j]
-        if x == y:
-            count += 1
-            i += 1
-            j += 1
-        elif x < y:
-            i += 1
-        else:
-            j += 1
-    return count
-
-
-def bounded_merge_intersection(
-    a: Sequence[int], b: Sequence[int], required: int = 1
-) -> Tuple[int, int, bool]:
-    """Merge-count with positional early termination (PPJoin-style).
-
-    Returns ``(count, comparisons, completed)``.  Before every comparison
-    the best achievable intersection — matches so far plus the shorter
-    remaining suffix — is checked against ``required``; when it falls
-    short the merge is abandoned (``completed=False``, ``count`` is then a
-    partial value ``< required``).  With ``required <= 1`` the bound can
-    never fire mid-merge, so the result is always exact.  ``comparisons``
-    counts the token comparisons actually performed, the quantity the
-    ``fsjoin.filter`` counters report.
-    """
-    i = j = count = comparisons = 0
-    len_a, len_b = len(a), len(b)
-    while i < len_a and j < len_b:
-        remaining_a = len_a - i
-        remaining_b = len_b - j
-        if count + (remaining_a if remaining_a < remaining_b else remaining_b) < required:
-            return count, comparisons, False
-        comparisons += 1
-        x, y = a[i], b[j]
-        if x == y:
-            count += 1
-            i += 1
-            j += 1
-        elif x < y:
-            i += 1
-        else:
-            j += 1
-    return count, comparisons, True
 
 
 def join_fragment(

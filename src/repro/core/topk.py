@@ -67,8 +67,7 @@ def topk_similar_pairs(
             given, relaxation rounds probe the index instead of running
             the FS-Join pipeline; results are identical (the index
             ``self_join`` returns the exact ``FSJoin.run`` pair map) and
-            no cluster is needed.  Filters still follow
-            ``config.filters``.
+            no cluster or ``config`` is needed.
 
     Ties at the k-th score are broken by record-id pair, deterministically.
     """
@@ -84,9 +83,7 @@ def topk_similar_pairs(
     theta = start_theta
     while True:
         if index is not None:
-            pairs: Dict[Tuple[int, int], float] = index.self_join(
-                theta, func, config.filters if config is not None else None
-            )
+            pairs: Dict[Tuple[int, int], float] = index.self_join(theta, func)
         else:
             round_config = _with_theta(config, theta, func)
             pairs = FSJoin(round_config, cluster).run(records).result_pairs

@@ -9,8 +9,8 @@ generation encode queries identically by construction.
 
 That sharing is what makes the merge exact: a probe evaluates each
 candidate record independently (candidate generation depends only on the
-query's prefix tokens, filters and verification only on the query plus
-that record's own columns), so probing the memtable and each generation
+query's prefix tokens, verification only on the query plus that
+record's own id column), so probing the memtable and each generation
 separately with the same :class:`~repro.service.index.EncodedQuery` and
 concatenating — record ids are disjoint across tiers — is bit-identical
 to probing a single index built from the union.  The property tests in

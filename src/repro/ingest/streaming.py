@@ -34,7 +34,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from repro.core.config import FilterConfig
 from repro.core.ordering import GlobalOrder
 from repro.core.partitioning import VerticalPartitioner
 from repro.core.pivots import PivotMethod, select_pivots
@@ -573,14 +572,12 @@ class StreamingIndex:
         tokens: Iterable[str],
         theta: float,
         func: SimilarityFunction = SimilarityFunction.JACCARD,
-        filters: Optional[FilterConfig] = None,
         counters: Optional[Counters] = None,
         tracer: Optional[Tracer] = None,
     ) -> List[SearchHit]:
         """A batch of one through :meth:`probe_batch`."""
         return self.probe_batch(
-            [self.encode_query(tokens)], theta, func, filters, counters,
-            tracer,
+            [self.encode_query(tokens)], theta, func, counters, tracer
         )[0]
 
     def probe_batch(
@@ -588,7 +585,6 @@ class StreamingIndex:
         queries: Sequence[EncodedQuery],
         theta: float,
         func: SimilarityFunction = SimilarityFunction.JACCARD,
-        filters: Optional[FilterConfig] = None,
         counters: Optional[Counters] = None,
         tracer: Optional[Tracer] = None,
     ) -> List[List[SearchHit]]:
@@ -596,7 +592,7 @@ class StreamingIndex:
         encoding, merged per query.  (There is always a tier: the bootstrap
         generation, so θ/func never go unchecked.)"""
         per_tier = [
-            tier.probe_batch(queries, theta, func, filters, counters, tracer)
+            tier.probe_batch(queries, theta, func, counters, tracer)
             for tier in self._tiers()
         ]
         return [merge_hits(answers) for answers in zip(*per_tier)]

@@ -12,30 +12,31 @@ machinery into a *queryable index*:
   FragmentPostings` — flat ``array`` columns mapping token id → a
   contiguous ``(rid, pos)`` run — so a probe batch scans each posting run
   with plain integer reads and zero per-entry allocations;
-* each record keeps its full id column (``array('l')``) and its per-fragment
-  segment *bounds* — flat ``(fragment, start, end)`` triples from which the
-  ``segInfo`` of Definition 6 (``str_len``, ``ahead``, ``behind``) is two
-  subtractions away — so the StrL/SegL/SegI/SegD lemmas of
-  :mod:`repro.core.filters` apply to probe/candidate pairs as pure integer
-  arithmetic.
+* each record keeps its full id column (``array('l')``), which is all a
+  probe reads of a candidate, and its per-fragment segment *bounds* — flat
+  ``(fragment, start, end)`` triples that migration and the content
+  digests carry.
 
 A probe is exact: candidate generation uses the record-level prefix filter
 (complete because the index stores *all* tokens while the probe scans only
-its prefix — any pair with ``sim ≥ θ`` must collide on a probed token), the
-fragment filters only discard pairs the lemmas prove dissimilar, and
-survivors go through the same early-terminating merge + threshold rule as
-:func:`repro.similarity.verify.verify_pair`.  ``tests/test_service_index.py``
-property-tests that ``probe`` returns precisely the partner set
-``FSJoin.run`` produces, for several θ and similarity functions.
+its prefix — any pair with ``sim ≥ θ`` must collide on a probed token),
+the length filter (Lemma 1) only discards pairs whose sizes prove them
+dissimilar, and survivors go through the same early-terminating merge +
+threshold rule as :func:`repro.similarity.verify.verify_pair`.  The
+probe verifies, it does not re-filter: the fragment lemmas of
+:mod:`repro.core.filters` are for a reducer that holds one fragment of
+each record, and a slice holds the whole column.
+``tests/test_service_index.py`` property-tests that ``probe`` returns
+precisely the partner set ``FSJoin.run`` produces, for several θ and
+similarity functions.
 
 There is one candidate scan, :meth:`SegmentIndex._scan_candidates`, and
 one way to it, :meth:`SegmentIndex.probe_batch`: a single probe is a batch
 of one, and a full index is the slice that owns every fragment (the
 cross-shard claim rule lives in the scan and reads the owned set, which
 only :class:`~repro.cluster.node.ShardSlice` narrows).  The scan is batched
-over the flat posting columns; the filter battery is inlined and its
-threshold algebra (``required_overlap``/``length_lower_bound``) cached per
-partner size.
+over the flat posting columns, and verification's threshold algebra
+(``required_overlap``/``length_lower_bound``) is cached per partner size.
 
 **Result-ordering contract**: every probe's hit list is sorted by
 ``(-score, rid)`` — descending score, ascending record id on ties — and
@@ -53,15 +54,12 @@ rounds).
 
 from __future__ import annotations
 
-import time
 from array import array
 from bisect import bisect_left
 from collections import Counter as TokenCounter
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from repro.core.config import FilterConfig
-from repro.core.joins import bounded_merge_intersection
 from repro.core.ordering import GlobalOrder, compute_global_ordering
 from repro.core.partitioning import VerticalPartitioner
 from repro.core.pivots import PivotMethod, select_pivots
@@ -79,13 +77,10 @@ from repro.similarity.thresholds import (
     prefix_length,
     required_overlap,
 )
-from repro.similarity.verify import verify_overlap
+from repro.similarity.verify import bounded_merge_intersection, verify_overlap
 
 #: Counter group for probe-side work (mirrors ``fsjoin.filter`` naming).
 PROBE_GROUP = "service.probe"
-
-#: A candidate's first prefix collision: (fragment, query pos, segment pos).
-FirstHit = Tuple[int, int, int]
 
 
 @dataclass(frozen=True)
@@ -366,7 +361,6 @@ class SegmentIndex:
         tokens: Iterable[str],
         theta: float,
         func: SimilarityFunction = SimilarityFunction.JACCARD,
-        filters: Optional[FilterConfig] = None,
         counters: Optional[Counters] = None,
         tracer: Optional[Tracer] = None,
     ) -> List[SearchHit]:
@@ -378,7 +372,7 @@ class SegmentIndex:
         an indexed record exclude its own id.
         """
         return self.probe_batch(
-            [self.encode_query(tokens)], theta, func, filters, counters, tracer
+            [self.encode_query(tokens)], theta, func, counters, tracer
         )[0]
 
     def probe_batch(
@@ -386,7 +380,6 @@ class SegmentIndex:
         queries: Sequence[EncodedQuery],
         theta: float,
         func: SimilarityFunction = SimilarityFunction.JACCARD,
-        filters: Optional[FilterConfig] = None,
         counters: Optional[Counters] = None,
         tracer: Optional[Tracer] = None,
     ) -> List[List[SearchHit]]:
@@ -397,17 +390,15 @@ class SegmentIndex:
         distinct probe tokens of *all* queries are looked up once each,
         so shared tokens cost one posting lookup instead of one per query
         (the ``posting_lookups`` counter makes the saving measurable).
-        Filtering/verification then runs per query.
+        Verification then runs per query.
 
         The returned lists align with ``queries`` (input order) and each
         hit list follows the module's ``(-score, rid)`` ordering contract.
         ``tracer``, when enabled, records the probe stages as spans:
-        ``prefix-filter`` (posting scans), then each query's per-stage
-        accumulations (``positional-bound``, ``fragment-filters``,
-        ``verification``).  Tracing never changes results.
+        ``prefix-filter`` (posting scans), then one ``verification`` span
+        per query that has candidates.  Tracing never changes results.
         """
         func = checked_probe_args(theta, func)
-        filters = filters if filters is not None else FilterConfig()
         tracer = tracer if tracer is not None else NOOP_TRACER
         with tracer.span("prefix-filter", phase="service",
                          queries=len(queries)) as span:
@@ -422,8 +413,8 @@ class SegmentIndex:
         lower_cache: Dict[int, int] = {}
         return [
             self._evaluate_columnar(
-                query, candidate_sets[qi], theta, func, filters, counters,
-                tracer, tau_cache, lower_cache,
+                query, candidate_sets[qi], theta, func, counters, tracer,
+                tau_cache, lower_cache,
             )
             for qi, query in enumerate(queries)
         ]
@@ -432,7 +423,6 @@ class SegmentIndex:
         self,
         theta: float,
         func: SimilarityFunction = SimilarityFunction.JACCARD,
-        filters: Optional[FilterConfig] = None,
         counters: Optional[Counters] = None,
     ) -> Dict[Tuple[int, int], float]:
         """All indexed pairs with ``sim ≥ θ`` — the probe-side self-join.
@@ -442,12 +432,11 @@ class SegmentIndex:
         is what lets :func:`repro.core.topk.topk_similar_pairs` relax the
         threshold without re-running the offline pipeline.
         """
-        queries = [
-            EncodedQuery(tuple(self._ranks[rid]), 0) for rid in self.rids()
-        ]
-        results = self.probe_batch(queries, theta, func, filters, counters)
+        rids = self.rids()
+        queries = [EncodedQuery(tuple(self._ranks[rid]), 0) for rid in rids]
+        results = self.probe_batch(queries, theta, func, counters)
         pairs: Dict[Tuple[int, int], float] = {}
-        for rid, hits in zip(self.rids(), results):
+        for rid, hits in zip(rids, results):
             for hit in hits:
                 if hit.rid == rid:
                     continue
@@ -462,16 +451,16 @@ class SegmentIndex:
         theta: float,
         func: SimilarityFunction,
         counters: Optional[Counters],
-    ) -> List[Dict[int, FirstHit]]:
-        """Each query's candidates and their first prefix collision.
+    ) -> List[Dict[int, int]]:
+        """Each query's candidates and the query position of their first
+        prefix collision.
 
         Every query's prefix tokens are collected and sorted — ascending
         token id is ascending fragment, fragments being id ranges — so
         each distinct token's posting run is looked up *once* and walked
         for every query that probes it, and a candidate's recorded first
-        hit is its globally smallest common prefix token (the coordinates
-        the positional filter uses) whether the query comes alone or in a
-        batch.
+        hit is its globally smallest common prefix token (what the claim
+        rule reads) whether the query comes alone or in a batch.
 
         **The claim rule.**  Prefix tokens in fragments outside
         :attr:`_owned` are not scanned here; they are the query's
@@ -504,10 +493,10 @@ class SegmentIndex:
                     probes.append((q_ids[qpos], qi, qpos, v))
         # Ascending (token, query): fragment by fragment, token by token.
         probes.sort()
-        candidate_sets: List[Dict[int, FirstHit]] = [{} for _ in queries]
+        candidate_sets: List[Dict[int, int]] = [{} for _ in queries]
         lookups = 0
         scanned_token = scanned_v = -1
-        run = rids = positions = ()
+        run = rids = ()
         for token, qi, qpos, v in probes:
             if token != scanned_token:
                 scanned_token = token
@@ -520,7 +509,6 @@ class SegmentIndex:
                     slots = postings._slots
                     offsets = postings.offsets
                     rids = postings.rids
-                    positions = postings.positions
                 slot = slots.get(token)
                 run = (() if slot is None
                        else range(offsets[slot], offsets[slot + 1]))
@@ -528,7 +516,7 @@ class SegmentIndex:
             for k in run:
                 rid = rids[k]
                 if rid not in candidates:
-                    candidates[rid] = (v, qpos, positions[k])
+                    candidates[rid] = qpos
         ceded = 0
         ranks_of = self._ranks
         for qi, foreign in foreign_of.items():
@@ -537,14 +525,14 @@ class SegmentIndex:
             # First hits were recorded in ascending qpos order, so the
             # foreign tokens below them change only when qpos does.
             at_qpos, earlier = -1, ()
-            for rid, hit in candidate_sets[qi].items():
-                if hit[1] != at_qpos:
-                    at_qpos = hit[1]
+            for rid, qpos in candidate_sets[qi].items():
+                if qpos != at_qpos:
+                    at_qpos = qpos
                     earlier = foreign[:bisect_left(foreign, q_ids[at_qpos])]
                 if earlier and _any_rank_present(earlier, ranks_of[rid]):
                     ceded += 1
                 else:
-                    claimed[rid] = hit
+                    claimed[rid] = qpos
             candidate_sets[qi] = claimed
         _bump(counters, "posting_lookups", lookups)
         _bump(counters, "ceded_candidates", ceded)
@@ -553,79 +541,40 @@ class SegmentIndex:
     def _evaluate_columnar(
         self,
         query: EncodedQuery,
-        candidates: Dict[int, FirstHit],
+        candidates: Dict[int, int],
         theta: float,
         func: SimilarityFunction,
-        filter_config: FilterConfig,
         counters: Optional[Counters],
         tracer: Tracer,
         tau_cache: Dict[Tuple[int, int], int],
         lower_cache: Dict[int, int],
     ) -> List[SearchHit]:
-        """The inlined filter battery + verification over columnar storage.
+        """Verify one query's candidates against their whole id columns.
 
-        The lemmas and merge bounds are those of
-        :class:`repro.core.filters.FragmentFilters`, with the per-candidate
-        overhead flattened:
-
-        * ``required_overlap``/``length_lower_bound`` are memoized per
-          size pair in ``tau_cache``/``lower_cache`` — one
-          threshold-algebra call per distinct ``(|q|, |t|)`` of the whole
-          batch instead of three per candidate-fragment;
-        * ``segInfo`` is recovered from the flat ``(fragment, start, end)``
-          bounds with integer subtraction — no Segment objects, no
-          attribute chains;
-        * counters accumulate in locals and flush once per probe.
+        StrL (Lemma 1) on the two sizes, then one early-terminating merge
+        against τ.  Lemmas 2–4 bound a pair from one fragment because a
+        filter-job reducer sees nothing else; here both full columns are
+        at hand, and the merge's running bound (matches so far + shorter
+        remaining suffix < τ) is the tightest positional bound there is,
+        so nothing runs ahead of it.  Unknown query tokens only enlarge
+        ``|q|``.  ``required_overlap``/``length_lower_bound`` are memoized
+        per size in ``tau_cache``/``lower_cache`` across the batch, and
+        counters accumulate in locals and flush once per probe.
         """
-        if counters is not None:
-            counters.increment(PROBE_GROUP, "probes")
+        _bump(counters, "probes", 1)
         if not candidates:
             return []
-        traced = tracer.enabled
-        positional_clock = _StageClock() if traced else None
-        fragment_clock = _StageClock() if traced else None
-        verify_clock = _StageClock() if traced else None
-        if query.n_unknown:
-            # Unknown tokens sort after every known id, so a query segment
-            # in the *last* fragment would absorb them: its token list
-            # would no longer match the segment length the lemmas see.
-            # Fall back to StrL + the early-terminating verify (both only
-            # need the corrected |q|) — still exact, just less pruning.
-            filter_config = FilterConfig(
-                strl=filter_config.strl, segl=False, segi=False, segd=False,
-                early_verify=filter_config.early_verify,
-            )
-        strl = filter_config.strl
-        segl = filter_config.segl
-        segi = filter_config.segi
-        segd = filter_config.segd
-        early = filter_config.early_verify
-        positional = segi or segd
         q_ranks = query.ranks
-        n_known = len(q_ranks)
-        n_unknown = query.n_unknown
         size_q = query.size
         ranks_of = self._ranks
-        bounds_of = self._segbounds
         merge = bounded_merge_intersection
-        # Query fragment geometry: (fragment, start, end, behind) — ahead
-        # is `start`; unknown tokens sort last, so they pad every `behind`.
-        qgeo = [
-            (v, start, end, n_known - end + n_unknown)
-            for v, start, end in self.partitioner.split_bounds(q_ranks)
-        ]
-        qspan_by_v = {v: (start, end) for v, start, end, _behind in qgeo}
         hits: List[SearchHit] = []
-        n_candidates = n_results = n_verified = 0
-        n_pruned_strl = n_pruned_positional = n_pruned_overlap = 0
-        n_pruned_segl = n_pruned_segi = n_pruned_segd = 0
-        n_filter_cmp = n_verify_cmp = 0
-        for rid, first_hit in candidates.items():
-            n_candidates += 1
-            t_ranks = ranks_of[rid]
-            size_t = len(t_ranks)
-            # Record-level StrL (Lemma 1) before any segment work.
-            if strl:
+        n_pruned_strl = n_verify_cmp = 0
+        with tracer.span("verification", phase="service",
+                         candidates=len(candidates)):
+            for rid in candidates:
+                t_ranks = ranks_of[rid]
+                size_t = len(t_ranks)
                 small, large = (
                     (size_q, size_t) if size_q <= size_t else (size_t, size_q)
                 )
@@ -637,171 +586,21 @@ class SegmentIndex:
                 if small < lower:
                     n_pruned_strl += 1
                     continue
-            tau = tau_cache.get((size_q, size_t))
-            if tau is None:
-                tau = tau_cache[(size_q, size_t)] = required_overlap(
-                    func, theta, size_q, size_t
-                )
-            tb = bounds_of[rid]
-            if positional:
-                # PPJoin's positional filter at the first collision: with
-                # query-segment position i and indexed-segment position j,
-                # the fragment intersection is at most min(i, j) + 1 +
-                # min(remaining_q, remaining_t) (both segments are sorted,
-                # so matches either side of the collision are bounded by
-                # the shorter flank).  Below the smallest intersection
-                # surviving SegI/SegD, no merge needs to run.
-                if positional_clock:
-                    positional_clock.start()
-                v, qpos, tpos = first_hit
-                qstart, qend = qspan_by_v[v]
-                tstart = tend = 0
-                for k in range(0, len(tb), 3):
-                    if tb[k] == v:
-                        tstart, tend = tb[k + 1], tb[k + 2]
-                        break
-                q_behind = n_known - qend + n_unknown
-                t_behind = size_t - tend
-                head = qstart if qstart <= tstart else tstart
-                tail = q_behind if q_behind <= t_behind else t_behind
-                required = 1
-                if segi:
-                    bound = tau - head - tail
-                    if bound > required:
-                        required = bound
-                if segd:
-                    d_head = qstart - tstart
-                    if d_head < 0:
-                        d_head = -d_head
-                    d_tail = q_behind - t_behind
-                    if d_tail < 0:
-                        d_tail = -d_tail
-                    budget = (size_q + size_t - 2 * tau) - d_head - d_tail
-                    bound = -((budget - (qend - qstart) - (tend - tstart)) // 2)
-                    if bound > required:
-                        required = bound
-                i = qpos - qstart
-                upper = (
-                    min(i, tpos)
-                    + 1
-                    + min((qend - qstart) - i - 1, (tend - tstart) - tpos - 1)
-                )
-                if positional_clock:
-                    positional_clock.stop()
-                if upper < required:
-                    n_pruned_positional += 1
-                    continue
-            if segl or positional:
-                # SegL/SegI/SegD per shared fragment: a two-pointer walk
-                # over the (both ascending-by-fragment) bound lists.
-                if fragment_clock:
-                    fragment_clock.start()
-                survives = True
-                ti = 0
-                n_tb = len(tb)
-                for v, qstart, qend, q_behind in qgeo:
-                    while ti < n_tb and tb[ti] < v:
-                        ti += 3
-                    if ti >= n_tb:
-                        break
-                    if tb[ti] != v:
-                        continue
-                    tstart, tend = tb[ti + 1], tb[ti + 2]
-                    len_q_seg = qend - qstart
-                    len_t_seg = tend - tstart
-                    t_behind = size_t - tend
-                    head = qstart if qstart <= tstart else tstart
-                    tail = q_behind if q_behind <= t_behind else t_behind
-                    if segl:
-                        # Lemma 2: even full segment + head/tail overlap
-                        # cannot reach τ.
-                        budget = tau - head - tail
-                        if (
-                            len_q_seg if len_q_seg <= len_t_seg else len_t_seg
-                        ) < budget:
-                            n_pruned_segl += 1
-                            survives = False
-                            break
-                    if not positional:
-                        continue
-                    required = 1
-                    if segi:
-                        bound = tau - head - tail
-                        if bound > required:
-                            required = bound
-                    sd_budget = 0
-                    if segd:
-                        d_head = qstart - tstart
-                        if d_head < 0:
-                            d_head = -d_head
-                        d_tail = q_behind - t_behind
-                        if d_tail < 0:
-                            d_tail = -d_tail
-                        sd_budget = (
-                            (size_q + size_t - 2 * tau) - d_head - d_tail
-                        )
-                        bound = -((sd_budget - len_q_seg - len_t_seg) // 2)
-                        if bound > required:
-                            required = bound
-                    common, comparisons, completed = merge(
-                        q_ranks[qstart:qend],
-                        t_ranks[tstart:tend],
-                        required if early else 1,
+                tau = tau_cache.get((size_q, size_t))
+                if tau is None:
+                    tau = tau_cache[(size_q, size_t)] = required_overlap(
+                        func, theta, size_q, size_t
                     )
-                    n_filter_cmp += comparisons
-                    if not completed:
-                        # The merge was abandoned because even a full
-                        # remaining suffix match could not satisfy
-                        # SegI/SegD — the pair is provably below threshold.
-                        n_pruned_overlap += 1
-                        survives = False
-                        break
-                    if segi and common < tau - head - tail:
-                        n_pruned_segi += 1
-                        survives = False
-                        break
-                    if segd and len_q_seg + len_t_seg - 2 * common > sd_budget:
-                        n_pruned_segd += 1
-                        survives = False
-                        break
-                if fragment_clock:
-                    fragment_clock.stop()
-                if not survives:
-                    continue
-            if verify_clock:
-                verify_clock.start()
-            common, comparisons, _completed = merge(
-                q_ranks, t_ranks, tau if early else 1
-            )
-            n_verified += 1
-            n_verify_cmp += comparisons
-            if verify_clock:
-                verify_clock.stop()
-            score = verify_overlap(func, theta, common, size_q, size_t)
-            if score is not None:
-                hits.append(SearchHit(rid, score))
-                n_results += 1
-        if counters is not None:
-            bump = counters.increment
-            for name, amount in (
-                ("candidates", n_candidates),
-                ("pruned_strl", n_pruned_strl),
-                ("pruned_positional", n_pruned_positional),
-                ("pruned_segl", n_pruned_segl),
-                ("pruned_segi", n_pruned_segi),
-                ("pruned_segd", n_pruned_segd),
-                ("pruned_overlap_bound", n_pruned_overlap),
-                ("filter_token_comparisons", n_filter_cmp),
-                ("verified_pairs", n_verified),
-                ("verify_token_comparisons", n_verify_cmp),
-                ("results", n_results),
-            ):
-                if amount:
-                    bump(PROBE_GROUP, name, amount)
-        if traced:
-            positional_clock.emit(tracer, "positional-bound")
-            fragment_clock.emit(tracer, "fragment-filters")
-            verify_clock.emit(tracer, "verification")
+                common, comparisons, _completed = merge(q_ranks, t_ranks, tau)
+                n_verify_cmp += comparisons
+                score = verify_overlap(func, theta, common, size_q, size_t)
+                if score is not None:
+                    hits.append(SearchHit(rid, score))
+        _bump(counters, "candidates", len(candidates))
+        _bump(counters, "pruned_strl", n_pruned_strl)
+        _bump(counters, "verified_pairs", len(candidates) - n_pruned_strl)
+        _bump(counters, "verify_token_comparisons", n_verify_cmp)
+        _bump(counters, "results", len(hits))
         hits.sort(key=lambda hit: (-hit.score, hit.rid))
         return hits
 
@@ -816,36 +615,6 @@ class SegmentIndex:
     def __setstate__(self, state) -> None:
         self.__dict__.update(state)
         self.vocab = TokenVocab(self.order)
-
-
-class _StageClock:
-    """Accumulates one probe stage's wall time across many candidates.
-
-    Emitted as a single span whose ``start`` is the stage's first entry and
-    whose ``duration`` is the summed in-stage time — per-candidate spans
-    would cost more than the microseconds they measure.
-    """
-
-    __slots__ = ("first", "total", "calls", "_entered")
-
-    def __init__(self) -> None:
-        self.first: Optional[float] = None
-        self.total = 0.0
-        self.calls = 0
-        self._entered = 0.0
-
-    def start(self) -> None:
-        self._entered = time.perf_counter()
-        if self.first is None:
-            self.first = self._entered
-
-    def stop(self) -> None:
-        self.total += time.perf_counter() - self._entered
-        self.calls += 1
-
-    def emit(self, tracer: Tracer, name: str) -> None:
-        if self.first is not None:
-            tracer.add(name, "service", self.first, self.total, calls=self.calls)
 
 
 def checked_probe_args(theta: float, func) -> SimilarityFunction:

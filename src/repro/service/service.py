@@ -18,12 +18,12 @@
 All work is accounted in ``service.metrics`` (a
 :class:`~repro.mapreduce.counters.Counters`): ``service.cache`` tracks
 hits/misses/evictions/invalidations, ``service.probe`` tracks posting
-lookups, candidates, per-lemma prunes and token comparisons — the
+lookups, candidates, length prunes and token comparisons — the
 quantities ``benchmarks/bench_ext_query_service.py`` asserts on.  On top
 of the counters, every request feeds a :class:`LatencyHistogram`
 (``latency_info()`` → p50/p95/p99) and, when the service is built with an
 enabled :class:`~repro.observability.tracer.Tracer`, per-probe spans
-covering cache lookup, prefix filter, positional bound and verification.
+covering cache lookup, prefix filter and verification.
 """
 
 from __future__ import annotations
@@ -32,7 +32,6 @@ import time
 from pathlib import Path
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
-from repro.core.config import FilterConfig
 from repro.data.records import Record, RecordCollection
 from repro.errors import DataError, DeadlineExceededError
 from repro.mapreduce.counters import Counters
@@ -60,7 +59,6 @@ class SimilarityService:
     def __init__(
         self,
         index: SegmentIndex,
-        filters: Optional[FilterConfig] = None,
         cache_size: int = 1024,
         executor: Union[ExecutorKind, str, TaskExecutor, None] = None,
         tracer: Optional[Tracer] = None,
@@ -70,11 +68,9 @@ class SimilarityService:
         (``None`` = in-process, fragment-grouped only); ``cache_size=0``
         disables the result cache.  ``tracer`` (default: the free no-op
         tracer) records one ``probe``/``batch`` span per request with
-        ``cache-lookup``, ``prefix-filter``, ``positional-bound``,
-        ``fragment-filters`` and ``verification`` children; results are
-        bit-identical with tracing on or off."""
+        ``cache-lookup``, ``prefix-filter`` and ``verification`` children;
+        results are bit-identical with tracing on or off."""
         self.index = index
-        self.filters = filters if filters is not None else FilterConfig()
         self.metrics = Counters()
         self.tracer = tracer if tracer is not None else NOOP_TRACER
         self.latency = LatencyHistogram()
@@ -226,18 +222,14 @@ class SimilarityService:
         backend = executor if executor is not None else self._executor
         if backend is None or len(misses) <= 1:
             return self.index.probe_batch(
-                encoded, theta, func, self.filters, self.metrics,
-                tracer=self.tracer,
+                encoded, theta, func, self.metrics, tracer=self.tracer
             )
         executor_obj = create_executor(backend)
         chunks = _chunk(encoded, getattr(executor_obj, "max_workers", 1))
         traced = self.tracer.enabled
         outputs = executor_obj.run_tasks(
             _probe_chunk_task,
-            [
-                (self.index, chunk, theta, func, self.filters, traced)
-                for chunk in chunks
-            ],
+            [(self.index, chunk, theta, func, traced) for chunk in chunks],
         )
         results: List[List[SearchHit]] = []
         # Merged in chunk order, like the runtime's task-index-order commit,
@@ -282,13 +274,12 @@ class SimilarityService:
     def load(
         cls,
         path: Union[str, Path],
-        filters: Optional[FilterConfig] = None,
         cache_size: int = 1024,
         executor: Union[ExecutorKind, str, TaskExecutor, None] = None,
         tracer: Optional[Tracer] = None,
     ) -> "SimilarityService":
         """Build a service over a snapshot written by :meth:`save`."""
-        return cls(load_index(path), filters=filters, cache_size=cache_size,
+        return cls(load_index(path), cache_size=cache_size,
                    executor=executor, tracer=tracer)
 
     # -- introspection -------------------------------------------------
@@ -343,9 +334,9 @@ def _probe_chunk_task(payload):
     chunk-local tracer (workers cannot reach the service's) and adopted by
     the coordinator in chunk order.
     """
-    index, chunk, theta, func, filters, traced = payload
+    index, chunk, theta, func, traced = payload
     counters = Counters()
     tracer = Tracer() if traced else NOOP_TRACER
     with tracer.span("probe-chunk", phase="service", queries=len(chunk)):
-        hits = index.probe_batch(chunk, theta, func, filters, counters, tracer)
+        hits = index.probe_batch(chunk, theta, func, counters, tracer)
     return hits, counters, tracer.spans()

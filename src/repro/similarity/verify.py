@@ -16,7 +16,7 @@ similarity threshold, making the early-terminating merge its default path.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import Optional, Sequence, Tuple
 
 from repro.similarity.functions import SimilarityFunction
 from repro.similarity.thresholds import (
@@ -49,35 +49,46 @@ def intersection_size(
     if not sorted_input:
         # One set, one pass over ``t`` (set.intersection deduplicates).
         return len(set(s).intersection(t))
-    i = j = count = 0
-    len_s, len_t = len(s), len(t)
-    if required is None:
-        while i < len_s and j < len_t:
-            a, b = s[i], t[j]
-            if a == b:
-                count += 1
-                i += 1
-                j += 1
-            elif a < b:
-                i += 1
-            else:
-                j += 1
-        return count
-    while i < len_s and j < len_t:
-        remaining = len_s - i
-        other = len_t - j
-        if count + (remaining if remaining < other else other) < required:
-            return count
-        a, b = s[i], t[j]
-        if a == b:
+    return bounded_merge_intersection(
+        s, t, 1 if required is None else required
+    )[0]
+
+
+def bounded_merge_intersection(
+    a: Sequence[int], b: Sequence[int], required: int = 1
+) -> Tuple[int, int, bool]:
+    """Merge-count with positional early termination (PPJoin-style).
+
+    The one sorted-merge loop: the filter job's reducer, the serving
+    probe and :func:`intersection_size` all count through it.
+
+    Returns ``(count, comparisons, completed)``.  Before every comparison
+    the best achievable intersection — matches so far plus the shorter
+    remaining suffix — is checked against ``required``; when it falls
+    short the merge is abandoned (``completed=False``, ``count`` is then a
+    partial value ``< required``).  With ``required <= 1`` the bound can
+    never fire mid-merge, so the result is always exact.  ``comparisons``
+    counts the token comparisons actually performed, the quantity the
+    ``fsjoin.filter`` and ``service.probe`` counters report.
+    """
+    i = j = count = comparisons = 0
+    len_a, len_b = len(a), len(b)
+    while i < len_a and j < len_b:
+        remaining_a = len_a - i
+        remaining_b = len_b - j
+        if count + (remaining_a if remaining_a < remaining_b else remaining_b) < required:
+            return count, comparisons, False
+        comparisons += 1
+        x, y = a[i], b[j]
+        if x == y:
             count += 1
             i += 1
             j += 1
-        elif a < b:
+        elif x < y:
             i += 1
         else:
             j += 1
-    return count
+    return count, comparisons, True
 
 
 def verify_overlap(

@@ -304,9 +304,10 @@ class TestOneScan:
            func=st.sampled_from(FUNCS))
     def test_a_batch_is_n_batches_of_one(self, index, owned, batch, theta,
                                          func):
-        """Same hits, same first-hit coordinates, and so every counter the
-        same — ``pruned_positional`` included; only ``posting_lookups``
-        may shrink (tokens shared across the batch are looked up once)."""
+        """Same hits, same first-hit query positions (all the claim rule
+        reads), and every surviving counter the same; only
+        ``posting_lookups`` may shrink (tokens shared across the batch
+        are looked up once)."""
         for scanner in (index, ShardSlice.carve(index, owned)):
             queries = [scanner.encode_query(tokens) for tokens in batch]
             together, alone = Counters(), Counters()

@@ -16,11 +16,7 @@ from hypothesis import strategies as st
 
 from repro.core.config import FilterConfig, JoinMethod
 from repro.core.filters import FragmentFilters
-from repro.core.joins import (
-    bounded_merge_intersection,
-    join_fragment,
-    merge_intersection,
-)
+from repro.core.joins import join_fragment
 from repro.core.partitioning import VerticalPartitioner
 from repro.errors import ConfigError
 from repro.mapreduce.counters import Counters
@@ -31,6 +27,7 @@ from repro.similarity.thresholds import (
     prefix_length,
     required_overlap,
 )
+from repro.similarity.verify import bounded_merge_intersection
 
 rank_sets = st.lists(st.integers(0, 59), min_size=1, max_size=25, unique=True).map(
     lambda xs: tuple(sorted(xs))
@@ -89,7 +86,7 @@ class TestKnownCases:
         for i in set(seg_s) & set(seg_t):
             pruned = _pre(filters, seg_s[i], seg_t[i])
             if pruned is None:
-                common = merge_intersection(seg_s[i].tokens, seg_t[i].tokens)
+                common = len(set(seg_s[i].tokens) & set(seg_t[i].tokens))
                 pruned = (
                     "disjoint"
                     if common == 0
@@ -112,7 +109,7 @@ class TestKnownCases:
         for i in segs_a:
             seg_a, seg_b = segs_a[i], segs_b[i]
             assert _pre(filters, seg_a, seg_b) is None
-            common = merge_intersection(seg_a.tokens, seg_b.tokens)
+            common = len(set(seg_a.tokens) & set(seg_b.tokens))
             assert _post(filters, seg_a, seg_b, common) is None
 
     def test_disabled_filters_never_prune(self):
@@ -140,7 +137,7 @@ class TestFilterSafety:
             seg_s, seg_t = segs_s[i], segs_t[i]
             pruned = _pre(filters, seg_s, seg_t)
             if pruned is None:
-                common = merge_intersection(seg_s.tokens, seg_t.tokens)
+                common = len(set(seg_s.tokens) & set(seg_t.tokens))
                 pruned = _post(filters, seg_s, seg_t, common)
             if pruned is not None:
                 assert score < theta + 1e-9, (
@@ -174,7 +171,7 @@ class TestFilterPowerOrdering:
         segi_only = FragmentFilters(theta, func, FilterConfig.only("segi"))
         for i in set(segs_s) & set(segs_t):
             seg_s, seg_t = segs_s[i], segs_t[i]
-            common = merge_intersection(seg_s.tokens, seg_t.tokens)
+            common = len(set(seg_s.tokens) & set(seg_t.tokens))
             if _pre(segl_only, seg_s, seg_t) == "segl":
                 assert _post(segi_only, seg_s, seg_t, common) == "segi"
 

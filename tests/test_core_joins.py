@@ -9,9 +9,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.config import FilterConfig, JoinMethod
-from repro.core.joins import join_fragment, merge_intersection
+from repro.core.joins import join_fragment
 from repro.core.partitioning import VerticalPartitioner
 from repro.similarity.functions import SimilarityFunction
+from repro.similarity.verify import bounded_merge_intersection
 
 sorted_ranks = st.lists(st.integers(0, 40), min_size=1, max_size=15, unique=True).map(
     lambda xs: tuple(sorted(xs))
@@ -51,15 +52,18 @@ def _run(segments, method, theta=0.5, filters=None, pair_allowed=None):
 
 
 class TestMergeIntersection:
+    """The one merge loop with its default bound (1) is the exact merge."""
+
     def test_basic(self):
-        assert merge_intersection((1, 3, 5), (3, 4, 5)) == 2
+        assert bounded_merge_intersection((1, 3, 5), (3, 4, 5))[0] == 2
 
     def test_empty(self):
-        assert merge_intersection((), (1, 2)) == 0
+        assert bounded_merge_intersection((), (1, 2)) == (0, 0, True)
 
     @given(sorted_ranks, sorted_ranks)
     def test_matches_sets(self, a, b):
-        assert merge_intersection(a, b) == len(set(a) & set(b))
+        count, _, completed = bounded_merge_intersection(a, b)
+        assert (count, completed) == (len(set(a) & set(b)), True)
 
 
 class TestLoopJoin:
@@ -195,11 +199,7 @@ class TestWithVerticalCuts:
 
 
 class TestBoundedMerge:
-    @staticmethod
-    def _bmi(a, b, required):
-        from repro.core.joins import bounded_merge_intersection
-
-        return bounded_merge_intersection(a, b, required)
+    _bmi = staticmethod(bounded_merge_intersection)
 
     def test_exact_when_bound_reachable(self):
         count, comparisons, completed = self._bmi((1, 3, 5), (3, 4, 5), 2)
@@ -218,7 +218,7 @@ class TestBoundedMerge:
     @given(sorted_ranks, sorted_ranks, st.integers(0, 6))
     def test_matches_full_merge_or_provably_below(self, a, b, required):
         count, _, completed = self._bmi(a, b, required)
-        exact = merge_intersection(a, b)
+        exact = len(set(a) & set(b))
         if completed:
             assert count == exact
         else:

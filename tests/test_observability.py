@@ -385,12 +385,13 @@ class TestServiceTracing:
         query = list(corpus[0].tokens)
         service.search(query, 0.5)
         names = [s.name for s in tracer.spans()]
-        assert names[0] == "probe"
-        assert "cache-lookup" in names
-        assert "prefix-filter" in names
-        for stage in ("positional-bound", "fragment-filters", "verification"):
-            assert stage in names, f"missing probe stage span {stage!r}"
+        assert names == ["probe", "cache-lookup", "prefix-filter",
+                         "verification"]
+        for retired in ("positional-bound", "fragment-filters"):
+            assert retired not in names
         probe = tracer.spans()[0]
+        children = tracer.spans()[1:]
+        assert all(child.parent_id == probe.span_id for child in children)
         assert probe.attrs["cache"] == "miss"
         service.search(query, 0.5)  # now cached
         second = tracer.spans()[len(names)]

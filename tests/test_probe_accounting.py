@@ -1,0 +1,174 @@
+"""Accounting identity: every ``service.probe`` counter of a fixed probe set.
+
+The serving twin of ``test_mr_accounting.py``.  A probe is one candidate
+scan, Lemma 1 on the two sizes and one bounded merge per surviving
+candidate; ``EXPECTED`` pins what that costs — every counter the probe
+emits, nothing else — through the full index, a 3-slice partition of its
+fragments (gathered) and a streaming index with a memtable and three
+generations, at (jaccard, 0.6) and (cosine, 0.7).  Eleven of the queries
+carry tokens the vocabulary has never seen.  A change that shifts
+comparison or candidate counts without changing an answer fails here and
+nowhere else.
+"""
+
+from __future__ import annotations
+
+import random
+
+import pytest
+
+from repro.cluster.node import ShardSlice
+from repro.data import make_corpus
+from repro.data.records import RecordCollection
+from repro.ingest import StreamingIndex
+from repro.mapreduce.counters import Counters
+from repro.mapreduce.hdfs import InMemoryDFS
+from repro.service import SegmentIndex
+from repro.service.index import PROBE_GROUP, merge_hits
+from tests.conftest import brute_force_search
+
+N_VERTICAL = 8
+SLICES = ([0, 3, 6], [1, 4, 7], [2, 5])
+CASES = [("jaccard", 0.6), ("cosine", 0.7)]
+
+#: (route, func) -> the whole ``service.probe`` group.  The slices scan
+#: what the index scans and cede what another slice claims, so everything
+#: but ``probes`` and ``ceded_candidates`` equals the index's row.
+EXPECTED = {
+    ("index", "jaccard"): {
+        "probes": 28, "posting_lookups": 641, "candidates": 501,
+        "pruned_strl": 303, "verified_pairs": 198,
+        "verify_token_comparisons": 5141, "results": 42,
+    },
+    ("slices", "jaccard"): {
+        "probes": 84, "posting_lookups": 641, "ceded_candidates": 117,
+        "candidates": 501, "pruned_strl": 303, "verified_pairs": 198,
+        "verify_token_comparisons": 5141, "results": 42,
+    },
+    ("streaming", "jaccard"): {
+        "probes": 112, "posting_lookups": 2444, "candidates": 1189,
+        "pruned_strl": 623, "verified_pairs": 566,
+        "verify_token_comparisons": 11278, "results": 42,
+    },
+    ("index", "cosine"): {
+        "probes": 28, "posting_lookups": 777, "candidates": 1250,
+        "pruned_strl": 558, "verified_pairs": 692,
+        "verify_token_comparisons": 15048, "results": 44,
+    },
+    ("slices", "cosine"): {
+        "probes": 84, "posting_lookups": 777, "ceded_candidates": 266,
+        "candidates": 1250, "pruned_strl": 558, "verified_pairs": 692,
+        "verify_token_comparisons": 15048, "results": 44,
+    },
+    ("streaming", "cosine"): {
+        "probes": 112, "posting_lookups": 2816, "candidates": 1987,
+        "pruned_strl": 819, "verified_pairs": 1168,
+        "verify_token_comparisons": 24233, "results": 44,
+    },
+}
+
+
+@pytest.fixture(scope="module")
+def corpus():
+    return make_corpus("wiki", 150, seed=17)
+
+
+@pytest.fixture(scope="module")
+def queries(corpus):
+    """28 token lists: 8 records verbatim, 9 cut to a random 80 %, 11 cut
+    and padded with one to three never-seen tokens."""
+    rng = random.Random(29)
+    records = rng.sample(list(corpus), 28)
+    out = [list(record.tokens) for record in records[:8]]
+    for i, record in enumerate(records[8:]):
+        tokens = rng.sample(list(record.tokens), max(2, record.size * 4 // 5))
+        if i >= 9:
+            tokens += [f"never-seen-{i}-{j}" for j in range(1 + i % 3)]
+        out.append(tokens)
+    return out
+
+
+@pytest.fixture(scope="module")
+def index(corpus):
+    return SegmentIndex.build(corpus, n_vertical=N_VERTICAL)
+
+
+@pytest.fixture(scope="module")
+def streaming(corpus):
+    """Base generation + two flushed generations + a non-empty memtable."""
+    records = list(corpus)
+    stream = StreamingIndex.create(
+        InMemoryDFS(), records=RecordCollection(records[:90]),
+        n_vertical=N_VERTICAL,
+    )
+    for lo, hi in ((90, 115), (115, 140)):
+        stream.apply_batch(records[lo:hi])
+        stream.flush()
+    stream.apply_batch(records[140:])
+    assert len(stream.generations) == 3 and len(stream.memtable) == 10
+    return stream
+
+
+def _probe(route, index, streaming, queries, theta, func, counters):
+    if route == "index":
+        return index.probe_batch(
+            [index.encode_query(q) for q in queries], theta, func,
+            counters=counters,
+        )
+    if route == "streaming":
+        return streaming.probe_batch(
+            [streaming.encode_query(q) for q in queries], theta, func,
+            counters=counters,
+        )
+    encoded = [index.encode_query(q) for q in queries]
+    answers = [
+        ShardSlice.carve(index, fragments).probe_batch(
+            encoded, theta, func, counters=counters
+        )
+        for fragments in SLICES
+    ]
+    return [merge_hits(per_query) for per_query in zip(*answers)]
+
+
+@pytest.mark.parametrize("func,theta", CASES)
+@pytest.mark.parametrize("route", ["index", "slices", "streaming"])
+def test_every_probe_counter_is_pinned(route, func, theta, corpus, queries,
+                                       index, streaming):
+    counters = Counters()
+    hits = _probe(route, index, streaming, queries, theta, func, counters)
+    assert hits == [
+        brute_force_search(corpus, tokens, theta, func) for tokens in queries
+    ]
+    assert counters.group(PROBE_GROUP) == EXPECTED[route, func]
+
+
+@pytest.mark.parametrize("func,theta", CASES)
+def test_unknown_tokens_take_the_known_token_path(func, theta, corpus,
+                                                  queries):
+    """Tokens the vocabulary has never seen and tokens it knows but no
+    record holds (what a base generation sees of a token only the memtable
+    has) sort after every other id and match nothing: same candidates,
+    same prunes, same counters emitted — there is one path, not two."""
+    index = SegmentIndex.build(corpus, n_vertical=N_VERTICAL)
+    padded = [q for q in queries if any(t.startswith("never-") for t in q)]
+    assert len(padded) >= 5
+    unknown, known = Counters(), Counters()
+    before = [index.probe(tokens, theta, func, counters=unknown)
+              for tokens in padded]
+    index.vocab.extend(
+        [(t, 1) for q in padded for t in q if t.startswith("never-")]
+    )
+    assert all(index.encode_query(q).n_unknown == 0 for q in padded)
+    after = [index.probe(tokens, theta, func, counters=known)
+             for tokens in padded]
+    assert before == after
+    unknown, known = unknown.group(PROBE_GROUP), known.group(PROBE_GROUP)
+    assert set(unknown) == set(known) == {
+        "probes", "posting_lookups", "candidates", "pruned_strl",
+        "verified_pairs", "verify_token_comparisons", "results",
+    }
+    # A never-seen token is not in the merged id column at all; a known
+    # one sits at its end, where the merge may still walk it.
+    assert (unknown.pop("verify_token_comparisons")
+            <= known.pop("verify_token_comparisons"))
+    assert unknown == known

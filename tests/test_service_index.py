@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core import FSJoin, FSJoinConfig, FilterConfig
+from repro.core import FSJoin, FSJoinConfig
 from repro.data.records import Record, RecordCollection
 from repro.errors import DataError
 from repro.mapreduce.counters import Counters
@@ -65,14 +65,6 @@ class TestProbeExactness:
         hits = index.probe(corpus[0].tokens, 0.9)
         assert hits[0].rid == corpus[0].rid
         assert hits[0].score == 1.0
-
-    def test_filterless_probe_is_still_exact(self, corpus, index):
-        theta = 0.6
-        with_filters = index.probe(corpus[3].tokens, theta)
-        without = index.probe(
-            corpus[3].tokens, theta, filters=FilterConfig.none()
-        )
-        assert with_filters == without
 
     def test_empty_query_matches_nothing(self, index):
         assert index.probe([], 0.5) == []
