@@ -208,7 +208,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     cbuild.add_argument("input", help="corpus file to index and shard")
     cbuild.add_argument("--output", required=True,
-                        help="cluster directory (manifest + shard snapshots)")
+                        help="cluster directory (index.idx + manifest.json)")
     cbuild.add_argument("--shards", type=int, default=4)
     cbuild.add_argument("--replication", type=int, default=1)
     cbuild.add_argument("--vertical", type=int, default=30)

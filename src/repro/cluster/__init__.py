@@ -17,7 +17,7 @@ Components:
   with typed load-shedding, replica failover and skew-aware
   :meth:`~repro.cluster.router.ClusterRouter.rebalance`;
 * :mod:`repro.cluster.build` — build/save/load of whole clusters
-  (per-shard digest-checked snapshots + a JSON manifest);
+  (one digest-checked index snapshot + a JSON manifest holding the plan);
 * :mod:`repro.cluster.health` / :mod:`repro.cluster.repair` — the
   self-healing control plane: tick-driven failure detection,
   anti-entropy digest scrubbing, and automatic replica rebuild with

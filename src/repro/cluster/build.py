@@ -5,41 +5,44 @@
 :class:`~repro.cluster.plan.ShardPlan` and wires up K replicas per shard
 behind a :class:`~repro.cluster.router.ClusterRouter`.
 
-:func:`save_cluster` writes one directory:
+A saved cluster is that index and that plan: :func:`save_cluster` writes
+``index.idx``, an ordinary :func:`~repro.service.snapshot.save_index`
+snapshot of the index the cluster serves (``repro search`` reads it), and
+``manifest.json`` — plan, replication, index epoch, per-fragment content
+digests and the sha256 of ``index.idx``, which binds the pair.
+:func:`load_cluster` is *read manifest → load index → the assembly
+``build_cluster`` runs*, along the saved plan.
 
-* ``manifest.json`` — cluster format/version, the plan, the replication
-  factor and the per-shard snapshot file names;
-* ``shard-NNN.idx`` — one versioned snapshot per shard, written with
-  :func:`repro.service.snapshot.save_index` (so every shard file carries
-  the sha256 integrity digest and fails closed on corruption).
-
-:func:`load_cluster` restores the directory into a router: each shard
-snapshot is loaded once and shared by that shard's replicas (the simulated
-form of "every replica restores the same snapshot").
+There is no file per shard because fragment sharding partitions *posting
+lists*, not records: a slice references the whole id column of every
+record posting into a fragment it owns (replication rate 7.8 at 8
+shards), and pickling each slice turned every shared reference into a
+copy — 51 MB on disk and eight private copies once loaded, for an index
+that pickles to 12.5 MB (``docs/architecture.md`` §5 has the anatomy).
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
-import time
 from pathlib import Path
-from typing import Optional, Union
+from typing import Dict, Optional, Tuple, Union
 
 from repro.core.pivots import PivotMethod
 from repro.data.records import RecordCollection
 from repro.errors import ClusterError, ConfigError
-from repro.observability.tracer import Tracer
 from repro.service.index import SegmentIndex
 from repro.service.snapshot import load_index, save_index
 
-from repro.cluster.failover import BreakerConfig, HedgeConfig, RetryPolicy
 from repro.cluster.node import ShardNode, ShardSlice
 from repro.cluster.plan import ShardPlan, plan_shards
 from repro.cluster.router import ClusterRouter
 
+INDEX_NAME = "index.idx"
 MANIFEST_NAME = "manifest.json"
 MANIFEST_FORMAT = "repro-cluster"
-MANIFEST_VERSION = 1
+#: v2: one full-index snapshot and the plan (v1 held one slice per shard).
+MANIFEST_VERSION = 2
 
 
 def build_cluster(
@@ -49,15 +52,8 @@ def build_cluster(
     n_vertical: int = 30,
     pivot_method: PivotMethod = PivotMethod.EVEN_TF,
     pivot_seed: int = 0,
-    max_in_flight: int = 64,
-    queue_timeout: float = 0.25,
-    tracer: Optional[Tracer] = None,
-    retry: Optional[RetryPolicy] = None,
-    breaker: Optional[BreakerConfig] = None,
-    hedge: Optional[HedgeConfig] = None,
-    clock=time.monotonic,
-    sleep=time.sleep,
     independent_replicas: bool = False,
+    **router_options,
 ) -> ClusterRouter:
     """Shard an index (or a corpus) into a routed, replicated cluster.
 
@@ -70,9 +66,10 @@ def build_cluster(
     of sharing one object — the faithful model for failure drills, where
     corrupting one replica must not corrupt its peers and the scrubber's
     cross-replica digest comparison is meaningful.
+
+    ``router_options`` (``tracer``, ``hedge``, ``clock``, …) are
+    :class:`ClusterRouter`'s, declared there.
     """
-    if replication < 1:
-        raise ConfigError("replication must be >= 1")
     if isinstance(source, SegmentIndex):
         index = source
     else:
@@ -81,154 +78,142 @@ def build_cluster(
             pivot_seed=pivot_seed,
         )
     plan = plan_shards(index.fragment_loads(), n_shards)
+    return _assemble(index, plan, replication, independent_replicas, router_options)
+
+
+def _assemble(
+    index: SegmentIndex,
+    plan: ShardPlan,
+    replication: int,
+    independent_replicas: bool,
+    router_options: Dict,
+) -> ClusterRouter:
+    """Carve ``index`` along ``plan`` and wire ``replication`` replicas per
+    shard — what building and loading a cluster both are."""
+    if replication < 1:
+        raise ConfigError("replication must be >= 1")
     groups = []
     for shard in range(plan.n_shards):
         slice_ = ShardSlice.carve(index, plan.fragments_of(shard))
-        nodes = [ShardNode(shard, 0, slice_)]
-        for r in range(1, replication):
-            replica_slice = slice_.clone() if independent_replicas else slice_
-            nodes.append(ShardNode(shard, r, replica_slice))
-        groups.append(nodes)
+        groups.append([
+            ShardNode(shard, r,
+                      slice_.clone() if r and independent_replicas else slice_)
+            for r in range(replication)
+        ])
     return ClusterRouter(
-        order=index.order,
-        partitioner=index.partitioner,
-        plan=plan,
-        groups=groups,
-        max_in_flight=max_in_flight,
-        queue_timeout=queue_timeout,
-        tracer=tracer,
-        retry=retry,
-        breaker=breaker,
-        hedge=hedge,
-        clock=clock,
-        sleep=sleep,
+        index.order, index.partitioner, plan, groups, **router_options
     )
 
 
-def save_cluster(router: ClusterRouter, directory: Union[str, Path]) -> int:
-    """Persist a cluster as per-shard snapshots plus a manifest.
+def _served_index(router: ClusterRouter) -> SegmentIndex:
+    """The index ``router`` serves, reassembled from its shards without
+    copying: each fragment's posting columns from the shard that owns it
+    under the current plan, each record's id column once."""
+    slices = [router.replica(s, 0).slice for s in range(router.n_shards)]
+    index = SegmentIndex(router.order, router.partitioner, slices[0].pivot_method)
+    for slice_ in slices:
+        for v in slice_.owned_fragments:
+            index._postings[v] = slice_._postings[v]
+        index._ranks.update(slice_._ranks)
+        index._segbounds.update(slice_._segbounds)
+    return index
 
-    Returns total bytes written.  Replicas of a shard serve identical
-    data, so one snapshot per shard suffices; each snapshot carries its
-    own integrity digest.
-    """
+
+def save_cluster(router: ClusterRouter, directory: Union[str, Path]) -> int:
+    """Persist a cluster as ``index.idx`` + ``manifest.json``; returns
+    total bytes written.  Each file is replaced atomically, the manifest —
+    which names the snapshot's sha256 — last, so a crash in between
+    leaves a pair :func:`load_cluster` refuses."""
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
-    shards = []
-    total = 0
-    for shard in range(router.n_shards):
-        slice_ = router.replica(shard, 0).slice
-        filename = f"shard-{shard:03d}.idx"
-        total += save_index(slice_, directory / filename)
-        shards.append({
-            "shard": shard,
-            "file": filename,
-            "fragments": sorted(slice_.owned_fragments),
-            "records": len(slice_),
-            # Per-fragment content digests: what the anti-entropy
-            # scrubber and a snapshot-based rebuild check against.
-            "digests": {str(v): d
-                        for v, d in slice_.content_digests().items()},
-        })
+    index = _served_index(router)
+    index_path = directory / INDEX_NAME
+    total = save_index(index, index_path)
     manifest = {
         "format": MANIFEST_FORMAT,
         "version": MANIFEST_VERSION,
         "replication": router.replication,
         "plan": router.plan.as_dict(),
         "index_epoch": router.index_epoch,
-        "shards": shards,
+        "digests": {str(v): d for v, d in index.content_digests().items()},
+        "sha256": hashlib.sha256(index_path.read_bytes()).hexdigest(),
     }
     manifest_path = directory / MANIFEST_NAME
     tmp = manifest_path.with_name(MANIFEST_NAME + ".tmp")
     tmp.write_text(json.dumps(manifest, indent=2) + "\n", encoding="utf-8")
     tmp.replace(manifest_path)
-    total += manifest_path.stat().st_size
-    return total
+    return total + manifest_path.stat().st_size
+
+
+def read_manifest(directory: Union[str, Path]) -> Dict:
+    """A cluster directory's manifest with ``plan`` as a :class:`ShardPlan`,
+    ``replication`` an int and ``sha256`` a string — or, the file being
+    outside input, a typed :class:`ClusterError`."""
+    path = Path(directory) / MANIFEST_NAME
+    try:
+        manifest = json.loads(path.read_text(encoding="utf-8"))
+    except FileNotFoundError:
+        raise ClusterError(f"no cluster manifest at {path}") from None
+    except (OSError, ValueError) as exc:
+        raise ClusterError(f"unreadable cluster manifest at {path}: {exc}") from None
+    if not isinstance(manifest, dict) or manifest.get("format") != MANIFEST_FORMAT:
+        raise ClusterError(f"{path} is not a {MANIFEST_FORMAT} manifest")
+    if manifest.get("version") != MANIFEST_VERSION:
+        raise ClusterError(
+            f"cluster manifest version mismatch at {path}: file has "
+            f"{manifest.get('version')!r}, this build reads "
+            f"{MANIFEST_VERSION} — rebuild the cluster with "
+            "'repro cluster build'"
+        )
+    try:
+        manifest["plan"] = ShardPlan.from_dict(manifest["plan"])
+        manifest["replication"] = int(manifest["replication"])
+        manifest["sha256"] = str(manifest["sha256"])
+    except (AttributeError, KeyError, TypeError, ValueError, ConfigError) as exc:
+        raise ClusterError(f"malformed cluster manifest at {path}: {exc!r}") from None
+    return manifest
+
+
+def load_saved_index(directory: Union[str, Path]) -> Tuple[Dict, SegmentIndex]:
+    """A cluster directory's checked manifest and its ``index.idx`` —
+    provided the snapshot is the file the manifest was written beside and
+    the saved plan places exactly its fragments."""
+    manifest = read_manifest(directory)
+    path = Path(directory) / INDEX_NAME
+    try:
+        actual = hashlib.sha256(path.read_bytes()).hexdigest()
+    except FileNotFoundError:
+        raise ClusterError(f"no cluster snapshot at {path}") from None
+    if actual != manifest["sha256"]:
+        raise ClusterError(
+            f"{path} (sha256 {actual[:12]}…) and its manifest (records "
+            f"{manifest['sha256'][:12]}…) come from different saves, or the "
+            "snapshot is damaged — rebuild with 'repro cluster build'"
+        )
+    index = load_index(path)
+    placed = sorted(manifest["plan"].assignment)
+    if placed != list(range(index.n_fragments)):
+        raise ClusterError(
+            f"the manifest's plan places fragments {placed} but {path} has "
+            f"fragments 0..{index.n_fragments - 1}"
+        )
+    return manifest, index
 
 
 def load_cluster(
     directory: Union[str, Path],
     replication: Optional[int] = None,
-    max_in_flight: int = 64,
-    queue_timeout: float = 0.25,
-    tracer: Optional[Tracer] = None,
-    retry: Optional[RetryPolicy] = None,
-    breaker: Optional[BreakerConfig] = None,
-    hedge: Optional[HedgeConfig] = None,
-    clock=time.monotonic,
-    sleep=time.sleep,
     independent_replicas: bool = False,
+    **router_options,
 ) -> ClusterRouter:
     """Restore a cluster directory written by :func:`save_cluster`.
 
-    ``replication`` overrides the saved factor (e.g. restore a snapshot
-    set at higher replication for a failover drill).
-    ``independent_replicas`` deep-copies the loaded slice for every
-    replica beyond the first — see :func:`build_cluster`.
+    ``replication`` overrides the saved factor (e.g. for a failover
+    drill); the other options are :func:`build_cluster`'s.
     """
-    directory = Path(directory)
-    manifest_path = directory / MANIFEST_NAME
-    try:
-        manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
-    except FileNotFoundError:
-        raise ClusterError(f"no cluster manifest at {manifest_path}") from None
-    except (OSError, json.JSONDecodeError) as exc:
-        raise ClusterError(
-            f"unreadable cluster manifest at {manifest_path}: {exc}"
-        ) from None
-    if manifest.get("format") != MANIFEST_FORMAT:
-        raise ClusterError(f"{manifest_path} is not a {MANIFEST_FORMAT} manifest")
-    if manifest.get("version") != MANIFEST_VERSION:
-        raise ClusterError(
-            f"cluster manifest version mismatch at {manifest_path}: file has "
-            f"{manifest.get('version')!r}, this build reads {MANIFEST_VERSION}"
-        )
-    plan = ShardPlan.from_dict(manifest["plan"])
+    manifest, index = load_saved_index(directory)
     if replication is None:
-        replication = int(manifest.get("replication", 1))
-    if replication < 1:
-        raise ConfigError("replication must be >= 1")
-    order = None
-    partitioner = None
-    groups = []
-    for entry in sorted(manifest["shards"], key=lambda e: e["shard"]):
-        slice_ = load_index(directory / entry["file"])
-        if not isinstance(slice_, ShardSlice):
-            raise ClusterError(
-                f"{entry['file']} is a plain index snapshot, not a shard "
-                "slice; rebuild the cluster with 'repro cluster build'"
-            )
-        if set(slice_.owned_fragments) != set(
-                plan.fragments_of(entry["shard"])):
-            raise ClusterError(
-                f"{entry['file']} owns fragments "
-                f"{sorted(slice_.owned_fragments)} but the manifest assigns "
-                f"{list(plan.fragments_of(entry['shard']))} — manifest and "
-                "snapshots disagree"
-            )
-        order = order or slice_.order
-        partitioner = partitioner or slice_.partitioner
-        nodes = [ShardNode(entry["shard"], 0, slice_)]
-        for r in range(1, replication):
-            replica_slice = slice_.clone() if independent_replicas else slice_
-            nodes.append(ShardNode(entry["shard"], r, replica_slice))
-        groups.append(nodes)
-    if len(groups) != plan.n_shards:
-        raise ClusterError(
-            f"manifest lists {len(groups)} shard snapshots, plan expects "
-            f"{plan.n_shards}"
-        )
-    return ClusterRouter(
-        order=order,
-        partitioner=partitioner,
-        plan=plan,
-        groups=groups,
-        max_in_flight=max_in_flight,
-        queue_timeout=queue_timeout,
-        tracer=tracer,
-        retry=retry,
-        breaker=breaker,
-        hedge=hedge,
-        clock=clock,
-        sleep=sleep,
+        replication = manifest["replication"]
+    return _assemble(
+        index, manifest["plan"], replication, independent_replicas, router_options
     )

@@ -31,8 +31,9 @@ fragment: no foreign tokens, nothing ceded.
 A :class:`ShardNode` wraps one slice as a routable endpoint: replica
 identity, a liveness flag the failure injector flips, and per-node
 counters.  In this simulated cluster, replicas of one shard share the slice
-object (the data is read-only at serve time); a real deployment would give
-each replica its own copy restored from the same per-shard snapshot.
+object (the data is read-only at serve time) and slices share the record
+columns of the index they were carved from; ``independent_replicas``
+gives each replica beyond the first its own copy (:meth:`ShardSlice.clone`).
 """
 
 from __future__ import annotations
@@ -61,9 +62,6 @@ class FragmentPayload:
     fragment: int
     postings: FragmentPostings
     records: Dict[int, Tuple[Sequence[int], Tuple[int, ...]]]
-
-    def n_postings(self) -> int:
-        return len(self.postings)
 
 
 class ShardSlice(SegmentIndex):
@@ -113,24 +111,16 @@ class ShardSlice(SegmentIndex):
     def clone(self) -> "ShardSlice":
         """A deep, independent copy of this slice.
 
-        A pickle round-trip — the same bytes a per-shard snapshot would
-        restore — so nothing is shared with the source: corrupting (or
-        rebuilding) the clone cannot touch the original.  This is how
-        ``independent_replicas`` clusters give each replica its own
-        storage, and how the repair path re-hydrates a dead replica from
-        a healthy peer.
+        A pickle round-trip, so nothing is shared with the source — not
+        even the record columns slices carved from one index share:
+        corrupting (or rebuilding) the clone cannot touch the original.
+        ``independent_replicas`` and peer repair use it.  Nothing *saved*
+        is a pickled slice (:mod:`repro.cluster.build`): it would copy
+        every column the slice references, 7.8 of 8 shards per record.
         """
         import pickle
 
         return pickle.loads(pickle.dumps(self))
-
-    def content_digests(self) -> Dict[int, str]:
-        """Per-fragment content digests over *owned* fragments only —
-        what the anti-entropy scrubber compares across a shard's
-        replicas."""
-        return {
-            v: self.fragment_digest(v) for v in sorted(self._owned)
-        }
 
     # -- lifecycle guards ----------------------------------------------
     def apply_batch(self, new_records) -> int:

@@ -12,11 +12,13 @@ order:
 2. **Pick a source.**  Preferred: a healthy peer of the same shard whose
    per-fragment content digests match the shard baseline — its slice is
    deep-cloned (:meth:`~repro.cluster.node.ShardSlice.clone`, the same
-   bytes a snapshot restore would produce).  Fallback: the shard's
-   digest-checked snapshot from a :func:`~repro.cluster.build.save_cluster`
-   directory (``load_index`` fails closed on corruption; the manifest's
-   recorded digests are checked against the baseline too).  No source →
-   a typed :class:`~repro.errors.ClusterError`, replica stays fenced.
+   bytes a snapshot restore would produce).  Fallback: the shard carved
+   out of a :func:`~repro.cluster.build.save_cluster` directory's index
+   along the *live* plan — a full index does not depend on placement, so
+   a directory saved before a rebalance still repairs — failing closed on
+   a bad manifest, an unbound pair, a damaged snapshot or a baseline
+   mismatch.  No source → a typed :class:`~repro.errors.ClusterError`,
+   replica stays fenced.
 
 3. **Catch up under a pin.**  An ingest-tier rebuild replays the WAL
    past the manifest's applied sequence
@@ -35,13 +37,12 @@ order:
 
 from __future__ import annotations
 
-import json
 from pathlib import Path
 from typing import Dict, Optional, Union
 
 from repro.errors import ClusterError
-from repro.service.snapshot import load_index
 
+from repro.cluster.build import load_saved_index
 from repro.cluster.node import ShardSlice
 from repro.cluster.router import ClusterRouter
 
@@ -55,9 +56,7 @@ class RepairManager:
         snapshot_dir: Optional[Union[str, Path]] = None,
     ) -> None:
         self.router = router
-        self.snapshot_dir = (
-            Path(snapshot_dir) if snapshot_dir is not None else None
-        )
+        self.snapshot_dir = snapshot_dir
 
     # -- shard replicas --------------------------------------------------
     def rebuild_replica(
@@ -98,47 +97,20 @@ class RepairManager:
                 if peer.slice.content_digests() != baseline:
                     continue
             return peer.slice.clone(), f"peer {peer.name}"
-        slice_ = self._snapshot_slice(shard, baseline)
-        if slice_ is not None:
-            return slice_, "snapshot"
-        raise ClusterError(
-            f"no rebuild source for shard {shard}: no healthy baseline peer "
-            "and no snapshot directory configured"
-        )
+        if self.snapshot_dir is None:
+            raise ClusterError(
+                f"no rebuild source for shard {shard}: no healthy baseline "
+                "peer and no snapshot directory configured"
+            )
+        return self._snapshot_slice(shard, baseline), "snapshot"
 
     def _snapshot_slice(
         self, shard: int, baseline: Optional[Dict[int, str]]
-    ) -> Optional[ShardSlice]:
-        if self.snapshot_dir is None:
-            return None
-        manifest_path = self.snapshot_dir / "manifest.json"
-        try:
-            manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
-        except (OSError, json.JSONDecodeError) as exc:
-            raise ClusterError(
-                f"unreadable cluster manifest at {manifest_path}: {exc}"
-            ) from None
-        entry = next(
-            (e for e in manifest.get("shards", ()) if e["shard"] == shard),
-            None,
-        )
-        if entry is None:
-            raise ClusterError(
-                f"snapshot manifest at {manifest_path} has no shard {shard}"
-            )
-        slice_ = load_index(self.snapshot_dir / entry["file"])
-        if not isinstance(slice_, ShardSlice):
-            raise ClusterError(
-                f"{entry['file']} is not a shard slice snapshot"
-            )
-        planned = set(self.router.plan.fragments_of(shard))
-        if set(slice_.owned_fragments) != planned:
-            raise ClusterError(
-                f"snapshot for shard {shard} owns "
-                f"{sorted(slice_.owned_fragments)} but the live plan assigns "
-                f"{sorted(planned)} — the snapshot predates a migration; "
-                "resave the cluster"
-            )
+    ) -> ShardSlice:
+        _manifest, index = load_saved_index(self.snapshot_dir)
+        # ``index`` was unpickled for this call and is dropped after it,
+        # so the carved slice shares its columns with nothing live.
+        slice_ = ShardSlice.carve(index, self.router.plan.fragments_of(shard))
         if baseline is not None:
             digests = slice_.content_digests()
             if digests != baseline:

@@ -425,19 +425,21 @@ class ClusterRouter:
             self._heat.clear()
 
     def storage_stats(self) -> Dict[str, int]:
-        """Cluster-wide columnar storage totals (summed over shards).
-
-        Each shard contributes its first replica's slice (replicas share
-        the slice object in this simulated cluster); ``posting_bytes`` /
-        ``record_bytes`` are actual array-buffer bytes, see
-        :meth:`repro.service.index.SegmentIndex.posting_stats`.
-        """
-        totals = {"postings": 0, "posting_bytes": 0, "record_bytes": 0}
-        for group in self._groups:
-            stats = group[0].slice.posting_stats()
-            for key in totals:
-                totals[key] += stats[key]
-        return totals
+        """The columnar storage the cluster holds, in actual array-buffer
+        bytes (:meth:`~repro.service.index.SegmentIndex.posting_stats`):
+        every distinct slice's posting columns, and each distinct record id
+        column once — slices carved from one index share them, so only
+        ``independent_replicas`` clones add copies."""
+        slices = [s for group in self._groups for s in _distinct_slices(group)]
+        stats = [slice_.posting_stats() for slice_ in slices]
+        columns = {id(c): c for slice_ in slices for c in slice_._ranks.values()}
+        return {
+            "postings": sum(s["postings"] for s in stats),
+            "posting_bytes": sum(s["posting_bytes"] for s in stats),
+            "record_bytes": sum(
+                c.buffer_info()[1] * c.itemsize for c in columns.values()
+            ),
+        }
 
     # -- the streaming write tier ---------------------------------------
     @property
@@ -1165,9 +1167,9 @@ class ClusterRouter:
     def _migrate(self, fragment: int, src: int, dst: int) -> None:
         """Ship one fragment's postings + record metadata between shards.
 
-        Replicas of a shard may share one slice object (the in-memory
-        cluster) or hold their own copies (restored snapshots); migration
-        therefore applies to each *distinct* slice exactly once.
+        Replicas of a shard share one slice object unless the cluster was
+        assembled with ``independent_replicas``; migration therefore
+        applies to each *distinct* slice exactly once.
         """
         donor_slices = _distinct_slices(self._groups[src])
         target_slices = _distinct_slices(self._groups[dst])

@@ -31,13 +31,13 @@ or manifests written by a crashed flush/compaction that never committed.
 from __future__ import annotations
 
 import hashlib
-import pickle
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
-from repro.errors import IngestError
+from repro.errors import IngestError, SnapshotError
 from repro.mapreduce.hdfs import InMemoryDFS
 from repro.service.index import SegmentIndex
+from repro.service.snapshot import pack_index, unpack_index
 
 CURRENT_NAME = "CURRENT"
 COMMITTED_NAME = "COMMITTED"
@@ -47,11 +47,6 @@ SEGMENT_FORMAT = "repro-ingest-segment"
 SEGMENT_VERSION = 3
 MANIFEST_FORMAT = "repro-ingest-manifest"
 MANIFEST_VERSION = 1
-
-_PICKLE_ERRORS = (
-    pickle.UnpicklingError, EOFError, AttributeError, ImportError,
-    IndexError, KeyError, TypeError, ValueError,
-)
 
 
 def manifest_digest(doc: Dict) -> str:
@@ -103,9 +98,7 @@ class GenerationStore:
 
     def persist(self, gen_id: int, level: int, index: SegmentIndex) -> Generation:
         """Write one generation payload; returns its live handle."""
-        index._seal()
-        body = pickle.dumps(index, protocol=pickle.HIGHEST_PROTOCOL)
-        digest = hashlib.sha256(body).hexdigest()
+        body, digest = pack_index(index)
         path = self.path_of(gen_id)
         meta = {
             "format": SEGMENT_FORMAT,
@@ -129,33 +122,24 @@ class GenerationStore:
         meta = pairs.get("meta")
         body = pairs.get("index")
         digest = pairs.get("digest")
-        if (
-            not isinstance(meta, dict)
-            or meta.get("format") != SEGMENT_FORMAT
-            or not isinstance(body, bytes)
-        ):
+        if not isinstance(meta, dict) or meta.get("format") != SEGMENT_FORMAT:
             raise IngestError(f"{path!r} is not an ingest segment payload")
         if meta.get("version") != SEGMENT_VERSION:
             raise IngestError(
                 f"segment version mismatch at {path!r}: "
                 f"{meta.get('version')!r} != {SEGMENT_VERSION}"
             )
-        actual = hashlib.sha256(body).hexdigest()
-        if actual != digest or (
-            expected_digest is not None and actual != expected_digest
-        ):
+        if expected_digest not in (None, digest):
             raise IngestError(
-                f"segment at {path!r} failed its integrity check "
-                f"(sha256 {actual[:12]}…) — refusing to load"
+                f"segment at {path!r} failed its integrity check (manifest "
+                f"records sha256 {expected_digest[:12]}…) — refusing to load"
             )
         try:
-            index = pickle.loads(body)
-        except _PICKLE_ERRORS as exc:
+            index = unpack_index(body, digest)
+        except SnapshotError as exc:
             raise IngestError(
-                f"segment payload at {path!r} is unreadable: {exc}"
+                f"segment at {path!r} {exc} — refusing to load"
             ) from None
-        if not isinstance(index, SegmentIndex):
-            raise IngestError(f"segment at {path!r} carries no index")
         return Generation(
             gen_id=meta["gen"], level=meta["level"], index=index,
             path=path, digest=digest, order_size=meta["order_size"],

@@ -12,8 +12,7 @@ fan-outs (``search_batch`` over the thread executor, callers serving
 concurrent requests against one shared :class:`SimilarityService`), and an
 unsynchronized ``OrderedDict`` corrupts under concurrent ``move_to_end``/
 ``popitem`` — ``tests/test_service_cache_stress.py`` hammers exactly that
-pattern.  The lock is *internal* state and deliberately excluded from
-pickling so cached services stay snapshot-friendly.
+pattern.
 
 Hit/miss/eviction accounting lives in the service's
 :class:`~repro.mapreduce.counters.Counters` (the cache itself stays a dumb
@@ -80,18 +79,3 @@ class LRUCache(Generic[V]):
         """Keys from least to most recently used (for tests)."""
         with self._lock:
             return tuple(self._entries)
-
-    # -- pickling (locks are not picklable) ----------------------------
-    def __getstate__(self):
-        with self._lock:
-            return {
-                "capacity": self.capacity,
-                "entries": list(self._entries.items()),
-                "evictions": self.evictions,
-            }
-
-    def __setstate__(self, state) -> None:
-        self.capacity = state["capacity"]
-        self._entries = OrderedDict(state["entries"])
-        self._lock = threading.Lock()
-        self.evictions = state["evictions"]

@@ -347,8 +347,11 @@ class SegmentIndex:
         return hasher.hexdigest()
 
     def content_digests(self) -> Dict[int, str]:
-        """Per-fragment content digests (see :meth:`fragment_digest`)."""
-        return {v: self.fragment_digest(v) for v in range(self.n_fragments)}
+        """Content digests (see :meth:`fragment_digest`) of the fragments
+        this index scans — what the anti-entropy scrubber compares across
+        a shard's replicas."""
+        owned = range(self.n_fragments) if self._owned is None else self._owned
+        return {v: self.fragment_digest(v) for v in sorted(owned)}
 
     # -- probing -------------------------------------------------------
     def encode_query(self, tokens: Iterable[str]) -> EncodedQuery:

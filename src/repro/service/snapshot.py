@@ -29,7 +29,7 @@ import hashlib
 import os
 import pickle
 from pathlib import Path
-from typing import Union
+from typing import Tuple, Union
 
 from repro.errors import SnapshotError
 from repro.service.index import SegmentIndex
@@ -44,15 +44,46 @@ _PICKLE_ERRORS = (
 )
 
 
+def pack_index(index: SegmentIndex) -> Tuple[bytes, str]:
+    """``index`` as its pickled payload and the payload's sha256 — what a
+    snapshot file and an ingest generation both store."""
+    body = pickle.dumps(index, protocol=pickle.HIGHEST_PROTOCOL)
+    return body, hashlib.sha256(body).hexdigest()
+
+
+def unpack_index(body, recorded: str) -> SegmentIndex:
+    """The index in ``body``, unpickled only once the bytes hash to
+    ``recorded``; else a :class:`SnapshotError` whose message is a bare
+    predicate for the caller to prefix with what and where."""
+    if not isinstance(body, bytes):
+        raise SnapshotError("carries no index payload")
+    digest = hashlib.sha256(body).hexdigest()
+    if digest != recorded:
+        raise SnapshotError(
+            f"failed its integrity check (sha256 {digest[:12]}… != recorded "
+            f"{str(recorded)[:12]}…)"
+        )
+    try:
+        index = pickle.loads(body)
+    except _PICKLE_ERRORS as exc:
+        raise SnapshotError(
+            "is unreadable despite a valid digest (written by an "
+            f"incompatible build?): {exc}"
+        ) from None
+    if not isinstance(index, SegmentIndex):
+        raise SnapshotError("carries no index payload")
+    return index
+
+
 def save_index(index: SegmentIndex, path: Union[str, Path]) -> int:
     """Persist ``index`` at ``path`` atomically; returns the byte size."""
     path = Path(path)
-    body = pickle.dumps(index, protocol=pickle.HIGHEST_PROTOCOL)
+    body, digest = pack_index(index)
     payload = {
         "format": SNAPSHOT_FORMAT,
         "version": SNAPSHOT_VERSION,
         "stats": index.posting_stats(),
-        "digest": hashlib.sha256(body).hexdigest(),
+        "digest": digest,
         "index_bytes": body,
     }
     data = pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL)
@@ -103,24 +134,9 @@ def load_index(path: Union[str, Path]) -> SegmentIndex:
             f"this build reads {SNAPSHOT_VERSION} — "
             "rebuild the index with 'repro index'"
         )
-    body = payload.get("index_bytes")
-    if not isinstance(body, bytes):
-        raise SnapshotError(f"snapshot at {path} carries no index payload")
-    digest = hashlib.sha256(body).hexdigest()
-    if digest != payload.get("digest"):
-        raise SnapshotError(
-            f"snapshot at {path} failed its integrity check "
-            f"(sha256 {digest[:12]}… != recorded "
-            f"{str(payload.get('digest'))[:12]}…) — the file is "
-            "corrupted; rebuild the index with 'repro index'"
-        )
     try:
-        index = pickle.loads(body)
-    except _PICKLE_ERRORS as exc:
+        return unpack_index(payload.get("index_bytes"), payload.get("digest"))
+    except SnapshotError as exc:
         raise SnapshotError(
-            f"snapshot payload at {path} is unreadable despite a valid "
-            f"digest (written by an incompatible build?): {exc}"
+            f"snapshot at {path} {exc} — rebuild the index with 'repro index'"
         ) from None
-    if not isinstance(index, SegmentIndex):
-        raise SnapshotError(f"snapshot at {path} carries no index payload")
-    return index

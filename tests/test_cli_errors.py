@@ -130,6 +130,45 @@ class TestEveryVerbFailsClosed:
             capsys, ["cluster", "status", str(tmp_path / "nope")]
         )
 
+    @pytest.mark.parametrize("manifest, match", [
+        ('{"format": "repro-cluster", "version": 1}', "repro cluster build"),
+        ('{"format": "repro-cluster", "version": 2}', "malformed"),
+        ('["repro-cluster", 2]', "not a repro-cluster manifest"),
+    ])
+    def test_cluster_status_malformed_manifest(self, tmp_path, corpus_file,
+                                               capsys, manifest, match):
+        """The manifest is outside input: a version-1 directory, a missing
+        plan and a JSON list are one ``error:`` line, never a traceback."""
+        cluster_dir = tmp_path / "c"
+        assert main(["cluster", "build", corpus_file,
+                     "--output", str(cluster_dir)]) == 0
+        capsys.readouterr()
+        (cluster_dir / "manifest.json").write_text(manifest)
+        assert_one_line_error(
+            capsys, ["cluster", "status", str(cluster_dir)], match=match
+        )
+
+    @pytest.mark.parametrize("verb", [
+        ["cluster", "status"],
+        ["cluster", "search", "--query", "a b"],
+        ["cluster", "serve-sim"],
+        ["gateway", "serve-sim"],
+        ["serve", "--port", "0"],
+    ])
+    def test_every_cluster_dir_verb_refuses_a_swapped_snapshot(
+            self, tmp_path, corpus_file, capsys, verb):
+        cluster_dir = tmp_path / "c"
+        assert main(["cluster", "build", corpus_file,
+                     "--output", str(cluster_dir)]) == 0
+        # The same corpus cut into other fragments: a valid snapshot, but
+        # not the one this manifest was written beside.
+        assert main(["index", corpus_file, "--vertical", "4", "--output",
+                     str(cluster_dir / "index.idx")]) == 0
+        capsys.readouterr()
+        assert_one_line_error(
+            capsys, verb + [str(cluster_dir)], match="different saves",
+        )
+
     def test_serve_bad_port(self, tmp_path, corpus_file, capsys):
         cluster_dir = tmp_path / "c"
         assert main(["cluster", "build", corpus_file,

@@ -2,17 +2,34 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 import pickle
 
 import pytest
 
 from repro.cluster import build_cluster, load_cluster, save_cluster
-from repro.cluster.build import MANIFEST_NAME
+from repro.cluster.build import INDEX_NAME, MANIFEST_NAME, read_manifest
 from repro.errors import ClusterError, ConfigError, SnapshotError
 from repro.service.index import SegmentIndex
-from repro.service.snapshot import save_index
-from tests.conftest import random_collection
+from repro.service.snapshot import load_index
+from tests.conftest import brute_force_search, random_collection
+
+
+#: Manifests that are valid JSON of the right format and version but the
+#: wrong shape — outside input ``load_cluster`` must refuse, typed.
+MALFORMED_MANIFESTS = [
+    ["repro-cluster", 2],
+    {"format": "repro-cluster", "version": 2},
+    {"format": "repro-cluster", "version": 2, "replication": 1,
+     "sha256": "", "plan": ["not", "a", "plan"]},
+    {"format": "repro-cluster", "version": 2, "replication": 1,
+     "sha256": "", "plan": {"n_shards": 1, "assignment": {"0": 7}}},
+    {"format": "repro-cluster", "version": 2, "replication": "two",
+     "sha256": "", "plan": {"n_shards": 1, "assignment": {"0": 0}}},
+    {"format": "repro-cluster", "version": 2, "replication": 1,
+     "plan": {"n_shards": 1, "assignment": {"0": 0}}},
+]
 
 
 @pytest.fixture(scope="module")
@@ -61,19 +78,27 @@ class TestSaveLoad:
         for record in corpus:
             for theta in (0.5, 0.8):
                 assert restored.search(record.tokens, theta) == \
-                    index.probe(record.tokens, theta)
+                    index.probe(record.tokens, theta) == \
+                    brute_force_search(corpus, record.tokens, theta)
 
     def test_manifest_contents(self, saved):
+        """A saved cluster is two files — one index snapshot and a manifest
+        holding the plan and that snapshot's sha256 (format v2; v1 listed
+        one ``shard-NNN.idx`` file, fragment set and record count per
+        shard)."""
         router, directory = saved
+        assert sorted(p.name for p in directory.iterdir()) == [
+            INDEX_NAME, MANIFEST_NAME,
+        ]
         manifest = json.loads((directory / MANIFEST_NAME).read_text())
         assert manifest["format"] == "repro-cluster"
+        assert manifest["version"] == 2
         assert manifest["replication"] == 2
-        assert len(manifest["shards"]) == 3
-        for entry in manifest["shards"]:
-            assert (directory / entry["file"]).exists()
-            assert entry["fragments"] == sorted(
-                router.replica(entry["shard"], 0).slice.owned_fragments
-            )
+        assert "shards" not in manifest
+        assert manifest["sha256"] == hashlib.sha256(
+            (directory / INDEX_NAME).read_bytes()
+        ).hexdigest()
+        assert read_manifest(directory)["plan"] == router.plan
 
     def test_replication_override(self, saved):
         _, directory = saved
@@ -84,7 +109,7 @@ class TestSaveLoad:
         with pytest.raises(ConfigError):
             load_cluster(directory, replication=0)
 
-    def test_save_after_rebalance_roundtrips(self, index, tmp_path):
+    def test_save_after_rebalance_roundtrips(self, index, corpus, tmp_path):
         router = build_cluster(index, n_shards=3)
         donor = max(range(3),
                     key=lambda s: len(router.plan.fragments_of(s)))
@@ -99,7 +124,42 @@ class TestSaveLoad:
         assert restored.plan == router.plan
         for rid in (0, 5, 11):
             assert restored.search(restored.tokens_of(rid), 0.5) == \
-                index.probe(index.tokens_of(rid), 0.5)
+                index.probe(index.tokens_of(rid), 0.5) == \
+                brute_force_search(corpus, index.tokens_of(rid), 0.5)
+
+    @pytest.mark.parametrize("loaded", [False, True])
+    def test_record_columns_are_stored_once(self, saved, index, loaded):
+        """Every record id column is one object however many shards
+        reference it — in a loaded cluster exactly as in a built one —
+        and ``storage_stats`` counts it once."""
+        router, directory = saved
+        if loaded:
+            router = load_cluster(directory)
+        slices = [router.replica(s, 0).slice for s in range(router.n_shards)]
+        shared = 0
+        for a in slices:
+            for b in slices:
+                for rid in a._ranks.keys() & b._ranks.keys():
+                    assert a._ranks[rid] is b._ranks[rid]
+                    shared += a is not b
+        assert shared
+        expected = index.posting_stats()
+        storage = router.storage_stats()
+        assert storage["record_bytes"] == expected["record_bytes"]
+        assert storage["postings"] == expected["postings"]
+
+    def test_independent_replicas_share_nothing(self, saved, index):
+        _, directory = saved
+        router = load_cluster(directory, independent_replicas=True)
+        for shard in range(router.n_shards):
+            primary = router.replica(shard, 0).slice
+            clone = router.replica(shard, 1).slice
+            assert clone is not primary
+            assert clone.content_digests() == primary.content_digests()
+            for rid, column in clone._ranks.items():
+                assert column is not primary._ranks[rid]
+        assert router.storage_stats()["record_bytes"] > \
+            index.posting_stats()["record_bytes"]
 
 
 class TestLoadFailures:
@@ -127,32 +187,80 @@ class TestLoadFailures:
         with pytest.raises(ClusterError, match="version mismatch"):
             load_cluster(directory)
 
-    def test_plain_index_snapshot_rejected(self, saved, index):
-        _, directory = saved
-        save_index(index, directory / "shard-000.idx")
-        with pytest.raises(ClusterError, match="plain index snapshot"):
-            load_cluster(directory)
+    def test_plain_index_snapshot_rejected(self, saved, corpus):
+        """Flipped by format v2: the directory's ``index.idx`` *is* a plain
+        index snapshot (v1 refused one in a shard file's place) — it loads
+        with ``load_index`` and probes as the router searches."""
+        router, directory = saved
+        plain = load_index(directory / INDEX_NAME)
+        assert type(plain) is SegmentIndex
+        for record in corpus[::7]:
+            assert plain.probe(record.tokens, 0.5) == \
+                router.search(record.tokens, 0.5)
 
     def test_corrupted_shard_snapshot_fails_closed(self, saved):
-        # Snapshot integrity (the sha256 digest) must protect every shard
-        # file: flip one byte of the pickled slice and the load refuses.
+        """Flip one byte of ``index.idx`` (v1: of a shard file): the pair
+        binding refuses it, and — were the manifest re-pointed at the
+        damaged file — so does the snapshot's own sha256 digest."""
         _, directory = saved
-        path = directory / "shard-001.idx"
+        path = directory / INDEX_NAME
         payload = pickle.loads(path.read_bytes())
         body = bytearray(payload["index_bytes"])
         body[len(body) // 2] ^= 0xFF
         payload["index_bytes"] = bytes(body)
         path.write_bytes(pickle.dumps(payload))
+        with pytest.raises(ClusterError, match="different saves"):
+            load_cluster(directory)
+        manifest = json.loads((directory / MANIFEST_NAME).read_text())
+        manifest["sha256"] = hashlib.sha256(path.read_bytes()).hexdigest()
+        (directory / MANIFEST_NAME).write_text(json.dumps(manifest))
         with pytest.raises(SnapshotError, match="integrity check"):
             load_cluster(directory)
 
-    def test_manifest_snapshot_disagreement(self, saved):
+    def test_manifest_snapshot_disagreement(self, saved, tmp_path):
+        """Another save's ``index.idx`` under this manifest (v1: two shard
+        files swapped) is refused by sha256 before anything is unpickled."""
+        _, directory = saved
+        other = random_collection(40, vocab=30, max_len=10, seed=5)
+        save_cluster(build_cluster(other, n_shards=3, n_vertical=6),
+                     tmp_path / "other")
+        (directory / INDEX_NAME).write_bytes(
+            (tmp_path / "other" / INDEX_NAME).read_bytes()
+        )
+        with pytest.raises(ClusterError, match="different saves"):
+            load_cluster(directory)
+
+    def test_missing_snapshot(self, saved):
+        _, directory = saved
+        (directory / INDEX_NAME).unlink()
+        with pytest.raises(ClusterError, match="no cluster snapshot"):
+            load_cluster(directory)
+
+    def test_version_one_directory_is_refused(self, tmp_path):
+        """A per-shard (v1) directory has no reader: one typed line naming
+        the command that rebuilds it."""
+        (tmp_path / MANIFEST_NAME).write_text(json.dumps({
+            "format": "repro-cluster", "version": 1, "replication": 1,
+            "plan": {"n_shards": 1, "assignment": {"0": 0}},
+            "shards": [{"shard": 0, "file": "shard-000.idx",
+                        "fragments": [0], "records": 0}],
+        }))
+        with pytest.raises(ClusterError, match="repro cluster build"):
+            load_cluster(tmp_path)
+
+    @pytest.mark.parametrize("document", MALFORMED_MANIFESTS)
+    def test_malformed_manifest_is_typed(self, saved, document):
+        _, directory = saved
+        (directory / MANIFEST_NAME).write_text(json.dumps(document))
+        with pytest.raises(ClusterError, match="(malformed|not a) .*manifest"):
+            read_manifest(directory)
+        with pytest.raises(ClusterError):
+            load_cluster(directory)
+
+    def test_plan_must_place_the_index_fragments(self, saved):
         _, directory = saved
         manifest = json.loads((directory / MANIFEST_NAME).read_text())
-        a = manifest["shards"][0]["file"]
-        b = manifest["shards"][1]["file"]
-        manifest["shards"][0]["file"] = b
-        manifest["shards"][1]["file"] = a
+        del manifest["plan"]["assignment"]["0"]
         (directory / MANIFEST_NAME).write_text(json.dumps(manifest))
-        with pytest.raises(ClusterError, match="disagree"):
+        with pytest.raises(ClusterError, match="places fragments"):
             load_cluster(directory)

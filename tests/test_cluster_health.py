@@ -28,7 +28,9 @@ from repro.ingest import StreamingIndex
 from repro.mapreduce.hdfs import InMemoryDFS
 from repro.observability import Tracer
 from repro.service import SegmentIndex
+from repro.service.snapshot import save_index
 from repro.similarity.functions import SimilarityFunction
+from tests.conftest import brute_force_search
 
 THETAS = (0.5, 0.8)
 FUNCS = (SimilarityFunction.JACCARD, SimilarityFunction.COSINE)
@@ -321,6 +323,54 @@ class TestRepairSources:
             assert router.search(record.tokens, 0.6) \
                 == index.probe(record.tokens, 0.6)
 
+    def test_snapshot_saved_before_a_rebalance_still_repairs(self, tmp_path):
+        """A saved index does not depend on placement: the shard is carved
+        along the *live* plan, so a migration after the save does not
+        turn the directory into a refused repair source."""
+        records = make_corpus("wiki", 120, seed=13)
+        index = SegmentIndex.build(records, n_vertical=10)
+        router = build_cluster(index, n_shards=3, replication=1)
+        save_cluster(router, tmp_path / "snap")
+        donor = max(range(3), key=lambda s: len(router.plan.fragments_of(s)))
+        with router._lock:
+            for fragment in router.plan.fragments_of(donor):
+                router._heat[fragment] = 50
+        moves = router.rebalance(skew_threshold=1.0)
+        assert moves
+        repair = RepairManager(router, snapshot_dir=tmp_path / "snap")
+        for shard in {moves[0].src, moves[0].dst}:
+            router.replica(shard, 0).fail()
+            assert "rebuilt from snapshot" in repair.rebuild_replica(shard, 0)
+        for record in records[::7]:
+            for theta in THETAS:
+                assert router.search(record.tokens, theta) \
+                    == brute_force_search(records, record.tokens, theta)
+
+    @pytest.mark.parametrize("damage", ["manifest", "swap", "flip", "missing"])
+    def test_bad_snapshot_is_typed_and_leaves_replica_fenced(
+            self, tmp_path, damage):
+        records = make_corpus("wiki", 60, seed=13)
+        router = build_cluster(SegmentIndex.build(records, n_vertical=10),
+                               n_shards=2, replication=1)
+        save_cluster(router, tmp_path / "snap")
+        snapshot = tmp_path / "snap" / "index.idx"
+        if damage == "manifest":
+            (tmp_path / "snap" / "manifest.json").write_text("[]")
+        elif damage == "swap":
+            save_index(SegmentIndex.build(records[:30], n_vertical=10),
+                       snapshot)
+        elif damage == "flip":
+            data = bytearray(snapshot.read_bytes())
+            data[len(data) // 2] ^= 0xFF
+            snapshot.write_bytes(bytes(data))
+        else:
+            snapshot.unlink()
+        repair = RepairManager(router, snapshot_dir=tmp_path / "snap")
+        router.replica(0, 0).fail()
+        with pytest.raises(ClusterError):
+            repair.rebuild_replica(0, 0)
+        assert router.replica(0, 0).fenced
+
     def test_no_source_is_typed_and_leaves_replica_fenced(self):
         records = make_corpus("wiki", 60, seed=13)
         clock = ChaosClock()
@@ -471,9 +521,10 @@ class TestStatusSurfaces:
             (tmp_path / "snap" / "manifest.json").read_text()
         )
         assert manifest["index_epoch"] == 0
-        for entry in manifest["shards"]:
-            assert entry["digests"]
-            slice_ = router.replica(entry["shard"], 0).slice
-            assert entry["digests"] == {
-                str(v): d for v, d in slice_.content_digests().items()
-            }
+        # Format v2: one flat fragment → digest map (v1 nested one map per
+        # shard entry), equal to what the owning slices report.
+        owned = {}
+        for shard in range(router.n_shards):
+            owned.update(router.replica(shard, 0).slice.content_digests())
+        assert len(owned) == router.plan.n_fragments
+        assert manifest["digests"] == {str(v): d for v, d in owned.items()}
