@@ -3,30 +3,32 @@
 A :class:`ShardSlice` is a :class:`~repro.service.index.SegmentIndex`
 restricted to the fragments a shard owns: it keeps the columnar posting
 runs for owned fragments only, plus the *full* id column and segment bounds
-of every record that posts into them — the id column is exactly what the
-claim rule and verification read, so a slice probes with the unmodified
-single-node code: it defines no candidate generator of its own.
+of every record that posts into them — the id column is exactly what
+verification and the claim rule read, so a slice probes with the
+unmodified single-node code: it defines no candidate generator of its own.
 
 The one thing a slice changes is the *owned set* the base scan
 (:meth:`SegmentIndex._scan_candidates
-<repro.service.index.SegmentIndex._scan_candidates>`) reads.  On a single
+<repro.service.index.SegmentIndex._scan_candidates>`) walks.  On a single
 node, a candidate's "first hit" is the globally smallest-id common prefix
 token (Theorem 1: each pair is generated in exactly one fragment).  Across
-shards the same pair would collide on several shards' fragments, so the
-scan applies the claim rule:
+shards the same pair collides on several shards' fragments; each slice
+lists it at *its own* first hit and verifies it from there, and the claim
+rule is asked of the pairs that pass:
 
-    a slice claims candidate ``t`` iff the first common token between the
+    a slice reports hit ``t`` iff the first common token between the
     probe prefix and ``t`` lies in a fragment this slice owns.
 
-The rule is locally checkable — the slice holds ``t``'s full id column, so
-it can test whether any *earlier* probed token from a foreign fragment is in
-``t`` — and it partitions every (query, candidate) pair to exactly one
-shard.  Verification reads only the pair's two id columns, so it decides
-every pair as the single node does, and the union of per-shard hit lists
-is bit-identical to ``SegmentIndex.probe``
+The rule is locally checkable — the slice holds ``t``'s full id column, and
+a probe token below its first hit that ``t`` holds can only be one it did
+not scan, in a fragment another slice owns — and it assigns every (query,
+hit) pair to exactly one shard: candidate sets overlap, hit lists do not
+(the exactness argument is in :meth:`SegmentIndex._evaluate_columnar
+<repro.service.index.SegmentIndex._evaluate_columnar>`).  The union of
+per-shard hit lists is bit-identical to ``SegmentIndex.probe``
 (``tests/test_cluster_router.py`` property-tests this, failure injection
 and rebalance included).  The full index is the slice that owns every
-fragment: no foreign tokens, nothing ceded.
+fragment: every first hit is the pair's first common token, nothing to ask.
 
 A :class:`ShardNode` wraps one slice as a routable endpoint: replica
 identity, a liveness flag the failure injector flips, and per-node
@@ -65,7 +67,10 @@ class FragmentPayload:
 
 
 class ShardSlice(SegmentIndex):
-    """A SegmentIndex restricted to an owned set of fragments."""
+    """A SegmentIndex restricted to an owned set of fragments: it scans
+    their posting runs only, verifies each candidate from its own first
+    hit and reports the hits whose first common token it owns — its
+    candidates may also be another slice's, its hits never are."""
 
     def __init__(self, order, partitioner, pivot_method,
                  owned: Iterable[int]) -> None:

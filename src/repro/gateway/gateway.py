@@ -55,7 +55,7 @@ from repro.errors import (
 )
 from repro.mapreduce.counters import Counters
 from repro.observability.histogram import LatencyHistogram
-from repro.observability.tracer import NOOP_TRACER, Tracer
+from repro.observability.tracer import Tracer
 from repro.service.cache import LRUCache
 from repro.service.index import QueryKey, SearchHit, query_key, view_hits
 from repro.similarity.functions import SimilarityFunction

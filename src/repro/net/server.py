@@ -43,7 +43,7 @@ from __future__ import annotations
 import asyncio
 import time
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, Optional, Set, Tuple
 
 from repro.data.records import Record
 from repro.errors import ConfigError, DrainingError, ProtocolError, ReproError

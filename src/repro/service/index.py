@@ -22,21 +22,24 @@ A probe is exact: candidate generation uses the record-level prefix filter
 its prefix — any pair with ``sim ≥ θ`` must collide on a probed token),
 the length filter (Lemma 1) only discards pairs whose sizes prove them
 dissimilar, and survivors go through the same early-terminating merge +
-threshold rule as :func:`repro.similarity.verify.verify_pair`.  The
-probe verifies, it does not re-filter: the fragment lemmas of
-:mod:`repro.core.filters` are for a reducer that holds one fragment of
-each record, and a slice holds the whole column.
+threshold rule as :func:`repro.similarity.verify.verify_pair` — started
+at the pair's first hit, below which the scan has already shown the two
+records share nothing.  The probe verifies, it does not re-filter: the
+fragment lemmas of :mod:`repro.core.filters` are for a reducer that holds
+one fragment of each record, and a slice holds the whole column.
 ``tests/test_service_index.py`` property-tests that ``probe`` returns
 precisely the partner set ``FSJoin.run`` produces, for several θ and
 similarity functions.
 
 There is one candidate scan, :meth:`SegmentIndex._scan_candidates`, and
 one way to it, :meth:`SegmentIndex.probe_batch`: a single probe is a batch
-of one, and a full index is the slice that owns every fragment (the
-cross-shard claim rule lives in the scan and reads the owned set, which
-only :class:`~repro.cluster.node.ShardSlice` narrows).  The scan is batched
-over the flat posting columns, and verification's threshold algebra
-(``required_overlap``/``length_lower_bound``) is cached per partner size.
+of one, and a full index is the slice that owns every fragment (the scan
+walks the owned set, which only :class:`~repro.cluster.node.ShardSlice`
+narrows, and cedes nothing; the cross-shard claim rule is asked of the
+pairs that pass verification, in :meth:`SegmentIndex._evaluate_columnar`).
+The scan is batched over the flat posting columns, and verification's
+threshold algebra (``required_overlap``/``length_lower_bound``) is cached
+per partner size.
 
 **Result-ordering contract**: every probe's hit list is sorted by
 ``(-score, rid)`` — descending score, ascending record id on ties — and
@@ -331,6 +334,12 @@ class SegmentIndex:
         digest.  This is what the cluster's anti-entropy scrubber compares
         across replicas of a shard.
         """
+        return self._fragment_digest(fragment, {})
+
+    def _fragment_digest(self, fragment: int, encoded: Dict[int, bytes]) -> str:
+        """:meth:`fragment_digest`, with each record's encoding memoized in
+        ``encoded`` — a record posts into several fragments and its bytes
+        are the same in each."""
         import hashlib
 
         postings = self._postings[fragment]
@@ -340,18 +349,22 @@ class SegmentIndex:
         for token, run in postings.items():
             hasher.update(repr((token, sorted(run))).encode("utf-8"))
         for rid in sorted(set(postings.rids)):
-            hasher.update(
-                repr((rid, tuple(self._ranks[rid]),
-                      tuple(self._segbounds[rid]))).encode("utf-8")
-            )
+            blob = encoded.get(rid)
+            if blob is None:
+                blob = encoded[rid] = repr(
+                    (rid, tuple(self._ranks[rid]), tuple(self._segbounds[rid]))
+                ).encode("utf-8")
+            hasher.update(blob)
         return hasher.hexdigest()
 
     def content_digests(self) -> Dict[int, str]:
         """Content digests (see :meth:`fragment_digest`) of the fragments
         this index scans — what the anti-entropy scrubber compares across
-        a shard's replicas."""
+        a shard's replicas.  Each record is encoded once per call, not
+        once per fragment it posts into."""
         owned = range(self.n_fragments) if self._owned is None else self._owned
-        return {v: self.fragment_digest(v) for v in sorted(owned)}
+        encoded: Dict[int, bytes] = {}
+        return {v: self._fragment_digest(v, encoded) for v in sorted(owned)}
 
     # -- probing -------------------------------------------------------
     def encode_query(self, tokens: Iterable[str]) -> EncodedQuery:
@@ -456,27 +469,24 @@ class SegmentIndex:
         counters: Optional[Counters],
     ) -> List[Dict[int, int]]:
         """Each query's candidates and the query position of their first
-        prefix collision.
+        scanned prefix collision.
 
-        Every query's prefix tokens are collected and sorted — ascending
-        token id is ascending fragment, fragments being id ranges — so
-        each distinct token's posting run is looked up *once* and walked
-        for every query that probes it, and a candidate's recorded first
-        hit is its globally smallest common prefix token (what the claim
-        rule reads) whether the query comes alone or in a batch.
+        Every query's prefix tokens in the fragments this index owns
+        (:attr:`_owned`) are collected and sorted — ascending token id is
+        ascending fragment, fragments being id ranges — so each distinct
+        token's posting run is looked up *once* and walked for every query
+        that probes it, and a candidate's recorded ``qpos`` is the
+        position of the smallest scanned prefix token it holds, whether
+        the query comes alone or in a batch: every scanned token below
+        ``qpos`` missed it.
 
-        **The claim rule.**  Prefix tokens in fragments outside
-        :attr:`_owned` are not scanned here; they are the query's
-        *foreign* tokens.  A candidate that holds one of them below its
-        first hit collides earlier in a fragment another slice scans — it
-        is that slice's candidate and is ceded here — so the slices'
-        candidate sets are disjoint, their union is the full index's
-        (Theorem 1, across shards), and every claimed first hit equals
-        the full index's.  An index that scans every fragment has no
-        foreign tokens and cedes nothing.
+        The scan cedes nothing.  Slices that own different fragments of
+        one prefix may both list a candidate, each at its own first hit:
+        the union of their candidate sets and the *smallest* ``qpos`` per
+        candidate are the full index's, and which slice reports a pair is
+        decided on the hit, in :meth:`_evaluate_columnar`.
         """
         probes: List[Tuple[int, int, int, int]] = []
-        foreign_of: Dict[int, List[int]] = {}
         plen_cache: Dict[int, int] = {}
         owned = self._owned
         for qi, query in enumerate(queries):
@@ -490,7 +500,6 @@ class SegmentIndex:
             limit = min(plen, len(q_ids))
             for v, start, end in self.partitioner.split_bounds(q_ids[:limit]):
                 if owned is not None and v not in owned:
-                    foreign_of.setdefault(qi, []).extend(q_ids[start:end])
                     continue
                 for qpos in range(start, end):
                     probes.append((q_ids[qpos], qi, qpos, v))
@@ -520,25 +529,7 @@ class SegmentIndex:
                 rid = rids[k]
                 if rid not in candidates:
                     candidates[rid] = qpos
-        ceded = 0
-        ranks_of = self._ranks
-        for qi, foreign in foreign_of.items():
-            q_ids = queries[qi].ranks
-            claimed = {}
-            # First hits were recorded in ascending qpos order, so the
-            # foreign tokens below them change only when qpos does.
-            at_qpos, earlier = -1, ()
-            for rid, qpos in candidate_sets[qi].items():
-                if qpos != at_qpos:
-                    at_qpos = qpos
-                    earlier = foreign[:bisect_left(foreign, q_ids[at_qpos])]
-                if earlier and _any_rank_present(earlier, ranks_of[rid]):
-                    ceded += 1
-                else:
-                    claimed[rid] = qpos
-            candidate_sets[qi] = claimed
         _bump(counters, "posting_lookups", lookups)
-        _bump(counters, "ceded_candidates", ceded)
         return candidate_sets
 
     def _evaluate_columnar(
@@ -552,17 +543,43 @@ class SegmentIndex:
         tau_cache: Dict[Tuple[int, int], int],
         lower_cache: Dict[int, int],
     ) -> List[SearchHit]:
-        """Verify one query's candidates against their whole id columns.
+        """Verify one query's candidates from their first hit on, and
+        claim the hits that are this index's to report.
 
         StrL (Lemma 1) on the two sizes, then one early-terminating merge
         against τ.  Lemmas 2–4 bound a pair from one fragment because a
         filter-job reducer sees nothing else; here both full columns are
         at hand, and the merge's running bound (matches so far + shorter
         remaining suffix < τ) is the tightest positional bound there is,
-        so nothing runs ahead of it.  Unknown query tokens only enlarge
-        ``|q|``.  ``required_overlap``/``length_lower_bound`` are memoized
-        per size in ``tau_cache``/``lower_cache`` across the batch, and
-        counters accumulate in locals and flush once per probe.
+        so nothing runs ahead of it.
+
+        **The merge starts where the scan stopped**: at ``qpos`` in the
+        query and ``tpos = bisect_left(t, q[qpos])`` in the candidate
+        ``t``, which holds ``q[qpos]`` there.  The merge's bound ahead of
+        its first comparison, ``min(|q| − qpos, |t| − tpos) < τ``, is then
+        PPJoin's positional filter: most candidates cost no comparison.
+
+        **The claim rule, on hits.**  A pair is reported by the slice that
+        owns the fragment of its first common token (Theorem 1, across
+        shards).  Every *scanned* token below ``qpos`` missed ``t``, so a
+        token of ``q[:qpos]`` that ``t`` holds lies in another slice's
+        fragment, that slice's first hit is earlier and it reports the
+        pair; here the pair is ceded (``ceded_candidates``).  Only pairs
+        that pass τ are asked, and a full index (``_owned is None``) or a
+        first hit at ``qpos == 0`` has nothing to ask.
+
+        Exactness.  For a claimed pair — and every pair of a full index —
+        nothing is common below ``(qpos, tpos)``: ``q[:qpos]`` misses
+        ``t`` and ``t[:tpos]`` lies below ``q[qpos]``.  The count from
+        there is the whole overlap and the bound is valid at every step.
+        For a pair another slice claims the count is an underestimate, so
+        the pair either fails τ here or passes and is ceded by the check:
+        per-slice hit lists are those of a scan that cedes up front.
+
+        Unknown query tokens only enlarge ``|q|``.  ``required_overlap``/
+        ``length_lower_bound`` are memoized per size in ``tau_cache``/
+        ``lower_cache`` across the batch, and counters accumulate in
+        locals and flush once per probe.
         """
         _bump(counters, "probes", 1)
         if not candidates:
@@ -571,11 +588,12 @@ class SegmentIndex:
         size_q = query.size
         ranks_of = self._ranks
         merge = bounded_merge_intersection
+        sliced = self._owned is not None
         hits: List[SearchHit] = []
-        n_pruned_strl = n_verify_cmp = 0
+        n_pruned_strl = n_verify_cmp = n_ceded = 0
         with tracer.span("verification", phase="service",
                          candidates=len(candidates)):
-            for rid in candidates:
+            for rid, qpos in candidates.items():
                 t_ranks = ranks_of[rid]
                 size_t = len(t_ranks)
                 small, large = (
@@ -594,15 +612,24 @@ class SegmentIndex:
                     tau = tau_cache[(size_q, size_t)] = required_overlap(
                         func, theta, size_q, size_t
                     )
-                common, comparisons, _completed = merge(q_ranks, t_ranks, tau)
+                common, comparisons, _completed = merge(
+                    q_ranks, t_ranks, tau,
+                    qpos, bisect_left(t_ranks, q_ranks[qpos]),
+                )
                 n_verify_cmp += comparisons
                 score = verify_overlap(func, theta, common, size_q, size_t)
-                if score is not None:
+                if score is None:
+                    continue
+                if sliced and qpos and _any_rank_present(
+                        q_ranks[:qpos], t_ranks):
+                    n_ceded += 1
+                else:
                     hits.append(SearchHit(rid, score))
         _bump(counters, "candidates", len(candidates))
         _bump(counters, "pruned_strl", n_pruned_strl)
         _bump(counters, "verified_pairs", len(candidates) - n_pruned_strl)
         _bump(counters, "verify_token_comparisons", n_verify_cmp)
+        _bump(counters, "ceded_candidates", n_ceded)
         _bump(counters, "results", len(hits))
         hits.sort(key=lambda hit: (-hit.score, hit.rid))
         return hits

@@ -55,7 +55,8 @@ def intersection_size(
 
 
 def bounded_merge_intersection(
-    a: Sequence[int], b: Sequence[int], required: int = 1
+    a: Sequence[int], b: Sequence[int], required: int = 1,
+    i: int = 0, j: int = 0,
 ) -> Tuple[int, int, bool]:
     """Merge-count with positional early termination (PPJoin-style).
 
@@ -70,8 +71,18 @@ def bounded_merge_intersection(
     never fire mid-merge, so the result is always exact.  ``comparisons``
     counts the token comparisons actually performed, the quantity the
     ``fsjoin.filter`` and ``service.probe`` counters report.
+
+    ``i`` and ``j`` are start offsets: the merge runs over ``a[i:]`` and
+    ``b[j:]`` without slicing them, and every returned value is what the
+    two slices would give (an offset at or past the end is an empty
+    input).  A caller that knows nothing is common below ``(i, j)`` — the
+    serving probe, whose scan found the pair's first common token there —
+    gets the whole overlap, and the bound's check ahead of the first
+    comparison, ``min(len(a) − i, len(b) − j) < required``, is then
+    PPJoin's positional filter: a pair whose suffixes past the first hit
+    are too short is abandoned with no comparison at all.
     """
-    i = j = count = comparisons = 0
+    count = comparisons = 0
     len_a, len_b = len(a), len(b)
     while i < len_a and j < len_b:
         remaining_a = len_a - i

@@ -131,6 +131,15 @@ def brute_force_search(records, tokens, theta, func="jaccard"):
     return sorted(hits, key=lambda hit: (-hit.score, hit.rid))
 
 
+def first_common_fragment(index, tokens, record):
+    """The claim oracle: the fragment holding the first token, in global
+    order, that ``tokens`` and ``record`` share — the one fragment whose
+    owner reports the pair (Theorem 1, across shards).  Set algebra, the
+    order's ranks and the pivot cuts; no scan, prefix or merge."""
+    first = min(map(index.order.rank, set(tokens) & record.token_set()))
+    return index.partitioner.partition_of(first)
+
+
 @pytest.fixture
 def small_records() -> RecordCollection:
     """A tiny deterministic collection with known near-duplicates."""

@@ -30,7 +30,11 @@ from repro.observability.tracer import Tracer
 from repro.service.index import SegmentIndex
 from repro.service.service import SimilarityService
 from repro.similarity.functions import SimilarityFunction
-from tests.conftest import brute_force_search, random_collection
+from tests.conftest import (
+    brute_force_search,
+    first_common_fragment,
+    random_collection,
+)
 
 THETAS = (0.5, 0.8)
 FUNCS = (SimilarityFunction.JACCARD, SimilarityFunction.COSINE)
@@ -213,9 +217,13 @@ class TestBitIdentity:
                     sorted(targets[down])
                 )
                 # What the live shards claimed: the full answer minus the
-                # dead shard's disjoint share, order preserved.
-                live = set(partial.hits)
-                assert list(partial.hits) == [h for h in full if h in live]
+                # hits whose first common token the dead shard owns.
+                lost = router.plan.fragments_of(down)
+                assert list(partial.hits) == [
+                    hit for hit in full
+                    if first_common_fragment(
+                        index, tokens, corpus.get(hit.rid)) not in lost
+                ]
             else:
                 assert router.search(tokens, theta) == full
                 assert router.search_batch([tokens], theta) == [full]
@@ -254,8 +262,10 @@ class TestOneScan:
     def test_any_partition_of_the_fragments(self, index, corpus, owners,
                                             batch, theta, func):
         """``owners[v]`` names fragment ``v``'s slice: the slices' candidate
-        sets are disjoint, their union is the full index's (same first
-        hits), and their gathered answers are the index's and the
+        sets overlap — each lists a candidate at its own first hit — but
+        their union is the full index's, the smallest ``qpos`` a
+        candidate was listed at is the full index's, their hit lists are
+        disjoint, and their gathered answers are the index's and the
         brute-force scan's."""
         fragments_of = {}
         for fragment, owner in enumerate(owners):
@@ -270,17 +280,46 @@ class TestOneScan:
                    for slice_ in slices]
         expected = index.probe_batch(queries, theta, func)
         for qi, tokens in enumerate(batch):
-            union = {}
+            first_hit = {}
             for part in parts:
-                assert union.keys().isdisjoint(part[qi])
-                union.update(part[qi])
-            assert union == whole[qi]
+                for rid, qpos in part[qi].items():
+                    first_hit[rid] = min(qpos, first_hit.get(rid, qpos))
+            assert first_hit == whole[qi]
+            reported = set()
+            for answer in answers:
+                rids = {hit.rid for hit in answer[qi]}
+                assert reported.isdisjoint(rids)
+                reported |= rids
             gathered = sorted(
                 (hit for answer in answers for hit in answer[qi]),
                 key=lambda hit: (-hit.score, hit.rid),
             )
             assert gathered == expected[qi]
             assert gathered == brute_force_search(corpus, tokens, theta, func)
+
+    @settings(max_examples=60, deadline=None)
+    @given(owners=st.lists(st.integers(0, 7), min_size=8, max_size=8),
+           batch=query_batches,
+           theta=st.sampled_from([0.3, 0.5, 0.8]),
+           func=st.sampled_from(FUNCS))
+    def test_a_hit_is_reported_where_its_first_common_token_lives(
+            self, index, corpus, owners, batch, theta, func):
+        """The claim rule against an oracle that shares no code with the
+        probe: a slice's answer is exactly the brute-force hits whose
+        first common token falls in a fragment it owns — each hit from
+        that one slice and no other."""
+        queries = [index.encode_query(tokens) for tokens in batch]
+        for owner in set(owners):
+            answer = ShardSlice.carve(
+                index, [v for v in range(8) if owners[v] == owner]
+            ).probe_batch(queries, theta, func)
+            for qi, tokens in enumerate(batch):
+                assert answer[qi] == [
+                    hit
+                    for hit in brute_force_search(corpus, tokens, theta, func)
+                    if owners[first_common_fragment(
+                        index, tokens, corpus.get(hit.rid))] == owner
+                ]
 
     @settings(max_examples=40, deadline=None)
     @given(batch=query_batches,

@@ -2,13 +2,24 @@
 
 The serving twin of ``test_mr_accounting.py``.  A probe is one candidate
 scan, Lemma 1 on the two sizes and one bounded merge per surviving
-candidate; ``EXPECTED`` pins what that costs — every counter the probe
-emits, nothing else — through the full index, a 3-slice partition of its
-fragments (gathered) and a streaming index with a memtable and three
-generations, at (jaccard, 0.6) and (cosine, 0.7).  Eleven of the queries
-carry tokens the vocabulary has never seen.  A change that shifts
-comparison or candidate counts without changing an answer fails here and
-nowhere else.
+candidate, started at the candidate's first hit; ``EXPECTED`` pins what
+that costs — every counter the probe emits, nothing else — through the
+full index, a 3-slice partition of its fragments (gathered) and a
+streaming index with a memtable and three generations, at (jaccard, 0.6)
+and (cosine, 0.7).  Eleven of the queries carry tokens the vocabulary has
+never seen.  A change that shifts comparison or candidate counts without
+changing an answer fails here and nowhere else.
+
+What moved when the merge took the scan's first hit as its start offsets
+and the claim rule moved from candidates to hits: on ``index`` and
+``streaming`` only ``verify_token_comparisons``, downward (from 5 141 and
+15 048 on the index — and, then, on the slices — and 11 278 and 24 233
+streaming); on ``slices``, ``probes`` / ``posting_lookups`` / ``results``
+are unchanged, ``candidates`` is the old ``candidates +
+ceded_candidates`` (618 = 501 + 117, 1 516 = 1 250 + 266 — nothing is
+ceded before verification any more, so ``pruned_strl`` and
+``verified_pairs`` grow with it) and ``ceded_candidates`` counts ceded
+*hits* (18 / 31; it counted 117 / 266 candidates).
 """
 
 from __future__ import annotations
@@ -25,45 +36,46 @@ from repro.mapreduce.counters import Counters
 from repro.mapreduce.hdfs import InMemoryDFS
 from repro.service import SegmentIndex
 from repro.service.index import PROBE_GROUP, merge_hits
-from tests.conftest import brute_force_search
+from tests.conftest import brute_force_search, first_common_fragment
 
 N_VERTICAL = 8
 SLICES = ([0, 3, 6], [1, 4, 7], [2, 5])
 CASES = [("jaccard", 0.6), ("cosine", 0.7)]
 
 #: (route, func) -> the whole ``service.probe`` group.  The slices scan
-#: what the index scans and cede what another slice claims, so everything
-#: but ``probes`` and ``ceded_candidates`` equals the index's row.
+#: what the index scans (same ``posting_lookups``) and report what it
+#: reports (same ``results``), but a candidate two slices list is verified
+#: by both, each from its own first hit.
 EXPECTED = {
     ("index", "jaccard"): {
         "probes": 28, "posting_lookups": 641, "candidates": 501,
         "pruned_strl": 303, "verified_pairs": 198,
-        "verify_token_comparisons": 5141, "results": 42,
+        "verify_token_comparisons": 2836, "results": 42,
     },
     ("slices", "jaccard"): {
-        "probes": 84, "posting_lookups": 641, "ceded_candidates": 117,
-        "candidates": 501, "pruned_strl": 303, "verified_pairs": 198,
-        "verify_token_comparisons": 5141, "results": 42,
+        "probes": 84, "posting_lookups": 641, "ceded_candidates": 18,
+        "candidates": 618, "pruned_strl": 335, "verified_pairs": 283,
+        "verify_token_comparisons": 4051, "results": 42,
     },
     ("streaming", "jaccard"): {
         "probes": 112, "posting_lookups": 2444, "candidates": 1189,
         "pruned_strl": 623, "verified_pairs": 566,
-        "verify_token_comparisons": 11278, "results": 42,
+        "verify_token_comparisons": 3562, "results": 42,
     },
     ("index", "cosine"): {
         "probes": 28, "posting_lookups": 777, "candidates": 1250,
         "pruned_strl": 558, "verified_pairs": 692,
-        "verify_token_comparisons": 15048, "results": 44,
+        "verify_token_comparisons": 2881, "results": 44,
     },
     ("slices", "cosine"): {
-        "probes": 84, "posting_lookups": 777, "ceded_candidates": 266,
-        "candidates": 1250, "pruned_strl": 558, "verified_pairs": 692,
-        "verify_token_comparisons": 15048, "results": 44,
+        "probes": 84, "posting_lookups": 777, "ceded_candidates": 31,
+        "candidates": 1516, "pruned_strl": 673, "verified_pairs": 843,
+        "verify_token_comparisons": 4720, "results": 44,
     },
     ("streaming", "cosine"): {
         "probes": 112, "posting_lookups": 2816, "candidates": 1987,
         "pruned_strl": 819, "verified_pairs": 1168,
-        "verify_token_comparisons": 24233, "results": 44,
+        "verify_token_comparisons": 4406, "results": 44,
     },
 }
 
@@ -140,6 +152,35 @@ def test_every_probe_counter_is_pinned(route, func, theta, corpus, queries,
         brute_force_search(corpus, tokens, theta, func) for tokens in queries
     ]
     assert counters.group(PROBE_GROUP) == EXPECTED[route, func]
+
+
+@pytest.mark.parametrize("func,theta", CASES)
+def test_every_record_as_a_query_through_the_slices(func, theta, corpus,
+                                                    index):
+    """The hit-rich regime (1.45 hits a query; the harness's workloads
+    have under one), the only one where the ceded-hit check runs often:
+    each slice answers exactly the brute-force hits whose first common
+    token it owns, so the gathered answer is the brute-force scan's."""
+    queries = [record.tokens for record in corpus]
+    encoded = [index.encode_query(tokens) for tokens in queries]
+    full = [brute_force_search(corpus, tokens, theta, func)
+            for tokens in queries]
+    counters = Counters()
+    answers = [
+        ShardSlice.carve(index, fragments).probe_batch(
+            encoded, theta, func, counters=counters
+        )
+        for fragments in SLICES
+    ]
+    for fragments, answer in zip(SLICES, answers):
+        assert answer == [
+            [hit for hit in hits
+             if first_common_fragment(
+                 index, tokens, corpus.get(hit.rid)) in fragments]
+            for tokens, hits in zip(queries, full)
+        ]
+    assert [merge_hits(per_query) for per_query in zip(*answers)] == full
+    assert counters.get(PROBE_GROUP, "ceded_candidates") > len(corpus)
 
 
 @pytest.mark.parametrize("func,theta", CASES)

@@ -7,7 +7,12 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.similarity.functions import SimilarityFunction, jaccard
-from repro.similarity.verify import intersection_size, verify_overlap, verify_pair
+from repro.similarity.verify import (
+    bounded_merge_intersection,
+    intersection_size,
+    verify_overlap,
+    verify_pair,
+)
 
 sorted_lists = st.lists(
     st.integers(0, 60), max_size=25, unique=True
@@ -108,6 +113,25 @@ class TestEarlyTermination:
             assert bounded < required
             assert exact < required
             assert verify_overlap(func, theta, exact, len(a), len(b)) is None
+
+
+class TestMergeStartOffsets:
+    """The start offsets are a slice, not a new algorithm."""
+
+    @given(sorted_lists, sorted_lists, st.data())
+    def test_offsets_are_slices(self, a, b, data):
+        required = data.draw(st.integers(0, max(len(a), len(b)) + 1))
+        i = data.draw(st.integers(0, len(a)))
+        j = data.draw(st.integers(0, len(b)))
+        assert bounded_merge_intersection(
+            a, b, required, i, j
+        ) == bounded_merge_intersection(a[i:], b[j:], required)
+
+    @pytest.mark.parametrize("i,j", [(4, 0), (0, 4), (3, 3), (9, 9)])
+    def test_offsets_past_the_end_are_empty_inputs(self, i, j):
+        empty = bounded_merge_intersection([], [1, 2, 3], 2)
+        assert empty == (0, 0, True)
+        assert bounded_merge_intersection([1, 2, 3], [1, 2, 3], 2, i, j) == empty
 
 
 class TestVerifyOverlap:
