@@ -10,12 +10,15 @@ of flushes.
 Merging is deliberately boring — and that is the correctness argument:
 the merged index is built by inserting every constituent record in
 ascending rid order through the standard ``SegmentIndex`` insert path,
-under the same shared order and partitioner.  That makes the merged
-generation *structurally* identical (equal pickle bytes) to a fresh
-index built from the same records, which the chaos drill asserts
-directly.  Record gathering fans out per generation through the
-pluggable executors, so a thread/process pool can prepare a large merge
-while the serial path stays the deterministic default.
+under the same shared order and the merge's partitioner.  That makes the
+merged generation *structurally* identical (equal pickle bytes) to a
+fresh index built from the same records, which the chaos drill asserts
+directly.  What is merged is each record's stored id column, not its
+tokens: ids are append-only under the shared order, so decoding a column
+to strings only to intern them again would return the same column, and
+the insert path re-splits it under whatever cuts the merge was given.
+Gathering fans out per generation through the pluggable executors, and
+the serial path stays the deterministic default.
 
 Pivot re-derivation answers the skew question the ROADMAP imports from
 the adaptive-join and MapReduce-limits papers: batch-appended tokens are
@@ -31,13 +34,14 @@ cuts and bumps the pivot epoch in the manifest.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import List, Optional, Sequence, Tuple
 
 from repro.core.ordering import GlobalOrder
 from repro.core.partitioning import VerticalPartitioner
 from repro.core.pivots import PivotMethod, select_pivots
-from repro.data.records import Record
 from repro.ingest.generations import Generation
 from repro.mapreduce.executors import TaskExecutor
 from repro.service.index import SegmentIndex
@@ -78,23 +82,25 @@ class LeveledPolicy:
         return None
 
 
-def gather_records(
+def gather_columns(
     generations: Sequence[Generation], executor: TaskExecutor
-) -> List[Record]:
-    """All records of ``generations``, ascending rid, gathered in parallel.
+) -> List[Tuple[int, array]]:
+    """Every record of ``generations`` as ``(rid, id column)``, ascending
+    rid, gathered in parallel.
 
-    ``run_tasks`` returns per-generation lists in task-index order, so the
-    gather is deterministic for any executor backend; rids are disjoint
-    across generations, so one final sort yields the global order.
+    The columns are the generations' own (ids are append-only under the
+    shared order, so a stored column is what re-encoding the record's
+    tokens would return).  ``run_tasks`` returns per-generation lists in
+    task-index order, so the gather is deterministic for any executor
+    backend; rids are disjoint across generations, so one final sort
+    yields the global order.
     """
-    def one(gen: Generation) -> List[Record]:
-        return [
-            Record(rid, gen.index.tokens_of(rid)) for rid in gen.index.rids()
-        ]
+    def one(gen: Generation) -> List[Tuple[int, array]]:
+        return list(gen.index._ranks.items())
 
     per_gen = executor.run_tasks(one, list(generations))
-    merged = [record for chunk in per_gen for record in chunk]
-    merged.sort(key=lambda record: record.rid)
+    merged = [column for chunk in per_gen for column in chunk]
+    merged.sort(key=itemgetter(0))
     return merged
 
 
@@ -107,8 +113,8 @@ def merge_generations(
 ) -> SegmentIndex:
     """Build the merged index for a plan's input generations."""
     merged = SegmentIndex(order, partitioner, pivot_method)
-    for record in gather_records(generations, executor):
-        merged._insert(record)
+    for rid, ids in gather_columns(generations, executor):
+        merged._insert_ids(rid, ids)
     merged._seal()
     return merged
 

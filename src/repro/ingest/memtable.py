@@ -16,9 +16,11 @@ concatenating — record ids are disjoint across tiers — is bit-identical
 to probing a single index built from the union.  The property tests in
 ``tests/test_ingest_memtable.py`` pin this down.
 
-Sealing is cheap by design: the memtable's inner index *becomes* the
-flushed generation (its posting columns are sealed in place), and a new
-empty memtable takes over — no rebuild on the write path.
+Absorbing a batch costs the batch: its postings are staged, probes read
+the stage behind each sealed run, and nothing is rebuilt between an
+append and the probe that must see it.  The posting columns are built
+once, by :meth:`Memtable.seal` at flush: the inner index *becomes* the
+flushed generation (sealed in place) and a new empty memtable takes over.
 """
 
 from __future__ import annotations
@@ -53,7 +55,8 @@ class Memtable:
         return self.index.rids()
 
     def apply_batch(self, records: Iterable[Record]) -> int:
-        """Absorb a batch (interning fresh tokens); all-or-nothing."""
+        """Absorb a batch (interning fresh tokens, staging its postings);
+        all-or-nothing."""
         return self.index.apply_batch(records)
 
     def records(self) -> List[Record]:
@@ -67,6 +70,7 @@ class Memtable:
         return stats["posting_bytes"] + stats["record_bytes"]
 
     def seal(self) -> SegmentIndex:
-        """Freeze the inner index for hand-off as an immutable generation."""
+        """Freeze the inner index for hand-off as an immutable generation:
+        the one time its staged postings are merged into flat columns."""
         self.index._seal()
         return self.index

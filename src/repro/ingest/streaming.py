@@ -6,11 +6,16 @@ The write path per accepted batch:
    is logged — the batch is all-or-nothing across every tier);
 2. append the batch to the WAL and its commit marker — the durability
    point: from here a crash replays the batch on recovery;
-3. absorb it into the memtable (interning fresh tokens append-only);
+3. absorb it into the memtable (interning fresh tokens append-only,
+   staging its postings) — the visibility point: probes read the stage;
 4. when the memtable passes its size limit, **flush**: seal it into an
    immutable level-0 generation, persist the payload, and commit a new
    manifest whose ``wal_applied_seq`` covers the flushed batches;
 5. when a level over-fills (or pivot skew drifts), **compact**.
+
+Steps 1–3 cost the batch — O(batch × tiers) lookups, O(batch) logged
+entries under a running segment digest, O(batch) staged postings; only
+4 and 5 are proportional to state, and they are amortized by design.
 
 The read path merges tiers: a probe runs against the memtable and every
 generation with one shared :class:`~repro.service.index.EncodedQuery`
@@ -32,6 +37,7 @@ orphans from crashed commits, and replays the WAL tail beyond
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.core.ordering import GlobalOrder
@@ -601,15 +607,19 @@ class StreamingIndex:
     def to_segment_index(self) -> SegmentIndex:
         """A fresh single ``SegmentIndex`` over the union of all tiers.
 
-        Built by inserting every record ascending-rid through the standard
-        insert path under the current order and partitioner — the same
-        construction compaction uses, so after a full compaction the lone
-        generation is structurally identical (equal pickle bytes) to this.
-        Used for snapshot export and the chaos drill's identity check.
+        Built by inserting every record's id column ascending-rid through
+        the standard insert path under the current order and partitioner —
+        the same construction compaction uses, so after a full compaction
+        the lone generation is structurally identical (equal pickle bytes)
+        to this.  Used for snapshot export and the chaos drill's identity
+        check.
         """
         union = SegmentIndex(self.order, self.partitioner, self.pivot_method)
-        for rid in self.rids():
-            union._insert(Record(rid, self.tokens_of(rid)))
+        columns = [
+            column for tier in self._tiers() for column in tier._ranks.items()
+        ]
+        for rid, ids in sorted(columns, key=itemgetter(0)):
+            union._insert_ids(rid, ids)
         union._seal()
         return union
 

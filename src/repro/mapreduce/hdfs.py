@@ -42,13 +42,18 @@ def content_digest(pairs: Iterable[Pair]) -> str:
     data (ints, floats, strings, tuples) that flows between jobs, and
     independent of pickling details.
     """
-    hasher = hashlib.sha256()
+    return _feed(hashlib.sha256(), pairs).hexdigest()
+
+
+def _feed(hasher, pairs: Iterable[Pair]):
+    """Run ``hasher`` on over ``pairs`` in :func:`content_digest`'s
+    serialization; returns it."""
     for key, value in pairs:
         hasher.update(repr(key).encode("utf-8"))
         hasher.update(b"\x1f")
         hasher.update(repr(value).encode("utf-8"))
         hasher.update(b"\n")
-    return hasher.hexdigest()
+    return hasher
 
 
 class InMemoryDFS:
@@ -57,7 +62,10 @@ class InMemoryDFS:
     def __init__(self, fault_hook: Optional[FaultHook] = None) -> None:
         self._files: Dict[str, List[Pair]] = {}
         self._sizes: Dict[str, int] = {}
-        self._digests: Dict[str, str] = {}
+        #: path → the sha256 state of everything written to it.  Its
+        #: hexdigest is the path's recorded digest; kept as a state so
+        #: that an append hashes its chunk and not the file.
+        self._hashers: Dict[str, Any] = {}
         #: consulted before every operation; settable after construction so
         #: a chaos schedule can attach to an already-wired pipeline.
         self.fault_hook = fault_hook
@@ -82,35 +90,50 @@ class InMemoryDFS:
             raise DFSError(f"path already exists: {path!r}")
         data = list(pairs)
         size = sum(estimate_pair_size(k, v) for k, v in data)
-        digest = content_digest(data)
+        hasher = _feed(hashlib.sha256(), data)
         # Commit point: nothing above may mutate the store.
         self._files[path] = data
         self._sizes[path] = size
-        self._digests[path] = digest
+        self._hashers[path] = hasher
         return size
 
     def append(self, path: str, pairs: Iterable[Pair]) -> int:
         """Append ``pairs`` to ``path`` (creating it if absent); returns the
         estimated byte size of the appended chunk.
 
-        Appends are atomic: the chunk is fully materialized, sized, and the
-        combined digest recomputed *before* the stored list is touched, so
-        a failure while consuming ``pairs`` — or an injected fault from the
-        hook, consulted first — leaves the existing content byte-identical.
+        Appends are atomic: the chunk is fully materialized, sized and
+        hashed *before* the store is touched, so a failure while consuming
+        ``pairs`` — or an injected fault from the hook, consulted first —
+        leaves the existing content, size and digest byte-identical.
         A torn write can therefore only come from a crash *between* two
         append calls (e.g. records appended, commit marker not), which is
         exactly the failure the WAL replay protocol must tolerate.
+
+        An append costs its chunk.  The digest runs on: every path keeps
+        the sha256 state of what was written to it, and an append feeds
+        the chunk to a copy of that state and publishes it at the commit
+        point — byte-equal to ``content_digest(read(path))`` without
+        re-serializing what is already there.  The stored list is
+        replaced, not extended (a C-speed copy), so a list :meth:`read`
+        returned earlier does not grow under its reader.
+
+        The recorded digest therefore continues from what was *written*,
+        not from what is stored: after :meth:`corrupt`, appends keep
+        :meth:`verify` false instead of re-deriving a digest that blesses
+        the damage.
         """
         self._check("append", path)
         chunk = list(pairs)
         existing = self._files.get(path, [])
-        combined = existing + chunk
         size = sum(estimate_pair_size(k, v) for k, v in chunk)
-        digest = content_digest(combined)
+        written = self._hashers.get(path)
+        hasher = _feed(
+            hashlib.sha256() if written is None else written.copy(), chunk
+        )
         # Commit point: nothing above may mutate the store.
-        self._files[path] = combined
+        self._files[path] = existing + chunk
         self._sizes[path] = self._sizes.get(path, 0) + size
-        self._digests[path] = digest
+        self._hashers[path] = hasher
         return size
 
     def rename(self, src: str, dst: str) -> None:
@@ -127,7 +150,7 @@ class InMemoryDFS:
             raise DFSError(f"destination already exists: {dst!r}")
         self._files[dst] = self._files.pop(src)
         self._sizes[dst] = self._sizes.pop(src)
-        self._digests[dst] = self._digests.pop(src)
+        self._hashers[dst] = self._hashers.pop(src)
 
     def read(self, path: str) -> List[Pair]:
         """Return the pairs stored at ``path``."""
@@ -147,7 +170,7 @@ class InMemoryDFS:
             raise DFSError(f"no such path: {path!r}")
         del self._files[path]
         del self._sizes[path]
-        del self._digests[path]
+        del self._hashers[path]
 
     def size_bytes(self, path: str) -> int:
         """Estimated serialized size of the file at ``path``."""
@@ -158,9 +181,9 @@ class InMemoryDFS:
 
     # -- integrity -----------------------------------------------------
     def digest(self, path: str) -> str:
-        """The sha256 recorded when ``path`` was written."""
+        """The sha256 of what was written to ``path``, appends included."""
         try:
-            return self._digests[path]
+            return self._hashers[path].hexdigest()
         except KeyError:
             raise DFSError(f"no such path: {path!r}") from None
 

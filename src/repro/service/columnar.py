@@ -9,22 +9,28 @@ flat :class:`array.array` columns instead of a dict of lists of tuples::
     positions: [p, p, p, p, p, ...]       run in the two entry columns
 
 The win over the dict layout is threefold: a posting entry costs 12 bytes
-(8 + 4) instead of a ~60-byte tuple-in-list, a probe batch scans each run
-with two array reads per entry and zero allocations, and the whole
+(8 + 4) instead of a ~60-byte tuple-in-list, a probe batch reads each run
+as one slice of the rid column with no per-entry allocation, and the whole
 structure pickles as machine bytes.
 
-Mutation is staged: :meth:`add` appends into a small pending dict and
-:meth:`seal` merges the stage into the flat columns (new entries of an
-existing token append *after* its old run, preserving insertion
-order).  Build/ingest paths seal once per batch; probing assumes
-a sealed structure and is read-only, so sealed postings are safe to share
-across threads and processes.
+Mutation is staged: :meth:`add` appends into a small pending dict (token →
+rids, positions, plain lists) and :meth:`seal` merges the stage into the
+flat columns — new entries of an existing token append *after* its old
+run, preserving insertion order.  The stage is readable: a token's run is
+its sealed slice followed by its staged entries (:meth:`run_rids`), which
+is exactly the run :meth:`seal` would lay out, so a probe answers the same
+before and after a seal and never has to trigger one.  A write therefore
+costs its own entries; the O(fragment) rebuild happens when somebody needs
+flat columns — pickling, :meth:`copy`, :meth:`items`, byte accounting —
+and, on the ingest path, once per memtable at flush.  Probing is
+read-only, so postings are safe to share across threads and processes
+between writes.
 """
 
 from __future__ import annotations
 
 from array import array
-from typing import Dict, Iterator, List, Tuple
+from typing import Dict, Iterator, List, Sequence, Tuple
 
 #: Typecodes: token ids / record ids / offsets are native longs, positions
 #: (a token's index inside one segment) always fit a signed 32-bit int.
@@ -52,7 +58,7 @@ class FragmentPostings:
 
     # -- mutation ------------------------------------------------------
     def add(self, token: int, rid: int, pos: int) -> None:
-        """Stage one posting entry (visible to probes after :meth:`seal`)."""
+        """Stage one posting entry (visible to :meth:`run_rids` at once)."""
         entry = self._pending.get(token)
         if entry is None:
             entry = ([], [])
@@ -91,6 +97,18 @@ class FragmentPostings:
         self._pending = {}
 
     # -- views ---------------------------------------------------------
+    def run_rids(self, token: int) -> Sequence[int]:
+        """The record ids of ``token``'s posting run, in insertion order:
+        the sealed slice, then the stage — what :meth:`seal` would lay out
+        as one run.  Reads only; empty for a token never posted."""
+        slot = self._slots.get(token)
+        run: Sequence[int] = (
+            () if slot is None
+            else self.rids[self.offsets[slot]:self.offsets[slot + 1]]
+        )
+        staged = self._pending.get(token)
+        return run if staged is None else [*run, *staged[0]]
+
     def items(self) -> Iterator[Tuple[int, List[Posting]]]:
         """Iterate ``(token, [(rid, pos), ...])`` in ascending token order —
         the content-digest and debugging view."""

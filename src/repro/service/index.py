@@ -204,8 +204,6 @@ class SegmentIndex:
         return index
 
     def _insert(self, record: Record) -> None:
-        if record.rid in self._ranks:
-            raise DataError(f"record id {record.rid} already indexed")
         if record.rid.bit_length() >= 63:
             raise DataError(
                 f"record id {record.rid} does not fit the index's 64-bit "
@@ -215,15 +213,25 @@ class SegmentIndex:
             ids = self.vocab.encode_record(record.tokens)
         except DataError as exc:
             raise DataError(f"record {record.rid}: {exc}") from None
-        self._ranks[record.rid] = ids
+        self._insert_ids(record.rid, ids)
+
+    def _insert_ids(self, rid: int, ids: array) -> None:
+        """Index one record by its id column (strictly increasing under
+        :attr:`order`): keep the column, split it at this index's cuts,
+        stage its postings.  What a merge calls with a column another
+        index over the same order already encoded — ids are append-only,
+        so the column is as valid here as there, whatever the cuts."""
+        if rid in self._ranks:
+            raise DataError(f"record id {rid} already indexed")
+        self._ranks[rid] = ids
         bounds = self.partitioner.split_bounds(ids)
         flat: List[int] = []
         for v, start, end in bounds:
             flat.extend((v, start, end))
             postings = self._postings[v]
             for pos in range(end - start):
-                postings.add(ids[start + pos], record.rid, pos)
-        self._segbounds[record.rid] = tuple(flat)
+                postings.add(ids[start + pos], rid, pos)
+        self._segbounds[rid] = tuple(flat)
 
     def _seal(self) -> None:
         """Merge staged posting inserts into the flat columns."""
@@ -244,6 +252,13 @@ class SegmentIndex:
         exactness only needs *a* fixed total order, not a frequency-fresh
         one, so results remain exact; rebuild periodically if fragment
         balance drifts.
+
+        The cost is the batch's: its postings are staged
+        (:meth:`FragmentPostings.add`) and the scan reads the stage, so
+        the records are searchable on return and nothing the index already
+        held is copied.  The stage is merged into the flat columns by
+        whoever next needs them flat — a save, :meth:`posting_stats`, a
+        content digest, a carve; the ingest tier's flush.
         """
         batch = list(new_records)
         seen: set = set()
@@ -269,7 +284,6 @@ class SegmentIndex:
         self.vocab.extend(fresh.items())
         for record in batch:
             self._insert(record)
-        self._seal()
         return len(batch)
 
     # -- introspection -------------------------------------------------
@@ -485,6 +499,12 @@ class SegmentIndex:
         the union of their candidate sets and the *smallest* ``qpos`` per
         candidate are the full index's, and which slice reports a pair is
         decided on the hit, in :meth:`_evaluate_columnar`.
+
+        The scan reads and never seals.  A run is
+        :meth:`FragmentPostings.run_rids`: the sealed slice, then whatever
+        :meth:`apply_batch` has staged since, in the order a seal would
+        lay them out — so candidate dicts, counters and hits are those of
+        the sealed index, and a probe costs a writer nothing.
         """
         probes: List[Tuple[int, int, int, int]] = []
         plen_cache: Dict[int, int] = {}
@@ -507,26 +527,15 @@ class SegmentIndex:
         probes.sort()
         candidate_sets: List[Dict[int, int]] = [{} for _ in queries]
         lookups = 0
-        scanned_token = scanned_v = -1
-        run = rids = ()
+        scanned_token = -1
+        run: Sequence[int] = ()
         for token, qi, qpos, v in probes:
             if token != scanned_token:
                 scanned_token = token
                 lookups += 1
-                if v != scanned_v:
-                    scanned_v = v
-                    postings = self._postings[v]
-                    if postings._pending:
-                        postings.seal()
-                    slots = postings._slots
-                    offsets = postings.offsets
-                    rids = postings.rids
-                slot = slots.get(token)
-                run = (() if slot is None
-                       else range(offsets[slot], offsets[slot + 1]))
+                run = self._postings[v].run_rids(token)
             candidates = candidate_sets[qi]
-            for k in run:
-                rid = rids[k]
+            for rid in run:
                 if rid not in candidates:
                     candidates[rid] = qpos
         _bump(counters, "posting_lookups", lookups)

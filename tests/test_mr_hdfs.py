@@ -1,11 +1,16 @@
-"""Unit tests for the in-memory DFS."""
+"""Unit tests for the in-memory DFS, and its digest invariant as a state
+machine over every mutating verb."""
 
 from __future__ import annotations
 
 import pytest
+from hypothesis import settings
+from hypothesis import strategies as st
+from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
 
 from repro.errors import DFSError
-from repro.mapreduce.hdfs import InMemoryDFS
+from repro.mapreduce.hdfs import InMemoryDFS, content_digest
+from repro.mapreduce.sizer import estimate_pair_size
 
 
 class TestInMemoryDFS:
@@ -202,3 +207,165 @@ class TestListPrefix:
 
     def test_list_prefix_empty(self):
         assert InMemoryDFS().list_prefix("wal/") == []
+
+
+class TestAppendKeepsDamageVisible:
+    """The recorded digest continues from what was *written*: an append
+    must not re-derive it from stored content that has since rotted."""
+
+    def test_append_after_corruption_does_not_launder_it(self):
+        dfs = InMemoryDFS()
+        dfs.append("log", [("a", 1), ("b", 2)])
+        dfs.corrupt("log")
+        assert not dfs.verify("log")
+        dfs.append("log", [("c", 3)])
+        dfs.append("log", [("d", 4)])
+        assert not dfs.verify("log")
+
+    @pytest.mark.parametrize("moved", [False, True])
+    def test_nor_on_a_written_or_renamed_path(self, moved):
+        """``write`` keeps the state its digest came from and ``rename``
+        moves it, so a first append has no stored content to re-hash."""
+        dfs = InMemoryDFS()
+        dfs.write("tmp", [("a", 1), ("b", 2)])
+        path = "tmp"
+        if moved:
+            dfs.rename("tmp", "out")
+            path = "out"
+        dfs.corrupt(path)
+        dfs.append(path, [("c", 3)])
+        dfs.append(path, [("d", 4)])
+        assert not dfs.verify(path)
+
+    def test_overwriting_the_damage_clears_it(self):
+        dfs = InMemoryDFS()
+        dfs.append("log", [("a", 1)])
+        dfs.corrupt("log")
+        dfs.write("log", [("a", 1)], overwrite=True)
+        dfs.append("log", [("b", 2)])
+        assert dfs.verify("log")
+        assert dfs.digest("log") == content_digest([("a", 1), ("b", 2)])
+
+
+PATHS = ["wal/0", "wal/1", "out"]
+chunks = st.lists(
+    st.tuples(st.integers(0, 50), st.text(max_size=6)), max_size=4
+)
+
+
+class DFSDigestMachine(RuleBasedStateMachine):
+    """Any interleaving of the mutating verbs against a dict model: after
+    every step each path's recorded digest is ``content_digest`` of what
+    ``read`` returns and its size the sum of its chunks' sizes — except
+    that a path damaged by ``corrupt`` fails ``verify`` until it is
+    overwritten or deleted, however many appends follow."""
+
+    def __init__(self):
+        super().__init__()
+        self.refused = set()
+        self.dfs = InMemoryDFS(fault_hook=self._hook)
+        self.model = {}
+        self.sizes = {}
+        self.damaged = set()
+
+    def _hook(self, op, path):
+        if (op, path) in self.refused:
+            raise DFSError(f"injected {op} fault on {path!r}")
+
+    def _state(self, path):
+        if path not in self.model:
+            return None
+        return (list(self.dfs.read(path)), self.dfs.size_bytes(path),
+                self.dfs.digest(path))
+
+    @staticmethod
+    def _size(chunk):
+        return sum(estimate_pair_size(k, v) for k, v in chunk)
+
+    @rule(path=st.sampled_from(PATHS), chunk=chunks, overwrite=st.booleans())
+    def write(self, path, chunk, overwrite):
+        if path in self.model and not overwrite:
+            before = self._state(path)
+            with pytest.raises(DFSError):
+                self.dfs.write(path, chunk)
+            assert self._state(path) == before
+            return
+        self.dfs.write(path, chunk, overwrite=overwrite)
+        self.model[path] = list(chunk)
+        self.sizes[path] = self._size(chunk)
+        self.damaged.discard(path)
+
+    @rule(path=st.sampled_from(PATHS), chunk=chunks)
+    def append(self, path, chunk):
+        earlier = self.dfs.read(path) if path in self.model else []
+        snapshot = list(earlier)
+        self.dfs.append(path, iter(chunk))
+        assert earlier == snapshot, "a reader's list grew under it"
+        self.model[path] = self.model.get(path, []) + list(chunk)
+        self.sizes[path] = self.sizes.get(path, 0) + self._size(chunk)
+
+    @rule(path=st.sampled_from(PATHS), chunk=chunks,
+          refused=st.booleans())
+    def failed_append(self, path, chunk, refused):
+        """The fault hook refuses the append, or its generator dies."""
+        def dying():
+            yield from chunk
+            raise RuntimeError("producer died mid-append")
+
+        before = self._state(path)
+        if refused:
+            self.refused.add(("append", path))
+            with pytest.raises(DFSError):
+                self.dfs.append(path, chunk)
+            self.refused.clear()
+        else:
+            with pytest.raises(RuntimeError):
+                self.dfs.append(path, dying())
+        assert self._state(path) == before
+        assert self.dfs.exists(path) == (path in self.model)
+
+    @rule(src=st.sampled_from(PATHS), dst=st.sampled_from(PATHS))
+    def rename(self, src, dst):
+        if src not in self.model or dst in self.model:
+            with pytest.raises(DFSError):
+                self.dfs.rename(src, dst)
+            return
+        self.dfs.rename(src, dst)
+        self.model[dst] = self.model.pop(src)
+        self.sizes[dst] = self.sizes.pop(src)
+        if src in self.damaged:
+            self.damaged.remove(src)
+            self.damaged.add(dst)
+
+    @rule(path=st.sampled_from(PATHS))
+    def delete(self, path):
+        if path not in self.model:
+            with pytest.raises(DFSError):
+                self.dfs.delete(path)
+            return
+        self.dfs.delete(path)
+        del self.model[path], self.sizes[path]
+        self.damaged.discard(path)
+
+    @rule(path=st.sampled_from(PATHS))
+    def corrupt(self, path):
+        if path in self.model:
+            self.dfs.corrupt(path)
+            self.damaged.add(path)
+
+    @invariant()
+    def digests_sizes_and_damage_agree_with_the_model(self):
+        assert self.dfs.list_paths() == sorted(self.model)
+        for path, pairs in self.model.items():
+            assert self.dfs.size_bytes(path) == self.sizes[path]
+            if path in self.damaged:
+                assert not self.dfs.verify(path)
+            else:
+                assert self.dfs.read(path) == pairs
+                assert self.dfs.digest(path) == content_digest(pairs)
+
+
+TestDFSDigestMachine = DFSDigestMachine.TestCase
+TestDFSDigestMachine.settings = settings(
+    max_examples=60, stateful_step_count=30, deadline=None
+)
