@@ -8,8 +8,9 @@ behind a :class:`~repro.cluster.router.ClusterRouter`.
 A saved cluster is that index and that plan: :func:`save_cluster` writes
 ``index.idx``, an ordinary :func:`~repro.service.snapshot.save_index`
 snapshot of the index the cluster serves (``repro search`` reads it), and
-``manifest.json`` — plan, replication, index epoch, per-fragment content
-digests and the sha256 of ``index.idx``, which binds the pair.
+``manifest.json`` — plan, replication and the sha256 of ``index.idx``,
+which binds the pair (per-fragment content digests compare *live*
+replicas; a loaded cluster recomputes them, a saved one stores none).
 :func:`load_cluster` is *read manifest → load index → the assembly
 ``build_cluster`` runs*, along the saved plan.
 
@@ -18,12 +19,13 @@ lists*, not records: a slice references the whole id column of every
 record posting into a fragment it owns (replication rate 7.8 at 8
 shards), and pickling each slice turned every shared reference into a
 copy — 51 MB on disk and eight private copies once loaded, for an index
-that pickles to 12.5 MB (``docs/architecture.md`` §5 has the anatomy).
+that pickles to 9.8 MB (``docs/architecture.md`` §5 has the anatomy).
 """
 
 from __future__ import annotations
 
 import hashlib
+import io
 import json
 from pathlib import Path
 from typing import Dict, Optional, Tuple, Union
@@ -32,7 +34,7 @@ from repro.core.pivots import PivotMethod
 from repro.data.records import RecordCollection
 from repro.errors import ClusterError, ConfigError
 from repro.service.index import SegmentIndex
-from repro.service.snapshot import load_index, save_index
+from repro.service.snapshot import read_index, save_index
 
 from repro.cluster.node import ShardNode, ShardSlice
 from repro.cluster.plan import ShardPlan, plan_shards
@@ -41,8 +43,8 @@ from repro.cluster.router import ClusterRouter
 INDEX_NAME = "index.idx"
 MANIFEST_NAME = "manifest.json"
 MANIFEST_FORMAT = "repro-cluster"
-#: v2: one full-index snapshot and the plan (v1 held one slice per shard).
-MANIFEST_VERSION = 2
+#: v3: format, version, replication, plan, sha256 — over a v4 snapshot.
+MANIFEST_VERSION = 3
 
 
 def build_cluster(
@@ -115,7 +117,6 @@ def _served_index(router: ClusterRouter) -> SegmentIndex:
         for v in slice_.owned_fragments:
             index._postings[v] = slice_._postings[v]
         index._ranks.update(slice_._ranks)
-        index._segbounds.update(slice_._segbounds)
     return index
 
 
@@ -134,8 +135,6 @@ def save_cluster(router: ClusterRouter, directory: Union[str, Path]) -> int:
         "version": MANIFEST_VERSION,
         "replication": router.replication,
         "plan": router.plan.as_dict(),
-        "index_epoch": router.index_epoch,
-        "digests": {str(v): d for v, d in index.content_digests().items()},
         "sha256": hashlib.sha256(index_path.read_bytes()).hexdigest(),
     }
     manifest_path = directory / MANIFEST_NAME
@@ -181,16 +180,18 @@ def load_saved_index(directory: Union[str, Path]) -> Tuple[Dict, SegmentIndex]:
     manifest = read_manifest(directory)
     path = Path(directory) / INDEX_NAME
     try:
-        actual = hashlib.sha256(path.read_bytes()).hexdigest()
+        stream = io.BytesIO(path.read_bytes())
     except FileNotFoundError:
         raise ClusterError(f"no cluster snapshot at {path}") from None
+    # One read: the bytes hashed here are the bytes read_index parses.
+    actual = hashlib.sha256(stream.getbuffer()).hexdigest()
     if actual != manifest["sha256"]:
         raise ClusterError(
             f"{path} (sha256 {actual[:12]}…) and its manifest (records "
             f"{manifest['sha256'][:12]}…) come from different saves, or the "
             "snapshot is damaged — rebuild with 'repro cluster build'"
         )
-    index = load_index(path)
+    index = read_index(stream, path)
     placed = sorted(manifest["plan"].assignment)
     if placed != list(range(index.n_fragments)):
         raise ClusterError(

@@ -50,6 +50,7 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.errors import ClusterError, ConfigError
 from repro.observability.tracer import NOOP_TRACER, Tracer
+from repro.service.index import differing_fragments
 
 from repro.cluster.failover import BreakerState
 from repro.cluster.repair import RepairManager
@@ -319,13 +320,11 @@ class ControlPlane:
                 if not node.ping():
                     continue
                 checked += 1
-                digests = node.slice.content_digests()
-                if digests == baseline:
-                    continue
-                bad = sorted(
-                    v for v in set(digests) | set(baseline)
-                    if digests.get(v) != baseline.get(v)
+                bad = differing_fragments(
+                    node.slice.content_digests(), baseline
                 )
+                if not bad:
+                    continue
                 node.fence()
                 self._states[shard][rep] = ReplicaState.QUARANTINED
                 quarantined += 1

@@ -2,9 +2,9 @@
 
 A :class:`ShardSlice` is a :class:`~repro.service.index.SegmentIndex`
 restricted to the fragments a shard owns: it keeps the columnar posting
-runs for owned fragments only, plus the *full* id column and segment bounds
-of every record that posts into them — the id column is exactly what
-verification and the claim rule read, so a slice probes with the
+runs for owned fragments only, plus the *full* id column of every record
+that posts into them — the id column is exactly what verification and the
+claim rule read, and all a record is, so a slice probes with the
 unmodified single-node code: it defines no candidate generator of its own.
 
 The one thing a slice changes is the *owned set* the base scan
@@ -56,14 +56,13 @@ class FragmentPayload:
     """One fragment's shippable state (the unit a migration moves).
 
     ``postings`` is the fragment's columnar inverted lists; ``records``
-    carries the full id column + flat segment bounds of every record
-    posting in the fragment, because the receiving slice may not know
-    those records yet.
+    carries the full id column of every record posting in the fragment,
+    because the receiving slice may not know those records yet.
     """
 
     fragment: int
     postings: FragmentPostings
-    records: Dict[int, Tuple[Sequence[int], Tuple[int, ...]]]
+    records: Dict[int, Sequence[int]]
 
 
 class ShardSlice(SegmentIndex):
@@ -93,10 +92,10 @@ class ShardSlice(SegmentIndex):
     ) -> "ShardSlice":
         """Slice a full index down to ``fragments``.
 
-        Posting columns are copied per owned fragment; record metadata (id
-        columns, segment bounds) is shared with the source index — both
-        are immutable after insert, so sharing is safe and keeps an
-        in-memory cluster's footprint near one index's.
+        Posting columns are copied per owned fragment; the records' id
+        columns are shared with the source index — they are immutable
+        after insert, so sharing is safe and keeps an in-memory cluster's
+        footprint near one index's.
         """
         slice_ = cls(
             index.order, index.partitioner, index.pivot_method, fragments
@@ -104,12 +103,10 @@ class ShardSlice(SegmentIndex):
         touched: set = set()
         for v in slice_._owned:
             source = index._postings[v]
-            source.seal()
-            slice_._postings[v] = source.copy()
+            slice_._postings[v] = source.copy()  # seals ``source``
             touched.update(source.rids)
         for rid in touched:
             slice_._ranks[rid] = index._ranks[rid]
-            slice_._segbounds[rid] = index._segbounds[rid]
         return slice_
 
     # -- replica independence ------------------------------------------
@@ -140,10 +137,7 @@ class ShardSlice(SegmentIndex):
         if fragment not in self._owned:
             raise ClusterError(f"fragment {fragment} is not owned by this slice")
         postings = self._postings[fragment].copy()
-        records: Dict[int, Tuple[Sequence[int], Tuple[int, ...]]] = {}
-        for rid in postings.rids:
-            if rid not in records:
-                records[rid] = (self._ranks[rid], self._segbounds[rid])
+        records = {rid: self._ranks[rid] for rid in set(postings.rids)}
         return FragmentPayload(fragment, postings, records)
 
     def install_fragment(self, payload: FragmentPayload) -> None:
@@ -154,16 +148,15 @@ class ShardSlice(SegmentIndex):
             )
         self._owned.add(payload.fragment)
         self._postings[payload.fragment] = payload.postings.copy()
-        for rid, (ranks, bounds) in payload.records.items():
+        for rid, ranks in payload.records.items():
             self._ranks.setdefault(rid, ranks)
-            self._segbounds.setdefault(rid, bounds)
 
     def drop_fragment(self, fragment: int) -> None:
         """Release a migrated-away fragment and garbage-collect its records.
 
-        A record's metadata stays only while some *other* owned fragment
-        still posts it (its segment bounds tell us which fragments it
-        touches).
+        A record's id column stays only while some *other* owned fragment
+        still posts it; the fragments a record touches are
+        ``split_bounds`` of that column.
         """
         if fragment not in self._owned:
             raise ClusterError(f"fragment {fragment} is not owned by this slice")
@@ -171,15 +164,14 @@ class ShardSlice(SegmentIndex):
         departing = self._postings[fragment]
         departing.seal()
         self._postings[fragment] = FragmentPostings()
+        split_bounds = self.partitioner.split_bounds
         for rid in set(departing.rids):
             if rid not in self._ranks:
                 continue
-            bounds = self._segbounds[rid]
             if not any(
-                bounds[k] in self._owned for k in range(0, len(bounds), 3)
+                v in self._owned for v, _, _ in split_bounds(self._ranks[rid])
             ):
                 del self._ranks[rid]
-                del self._segbounds[rid]
 
 
 class _ScatterNode:

@@ -41,6 +41,7 @@ from pathlib import Path
 from typing import Dict, Optional, Union
 
 from repro.errors import ClusterError
+from repro.service.index import differing_fragments
 
 from repro.cluster.build import load_saved_index
 from repro.cluster.node import ShardSlice
@@ -112,12 +113,8 @@ class RepairManager:
         # so the carved slice shares its columns with nothing live.
         slice_ = ShardSlice.carve(index, self.router.plan.fragments_of(shard))
         if baseline is not None:
-            digests = slice_.content_digests()
-            if digests != baseline:
-                bad = sorted(
-                    v for v in set(digests) | set(baseline)
-                    if digests.get(v) != baseline.get(v)
-                )
+            bad = differing_fragments(slice_.content_digests(), baseline)
+            if bad:
                 raise ClusterError(
                     f"snapshot for shard {shard} diverges from the cluster "
                     f"baseline on fragments {bad} — stale or damaged snapshot"

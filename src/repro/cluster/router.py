@@ -93,6 +93,7 @@ from repro.service.index import (
     EncodedQuery,
     SearchHit,
     checked_probe_args,
+    differing_fragments,
     merge_hits,
     view_hits,
 )
@@ -291,13 +292,10 @@ class ClusterRouter:
                 return {"ok": False, "detail": f"self-check failed: {exc}"}
             return {"ok": True, "detail": "no healthy peer; self-check only"}
         if peer.slice is not node.slice:
-            mine = node.slice.content_digests()
-            theirs = peer.slice.content_digests()
-            if mine != theirs:
-                bad = sorted(
-                    v for v in set(mine) | set(theirs)
-                    if mine.get(v) != theirs.get(v)
-                )
+            bad = differing_fragments(
+                node.slice.content_digests(), peer.slice.content_digests()
+            )
+            if bad:
                 return {
                     "ok": False,
                     "detail": f"fragment digests diverge: {bad}",

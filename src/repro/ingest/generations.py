@@ -1,9 +1,12 @@
 """Immutable segment generations and the digest-checked MANIFEST.
 
 A **generation** is a sealed :class:`~repro.service.index.SegmentIndex`
-persisted to the DFS as a snapshot-v3-style payload: the pickled columnar
+persisted to the DFS as a snapshot-style payload: the pickled columnar
 index plus a sha256 digest over those bytes, verified before unpickling —
-the same envelope discipline as :mod:`repro.service.snapshot`.
+the same envelope discipline, and the same payload version, as
+:mod:`repro.service.snapshot`.  A payload of another version is refused:
+ingest state lives on the build's own in-memory DFS and does not outlive
+the build that wrote it.
 
 The **manifest** is the commit protocol.  Each committed state of the
 streaming index is a versioned, digest-checked document listing the live
@@ -37,14 +40,14 @@ from typing import Dict, List, Optional, Tuple
 from repro.errors import IngestError, SnapshotError
 from repro.mapreduce.hdfs import InMemoryDFS
 from repro.service.index import SegmentIndex
-from repro.service.snapshot import pack_index, unpack_index
+from repro.service.snapshot import SNAPSHOT_VERSION, pack_index, unpack_index
 
 CURRENT_NAME = "CURRENT"
 COMMITTED_NAME = "COMMITTED"
 #: Format tag inside each persisted generation payload.
 SEGMENT_FORMAT = "repro-ingest-segment"
-#: Payload layout version — tracks the snapshot v3 columnar pickle.
-SEGMENT_VERSION = 3
+#: Payload layout version — the payload is the snapshot's columnar pickle.
+SEGMENT_VERSION = SNAPSHOT_VERSION
 MANIFEST_FORMAT = "repro-ingest-manifest"
 MANIFEST_VERSION = 1
 
@@ -126,8 +129,11 @@ class GenerationStore:
             raise IngestError(f"{path!r} is not an ingest segment payload")
         if meta.get("version") != SEGMENT_VERSION:
             raise IngestError(
-                f"segment version mismatch at {path!r}: "
-                f"{meta.get('version')!r} != {SEGMENT_VERSION}"
+                f"segment version mismatch at {path!r}: payload has "
+                f"{meta.get('version')!r}, this build reads "
+                f"{SEGMENT_VERSION} — ingest state does not outlive the "
+                "build that wrote it; start the ingest tier afresh and "
+                "re-append"
             )
         if expected_digest not in (None, digest):
             raise IngestError(

@@ -59,12 +59,6 @@ class Memtable:
         all-or-nothing."""
         return self.index.apply_batch(records)
 
-    def records(self) -> List[Record]:
-        """Materialize the absorbed records (ascending rid) for merges."""
-        return [
-            Record(rid, self.index.tokens_of(rid)) for rid in self.index.rids()
-        ]
-
     def approx_bytes(self) -> int:
         stats = self.index.posting_stats()
         return stats["posting_bytes"] + stats["record_bytes"]

@@ -10,12 +10,13 @@ machinery into a *queryable index*:
   exactly as the filter job's map phase does;
 * every fragment's postings live in a :class:`~repro.service.columnar.
   FragmentPostings` — flat ``array`` columns mapping token id → a
-  contiguous ``(rid, pos)`` run — so a probe batch scans each posting run
+  contiguous run of record ids — so a probe batch scans each posting run
   with plain integer reads and zero per-entry allocations;
-* each record keeps its full id column (``array('l')``), which is all a
-  probe reads of a candidate, and its per-fragment segment *bounds* — flat
-  ``(fragment, start, end)`` triples that migration and the content
-  digests carry.
+* a record is its full id column (``array('l')``): all a probe reads of a
+  candidate, and all that is stored of it — the segment a fragment holds
+  of a record is ``partitioner.split_bounds`` of that column, computed by
+  the insert that posts it and the migration that asks which fragments a
+  record touches.
 
 A probe is exact: candidate generation uses the record-level prefix filter
 (complete because the index stores *all* tokens while the probe scans only
@@ -174,8 +175,6 @@ class SegmentIndex:
         self.pivot_method = PivotMethod(pivot_method)
         #: rid → full token-id column (strictly increasing ``array('l')``).
         self._ranks: Dict[int, array] = {}
-        #: rid → flat ``(fragment, start, end)`` triples over the id column.
-        self._segbounds: Dict[int, Tuple[int, ...]] = {}
         #: fragment id → columnar posting lists.
         self._postings: List[FragmentPostings] = [
             FragmentPostings() for _ in range(partitioner.n_partitions)
@@ -224,14 +223,10 @@ class SegmentIndex:
         if rid in self._ranks:
             raise DataError(f"record id {rid} already indexed")
         self._ranks[rid] = ids
-        bounds = self.partitioner.split_bounds(ids)
-        flat: List[int] = []
-        for v, start, end in bounds:
-            flat.extend((v, start, end))
-            postings = self._postings[v]
-            for pos in range(end - start):
-                postings.add(ids[start + pos], rid, pos)
-        self._segbounds[rid] = tuple(flat)
+        for v, start, end in self.partitioner.split_bounds(ids):
+            add = self._postings[v].add
+            for token in ids[start:end]:
+                add(token, rid)
 
     def _seal(self) -> None:
         """Merge staged posting inserts into the flat columns."""
@@ -341,10 +336,10 @@ class SegmentIndex:
         """Canonical sha256 of one fragment's *content*.
 
         Hashed over the fragment's posting runs in sorted token order plus
-        the id column and segment bounds of every record posting in it —
-        not over pickle bytes — so two indexes that answer identically
-        digest identically, however they were built, and any silent
-        mutation of a posting column, a rank array or the bounds flips the
+        the id column of every record posting in it — every column a probe
+        reads, and not pickle bytes — so two indexes that answer
+        identically digest identically, however they were built, and any
+        silent mutation of a posting column or a rank array flips the
         digest.  This is what the cluster's anti-entropy scrubber compares
         across replicas of a shard.
         """
@@ -357,16 +352,15 @@ class SegmentIndex:
         import hashlib
 
         postings = self._postings[fragment]
-        if postings._pending:
-            postings.seal()
         hasher = hashlib.sha256()
+        # items() seals; the rid column read below is the sealed one.
         for token, run in postings.items():
             hasher.update(repr((token, sorted(run))).encode("utf-8"))
         for rid in sorted(set(postings.rids)):
             blob = encoded.get(rid)
             if blob is None:
                 blob = encoded[rid] = repr(
-                    (rid, tuple(self._ranks[rid]), tuple(self._segbounds[rid]))
+                    (rid, tuple(self._ranks[rid]))
                 ).encode("utf-8")
             hasher.update(blob)
         return hasher.hexdigest()
@@ -643,7 +637,7 @@ class SegmentIndex:
         hits.sort(key=lambda hit: (-hit.score, hit.rid))
         return hits
 
-    # -- persistence (snapshot v3 payload) ------------------------------
+    # -- persistence (snapshot v4 payload) ------------------------------
     def __getstate__(self):
         self._seal()
         state = dict(self.__dict__)
@@ -666,6 +660,12 @@ def checked_probe_args(theta: float, func) -> SimilarityFunction:
         raise ConfigError(f"unknown similarity function {func!r}") from None
     check_threshold(theta)
     return func
+
+
+def differing_fragments(a: Dict[int, str], b: Dict[int, str]) -> List[int]:
+    """The fragments on which two :meth:`SegmentIndex.content_digests` maps
+    disagree (one side missing counts), ascending; empty when equal."""
+    return sorted(v for v in a.keys() | b.keys() if a.get(v) != b.get(v))
 
 
 def _any_rank_present(ranks: Sequence[int], t_ranks: Sequence[int]) -> bool:

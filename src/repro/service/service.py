@@ -271,16 +271,10 @@ class SimilarityService:
         return save_index(index, path)
 
     @classmethod
-    def load(
-        cls,
-        path: Union[str, Path],
-        cache_size: int = 1024,
-        executor: Union[ExecutorKind, str, TaskExecutor, None] = None,
-        tracer: Optional[Tracer] = None,
-    ) -> "SimilarityService":
-        """Build a service over a snapshot written by :meth:`save`."""
-        return cls(load_index(path), cache_size=cache_size,
-                   executor=executor, tracer=tracer)
+    def load(cls, path: Union[str, Path], **options) -> "SimilarityService":
+        """Build a service over a snapshot written by :meth:`save`;
+        ``options`` are the constructor's, declared there."""
+        return cls(load_index(path), **options)
 
     # -- introspection -------------------------------------------------
     def cache_info(self) -> Dict[str, int]:

@@ -11,10 +11,12 @@ The outer envelope holds only builtins, so it is parsed by an unpickler
 that resolves no classes: no object a file names is ever constructed
 before its bytes pass the digest check.
 
-Only version 3 — the columnar index, flat ``array`` posting and rank
-columns serialized as machine bytes — is read.  Files of the older
-dict-of-objects layouts (versions 1 and 2) are refused with the same typed
-error as any other version mismatch; rebuild them with ``repro index``.
+Only version 4 — the columnar index whose posting entry is a record id and
+whose record is its id column, flat ``array`` columns serialized as machine
+bytes — is read.  Files of any other version (3 also stored a position per
+posting entry and segment bounds per record; 1 and 2 were dict-of-objects
+layouts) are refused with one typed error naming both versions and the
+command that rebuilds them, ``repro index``: one format, one reader.
 
 Writes go to a temporary sibling file first and are atomically swapped
 into place with :func:`os.replace` — the same write-then-swap convention
@@ -29,14 +31,15 @@ import hashlib
 import os
 import pickle
 from pathlib import Path
-from typing import Tuple, Union
+from typing import BinaryIO, Tuple, Union
 
 from repro.errors import SnapshotError
 from repro.service.index import SegmentIndex
 
 SNAPSHOT_FORMAT = "repro-segment-index"
-#: v3: the columnar index payload (flat array posting/rank columns).
-SNAPSHOT_VERSION = 3
+#: v4: three posting columns (a posting is a record id) and one id column
+#: per record.  Ingest generation payloads are this pickle and this number.
+SNAPSHOT_VERSION = 4
 
 _PICKLE_ERRORS = (
     pickle.UnpicklingError, EOFError, AttributeError, ImportError, IndexError,
@@ -113,10 +116,21 @@ def load_index(path: Union[str, Path]) -> SegmentIndex:
     """Load a snapshot, validating format, version and integrity digest."""
     path = Path(path)
     try:
-        with path.open("rb") as handle:
-            payload = _EnvelopeUnpickler(handle).load()
+        stream = path.open("rb")
     except FileNotFoundError:
         raise SnapshotError(f"no snapshot at {path}") from None
+    return read_index(stream, path)
+
+
+def read_index(stream: BinaryIO, path: Path) -> SegmentIndex:
+    """:func:`load_index` over the open snapshot ``stream`` (``path`` only
+    names it in errors) — for a caller that already holds the file's bytes,
+    as :func:`repro.cluster.build.load_saved_index` does to hash them.  The
+    stream is closed once the envelope is parsed, before the payload is
+    unpickled: an in-memory file is released, not held beside its copy."""
+    try:
+        with stream:
+            payload = _EnvelopeUnpickler(stream).load()
     except SnapshotError as exc:
         raise SnapshotError(f"{path}: {exc}") from None
     except _PICKLE_ERRORS as exc:

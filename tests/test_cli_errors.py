@@ -132,13 +132,18 @@ class TestEveryVerbFailsClosed:
 
     @pytest.mark.parametrize("manifest, match", [
         ('{"format": "repro-cluster", "version": 1}', "repro cluster build"),
-        ('{"format": "repro-cluster", "version": 2}', "malformed"),
+        ('{"format": "repro-cluster", "version": 2}',
+         "file has 2, this build reads 3 — rebuild the cluster with "
+         "'repro cluster build'"),
+        ('{"format": "repro-cluster", "version": 3}',
+         "malformed cluster manifest"),
         ('["repro-cluster", 2]', "not a repro-cluster manifest"),
     ])
     def test_cluster_status_malformed_manifest(self, tmp_path, corpus_file,
                                                capsys, manifest, match):
-        """The manifest is outside input: a version-1 directory, a missing
-        plan and a JSON list are one ``error:`` line, never a traceback."""
+        """The manifest is outside input: a version-1 or version-2
+        directory, a missing plan and a JSON list are one ``error:`` line,
+        never a traceback."""
         cluster_dir = tmp_path / "c"
         assert main(["cluster", "build", corpus_file,
                      "--output", str(cluster_dir)]) == 0

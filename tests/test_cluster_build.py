@@ -9,7 +9,12 @@ import pickle
 import pytest
 
 from repro.cluster import build_cluster, load_cluster, save_cluster
-from repro.cluster.build import INDEX_NAME, MANIFEST_NAME, read_manifest
+from repro.cluster.build import (
+    INDEX_NAME,
+    MANIFEST_NAME,
+    MANIFEST_VERSION,
+    read_manifest,
+)
 from repro.errors import ClusterError, ConfigError, SnapshotError
 from repro.service.index import SegmentIndex
 from repro.service.snapshot import load_index
@@ -19,15 +24,15 @@ from tests.conftest import brute_force_search, random_collection
 #: Manifests that are valid JSON of the right format and version but the
 #: wrong shape — outside input ``load_cluster`` must refuse, typed.
 MALFORMED_MANIFESTS = [
-    ["repro-cluster", 2],
-    {"format": "repro-cluster", "version": 2},
-    {"format": "repro-cluster", "version": 2, "replication": 1,
+    ["repro-cluster", MANIFEST_VERSION],
+    {"format": "repro-cluster", "version": MANIFEST_VERSION},
+    {"format": "repro-cluster", "version": MANIFEST_VERSION, "replication": 1,
      "sha256": "", "plan": ["not", "a", "plan"]},
-    {"format": "repro-cluster", "version": 2, "replication": 1,
+    {"format": "repro-cluster", "version": MANIFEST_VERSION, "replication": 1,
      "sha256": "", "plan": {"n_shards": 1, "assignment": {"0": 7}}},
-    {"format": "repro-cluster", "version": 2, "replication": "two",
+    {"format": "repro-cluster", "version": MANIFEST_VERSION, "replication": "two",
      "sha256": "", "plan": {"n_shards": 1, "assignment": {"0": 0}}},
-    {"format": "repro-cluster", "version": 2, "replication": 1,
+    {"format": "repro-cluster", "version": MANIFEST_VERSION, "replication": 1,
      "plan": {"n_shards": 1, "assignment": {"0": 0}}},
 ]
 
@@ -83,18 +88,21 @@ class TestSaveLoad:
 
     def test_manifest_contents(self, saved):
         """A saved cluster is two files — one index snapshot and a manifest
-        holding the plan and that snapshot's sha256 (format v2; v1 listed
-        one ``shard-NNN.idx`` file, fragment set and record count per
-        shard)."""
+        holding the plan and that snapshot's sha256, five keys in all
+        (format v3; v2 also stored an index epoch and per-fragment
+        content digests nothing read, v1 one ``shard-NNN.idx`` file,
+        fragment set and record count per shard)."""
         router, directory = saved
         assert sorted(p.name for p in directory.iterdir()) == [
             INDEX_NAME, MANIFEST_NAME,
         ]
         manifest = json.loads((directory / MANIFEST_NAME).read_text())
         assert manifest["format"] == "repro-cluster"
-        assert manifest["version"] == 2
+        assert manifest["version"] == MANIFEST_VERSION == 3
         assert manifest["replication"] == 2
-        assert "shards" not in manifest
+        assert set(manifest) == {
+            "format", "version", "replication", "plan", "sha256"
+        }
         assert manifest["sha256"] == hashlib.sha256(
             (directory / INDEX_NAME).read_bytes()
         ).hexdigest()
@@ -247,6 +255,23 @@ class TestLoadFailures:
         }))
         with pytest.raises(ClusterError, match="repro cluster build"):
             load_cluster(tmp_path)
+
+    def test_parent_format_directory_is_refused(self, saved):
+        """A v2 directory (its index.idx a v3 snapshot: a position per
+        posting, bounds per record) has no reader either: the manifest's
+        version is checked before index.idx is opened, and the refusal is
+        one typed line naming both versions and the rebuild command."""
+        _, directory = saved
+        manifest = json.loads((directory / MANIFEST_NAME).read_text())
+        manifest.update(version=2, index_epoch=0, digests={})
+        (directory / MANIFEST_NAME).write_text(json.dumps(manifest))
+        (directory / INDEX_NAME).write_bytes(b"a v3 snapshot, never opened")
+        with pytest.raises(ClusterError) as caught:
+            load_cluster(directory)
+        message = str(caught.value)
+        assert "\n" not in message
+        assert "file has 2" in message and "reads 3" in message
+        assert "'repro cluster build'" in message
 
     @pytest.mark.parametrize("document", MALFORMED_MANIFESTS)
     def test_malformed_manifest_is_typed(self, saved, document):

@@ -706,6 +706,42 @@ class TestRebalance:
         with pytest.raises(ConfigError):
             cluster.rebalance(skew_threshold=0.5)
 
+    @settings(max_examples=25, deadline=None)
+    @given(moves=st.lists(
+        st.tuples(st.integers(0, 7), st.integers(0, 3)),
+        min_size=1, max_size=6,
+    ))
+    def test_random_migrations_keep_slices_exact(self, index, corpus, moves):
+        """Any sequence of moves, independent replicas, checked after each
+        one: a slice holds the id column of exactly the records its owned
+        fragments post (which fragments a record touches is
+        ``split_bounds`` of that column — nothing stored says so), digests
+        as a slice freshly carved along the same plan, and answers the
+        oracle's."""
+        router = build_cluster(index, n_shards=4, replication=2,
+                               independent_replicas=True)
+        probes = [corpus[i] for i in range(0, len(corpus), 17)]
+        for fragment, dst in moves:
+            src = router.plan.shard_of(fragment)
+            if src == dst:
+                continue
+            router._migrate(fragment, src, dst)
+            for shard in range(router.n_shards):
+                owned = router.plan.fragments_of(shard)
+                fresh = ShardSlice.carve(index, owned).content_digests()
+                for replica in range(router.replication):
+                    slice_ = router.replica(shard, replica).slice
+                    assert slice_.owned_fragments == frozenset(owned)
+                    posted = set()
+                    for v in owned:
+                        posted.update(slice_._postings[v].rids)
+                    assert set(slice_._ranks) == posted
+                    assert slice_.content_digests() == fresh
+            for record in probes:
+                for theta in THETAS:
+                    assert router.search(record.tokens, theta) == \
+                        brute_force_search(corpus, record.tokens, theta)
+
 
 class TestTracing:
     def test_span_tree(self, index):

@@ -77,6 +77,25 @@ class TestGenerationStore:
         with pytest.raises(IngestError):
             GenerationStore(dfs, "segments").load("segments/gen-000000")
 
+    def test_parent_v3_payload_is_refused_by_version(self, corpus):
+        """A generation written by the build that stored a position column
+        (payload version 3) is refused from its meta alone — one typed
+        line with both versions and what to do — never unpickled."""
+        dfs = InMemoryDFS()
+        store = GenerationStore(dfs, "segments")
+        gen = store.persist(0, 0, _sealed_index(list(corpus)))
+        pairs = [
+            (k, {**v, "version": 3} if k == "meta" else v)
+            for k, v in dfs.read(gen.path)
+        ]
+        dfs.write(gen.path, pairs, overwrite=True)
+        with pytest.raises(IngestError) as caught:
+            store.load(gen.path, gen.digest)
+        message = str(caught.value)
+        assert "\n" not in message
+        assert "payload has 3" in message and "reads 4" in message
+        assert "does not outlive the build that wrote it" in message
+
 
 class TestManifestStore:
     def _doc(self, store, version, **overrides):

@@ -100,7 +100,9 @@ class TestMemtableLifecycle:
         memtable = Memtable(order, partitioner)
         memtable.apply_batch([Record.make(7, TOKENS[3:6]),
                               Record.make(3, TOKENS[1:4])])
-        assert [r.rid for r in memtable.records()] == [3, 7]
+        assert memtable.rids() == [3, 7]
+        assert set(memtable.index.tokens_of(3)) == set(TOKENS[1:4])
+        assert set(memtable.index.tokens_of(7)) == set(TOKENS[3:6])
         assert len(memtable) == 2
         assert 7 in memtable and 4 not in memtable
 

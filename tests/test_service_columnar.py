@@ -7,7 +7,7 @@ probes, batches and the self-join.  The oracle
 (:func:`tests.conftest.brute_force_search`, ``naive_self_join``,
 ``FSJoin.run``) shares no logic with the index.  Also pinned here: the
 ``probe_batch`` result-ordering guarantee across executor fan-outs, the
-byte-accurate ``posting_stats``, and the v3 snapshot format.
+byte-accurate ``posting_stats``, and the v4 snapshot format.
 """
 
 from __future__ import annotations
@@ -167,40 +167,42 @@ class TestPostingStats:
 class TestFragmentPostings:
     def test_staged_entries_visible_after_seal(self):
         fp = FragmentPostings()
-        fp.add(7, 100, 0)
-        fp.add(7, 101, 2)
-        fp.add(3, 100, 1)
+        fp.add(7, 100)
+        fp.add(7, 101)
+        fp.add(3, 100)
         assert len(fp) == 3
-        assert dict(fp.items()) == {
-            7: [(100, 0), (101, 2)],
-            3: [(100, 1)],
-        }
+        assert fp.run_rids(7) == [100, 101]
+        assert dict(fp.items()) == {7: [100, 101], 3: [100]}
 
     def test_seal_appends_after_existing_run(self):
         fp = FragmentPostings()
-        fp.add(5, 1, 0)
+        fp.add(5, 1)
         fp.seal()
-        fp.add(5, 2, 3)
-        fp.add(4, 9, 1)
+        fp.add(5, 2)
+        fp.add(4, 9)
         fp.seal()
-        assert dict(fp.items())[5] == [(1, 0), (2, 3)]
+        assert dict(fp.items())[5] == [1, 2]
         assert list(fp.tokens) == [4, 5]
 
     def test_copy_is_independent(self):
         fp = FragmentPostings()
-        fp.add(1, 10, 0)
+        fp.add(1, 10)
         dup = fp.copy()
-        dup.add(2, 20, 0)
+        dup.add(2, 20)
         dup.seal()
         assert len(fp) == 1 and len(dup) == 2
 
     def test_pickle_round_trip(self):
         fp = FragmentPostings()
-        for token, rid, pos in [(4, 1, 0), (4, 2, 1), (9, 3, 0)]:
-            fp.add(token, rid, pos)
+        for token, rid in [(4, 1), (4, 2), (9, 3)]:
+            fp.add(token, rid)
         clone = pickle.loads(pickle.dumps(fp))
         assert list(clone.items()) == list(fp.items())
         assert clone.nbytes() == fp.nbytes()
+        # Three 8-byte columns: tokens, offsets (one more than tokens) and
+        # one record id per posting entry — nothing else is stored.
+        assert fp.nbytes() == 8 * (fp.n_tokens + fp.n_tokens + 1 + len(fp))
+        assert fp.nbytes() == 8 * (2 + 3 + 3)
 
 
 class TestSnapshotCompat:
@@ -230,3 +232,36 @@ class TestSnapshotCompat:
         with pytest.raises(SnapshotError, match="rebuild the index with "
                                                 "'repro index'"):
             load_index(path)
+
+    def test_parent_v3_snapshot_is_refused_not_unpickled(
+            self, index, tmp_path, monkeypatch):
+        """A version-3 file stored a position column beside the rids: its
+        postings pickle as 4-tuples this build's ``__setstate__`` cannot
+        take.  The header's version refuses it — one typed line naming
+        both versions and the command — before the payload is touched."""
+        from array import array
+
+        def v3_state(postings):
+            postings.seal()
+            return (postings.tokens, postings.offsets, postings.rids,
+                    array("i", [0] * len(postings.rids)))
+
+        with monkeypatch.context() as patch:
+            patch.setattr(FragmentPostings, "__getstate__", v3_state)
+            body = pickle.dumps(index)
+        with pytest.raises(ValueError):
+            pickle.loads(body)
+        path = tmp_path / "parent.idx"
+        path.write_bytes(pickle.dumps({
+            "format": SNAPSHOT_FORMAT,
+            "version": 3,
+            "stats": {},
+            "digest": hashlib.sha256(body).hexdigest(),
+            "index_bytes": body,
+        }))
+        with pytest.raises(SnapshotError) as caught:
+            load_index(path)
+        message = str(caught.value)
+        assert "\n" not in message
+        assert "file has 3" in message and "reads 4" in message
+        assert "rebuild the index with 'repro index'" in message
