@@ -889,8 +889,9 @@ def _cmd_ingest(args) -> int:
         fanout=args.fanout,
         executor=args.executor,
     )
+    dfs = InMemoryDFS()
     streaming = StreamingIndex.create(
-        InMemoryDFS(),
+        dfs,
         records=base if len(base) else None,
         n_vertical=args.vertical,
         config=config,
@@ -902,6 +903,7 @@ def _cmd_ingest(args) -> int:
     wall = time.perf_counter() - started
 
     status = streaming.status()
+    order_files = dfs.list_prefix(streaming.order_log.path)
     document = {
         "records": status["records"],
         "base": len(base),
@@ -916,6 +918,15 @@ def _cmd_ingest(args) -> int:
         "pivot_epoch": status["pivot_epoch"],
         "manifest_version": status["manifest_version"],
         "wal": status["wal"],
+        # What the stream left on the DFS: the shared order once, and the
+        # live generations' payloads, which hold none of it.
+        "persisted": {
+            "order_files": len(order_files),
+            "order_bytes": sum(map(dfs.size_bytes, order_files)),
+            "segment_bytes": sum(
+                dfs.size_bytes(gen.path) for gen in streaming.generations
+            ),
+        },
     }
 
     if args.verify:

@@ -192,9 +192,7 @@ class RepairManager:
                 "recovered ingest order knows tokens the router's does not "
                 "— refusing to readmit"
             )
-        # Re-append the trailing tokens one at a time, in the router's
-        # rank order — a bulk extend would re-sort them by (freq, token)
-        # and could assign different ranks than the router's sequence of
-        # per-batch extends did.
-        for rank in range(theirs.vocab_size, mine.vocab_size):
-            theirs.extend([(mine.token(rank), mine.frequency_of_rank(rank))])
+        # The trailing tokens keep the router's ranks: ``append_at``, never
+        # ``extend``, which would re-sort across the router's per-batch
+        # extends.
+        theirs.append_at(theirs.vocab_size, mine.entries(theirs.vocab_size))

@@ -10,7 +10,7 @@ and compare fast.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.data.records import Record, RecordCollection
 from repro.errors import DataError
@@ -80,11 +80,41 @@ class GlobalOrder:
         for token, freq in frequencies:
             if token not in self._rank and token not in fresh:
                 fresh[token] = freq
-        for token, freq in sorted(fresh.items(), key=lambda item: (item[1], item[0])):
+        self.append_at(
+            len(self._tokens),
+            sorted(fresh.items(), key=lambda item: (item[1], item[0])),
+        )
+        return len(fresh)
+
+    def append_at(
+        self, first_id: int, entries: Iterable[Tuple[str, int]]
+    ) -> None:
+        """Give ``entries`` — unseen ``(token, frequency)`` pairs — the
+        ranks ``first_id``, ``first_id + 1``, … in the order given.
+
+        The one place a rank is assigned after construction.
+        :meth:`extend` sorts one call's fresh tokens and lands here; a
+        reader putting back ranks that were assigned earlier (the ingest
+        tier's order log, a repaired tier catching up with its router)
+        calls this directly with :meth:`entries`' output and must never go
+        through :meth:`extend`: a stored run spans several ``extend`` calls,
+        and sorting across them would re-rank it.  Ranks are positions, so
+        ``first_id`` has to be the current size.
+        """
+        if first_id != len(self._tokens):
+            raise DataError(
+                f"cannot append at rank {first_id}: the ordering ends at "
+                f"{len(self._tokens)}"
+            )
+        for token, freq in entries:
             self._rank[token] = len(self._tokens)
             self._tokens.append(token)
             self._freqs.append(freq)
-        return len(fresh)
+
+    def entries(self, start: int = 0) -> Tuple[Tuple[str, int], ...]:
+        """The ``(token, frequency)`` pairs of ranks ``start`` and up, in
+        rank order — what :meth:`append_at` takes back."""
+        return tuple(zip(self._tokens[start:], self._freqs[start:]))
 
     def token(self, rank: int) -> str:
         """Inverse lookup (rank → token)."""

@@ -20,6 +20,7 @@ from repro.ingest.generations import (
     Generation,
     GenerationStore,
     ManifestStore,
+    OrderLog,
 )
 from repro.ingest.memtable import Memtable
 from repro.ingest.streaming import IngestConfig, StreamingIndex
@@ -34,6 +35,7 @@ __all__ = [
     "Generation",
     "GenerationStore",
     "ManifestStore",
+    "OrderLog",
     "Memtable",
     "IngestConfig",
     "StreamingIndex",

@@ -1,19 +1,33 @@
-"""Immutable segment generations and the digest-checked MANIFEST.
+"""Immutable segment generations, the order log, and the digest-checked MANIFEST.
 
 A **generation** is a sealed :class:`~repro.service.index.SegmentIndex`
-persisted to the DFS as a snapshot-style payload: the pickled columnar
-index plus a sha256 digest over those bytes, verified before unpickling —
-the same envelope discipline, and the same payload version, as
-:mod:`repro.service.snapshot`.  A payload of another version is refused:
+persisted to the DFS as a digest-checked payload: the pickle of its record
+columns, posting columns and partitioner (cuts) — everything the index
+holds *except* the shared :class:`~repro.core.ordering.GlobalOrder` —
+plus a sha256 over those bytes, verified before unpickling (the envelope
+discipline of :mod:`repro.service.snapshot`).  The payload's cost is its
+records': a 64-record flush writes the ~80 KB it owns whatever the size of
+the vocabulary, and :meth:`GenerationStore.load` re-attaches the order it
+is handed.  A payload of another :data:`SEGMENT_VERSION` is refused:
 ingest state lives on the build's own in-memory DFS and does not outlive
 the build that wrote it.
 
+The **order log** (:class:`OrderLog`) is where the tier's one shared order
+is stored, once: an append-only DFS file of ``(first_id, ((token, freq),
+...))`` chunks in id order, written at bootstrap and extended before each
+generation payload with exactly the ids interned since the last one.  An
+id *is* its position in the log, so the reader appends chunks in stored
+order (:meth:`GlobalOrder.append_at`) and never re-sorts them.  An on-disk
+snapshot, which must stand alone, still embeds its order; a generation
+never stands alone.
+
 The **manifest** is the commit protocol.  Each committed state of the
 streaming index is a versioned, digest-checked document listing the live
-generations (id, level, path, payload digest), the WAL high-water mark
-(``wal_applied_seq``), the current pivot cuts, and the pivot epoch.
-Committing version *v* is a three-step protocol with a single atomic
-commit record:
+generations (id, level, path, payload digest, ``order_size``), the WAL
+high-water mark (``wal_applied_seq``), the current pivot cuts, and the
+pivot epoch.  Before a commit, its order chunk and then its generation
+payload are on the DFS; committing version *v* is then a three-step
+protocol with a single atomic commit record:
 
 1. write the immutable manifest file ``{root}/v-{v:08d}`` (no-clobber);
 2. overwrite ``{root}/CURRENT`` with ``v`` — **the commit record**; a
@@ -26,9 +40,13 @@ The chaos drill's kill-points bracket step 2: killing the ``CURRENT``
 write is the *pre-commit* point (the fault hook fires before any
 mutation, so the old pointer survives), killing the ``COMMITTED`` write
 is the *post-commit* point (the new state is already live; only cleanup
-is outstanding).  Recovery loads ``CURRENT``, digest-checks the manifest
-and every referenced generation payload, and deletes orphans — segments
-or manifests written by a crashed flush/compaction that never committed.
+is outstanding).  Recovery loads ``CURRENT``, digest-checks the manifest,
+rebuilds the order from the log's prefix below the committed size (the
+manifest's largest ``order_size``), digest-checks and loads every
+referenced generation under it, and deletes orphans — segments, manifests
+or order chunks written by a crashed flush/compaction that never
+committed.  An order chunk beyond the commit names ids no committed column
+uses, and the WAL replay re-interns the same tokens at the same ids.
 """
 
 from __future__ import annotations
@@ -37,17 +55,19 @@ import hashlib
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
+from repro.core.ordering import GlobalOrder
 from repro.errors import IngestError, SnapshotError
 from repro.mapreduce.hdfs import InMemoryDFS
 from repro.service.index import SegmentIndex
-from repro.service.snapshot import SNAPSHOT_VERSION, pack_index, unpack_index
+from repro.service.snapshot import pack_payload, unpack_payload
 
 CURRENT_NAME = "CURRENT"
 COMMITTED_NAME = "COMMITTED"
 #: Format tag inside each persisted generation payload.
 SEGMENT_FORMAT = "repro-ingest-segment"
-#: Payload layout version — the payload is the snapshot's columnar pickle.
-SEGMENT_VERSION = SNAPSHOT_VERSION
+#: Payload layout version.  5: the index's pickled state without its order
+#: (4 was the snapshot's pickle, the whole shared order inside every one).
+SEGMENT_VERSION = 5
 MANIFEST_FORMAT = "repro-ingest-manifest"
 MANIFEST_VERSION = 1
 
@@ -57,6 +77,63 @@ def manifest_digest(doc: Dict) -> str:
     return hashlib.sha256(
         repr(sorted(doc.items())).encode("utf-8")
     ).hexdigest()
+
+
+class OrderLog:
+    """The tier's shared order on the DFS: one append-only file of
+    ``(first_id, ((token, freq), ...))`` chunks, ids in stored order."""
+
+    def __init__(self, dfs: InMemoryDFS, path: str) -> None:
+        self.dfs = dfs
+        self.path = path
+        #: Ids ``[0, size)`` are in the log.
+        self.size = 0
+
+    def extend(self, order: GlobalOrder) -> None:
+        """Append the ids ``order`` interned since the last call — one
+        chunk under the file's running digest, so it costs those ids."""
+        if order.vocab_size > self.size:
+            self.dfs.append(self.path, [(self.size, order.entries(self.size))])
+            self.size = order.vocab_size
+
+    def load(self, size: int) -> GlobalOrder:
+        """The order of ids ``[0, size)`` — the committed prefix — rebuilt
+        chunk by chunk once the file's digest verifies; fails closed."""
+        order = GlobalOrder([])
+        if self.dfs.exists(self.path):
+            if not self.dfs.verify(self.path):
+                raise IngestError(
+                    f"order log at {self.path!r} failed its integrity "
+                    "check — refusing to load"
+                )
+            for first_id, entries in self.dfs.read(self.path):
+                if first_id < size:
+                    order.append_at(first_id, entries)
+        if order.vocab_size != size:
+            raise IngestError(
+                f"order log at {self.path!r} ends at id {order.vocab_size}, "
+                f"not at the committed size {size} — refusing to load"
+            )
+        self.size = size
+        return order
+
+    def tail(self) -> int:
+        """Chunks at or beyond :attr:`size`: what a flush that crashed
+        before its commit left behind."""
+        if not self.dfs.exists(self.path):
+            return 0
+        return sum(
+            first_id >= self.size for first_id, _ in self.dfs.read(self.path)
+        )
+
+    def drop_tail(self) -> None:
+        """Rewrite the file without its :meth:`tail`, so the next chunk
+        starts at :attr:`size` again."""
+        kept = [
+            chunk for chunk in self.dfs.read(self.path)
+            if chunk[0] < self.size
+        ]
+        self.dfs.write(self.path, kept, overwrite=True)
 
 
 @dataclass
@@ -101,7 +178,9 @@ class GenerationStore:
 
     def persist(self, gen_id: int, level: int, index: SegmentIndex) -> Generation:
         """Write one generation payload; returns its live handle."""
-        body, digest = pack_index(index)
+        state = index.__getstate__()
+        del state["order"]
+        body, digest = pack_payload(state)
         path = self.path_of(gen_id)
         meta = {
             "format": SEGMENT_FORMAT,
@@ -119,8 +198,14 @@ class GenerationStore:
             digest=digest, order_size=index.order.vocab_size,
         )
 
-    def load(self, path: str, expected_digest: Optional[str] = None) -> Generation:
-        """Read one payload back, digest-checking before unpickling."""
+    def load(
+        self,
+        path: str,
+        order: GlobalOrder,
+        expected_digest: Optional[str] = None,
+    ) -> Generation:
+        """Read one payload back over the shared ``order``, digest-checking
+        before unpickling."""
         pairs = dict(self.dfs.read(path))
         meta = pairs.get("meta")
         body = pairs.get("index")
@@ -141,11 +226,13 @@ class GenerationStore:
                 f"records sha256 {expected_digest[:12]}…) — refusing to load"
             )
         try:
-            index = unpack_index(body, digest)
+            state = unpack_payload(body, digest, dict)
         except SnapshotError as exc:
             raise IngestError(
                 f"segment at {path!r} {exc} — refusing to load"
             ) from None
+        index = SegmentIndex.__new__(SegmentIndex)
+        index.__setstate__({"order": order, **state})
         return Generation(
             gen_id=meta["gen"], level=meta["level"], index=index,
             path=path, digest=digest, order_size=meta["order_size"],

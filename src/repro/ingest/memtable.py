@@ -21,6 +21,10 @@ the stage behind each sealed run, and nothing is rebuilt between an
 append and the probe that must see it.  The posting columns are built
 once, by :meth:`Memtable.seal` at flush: the inner index *becomes* the
 flushed generation (sealed in place) and a new empty memtable takes over.
+What that flush persists is the memtable's own — its columns in the
+generation payload, the tokens it interned in one order-log chunk — while
+the order it shares is stored once for the whole tier
+(:class:`~repro.ingest.generations.OrderLog`).
 """
 
 from __future__ import annotations
@@ -58,10 +62,6 @@ class Memtable:
         """Absorb a batch (interning fresh tokens, staging its postings);
         all-or-nothing."""
         return self.index.apply_batch(records)
-
-    def approx_bytes(self) -> int:
-        stats = self.index.posting_stats()
-        return stats["posting_bytes"] + stats["record_bytes"]
 
     def seal(self) -> SegmentIndex:
         """Freeze the inner index for hand-off as an immutable generation:

@@ -9,13 +9,18 @@ The write path per accepted batch:
 3. absorb it into the memtable (interning fresh tokens append-only,
    staging its postings) — the visibility point: probes read the stage;
 4. when the memtable passes its size limit, **flush**: seal it into an
-   immutable level-0 generation, persist the payload, and commit a new
+   immutable level-0 generation, append the ids interned since the last
+   persist to the order log, persist the payload, and commit a new
    manifest whose ``wal_applied_seq`` covers the flushed batches;
 5. when a level over-fills (or pivot skew drifts), **compact**.
 
 Steps 1–3 cost the batch — O(batch × tiers) lookups, O(batch) logged
-entries under a running segment digest, O(batch) staged postings; only
-4 and 5 are proportional to state, and they are amortized by design.
+entries under a running segment digest, O(batch) staged postings.  A
+flush costs its memtable: the payload holds the sealed columns and the
+order chunk the tokens those records brought, while the shared order is
+stored once, in the log (:class:`~repro.ingest.generations.OrderLog`),
+not inside every generation.  Only 5 is proportional to state, and it is
+amortized by design.
 
 The read path merges tiers: a probe runs against the memtable and every
 generation with one shared :class:`~repro.service.index.EncodedQuery`
@@ -28,10 +33,13 @@ to a single ``SegmentIndex`` over the union (property-tested in
 serve it unchanged.
 
 Recovery (:meth:`StreamingIndex.recover`) follows CURRENT to the live
-manifest, digest-checks and loads every referenced generation, deletes
-orphans from crashed commits, and replays the WAL tail beyond
-``wal_applied_seq`` into a fresh memtable — each step traced as a
-``phase="recovery"`` span so the chaos drill can count it.
+manifest, rebuilds the order from the log's committed prefix,
+digest-checks and loads every referenced generation under it, deletes
+orphans from crashed commits (segments, manifests, order chunks beyond
+the commit), and only then replays the WAL tail beyond
+``wal_applied_seq`` into a fresh memtable, which re-interns the dropped
+ids as they were — each step traced as a ``phase="recovery"`` span so the
+chaos drill can count it.
 """
 
 from __future__ import annotations
@@ -50,7 +58,12 @@ from repro.ingest.compaction import (
     merge_generations,
     pivot_drift,
 )
-from repro.ingest.generations import Generation, GenerationStore, ManifestStore
+from repro.ingest.generations import (
+    Generation,
+    GenerationStore,
+    ManifestStore,
+    OrderLog,
+)
 from repro.ingest.memtable import Memtable
 from repro.ingest.wal import ReplayResult, WriteAheadLog
 from repro.mapreduce.counters import Counters
@@ -124,6 +137,7 @@ class StreamingIndex:
         self.dfs = dfs
         self.root = root.rstrip("/")
         self.order = order
+        self.vocab = TokenVocab(order)
         self.partitioner = partitioner
         self.pivot_method = PivotMethod(pivot_method)
         self.pivot_seed = pivot_seed
@@ -134,6 +148,7 @@ class StreamingIndex:
             dfs, f"{self.root}/wal", config.wal_segment_entries
         )
         self.segments = GenerationStore(dfs, f"{self.root}/segments")
+        self.order_log = OrderLog(dfs, f"{self.root}/order")
         self.manifests = ManifestStore(
             dfs, f"{self.root}/manifest", keep=config.keep_manifests
         )
@@ -168,8 +183,9 @@ class StreamingIndex:
         over them (the offline ordering job picks the order and pivots);
         without, generation 0 is empty and the order grows entirely from
         ingested batches.  Either way the bootstrap generation is
-        persisted immediately and manifest v1 committed, so recovery
-        always has an order snapshot to start from.
+        persisted immediately — the order to its log, then the payload —
+        and manifest v1 committed, so recovery always has a state to start
+        from.
         """
         if records is not None and len(records):
             base = SegmentIndex.build(
@@ -229,11 +245,18 @@ class StreamingIndex:
             tracer if tracer is not None else NOOP_TRACER,
             counters if counters is not None else Counters(),
         )
-        gen = self.segments.persist(self._next_gen, 0, base)
-        self._next_gen += 1
-        self.generations.append(gen)
+        self.generations.append(self._persist(0, base))
         self._commit_manifest()
         return self
+
+    def _persist(self, level: int, index: SegmentIndex) -> Generation:
+        """Write ``index`` as the next generation — after the ids interned
+        since the last persist, so a payload on the DFS never uses an id
+        the order log lacks."""
+        self.order_log.extend(self.order)
+        gen = self.segments.persist(self._next_gen, level, index)
+        self._next_gen += 1
+        return gen
 
     @classmethod
     def recover(
@@ -244,7 +267,8 @@ class StreamingIndex:
         tracer: Optional[Tracer] = None,
         counters: Optional[Counters] = None,
     ) -> "StreamingIndex":
-        """Restart from the DFS: manifest → generations → WAL replay.
+        """Restart from the DFS: manifest → order log → generations →
+        WAL replay.
 
         Every step that undoes crash damage is recorded as a
         ``phase="recovery"`` span with an ``action`` attribute
@@ -259,26 +283,24 @@ class StreamingIndex:
             dfs, f"{root}/manifest", keep=config.keep_manifests
         )
         doc = manifests.load_current()
-        store = GenerationStore(dfs, f"{root}/segments")
-        generations = []
-        for meta in doc["generations"]:
-            generations.append(store.load(meta["path"], meta["digest"]))
-        if not generations:
+        if not doc["generations"]:
             raise IngestError(f"manifest at {root!r} lists no generations")
-        # The order snapshot: the newest generation's order is a superset
-        # of every other's (extend is append-only), so re-pointing all
-        # tiers at it keeps every id mapping valid.
-        master = max(generations, key=lambda g: g.order_size)
-        order = master.index.order
-        for gen in generations:
-            gen.index.order = order
-            gen.index.vocab = TokenVocab(order)
+        # The committed order: every live column's ids lie below the
+        # largest order_size a committed generation recorded.
+        order_log = OrderLog(dfs, f"{root}/order")
+        order = order_log.load(
+            max(meta["order_size"] for meta in doc["generations"])
+        )
         partitioner = VerticalPartitioner(tuple(doc["cuts"]))
         self = cls(
             dfs, root, order, partitioner, PivotMethod(doc["pivot_method"]),
             doc.get("pivot_seed", 0), config, tracer, counters,
         )
-        self.generations = generations
+        self.order_log = order_log
+        self.generations = [
+            self.segments.load(meta["path"], order, meta["digest"])
+            for meta in doc["generations"]
+        ]
         self.manifest_version = doc["version"]
         self._next_gen = doc["next_gen"]
         self._wal_applied_seq = doc["wal_applied_seq"]
@@ -292,7 +314,8 @@ class StreamingIndex:
         return self
 
     def _gc_orphans(self, doc: Dict) -> None:
-        """Delete segments/manifests a crashed commit left behind."""
+        """Delete the segments, manifests and order chunks a crashed commit
+        left behind."""
         live = {meta["path"] for meta in doc["generations"]}
         orphans = [
             path for path in self.segments.list_segments()
@@ -302,12 +325,18 @@ class StreamingIndex:
             path for path in self.manifests.version_paths()
             if path > self.manifests.version_path(doc["version"])
         ]
-        if not orphans and not stale:
+        tail = self.order_log.tail()
+        if not orphans and not stale and not tail:
             return
         with self.tracer.span(
             "ingest-gc", phase="recovery", action="segment-gc",
             orphan_segments=len(orphans), orphan_manifests=len(stale),
+            orphan_order_chunks=tail,
         ):
+            if tail:
+                # Ids no committed column uses; the WAL replay re-interns
+                # their tokens, and the next chunk must start at the commit.
+                self.order_log.drop_tail()
             for path in orphans:
                 self.segments.delete(path)
             for path in stale:
@@ -315,7 +344,7 @@ class StreamingIndex:
                 # a redone flush/compaction can claim the version number.
                 self.dfs.delete(path)
         self.counters.increment("ingest", "gc_orphans",
-                                len(orphans) + len(stale))
+                                len(orphans) + len(stale) + tail)
 
     def _replay_wal(self) -> ReplayResult:
         result = self.wal.replay(after_seq=self._wal_applied_seq)
@@ -393,9 +422,7 @@ class StreamingIndex:
         with self.tracer.span(
             "flush", phase="ingest", records=len(self.memtable)
         ) as span:
-            sealed = self.memtable.seal()
-            gen = self.segments.persist(self._next_gen, 0, sealed)
-            self._next_gen += 1
+            gen = self._persist(0, self.memtable.seal())
             self.generations.append(gen)
             self.memtable = Memtable(
                 self.order, self.partitioner, self.pivot_method
@@ -430,7 +457,8 @@ class StreamingIndex:
         A major compaction first flushes the memtable, then rebuilds one
         top-level generation — under freshly derived pivots when ``cuts``
         is given, bumping the pivot epoch.  The merged payload is
-        persisted *before* the manifest commit record flips to it, and
+        persisted (behind any ids the order log lacks) *before* the
+        manifest commit record flips to it, and
         obsolete segments are deleted only after — the two chaos
         kill-points (:meth:`kill_points`) bracket exactly that commit.
         """
@@ -463,11 +491,10 @@ class StreamingIndex:
                 inputs, self.order, partitioner, self.pivot_method,
                 executor,
             )
-            gen = self.segments.persist(self._next_gen, level, merged)
-            self._next_gen += 1
+            gen = self._persist(level, merged)
+            merged_ids = {i.gen_id for i in inputs}
             survivors = [
-                g for g in self.generations
-                if g.gen_id not in {i.gen_id for i in inputs}
+                g for g in self.generations if g.gen_id not in merged_ids
             ]
             self.generations = survivors + [gen]
             if cuts is not None:
@@ -506,10 +533,6 @@ class StreamingIndex:
         }
 
     # -- the read path (SegmentIndex duck type) ---------------------------
-    @property
-    def vocab(self) -> TokenVocab:
-        return TokenVocab(self.order)
-
     def _tiers(self) -> List[SegmentIndex]:
         tiers = [gen.index for gen in self.generations]
         if len(self.memtable):

@@ -175,8 +175,8 @@ class WriteAheadLog:
         """Scan the log and return committed batches beyond ``after_seq``.
 
         Also repositions this instance's writer state to continue after
-        the last intact entry, so ``replay`` doubles as ``open`` for
-        recovery.  Batch atomicity: a batch whose commit marker has
+        the last intact entry (never at or below ``after_seq``), so
+        ``replay`` doubles as ``open`` for recovery.  Batch atomicity: a batch whose commit marker has
         ``seq > after_seq`` is returned whole; one whose commit marker is
         missing (torn) or damaged is discarded whole.
         """
@@ -230,8 +230,11 @@ class WriteAheadLog:
                     result.truncated_entries += len(self.dfs.read(later))
                 break
         result.torn_entries = sum(len(v) for v in pending.values())
-        # Reposition the writer after the last intact entry.
-        self._next_seq = result.last_seq + 1
+        # Reposition the writer after the last intact entry — and beyond
+        # ``after_seq`` even when a flush emptied the log below it: an
+        # entry logged at or below what the caller has already applied
+        # would be skipped, an acknowledged batch lost, by the next replay.
+        self._next_seq = max(result.last_seq, after_seq) + 1
         self._next_batch = result.next_batch_id
         self._segment = last_segment
         self._entries_in_segment = entries_in_last

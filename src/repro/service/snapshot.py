@@ -38,7 +38,7 @@ from repro.service.index import SegmentIndex
 
 SNAPSHOT_FORMAT = "repro-segment-index"
 #: v4: three posting columns (a posting is a record id) and one id column
-#: per record.  Ingest generation payloads are this pickle and this number.
+#: per record.
 SNAPSHOT_VERSION = 4
 
 _PICKLE_ERRORS = (
@@ -47,17 +47,17 @@ _PICKLE_ERRORS = (
 )
 
 
-def pack_index(index: SegmentIndex) -> Tuple[bytes, str]:
-    """``index`` as its pickled payload and the payload's sha256 — what a
-    snapshot file and an ingest generation both store."""
-    body = pickle.dumps(index, protocol=pickle.HIGHEST_PROTOCOL)
+def pack_payload(payload) -> Tuple[bytes, str]:
+    """``payload`` pickled, and the sha256 of those bytes — how a snapshot
+    file stores its index and an ingest generation its columns."""
+    body = pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL)
     return body, hashlib.sha256(body).hexdigest()
 
 
-def unpack_index(body, recorded: str) -> SegmentIndex:
-    """The index in ``body``, unpickled only once the bytes hash to
-    ``recorded``; else a :class:`SnapshotError` whose message is a bare
-    predicate for the caller to prefix with what and where."""
+def unpack_payload(body, recorded: str, kind: type):
+    """The ``kind`` instance in ``body``, unpickled only once the bytes
+    hash to ``recorded``; else a :class:`SnapshotError` whose message is a
+    bare predicate for the caller to prefix with what and where."""
     if not isinstance(body, bytes):
         raise SnapshotError("carries no index payload")
     digest = hashlib.sha256(body).hexdigest()
@@ -67,21 +67,21 @@ def unpack_index(body, recorded: str) -> SegmentIndex:
             f"{str(recorded)[:12]}…)"
         )
     try:
-        index = pickle.loads(body)
+        payload = pickle.loads(body)
     except _PICKLE_ERRORS as exc:
         raise SnapshotError(
             "is unreadable despite a valid digest (written by an "
             f"incompatible build?): {exc}"
         ) from None
-    if not isinstance(index, SegmentIndex):
+    if not isinstance(payload, kind):
         raise SnapshotError("carries no index payload")
-    return index
+    return payload
 
 
 def save_index(index: SegmentIndex, path: Union[str, Path]) -> int:
     """Persist ``index`` at ``path`` atomically; returns the byte size."""
     path = Path(path)
-    body, digest = pack_index(index)
+    body, digest = pack_payload(index)
     payload = {
         "format": SNAPSHOT_FORMAT,
         "version": SNAPSHOT_VERSION,
@@ -149,7 +149,9 @@ def read_index(stream: BinaryIO, path: Path) -> SegmentIndex:
             "rebuild the index with 'repro index'"
         )
     try:
-        return unpack_index(payload.get("index_bytes"), payload.get("digest"))
+        return unpack_payload(
+            payload.get("index_bytes"), payload.get("digest"), SegmentIndex
+        )
     except SnapshotError as exc:
         raise SnapshotError(
             f"snapshot at {path} {exc} — rebuild the index with 'repro index'"

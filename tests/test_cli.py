@@ -366,6 +366,12 @@ class TestIngest:
         assert doc["verify"]["ok"]
         assert doc["verify"]["structural_identical"]
         assert doc["verify"]["probe_mismatches"] == 0
+        # The order is stored once and in no generation payload, so the
+        # live payloads together weigh less than one standalone snapshot.
+        assert doc["persisted"]["order_files"] == 1
+        assert 0 < doc["persisted"]["order_bytes"]
+        assert (0 < doc["persisted"]["segment_bytes"]
+                < doc["snapshot"]["bytes"])
         # The snapshot is a plain index the serving CLI can load.
         assert snapshot.exists()
         assert main(["search", str(snapshot), "--rid", "5",

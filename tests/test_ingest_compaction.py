@@ -2,11 +2,14 @@
 
 from __future__ import annotations
 
+import hashlib
 import pickle
 
 import pytest
 
 from repro.chaos import ChaosConfig, FaultInjector, FaultSchedule
+from repro.core.ordering import GlobalOrder
+from repro.core.partitioning import VerticalPartitioner
 from repro.core.pivots import PivotMethod
 from repro.data.records import Record, RecordCollection
 from repro.errors import DFSError, IngestError
@@ -16,6 +19,7 @@ from repro.ingest import (
     IngestConfig,
     LeveledPolicy,
     ManifestStore,
+    Memtable,
     StreamingIndex,
     merge_generations,
 )
@@ -45,9 +49,10 @@ class TestGenerationStore:
     def test_persist_load_roundtrip(self, corpus):
         store = GenerationStore(InMemoryDFS(), "segments")
         gen = store.persist(0, 0, _sealed_index(list(corpus)))
-        loaded = store.load(gen.path, gen.digest)
+        loaded = store.load(gen.path, gen.index.order, gen.digest)
         assert loaded.gen_id == 0 and loaded.level == 0
         assert loaded.records == len(corpus)
+        assert loaded.index.order is gen.index.order
         assert pickle.dumps(loaded.index) == pickle.dumps(gen.index)
 
     def test_corrupt_payload_fails_closed(self, corpus):
@@ -60,22 +65,24 @@ class TestGenerationStore:
         ]
         dfs.write(gen.path, flipped, overwrite=True)
         with pytest.raises(IngestError):
-            store.load(gen.path, gen.digest)
+            store.load(gen.path, gen.index.order, gen.digest)
 
     def test_manifest_digest_mismatch_fails_closed(self, corpus):
         """A stale manifest digest (segment rewritten under it) is caught."""
         store = GenerationStore(InMemoryDFS(), "segments")
         gen = store.persist(0, 0, _sealed_index(list(corpus)))
         store.persist(1, 0, _sealed_index(list(corpus)[:10]))
-        other = store.load(store.path_of(1))
+        other = store.load(store.path_of(1), gen.index.order)
         with pytest.raises(IngestError):
-            store.load(gen.path, other.digest)
+            store.load(gen.path, gen.index.order, other.digest)
 
     def test_foreign_payload_rejected(self):
         dfs = InMemoryDFS()
         dfs.write("segments/gen-000000", [("k", "v")])
         with pytest.raises(IngestError):
-            GenerationStore(dfs, "segments").load("segments/gen-000000")
+            GenerationStore(dfs, "segments").load(
+                "segments/gen-000000", GlobalOrder([])
+            )
 
     def test_parent_v3_payload_is_refused_by_version(self, corpus):
         """A generation written by the build that stored a position column
@@ -90,12 +97,66 @@ class TestGenerationStore:
         ]
         dfs.write(gen.path, pairs, overwrite=True)
         with pytest.raises(IngestError) as caught:
-            store.load(gen.path, gen.digest)
+            store.load(gen.path, gen.index.order, gen.digest)
         message = str(caught.value)
         assert "\n" not in message
-        assert "payload has 3" in message and "reads 4" in message
+        assert "payload has 3" in message and "reads 5" in message
         assert "does not outlive the build that wrote it" in message
 
+
+    def test_parent_v4_payload_with_its_order_inside_is_refused(
+        self, corpus, monkeypatch
+    ):
+        """The parent's shape — the whole index pickled, shared order and
+        all, under version 4 — is refused by its meta, never unpickled."""
+        from repro.ingest import generations
+
+        index = _sealed_index(list(corpus))
+        body = pickle.dumps(index)
+        dfs = InMemoryDFS()
+        dfs.write("segments/gen-000000", [
+            ("meta", {"format": generations.SEGMENT_FORMAT, "version": 4,
+                      "gen": 0, "level": 0, "records": len(index),
+                      "order_size": index.order.vocab_size}),
+            ("digest", hashlib.sha256(body).hexdigest()),
+            ("index", body),
+        ])
+        monkeypatch.setattr(
+            generations, "unpack_payload",
+            lambda *args: pytest.fail("a refused payload was unpickled"),
+        )
+        with pytest.raises(IngestError) as caught:
+            GenerationStore(dfs, "segments").load(
+                "segments/gen-000000", index.order
+            )
+        message = str(caught.value)
+        assert "\n" not in message
+        assert "payload has 4" in message and "reads 5" in message
+        assert "does not outlive the build that wrote it" in message
+
+    def test_payload_size_does_not_depend_on_the_shared_order(self):
+        """The same 64-record memtable over a 1 000-token and a 20 000-token
+        shared order: the payload is the memtable's, byte for byte."""
+        records = [
+            Record.make(rid, [f"a{(rid * 7 + k * 13) % 1000:05d}"
+                              for k in range(12)])
+            for rid in range(64)
+        ]
+        small = [(f"a{i:05d}", 1) for i in range(1000)]
+        large = small + [(f"b{i:05d}", 1) for i in range(19000)]
+        dfs = InMemoryDFS()
+        store = GenerationStore(dfs, "segments")
+        partitioner = VerticalPartitioner((250, 500, 750))
+        gens = []
+        for gen_id, frequencies in enumerate((small, large)):
+            memtable = Memtable(GlobalOrder(frequencies), partitioner)
+            memtable.apply_batch(records)
+            gens.append(store.persist(gen_id, 0, memtable.seal()))
+        assert [gen.order_size for gen in gens] == [1000, 20000]
+        bodies = [dict(dfs.read(gen.path))["index"] for gen in gens]
+        assert bodies[0] == bodies[1]
+        assert abs(dfs.size_bytes(gens[0].path)
+                   - dfs.size_bytes(gens[1].path)) <= 8
 
 class TestManifestStore:
     def _doc(self, store, version, **overrides):

@@ -113,10 +113,3 @@ class TestMemtableLifecycle:
         sealed = memtable.seal()
         assert sealed is memtable.index
         assert [hit.rid for hit in sealed.probe(TOKENS[:4], 0.9)] == [5]
-
-    def test_approx_bytes_grows_with_content(self):
-        order, partitioner = _shared_layout([Record.make(0, TOKENS[:3])])
-        memtable = Memtable(order, partitioner)
-        empty = memtable.approx_bytes()
-        memtable.apply_batch([Record.make(5, TOKENS[:10])])
-        assert memtable.approx_bytes() > empty

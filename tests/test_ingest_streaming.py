@@ -175,6 +175,22 @@ class TestRecovery:
             )
 
 
+    def test_appends_after_a_recovery_over_an_emptied_wal_survive(self, corpus):
+        """A flush empties the WAL; a writer recovered then must not log at
+        sequence numbers the manifest already covers, or the next recovery
+        skips — loses — batches it acknowledged."""
+        dfs = InMemoryDFS()
+        config = IngestConfig(auto_flush=False)
+        streaming = _stream(corpus, dfs=dfs, auto_flush=False)
+        streaming.apply_batch(list(corpus)[30:40])
+        streaming.flush()
+        recovered = StreamingIndex.recover(dfs, config=config)
+        recovered.apply_batch(list(corpus)[40:50])
+        again = StreamingIndex.recover(dfs, config=config)
+        assert len(again) == 50
+        assert again.rids() == [record.rid for record in list(corpus)[:50]]
+
+
 class TestServiceIntegration:
     def test_similarity_service_over_streaming_index(self, corpus):
         streaming = _feed(_stream(corpus), corpus)
