@@ -9,8 +9,9 @@ the vertical partition count drops (or records lengthen).
 
 Measured on both a plain Zipf corpus and a topic-clustered one
 (:mod:`repro.data.textlike`): at 5 partitions SegI/SegD prune ~3/4 of the
-StrL-only candidate records, approaching the paper's regime; at 30 they
-prune ~10–15%.
+StrL-only candidate pairs, approaching the paper's regime; at 30 they
+prune ~10–15%.  (Candidates are ``fsjoin.filter.candidates_emitted``;
+the filter job's output *records* are stripes and do not count pairs.)
 """
 
 from __future__ import annotations
@@ -56,7 +57,9 @@ def test_ext_filter_power_vs_partitions(benchmark, corpus_name):
                     ),
                     cluster,
                 ).run(records)
-                outputs[label] = result.job_results[1].metrics.output_records
+                outputs[label] = result.counters().get(
+                    "fsjoin.filter", "candidates_emitted"
+                )
                 outputs.setdefault("results", len(result.pairs))
             rows.append(
                 {

@@ -52,8 +52,12 @@ def test_lemma5_cost_model(benchmark):
             measured_p = segments / m
             predicted_fragment = m * measured_p / n
             predicted_pairs = n * predicted_fragment**2 / 2
-            measured_pairs = counters.get("fsjoin.filter", "pairs_considered")
-            candidates = filter_metrics.output_records
+            # Lemma 5 counts every pair of a fragment: the ones the loop
+            # join ran the filters on plus the ones its StrL window skipped.
+            measured_pairs = counters.get(
+                "fsjoin.filter", "pairs_considered"
+            ) + counters.get("fsjoin.filter", "pruned_strl")
+            candidates = counters.get("fsjoin.filter", "candidates_emitted")
             analytic = lemma5_cost(
                 sizes,
                 n_partitions=n,

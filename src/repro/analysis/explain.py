@@ -65,9 +65,11 @@ def explain(
             if name.startswith("pruned_")
         }
         pruned_text = ", ".join(f"{k}={v}" for k, v in pruned.items()) or "none"
+        stripes = filter_counters.get("stripes_emitted", 0)
         lines.append(
             f"fragment joins: {considered} pairs considered, "
-            f"{emitted} candidate records emitted, pruned: {pruned_text}"
+            f"{emitted} candidate pairs in {stripes} stripes, "
+            f"pruned: {pruned_text}"
         )
     verify = counters.group("fsjoin.verify")
     if verify:

@@ -8,7 +8,10 @@ every emitted byte appears exactly once).
 
 Reduce: each key group is one fragment (or one horizontal *section* of a
 fragment); run the configured join algorithm with the filter battery and
-emit ``((rid_s, rid_t), (common, len_s, len_t))`` partial counts.
+emit its partial counts as stripes, ``owner → (len_owner, rid_t, len_t,
+common, …)`` — one record per probing segment, not one per pair.  A
+boundary partition hands the join its pivot, an R-S job its cross-side
+flag: both rules are data, applied inside the join's one order.
 """
 
 from __future__ import annotations
@@ -80,35 +83,15 @@ class FilterJob(MapReduceJob):
         self, key, values: List[Segment], emit, context: JobContext
     ) -> None:
         h, _v = key
-        cross_only = self.cross_side_only
-        if self.horizontal.is_boundary(h):
-            pivot = self.horizontal.boundary_pivot(h)
-
-            def pair_allowed(seg_a: Segment, seg_b: Segment) -> bool:
-                if cross_only and seg_a.info.side == seg_b.info.side:
-                    return False
-                len_a, len_b = seg_a.info.str_len, seg_b.info.str_len
-                low, high = (len_a, len_b) if len_a <= len_b else (len_b, len_a)
-                return low < pivot <= high
-
-        elif cross_only:
-
-            def pair_allowed(seg_a: Segment, seg_b: Segment) -> bool:
-                return seg_a.info.side != seg_b.info.side
-
-        else:
-            pair_allowed = None
-
-        def emit_pair(rid_s: int, len_s: int, rid_t: int, len_t: int, common: int) -> None:
-            emit((rid_s, rid_t), (common, len_s, len_t))
-
-        join_fragment(
+        stripes = join_fragment(
             values,
             method=self.config.join_method,
             theta=self.config.theta,
             func=self.config.func,
             filter_config=self.config.filters,
-            emit_pair=emit_pair,
             context=context,
-            pair_allowed=pair_allowed,
+            pivot=self.horizontal.pivot_of(h),
+            cross_side=self.cross_side_only,
         )
+        for owner, stripe in stripes:
+            emit(owner, stripe)

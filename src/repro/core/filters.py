@@ -12,7 +12,10 @@ by the *required overlap* ``τ = required_overlap(func, θ, |s|, |t|)``, which
 makes the same inequalities valid for Dice and Cosine:
 
 * StrL-Filter (Lemma 1): prune when the partner length is outside the
-  admissible band.
+  admissible band.  It depends on the two record lengths alone, so it is
+  not a per-pair test here but a bound, :meth:`FragmentFilters.min_partner_len`,
+  which the fragment join turns into a window over its length-sorted
+  segments (``core/joins.py``): a pruned pair is never enumerated.
 * SegL-Filter (Lemma 2): prune when even a full overlap of the two segments
   plus full head/tail overlaps cannot reach ``τ``.
 * SegI-Filter (Lemma 3): like SegL but with the *actual* segment
@@ -41,14 +44,14 @@ PairBounds = Tuple[Optional[str], int, int]
 class FragmentFilters:
     """Filter battery applied inside one fragment's join.
 
-    Construct once per fragment: the instance memoises the threshold
-    algebra — ``τ`` by length pair, StrL's admissible lower bound by length
-    — so a fragment derives each from ``θ`` once however many segment
+    Construct once per fragment: the instance memoises ``τ`` by length
+    pair, so a fragment derives it from ``θ`` once however many segment
     pairs share those lengths.
 
-    :meth:`bounds` is the one place Lemmas 1–4 are evaluated.  It runs the
-    length-only filters and turns the two intersection-dependent ones into
-    thresholds on the segment intersection, which the caller reads twice:
+    :meth:`min_partner_len` is Lemma 1; :meth:`bounds` is the one place
+    Lemmas 2–4 are evaluated.  It runs the length-only SegL filter and
+    turns the two intersection-dependent ones into thresholds on the
+    segment intersection, which the caller reads twice:
     as the early-termination bound of the segment merge
     (:meth:`min_required_common`) and as the post-intersection decision
     (:meth:`verdict`).
@@ -65,33 +68,30 @@ class FragmentFilters:
         self.config = config
         self._needs_tau = config.segl or config.segi or config.segd
         self._tau: Dict[Tuple[int, int], int] = {}
-        self._strl_low: Dict[int, int] = {}
+
+    def min_partner_len(self, length: int) -> int:
+        """Lemma 1 from the longer record's side: the smallest ``|t| ≤ |s|``
+        that can still be similar to a record of ``length`` tokens (0 with
+        StrL off — every shorter record is admissible)."""
+        if not self.config.strl:
+            return 0
+        return length_lower_bound(self.func, self.theta, length)
 
     def bounds(self, seg_s: Segment, seg_t: Segment) -> PairBounds:
-        """Evaluate Lemmas 1–4 for one segment pair, intersection unseen.
+        """Evaluate Lemmas 2–4 for one segment pair, intersection unseen.
 
-        Returns ``(pruned_by, segi_min, segd_min)``.  ``pruned_by`` names
-        the length-only filter (``"strl"``/``"segl"``) that prunes the pair,
-        else ``None``.  ``segi_min`` and ``segd_min`` are the smallest
+        Returns ``(pruned_by, segi_min, segd_min)``.  ``pruned_by`` is
+        ``"segl"`` when that length-only filter prunes the pair, else
+        ``None``.  ``segi_min`` and ``segd_min`` are the smallest
         segment intersections Lemma 3 and Lemma 4 let survive — both
         filters are monotone in the intersection, so each is one threshold
         — and are 0 for a disabled filter or a pruned pair.
         """
+        if not self._needs_tau:
+            return None, 0, 0
         info_s, info_t = seg_s.info, seg_t.info
         len_s, len_t = info_s.str_len, info_t.str_len
         config = self.config
-        if config.strl:
-            # Lemma 1: the shorter record is below the longer one's band.
-            small, large = (len_s, len_t) if len_s <= len_t else (len_t, len_s)
-            low = self._strl_low.get(large)
-            if low is None:
-                low = self._strl_low[large] = length_lower_bound(
-                    self.func, self.theta, large
-                )
-            if small < low:
-                return "strl", 0, 0
-        if not self._needs_tau:
-            return None, 0, 0
         tau = self._tau.get((len_s, len_t))
         if tau is None:
             tau = self._tau[len_s, len_t] = required_overlap(

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import bisect
 from dataclasses import dataclass
-from typing import List, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from repro.errors import ConfigError
 from repro.similarity.functions import SimilarityFunction
@@ -66,6 +66,15 @@ class HorizontalPlan:
     def is_boundary(self, partition_id: int) -> bool:
         return partition_id >= self.n_base
 
+    def pivot_of(self, partition_id: int) -> Optional[int]:
+        """The pivot a partition's pairs must straddle: ``L_i`` for boundary
+        ``h_{t+i}``, ``None`` for a base partition, which joins everything
+        it holds.  This is what a fragment join is handed (it applies the
+        rule as an index window); :meth:`pair_allowed` states the rule."""
+        if not self.is_boundary(partition_id):
+            return None
+        return self.boundary_pivot(partition_id)
+
     def partitions_of(self, length: int) -> List[int]:
         """All horizontal partitions a record of ``length`` tokens joins.
 
@@ -92,9 +101,9 @@ class HorizontalPlan:
         at or above), which prevents double-counting pairs that share a
         base partition.
         """
-        if not self.is_boundary(partition_id):
+        pivot = self.pivot_of(partition_id)
+        if pivot is None:
             return True
-        pivot = self.boundary_pivot(partition_id)
         low, high = (len_s, len_t) if len_s <= len_t else (len_t, len_s)
         return low < pivot <= high
 

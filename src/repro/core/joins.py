@@ -4,10 +4,35 @@ A fragment is the list of segments shuffled to one reducer.  The join's
 task is to produce, for every pair of segments with common tokens that
 survives the filters, the exact number of common tokens in this fragment.
 
-Three implementations, as in the paper:
+**One order.**  :func:`join_fragment` first sorts the fragment by
+``(str_len, side, rid)`` — the order the in-memory PPJoin uses — and every
+segment then *probes* only segments before it.  That one order does three
+jobs:
 
-* **Loop join** — compare every segment pair; intersections by linear merge
-  (tokens are sorted ranks).
+* *Lemma 1 is a window.*  The probing segment is the longer of any pair,
+  so StrL admits exactly the earlier segments at or past
+  ``bisect_left(lens, min_partner_len(|s|))``; the pairs below that index
+  are never enumerated (``pruned_strl`` counts them: a property of the
+  fragment, the same for all three algorithms).
+* *The horizontal boundary rule is a window.*  A boundary partition joins
+  only pairs with ``|t| < pivot ≤ |s|``: the segments below
+  ``bisect_left(lens, pivot)`` are only ever partners, those at or above
+  it only ever probe.
+* *The probing record owns the pair.*  The order compares two records by
+  fields every one of their segments carries, so a pair has the same owner
+  in every fragment and horizontal partition it meets in.  The join
+  therefore returns one **stripe** per probing segment — ``owner →
+  (len_owner, rid_t, len_t, common, rid_t, len_t, common, …)``, a flat
+  int tuple — instead of one record per pair, and the verification job
+  sums a pair's partial counts inside its owner's group.  The owner key
+  is the record id; under ``cross_side`` (an R-S join, where ids repeat
+  across collections) it is ``(side, rid)``, and the verification job is
+  told so rather than left to guess from the key.
+
+Three ways of finding a probing segment's partners, as in the paper:
+
+* **Loop join** — every segment in the window; intersections by linear
+  merge (tokens are sorted ranks).
 * **Index join** — index *all* tokens of already-seen segments; probing a
   segment's tokens yields each earlier segment's exact intersection count
   directly, so only intersecting pairs are ever touched.
@@ -19,11 +44,16 @@ Three implementations, as in the paper:
   pair must be counted, so the aggregated counts stay exact for every
   reported result.  Candidate pairs found by prefix collision still get
   their exact intersection via a merge of the full segments.
+
+Posting lists hold ascending segment indices, so the window is one C
+``bisect`` per list.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional
+from bisect import bisect_left
+from itertools import accumulate, repeat
+from typing import Any, Dict, Iterable, Iterator, List, Optional, Tuple
 
 from repro.core.config import FilterConfig, JoinMethod
 from repro.core.filters import FragmentFilters
@@ -33,11 +63,12 @@ from repro.similarity.functions import SimilarityFunction
 from repro.similarity.thresholds import prefix_length
 from repro.similarity.verify import bounded_merge_intersection
 
-#: emit_pair(rid_s, len_s, rid_t, len_t, common_in_fragment)
-EmitPair = Callable[[int, int, int, int, int], None]
+#: ``(owner, (len_owner, rid_t, len_t, common, …))`` — see the module docstring.
+KeyedStripe = Tuple[Any, Tuple[int, ...]]
 
-#: Optional pair gate used by horizontal boundary partitions.
-PairPredicate = Callable[[Segment, Segment], bool]
+#: One probing segment's turn: its index, and ``(earlier index, exact
+#: intersection or None when it is still to be merged)`` per partner found.
+Probe = Tuple[int, Iterable[Tuple[int, Optional[int]]]]
 
 _COUNTER_GROUP = "fsjoin.filter"
 _COUNTER_NAMES = (
@@ -50,6 +81,7 @@ _COUNTER_NAMES = (
     "pruned_segi",
     "pruned_segd",
     "candidates_emitted",
+    "stripes_emitted",
 )
 
 
@@ -59,41 +91,93 @@ def join_fragment(
     theta: float,
     func: SimilarityFunction,
     filter_config: FilterConfig,
-    emit_pair: EmitPair,
     context: Optional[JobContext] = None,
-    pair_allowed: Optional[PairPredicate] = None,
-) -> None:
-    """Join one fragment's segments and emit surviving partial counts.
+    pivot: Optional[int] = None,
+    cross_side: bool = False,
+) -> List[KeyedStripe]:
+    """Join one fragment's segments; return the surviving partial counts
+    as one stripe per probing segment that kept a partner.
 
-    The ``fsjoin.filter`` counters are tallied locally and added to
-    ``context`` once, after the fragment is joined.
+    ``pivot`` is the length pivot of a horizontal boundary partition (only
+    pairs straddling it are joined); ``cross_side`` restricts an R-S join
+    to pairs from different collections.  The ``fsjoin.filter`` counters
+    are tallied locally and added to ``context`` once, after the fragment
+    is joined: ``pairs_considered`` counts the pairs the filter battery ran
+    on, ``candidates_emitted`` the pairs inside the ``stripes_emitted``
+    records returned.
     """
     method = JoinMethod(method)
     filters = FragmentFilters(theta, func, filter_config)
     counts = dict.fromkeys(_COUNTER_NAMES, 0)
-    if method is JoinMethod.LOOP:
-        _loop_join(segments, filters, emit_pair, counts, pair_allowed)
-    elif method is JoinMethod.INDEX:
-        _index_join(segments, filters, emit_pair, counts, pair_allowed)
-    else:
-        _prefix_join(
-            segments, filters, theta, func, emit_pair, counts, pair_allowed
+    segments = sorted(
+        segments, key=lambda s: (s.info.str_len, s.info.side, s.info.rid)
+    )
+    lens = [segment.info.str_len for segment in segments]
+    # Segments [0, split) are partners, [first_probe, n) probe; without a
+    # pivot every segment is both.
+    split = len(segments) if pivot is None else bisect_left(lens, pivot)
+    first_probe = 0 if pivot is None else split
+    window_start = {
+        length: bisect_left(lens, filters.min_partner_len(length))
+        for length in set(lens)
+    }
+    starts = [window_start[length] for length in lens]
+    if cross_side:
+        # right_before[k]: side-1 segments among the first k.
+        right_before = list(
+            accumulate((s.info.side for s in segments), initial=0)
         )
+    if method is JoinMethod.LOOP:
+        probes = _loop_probes(starts, first_probe, split)
+    elif method is JoinMethod.INDEX:
+        probes = _index_probes(segments, starts, first_probe, split)
+    else:
+        prefix_of = {
+            length: prefix_length(func, theta, length) for length in set(lens)
+        }
+        probes = _index_probes(segments, starts, first_probe, split, prefix_of)
+    stripes: List[KeyedStripe] = []
+    for current, partners in probes:
+        segment = segments[current]
+        info = segment.info
+        side = info.side
+        skipped = min(starts[current], split)
+        if cross_side:
+            skipped = (
+                right_before[skipped] if side == 0
+                else skipped - right_before[skipped]
+            )
+        counts["pruned_strl"] += skipped
+        stripe = [info.str_len]
+        for earlier, common in partners:
+            other = segments[earlier]
+            if cross_side and other.info.side == side:
+                continue
+            common = _surviving_common(segment, other, filters, counts, common)
+            if common:
+                stripe += (other.info.rid, other.info.str_len, common)
+        if len(stripe) > 1:
+            counts["candidates_emitted"] += len(stripe) // 3
+            stripes.append(
+                ((side, info.rid) if cross_side else info.rid, tuple(stripe))
+            )
+    counts["stripes_emitted"] = len(stripes)
     if context is not None:
         for name, amount in counts.items():
             if amount:
                 context.increment(_COUNTER_GROUP, name, amount)
+    return stripes
 
 
-def _consider_pair(
+def _surviving_common(
     seg_a: Segment,
     seg_b: Segment,
     filters: FragmentFilters,
-    emit_pair: EmitPair,
     counts: Dict[str, int],
-    common: Optional[int] = None,
-) -> None:
-    """Run the filter battery on one segment pair and emit if it survives."""
+    common: Optional[int],
+) -> int:
+    """Run the filter battery on one segment pair; its exact intersection
+    if the pair survives, else 0."""
     counts["pairs_considered"] += 1
     pruned, segi_min, segd_min = filters.bounds(seg_a, seg_b)
     if pruned is None:
@@ -113,94 +197,55 @@ def _consider_pair(
             counts["verify_token_comparisons"] += comparisons
             if not completed:
                 counts["pruned_overlap_bound"] += 1
-                return
+                return 0
         if common == 0:
             counts["disjoint_segments"] += 1
-            return
+            return 0
         pruned = filters.verdict(common, segi_min, segd_min)
     if pruned is not None:
         counts["pruned_" + pruned] += 1
-        return
-    counts["candidates_emitted"] += 1
-    info_a, info_b = seg_a.info, seg_b.info
-    # Self-joins order pairs by rid; R-S joins put the left collection
-    # (side 0) first so the output key is always (rid_left, rid_right).
-    if info_a.side != info_b.side:
-        first_comes_a = info_a.side < info_b.side
-    else:
-        first_comes_a = info_a.rid <= info_b.rid
-    if first_comes_a:
-        emit_pair(info_a.rid, info_a.str_len, info_b.rid, info_b.str_len, common)
-    else:
-        emit_pair(info_b.rid, info_b.str_len, info_a.rid, info_a.str_len, common)
+        return 0
+    return common
 
 
-def _loop_join(
+def _loop_probes(
+    starts: List[int], first_probe: int, split: int
+) -> Iterator[Probe]:
+    for current in range(first_probe, len(starts)):
+        window = range(starts[current], min(current, split))
+        yield current, zip(window, repeat(None))
+
+
+def _index_probes(
     segments: List[Segment],
-    filters: FragmentFilters,
-    emit_pair: EmitPair,
-    counts: Dict[str, int],
-    pair_allowed: Optional[PairPredicate],
-) -> None:
-    n = len(segments)
-    for i in range(n):
-        seg_a = segments[i]
-        for j in range(i + 1, n):
-            seg_b = segments[j]
-            if pair_allowed is not None and not pair_allowed(seg_a, seg_b):
-                continue
-            _consider_pair(seg_a, seg_b, filters, emit_pair, counts)
-
-
-def _index_join(
-    segments: List[Segment],
-    filters: FragmentFilters,
-    emit_pair: EmitPair,
-    counts: Dict[str, int],
-    pair_allowed: Optional[PairPredicate],
-) -> None:
-    # token rank -> indices of already-inserted segments containing it.
+    starts: List[int],
+    first_probe: int,
+    split: int,
+    prefix_of: Optional[Dict[int, int]] = None,
+) -> Iterator[Probe]:
+    """The index join; given ``prefix_of`` (record length → safe prefix
+    length) the prefix join, which indexes and probes only that many of a
+    segment's tokens and leaves the intersections to the merge."""
+    # token rank -> ascending indices of earlier segments containing it.
     inverted: Dict[int, List[int]] = {}
-    for current_index, segment in enumerate(segments):
-        # Probing every token of the current segment against the index of
-        # all earlier segments yields each earlier segment's exact
-        # intersection count in one pass.
-        hits: Dict[int, int] = {}
-        for token in segment.tokens:
-            for earlier in inverted.get(token, ()):
-                hits[earlier] = hits.get(earlier, 0) + 1
-        for earlier, common in hits.items():
-            other = segments[earlier]
-            if pair_allowed is not None and not pair_allowed(segment, other):
-                continue
-            _consider_pair(segment, other, filters, emit_pair, counts, common)
-        for token in segment.tokens:
-            inverted.setdefault(token, []).append(current_index)
-
-
-def _prefix_join(
-    segments: List[Segment],
-    filters: FragmentFilters,
-    theta: float,
-    func: SimilarityFunction,
-    emit_pair: EmitPair,
-    counts: Dict[str, int],
-    pair_allowed: Optional[PairPredicate],
-) -> None:
-    prefix_lens = [
-        min(len(segment), prefix_length(func, theta, segment.info.str_len))
-        for segment in segments
-    ]
-    inverted: Dict[int, List[int]] = {}
-    for current_index, segment in enumerate(segments):
-        candidates: Dict[int, bool] = {}
-        for token in segment.tokens[: prefix_lens[current_index]]:
-            for earlier in inverted.get(token, ()):
-                candidates[earlier] = True
-        for earlier in candidates:
-            other = segments[earlier]
-            if pair_allowed is not None and not pair_allowed(segment, other):
-                continue
-            _consider_pair(segment, other, filters, emit_pair, counts)
-        for token in segment.tokens[: prefix_lens[current_index]]:
-            inverted.setdefault(token, []).append(current_index)
+    for current, segment in enumerate(segments):
+        tokens = segment.tokens
+        if prefix_of is not None:
+            tokens = tokens[: prefix_of[segment.info.str_len]]
+        if current >= first_probe:
+            # Probing every token of the current segment against the index
+            # of the earlier segments yields each one's exact intersection
+            # count in one pass.
+            start = starts[current]
+            hits: Dict[int, int] = {}
+            for token in tokens:
+                postings = inverted.get(token)
+                if postings:
+                    for earlier in postings[bisect_left(postings, start):]:
+                        hits[earlier] = hits.get(earlier, 0) + 1
+            yield current, (
+                hits.items() if prefix_of is None else zip(hits, repeat(None))
+            )
+        if current < split:
+            for token in tokens:
+                inverted.setdefault(token, []).append(current)

@@ -6,11 +6,15 @@ machinery extends directly:
 
 * the global ordering and both pivot kinds are computed over the *union*
   of the collections (one shared vector space);
-* every segment is tagged with its collection (``SegmentInfo.side``);
-* fragment joins consider only cross-collection pairs, so the output keys
-  are always ``(rid_left, rid_right)`` — record ids may repeat across
-  collections without ambiguity;
-* verification is unchanged (it never looks at the records again).
+* every segment is tagged with its collection (``SegmentInfo.side``), and
+  the side is the fragment order's tie-break after the length, so a pair's
+  owner is still one record wherever the pair meets;
+* fragment joins consider only cross-collection pairs (a flag handed to
+  ``join_fragment``) and key each stripe by ``(side, rid)`` — record ids
+  may repeat across collections without ambiguity;
+* verification is the same job, handed the same flag: it puts the left
+  collection first, so the output keys are always ``(rid_left,
+  rid_right)`` (it never looks at the records again).
 
 All the correctness arguments (filter safety, horizontal exactly-once
 coverage, safe segment prefixes) are side-agnostic, so they carry over
@@ -105,8 +109,8 @@ class FSJoinRS:
         filter_job = RSFilterJob(config, order, partitioner, horizontal)
         filter_result = cluster.run_job(filter_job, tagged)
 
-        # Job 3: unchanged verification.
-        verify_job = VerificationJob(config.theta, config.func)
+        # Job 3: the self-join's verification job.
+        verify_job = VerificationJob(config.theta, config.func, cross_side=True)
         verify_result = cluster.run_job(verify_job, filter_result.output)
 
         return PipelineResult(

@@ -9,8 +9,9 @@ can be equivalence-tested against each other:
    (collected at the driver, like the broadcast in Algorithm 1's SetUp);
 2. segments via ``flat_map`` keyed by ``(horizontal, vertical)`` partition,
    fragments via ``group_by_key``, partial counts via the shared
-   ``join_fragment``;
-3. per-pair aggregation via ``reduce_by_key`` + threshold ``filter``.
+   ``join_fragment`` — stripes keyed by the record that owns their pairs;
+3. per-owner aggregation via ``group_by_key`` + the shared stripe merge
+   and threshold test of the verification job.
 """
 
 from __future__ import annotations
@@ -25,10 +26,7 @@ from repro.core.partitioning import VerticalPartitioner
 from repro.core.pivots import select_pivots
 from repro.data.records import RecordCollection
 from repro.rdd.context import MiniSparkContext
-from repro.similarity.thresholds import (
-    passes_threshold,
-    similarity_from_overlap,
-)
+from repro.core.verify_job import verify_stripes
 
 PairScores = Dict[Tuple[int, int], float]
 
@@ -80,53 +78,22 @@ def fsjoin_rdd(
         n_partitions=max(1, ctx.default_parallelism)
     )
 
-    # Stage 3: per-fragment joins → partial counts.
+    # Stage 3: per-fragment joins → partial counts, one stripe per owner.
     def join_one_fragment(kv):
         (h, _v), segments = kv
-        if horizontal.is_boundary(h):
-            pivot = horizontal.boundary_pivot(h)
-
-            def pair_allowed(seg_a, seg_b):
-                len_a, len_b = seg_a.info.str_len, seg_b.info.str_len
-                low, high = (len_a, len_b) if len_a <= len_b else (len_b, len_a)
-                return low < pivot <= high
-
-        else:
-            pair_allowed = None
-        emitted = []
-
-        def emit_pair(rid_s, len_s, rid_t, len_t, common):
-            emitted.append(((rid_s, rid_t), (common, len_s, len_t)))
-
-        join_fragment(
-            list(segments),
+        return join_fragment(
+            segments,
             method=config.join_method,
             theta=config.theta,
             func=config.func,
             filter_config=config.filters,
-            emit_pair=emit_pair,
-            pair_allowed=pair_allowed,
+            pivot=horizontal.pivot_of(h),
         )
-        return emitted
 
-    partial_counts = fragments.flat_map(join_one_fragment)
-
-    # Stage 4: aggregate counts, verify without the original records.
-    def merge_counts(a, b):
-        return (a[0] + b[0], a[1], a[2])
-
-    results = (
-        partial_counts.reduce_by_key(merge_counts)
-        .filter(
-            lambda kv: passes_threshold(
-                config.func, config.theta, kv[1][0], kv[1][1], kv[1][2]
-            )
-        )
-        .map(
-            lambda kv: (
-                kv[0],
-                similarity_from_overlap(config.func, kv[1][0], kv[1][1], kv[1][2]),
-            )
-        )
+    # Stage 4: aggregate counts per owner, verify without the original records.
+    return (
+        fragments.flat_map(join_one_fragment)
+        .group_by_key()
+        .flat_map(lambda kv: verify_stripes(config.func, config.theta, *kv)[1])
+        .collect_as_map()
     )
-    return results.collect_as_map()

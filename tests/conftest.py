@@ -140,6 +140,30 @@ def first_common_fragment(index, tokens, record):
     return index.partitioner.partition_of(first)
 
 
+def expand_stripes(stripes, cross_side=False):
+    """The pair records a list of filter-job stripes stands for.
+
+    A stripe is ``owner → (len_owner, rid_t, len_t, common, …)``; this
+    returns ``(owner, (rid_first, rid_second), (common, len_first,
+    len_second))`` per pair inside, keyed the way results are: a self-join
+    owner is a record id and the smaller id comes first; under
+    ``cross_side`` (R-S) the owner is ``(side, rid)`` and the left
+    collection (side 0) comes first.
+    """
+    pairs = []
+    for owner, stripe in stripes:
+        side, rid = owner if cross_side else (0, owner)
+        len_owner = stripe[0]
+        assert len(stripe) % 3 == 1 and len(stripe) > 1, stripe
+        for k in range(1, len(stripe), 3):
+            partner, len_t, common = stripe[k : k + 3]
+            if (side == 0) if cross_side else (rid <= partner):
+                pairs.append((owner, (rid, partner), (common, len_owner, len_t)))
+            else:
+                pairs.append((owner, (partner, rid), (common, len_t, len_owner)))
+    return pairs
+
+
 @pytest.fixture
 def small_records() -> RecordCollection:
     """A tiny deterministic collection with known near-duplicates."""

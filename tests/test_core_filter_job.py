@@ -10,6 +10,7 @@ from repro.core.horizontal import build_horizontal_plan
 from repro.core.ordering import compute_global_ordering
 from repro.core.partitioning import VerticalPartitioner
 from repro.core.pivots import select_pivots
+from tests.conftest import expand_stripes
 
 
 def _build_job(records, cluster, config):
@@ -69,11 +70,16 @@ class TestPartitioning:
 
 
 class TestReducePhase:
-    def test_emits_partial_counts(self, filter_result):
-        for (rid_s, rid_t), (common, len_s, len_t) in filter_result.output:
-            assert rid_s < rid_t
+    def test_emits_partial_counts(self, filter_result, medium_records):
+        pairs = expand_stripes(filter_result.output)
+        group = filter_result.counters.group("fsjoin.filter")
+        assert group["stripes_emitted"] == len(filter_result.output)
+        assert group["candidates_emitted"] == len(pairs) > len(filter_result.output)
+        for owner, (rid_s, rid_t), (common, len_s, len_t) in pairs:
+            assert rid_s < rid_t and owner in (rid_s, rid_t)
             assert common >= 1
-            assert len_s >= 1 and len_t >= 1
+            assert len_s == medium_records.get(rid_s).size
+            assert len_t == medium_records.get(rid_t).size
 
     def test_counters_track_filtering(self, filter_result):
         group = filter_result.counters.group("fsjoin.filter")

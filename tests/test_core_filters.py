@@ -8,6 +8,7 @@ are allowed to keep dissimilar pairs; verification removes them).
 from __future__ import annotations
 
 import random
+from dataclasses import replace
 from itertools import product
 
 import pytest
@@ -16,8 +17,9 @@ from hypothesis import strategies as st
 
 from repro.core.config import FilterConfig, JoinMethod
 from repro.core.filters import FragmentFilters
+from repro.core.horizontal import HorizontalPlan
 from repro.core.joins import join_fragment
-from repro.core.partitioning import VerticalPartitioner
+from repro.core.partitioning import Segment, SegmentInfo, VerticalPartitioner
 from repro.errors import ConfigError
 from repro.mapreduce.counters import Counters
 from repro.mapreduce.job import JobContext
@@ -28,6 +30,7 @@ from repro.similarity.thresholds import (
     required_overlap,
 )
 from repro.similarity.verify import bounded_merge_intersection
+from tests.conftest import expand_stripes
 
 rank_sets = st.lists(st.integers(0, 59), min_size=1, max_size=25, unique=True).map(
     lambda xs: tuple(sorted(xs))
@@ -41,6 +44,9 @@ funcs = st.sampled_from(list(SimilarityFunction))
 
 def _pre(filters, seg_s, seg_t):
     """The length-only filter that prunes the pair, or None."""
+    small, large = sorted((seg_s.info.str_len, seg_t.info.str_len))
+    if small < filters.min_partner_len(large):
+        return "strl"
     return filters.bounds(seg_s, seg_t)[0]
 
 
@@ -95,11 +101,25 @@ class TestKnownCases:
             assert pruned is not None
 
     def test_strl_prunes_length_mismatch(self):
+        """Lemma 1 is the join's length window: the pair is never touched."""
         partitioner = VerticalPartitioner(())
         (_, short), = partitioner.split(0, (1, 2))
         (_, long), = partitioner.split(1, tuple(range(20)))
         filters = FragmentFilters(0.8, SimilarityFunction.JACCARD, FilterConfig())
         assert _pre(filters, short, long) == "strl"
+        for method in JoinMethod:
+            for strl, expected in (
+                (True, {"pruned_strl": 1}),
+                (False, {"pairs_considered": 1, "candidates_emitted": 1,
+                         "stripes_emitted": 1}),
+            ):
+                stripes, counts = _join(
+                    [long, short], method, 0.8, SimilarityFunction.JACCARD,
+                    FilterConfig.only("strl") if strl else FilterConfig.none(),
+                )
+                counts.pop("verify_token_comparisons", None)
+                assert counts == expected, (method, strl)
+                assert [pair for _, pair, _ in stripes] == [(0, 1)][strl:]
 
     def test_identical_records_never_pruned(self):
         partitioner = VerticalPartitioner((5,))
@@ -176,16 +196,45 @@ class TestFilterPowerOrdering:
                 assert _post(segi_only, seg_s, seg_t, common) == "segi"
 
 
-def _reference_join(segments, method, theta, func, config):
+def _join(segments, method, theta, func, config, pivot=None, cross_side=False):
+    """The production join: its stripes expanded to sorted pair records,
+    and its ``fsjoin.filter`` counters."""
+    counters = Counters()
+    stripes = join_fragment(
+        segments,
+        method=method,
+        theta=theta,
+        func=func,
+        filter_config=config,
+        context=JobContext(0, "reduce", counters),
+        pivot=pivot,
+        cross_side=cross_side,
+    )
+    return (
+        sorted(expand_stripes(stripes, cross_side)),
+        counters.as_dict().get("fsjoin.filter", {}),
+    )
+
+
+def _reference_join(
+    segments, method, theta, func, config, pivot=None, cross_side=False
+):
     """Lemma-by-lemma fragment join, each lemma as the paper states it.
 
-    Every lemma derives ``τ`` from ``θ`` on its own, and the
-    early-termination bound is found by searching for the smallest
-    intersection neither Lemma 3 nor Lemma 4 prunes — no shared slack, no
-    closed form.  Returns the emitted tuples and the ``fsjoin.filter``
-    counters the production join must reproduce.
+    Every lemma derives ``τ`` from ``θ`` on its own, the early-termination
+    bound is found by searching for the smallest intersection neither
+    Lemma 3 nor Lemma 4 prunes — no shared slack, no closed form — and
+    which pairs a fragment may join at all is a per-pair question put to
+    ``HorizontalPlan.pair_allowed`` (the boundary rule) and
+    ``length_lower_bound`` (Lemma 1): no sort, no window, no bisect.
+    Returns the pair records and the ``fsjoin.filter`` counters the
+    production join must reproduce: ``pruned_strl`` counts the admissible
+    pairs Lemma 1 rejects — whatever the join method — and
+    ``pairs_considered`` the pairs the method then finds.
     """
     emitted, counts = [], {}
+    plan = HorizontalPlan(() if pivot is None else (pivot,), theta, func)
+    partition_id = 0 if pivot is None else plan.n_base
 
     def bump(name, amount=1):
         if amount:
@@ -193,6 +242,11 @@ def _reference_join(segments, method, theta, func, config):
 
     def tau(s, t):
         return required_overlap(func, theta, s.info.str_len, t.info.str_len)
+
+    def admissible(s, t):
+        if cross_side and s.info.side == t.info.side:
+            return False
+        return plan.pair_allowed(partition_id, s.info.str_len, t.info.str_len)
 
     def lemma1(s, t):
         small, large = sorted((s.info.str_len, t.info.str_len))
@@ -229,8 +283,6 @@ def _reference_join(segments, method, theta, func, config):
 
     def consider(s, t, common=None):
         bump("pairs_considered")
-        if config.strl and lemma1(s, t):
-            return bump("pruned_strl")
         if config.segl and lemma2(s, t):
             return bump("pruned_segl")
         if common is None:
@@ -253,10 +305,18 @@ def _reference_join(segments, method, theta, func, config):
         if pruned:
             return bump(f"pruned_{pruned}")
         bump("candidates_emitted")
-        first, second = sorted((s, t), key=lambda seg: seg.info.rid)
+        # The pair is keyed like a result (left collection, then smaller
+        # id, first) and owned by the later record under (|s|, side, rid).
+        first, second = sorted((s, t), key=lambda seg: (seg.info.side, seg.info.rid))
+        owner = max(
+            (s, t), key=lambda seg: (seg.info.str_len, seg.info.side, seg.info.rid)
+        ).info
         emitted.append(
-            (first.info.rid, first.info.str_len,
-             second.info.rid, second.info.str_len, common)
+            (
+                (owner.side, owner.rid) if cross_side else owner.rid,
+                (first.info.rid, second.info.rid),
+                (common, first.info.str_len, second.info.str_len),
+            )
         )
 
     prefixes = [
@@ -265,7 +325,11 @@ def _reference_join(segments, method, theta, func, config):
     ]
     for j, current in enumerate(segments):
         for i, earlier in enumerate(segments[:j]):
-            if method is JoinMethod.LOOP:
+            if not admissible(earlier, current):
+                continue
+            if config.strl and lemma1(earlier, current):
+                bump("pruned_strl")
+            elif method is JoinMethod.LOOP:
                 consider(earlier, current)
             elif method is JoinMethod.INDEX:
                 common = len(set(current.tokens) & set(earlier.tokens))
@@ -273,6 +337,7 @@ def _reference_join(segments, method, theta, func, config):
                     consider(current, earlier, common)
             elif prefixes[i] & prefixes[j]:
                 consider(current, earlier)
+    bump("stripes_emitted", len({owner for owner, _, _ in emitted}))
     return sorted(emitted), counts
 
 
@@ -318,25 +383,68 @@ class TestSinglePassMatchesLemmaByLemma:
         for seed, theta in ((1, 0.6), (2, 0.8)):
             segments = _mixed_fragment(seed)
             for config in ALL_FILTER_CONFIGS:
-                emitted = []
-                counters = Counters()
-                join_fragment(
-                    segments,
-                    method=method,
-                    theta=theta,
-                    func=func,
-                    filter_config=config,
-                    emit_pair=lambda *pair: emitted.append(pair),
-                    context=JobContext(0, "reduce", counters),
-                )
+                emitted, counts = _join(segments, method, theta, func, config)
                 expected, expected_counts = _reference_join(
                     segments, method, theta, func, config
                 )
-                assert sorted(emitted) == expected, config
-                assert counters.as_dict().get("fsjoin.filter", {}) == expected_counts, config
+                assert emitted == expected, config
+                assert counts == expected_counts, config
                 fired.update(expected_counts)
         # The corpus is not vacuous: every outcome is reached.
         assert fired >= {
             "pairs_considered", "pruned_strl", "pruned_segl", "pruned_segi",
-            "pruned_segd", "candidates_emitted",
+            "pruned_segd", "candidates_emitted", "stripes_emitted",
         }
+
+
+@st.composite
+def sided_fragments(draw):
+    """A fragment with few distinct record lengths (1–14), so ties at the
+    pivot and at the StrL bound are the common case, and both collections.
+    Record ids repeat across the two sides, as they may in an R-S join."""
+    specs = draw(
+        st.lists(
+            st.tuples(
+                st.lists(st.integers(0, 11), min_size=1, max_size=6, unique=True),
+                st.integers(0, 4), st.integers(0, 4), st.integers(0, 1),
+            ),
+            min_size=2, max_size=12,
+        )
+    )
+    seen = [0, 0]
+    segments = []
+    for tokens, ahead, behind, side in specs:
+        info = SegmentInfo(
+            rid=seen[side], str_len=ahead + len(tokens) + behind,
+            ahead=ahead, behind=behind, side=side,
+        )
+        seen[side] += 1
+        segments.append(Segment(info, tuple(sorted(tokens))))
+    return segments
+
+
+class TestWindowMatchesSpecification:
+    """The sorted fragment's index window against the per-pair rules it
+    replaces: same pairs, same owners, same counters."""
+
+    @settings(max_examples=250, deadline=None)
+    @given(
+        sided_fragments(),
+        st.sampled_from(list(JoinMethod)),
+        funcs,
+        st.sampled_from([0.5, 0.75, 0.8, 0.9]),
+        st.sampled_from(ALL_FILTER_CONFIGS),
+        st.one_of(st.none(), st.integers(2, 13)),
+        st.booleans(),
+    )
+    def test_same_pairs_owners_and_counters(
+        self, segments, method, func, theta, config, pivot, cross_side
+    ):
+        if not cross_side:
+            # One collection: ids are unique, every segment is side 0.
+            segments = [
+                Segment(replace(seg.info, rid=rid, side=0), seg.tokens)
+                for rid, seg in enumerate(segments)
+            ]
+        args = (segments, method, theta, func, config, pivot, cross_side)
+        assert _join(*args) == _reference_join(*args)

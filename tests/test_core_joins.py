@@ -13,6 +13,7 @@ from repro.core.joins import join_fragment
 from repro.core.partitioning import VerticalPartitioner
 from repro.similarity.functions import SimilarityFunction
 from repro.similarity.verify import bounded_merge_intersection
+from tests.conftest import expand_stripes
 
 sorted_ranks = st.lists(st.integers(0, 40), min_size=1, max_size=15, unique=True).map(
     lambda xs: tuple(sorted(xs))
@@ -30,24 +31,23 @@ def _fragment_from(rank_lists, cuts=()):
     return segments
 
 
-def _run(segments, method, theta=0.5, filters=None, pair_allowed=None):
+def _run(segments, method, theta=0.5, filters=None, pivot=None, context=None):
+    """The fragment's stripes, expanded: ``(rid_s, rid_t) → (common, len_s, len_t)``."""
     emitted: Dict[Tuple[int, int], Tuple[int, int, int]] = {}
-    filters = filters or FilterConfig.none()
-
-    def emit_pair(rid_s, len_s, rid_t, len_t, common):
-        key = (rid_s, rid_t)
-        assert key not in emitted, f"pair {key} emitted twice in one fragment"
-        emitted[key] = (common, len_s, len_t)
-
-    join_fragment(
+    stripes = join_fragment(
         segments,
         method=method,
         theta=theta,
         func=SimilarityFunction.JACCARD,
-        filter_config=filters,
-        emit_pair=emit_pair,
-        pair_allowed=pair_allowed,
+        filter_config=filters or FilterConfig.none(),
+        context=context,
+        pivot=pivot,
     )
+    owners = [owner for owner, _ in stripes]
+    assert len(set(owners)) == len(owners), "one stripe per probing segment"
+    for _owner, key, payload in expand_stripes(stripes):
+        assert key not in emitted, f"pair {key} emitted twice in one fragment"
+        emitted[key] = payload
     return emitted
 
 
@@ -86,13 +86,11 @@ class TestLoopJoin:
         assert (common, len_s, len_t) == (2, 4, 2)
 
     def test_pair_allowed_gate(self):
-        segments = _fragment_from([(1, 2), (1, 2), (1, 2)])
-        emitted = _run(
-            segments,
-            JoinMethod.LOOP,
-            pair_allowed=lambda a, b: {a.rid, b.rid} != {0, 1},
-        )
-        assert set(emitted) == {(0, 2), (1, 2)}
+        """A boundary partition's pivot admits only the pairs straddling it."""
+        segments = _fragment_from([(1, 2), (1, 2), (1, 2, 3)])
+        assert set(_run(segments, JoinMethod.LOOP)) == {(0, 1), (0, 2), (1, 2)}
+        assert set(_run(segments, JoinMethod.LOOP, pivot=3)) == {(0, 2), (1, 2)}
+        assert _run(segments, JoinMethod.LOOP, pivot=2) == {}
 
 
 class TestIndexJoin:
@@ -233,14 +231,8 @@ class TestEarlyTerminationInFragments:
         from repro.mapreduce.job import JobContext
 
         counters = Counters()
-        emitted: Dict[Tuple[int, int], Tuple[int, int, int]] = {}
-        join_fragment(
-            segments,
-            method=method,
-            theta=theta,
-            func=SimilarityFunction.JACCARD,
-            filter_config=FilterConfig(early_verify=early),
-            emit_pair=lambda rs, ls, rt, lt, c: emitted.__setitem__((rs, rt), (c, ls, lt)),
+        emitted = _run(
+            segments, method, theta, FilterConfig(early_verify=early),
             context=JobContext(0, "reduce", counters),
         )
         return emitted, counters.get("fsjoin.filter", "verify_token_comparisons")

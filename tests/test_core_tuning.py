@@ -94,6 +94,11 @@ class TestExplain:
         assert "FS-Join-V" in text
         assert "fsjoin-filter" in text
         assert "pairs considered" in text
+        counters = result.counters().group("fsjoin.filter")
+        assert (
+            f"{counters['candidates_emitted']} candidate pairs in "
+            f"{counters['stripes_emitted']} stripes"
+        ) in text
         assert "verification:" in text
         assert "result pairs" in text
 

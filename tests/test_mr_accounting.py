@@ -8,6 +8,23 @@ accounting to the multi-pass one — on every executor, through the
 combiner (the ordering and verification jobs both combine: their map
 tasks put out fewer records than they took in), and when an attempt's
 work is thrown away by a retry or a lost speculative race.
+
+The filter job's reduce output and the verification job were re-recorded
+when partial counts became *stripes* (one record per probing segment, not
+one per pair) and StrL a length window; ``PAIR_LAYOUT`` keeps what the
+one-record-per-pair layout read, and ``test_relations_to_the_pair_layout``
+states what moved and what may not:
+
+* ``pairs_considered`` counts the pairs the filter battery ran on — the
+  old value minus the old ``pruned_strl``, exactly, since a pair outside
+  the window is no longer enumerated;
+* ``pruned_strl`` counts the admissible segment pairs the window excluded
+  (a property of the fragment, the same for every join method);
+* ``stripes_emitted`` counts the records the reducers emit,
+  ``candidates_emitted`` the pairs inside them.
+
+The ordering job and the filter job's map side and shuffle are the
+literals recorded before, untouched.
 """
 
 from __future__ import annotations
@@ -36,18 +53,19 @@ EXPECTED = {
         "shuffle": (5948, 148065),
         "map": [(30, 19740, 1496, 37488), (30, 16140, 1520, 37830),
                 (30, 16590, 1347, 33597), (30, 16220, 1585, 39150)],
-        "reduce": [(990, 24567, 913, 11915), (933, 23496, 1179, 15377),
-                   (960, 24468, 1547, 20159), (1003, 24846, 1811, 23603),
-                   (996, 25260, 1977, 25760), (1066, 25428, 2164, 28193)],
+        "reduce": [(990, 24567, 267, 4364), (933, 23496, 287, 5283),
+                   (960, 24468, 343, 6721), (1003, 24846, 371, 7683),
+                   (996, 25260, 374, 8201), (1066, 25428, 416, 9015)],
         "counters": {
             "fsjoin.map": {
                 "records": 120, "segments": 5948, "horizontal_replicas": 147,
             },
             "fsjoin.filter": {
-                "pairs_considered": 16400,
-                "pruned_strl": 4913,
+                "pairs_considered": 11487,
+                "pruned_strl": 11651,
                 "verify_token_comparisons": 25122,
                 "candidates_emitted": 9591,
+                "stripes_emitted": 2058,
                 "pruned_segl": 1277,
                 "pruned_overlap_bound": 438,
                 "pruned_segi": 181,
@@ -55,14 +73,28 @@ EXPECTED = {
         },
     },
     "fsjoin-verify": {
-        "shuffle": (5212, 67856),
-        "map": [(2398, 31270, 1150, 14975), (2398, 31235, 1179, 15352),
-                (2398, 31280, 1436, 18693), (2397, 31222, 1447, 18836)],
-        "reduce": [(701, 9125, 2, 28), (889, 11569, 1, 14),
-                   (892, 11612, 4, 56), (838, 10914, 3, 42),
-                   (983, 12803, 5, 70), (909, 11833, 2, 28)],
+        "shuffle": (449, 18082),
+        "map": [(515, 8840, 107, 3793), (515, 10000, 112, 4348),
+                (514, 11216, 114, 4834), (514, 11211, 116, 5107)],
+        "reduce": [(69, 2689, 4, 56), (70, 2718, 0, 0), (83, 3447, 4, 56),
+                   (69, 2853, 3, 42), (72, 2947, 0, 0), (86, 3428, 6, 84)],
         "counters": {"fsjoin.verify": {"candidates": 1483, "results": 17}},
     },
+}
+
+#: What the one-record-per-pair layout recorded for the same join.
+PAIR_LAYOUT = {
+    "fsjoin.filter": {
+        "pairs_considered": 16400,
+        "pruned_strl": 4913,
+        "verify_token_comparisons": 25122,
+        "candidates_emitted": 9591,
+        "pruned_segl": 1277,
+        "pruned_overlap_bound": 438,
+        "pruned_segi": 181,
+    },
+    "filter_reduce_output_records": 9591,
+    "verify_shuffle": (5212, 67856),
 }
 
 
@@ -123,6 +155,36 @@ class TestAccountingIdentity:
         for job in result.job_results:
             assert job.counters.get("mapreduce", "map_speculative_wins") == 1
         assert _snapshot(result) == EXPECTED
+
+    def test_relations_to_the_pair_layout(self):
+        ordering, filtering, verify = _join().job_results
+        new = filtering.counters.as_dict()["fsjoin.filter"]
+        assert new == EXPECTED["fsjoin-filter"]["counters"]["fsjoin.filter"]
+        old = PAIR_LAYOUT["fsjoin.filter"]
+        # The battery runs on exactly the pairs StrL used to let through;
+        # what each later filter prunes, merges and keeps is untouched.
+        assert new["pairs_considered"] == old["pairs_considered"] - old["pruned_strl"]
+        moved = {"pairs_considered", "pruned_strl", "stripes_emitted"}
+        assert {k: v for k, v in new.items() if k not in moved} == {
+            k: v for k, v in old.items() if k not in moved
+        }
+        # The same candidates, in a fifth of the records ...
+        reduce_out = sum(t.output_records for t in filtering.metrics.reduce_tasks)
+        assert reduce_out == new["stripes_emitted"] == len(filtering.output)
+        assert new["candidates_emitted"] == PAIR_LAYOUT["filter_reduce_output_records"]
+        assert sum((len(stripe) - 1) // 3 for _, stripe in filtering.output) == 9591
+        # ... which the verification combiner merges per owner and map task.
+        verify_in = sum(t.input_records for t in verify.metrics.map_tasks)
+        assert verify_in == new["stripes_emitted"]
+        owners_per_task = start = 0
+        for task in verify.metrics.map_tasks:
+            split = filtering.output[start : start + task.input_records]
+            owners_per_task += len({owner for owner, _ in split})
+            start += task.input_records
+        assert verify.metrics.shuffle_records == owners_per_task == 449
+        old_records, old_bytes = PAIR_LAYOUT["verify_shuffle"]
+        assert verify.metrics.shuffle_records * 10 < old_records
+        assert verify.metrics.shuffle_bytes * 3 < old_bytes
 
     def test_shuffle_is_the_sum_of_both_sides(self):
         for job in _join().job_results:
