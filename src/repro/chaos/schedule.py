@@ -358,7 +358,6 @@ class FaultInjector:
                 )
             draw = stable_hash((self.schedule.seed, "replica-rot", node.name))
             fragment = candidates[draw % len(candidates)]
-        slice_._postings[fragment].seal()
         slice_._postings[fragment] = FragmentPostings()
         self.record("replica-rot", node.name,
                     f"fragment {fragment} postings silently wiped")

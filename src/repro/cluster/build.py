@@ -43,8 +43,8 @@ from repro.cluster.router import ClusterRouter
 INDEX_NAME = "index.idx"
 MANIFEST_NAME = "manifest.json"
 MANIFEST_FORMAT = "repro-cluster"
-#: v3: format, version, replication, plan, sha256 — over a v4 snapshot.
-MANIFEST_VERSION = 3
+#: v4: format, version, replication, plan, sha256 — over a v5 snapshot.
+MANIFEST_VERSION = 4
 
 
 def build_cluster(

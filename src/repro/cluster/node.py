@@ -100,10 +100,11 @@ class ShardSlice(SegmentIndex):
         slice_ = cls(
             index.order, index.partitioner, index.pivot_method, fragments
         )
+        index._seal()
         touched: set = set()
         for v in slice_._owned:
             source = index._postings[v]
-            slice_._postings[v] = source.copy()  # seals ``source``
+            slice_._postings[v] = source.copy()
             touched.update(source.rids)
         for rid in touched:
             slice_._ranks[rid] = index._ranks[rid]
@@ -161,8 +162,7 @@ class ShardSlice(SegmentIndex):
         if fragment not in self._owned:
             raise ClusterError(f"fragment {fragment} is not owned by this slice")
         self._owned.discard(fragment)
-        departing = self._postings[fragment]
-        departing.seal()
+        departing = self._postings[fragment]  # sealed: slices never stage
         self._postings[fragment] = FragmentPostings()
         split_bounds = self.partitioner.split_bounds
         for rid in set(departing.rids):

@@ -8,12 +8,14 @@ generation one level up, keeping the live set logarithmic in the number
 of flushes.
 
 Merging is deliberately boring — and that is the correctness argument:
-the merged index is built by inserting every constituent record in
-ascending rid order through the standard ``SegmentIndex`` insert path,
-under the same shared order and the merge's partitioner.  That makes the
-merged generation *structurally* identical (equal pickle bytes) to a
-fresh index built from the same records, which the chaos drill asserts
-directly.  What is merged is each record's stored id column, not its
+the merged index is built by handing every constituent record, in
+ascending rid order, to the standard ``SegmentIndex`` insert path, under
+the same shared order and the merge's partitioner.  That path keeps the
+columns in the order given and posts them shortest record first, so the
+merge's seal is a plain concatenation and the merged generation is
+*structurally* identical (equal pickle bytes) to a fresh index built from
+the same records, which the chaos drill asserts directly.  What is merged
+is each record's stored id column, not its
 tokens: ids are append-only under the shared order, so decoding a column
 to strings only to intern them again would return the same column, and
 the insert path re-splits it under whatever cuts the merge was given.
@@ -113,8 +115,7 @@ def merge_generations(
 ) -> SegmentIndex:
     """Build the merged index for a plan's input generations."""
     merged = SegmentIndex(order, partitioner, pivot_method)
-    for rid, ids in gather_columns(generations, executor):
-        merged._insert_ids(rid, ids)
+    merged._insert_columns(gather_columns(generations, executor))
     merged._seal()
     return merged
 

@@ -65,9 +65,10 @@ CURRENT_NAME = "CURRENT"
 COMMITTED_NAME = "COMMITTED"
 #: Format tag inside each persisted generation payload.
 SEGMENT_FORMAT = "repro-ingest-segment"
-#: Payload layout version.  5: the index's pickled state without its order
-#: (4 was the snapshot's pickle, the whole shared order inside every one).
-SEGMENT_VERSION = 5
+#: Payload layout version.  6: the index's pickled state without its order,
+#: posting runs in record-length order (5 kept runs in insertion order; 4
+#: was the snapshot's pickle, the whole shared order inside every one).
+SEGMENT_VERSION = 6
 MANIFEST_FORMAT = "repro-ingest-manifest"
 MANIFEST_VERSION = 1
 

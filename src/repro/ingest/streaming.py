@@ -630,8 +630,8 @@ class StreamingIndex:
     def to_segment_index(self) -> SegmentIndex:
         """A fresh single ``SegmentIndex`` over the union of all tiers.
 
-        Built by inserting every record's id column ascending-rid through
-        the standard insert path under the current order and partitioner —
+        Built by handing every record's id column, ascending rid, to the
+        standard insert path under the current order and partitioner —
         the same construction compaction uses, so after a full compaction
         the lone generation is structurally identical (equal pickle bytes)
         to this.  Used for snapshot export and the chaos drill's identity
@@ -641,8 +641,7 @@ class StreamingIndex:
         columns = [
             column for tier in self._tiers() for column in tier._ranks.items()
         ]
-        for rid, ids in sorted(columns, key=itemgetter(0)):
-            union._insert_ids(rid, ids)
+        union._insert_columns(sorted(columns, key=itemgetter(0)))
         union._seal()
         return union
 

@@ -11,32 +11,42 @@ A posting entry is a record id and nothing else — 8 bytes.  Where the
 token sits inside the record is not stored: a probe that needs it holds
 the record's whole id column and bisects it (:meth:`SegmentIndex.
 _evaluate_columnar <repro.service.index.SegmentIndex._evaluate_columnar>`),
-which is cheaper than walking a second column beside every run.  A probe
-batch reads each run as one slice of the rid column with no per-entry
-allocation, and the whole structure pickles as machine bytes.
+which is cheaper than walking a second column beside every run.
+
+**Every sealed run is in ascending record-length order**, ties in
+insertion order.  The length is the record's (its id column's), read
+through the owning index's key function — nothing per entry is stored for
+it.  So the records of one run that a probe can use, the lengths Lemma 1
+admits and the merge's opening bound leaves alive, are one contiguous
+window of it: :meth:`window` finds it with two bisects and slices it out,
+with no per-entry work outside it.
 
 Mutation is staged: :meth:`add` appends into a small pending dict (token →
 rids, a plain list) and :meth:`seal` merges the stage into the flat
-columns — new entries of an existing token append *after* its old run,
-preserving insertion order.  The stage is readable: a token's run is its
-sealed slice followed by its staged entries (:meth:`run_rids`), which is
-exactly the run :meth:`seal` would lay out, so a probe answers the same
-before and after a seal and never has to trigger one.  A write therefore
-costs its own entries; the O(fragment) rebuild happens when somebody needs
-flat columns — pickling, :meth:`copy`, :meth:`items`, byte accounting —
-and, on the ingest path, once per memtable at flush.  Probing is
-read-only, so postings are safe to share across threads and processes
-between writes.
+columns — new entries of an existing token go after its old run, and a
+run the stage touched is re-sorted by length when the index staged out of
+length order.  The stage is readable: :meth:`window` applies the same
+length test to each staged entry, so a probe answers the same, with the
+same candidates, before and after a seal and never has to trigger one.  A
+write therefore costs its own entries; the O(fragment) rebuild happens
+when somebody needs flat columns — pickling, :meth:`copy`, :meth:`items`,
+byte accounting — and the index (which knows the lengths) seals first.
+Probing is read-only, so postings are safe to share across threads and
+processes between writes.
 """
 
 from __future__ import annotations
 
 from array import array
-from typing import Dict, Iterator, List, Sequence, Tuple
+from bisect import bisect_left, bisect_right
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 #: Typecode of all three columns: token ids, offsets and record ids are
 #: native longs.
 ID_TYPECODE = "l"
+
+#: A record id's length (its id column's): the sort key of every run.
+LengthOf = Callable[[int], int]
 
 
 class FragmentPostings:
@@ -55,15 +65,21 @@ class FragmentPostings:
 
     # -- mutation ------------------------------------------------------
     def add(self, token: int, rid: int) -> None:
-        """Stage one posting entry (visible to :meth:`run_rids` at once)."""
+        """Stage one posting entry (visible to :meth:`window` at once)."""
         staged = self._pending.get(token)
         if staged is None:
             self._pending[token] = [rid]
         else:
             staged.append(rid)
 
-    def seal(self) -> None:
-        """Merge staged entries into the flat columns (idempotent)."""
+    def seal(self, length_of: Optional[LengthOf]) -> None:
+        """Merge staged entries into the flat columns (idempotent).
+
+        A touched run is its sealed slice followed by its staged entries,
+        sorted stably by ``length_of`` when one is given.  The index passes
+        ``None`` only when that concatenation is already in length order —
+        everything was staged into an empty index, shortest record first.
+        """
         if not self._pending:
             return
         pending = self._pending
@@ -75,13 +91,17 @@ class FragmentPostings:
         slots: Dict[int, int] = {}
         for slot, token in enumerate(merged):
             old_slot = self._slots.get(token)
-            if old_slot is not None:
-                rids.extend(
-                    old_rids[old_offsets[old_slot]:old_offsets[old_slot + 1]]
-                )
             staged = pending.get(token)
-            if staged is not None:
-                rids.extend(staged)
+            if old_slot is None:
+                run = staged
+            else:
+                run = old_rids[old_offsets[old_slot]:old_offsets[old_slot + 1]]
+                if staged is not None:
+                    run = [*run, *staged]
+            if staged is not None and length_of is not None and len(run) > 1:
+                # A new list: a probe may still be reading the stage.
+                run = sorted(run, key=length_of)
+            rids.extend(run)
             offsets.append(len(rids))
             slots[token] = slot
         self.tokens, self.offsets, self.rids = tokens, offsets, rids
@@ -89,22 +109,28 @@ class FragmentPostings:
         self._pending = {}
 
     # -- views ---------------------------------------------------------
-    def run_rids(self, token: int) -> Sequence[int]:
-        """The record ids of ``token``'s posting run, in insertion order:
-        the sealed slice, then the stage — what :meth:`seal` would lay out
-        as one run.  Reads only; empty for a token never posted."""
+    def window(
+        self, token: int, lo: int, hi: int, length_of: LengthOf
+    ) -> Sequence[int]:
+        """The record ids on ``token``'s run whose length lies in
+        ``[lo, hi]``: two bisects bound them in the sealed slice, and each
+        staged entry is tested alone.  Reads only; empty for a token never
+        posted."""
         slot = self._slots.get(token)
-        run: Sequence[int] = (
-            () if slot is None
-            else self.rids[self.offsets[slot]:self.offsets[slot + 1]]
-        )
+        run: Sequence[int] = ()
+        if slot is not None:
+            rids, end = self.rids, self.offsets[slot + 1]
+            start = bisect_left(rids, lo, self.offsets[slot], end, key=length_of)
+            run = rids[start:bisect_right(rids, hi, start, end, key=length_of)]
         staged = self._pending.get(token)
-        return run if staged is None else [*run, *staged]
+        if staged is None:
+            return run
+        return [*run, *(rid for rid in staged if lo <= length_of(rid) <= hi)]
 
     def items(self) -> Iterator[Tuple[int, List[int]]]:
         """Iterate ``(token, [rid, ...])`` in ascending token order — the
-        content-digest and debugging view."""
-        self.seal()
+        content-digest and debugging view (sealed columns only)."""
+        self._check_sealed()
         for slot, token in enumerate(self.tokens):
             yield token, self.rids[
                 self.offsets[slot]:self.offsets[slot + 1]
@@ -131,7 +157,7 @@ class FragmentPostings:
     # -- bulk ops ------------------------------------------------------
     def copy(self) -> "FragmentPostings":
         """Deep copy of the sealed columns (fragment carve/migration)."""
-        self.seal()
+        self._check_sealed()
         dup = FragmentPostings()
         dup.tokens = array(ID_TYPECODE, self.tokens)
         dup.offsets = array(ID_TYPECODE, self.offsets)
@@ -139,9 +165,18 @@ class FragmentPostings:
         dup._slots = dict(self._slots)
         return dup
 
-    # -- pickling (snapshot v4 payload) --------------------------------
+    def _check_sealed(self) -> None:
+        """Flat columns are only asked of sealed postings: only the index
+        knows the lengths a seal sorts by, so it seals first."""
+        if self._pending:
+            raise ValueError(
+                "posting entries are staged; the owning index must seal "
+                "them before the flat columns are read"
+            )
+
+    # -- pickling (snapshot v5 payload) --------------------------------
     def __getstate__(self):
-        self.seal()
+        self._check_sealed()
         return (self.tokens, self.offsets, self.rids)
 
     def __setstate__(self, state) -> None:

@@ -21,13 +21,18 @@ machinery into a *queryable index*:
 A probe is exact: candidate generation uses the record-level prefix filter
 (complete because the index stores *all* tokens while the probe scans only
 its prefix — any pair with ``sim ≥ θ`` must collide on a probed token),
-the length filter (Lemma 1) only discards pairs whose sizes prove them
-dissimilar, and survivors go through the same early-terminating merge +
-threshold rule as :func:`repro.similarity.verify.verify_pair` — started
-at the pair's first hit, below which the scan has already shown the two
-records share nothing.  The probe verifies, it does not re-filter: the
-fragment lemmas of :mod:`repro.core.filters` are for a reducer that holds
-one fragment of each record, and a slice holds the whole column.
+and on each posting run it reads only the window of record lengths that
+can still pass — the length filter (Lemma 1) and the query's half of
+PPJoin's positional filter, both of which only discard pairs whose sizes
+prove them dissimilar.  Runs are sorted by record length, so the window
+is two bisects (:func:`probe_window`, :meth:`FragmentPostings.window
+<repro.service.columnar.FragmentPostings.window>`).  Candidates go
+through the same early-terminating merge + threshold rule as
+:func:`repro.similarity.verify.verify_pair` — started at the pair's first
+hit, below which the scan has already shown the two records share
+nothing.  The probe verifies, it does not re-filter: the fragment lemmas
+of :mod:`repro.core.filters` are for a reducer that holds one fragment of
+each record, and a slice holds the whole column.
 ``tests/test_service_index.py`` property-tests that ``probe`` returns
 precisely the partner set ``FSJoin.run`` produces, for several θ and
 similarity functions.
@@ -38,9 +43,9 @@ of one, and a full index is the slice that owns every fragment (the scan
 walks the owned set, which only :class:`~repro.cluster.node.ShardSlice`
 narrows, and cedes nothing; the cross-shard claim rule is asked of the
 pairs that pass verification, in :meth:`SegmentIndex._evaluate_columnar`).
-The scan is batched over the flat posting columns, and verification's
-threshold algebra (``required_overlap``/``length_lower_bound``) is cached
-per partner size.
+The scan is batched over the flat posting columns; each query shape's
+length window is memoized on the index (a bounded LRU, :data:`WINDOW_MEMO`
+entries) and verification's ``required_overlap`` per partner size.
 
 **Result-ordering contract**: every probe's hit list is sorted by
 ``(-score, rid)`` — descending score, ascending record id on ties — and
@@ -59,9 +64,11 @@ rounds).
 from __future__ import annotations
 
 from array import array
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from collections import Counter as TokenCounter
 from dataclasses import dataclass
+from functools import lru_cache
+from itertools import takewhile
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.core.ordering import GlobalOrder, compute_global_ordering
@@ -78,6 +85,7 @@ from repro.similarity.functions import SimilarityFunction
 from repro.similarity.thresholds import (
     check_threshold,
     length_lower_bound,
+    length_upper_bound,
     prefix_length,
     required_overlap,
 )
@@ -85,6 +93,11 @@ from repro.similarity.verify import bounded_merge_intersection, verify_overlap
 
 #: Counter group for probe-side work (mirrors ``fsjoin.filter`` naming).
 PROBE_GROUP = "service.probe"
+
+#: Query shapes — (func, θ, |q|, known tokens) — whose length windows an
+#: index remembers: a long-lived server sees as many θs as its clients
+#: send, so the memo is an LRU of this many entries.
+WINDOW_MEMO = 1024
 
 
 @dataclass(frozen=True)
@@ -179,6 +192,15 @@ class SegmentIndex:
         self._postings: List[FragmentPostings] = [
             FragmentPostings() for _ in range(partitioner.n_partitions)
         ]
+        self._init_transient()
+
+    def _init_transient(self) -> None:
+        """State that is derived, never stored (nor pickled)."""
+        #: Something was staged into an index that already held records,
+        #: so the next seal re-sorts the runs it touches by length.
+        self._resort = False
+        #: (func, θ, |q|, known) → :func:`probe_window`, bounded.
+        self._windows = lru_cache(maxsize=WINDOW_MEMO)(probe_window)
 
     # -- construction --------------------------------------------------
     @classmethod
@@ -197,41 +219,60 @@ class SegmentIndex:
             order.rank_frequencies, n_vertical, method=pivot_method, seed=pivot_seed
         )
         index = cls(order, VerticalPartitioner(cuts), pivot_method)
-        for record in records:
-            index._insert(record)
+        index._insert_columns([index._encode(record) for record in records])
         index._seal()
         return index
 
-    def _insert(self, record: Record) -> None:
+    def _encode(self, record: Record) -> Tuple[int, array]:
+        """``(rid, id column)`` of a record whose tokens are all interned."""
         if record.rid.bit_length() >= 63:
             raise DataError(
                 f"record id {record.rid} does not fit the index's 64-bit "
                 "posting columns"
             )
         try:
-            ids = self.vocab.encode_record(record.tokens)
+            return record.rid, self.vocab.encode_record(record.tokens)
         except DataError as exc:
             raise DataError(f"record {record.rid}: {exc}") from None
-        self._insert_ids(record.rid, ids)
 
-    def _insert_ids(self, rid: int, ids: array) -> None:
-        """Index one record by its id column (strictly increasing under
-        :attr:`order`): keep the column, split it at this index's cuts,
-        stage its postings.  What a merge calls with a column another
-        index over the same order already encoded — ids are append-only,
-        so the column is as valid here as there, whatever the cuts."""
-        if rid in self._ranks:
-            raise DataError(f"record id {rid} already indexed")
-        self._ranks[rid] = ids
-        for v, start, end in self.partitioner.split_bounds(ids):
-            add = self._postings[v].add
-            for token in ids[start:end]:
-                add(token, rid)
+    def _insert(self, record: Record) -> None:
+        self._insert_columns([self._encode(record)])
+
+    def _insert_columns(self, columns: Sequence[Tuple[int, array]]) -> None:
+        """Index records by their id columns (strictly increasing under
+        :attr:`order`): keep the columns in the order given, split each at
+        this index's cuts, and stage the postings shortest record first,
+        ties by rid.  What a merge calls with columns another index over
+        the same order already encoded — ids are append-only, so a column
+        is as valid here as there, whatever the cuts.
+
+        Staged into an empty index, every run is then in length order as
+        it stands and the seal concatenates; staged into one that holds
+        records, the seal re-sorts the runs the stage touched."""
+        if self._ranks:
+            self._resort = True
+        for rid, ids in columns:
+            if rid in self._ranks:
+                raise DataError(f"record id {rid} already indexed")
+            self._ranks[rid] = ids
+        split_bounds = self.partitioner.split_bounds
+        for rid, ids in sorted(columns, key=lambda c: (len(c[1]), c[0])):
+            for v, start, end in split_bounds(ids):
+                add = self._postings[v].add
+                for token in ids[start:end]:
+                    add(token, rid)
 
     def _seal(self) -> None:
-        """Merge staged posting inserts into the flat columns."""
+        """Merge staged posting inserts into the flat columns, every run
+        in record-length order.  A re-sort keys on a ``rid → length`` map
+        built for it and dropped after: a C lookup per entry sorted."""
+        length_of = None
+        if self._resort:
+            ranks = self._ranks
+            length_of = dict(zip(ranks, map(len, ranks.values()))).__getitem__
         for postings in self._postings:
-            postings.seal()
+            postings.seal(length_of)
+        self._resort = False
 
     def apply_batch(self, new_records: Iterable[Record]) -> int:
         """Extend the index with new records (the incremental-join hook).
@@ -251,9 +292,10 @@ class SegmentIndex:
         The cost is the batch's: its postings are staged
         (:meth:`FragmentPostings.add`) and the scan reads the stage, so
         the records are searchable on return and nothing the index already
-        held is copied.  The stage is merged into the flat columns by
-        whoever next needs them flat — a save, :meth:`posting_stats`, a
-        content digest, a carve; the ingest tier's flush.
+        held is copied.  The stage is merged into the flat columns — each
+        touched run re-sorted by record length — by whoever next needs
+        them flat: a save, :meth:`posting_stats`, a content digest, a
+        carve; the ingest tier's flush.
         """
         batch = list(new_records)
         seen: set = set()
@@ -262,9 +304,9 @@ class SegmentIndex:
                 raise DataError(f"record id {record.rid} already indexed")
             if record.rid.bit_length() >= 63:
                 # Validate *before* any mutation: this check also lives in
-                # _insert, but by then the vocab is extended and earlier
-                # batch records are inserted — the batch must be all-or-
-                # nothing for snapshot-during-write consistency.
+                # _encode, but by then the vocab is extended — the batch
+                # must be all-or-nothing for snapshot-during-write
+                # consistency.
                 raise DataError(
                     f"record id {record.rid} does not fit the index's "
                     "64-bit posting columns"
@@ -277,8 +319,7 @@ class SegmentIndex:
             if not self.vocab.knows(token)
         )
         self.vocab.extend(fresh.items())
-        for record in batch:
-            self._insert(record)
+        self._insert_columns([self._encode(record) for record in batch])
         return len(batch)
 
     # -- introspection -------------------------------------------------
@@ -343,17 +384,17 @@ class SegmentIndex:
         digest.  This is what the cluster's anti-entropy scrubber compares
         across replicas of a shard.
         """
+        self._seal()
         return self._fragment_digest(fragment, {})
 
     def _fragment_digest(self, fragment: int, encoded: Dict[int, bytes]) -> str:
-        """:meth:`fragment_digest`, with each record's encoding memoized in
-        ``encoded`` — a record posts into several fragments and its bytes
-        are the same in each."""
+        """:meth:`fragment_digest` of a sealed index, with each record's
+        encoding memoized in ``encoded`` — a record posts into several
+        fragments and its bytes are the same in each."""
         import hashlib
 
         postings = self._postings[fragment]
         hasher = hashlib.sha256()
-        # items() seals; the rid column read below is the sealed one.
         for token, run in postings.items():
             hasher.update(repr((token, sorted(run))).encode("utf-8"))
         for rid in sorted(set(postings.rids)):
@@ -371,6 +412,7 @@ class SegmentIndex:
         a shard's replicas.  Each record is encoded once per call, not
         once per fragment it posts into."""
         owned = range(self.n_fragments) if self._owned is None else self._owned
+        self._seal()
         encoded: Dict[int, bytes] = {}
         return {v: self._fragment_digest(v, encoded) for v in sorted(owned)}
 
@@ -430,15 +472,13 @@ class SegmentIndex:
                 queries, theta, func, counters
             )
             span.attrs["candidates"] = sum(map(len, candidate_sets))
-        # One threshold-algebra memo for the whole batch: τ(|q|, |t|) and
-        # the StrL lower bounds depend only on sizes, so queries share
-        # every hit.
+        # One threshold-algebra memo for the whole batch: τ(|q|, |t|)
+        # depends only on sizes, so queries share every hit.
         tau_cache: Dict[Tuple[int, int], int] = {}
-        lower_cache: Dict[int, int] = {}
         return [
             self._evaluate_columnar(
                 query, candidate_sets[qi], theta, func, counters, tracer,
-                tau_cache, lower_cache,
+                tau_cache,
             )
             for qi, query in enumerate(queries)
         ]
@@ -488,48 +528,63 @@ class SegmentIndex:
         the query comes alone or in a batch: every scanned token below
         ``qpos`` missed it.
 
+        **A candidate is a record that can still pass.**  Of each run the
+        scan reads only the records whose length ``t`` lies in the query's
+        window at that position, ``lo ≤ t ≤ edges[qpos]``
+        (:func:`probe_window`): Lemma 1 admits nothing else, and a longer
+        record would die at the merge's opening bound, its required
+        overlap more than the ``known − qpos`` query tokens left.  Runs are
+        in length order, so the window is two bisects.  ``edges`` never
+        grows with ``qpos``, which keeps the scan exact: an in-window
+        record was in the window at every earlier scanned hit too, so its
+        recorded ``qpos`` is still its first scanned hit; a record outside
+        the window at its first hit stays outside at every later one, and
+        its first common token leaves too few query tokens for τ.  The
+        argument is per slice, so the claim rule below is unchanged.
+
         The scan cedes nothing.  Slices that own different fragments of
         one prefix may both list a candidate, each at its own first hit:
         the union of their candidate sets and the *smallest* ``qpos`` per
         candidate are the full index's, and which slice reports a pair is
         decided on the hit, in :meth:`_evaluate_columnar`.
 
-        The scan reads and never seals.  A run is
-        :meth:`FragmentPostings.run_rids`: the sealed slice, then whatever
-        :meth:`apply_batch` has staged since, in the order a seal would
-        lay them out — so candidate dicts, counters and hits are those of
-        the sealed index, and a probe costs a writer nothing.
+        The scan reads and never seals.  :meth:`FragmentPostings.window`
+        applies the same length test to whatever :meth:`apply_batch` has
+        staged since the last seal — so candidate dicts, counters and hits
+        are those of the sealed index, and a probe costs a writer nothing.
         """
-        probes: List[Tuple[int, int, int, int]] = []
-        plen_cache: Dict[int, int] = {}
+        probes: List[Tuple[int, int, int, int, int, int]] = []
         owned = self._owned
+        windows = self._windows
         for qi, query in enumerate(queries):
             q_ids = query.ranks
             if not q_ids:
                 continue
-            size = query.size
-            plen = plen_cache.get(size)
-            if plen is None:
-                plen = plen_cache[size] = prefix_length(func, theta, size)
-            limit = min(plen, len(q_ids))
-            for v, start, end in self.partitioner.split_bounds(q_ids[:limit]):
+            lo, edges = windows(func, theta, query.size, len(q_ids))
+            for v, start, end in self.partitioner.split_bounds(
+                    q_ids[:len(edges)]):
                 if owned is not None and v not in owned:
                     continue
                 for qpos in range(start, end):
-                    probes.append((q_ids[qpos], qi, qpos, v))
+                    probes.append((q_ids[qpos], qi, qpos, v, lo, edges[qpos]))
         # Ascending (token, query): fragment by fragment, token by token.
         probes.sort()
+        ranks = self._ranks
+
+        def length_of(rid: int) -> int:
+            return len(ranks[rid])
+
         candidate_sets: List[Dict[int, int]] = [{} for _ in queries]
         lookups = 0
         scanned_token = -1
-        run: Sequence[int] = ()
-        for token, qi, qpos, v in probes:
+        for token, qi, qpos, v, lo, hi in probes:
             if token != scanned_token:
                 scanned_token = token
                 lookups += 1
-                run = self._postings[v].run_rids(token)
+            if hi < lo:
+                continue
             candidates = candidate_sets[qi]
-            for rid in run:
+            for rid in self._postings[v].window(token, lo, hi, length_of):
                 if rid not in candidates:
                     candidates[rid] = qpos
         _bump(counters, "posting_lookups", lookups)
@@ -544,23 +599,25 @@ class SegmentIndex:
         counters: Optional[Counters],
         tracer: Tracer,
         tau_cache: Dict[Tuple[int, int], int],
-        lower_cache: Dict[int, int],
     ) -> List[SearchHit]:
         """Verify one query's candidates from their first hit on, and
         claim the hits that are this index's to report.
 
-        StrL (Lemma 1) on the two sizes, then one early-terminating merge
-        against τ.  Lemmas 2–4 bound a pair from one fragment because a
-        filter-job reducer sees nothing else; here both full columns are
-        at hand, and the merge's running bound (matches so far + shorter
-        remaining suffix < τ) is the tightest positional bound there is,
-        so nothing runs ahead of it.
+        Every candidate already passes Lemma 1 (the scan's window), so a
+        candidate costs one early-terminating merge against τ.  Lemmas 2–4
+        bound a pair from one fragment because a filter-job reducer sees
+        nothing else; here both full columns are at hand, and the merge's
+        running bound (matches so far + shorter remaining suffix < τ) is
+        the tightest positional bound there is, so nothing runs ahead of
+        it.
 
         **The merge starts where the scan stopped**: at ``qpos`` in the
         query and ``tpos = bisect_left(t, q[qpos])`` in the candidate
         ``t``, which holds ``q[qpos]`` there.  The merge's bound ahead of
         its first comparison, ``min(|q| − qpos, |t| − tpos) < τ``, is then
-        PPJoin's positional filter: most candidates cost no comparison.
+        PPJoin's positional filter; its query half the window has already
+        applied, so what reaches the merge dies there only by ``t``'s
+        side.
 
         **The claim rule, on hits.**  A pair is reported by the slice that
         owns the fragment of its first common token (Theorem 1, across
@@ -579,10 +636,9 @@ class SegmentIndex:
         the pair either fails τ here or passes and is ceded by the check:
         per-slice hit lists are those of a scan that cedes up front.
 
-        Unknown query tokens only enlarge ``|q|``.  ``required_overlap``/
-        ``length_lower_bound`` are memoized per size in ``tau_cache``/
-        ``lower_cache`` across the batch, and counters accumulate in
-        locals and flush once per probe.
+        Unknown query tokens only enlarge ``|q|``.  ``required_overlap``
+        is memoized per size pair in ``tau_cache`` across the batch, and
+        counters accumulate in locals and flush once per probe.
         """
         _bump(counters, "probes", 1)
         if not candidates:
@@ -593,23 +649,12 @@ class SegmentIndex:
         merge = bounded_merge_intersection
         sliced = self._owned is not None
         hits: List[SearchHit] = []
-        n_pruned_strl = n_verify_cmp = n_ceded = 0
+        n_verify_cmp = n_ceded = 0
         with tracer.span("verification", phase="service",
                          candidates=len(candidates)):
             for rid, qpos in candidates.items():
                 t_ranks = ranks_of[rid]
                 size_t = len(t_ranks)
-                small, large = (
-                    (size_q, size_t) if size_q <= size_t else (size_t, size_q)
-                )
-                lower = lower_cache.get(large)
-                if lower is None:
-                    lower = lower_cache[large] = length_lower_bound(
-                        func, theta, large
-                    )
-                if small < lower:
-                    n_pruned_strl += 1
-                    continue
                 tau = tau_cache.get((size_q, size_t))
                 if tau is None:
                     tau = tau_cache[(size_q, size_t)] = required_overlap(
@@ -629,25 +674,26 @@ class SegmentIndex:
                 else:
                     hits.append(SearchHit(rid, score))
         _bump(counters, "candidates", len(candidates))
-        _bump(counters, "pruned_strl", n_pruned_strl)
-        _bump(counters, "verified_pairs", len(candidates) - n_pruned_strl)
         _bump(counters, "verify_token_comparisons", n_verify_cmp)
         _bump(counters, "ceded_candidates", n_ceded)
         _bump(counters, "results", len(hits))
         hits.sort(key=lambda hit: (-hit.score, hit.rid))
         return hits
 
-    # -- persistence (snapshot v4 payload) ------------------------------
+    # -- persistence (snapshot v5 payload) ------------------------------
     def __getstate__(self):
         self._seal()
         state = dict(self.__dict__)
-        # Rebuilt on load: the vocab shares the order object.
-        state.pop("vocab", None)
+        # Rebuilt on load: the vocab shares the order object, and the
+        # rest is derived state.
+        for name in ("vocab", "_resort", "_windows"):
+            state.pop(name, None)
         return state
 
     def __setstate__(self, state) -> None:
         self.__dict__.update(state)
         self.vocab = TokenVocab(self.order)
+        self._init_transient()
 
 
 def checked_probe_args(theta: float, func) -> SimilarityFunction:
@@ -660,6 +706,40 @@ def checked_probe_args(theta: float, func) -> SimilarityFunction:
         raise ConfigError(f"unknown similarity function {func!r}") from None
     check_threshold(theta)
     return func
+
+
+def probe_window(
+    func: SimilarityFunction, theta: float, size: int, known: int
+) -> Tuple[int, Tuple[int, ...]]:
+    """The record lengths a query of ``size`` tokens, ``known`` of them in
+    the vocabulary, can be answered by: ``(lo, edges)``.
+
+    ``len(edges)`` is the prefix the scan probes; a record of length ``t``
+    first hit at prefix position ``qpos`` is a candidate iff ``lo ≤ t ≤
+    edges[qpos]``.  ``[lo, top]`` is what Lemma 1 admits, from the
+    predicate the evaluation used — ``min(|q|, t) ≥ length_lower_bound(
+    max(|q|, t))`` — so its edges are exactly the evaluation's.
+    ``edges[qpos]`` is the largest ``t ≤ top`` whose required overlap
+    ``τ(|q|, t)`` fits in the ``known − qpos`` query tokens from the hit
+    on (``lo − 1``, an empty window, when none does): any longer record
+    fails the merge's opening bound, and ``τ`` never falls as ``t`` grows,
+    so ``edges`` never grows with ``qpos``.
+    """
+    lo = length_lower_bound(func, theta, size)
+    top = length_upper_bound(func, theta, size)
+    while length_lower_bound(func, theta, top + 1) <= size:
+        top += 1
+    while length_lower_bound(func, theta, top) > size:
+        top -= 1
+    # τ for lo, lo + 1, …: no room is larger than ``known``, so stop there.
+    taus = list(takewhile(
+        lambda tau: tau <= known,
+        (required_overlap(func, theta, size, t) for t in range(lo, top + 1)),
+    ))
+    limit = min(prefix_length(func, theta, size), known)
+    return lo, tuple(
+        lo - 1 + bisect_right(taus, known - qpos) for qpos in range(limit)
+    )
 
 
 def differing_fragments(a: Dict[int, str], b: Dict[int, str]) -> List[int]:

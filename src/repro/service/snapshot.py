@@ -11,12 +11,15 @@ The outer envelope holds only builtins, so it is parsed by an unpickler
 that resolves no classes: no object a file names is ever constructed
 before its bytes pass the digest check.
 
-Only version 4 — the columnar index whose posting entry is a record id and
-whose record is its id column, flat ``array`` columns serialized as machine
-bytes — is read.  Files of any other version (3 also stored a position per
-posting entry and segment bounds per record; 1 and 2 were dict-of-objects
-layouts) are refused with one typed error naming both versions and the
-command that rebuilds them, ``repro index``: one format, one reader.
+Only version 5 — the columnar index whose posting entry is a record id,
+every run in record-length order, and whose record is its id column, flat
+``array`` columns serialized as machine bytes — is read.  Files of any
+other version are refused with one typed error naming both versions and
+the command that rebuilds them, ``repro index``: one format, one reader.
+4 held the same columns with runs in insertion order, which the probe's
+length window would read as answers silently missing; 3 also stored a
+position per posting entry and segment bounds per record; 1 and 2 were
+dict-of-objects layouts.
 
 Writes go to a temporary sibling file first and are atomically swapped
 into place with :func:`os.replace` — the same write-then-swap convention
@@ -37,9 +40,9 @@ from repro.errors import SnapshotError
 from repro.service.index import SegmentIndex
 
 SNAPSHOT_FORMAT = "repro-segment-index"
-#: v4: three posting columns (a posting is a record id) and one id column
-#: per record.
-SNAPSHOT_VERSION = 4
+#: v5: three posting columns (a posting is a record id, each run in
+#: record-length order) and one id column per record.
+SNAPSHOT_VERSION = 5
 
 _PICKLE_ERRORS = (
     pickle.UnpicklingError, EOFError, AttributeError, ImportError, IndexError,

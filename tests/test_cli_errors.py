@@ -43,6 +43,23 @@ def assert_one_line_error(capsys, argv, match=""):
 
 
 class TestEveryVerbFailsClosed:
+    def test_search_refuses_a_parent_v4_snapshot(self, index_file, capsys):
+        """A snapshot the parent build wrote — version 4, the same columns
+        with each posting run in insertion order — is refused by its
+        header: one line naming both versions and the rebuild command."""
+        import pickle
+        from pathlib import Path
+
+        path = Path(index_file)
+        envelope = pickle.loads(path.read_bytes())
+        envelope["version"] = 4
+        path.write_bytes(pickle.dumps(envelope))
+        assert_one_line_error(
+            capsys, ["search", index_file, "--query", "a b"],
+            match="file has 4, this build reads 5 — rebuild the index with "
+                  "'repro index'",
+        )
+
     def test_generate_unwritable_output(self, tmp_path, capsys):
         assert_one_line_error(
             capsys,
@@ -132,16 +149,16 @@ class TestEveryVerbFailsClosed:
 
     @pytest.mark.parametrize("manifest, match", [
         ('{"format": "repro-cluster", "version": 1}', "repro cluster build"),
-        ('{"format": "repro-cluster", "version": 2}',
-         "file has 2, this build reads 3 — rebuild the cluster with "
-         "'repro cluster build'"),
         ('{"format": "repro-cluster", "version": 3}',
+         "file has 3, this build reads 4 — rebuild the cluster with "
+         "'repro cluster build'"),
+        ('{"format": "repro-cluster", "version": 4}',
          "malformed cluster manifest"),
         ('["repro-cluster", 2]', "not a repro-cluster manifest"),
     ])
     def test_cluster_status_malformed_manifest(self, tmp_path, corpus_file,
                                                capsys, manifest, match):
-        """The manifest is outside input: a version-1 or version-2
+        """The manifest is outside input: a version-1 or version-3
         directory, a missing plan and a JSON list are one ``error:`` line,
         never a traceback."""
         cluster_dir = tmp_path / "c"

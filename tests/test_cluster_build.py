@@ -89,7 +89,8 @@ class TestSaveLoad:
     def test_manifest_contents(self, saved):
         """A saved cluster is two files — one index snapshot and a manifest
         holding the plan and that snapshot's sha256, five keys in all
-        (format v3; v2 also stored an index epoch and per-fragment
+        (format v4; v3 had the same keys over a snapshot whose runs were
+        in insertion order, v2 also stored an index epoch and per-fragment
         content digests nothing read, v1 one ``shard-NNN.idx`` file,
         fragment set and record count per shard)."""
         router, directory = saved
@@ -98,7 +99,7 @@ class TestSaveLoad:
         ]
         manifest = json.loads((directory / MANIFEST_NAME).read_text())
         assert manifest["format"] == "repro-cluster"
-        assert manifest["version"] == MANIFEST_VERSION == 3
+        assert manifest["version"] == MANIFEST_VERSION == 4
         assert manifest["replication"] == 2
         assert set(manifest) == {
             "format", "version", "replication", "plan", "sha256"
@@ -257,20 +258,22 @@ class TestLoadFailures:
             load_cluster(tmp_path)
 
     def test_parent_format_directory_is_refused(self, saved):
-        """A v2 directory (its index.idx a v3 snapshot: a position per
-        posting, bounds per record) has no reader either: the manifest's
-        version is checked before index.idx is opened, and the refusal is
-        one typed line naming both versions and the rebuild command."""
+        """A v3 directory — the parent build's: the same five keys over a
+        v4 snapshot whose posting runs are in insertion order, which the
+        probe's length window would read as missing answers — has no
+        reader: the manifest's version is checked before index.idx is
+        opened, and the refusal is one typed line naming both versions
+        and the rebuild command."""
         _, directory = saved
         manifest = json.loads((directory / MANIFEST_NAME).read_text())
-        manifest.update(version=2, index_epoch=0, digests={})
+        manifest.update(version=3)
         (directory / MANIFEST_NAME).write_text(json.dumps(manifest))
-        (directory / INDEX_NAME).write_bytes(b"a v3 snapshot, never opened")
+        (directory / INDEX_NAME).write_bytes(b"a v4 snapshot, never opened")
         with pytest.raises(ClusterError) as caught:
             load_cluster(directory)
         message = str(caught.value)
         assert "\n" not in message
-        assert "file has 2" in message and "reads 3" in message
+        assert "file has 3" in message and "reads 4" in message
         assert "'repro cluster build'" in message
 
     @pytest.mark.parametrize("document", MALFORMED_MANIFESTS)

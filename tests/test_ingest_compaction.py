@@ -100,7 +100,7 @@ class TestGenerationStore:
             store.load(gen.path, gen.index.order, gen.digest)
         message = str(caught.value)
         assert "\n" not in message
-        assert "payload has 3" in message and "reads 5" in message
+        assert "payload has 3" in message and "reads 6" in message
         assert "does not outlive the build that wrote it" in message
 
 
@@ -131,7 +131,34 @@ class TestGenerationStore:
             )
         message = str(caught.value)
         assert "\n" not in message
-        assert "payload has 4" in message and "reads 5" in message
+        assert "payload has 4" in message and "reads 6" in message
+        assert "does not outlive the build that wrote it" in message
+
+    def test_parent_v5_payload_in_insertion_order_is_refused(
+        self, corpus, monkeypatch
+    ):
+        """The parent's payload — this build's columns, but posting runs in
+        insertion order, which the probe's length window would read as
+        missing answers — is refused by its meta, never unpickled."""
+        from repro.ingest import generations
+
+        dfs = InMemoryDFS()
+        store = GenerationStore(dfs, "segments")
+        gen = store.persist(0, 0, _sealed_index(list(corpus)))
+        pairs = [
+            (k, {**v, "version": 5} if k == "meta" else v)
+            for k, v in dfs.read(gen.path)
+        ]
+        dfs.write(gen.path, pairs, overwrite=True)
+        monkeypatch.setattr(
+            generations, "unpack_payload",
+            lambda *args: pytest.fail("a refused payload was unpickled"),
+        )
+        with pytest.raises(IngestError) as caught:
+            store.load(gen.path, gen.index.order, gen.digest)
+        message = str(caught.value)
+        assert "\n" not in message
+        assert "payload has 5" in message and "reads 6" in message
         assert "does not outlive the build that wrote it" in message
 
     def test_payload_size_does_not_depend_on_the_shared_order(self):

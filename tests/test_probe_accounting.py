@@ -1,25 +1,25 @@
 """Accounting identity: every ``service.probe`` counter of a fixed probe set.
 
 The serving twin of ``test_mr_accounting.py``.  A probe is one candidate
-scan, Lemma 1 on the two sizes and one bounded merge per surviving
-candidate, started at the candidate's first hit; ``EXPECTED`` pins what
-that costs — every counter the probe emits, nothing else — through the
-full index, a 3-slice partition of its fragments (gathered) and a
-streaming index with a memtable and three generations, at (jaccard, 0.6)
-and (cosine, 0.7).  Eleven of the queries carry tokens the vocabulary has
-never seen.  A change that shifts comparison or candidate counts without
-changing an answer fails here and nowhere else.
+scan — each posting run read only inside the query's record-length window
+(Lemma 1 and the query half of the merge's opening bound) — and one
+bounded merge per candidate, started at the candidate's first hit;
+``EXPECTED`` pins what that costs — every counter the probe emits,
+nothing else — through the full index, a 3-slice partition of its
+fragments (gathered) and a streaming index with a memtable and three
+generations, at (jaccard, 0.6) and (cosine, 0.7).  Eleven of the queries
+carry tokens the vocabulary has never seen.  A change that shifts
+comparison or candidate counts without changing an answer fails here and
+nowhere else.
 
-What moved when the merge took the scan's first hit as its start offsets
-and the claim rule moved from candidates to hits: on ``index`` and
-``streaming`` only ``verify_token_comparisons``, downward (from 5 141 and
-15 048 on the index — and, then, on the slices — and 11 278 and 24 233
-streaming); on ``slices``, ``probes`` / ``posting_lookups`` / ``results``
-are unchanged, ``candidates`` is the old ``candidates +
-ceded_candidates`` (618 = 501 + 117, 1 516 = 1 250 + 266 — nothing is
-ceded before verification any more, so ``pruned_strl`` and
-``verified_pairs`` grow with it) and ``ceded_candidates`` counts ceded
-*hits* (18 / 31; it counted 117 / 266 candidates).
+What moved when the scan started reading windows (``BEFORE_WINDOW`` is
+the group of the scan that read whole runs): ``candidates`` became the
+records inside the window — at most the old ``candidates − pruned_strl``,
+since StrL is the window's edges and the rest of the old verified pairs
+died at the opening bound with no comparison — and ``pruned_strl`` and
+``verified_pairs`` (which now always equals ``candidates``) left the
+group.  ``probes``, ``posting_lookups``, ``verify_token_comparisons``,
+``results`` and ``ceded_candidates`` did not move on any route.
 """
 
 from __future__ import annotations
@@ -47,6 +47,35 @@ CASES = [("jaccard", 0.6), ("cosine", 0.7)]
 #: reports (same ``results``), but a candidate two slices list is verified
 #: by both, each from its own first hit.
 EXPECTED = {
+    ("index", "jaccard"): {
+        "probes": 28, "posting_lookups": 641, "candidates": 70,
+        "verify_token_comparisons": 2836, "results": 42,
+    },
+    ("slices", "jaccard"): {
+        "probes": 84, "posting_lookups": 641, "ceded_candidates": 18,
+        "candidates": 91, "verify_token_comparisons": 4051, "results": 42,
+    },
+    ("streaming", "jaccard"): {
+        "probes": 112, "posting_lookups": 2444, "candidates": 266,
+        "verify_token_comparisons": 3562, "results": 42,
+    },
+    ("index", "cosine"): {
+        "probes": 28, "posting_lookups": 777, "candidates": 139,
+        "verify_token_comparisons": 2881, "results": 44,
+    },
+    ("slices", "cosine"): {
+        "probes": 84, "posting_lookups": 777, "ceded_candidates": 31,
+        "candidates": 177, "verify_token_comparisons": 4720, "results": 44,
+    },
+    ("streaming", "cosine"): {
+        "probes": 112, "posting_lookups": 2816, "candidates": 454,
+        "verify_token_comparisons": 4406, "results": 44,
+    },
+}
+
+#: The same groups when the scan read whole runs and the evaluation
+#: pruned by StrL.
+BEFORE_WINDOW = {
     ("index", "jaccard"): {
         "probes": 28, "posting_lookups": 641, "candidates": 501,
         "pruned_strl": 303, "verified_pairs": 198,
@@ -78,6 +107,10 @@ EXPECTED = {
         "verify_token_comparisons": 4406, "results": 44,
     },
 }
+
+#: What the window leaves alone on every route.
+UNMOVED = ("probes", "posting_lookups", "verify_token_comparisons",
+           "results", "ceded_candidates")
 
 
 @pytest.fixture(scope="module")
@@ -151,7 +184,14 @@ def test_every_probe_counter_is_pinned(route, func, theta, corpus, queries,
     assert hits == [
         brute_force_search(corpus, tokens, theta, func) for tokens in queries
     ]
-    assert counters.group(PROBE_GROUP) == EXPECTED[route, func]
+    group = counters.group(PROBE_GROUP)
+    assert group == EXPECTED[route, func]
+    before = BEFORE_WINDOW[route, func]
+    assert [group.get(name) for name in UNMOVED] == [
+        before.get(name) for name in UNMOVED
+    ]
+    assert group["candidates"] <= before["candidates"] - before["pruned_strl"]
+    assert before["verified_pairs"] == before["candidates"] - before["pruned_strl"]
 
 
 @pytest.mark.parametrize("func,theta", CASES)
@@ -188,8 +228,8 @@ def test_unknown_tokens_take_the_known_token_path(func, theta, corpus,
                                                   queries):
     """Tokens the vocabulary has never seen and tokens it knows but no
     record holds (what a base generation sees of a token only the memtable
-    has) sort after every other id and match nothing: same candidates,
-    same prunes, same counters emitted — there is one path, not two."""
+    has) sort after every other id and match nothing: same answers, same
+    lookups, same counters emitted — there is one path, not two."""
     index = SegmentIndex.build(corpus, n_vertical=N_VERTICAL)
     padded = [q for q in queries if any(t.startswith("never-") for t in q)]
     assert len(padded) >= 5
@@ -205,11 +245,13 @@ def test_unknown_tokens_take_the_known_token_path(func, theta, corpus,
     assert before == after
     unknown, known = unknown.group(PROBE_GROUP), known.group(PROBE_GROUP)
     assert set(unknown) == set(known) == {
-        "probes", "posting_lookups", "candidates", "pruned_strl",
-        "verified_pairs", "verify_token_comparisons", "results",
+        "probes", "posting_lookups", "candidates",
+        "verify_token_comparisons", "results",
     }
     # A never-seen token is not in the merged id column at all; a known
-    # one sits at its end, where the merge may still walk it.
-    assert (unknown.pop("verify_token_comparisons")
-            <= known.pop("verify_token_comparisons"))
+    # one sits at its end, where the merge may still walk it — and it
+    # counts among the tokens left to meet τ from a hit on, so the length
+    # window is no narrower than with the token unknown.
+    for name in ("verify_token_comparisons", "candidates"):
+        assert unknown.pop(name) <= known.pop(name), name
     assert unknown == known

@@ -1,13 +1,14 @@
 """The columnar index vs an independent oracle: bit-identical by contract.
 
-The index's one evaluator (flat array posting columns, batched candidate
-generation, length filter + bounded merge) must return exactly what a
+The index's one evaluator (flat array posting columns in length order,
+batched candidate generation over each run's length window, bounded
+merge) must return exactly what a
 brute-force scan over token sets returns — same rids, same scores, same order — for
 probes, batches and the self-join.  The oracle
 (:func:`tests.conftest.brute_force_search`, ``naive_self_join``,
 ``FSJoin.run``) shares no logic with the index.  Also pinned here: the
 ``probe_batch`` result-ordering guarantee across executor fan-outs, the
-byte-accurate ``posting_stats``, and the v4 snapshot format.
+byte-accurate ``posting_stats``, and the v5 snapshot format.
 """
 
 from __future__ import annotations
@@ -98,7 +99,9 @@ class TestPathEquivalence:
         """Sequential and batched candidate generation feed the evaluator
         the same candidates: identical comparison totals, with the batch
         sharing posting lookups (faster, not lazier), and the funnel
-        narrowing monotonically."""
+        narrowing monotonically.  Every candidate is inside its length
+        window, so there is no StrL count and nothing verified but the
+        candidates."""
         sequential, batched = Counters(), Counters()
         for record in corpus:
             index.probe(record.tokens, 0.5, counters=sequential)
@@ -108,12 +111,15 @@ class TestPathEquivalence:
         )
         seq = sequential.group("service.probe")
         bat = batched.group("service.probe")
-        for key in ("verify_token_comparisons", "pruned_strl",
-                    "verified_pairs", "candidates", "results", "probes"):
+        for key in ("verify_token_comparisons", "candidates", "results",
+                    "probes"):
             assert seq[key] == bat[key], key
-        assert set(seq) == set(bat)
+        assert set(seq) == set(bat) == {
+            "probes", "posting_lookups", "candidates",
+            "verify_token_comparisons", "results",
+        }
         assert bat["posting_lookups"] <= seq["posting_lookups"]
-        assert seq["candidates"] >= seq["verified_pairs"] >= seq["results"] > 0
+        assert seq["candidates"] >= seq["results"] > 0
 
 
 class TestBatchOrderingContract:
@@ -164,38 +170,59 @@ class TestPostingStats:
                 > small.posting_stats()["posting_bytes"])
 
 
+#: Record lengths for the hand-built postings below: rid → length.
+LENGTHS = {1: 5, 2: 3, 3: 4, 9: 2, 10: 1, 20: 1, 100: 6, 101: 2}
+
+
 class TestFragmentPostings:
     def test_staged_entries_visible_after_seal(self):
+        """The window reads the stage with the sealed run's length test,
+        and flat columns are refused until the owner seals."""
         fp = FragmentPostings()
         fp.add(7, 100)
         fp.add(7, 101)
         fp.add(3, 100)
         assert len(fp) == 3
-        assert fp.run_rids(7) == [100, 101]
-        assert dict(fp.items()) == {7: [100, 101], 3: [100]}
+        assert fp.window(7, 1, 9, LENGTHS.get) == [100, 101]
+        assert fp.window(7, 3, 9, LENGTHS.get) == [100]
+        with pytest.raises(ValueError):
+            fp.copy()
+        fp.seal(LENGTHS.get)
+        assert dict(fp.items()) == {7: [101, 100], 3: [100]}
+        assert list(fp.window(7, 1, 9, LENGTHS.get)) == [101, 100]
+        assert list(fp.window(7, 3, 9, LENGTHS.get)) == [100]
 
     def test_seal_appends_after_existing_run(self):
+        """A stage goes after its token's run; with a length key the
+        touched run is re-sorted by length, ties in insertion order."""
         fp = FragmentPostings()
         fp.add(5, 1)
-        fp.seal()
+        fp.seal(None)
         fp.add(5, 2)
         fp.add(4, 9)
-        fp.seal()
+        fp.seal(None)
         assert dict(fp.items())[5] == [1, 2]
         assert list(fp.tokens) == [4, 5]
+        fp.add(5, 3)
+        fp.add(5, 101)
+        fp.seal(LENGTHS.get)
+        assert dict(fp.items())[5] == [101, 2, 3, 1]
+        assert list(fp.window(5, 3, 4, LENGTHS.get)) == [2, 3]
 
     def test_copy_is_independent(self):
         fp = FragmentPostings()
         fp.add(1, 10)
+        fp.seal(None)
         dup = fp.copy()
         dup.add(2, 20)
-        dup.seal()
+        dup.seal(LENGTHS.get)
         assert len(fp) == 1 and len(dup) == 2
 
     def test_pickle_round_trip(self):
         fp = FragmentPostings()
         for token, rid in [(4, 1), (4, 2), (9, 3)]:
             fp.add(token, rid)
+        fp.seal(LENGTHS.get)
         clone = pickle.loads(pickle.dumps(fp))
         assert list(clone.items()) == list(fp.items())
         assert clone.nbytes() == fp.nbytes()
@@ -242,7 +269,6 @@ class TestSnapshotCompat:
         from array import array
 
         def v3_state(postings):
-            postings.seal()
             return (postings.tokens, postings.offsets, postings.rids,
                     array("i", [0] * len(postings.rids)))
 
@@ -263,5 +289,5 @@ class TestSnapshotCompat:
             load_index(path)
         message = str(caught.value)
         assert "\n" not in message
-        assert "file has 3" in message and "reads 4" in message
+        assert "file has 3" in message and "reads 5" in message
         assert "rebuild the index with 'repro index'" in message

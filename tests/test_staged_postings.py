@@ -1,8 +1,10 @@
 """Staged ≡ sealed: a probe reads the stage, and a write costs its batch.
 
 ``SegmentIndex.apply_batch`` stages a batch's postings and returns; the
-scan reads a token's run as the sealed slice followed by the stage, which
-is the run a seal would lay out.  Three things are pinned here:
+scan reads a token's length window of the sealed run by bisecting it and
+of the stage by testing each entry, which is the window of the run a seal
+would lay out (the touched runs re-sorted by length).  Three things are
+pinned here:
 
 * **answers and work** — after every batch, an index that was never sealed
   answers ``probe``/``probe_batch`` exactly like
@@ -114,7 +116,7 @@ class TestStagedEqualsSealed:
                 ]
             assert _staged(index) and not _staged(twin)
         # Whoever needs flat columns seals, and the bytes do not remember
-        # when: digests first (they seal fragment by fragment), then pickle.
+        # when: digests first (they seal), then pickle.
         assert index.content_digests() == twin.content_digests()
         assert pickle.dumps(index) == pickle.dumps(twin)
         sealed_copy = pickle.loads(pickle.dumps(index))
@@ -214,10 +216,10 @@ def stage_merges(monkeypatch):
     merges = []
     seal = FragmentPostings.seal
 
-    def counting_seal(postings):
+    def counting_seal(postings, length_of):
         if postings._pending:
             merges.append(postings)
-        seal(postings)
+        seal(postings, length_of)
 
     monkeypatch.setattr(FragmentPostings, "seal", counting_seal)
     return merges
