@@ -6,7 +6,9 @@ three mechanisms that make it a *service* rather than a loop over
 ``FSJoin``:
 
 * the LRU result cache — repeating a probe mix against a warm cache must
-  be at least an order of magnitude faster than the cold pass;
+  not probe the index at all: every query is a hit, and the
+  ``service.probe`` counters do not move (the speed-up this buys is in
+  the table, but a wall-clock ratio is no floor to assert on);
 * batched probing — 100 probes (drawn with duplicates from 60 distinct
   records) answered by one ``search_batch`` must touch fewer tokens than
   100 sequential ``search`` calls on an identical cache-disabled
@@ -16,8 +18,8 @@ three mechanisms that make it a *service* rather than a loop over
   backends, bit-identical results (GIL-bound Python, so wall-clock
   parity is expected; the thread row exists to exercise the path).
 
-Expected shape: warm ≥ 10× cold; batched token comparisons strictly
-below sequential; identical hit lists everywhere.
+Expected shape: the warm pass runs zero probes; batched token comparisons
+strictly below sequential; identical hit lists everywhere.
 """
 
 from __future__ import annotations
@@ -55,9 +57,11 @@ def test_query_service(benchmark):
         started = time.perf_counter()
         cold_hits = [cached.search(q, THETA) for q in probe_mix]
         cold_wall = time.perf_counter() - started
+        cold_probe = cached.metrics.group(PROBE)
         started = time.perf_counter()
         warm_hits = [cached.search(q, THETA) for q in probe_mix]
         warm_wall = time.perf_counter() - started
+        warm_probe = cached.metrics.group(PROBE)
         rows.append({"scenario": "sequential, cold cache", "wall_s": cold_wall,
                      "speedup": 1.0, "token_cmp": ""})
         rows.append({"scenario": "sequential, warm cache", "wall_s": warm_wall,
@@ -97,6 +101,8 @@ def test_query_service(benchmark):
             "seq_cmp": _token_comparisons(sequential),
             "bat_cmp": _token_comparisons(batched),
             "cache": cache_stats,
+            "cold_probe": cold_probe,
+            "warm_probe": warm_probe,
         }
         return rows, outcomes, counters
 
@@ -114,13 +120,13 @@ def test_query_service(benchmark):
         outcomes["cold"] == outcomes["warm"] == outcomes["seq"]
         == outcomes["bat"] == outcomes["thr"]
     )
-    # The warm pass is pure cache hits, and at least 10× faster.  (The cold
+    # The warm pass is pure cache hits: it probes nothing, so every
+    # service.probe counter stands where the cold pass left it.  (The cold
     # pass already hits on its own repeats: 100 probes, 60 distinct.)
     assert counters["cache"]["misses"] == N_DISTINCT
     assert counters["cache"]["hits"] == 2 * N_PROBES - N_DISTINCT
-    by_scenario = {row["scenario"]: row for row in rows}
-    warm = by_scenario["sequential, warm cache"]
-    assert warm["speedup"] >= 10.0
+    assert counters["cold_probe"]["probes"] == N_DISTINCT
+    assert counters["warm_probe"] == counters["cold_probe"]
     # Batching beats sequential probing on work done, not just wall-clock:
     # the counters show strictly fewer token comparisons.
     assert 0 < counters["bat_cmp"] < counters["seq_cmp"]

@@ -5,9 +5,13 @@ growing horizontal partition counts per dataset (numbers above the dataset
 names in the figure).  Observations reproduced:
 
 * the filtering phase dominates the verification phase (the filters have
-  already pruned most false positives, so verification aggregates little);
-* more horizontal partitions reduce the overall execution time (smaller
-  sections → less quadratic fragment-join work).
+  already pruned most false positives, so verification aggregates little).
+
+Not reproduced: "more horizontal partitions reduce the overall execution
+time".  That claim is not reproducible without spill modelling: each
+fragment is sorted by length, so the StrL window already skips the
+length-incompatible pairs sections were meant to spare, and the fragment
+joins consider the same pairs at every partition count (asserted).
 
 Note: the horizontal pivot selector enforces the ratio-correctness
 constraint (DESIGN.md §4.3), so very large requested counts collapse to the
@@ -91,6 +95,5 @@ def test_fig10_phase_breakdown(benchmark, name):
         # factor: per-task perf_counter picks up scheduler jitter).
         assert row["verify_candidates"] < row["filter_pairs"]
         assert row["verify_cpu_s"] < row["filter_cpu_s"] * 2.0
-    # More horizontal partitions → less quadratic fragment-join CPU.
-    if rows[-1]["h_effective"] > rows[0]["h_effective"]:
-        assert rows[-1]["filter_cpu_s"] < rows[0]["filter_cpu_s"]
+    # Sections spare the fragment joins no pair at any partition count.
+    assert len({row["filter_pairs"] for row in rows}) == 1

@@ -5,9 +5,13 @@ dataset (10 for Email, 50 for Wiki, 70 for PubMed); FS-Join beats FS-Join-V
 across thresholds because smaller sections avoid spill/latency effects and
 cut the per-reducer join cost.
 
-Shapes asserted: identical results; FS-Join's fragment-join CPU is lower
-than FS-Join-V's wherever the pivot selector retains at least one sound
-length pivot.
+The paper's speed-up is not reproducible without spill modelling: this
+runtime never spills, and each fragment is sorted by length so the StrL
+window skips length-incompatible pairs with or without sections.  Sections
+therefore cannot save an enumerated pair; they only replicate segments.
+Shapes asserted (all deterministic): identical results; the fragment joins
+consider exactly the same pairs at 1 and N sections; FS-Join's shuffle bytes
+and replication rate are at least FS-Join-V's.
 """
 
 from __future__ import annotations
@@ -40,7 +44,8 @@ def test_fig13_horizontal_effect(benchmark, name):
                     cluster,
                 )
                 row = run_algorithm(algorithm, records)
-                metrics = row["_result"].job_results[1].metrics
+                result = row["_result"]
+                metrics = result.job_results[1].metrics
                 row.update(
                     {
                         "dataset": name,
@@ -48,6 +53,11 @@ def test_fig13_horizontal_effect(benchmark, name):
                         "join_cpu_s": sum(
                             t.compute_seconds for t in metrics.reduce_tasks
                         ),
+                        "pairs_considered": result.counters().get(
+                            "fsjoin.filter", "pairs_considered"
+                        ),
+                        "shuffle_bytes": result.total_shuffle_bytes(),
+                        "replication_rate": metrics.duplication_byte_factor(),
                     }
                 )
                 rows.append(row)
@@ -59,16 +69,18 @@ def test_fig13_horizontal_effect(benchmark, name):
         rows,
         f"Fig 13 ({name}) — horizontal partitioning effect",
         columns=[
-            "dataset", "theta", "algorithm", "wall_s",
-            "join_cpu_s", "shuffle_mb", "results",
+            "dataset", "theta", "algorithm", "wall_s", "join_cpu_s",
+            "pairs_considered", "shuffle_mb", "replication_rate", "results",
         ],
     )
 
     for theta in THETAS:
         per_theta = {r["algorithm"]: r for r in rows if r["theta"] == theta}
-        assert per_theta["FS-Join"]["results"] == per_theta["FS-Join-V"]["results"]
-        # Sections cut the quadratic fragment-join cost.
-        assert (
-            per_theta["FS-Join"]["join_cpu_s"]
-            < per_theta["FS-Join-V"]["join_cpu_s"] * 1.05
-        )
+        sections, plain = per_theta["FS-Join"], per_theta["FS-Join-V"]
+        assert sections["results"] == plain["results"]
+        # Sections spare the fragment joins no pair...
+        assert sections["pairs_considered"] == plain["pairs_considered"]
+        # ...and replicate segments across them: a dominated point on the
+        # replication-rate / reducer-size curve.
+        assert sections["shuffle_bytes"] >= plain["shuffle_bytes"]
+        assert sections["replication_rate"] >= plain["replication_rate"]

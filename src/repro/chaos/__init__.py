@@ -1,8 +1,8 @@
 """Deterministic chaos harness: seeded faults, verified recovery.
 
 One seed fixes every fault the harness injects — task deaths, stragglers,
-DFS errors, a driver kill, checkpoint corruption, replica flaps, latency
-spikes, torn frames, stalled sockets and killed connections — and the
+driver kills, checkpoint and snapshot corruption, replica flaps, kills
+and rot, torn frames, stalled sockets and killed connections — and the
 scenarios in :mod:`repro.chaos.harness` drive each layer
 of the stack through them, checking the repo's robustness contract: the
 run either recovers to **bit-identical** output, or fails with a typed

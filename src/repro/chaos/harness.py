@@ -49,16 +49,20 @@ contract the repo promises:
   connections must be timed out and counted, garbage must be rejected
   with a typed ``ProtocolError`` frame, and a final drain must complete.
 
-:func:`run_recovery_report` chains them all into the
-:class:`RecoveryReport` the ``repro chaos`` CLI prints.  Everything is a
-pure function of the seed: the same seed replays the same faults, the
-same recoveries, the same report.
+Every scenario starts from the same :class:`_Rig` (schedule, injector,
+chaos clock, corpus, index, span mark) and ends in its one report
+finisher; cluster, gateway and heal share its cluster build and victim
+pick, cluster and gateway its flap.  :func:`run_recovery_report` chains
+them all into the :class:`RecoveryReport` the ``repro chaos`` CLI prints.
+Everything is a pure function of the seed: the same seed replays the same
+faults, the same recoveries, the same report.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.chaos.schedule import ChaosClock, ChaosConfig, FaultInjector, FaultSchedule
 from repro.cluster import BreakerConfig, RetryPolicy, build_cluster
@@ -81,6 +85,31 @@ from repro.similarity.functions import SimilarityFunction
 #: DFS path whose read the join scenario's driver kill is armed on — the
 #: verification job's input, so the kill lands *between* jobs 2 and 3.
 KILL_POINT = ("read", "fsjoin/partial-counts")
+
+#: Each scenario's corpus, ``make_corpus("wiki", records, seed % modulus)``,
+#: as ``(records, modulus, n_vertical)``; ``n_vertical`` is ``None`` where
+#: the scenario builds no single-node index of its own.  Report inputs: a
+#: changed entry changes every report that seed prints.
+CORPORA: Dict[str, Tuple[int, int, Optional[int]]] = {
+    "join": (120, 997, None),
+    "cluster": (100, 991, 12),
+    "search": (80, 983, 10),
+    "ingest": (120, 977, None),
+    "gateway": (120, 971, 12),
+    "net": (80, 971, 8),
+    "heal": (100, 983, 12),
+}
+
+#: The breaker of every chaos cluster: two failed probes open it, one
+#: chaos-clock second later a half-open trial may close it.
+BREAKER = BreakerConfig(failure_threshold=2, reset_timeout=1.0)
+
+#: What each wire fault of the net scenario does, as its fault log says.
+NET_FAULTS = {
+    "torn-frame": "frame written in 3 chunks",
+    "stalled-connection": "header left half-sent",
+    "connection-kill": "peer hung up before reading the response",
+}
 
 
 @dataclass
@@ -151,14 +180,132 @@ def _recovery_from_spans(tracer: Tracer, mark: int) -> Dict[str, int]:
     return counts
 
 
+def _moved(route: Dict[str, int], keys: Sequence[str]) -> Dict[str, int]:
+    """The named ``cluster.route`` counters that moved, in ``keys`` order."""
+    return {key: route[key] for key in keys if route.get(key)}
+
+
+class _Rig:
+    """What every scenario starts from, built once.
+
+    The normalised similarity function, the tracer (no-op unless given)
+    and the span mark recovery is counted from, the seed's
+    :class:`FaultSchedule` and the :class:`FaultInjector` that logs every
+    fault, one :class:`ChaosClock` for breakers, retry sleeps and
+    deadlines, and the scenario's :data:`CORPORA` corpus with its
+    single-node index — the exact answer every served one is held to.
+    """
+
+    def __init__(
+        self,
+        scenario: str,
+        seed: int,
+        theta: float,
+        func: SimilarityFunction,
+        tracer: Optional[Tracer],
+        config: ChaosConfig = ChaosConfig(),
+        n_records: Optional[int] = None,
+    ) -> None:
+        self.scenario = scenario
+        self.seed = seed
+        self.theta = theta
+        self.func = SimilarityFunction(func)
+        self.tracer = tracer if tracer is not None else NOOP_TRACER
+        self.schedule = FaultSchedule(seed, config)
+        self.injector = FaultInjector(self.schedule, self.tracer)
+        self.clock = ChaosClock()
+        size, modulus, n_vertical = CORPORA[scenario]
+        self.records = make_corpus(
+            "wiki", n_records if n_records is not None else size,
+            seed=seed % modulus,
+        )
+        self.index = (
+            SegmentIndex.build(self.records, n_vertical=n_vertical)
+            if n_vertical is not None else None
+        )
+        self.mark = self.tracer.mark()
+
+    def expect(self, tokens):
+        """The single-node index's answer: what every served one must be."""
+        return self.index.probe(tokens, self.theta, self.func)
+
+    def wrong(self, router, tokens) -> bool:
+        """Does the cluster answer ``tokens`` differently from the index?"""
+        answer = router.search(tokens, self.theta, func=self.func)
+        return answer != self.expect(tokens)
+
+    def cluster(self, n_shards: int, **options):
+        """The chaos-configured cluster over the rig's index: two
+        replicas, one seeded retry, :data:`BREAKER`, and the chaos clock
+        as both breaker time and retry sleep."""
+        return build_cluster(
+            self.index,
+            n_shards=n_shards,
+            replication=2,
+            tracer=self.tracer,
+            retry=RetryPolicy(max_retries=1, base_delay=0.01, seed=self.seed),
+            breaker=BREAKER,
+            clock=self.clock,
+            sleep=self.clock.sleep,
+            **options,
+        )
+
+    def victim_shard(self, router, tokens) -> int:
+        """A shard ``tokens`` provably routes to, so a fault placed there
+        is on the path of every probe of them."""
+        targets = router.target_fragments(
+            router.encode_query(tokens), self.theta, self.func
+        )
+        return router.plan.shard_of(targets[0]) if targets else 0
+
+    def flap(self, router, shard: int, serve: Callable[[], int]):
+        """Flap replica 0 of ``shard`` under ``serve`` (one request,
+        returning its mismatch count); returns the victim and the
+        mismatches.
+
+        The replica fails a breaker's worth of probes.  With round-robin
+        rotation, two full rotations burn that budget and trip the
+        breaker open; once the chaos clock passes the reset timeout, one
+        more rotation's half-open trial finds the replica healed and
+        closes it again.
+        """
+        victim = router.replica(shard, 0)
+        self.injector.crash_replica(victim, probes=BREAKER.failure_threshold)
+        mismatches = sum(serve() for _ in range(2 * router.replication))
+        self.clock.advance(BREAKER.reset_timeout)
+        mismatches += sum(serve() for _ in range(router.replication))
+        return victim, mismatches
+
+    def report(
+        self,
+        matched: bool,
+        detail: Dict[str, Any],
+        counters: Optional[Dict[str, int]] = None,
+        error: Optional[str] = None,
+    ) -> ScenarioReport:
+        """The scenario's report: every fault the injector logged, and as
+        recovery the ``phase="recovery"`` spans since the mark plus the
+        scenario's own recovery ``counters``."""
+        recovery = _recovery_from_spans(self.tracer, self.mark)
+        for key, value in (counters or {}).items():
+            recovery[key] = recovery.get(key, 0) + value
+        return ScenarioReport(
+            scenario=self.scenario,
+            seed=self.seed,
+            matched=matched,
+            error=error,
+            faults=self.injector.report(),
+            recovery=recovery,
+            detail=detail,
+        )
+
+
 def run_join_scenario(
     seed: int,
     theta: float = 0.7,
     func: SimilarityFunction = SimilarityFunction.JACCARD,
     executor: str = "serial",
     n_records: int = 120,
-    config: Optional[ChaosConfig] = None,
-    straggler_threshold: float = 0.1,
     tracer: Optional[Tracer] = None,
 ) -> ScenarioReport:
     """Kill, corrupt and straggle the FS-Join pipeline; resume must heal it.
@@ -171,31 +318,28 @@ def run_join_scenario(
     digest-valid ordering checkpoint, re-run the corrupted filter job,
     and finish with pairs bit-identical to a fault-free run.
     """
-    func = SimilarityFunction(func)
-    tracer = tracer if tracer is not None else NOOP_TRACER
-    chaos = config if config is not None else ChaosConfig(
-        task_failure_rate=0.12, straggler_rate=0.2, straggler_delay=0.3
+    rig = _Rig(
+        "join", seed, theta, func, tracer,
+        ChaosConfig(task_failure_rate=0.12, straggler_rate=0.2,
+                    straggler_delay=0.3),
+        n_records=n_records,
     )
-    schedule = FaultSchedule(seed, chaos)
-    records = make_corpus("wiki", n_records, seed=seed % 997)
-    join_config = FSJoinConfig(theta=theta, func=func)
+    records = rig.records
+    join_config = FSJoinConfig(theta=theta, func=rig.func)
 
     # The fault-free twin every comparison is against.
     baseline = FSJoin(join_config).run(records)
 
-    injector = FaultInjector(schedule, tracer)
-    dfs = injector.attach_dfs(InMemoryDFS())
-    injector.schedule_kill(*KILL_POINT)
+    dfs = rig.injector.attach_dfs(InMemoryDFS())
+    rig.injector.schedule_kill(*KILL_POINT)
     mr_cluster = SimulatedCluster(
         ClusterSpec(executor=executor),
-        failure_injector=schedule.task_failure,
-        straggler_injector=schedule.straggler,
+        failure_injector=rig.schedule.task_failure,
+        straggler_injector=rig.schedule.straggler,
         speculative=True,
-        straggler_threshold=straggler_threshold,
-        tracer=tracer,
+        tracer=rig.tracer,
     )
     join = FSJoin(join_config, mr_cluster, dfs=dfs)
-    mark = tracer.mark()
 
     detail: Dict[str, Any] = {}
     try:
@@ -209,53 +353,38 @@ def run_join_scenario(
         detail["first_run"] = f"failed typed: {type(exc).__name__}"
 
     if dfs.exists("fsjoin/ckpt/filter"):
-        injector.corrupt(dfs, "fsjoin/ckpt/filter")
+        rig.injector.corrupt(dfs, "fsjoin/ckpt/filter")
 
-    matched = False
-    error = None
     try:
         result = join.run(records, resume=True)
-        detail["resumed_jobs"] = list(result.resumed_jobs)
-        matched = (
-            result.result_pairs == baseline.result_pairs
-            and result.result_set() == baseline.result_set()
-        )
-        counters = result.counters().as_dict().get("mapreduce", {})
-        recovery = _recovery_from_spans(tracer, mark)
-        for key, value in counters.items():
-            if "retries" in key or "speculative" in key:
-                recovery[key] = recovery.get(key, 0) + value
-        detail["pairs"] = len(result.pairs)
     except ReproError as exc:
-        error = type(exc).__name__
         detail["resume_error"] = str(exc)
-        recovery = _recovery_from_spans(tracer, mark)
-
-    return ScenarioReport(
-        scenario="join",
-        seed=seed,
-        matched=matched,
-        error=error,
-        faults=injector.report(),
-        recovery=recovery,
-        detail=detail,
+        return rig.report(False, detail, error=type(exc).__name__)
+    detail["resumed_jobs"] = list(result.resumed_jobs)
+    matched = (
+        result.result_pairs == baseline.result_pairs
+        and result.result_set() == baseline.result_set()
     )
+    counters = result.counters().as_dict().get("mapreduce", {})
+    detail["pairs"] = len(result.pairs)
+    return rig.report(matched, detail, {
+        key: value for key, value in counters.items()
+        if "retries" in key or "speculative" in key
+    })
 
 
 def run_cluster_scenario(
     seed: int,
     theta: float = 0.6,
     func: SimilarityFunction = SimilarityFunction.JACCARD,
-    n_records: int = 100,
-    n_shards: int = 4,
     tracer: Optional[Tracer] = None,
 ) -> ScenarioReport:
     """Flap a replica and down a shard; routing must absorb both.
 
-    Phase 1 — *flap*: replica 0 of shard 0 fails its next probes (seeded
-    count, at least the breaker threshold), so the router fails over,
-    trips the breaker open, and — once the chaos clock passes the reset
-    timeout — rejoins the healed replica through a half-open trial.
+    Phase 1 — *flap*: replica 0 of a shard the first query routes to
+    fails its next probes (the breaker threshold), so the router fails
+    over, trips the breaker open, and — once the chaos clock passes the
+    reset timeout — rejoins the healed replica through a half-open trial.
     Every search result is compared to the single-node index's answer.
 
     Phase 2 — *shard down*: every replica of one shard is stopped;
@@ -263,50 +392,18 @@ def run_cluster_scenario(
     ``search_partial`` must return ``complete=False`` naming the missing
     fragments.  After restore, full answers must come back.
     """
-    func = SimilarityFunction(func)
-    tracer = tracer if tracer is not None else NOOP_TRACER
-    schedule = FaultSchedule(seed, ChaosConfig())
-    records = make_corpus("wiki", n_records, seed=seed % 991)
-    index = SegmentIndex.build(records, n_vertical=12)
-    clock = ChaosClock()
-    injector = FaultInjector(schedule, tracer, clock)
-    breaker = BreakerConfig(failure_threshold=2, reset_timeout=1.0)
-    router = build_cluster(
-        index,
-        n_shards=n_shards,
-        replication=2,
-        tracer=tracer,
-        retry=RetryPolicy(max_retries=1, base_delay=0.01, seed=seed),
-        breaker=breaker,
-        clock=clock,
-        sleep=clock.sleep,
-    )
-    mark = tracer.mark()
+    rig = _Rig("cluster", seed, theta, func, tracer)
+    records, func = rig.records, rig.func
+    router = rig.cluster(n_shards=4)
 
     queries = [records[i].tokens for i in range(0, len(records), 7)]
     # The flap victim is a shard queries[0] provably routes to, so every
     # flap-phase probe actually exercises the broken replica.
     flap_tokens = queries[0]
-    flap_targets = router.target_fragments(
-        router.encode_query(flap_tokens), theta, func
+    victim_shard = rig.victim_shard(router, flap_tokens)
+    victim, mismatches = rig.flap(
+        router, victim_shard, lambda: rig.wrong(router, flap_tokens)
     )
-    victim_shard = router.plan.shard_of(flap_targets[0]) if flap_targets else 0
-    victim = router.replica(victim_shard, 0)
-    injector.crash_replica(victim, probes=breaker.failure_threshold)
-
-    # Flap phase: with replica 0 crashed and round-robin rotation, two
-    # full rotations burn the crash budget and trip the breaker open;
-    # after the reset timeout the healed replica's half-open trial closes
-    # it again.  Every answer along the way must stay exact.
-    expected_flap = index.probe(flap_tokens, theta, func)
-    mismatches = 0
-    for _ in range(2 * router.replication):
-        if router.search(flap_tokens, theta, func=func) != expected_flap:
-            mismatches += 1
-    clock.advance(breaker.reset_timeout)
-    for _ in range(router.replication):
-        if router.search(flap_tokens, theta, func=func) != expected_flap:
-            mismatches += 1
 
     breaker_stats = router.breaker(victim_shard, 0).transitions
     detail: Dict[str, Any] = {
@@ -317,11 +414,7 @@ def run_cluster_scenario(
     }
 
     # Correctness sweep with the cluster healed: broad query coverage.
-    for tokens in queries:
-        if router.search(tokens, theta, func=func) != index.probe(
-            tokens, theta, func
-        ):
-            mismatches += 1
+    mismatches += sum(rig.wrong(router, tokens) for tokens in queries)
     detail["queries"] = len(queries)
     detail["mismatches"] = mismatches
 
@@ -343,18 +436,9 @@ def run_cluster_scenario(
     detail["partial_missing_fragments"] = list(partial.missing_fragments)
     for r in range(router.replication):
         router.replica(downed, r).restore()
-    clock.advance(breaker.reset_timeout)
-    restored_ok = (
-        router.search(flap_tokens, theta, func=func) == expected_flap
-    )
+    rig.clock.advance(BREAKER.reset_timeout)
+    restored_ok = not rig.wrong(router, flap_tokens)
     detail["restored_ok"] = restored_ok
-
-    recovery = _recovery_from_spans(tracer, mark)
-    route = router.metrics.group("cluster.route")
-    for key in ("failovers", "breaker_opened", "breaker_closed", "retries",
-                "breaker_skipped", "partial_results"):
-        if route.get(key):
-            recovery[key] = route[key]
 
     matched = (
         mismatches == 0
@@ -364,23 +448,17 @@ def run_cluster_scenario(
         and typed_failure
         and partial_flagged
     )
-    return ScenarioReport(
-        scenario="cluster",
-        seed=seed,
-        matched=matched,
-        error=None,
-        faults=injector.report(),
-        recovery=recovery,
-        detail=detail,
-    )
+    return rig.report(matched, detail, _moved(
+        router.metrics.group("cluster.route"),
+        ("failovers", "breaker_opened", "breaker_closed", "retries",
+         "breaker_skipped", "partial_results"),
+    ))
 
 
 def run_search_scenario(
     seed: int,
     theta: float = 0.7,
     func: SimilarityFunction = SimilarityFunction.JACCARD,
-    n_records: int = 80,
-    workdir: Optional[str] = None,
     tracer: Optional[Tracer] = None,
 ) -> ScenarioReport:
     """Corrupt a snapshot on disk and overrun a deadline; both fail typed.
@@ -393,17 +471,13 @@ def run_search_scenario(
     import tempfile
     from pathlib import Path
 
-    func = SimilarityFunction(func)
-    tracer = tracer if tracer is not None else NOOP_TRACER
-    schedule = FaultSchedule(seed, ChaosConfig())
-    injector = FaultInjector(schedule, tracer)
-    records = make_corpus("wiki", n_records, seed=seed % 983)
-    index = SegmentIndex.build(records, n_vertical=10)
+    rig = _Rig("search", seed, theta, func, tracer)
+    records, index, func = rig.records, rig.index, rig.func
     probe_tokens = records[stable_mod(seed, len(records))].tokens
-    expected = index.probe(probe_tokens, theta, func)
+    expected = rig.expect(probe_tokens)
 
     detail: Dict[str, Any] = {}
-    with tempfile.TemporaryDirectory(dir=workdir) as tmp:
+    with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "chaos.idx"
         save_index(index, path)
         # Intact round-trip first: the baseline the corruption breaks.
@@ -414,8 +488,8 @@ def run_search_scenario(
         offset = len(raw) // 2 + stable_mod(seed, max(1, len(raw) // 4))
         raw[offset] ^= 0xFF
         path.write_bytes(bytes(raw))
-        injector.record("snapshot-corruption", str(path),
-                        f"byte {offset} flipped")
+        rig.injector.record("snapshot-corruption", str(path),
+                            f"byte {offset} flipped")
         try:
             load_index(path)
             corruption_detected = False
@@ -423,12 +497,12 @@ def run_search_scenario(
             corruption_detected = True
         detail["corruption_detected"] = corruption_detected
 
-    clock = ChaosClock()
-    service = SimilarityService(index, tracer=tracer, clock=clock)
+    clock = rig.clock
+    service = SimilarityService(index, tracer=rig.tracer, clock=clock)
     hits = service.search(probe_tokens, theta, func=func, deadline=60.0)
     detail["in_deadline_ok"] = hits == expected
-    injector.record("latency-spike", "service",
-                    "+1.000s on the chaos clock mid-request")
+    rig.injector.record("latency-spike", "service",
+                        "+1.000s on the chaos clock mid-request")
     original_probe = service.index.probe_batch
 
     def slow_probe(*args, **kwargs):
@@ -455,24 +529,15 @@ def run_search_scenario(
         and detail["in_deadline_ok"]
         and deadline_typed
     )
-    return ScenarioReport(
-        scenario="search",
-        seed=seed,
-        matched=matched,
-        error=None,
-        faults=injector.report(),
-        recovery={"fail-closed": int(corruption_detected)
-                  + int(deadline_typed)},
-        detail=detail,
-    )
+    return rig.report(matched, detail, {
+        "fail-closed": int(corruption_detected) + int(deadline_typed)
+    })
 
 
 def run_ingest_scenario(
     seed: int,
     theta: float = 0.6,
     func: SimilarityFunction = SimilarityFunction.JACCARD,
-    n_records: int = 120,
-    batch_size: int = 8,
     tracer: Optional[Tracer] = None,
 ) -> ScenarioReport:
     """Kill the ingest driver at every crash point; recovery must be exact.
@@ -504,13 +569,11 @@ def run_ingest_scenario(
 
     from repro.ingest import IngestConfig, StreamingIndex
 
-    func = SimilarityFunction(func)
-    tracer = tracer if tracer is not None else NOOP_TRACER
-    schedule = FaultSchedule(seed, ChaosConfig())
-    injector = FaultInjector(schedule, tracer)
-    records = make_corpus("wiki", n_records, seed=seed % 977)
-    base = records[: n_records // 3]
-    stream = records[n_records // 3:]
+    rig = _Rig("ingest", seed, theta, func, tracer)
+    records, func, tracer = rig.records, rig.func, rig.tracer
+    batch_size = 8
+    base = records[: len(records) // 3]
+    stream = records[len(records) // 3:]
     batches = [stream[i:i + batch_size]
                for i in range(0, len(stream), batch_size)]
     queries = [records[i].tokens for i in range(0, len(records), 5)]
@@ -529,16 +592,17 @@ def run_ingest_scenario(
     twin.compact(major=True)
     expected = [twin.probe(q, theta, func) for q in queries]
 
-    mark = tracer.mark()
     detail: Dict[str, Any] = {"batches": len(batches)}
     matched = True
     for point in ("wal-tear", "pre-commit", "post-commit"):
-        dfs = injector.attach_dfs(InMemoryDFS())
+        dfs = rig.injector.attach_dfs(InMemoryDFS())
         live = build(dfs)
         for batch in batches[:-1]:
             live.apply_batch(batch)
         op, path = live.kill_points()[point]
-        injector.schedule_kill(op, path, after=1 if point == "wal-tear" else 0)
+        rig.injector.schedule_kill(
+            op, path, after=1 if point == "wal-tear" else 0
+        )
         killed = False
         try:
             live.apply_batch(batches[-1])
@@ -575,23 +639,13 @@ def run_ingest_scenario(
             "structural_ok": structural_ok,
         }
 
-    return ScenarioReport(
-        scenario="ingest",
-        seed=seed,
-        matched=matched,
-        error=None,
-        faults=injector.report(),
-        recovery=_recovery_from_spans(tracer, mark),
-        detail=detail,
-    )
+    return rig.report(matched, detail)
 
 
 def run_gateway_scenario(
     seed: int,
     theta: float = 0.6,
     func: SimilarityFunction = SimilarityFunction.JACCARD,
-    n_records: int = 120,
-    n_shards: int = 4,
     tracer: Optional[Tracer] = None,
 ) -> ScenarioReport:
     """Storm, flap and slow the gateway's cluster; answers must stay exact.
@@ -633,29 +687,17 @@ def run_gateway_scenario(
         TenantConfig,
     )
 
-    func = SimilarityFunction(func)
-    tracer = tracer if tracer is not None else NOOP_TRACER
-    schedule = FaultSchedule(seed, ChaosConfig())
-    records = make_corpus("wiki", n_records, seed=seed % 971)
-    index = SegmentIndex.build(records, n_vertical=12)
-    clock = ChaosClock()
-    injector = FaultInjector(schedule, tracer, clock)
-    breaker = BreakerConfig(failure_threshold=2, reset_timeout=1.0)
+    rig = _Rig("gateway", seed, theta, func, tracer)
+    records, func = rig.records, rig.func
+    injector, clock = rig.injector, rig.clock
     # min_observations high: the rolling p95 of chaos-clock legs is ~0,
-    # so the hedge timer stays pinned at min_delay — deterministic.
-    hedge = HedgeConfig(min_delay=0.002, max_delay=0.05,
-                        min_observations=10_000)
-    router = build_cluster(
-        index,
-        n_shards=n_shards,
-        replication=2,
-        tracer=tracer,
-        retry=RetryPolicy(max_retries=1, base_delay=0.01, seed=seed),
-        breaker=breaker,
-        hedge=hedge,
-        clock=clock,
-        sleep=clock.sleep,
-    )
+    # so the hedge timer stays pinned at min_delay — deterministic.  The
+    # race itself is wall-clock: min_delay sits far above a healthy leg
+    # (a few ms even on a loaded box, where 2 ms fired spurious hedges)
+    # and far below the 50 ms stall, so exactly the stalled legs hedge.
+    router = rig.cluster(n_shards=4, hedge=HedgeConfig(
+        min_delay=0.02, max_delay=0.05, min_observations=10_000,
+    ))
     # cache_size=0: every wave re-dispatches, so flap/hedge waves keep
     # exercising the scatter path instead of the result cache.
     gateway = SimilarityGateway(
@@ -669,20 +711,15 @@ def run_gateway_scenario(
             },
         ),
     )
-    mark = tracer.mark()
     detail: Dict[str, Any] = {}
-    mismatches = 0
 
-    def expect(tokens):
-        return index.probe(tokens, theta, func)
-
-    def check(requests, responses):
-        nonlocal mismatches
-        for request, response in zip(requests, responses):
-            if response.ok and list(response.hits) != expect(
-                list(request.tokens)
-            ):
-                mismatches += 1
+    def check(requests, responses) -> int:
+        """How many answered responses differ from the index's answer."""
+        return sum(
+            1 for request, response in zip(requests, responses)
+            if response.ok
+            and list(response.hits) != rig.expect(request.tokens)
+        )
 
     # Storm phase: 12 identical free-tenant probes (quota 4) riding with
     # 6 distinct paid probes in one scheduling wave.
@@ -693,7 +730,7 @@ def run_gateway_scenario(
                            theta, func=func, tenant="paid")
             for i in range(6)]
     responses = gateway.serve(storm + paid)
-    check(storm + paid, responses)
+    mismatches = check(storm + paid, responses)
     stats = gateway.metrics.group("gateway")
     paid_ok = all(r.ok for r in responses[len(storm):])
     shed = [r for r in responses[: len(storm)] if r.error]
@@ -708,19 +745,15 @@ def run_gateway_scenario(
 
     # Flap phase: crash a replica of a shard the hot key routes to, then
     # keep probing it through the gateway until the breaker trips.
-    flap_targets = router.target_fragments(
-        router.encode_query(list(hot.tokens)), theta, func
-    )
-    victim_shard = router.plan.shard_of(flap_targets[0]) if flap_targets else 0
-    victim = router.replica(victim_shard, 0)
-    injector.crash_replica(victim, probes=breaker.failure_threshold)
+    victim_shard = rig.victim_shard(router, list(hot.tokens))
     flap_request = [GatewayRequest(tuple(hot.tokens), theta, func=func,
                                    tenant="paid")]
-    for _ in range(2 * router.replication):
-        check(flap_request, gateway.serve(flap_request))
-    clock.advance(breaker.reset_timeout)
-    for _ in range(router.replication):
-        check(flap_request, gateway.serve(flap_request))
+
+    def serve_flap() -> int:
+        return check(flap_request, gateway.serve(flap_request))
+
+    victim, flap_mismatches = rig.flap(router, victim_shard, serve_flap)
+    mismatches += flap_mismatches
     transitions = router.breaker(victim_shard, 0).transitions
     detail["flap"] = {
         "victim": victim.name,
@@ -738,7 +771,7 @@ def run_gateway_scenario(
     injector.record("replica-stall", victim.name,
                     "+50ms wall time per probe batch")
     for _ in range(3 * router.replication):
-        check(flap_request, gateway.serve(flap_request))
+        mismatches += serve_flap()
     victim.fault_hook = None
     route = router.metrics.group("cluster.route")
     detail["hedge"] = {
@@ -756,7 +789,7 @@ def run_gateway_scenario(
         router.replica(victim_shard, replica_id).fault_hook = spike
     injector.record("latency-spike", f"shard{victim_shard}",
                     "+250ms on the chaos clock per probe batch")
-    check(flap_request, gateway.serve(flap_request))
+    mismatches += serve_flap()
     for replica_id in range(router.replication):
         router.replica(victim_shard, replica_id).fault_hook = None
     latency = gateway.latency_info()
@@ -778,29 +811,17 @@ def run_gateway_scenario(
         and detail["spike"]["latency_visible"]
     )
     detail["mismatches"] = mismatches
-
-    recovery = _recovery_from_spans(tracer, mark)
-    for key in ("failovers", "hedges", "hedge_wins", "breaker_opened",
-                "breaker_closed", "breaker_skipped"):
-        if route.get(key):
-            recovery[key] = route[key]
-    return ScenarioReport(
-        scenario="gateway",
-        seed=seed,
-        matched=matched,
-        error=None,
-        faults=injector.report(),
-        recovery=recovery,
-        detail=detail,
-    )
+    # Recovery counts the route as the hedge phase left it.
+    return rig.report(matched, detail, _moved(route, (
+        "failovers", "hedges", "hedge_wins", "breaker_opened",
+        "breaker_closed", "breaker_skipped",
+    )))
 
 
 def run_net_scenario(
     seed: int,
     theta: float = 0.6,
     func: SimilarityFunction = SimilarityFunction.JACCARD,
-    n_records: int = 80,
-    n_requests: int = 20,
     tracer: Optional[Tracer] = None,
 ) -> ScenarioReport:
     """Abuse the TCP front door with seeded socket faults; answers must
@@ -820,6 +841,10 @@ def run_net_scenario(
       before reading the response: the server must absorb the dead peer
       and keep serving everyone else.
 
+    The healthy client is the blocking
+    :class:`~repro.net.client.GatewayClient`, each call handed to a
+    worker thread while the server keeps the drill's event loop.
+
     A garbage header is also thrown at a fresh connection and must be
     rejected with a typed ``ProtocolError`` frame before the connection
     is dropped.  The drill ends with a client-triggered drain; every
@@ -831,7 +856,7 @@ def run_net_scenario(
     import asyncio
 
     from repro.gateway import GatewayConfig, SimilarityGateway
-    from repro.net.client import AsyncGatewayClient
+    from repro.net.client import GatewayClient
     from repro.net.protocol import (
         ERROR,
         FrameDecoder,
@@ -842,17 +867,15 @@ def run_net_scenario(
     )
     from repro.net.server import GatewayServer, ServerConfig
 
-    func = SimilarityFunction(func)
-    tracer = tracer if tracer is not None else NOOP_TRACER
-    schedule = FaultSchedule(seed, ChaosConfig(net_fault_rate=0.4))
-    injector = FaultInjector(schedule, tracer)
-    records = make_corpus("wiki", n_records, seed=seed % 971)
-    index = SegmentIndex.build(records, n_vertical=8)
-    mark = tracer.mark()
+    rig = _Rig("net", seed, theta, func, tracer,
+               ChaosConfig(net_fault_rate=0.4))
+    records, func = rig.records, rig.func
+    injector, tracer = rig.injector, rig.tracer
+    n_requests = 20
     stall_timeout = 0.2
 
     async def drill() -> Dict[str, Any]:
-        router = build_cluster(index, n_shards=2, replication=2,
+        router = build_cluster(rig.index, n_shards=2, replication=2,
                                tracer=tracer)
         gateway = SimilarityGateway(router, GatewayConfig(max_batch=8))
         server = GatewayServer(
@@ -880,55 +903,41 @@ def run_net_scenario(
             await read_frame(reader, decoder)
             return reader, writer, decoder
 
-        client = AsyncGatewayClient(host, port, tenant="chaos",
-                                    pool_size=1)
+        client = GatewayClient(host, port, tenant="chaos", pool_size=1)
         stalled_writers = []
         answered = 0
         mismatches = 0
         for i in range(n_requests):
             pick = stable_mod(seed + i, len(records))
             tokens = list(records[pick].tokens)
-            expected = index.probe(tokens, theta, func)
-            fault = schedule.net_fault(i)
-            if fault == "torn-frame":
-                injector.record("torn-frame", f"request-{i}",
-                                "frame written in 3 chunks")
+            frame = encode_frame(search_frame(1, tokens, theta, func.value))
+            fault = rig.schedule.net_fault(i)
+            if fault is not None:
+                injector.record(fault, f"request-{i}", NET_FAULTS[fault])
                 reader, writer, decoder = await raw_conn()
-                data = encode_frame(
-                    search_frame(1, tokens, theta, func.value)
-                )
-                for chunk in (data[:5], data[5:13], data[13:]):
+            if fault == "torn-frame":
+                for chunk in (frame[:5], frame[5:13], frame[13:]):
                     writer.write(chunk)
                     await writer.drain()
                     await asyncio.sleep(0.01)
                 response = await read_frame(reader, decoder)
                 hits = hits_from_wire(response.payload["hits"])
                 writer.close()
-            elif fault == "stalled-connection":
-                injector.record("stalled-connection", f"request-{i}",
-                                "header left half-sent")
-                _reader, writer, _decoder = await raw_conn()
-                writer.write(encode_frame(
-                    search_frame(1, tokens, theta, func.value)
-                )[:5])
-                await writer.drain()
-                stalled_writers.append(writer)
-                # The probe must still complete on the healthy pool.
-                hits = await client.search(tokens, theta, func=func)
-            elif fault == "connection-kill":
-                injector.record("connection-kill", f"request-{i}",
-                                "peer hung up before reading the response")
-                _reader, writer, _decoder = await raw_conn()
-                writer.write(encode_frame(
-                    search_frame(1, tokens, theta, func.value)
-                ))
-                await writer.drain()
-                writer.close()
-                hits = await client.search(tokens, theta, func=func)
             else:
-                hits = await client.search(tokens, theta, func=func)
+                if fault == "stalled-connection":
+                    writer.write(frame[:5])
+                    await writer.drain()
+                    stalled_writers.append(writer)
+                elif fault == "connection-kill":
+                    writer.write(frame)
+                    await writer.drain()
+                    writer.close()
+                # A faulted probe must still complete on the healthy pool.
+                hits = await asyncio.to_thread(
+                    client.search, tokens, theta, func=func
+                )
             answered += 1
-            if hits != expected:
+            if hits != rig.expect(tokens):
                 mismatches += 1
 
         # Garbage header: typed rejection, then the connection drops.
@@ -959,9 +968,9 @@ def run_net_scenario(
             await asyncio.sleep(0.05)
         stalls_dropped = server.metrics.get("net", "stalled_connections")
 
-        await client.drain()
+        await asyncio.to_thread(client.drain)
         await server.wait_drained()
-        await client.close()
+        client.close()
         for writer in stalled_writers:
             writer.close()
         return {
@@ -991,25 +1000,13 @@ def run_net_scenario(
         and detail["garbage_dropped"]
         and detail["stalls_dropped"] == detail["stalls_injected"]
     )
-    return ScenarioReport(
-        scenario="net",
-        seed=seed,
-        matched=matched,
-        error=None,
-        faults=injector.report(),
-        recovery=_recovery_from_spans(tracer, mark),
-        detail=detail,
-    )
+    return rig.report(matched, detail)
 
 
 def run_heal_scenario(
     seed: int,
     theta: float = 0.6,
     func: SimilarityFunction = SimilarityFunction.JACCARD,
-    n_records: int = 100,
-    n_shards: int = 3,
-    n_waves: int = 12,
-    queries_per_wave: int = 3,
     tracer: Optional[Tracer] = None,
 ) -> ScenarioReport:
     """Kill one replica and silently rot another mid-load; the control
@@ -1018,11 +1015,10 @@ def run_heal_scenario(
     The cluster runs with *independent* replicas (each its own deep copy,
     so corruption is per-replica, as on real machines) and an attached
     :class:`~repro.cluster.health.ControlPlane`.  Traffic is a seeded
-    Zipf-skewed replay: each wave draws ``queries_per_wave`` records with
-    probability mass cubed toward the head.  Every wave, the plane ticks
-    *before* the wave's probes (heartbeats beat traffic — the real-world
-    analogue is a detector period shorter than the time between repeat
-    queries).
+    Zipf-skewed replay: each of 12 waves draws 3 records with probability
+    mass cubed toward the head.  Every wave, the plane ticks *before* the
+    wave's probes (heartbeats beat traffic — the real-world analogue is a
+    detector period shorter than the time between repeat queries).
 
     Timeline (all waves/targets from the seed):
 
@@ -1048,66 +1044,43 @@ def run_heal_scenario(
     """
     from repro.cluster.health import ControlPlane, HealthConfig
 
-    func = SimilarityFunction(func)
-    tracer = tracer if tracer is not None else NOOP_TRACER
-    schedule = FaultSchedule(seed, ChaosConfig())
-    records = make_corpus("wiki", n_records, seed=seed % 983)
-    index = SegmentIndex.build(records, n_vertical=12)
-    clock = ChaosClock()
-    injector = FaultInjector(schedule, tracer, clock)
-    breaker = BreakerConfig(failure_threshold=2, reset_timeout=1.0)
-    router = build_cluster(
-        index,
-        n_shards=n_shards,
-        replication=2,
-        tracer=tracer,
-        retry=RetryPolicy(max_retries=1, base_delay=0.01, seed=seed),
-        breaker=breaker,
-        clock=clock,
-        sleep=clock.sleep,
-        independent_replicas=True,
-    )
+    rig = _Rig("heal", seed, theta, func, tracer)
+    records = rig.records
+    injector, clock = rig.injector, rig.clock
+    router = rig.cluster(n_shards=3, independent_replicas=True)
     plane = ControlPlane(
         router,
         HealthConfig(miss_budget=2, scrub_interval=1, verify_probes=3),
-        tracer=tracer,
+        tracer=rig.tracer,
     )
-    mark = tracer.mark()
 
     # Zipf-skewed seeded replay: cube the unit draw so most probes hit
     # the head of the corpus (the hot keys a serving cluster really sees).
     def zipf_record(wave: int, slot: int):
-        unit = schedule._unit("zipf", wave, slot)
+        unit = rig.schedule._unit("zipf", wave, slot)
         return records[int(unit ** 3 * len(records)) % len(records)]
 
     # Fault targets: the kill victim is a shard the head query provably
     # routes to (so failover is actually exercised); the rot victim is a
     # replica of a *different* shard, so the two repairs don't mask each
     # other.
-    head_tokens = zipf_record(0, 0).tokens
-    head_targets = router.target_fragments(
-        router.encode_query(head_tokens), theta, func
-    )
-    kill_shard = router.plan.shard_of(head_targets[0]) if head_targets else 0
-    rot_shard = (kill_shard + 1) % n_shards
+    kill_shard = rig.victim_shard(router, zipf_record(0, 0).tokens)
+    rot_shard = (kill_shard + 1) % router.n_shards
     kill_wave, rot_wave = 3, 6
 
     mismatches = 0
     probes = 0
-    for wave in range(n_waves):
+    for wave in range(12):
         if wave == kill_wave:
             injector.kill_replica(router.replica(kill_shard, 0))
         if wave == rot_wave:
             injector.corrupt_replica(router.replica(rot_shard, 1))
         plane.tick()
         clock.advance(0.25)
-        for slot in range(queries_per_wave):
+        for slot in range(3):
             record = zipf_record(wave, slot)
             probes += 1
-            if router.search(record.tokens, theta, func=func) != index.probe(
-                record.tokens, theta, func
-            ):
-                mismatches += 1
+            mismatches += rig.wrong(router, record.tokens)
 
     # Drain: keep ticking (time advancing) until the plane reports full
     # replication again — bounded, so a repair bug fails the scenario
@@ -1140,15 +1113,7 @@ def run_heal_scenario(
         and counters.get("rebuilds", 0) >= 2
         and counters.get("quarantines", 0) >= 1
     )
-    return ScenarioReport(
-        scenario="heal",
-        seed=seed,
-        matched=matched,
-        error=None,
-        faults=injector.report(),
-        recovery=_recovery_from_spans(tracer, mark),
-        detail=detail,
-    )
+    return rig.report(matched, detail)
 
 
 SCENARIOS = {
@@ -1170,7 +1135,10 @@ def run_recovery_report(
     executor: str = "serial",
     tracer: Optional[Tracer] = None,
 ) -> RecoveryReport:
-    """Run the selected scenario(s) for one seed and collect the report."""
+    """Run the selected scenario(s) for one seed and collect the report.
+
+    ``executor`` is the backend the join scenario's MapReduce jobs run
+    on; no other scenario runs one."""
     func = SimilarityFunction(func)
     names = list(SCENARIOS) if scenario == "all" else [scenario]
     for name in names:
@@ -1179,16 +1147,13 @@ def run_recovery_report(
                 f"unknown chaos scenario {name!r} "
                 f"(choose from: {', '.join(SCENARIOS)}, all)"
             )
+    runs = dict(SCENARIOS,
+                join=functools.partial(run_join_scenario, executor=executor))
     report = RecoveryReport(seed=seed)
     for name in names:
-        if name == "join":
-            result = run_join_scenario(
-                seed, theta=theta, func=func, executor=executor, tracer=tracer
-            )
-        else:
-            result = SCENARIOS[name](seed, theta=theta, func=func,
-                                     tracer=tracer)
-        report.scenarios.append(result)
+        report.scenarios.append(
+            runs[name](seed, theta=theta, func=func, tracer=tracer)
+        )
     return report
 
 

@@ -1,17 +1,17 @@
 """Seeded, deterministic fault schedules and their injection plumbing.
 
 The chaos harness's contract is **exact replayability**: one integer seed
-fixes every fault the harness will inject — which task attempts die, which
-attempts straggle and by how much, which DFS calls error, when a replica
-crashes and for how long.  Every decision is a pure function of
-``(seed, stable key)`` through :func:`~repro.mapreduce.shuffle.stable_hash`;
-no global RNG, no wall clock.  Running the same seed twice injects the
+fixes every fault the harness will inject — which task attempts die,
+which attempts straggle and by how much, which wire requests meet which
+socket fault.  Every decision is a pure function of ``(seed, stable
+key)`` through :func:`~repro.mapreduce.shuffle.stable_hash`; no global
+RNG, no wall clock.  Running the same seed twice injects the
 same faults in the same places, so a failure found in CI reproduces on a
 laptop from nothing but the seed.
 
 Three pieces:
 
-* :class:`ChaosConfig` — the knobs (rates, delays, crash lengths);
+* :class:`ChaosConfig` — the knobs (rates and delays);
 * :class:`FaultSchedule` — a frozen ``(seed, config)`` pair whose methods
   answer the per-site questions (*should this attempt fail?* *how slow is
   this task?*).  It is picklable, and its bound methods plug directly
@@ -19,10 +19,11 @@ Three pieces:
   straggler injectors — which matters under the process executor, where
   the injector crosses a process boundary;
 * :class:`FaultInjector` — the driver-side arm that attaches schedule
-  decisions to live components (DFS hooks, replica fault hooks, scheduled
-  driver kills, checkpoint corruption) and records every injection as a
-  :class:`FaultEvent` plus a ``phase="fault"`` span, so a trace shows
-  exactly what was done to the system next to how it recovered.
+  decisions to live components (scheduled driver kills on DFS calls,
+  replica crashes, kills and rot, checkpoint corruption) and records
+  every injection as a :class:`FaultEvent` plus a ``phase="fault"``
+  span, so a trace shows exactly what was done to the system next to how
+  it recovered.
 
 :class:`ChaosClock` is the harness's time source: a manual clock that
 advances only when told to, injected into circuit breakers, retry sleeps
@@ -34,7 +35,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 from repro.errors import ConfigError, DFSError, ShardDownError
 from repro.mapreduce.hdfs import InMemoryDFS
@@ -57,15 +58,6 @@ class ChaosConfig:
             straggling attempt (actual delay varies in
             ``[delay, 2·delay)``, seeded) — what speculative execution
             races against.
-        dfs_read_error_rate: Probability a DFS read call fails.
-        dfs_write_error_rate: Probability a DFS write call fails.
-        replica_crash_probes: How many consecutive probes a crashed
-            replica fails before it comes back (a *flap*, not permanent
-            death — long enough to trip a breaker, short enough to test
-            the rejoin path).
-        latency_rate: Probability one replica probe hits a latency spike.
-        latency_spike: Seconds charged to the chaos clock per spike (what
-            request deadlines trip against).
         net_fault_rate: Probability one wire request is subjected to a
             socket fault (torn frame, stalled connection, or mid-request
             connection kill — the kind is a second seeded draw; see
@@ -75,24 +67,16 @@ class ChaosConfig:
     task_failure_rate: float = 0.0
     straggler_rate: float = 0.0
     straggler_delay: float = 0.25
-    dfs_read_error_rate: float = 0.0
-    dfs_write_error_rate: float = 0.0
-    replica_crash_probes: int = 2
-    latency_rate: float = 0.0
-    latency_spike: float = 0.05
     net_fault_rate: float = 0.0
 
     def __post_init__(self) -> None:
         for name in ("task_failure_rate", "straggler_rate",
-                     "dfs_read_error_rate", "dfs_write_error_rate",
-                     "latency_rate", "net_fault_rate"):
+                     "net_fault_rate"):
             rate = getattr(self, name)
             if not 0.0 <= rate <= 1.0:
                 raise ConfigError(f"{name} must be in [0, 1], got {rate}")
-        if self.straggler_delay < 0 or self.latency_spike < 0:
+        if self.straggler_delay < 0:
             raise ConfigError("injected delays must be >= 0")
-        if self.replica_crash_probes < 0:
-            raise ConfigError("replica_crash_probes must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -130,17 +114,7 @@ class FaultSchedule:
             return self.config.straggler_delay * (1.0 + magnitude)
         return 0.0
 
-    # -- DFS / replica decisions ---------------------------------------
-    def dfs_failure(self, op: str, path: str, call_index: int) -> bool:
-        """Does the ``call_index``-th ``op`` on ``path`` fail?"""
-        if op == "read":
-            rate = self.config.dfs_read_error_rate
-        elif op in ("write", "append"):
-            rate = self.config.dfs_write_error_rate
-        else:
-            return False
-        return self._unit("dfs", op, path, call_index) < rate
-
+    # -- wire decisions ------------------------------------------------
     #: Wire faults :meth:`net_fault` rotates through (seeded second draw).
     NET_FAULT_KINDS = ("torn-frame", "stalled-connection", "connection-kill")
 
@@ -152,15 +126,6 @@ class FaultSchedule:
         kinds = self.NET_FAULT_KINDS
         draw = self._unit("net-kind", request_index)
         return kinds[int(draw * len(kinds)) % len(kinds)]
-
-    def latency_spike(self, shard: int, replica: int, probe_index: int) -> float:
-        """Chaos-clock seconds this replica probe is delayed by."""
-        if (
-            self._unit("latency", shard, replica, probe_index)
-            < self.config.latency_rate
-        ):
-            return self.config.latency_spike
-        return 0.0
 
 
 class ChaosClock:
@@ -203,25 +168,22 @@ class FaultInjector:
     """Wire a :class:`FaultSchedule` into live components and keep the log.
 
     The injector is strictly driver-side: it records the faults *it*
-    injects (DFS errors, driver kills, corruption, replica crashes and
-    latency spikes) as :class:`FaultEvent` entries and ``phase="fault"``
-    spans.  Task-level faults live inside worker processes and are
-    accounted by the runtime instead (retry counters, ``status="retried"``
-    spans), so nothing is double-counted and nothing is lost under the
-    process executor.
+    injects (driver kills, corruption, replica crashes, kills and rot,
+    plus whatever a scenario logs through :meth:`record`) as
+    :class:`FaultEvent` entries and ``phase="fault"`` spans.  Task-level
+    faults live inside worker processes and are accounted by the runtime
+    instead (retry counters, ``status="retried"`` spans), so nothing is
+    double-counted and nothing is lost under the process executor.
     """
 
     def __init__(
         self,
         schedule: FaultSchedule,
         tracer: Tracer = NOOP_TRACER,
-        clock: Optional[ChaosClock] = None,
     ) -> None:
         self.schedule = schedule
         self.tracer = tracer
-        self.clock = clock if clock is not None else ChaosClock()
         self.events: List[FaultEvent] = []
-        self._dfs_calls: Dict[Tuple[str, str], int] = {}
         self._kills: Dict[Tuple[str, str], int] = {}
 
     # -- recording -----------------------------------------------------
@@ -243,8 +205,8 @@ class FaultInjector:
 
     # -- DFS faults ----------------------------------------------------
     def attach_dfs(self, dfs: InMemoryDFS) -> InMemoryDFS:
-        """Subject a DFS to this schedule's read/write error rates (plus
-        any scheduled kills); returns the same DFS for chaining."""
+        """Subject a DFS to this injector's scheduled kills
+        (:meth:`schedule_kill`); returns the same DFS for chaining."""
         dfs.fault_hook = self._dfs_hook
         return dfs
 
@@ -260,15 +222,6 @@ class FaultInjector:
                     f"injected driver kill during {op} of {path!r} "
                     f"(chaos seed {self.schedule.seed})"
                 )
-        key = (op, path)
-        index = self._dfs_calls.get(key, 0)
-        self._dfs_calls[key] = index + 1
-        if self.schedule.dfs_failure(op, path, index):
-            self.record("dfs-error", f"{op}:{path}", f"call {index}")
-            raise DFSError(
-                f"injected {op} failure on {path!r} "
-                f"(chaos seed {self.schedule.seed}, call {index})"
-            )
 
     def schedule_kill(self, op: str, path: str, after: int = 0) -> None:
         """Arm a one-shot driver kill: the next ``op`` on ``path`` raises.
@@ -289,7 +242,7 @@ class FaultInjector:
                     "bit-flip in place; recorded digest now stale")
 
     # -- replica faults ------------------------------------------------
-    def crash_replica(self, node, probes: Optional[int] = None) -> None:
+    def crash_replica(self, node, probes: int) -> None:
         """Make a replica fail its next N probe contacts, then recover.
 
         Models a *flapping* node: liveness pings still pass, but the next
@@ -299,11 +252,7 @@ class FaultInjector:
         again, so the breaker's half-open trial finds it healthy and it
         rejoins rotation.
         """
-        budget = (
-            probes if probes is not None
-            else self.schedule.config.replica_crash_probes
-        )
-        state = {"left": budget}
+        state = {"left": probes}
         injector = self
 
         def hook(target) -> None:
@@ -362,27 +311,3 @@ class FaultInjector:
         self.record("replica-rot", node.name,
                     f"fragment {fragment} postings silently wiped")
         return fragment
-
-    def spike_replica(self, node) -> None:
-        """Subject a replica's probes to seeded latency spikes.
-
-        Spikes advance the chaos clock (not real time), so a router or
-        service sharing this injector's clock sees its request deadlines
-        overrun deterministically.
-        """
-        state = {"probe": 0}
-        injector = self
-
-        def hook(target) -> None:
-            index = state["probe"]
-            state["probe"] = index + 1
-            delay = injector.schedule.latency_spike(
-                target.shard_id, target.replica_id, index
-            )
-            if delay:
-                injector.record(
-                    "latency-spike", target.name, f"+{delay:.3f}s"
-                )
-                injector.clock.advance(delay)
-
-        node.fault_hook = hook

@@ -130,10 +130,10 @@ class RepairManager:
         We fence the node, pin the live WAL so concurrent flush GC cannot
         reclaim the catch-up segments, run
         :meth:`~repro.ingest.streaming.StreamingIndex.recover` against
-        the same DFS, check the recovered global order is rank-compatible
-        with the router's (extending it with any tokens the router's
-        order gained after the last flush), then swap the recovered tier
-        in and unfence.  The pin is released on success *and* failure.
+        the same DFS *into the router's order* (which fails closed unless
+        the order log is a rank-for-rank prefix of it), then swap the
+        recovered tier in and unfence.  The pin is released on success
+        *and* failure.
         """
         from repro.ingest.streaming import StreamingIndex
 
@@ -150,8 +150,8 @@ class RepairManager:
                 config=streaming.config,
                 tracer=streaming.tracer,
                 counters=streaming.counters,
+                order=self.router.order,
             )
-            self._align_order(recovered)
             ingest.adopt_slice(recovered)
             ingest.restore()
             ingest.unfence()
@@ -165,34 +165,3 @@ class RepairManager:
             raise ClusterError(f"ingest recovery failed: {exc}") from exc
         finally:
             streaming.wal.release(pin_id)
-
-    def _align_order(self, recovered) -> None:
-        """Fail closed unless the recovered order encodes like the router's.
-
-        Ranks are append-only (``GlobalOrder.extend``), so compatibility
-        means the shorter order is a strict prefix of the longer.  The
-        recovered order may trail the router's (tokens first seen after
-        the last flush live only in the shared in-memory order) — those
-        are re-appended so future encodes agree on every rank.
-        """
-        mine = self.router.order
-        theirs = recovered.order
-        if theirs is mine:
-            return
-        common = min(mine.vocab_size, theirs.vocab_size)
-        for rank in range(common):
-            if mine.token(rank) != theirs.token(rank):
-                raise ClusterError(
-                    f"recovered ingest order diverges from the router's at "
-                    f"rank {rank} ({theirs.token(rank)!r} vs "
-                    f"{mine.token(rank)!r}) — refusing to readmit"
-                )
-        if theirs.vocab_size > mine.vocab_size:
-            raise ClusterError(
-                "recovered ingest order knows tokens the router's does not "
-                "— refusing to readmit"
-            )
-        # The trailing tokens keep the router's ranks: ``append_at``, never
-        # ``extend``, which would re-sort across the router's per-batch
-        # extends.
-        theirs.append_at(theirs.vocab_size, mine.entries(theirs.vocab_size))

@@ -95,10 +95,9 @@ class GlobalOrder:
         The one place a rank is assigned after construction.
         :meth:`extend` sorts one call's fresh tokens and lands here; a
         reader putting back ranks that were assigned earlier (the ingest
-        tier's order log, a repaired tier catching up with its router)
-        calls this directly with :meth:`entries`' output and must never go
-        through :meth:`extend`: a stored run spans several ``extend`` calls,
-        and sorting across them would re-rank it.  Ranks are positions, so
+        tier's order log) calls this directly with :meth:`entries`' output
+        and must never go through :meth:`extend`: a stored run spans
+        several ``extend`` calls, and sorting across them would re-rank it.  Ranks are positions, so
         ``first_id`` has to be the current size.
         """
         if first_id != len(self._tokens):

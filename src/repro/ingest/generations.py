@@ -97,9 +97,17 @@ class OrderLog:
             self.dfs.append(self.path, [(self.size, order.entries(self.size))])
             self.size = order.vocab_size
 
-    def load(self, size: int) -> GlobalOrder:
+    def load(
+        self, size: int, into: Optional[GlobalOrder] = None
+    ) -> GlobalOrder:
         """The order of ids ``[0, size)`` — the committed prefix — rebuilt
-        chunk by chunk once the file's digest verifies; fails closed."""
+        chunk by chunk once the file's digest verifies; fails closed.
+
+        Handed a live order ``into`` (a repaired tier rejoining its
+        router), the prefix is checked against it rank for rank and
+        ``into`` is returned: the tier must keep interning into the order
+        the router encodes queries with, because a content-equal copy
+        forks on the first fresh token."""
         order = GlobalOrder([])
         if self.dfs.exists(self.path):
             if not self.dfs.verify(self.path):
@@ -116,7 +124,15 @@ class OrderLog:
                 f"not at the committed size {size} — refusing to load"
             )
         self.size = size
-        return order
+        if into is None:
+            return order
+        for rank in range(size):
+            if rank >= into.vocab_size or into.token(rank) != order.token(rank):
+                raise IngestError(
+                    f"order log at {self.path!r} diverges from the live "
+                    f"order at rank {rank} — refusing to recover into it"
+                )
+        return into
 
     def tail(self) -> int:
         """Chunks at or beyond :attr:`size`: what a flush that crashed

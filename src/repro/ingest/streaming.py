@@ -266,9 +266,15 @@ class StreamingIndex:
         config: Optional[IngestConfig] = None,
         tracer: Optional[Tracer] = None,
         counters: Optional[Counters] = None,
+        order: Optional[GlobalOrder] = None,
     ) -> "StreamingIndex":
         """Restart from the DFS: manifest → order log → generations →
         WAL replay.
+
+        With ``order`` (a tier that shares its router's), recovery
+        rebuilds into that order after checking the log's committed
+        prefix against it rank for rank (:meth:`OrderLog.load`), so the
+        next fresh token interns once, for both.
 
         Every step that undoes crash damage is recorded as a
         ``phase="recovery"`` span with an ``action`` attribute
@@ -289,7 +295,7 @@ class StreamingIndex:
         # largest order_size a committed generation recorded.
         order_log = OrderLog(dfs, f"{root}/order")
         order = order_log.load(
-            max(meta["order_size"] for meta in doc["generations"])
+            max(meta["order_size"] for meta in doc["generations"]), order
         )
         partitioner = VerticalPartitioner(tuple(doc["cuts"]))
         self = cls(

@@ -3,11 +3,11 @@
 ``protocol`` is the length-prefixed JSON wire codec, ``server`` the
 asyncio TCP server over one long-lived
 :class:`~repro.gateway.gateway.SimilarityGateway`, ``client`` the
-pooled sync/async clients.  ``repro serve`` and ``repro query
+pooled blocking client.  ``repro serve`` and ``repro query
 --connect`` are the CLI ends of the same wire.
 """
 
-from .client import AsyncGatewayClient, GatewayClient
+from .client import GatewayClient
 from .protocol import (
     DEFAULT_MAX_FRAME,
     Frame,
@@ -17,7 +17,6 @@ from .protocol import (
 from .server import GatewayServer, ServerConfig
 
 __all__ = [
-    "AsyncGatewayClient",
     "DEFAULT_MAX_FRAME",
     "Frame",
     "FrameDecoder",

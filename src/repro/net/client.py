@@ -1,15 +1,15 @@
-"""Clients for the gateway's TCP front door.
+"""The client for the gateway's TCP front door.
 
-Two flavours over the same wire protocol:
+:class:`GatewayClient` speaks the wire protocol over blocking sockets.
+The CLI (``repro query --connect``), the perf harness and scripts use it
+directly; a caller inside an event loop hands each call to a worker
+thread (``await asyncio.to_thread(client.search, ...)``), which is how
+the chaos drill's ``net`` scenario drives it against a server on its own
+loop.
 
-* :class:`GatewayClient` — synchronous, blocking sockets.  What the CLI
-  (``repro query --connect``) and ordinary scripts use.
-* :class:`AsyncGatewayClient` — asyncio streams, for callers already in
-  an event loop (the bench harness drives many connections with it).
-
-Both pool connections (a bounded stack of idle sockets reused across
-calls), handshake the tenant once per connection, time out reads with a
-configurable budget, and retry *idempotent* frames — search,
+It pools connections (a bounded stack of idle sockets reused across
+calls), handshakes the tenant once per connection, times out reads with a
+configurable budget, and retries *idempotent* frames — search,
 search_batch, status — on connection-level failures by reconnecting and
 re-sending, with the cluster's deterministic-jitter
 :class:`~repro.cluster.failover.RetryPolicy` pacing the attempts.
@@ -30,7 +30,6 @@ to preserve.
 
 from __future__ import annotations
 
-import asyncio
 import socket
 import threading
 import time
@@ -266,196 +265,3 @@ class GatewayClient:
 
     def __exit__(self, *exc_info) -> None:
         self.close()
-
-
-class _AsyncConnection:
-    """One handshaken asyncio stream pair plus its decode buffer."""
-
-    def __init__(self, reader, writer, max_frame: int) -> None:
-        self.reader = reader
-        self.writer = writer
-        self.decoder = FrameDecoder(max_frame)
-        self.max_frame = max_frame
-
-    async def call(self, frame: Frame, timeout: float) -> Dict[str, Any]:
-        try:
-            self.writer.write(encode_frame(frame, self.max_frame))
-            await self.writer.drain()
-            while True:
-                data = await asyncio.wait_for(
-                    self.reader.read(65536), timeout
-                )
-                if not data:
-                    raise TransportError(
-                        "connection closed by server mid-response"
-                    )
-                frames = self.decoder.feed(data)
-                if frames:
-                    return _check_response(frames[0], frame.request_id)
-        except asyncio.TimeoutError:
-            raise TransportError(
-                "timed out waiting for a response"
-            ) from None
-        except (ConnectionError, OSError) as exc:
-            raise TransportError(f"connection failed: {exc}") from None
-
-    def close(self) -> None:
-        try:
-            self.writer.close()
-        except (ConnectionError, OSError):
-            pass
-
-
-class AsyncGatewayClient:
-    """Asyncio twin of :class:`GatewayClient`; pool of stream pairs."""
-
-    def __init__(
-        self,
-        host: str,
-        port: int,
-        tenant: str = "default",
-        pool_size: int = 2,
-        timeout: float = 5.0,
-        retry: Optional[RetryPolicy] = None,
-        max_frame: int = DEFAULT_MAX_FRAME,
-    ) -> None:
-        self.host = host
-        self.port = port
-        self.tenant = tenant
-        self.timeout = timeout
-        self.retry = retry if retry is not None else _DEFAULT_RETRY
-        self.max_frame = max_frame
-        self.pool_size = max(1, pool_size)
-        self._pool: asyncio.LifoQueue = asyncio.LifoQueue()
-        self._created = 0
-        self._next_id = 1
-        self._closed = False
-
-    async def search(
-        self,
-        tokens: Iterable[str],
-        theta: float,
-        k: Optional[int] = None,
-        func: SimilarityFunction = SimilarityFunction.JACCARD,
-        exclude: Optional[int] = None,
-        deadline: Optional[float] = None,
-    ) -> List[SearchHit]:
-        frame = search_frame(
-            self._request_id(), tokens, theta,
-            func=SimilarityFunction(func).value,
-            k=k, exclude=exclude, deadline=deadline,
-        )
-        return hits_from_wire((await self._call(frame))["hits"])
-
-    async def search_batch(
-        self,
-        queries: Sequence[Iterable[str]],
-        theta: float,
-        k: Optional[int] = None,
-        func: SimilarityFunction = SimilarityFunction.JACCARD,
-        deadline: Optional[float] = None,
-    ) -> List[List[SearchHit]]:
-        frame = search_batch_frame(
-            self._request_id(), queries, theta,
-            func=SimilarityFunction(func).value, k=k, deadline=deadline,
-        )
-        return [hits_from_wire(rows)
-                for rows in (await self._call(frame))["results"]]
-
-    async def append(self, records) -> int:
-        return int((await self._call(
-            append_frame(self._request_id(), records)
-        ))["added"])
-
-    async def status(self) -> Dict[str, Any]:
-        return (await self._call(status_frame(self._request_id())))["status"]
-
-    async def drain(self) -> Dict[str, Any]:
-        return await self._call(drain_frame(self._request_id()))
-
-    # -- plumbing ------------------------------------------------------
-    def _request_id(self) -> int:
-        request_id = self._next_id
-        self._next_id += 1
-        return request_id
-
-    async def _connect(self) -> _AsyncConnection:
-        try:
-            reader, writer = await asyncio.wait_for(
-                asyncio.open_connection(self.host, self.port), self.timeout
-            )
-        except asyncio.TimeoutError:
-            raise TransportError(
-                f"timed out connecting to {self.host}:{self.port}"
-            ) from None
-        except OSError as exc:
-            raise TransportError(
-                f"cannot connect to {self.host}:{self.port}: {exc}"
-            ) from None
-        connection = _AsyncConnection(reader, writer, self.max_frame)
-        payload = await connection.call(hello_frame(0, self.tenant),
-                                        self.timeout)
-        if not payload.get("ok"):
-            connection.close()
-            raise TransportError("handshake rejected by server")
-        return connection
-
-    async def _checkout(self) -> _AsyncConnection:
-        if not self._pool.empty():
-            return self._pool.get_nowait()
-        if self._created < self.pool_size:
-            self._created += 1
-            try:
-                return await self._connect()
-            except Exception:
-                self._created -= 1
-                raise
-        return await self._pool.get()
-
-    def _checkin(self, connection: _AsyncConnection) -> None:
-        if self._closed:
-            connection.close()
-            return
-        self._pool.put_nowait(connection)
-
-    async def _call(self, frame: Frame) -> Dict[str, Any]:
-        if self._closed:
-            raise TransportError("client is closed")
-        retries = (
-            self.retry.max_retries if frame.kind in IDEMPOTENT_KINDS else 0
-        )
-        for attempt in range(retries + 1):
-            if attempt:
-                await asyncio.sleep(self.retry.backoff(
-                    ("net", frame.kind, frame.request_id), attempt - 1
-                ))
-            connection = None
-            try:
-                connection = await self._checkout()
-                payload = await connection.call(frame, self.timeout)
-            except TransportError:
-                if connection is not None:
-                    connection.close()
-                    self._created -= 1
-                if attempt >= retries:
-                    raise
-                continue
-            except Exception:
-                if connection is not None:
-                    connection.close()
-                    self._created -= 1
-                raise
-            self._checkin(connection)
-            return payload
-        raise TransportError("retry budget exhausted")  # pragma: no cover
-
-    async def close(self) -> None:
-        self._closed = True
-        while not self._pool.empty():
-            self._pool.get_nowait().close()
-
-    async def __aenter__(self) -> "AsyncGatewayClient":
-        return self
-
-    async def __aexit__(self, *exc_info) -> None:
-        await self.close()

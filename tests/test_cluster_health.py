@@ -13,7 +13,7 @@ import json
 
 import pytest
 
-from repro.chaos import ChaosClock, ChaosConfig, FaultInjector, FaultSchedule
+from repro.chaos import ChaosClock, FaultInjector, FaultSchedule
 from repro.cluster import (
     BreakerConfig,
     ControlPlane,
@@ -58,16 +58,6 @@ def make_cluster(records, clock, tracer=None, replication=2, n_shards=3,
         tracer=tracer,
     )
     return index, router, plane
-
-
-def injector_for(seed, clock, tracer=None):
-    from repro.observability.tracer import NOOP_TRACER
-
-    return FaultInjector(
-        FaultSchedule(seed, ChaosConfig()),
-        tracer if tracer is not None else NOOP_TRACER,
-        clock,
-    )
 
 
 class TestFailureDetector:
@@ -148,7 +138,7 @@ class TestScrubber:
         records = make_corpus("wiki", 90, seed=11)
         clock = ChaosClock()
         index, router, plane = make_cluster(records, clock)
-        injector = injector_for(11, clock)
+        injector = FaultInjector(FaultSchedule(11))
         victim = router.replica(1, 1)
         fragment = injector.corrupt_replica(victim)
         assert fragment in victim.slice.owned_fragments
@@ -173,7 +163,7 @@ class TestScrubber:
                 index, n_shards=2, replication=2, clock=clock,
                 sleep=clock.sleep, independent_replicas=True,
             )
-            injector = injector_for(5, clock)
+            injector = FaultInjector(FaultSchedule(5))
             fragment = router.target_fragments(
                 router.encode_query(records[0].tokens), theta, func
             )[0]
@@ -276,7 +266,7 @@ class TestVerifiedReadmission:
         records = make_corpus("wiki", 80, seed=7)
         clock = ChaosClock()
         _, router, _ = make_cluster(records, clock)
-        injector = injector_for(7, clock)
+        injector = FaultInjector(FaultSchedule(7))
         node = router.replica(0, 1)
         injector.corrupt_replica(node)
         node.fence()
@@ -474,6 +464,58 @@ class TestIngestRebuild:
         for record in fresh:
             assert router.search(record.tokens, 0.5) == expected[record.rid]
         assert plane.all_healthy()
+
+    def test_rebuilt_tier_interns_fresh_tokens_into_the_router_order(self):
+        """After a rebuild, an append with tokens nobody has seen must
+        encode the same in the tier as in the router's queries: the
+        recovered tier shares the router's order, not a content-equal
+        copy that the first fresh token forks."""
+        records = make_corpus("wiki", 60, seed=21)
+        clock = ChaosClock()
+        index = SegmentIndex.build(records, n_vertical=10)
+        router = build_cluster(index, n_shards=2, replication=2,
+                               clock=clock, sleep=clock.sleep,
+                               independent_replicas=True)
+        ingest = router.attach_ingest(StreamingIndex.attach(
+            InMemoryDFS(), "ingest", router.order, router.partitioner
+        ))
+        plane = ControlPlane(router, HealthConfig(miss_budget=1,
+                                                  scrub_interval=100))
+        make = records[0].__class__
+        fresh = [make(10_000 + i, records[i].tokens) for i in range(6)]
+        router.apply_batch(fresh)
+        ingest.fail()
+        plane.tick()
+        later = [
+            make(20_000 + i, records[i + 6].tokens
+                 + (f"unseen-{i}-a", f"unseen-{i}-b"))
+            for i in range(6)
+        ]
+        router.apply_batch(later)
+        corpus = list(records) + fresh + later
+        for record in later:
+            for theta in (0.3, 0.5):
+                assert router.search(record.tokens, theta) == (
+                    brute_force_search(corpus, record.tokens, theta)
+                )
+        assert ingest.streaming.order is router.order
+
+    def test_rebuild_refuses_an_order_log_that_diverges(self):
+        records = make_corpus("wiki", 40, seed=21)
+        clock = ChaosClock()
+        index = SegmentIndex.build(records, n_vertical=8)
+        router = build_cluster(index, n_shards=2, clock=clock,
+                               sleep=clock.sleep)
+        dfs = InMemoryDFS()
+        router.attach_ingest(StreamingIndex.attach(
+            dfs, "ingest", router.order, router.partitioner
+        ))
+        # A log that verifies but whose first two ranks are swapped.
+        entries = list(router.order.entries())
+        entries[0], entries[1] = entries[1], entries[0]
+        dfs.write("ingest/order", [(0, tuple(entries))], overwrite=True)
+        with pytest.raises(ClusterError, match="diverges"):
+            RepairManager(router).rebuild_ingest()
 
     def test_ingest_rebuild_without_tier_is_typed(self):
         records = make_corpus("wiki", 40, seed=21)

@@ -32,7 +32,7 @@ from repro.errors import (
 from repro.gateway import GatewayConfig, GatewayRequest, SimilarityGateway, TenantConfig
 from repro.ingest import StreamingIndex
 from repro.mapreduce.hdfs import InMemoryDFS
-from repro.net import AsyncGatewayClient, GatewayClient, GatewayServer, ServerConfig
+from repro.net import GatewayClient, GatewayServer, ServerConfig
 from repro.net.protocol import (
     ERROR,
     RESULT,
@@ -170,18 +170,6 @@ class TestWireBitIdentity:
         with GatewayClient(host, port) as client:
             assert (client.search(tokens, 0.4, k=2, func=func)
                     == direct.search(tokens, 0.4, k=2, func=func))
-
-    def test_async_client_matches_sync(self, corpus, harness):
-        tokens = list(corpus[7].tokens)
-        host, port = harness.address
-        with GatewayClient(host, port) as client:
-            expected = client.search(tokens, THETA)
-
-        async def probe():
-            async with AsyncGatewayClient(host, port) as client:
-                return await client.search(tokens, THETA)
-
-        assert asyncio.run(probe()) == expected
 
 
 class TestTypedErrorsOverTheWire:
