@@ -13,10 +13,7 @@ three mechanisms that make it a *service* rather than a loop over
   records) answered by one ``search_batch`` must touch fewer tokens than
   100 sequential ``search`` calls on an identical cache-disabled
   service, because the batch dedups repeated queries and scans each
-  shared posting list once (the ``service.probe`` counters prove it);
-* executor fan-out — the same batch under the serial and thread
-  backends, bit-identical results (GIL-bound Python, so wall-clock
-  parity is expected; the thread row exists to exercise the path).
+  shared posting list once (the ``service.probe`` counters prove it).
 
 Expected shape: the warm pass runs zero probes; batched token comparisons
 strictly below sequential; identical hit lists everywhere.
@@ -84,18 +81,9 @@ def test_query_service(benchmark):
                      "speedup": cold_wall / bat_wall,
                      "token_cmp": _token_comparisons(batched)})
 
-        # --- batch fan-out over the executor backends -------------------
-        threaded = SimilarityService(index, cache_size=0)
-        started = time.perf_counter()
-        thr_hits = threaded.search_batch(probe_mix, THETA, executor="thread")
-        thr_wall = time.perf_counter() - started
-        rows.append({"scenario": "batched, thread executor", "wall_s": thr_wall,
-                     "speedup": cold_wall / thr_wall,
-                     "token_cmp": _token_comparisons(threaded)})
-
         outcomes = {
             "cold": cold_hits, "warm": warm_hits, "seq": seq_hits,
-            "bat": bat_hits, "thr": thr_hits,
+            "bat": bat_hits,
         }
         counters = {
             "seq_cmp": _token_comparisons(sequential),
@@ -118,7 +106,7 @@ def test_query_service(benchmark):
     # Every path answers every probe identically.
     assert (
         outcomes["cold"] == outcomes["warm"] == outcomes["seq"]
-        == outcomes["bat"] == outcomes["thr"]
+        == outcomes["bat"]
     )
     # The warm pass is pure cache hits: it probes nothing, so every
     # service.probe counter stands where the cold pass left it.  (The cold

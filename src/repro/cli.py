@@ -189,9 +189,6 @@ def _build_parser() -> argparse.ArgumentParser:
                       help="probe an indexed record by id (itself excluded)")
     what.add_argument("--query-file",
                       help="batch probe: one record per line, corpus format")
-    search.add_argument("--executor", choices=[k.value for k in ExecutorKind],
-                        default="serial",
-                        help="fan batched probes out over this backend")
     search.add_argument("--trace", metavar="PATH",
                         help="record per-probe spans (cache lookup, prefix "
                              "filter, verification); writes JSONL to PATH "
@@ -298,9 +295,6 @@ def _build_parser() -> argparse.ArgumentParser:
     ingest.add_argument("--snapshot", metavar="PATH",
                         help="save the final index as a regular snapshot "
                              "loadable by 'repro search'")
-    ingest.add_argument("--executor", choices=[k.value for k in ExecutorKind],
-                        default="serial",
-                        help="executor compaction merges run on")
     ingest.add_argument("--trace", metavar="PATH",
                         help="record ingest spans (wal-append, "
                              "memtable-apply, flush, compaction) as JSONL "
@@ -667,7 +661,7 @@ def _rid_tokens(backend, rid):
         ) from None
 
 
-def _print_search(args, backend, rid_source, tracer, **batch_options) -> int:
+def _print_search(args, backend, rid_source, tracer) -> int:
     """Answer ``repro search`` / ``repro cluster search`` as one JSON
     document: the service and the router take the same three calls."""
     import json
@@ -676,9 +670,7 @@ def _print_search(args, backend, rid_source, tracer, **batch_options) -> int:
     document = {"theta": args.theta, "func": func.value}
     if args.query_file:
         queries = [record.tokens for record in _read_query_file(args.query_file)]
-        results = backend.search_batch(
-            queries, args.theta, k=args.k, func=func, **batch_options
-        )
+        results = backend.search_batch(queries, args.theta, k=args.k, func=func)
         document["results"] = [
             {"query": list(tokens), "hits": _hit_rows(hits)}
             for tokens, hits in zip(queries, results)
@@ -704,8 +696,7 @@ def _cmd_search(args) -> int:
 
     tracer = Tracer() if args.trace else NOOP_TRACER
     service = SimilarityService.load(args.index, tracer=tracer)
-    return _print_search(args, service, service.index, tracer,
-                         executor=args.executor)
+    return _print_search(args, service, service.index, tracer)
 
 
 def _fail_replica(router, shard) -> None:
@@ -885,9 +876,7 @@ def _cmd_ingest(args) -> int:
 
     tracer = Tracer() if args.trace else NOOP_TRACER
     config = IngestConfig(
-        memtable_limit=args.memtable_limit,
-        fanout=args.fanout,
-        executor=args.executor,
+        memtable_limit=args.memtable_limit, fanout=args.fanout
     )
     dfs = InMemoryDFS()
     streaming = StreamingIndex.create(
@@ -915,7 +904,6 @@ def _cmd_ingest(args) -> int:
         "compactions": status["compactions"],
         "generations": status["generations"],
         "memtable": status["memtable"],
-        "pivot_epoch": status["pivot_epoch"],
         "manifest_version": status["manifest_version"],
         "wal": status["wal"],
         # What the stream left on the DFS: the shared order once, and the

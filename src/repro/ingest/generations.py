@@ -24,10 +24,11 @@ never stands alone.
 The **manifest** is the commit protocol.  Each committed state of the
 streaming index is a versioned, digest-checked document listing the live
 generations (id, level, path, payload digest, ``order_size``), the WAL
-high-water mark (``wal_applied_seq``), the current pivot cuts, and the
-pivot epoch.  Before a commit, its order chunk and then its generation
-payload are on the DFS; committing version *v* is then a three-step
-protocol with a single atomic commit record:
+high-water mark (``wal_applied_seq``) and the tier's cuts, fixed at
+bootstrap.  A manifest of another :data:`MANIFEST_VERSION` is refused like
+a payload of another segment version.  Before a commit, its order chunk
+and then its generation payload are on the DFS; committing version *v* is
+then a three-step protocol with a single atomic commit record:
 
 1. write the immutable manifest file ``{root}/v-{v:08d}`` (no-clobber);
 2. overwrite ``{root}/CURRENT`` with ``v`` — **the commit record**; a
@@ -70,7 +71,9 @@ SEGMENT_FORMAT = "repro-ingest-segment"
 #: was the snapshot's pickle, the whole shared order inside every one).
 SEGMENT_VERSION = 6
 MANIFEST_FORMAT = "repro-ingest-manifest"
-MANIFEST_VERSION = 1
+#: Manifest layout version.  2: no pivot epoch or seed — the cuts are the
+#: tier's for life (1 carried both for re-cuts).
+MANIFEST_VERSION = 2
 
 
 def manifest_digest(doc: Dict) -> str:
@@ -325,6 +328,14 @@ class ManifestStore:
         doc = pairs.get("manifest")
         if not isinstance(doc, dict) or doc.get("format") != MANIFEST_FORMAT:
             raise IngestError(f"manifest v{version} is not readable")
+        if doc.get("manifest_version") != MANIFEST_VERSION:
+            raise IngestError(
+                f"manifest layout mismatch at {self.version_path(version)!r}: "
+                f"manifest has {doc.get('manifest_version')!r}, this build "
+                f"reads {MANIFEST_VERSION} — ingest state does not outlive "
+                "the build that wrote it; start the ingest tier afresh and "
+                "re-append"
+            )
         if manifest_digest(doc) != pairs.get("digest"):
             raise IngestError(
                 f"manifest v{version} failed its integrity check"
@@ -339,9 +350,7 @@ class ManifestStore:
         next_gen: int,
         next_batch: int,
         cuts: Tuple[int, ...],
-        pivot_epoch: int,
         pivot_method: str,
-        pivot_seed: int = 0,
     ) -> Dict:
         return {
             "format": MANIFEST_FORMAT,
@@ -352,7 +361,5 @@ class ManifestStore:
             "next_gen": next_gen,
             "next_batch": next_batch,
             "cuts": list(cuts),
-            "pivot_epoch": pivot_epoch,
             "pivot_method": pivot_method,
-            "pivot_seed": pivot_seed,
         }

@@ -6,13 +6,21 @@ The write path per accepted batch:
    is logged — the batch is all-or-nothing across every tier);
 2. append the batch to the WAL and its commit marker — the durability
    point: from here a crash replays the batch on recovery;
-3. absorb it into the memtable (interning fresh tokens append-only,
-   staging its postings) — the visibility point: probes read the stage;
-4. when the memtable passes its size limit, **flush**: seal it into an
-   immutable level-0 generation, append the ids interned since the last
-   persist to the order log, persist the payload, and commit a new
-   manifest whose ``wal_applied_seq`` covers the flushed batches;
-5. when a level over-fills (or pivot skew drifts), **compact**.
+3. absorb it into the memtable — a plain
+   :class:`~repro.service.index.SegmentIndex` over the shared order and
+   cuts, interning fresh tokens append-only and staging its postings —
+   the visibility point: probes read the stage;
+4. when the memtable reaches ``memtable_limit``, **flush**: seal it in
+   place into an immutable level-0 generation, append the ids interned
+   since the last persist to the order log, persist the payload, and
+   commit a new manifest whose ``wal_applied_seq`` covers the flushed
+   batches;
+5. when a level holds ``fanout`` generations, **compact** it one level up.
+
+The cuts are fixed at bootstrap — the build's for
+:meth:`StreamingIndex.create`, the router's for
+:meth:`StreamingIndex.attach` — and nothing moves them
+(:mod:`repro.ingest.compaction` says why nothing needs to).
 
 Steps 1–3 cost the batch — O(batch × tiers) lookups, O(batch) logged
 entries under a running segment digest, O(batch) staged postings.  A
@@ -45,29 +53,22 @@ chaos drill can count it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import itemgetter
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.core.ordering import GlobalOrder
 from repro.core.partitioning import VerticalPartitioner
-from repro.core.pivots import PivotMethod, select_pivots
+from repro.core.pivots import PivotMethod
 from repro.data.records import Record, RecordCollection
 from repro.errors import ConfigError, DataError, IngestError
-from repro.ingest.compaction import (
-    LeveledPolicy,
-    merge_generations,
-    pivot_drift,
-)
+from repro.ingest.compaction import merge_tiers, plan_compaction
 from repro.ingest.generations import (
     Generation,
     GenerationStore,
     ManifestStore,
     OrderLog,
 )
-from repro.ingest.memtable import Memtable
 from repro.ingest.wal import ReplayResult, WriteAheadLog
 from repro.mapreduce.counters import Counters
-from repro.mapreduce.executors import create_executor
 from repro.mapreduce.hdfs import InMemoryDFS
 from repro.mapreduce.runtime import SimulatedCluster
 from repro.observability.tracer import NOOP_TRACER, Tracer
@@ -83,40 +84,24 @@ from repro.similarity.functions import SimilarityFunction
 
 @dataclass(frozen=True)
 class IngestConfig:
-    """Streaming-index knobs (all deterministic; no wall-clock triggers).
+    """Streaming-index knobs (both deterministic; no wall-clock triggers).
 
     Attributes:
-        memtable_limit: Records the memtable absorbs before an automatic
-            flush (when ``auto_flush``).
-        wal_segment_entries: WAL entries per segment file before rolling.
-        fanout: Leveled-compaction fanout: a level with this many
-            generations is merged one level up.
-        auto_flush: Flush automatically when the memtable fills.
-        auto_compact: Run ``maybe_compact`` after each automatic flush.
-        skew_threshold: Fragment term-frequency-mass CV beyond which a
-            major compaction re-derives the pivots.
-        executor: Backend for compaction's record gathering
-            (``serial`` | ``thread`` | ``process``).
-        keep_manifests: Superseded manifest versions retained for
-            post-mortems before GC.
+        memtable_limit: Records the memtable absorbs before it is flushed.
+            A limit larger than the stream never flushes on its own.
+        fanout: Leveled-compaction fanout: after a flush, the lowest level
+            holding this many generations is merged one level up.  A
+            fanout larger than the flush count never compacts on its own.
     """
 
     memtable_limit: int = 64
-    wal_segment_entries: int = 256
     fanout: int = 4
-    auto_flush: bool = True
-    auto_compact: bool = True
-    skew_threshold: float = 0.35
-    executor: str = "serial"
-    keep_manifests: int = 3
 
     def __post_init__(self) -> None:
         if self.memtable_limit < 1:
             raise ConfigError("memtable_limit must be >= 1")
         if self.fanout < 2:
             raise ConfigError("fanout must be >= 2")
-        if self.skew_threshold < 0:
-            raise ConfigError("skew_threshold must be >= 0")
 
 
 class StreamingIndex:
@@ -129,7 +114,6 @@ class StreamingIndex:
         order: GlobalOrder,
         partitioner: VerticalPartitioner,
         pivot_method: PivotMethod,
-        pivot_seed: int,
         config: IngestConfig,
         tracer: Tracer,
         counters: Counters,
@@ -140,27 +124,25 @@ class StreamingIndex:
         self.vocab = TokenVocab(order)
         self.partitioner = partitioner
         self.pivot_method = PivotMethod(pivot_method)
-        self.pivot_seed = pivot_seed
         self.config = config
         self.tracer = tracer
         self.counters = counters
-        self.wal = WriteAheadLog(
-            dfs, f"{self.root}/wal", config.wal_segment_entries
-        )
+        self.wal = WriteAheadLog(dfs, f"{self.root}/wal")
         self.segments = GenerationStore(dfs, f"{self.root}/segments")
         self.order_log = OrderLog(dfs, f"{self.root}/order")
-        self.manifests = ManifestStore(
-            dfs, f"{self.root}/manifest", keep=config.keep_manifests
-        )
-        self.policy = LeveledPolicy(config.fanout)
+        self.manifests = ManifestStore(dfs, f"{self.root}/manifest")
         self.generations: List[Generation] = []
-        self.pivot_epoch = 0
         self.manifest_version = 0
         self._next_gen = 0
         self._wal_applied_seq = -1
         self._flushes = 0
         self._compactions = 0
-        self.memtable = Memtable(order, partitioner, self.pivot_method)
+        self.memtable = self._empty_memtable()
+
+    def _empty_memtable(self) -> SegmentIndex:
+        """The mutable tier: a plain index over the shared order and cuts,
+        sealed in place when it is flushed."""
+        return SegmentIndex(self.order, self.partitioner, self.pivot_method)
 
     # -- construction ---------------------------------------------------
     @classmethod
@@ -180,9 +162,10 @@ class StreamingIndex:
         """Bootstrap a fresh streaming index at ``root``.
 
         With ``records``, generation 0 is a regular ``SegmentIndex.build``
-        over them (the offline ordering job picks the order and pivots);
-        without, generation 0 is empty and the order grows entirely from
-        ingested batches.  Either way the bootstrap generation is
+        over them (the offline ordering job picks the order and pivots,
+        and those cuts are the tier's for life); without, generation 0 is
+        empty, the order grows entirely from ingested batches, and the
+        tier is one fragment.  Either way the bootstrap generation is
         persisted immediately — the order to its log, then the payload —
         and manifest v1 committed, so recovery always has a state to start
         from.
@@ -192,21 +175,12 @@ class StreamingIndex:
                 records, n_vertical=n_vertical, pivot_method=pivot_method,
                 pivot_seed=pivot_seed, cluster=cluster or SimulatedCluster(),
             )
-            order, partitioner = base.order, base.partitioner
         else:
-            order = GlobalOrder([])
-            partitioner = VerticalPartitioner(
-                select_pivots(
-                    order.rank_frequencies, n_vertical,
-                    method=pivot_method, seed=pivot_seed,
-                )
+            base = SegmentIndex(
+                GlobalOrder([]), VerticalPartitioner(()), pivot_method
             )
-            base = SegmentIndex(order, partitioner, pivot_method)
             base._seal()
-        return cls._bootstrap(
-            dfs, root, base, pivot_method, pivot_seed, config, tracer,
-            counters,
-        )
+        return cls._bootstrap(dfs, root, base, config, tracer, counters)
 
     @classmethod
     def attach(
@@ -216,7 +190,6 @@ class StreamingIndex:
         order: GlobalOrder,
         partitioner: VerticalPartitioner,
         pivot_method: PivotMethod = PivotMethod.EVEN_TF,
-        pivot_seed: int = 0,
         config: Optional[IngestConfig] = None,
         tracer: Optional[Tracer] = None,
         counters: Optional[Counters] = None,
@@ -229,19 +202,15 @@ class StreamingIndex:
         """
         base = SegmentIndex(order, partitioner, pivot_method)
         base._seal()
-        return cls._bootstrap(
-            dfs, root, base, pivot_method, pivot_seed, config, tracer,
-            counters,
-        )
+        return cls._bootstrap(dfs, root, base, config, tracer, counters)
 
     @classmethod
     def _bootstrap(
-        cls, dfs, root, base, pivot_method, pivot_seed, config, tracer,
-        counters,
+        cls, dfs, root, base, config, tracer, counters
     ) -> "StreamingIndex":
         self = cls(
-            dfs, root, base.order, base.partitioner, pivot_method,
-            pivot_seed, config or IngestConfig(),
+            dfs, root, base.order, base.partitioner, base.pivot_method,
+            config or IngestConfig(),
             tracer if tracer is not None else NOOP_TRACER,
             counters if counters is not None else Counters(),
         )
@@ -285,10 +254,7 @@ class StreamingIndex:
         counters = counters if counters is not None else Counters()
         config = config or IngestConfig()
         root = root.rstrip("/")
-        manifests = ManifestStore(
-            dfs, f"{root}/manifest", keep=config.keep_manifests
-        )
-        doc = manifests.load_current()
+        doc = ManifestStore(dfs, f"{root}/manifest").load_current()
         if not doc["generations"]:
             raise IngestError(f"manifest at {root!r} lists no generations")
         # The committed order: every live column's ids lie below the
@@ -297,10 +263,9 @@ class StreamingIndex:
         order = order_log.load(
             max(meta["order_size"] for meta in doc["generations"]), order
         )
-        partitioner = VerticalPartitioner(tuple(doc["cuts"]))
         self = cls(
-            dfs, root, order, partitioner, PivotMethod(doc["pivot_method"]),
-            doc.get("pivot_seed", 0), config, tracer, counters,
+            dfs, root, order, VerticalPartitioner(tuple(doc["cuts"])),
+            PivotMethod(doc["pivot_method"]), config, tracer, counters,
         )
         self.order_log = order_log
         self.generations = [
@@ -310,8 +275,6 @@ class StreamingIndex:
         self.manifest_version = doc["version"]
         self._next_gen = doc["next_gen"]
         self._wal_applied_seq = doc["wal_applied_seq"]
-        self.pivot_epoch = doc["pivot_epoch"]
-        self.memtable = Memtable(order, partitioner, self.pivot_method)
         self._gc_orphans(doc)
         self._replay_wal()
         # Batch ids never go backwards, even when the replayed WAL tail
@@ -408,10 +371,9 @@ class StreamingIndex:
             self.memtable.apply_batch(batch)
         self.counters.increment("ingest", "batches")
         self.counters.increment("ingest", "records", len(batch))
-        if self.config.auto_flush and len(self.memtable) >= self.config.memtable_limit:
+        if len(self.memtable) >= self.config.memtable_limit:
             self.flush()
-            if self.config.auto_compact:
-                self.maybe_compact()
+            self.compact()
         return len(batch)
 
     def flush(self) -> Optional[Generation]:
@@ -428,11 +390,12 @@ class StreamingIndex:
         with self.tracer.span(
             "flush", phase="ingest", records=len(self.memtable)
         ) as span:
-            gen = self._persist(0, self.memtable.seal())
+            # The one time the staged postings become flat columns: the
+            # memtable is sealed in place and *is* the new generation.
+            self.memtable._seal()
+            gen = self._persist(0, self.memtable)
             self.generations.append(gen)
-            self.memtable = Memtable(
-                self.order, self.partitioner, self.pivot_method
-            )
+            self.memtable = self._empty_memtable()
             self._wal_applied_seq = applied_seq
             self._commit_manifest()
             self.wal.truncate_through(applied_seq)
@@ -441,74 +404,38 @@ class StreamingIndex:
         self.counters.increment("ingest", "flushes")
         return gen
 
-    def maybe_compact(self) -> Optional[Generation]:
-        """Run the policy's next merge — or a pivot-re-deriving major one."""
-        fresh_cuts = pivot_drift(
-            self.order, self.partitioner.cuts, self.pivot_method,
-            self.pivot_seed, self.config.skew_threshold,
-        )
-        if fresh_cuts is not None:
-            return self.compact(major=True, cuts=fresh_cuts)
-        if self.policy.plan(self.generations) is None:
-            return None
-        return self.compact()
+    def compact(self, major: bool = False) -> Optional[Generation]:
+        """Merge the lowest level holding ``fanout`` generations one level
+        up (:func:`~repro.ingest.compaction.plan_compaction`), or — when
+        ``major`` — flush the memtable and merge every generation into one.
 
-    def compact(
-        self,
-        major: bool = False,
-        cuts: Optional[Tuple[int, ...]] = None,
-    ) -> Optional[Generation]:
-        """Merge generations per the leveled policy (or all, when major).
-
-        A major compaction first flushes the memtable, then rebuilds one
-        top-level generation — under freshly derived pivots when ``cuts``
-        is given, bumping the pivot epoch.  The merged payload is
+        No-op when there is nothing to merge.  The merged payload is
         persisted (behind any ids the order log lacks) *before* the
-        manifest commit record flips to it, and
-        obsolete segments are deleted only after — the two chaos
-        kill-points (:meth:`kill_points`) bracket exactly that commit.
+        manifest commit record flips to it, and obsolete segments are
+        deleted only after — the two chaos kill-points
+        (:meth:`kill_points`) bracket exactly that commit.
         """
         if major:
             self.flush()
             inputs = list(self.generations)
-            if len(inputs) < 2 and cuts is None:
+            if len(inputs) < 2:
                 return None
-            level = max((gen.level for gen in inputs), default=0) + 1
+            level = max(gen.level for gen in inputs) + 1
         else:
-            plan = self.policy.plan(self.generations)
-            if plan is None:
+            inputs = plan_compaction(self.generations, self.config.fanout)
+            if inputs is None:
                 return None
-            chosen = set(plan.gen_ids)
-            inputs = [g for g in self.generations if g.gen_id in chosen]
-            level = plan.output_level
-        if not inputs:
-            return None
-        partitioner = self.partitioner
-        epoch = self.pivot_epoch
-        if cuts is not None:
-            partitioner = VerticalPartitioner(tuple(cuts))
-            epoch += 1
-        executor = create_executor(self.config.executor)
+            level = inputs[0].level + 1
         with self.tracer.span(
             "compaction", phase="ingest", inputs=len(inputs), level=level,
-            major=major, pivot_epoch=epoch,
+            major=major,
         ) as span:
-            merged = merge_generations(
-                inputs, self.order, partitioner, self.pivot_method,
-                executor,
-            )
-            gen = self._persist(level, merged)
-            merged_ids = {i.gen_id for i in inputs}
+            gen = self._persist(level, merge_tiers([g.index for g in inputs]))
+            merged_ids = {g.gen_id for g in inputs}
             survivors = [
                 g for g in self.generations if g.gen_id not in merged_ids
             ]
             self.generations = survivors + [gen]
-            if cuts is not None:
-                self.partitioner = partitioner
-                self.pivot_epoch = epoch
-                self.memtable = Memtable(
-                    self.order, partitioner, self.pivot_method
-                )
             self._commit_manifest()
             # Post-commit cleanup: the old payloads are now unreferenced.
             for old in inputs:
@@ -517,8 +444,6 @@ class StreamingIndex:
             span.attrs["records"] = gen.records
         self._compactions += 1
         self.counters.increment("ingest", "compactions")
-        if cuts is not None:
-            self.counters.increment("ingest", "pivot_rederivations")
         return gen
 
     def _commit_manifest(self) -> None:
@@ -526,7 +451,7 @@ class StreamingIndex:
         doc = self.manifests.new_doc(
             self.manifest_version, self.generations, self._wal_applied_seq,
             self._next_gen, self.wal.next_batch, self.partitioner.cuts,
-            self.pivot_epoch, self.pivot_method.value, self.pivot_seed,
+            self.pivot_method.value,
         )
         self.manifests.commit(doc)
 
@@ -542,16 +467,14 @@ class StreamingIndex:
     def _tiers(self) -> List[SegmentIndex]:
         tiers = [gen.index for gen in self.generations]
         if len(self.memtable):
-            tiers.append(self.memtable.index)
+            tiers.append(self.memtable)
         return tiers
 
     def __len__(self) -> int:
         return len(self.memtable) + sum(g.records for g in self.generations)
 
     def __contains__(self, rid: int) -> bool:
-        if rid in self.memtable:
-            return True
-        return any(rid in gen.index for gen in self.generations)
+        return any(rid in tier for tier in self._tiers())
 
     def rids(self) -> List[int]:
         merged: List[int] = []
@@ -569,21 +492,6 @@ class StreamingIndex:
     @property
     def n_fragments(self) -> int:
         return self.partitioner.n_partitions
-
-    def fragment_loads(self) -> List[int]:
-        """Posting load per fragment, summed over current-epoch tiers.
-
-        Generations from older pivot epochs partition differently and are
-        excluded; the number tracks how well the *current* cuts fit.
-        """
-        loads = [0] * self.n_fragments
-        cuts = tuple(self.partitioner.cuts)
-        for tier in self._tiers():
-            if tuple(tier.partitioner.cuts) != cuts:
-                continue
-            for v, load in enumerate(tier.fragment_loads()):
-                loads[v] += load
-        return loads
 
     def posting_stats(self) -> Dict[str, int]:
         totals = {
@@ -636,20 +544,12 @@ class StreamingIndex:
     def to_segment_index(self) -> SegmentIndex:
         """A fresh single ``SegmentIndex`` over the union of all tiers.
 
-        Built by handing every record's id column, ascending rid, to the
-        standard insert path under the current order and partitioner —
-        the same construction compaction uses, so after a full compaction
-        the lone generation is structurally identical (equal pickle bytes)
-        to this.  Used for snapshot export and the chaos drill's identity
-        check.
+        Compaction's own merge (:func:`~repro.ingest.compaction.merge_tiers`)
+        over every tier, so after a major compaction the lone generation
+        is structurally identical (equal pickle bytes) to this.  Used for
+        snapshot export and the chaos drill's identity check.
         """
-        union = SegmentIndex(self.order, self.partitioner, self.pivot_method)
-        columns = [
-            column for tier in self._tiers() for column in tier._ranks.items()
-        ]
-        union._insert_columns(sorted(columns, key=itemgetter(0)))
-        union._seal()
-        return union
+        return merge_tiers(self._tiers())
 
     def status(self) -> Dict:
         """Machine-readable ingest state for ``repro cluster status`` & CLI."""
@@ -665,7 +565,6 @@ class StreamingIndex:
             ],
             "wal": self.wal.stats(),
             "manifest_version": self.manifest_version,
-            "pivot_epoch": self.pivot_epoch,
             "flushes": self._flushes,
             "compactions": self._compactions,
             "vocab": self.order.vocab_size,

@@ -7,9 +7,8 @@ filter of the same query.  Capacity 0 disables caching (every ``get``
 misses, ``put`` is a no-op), which the benchmarks use to measure cold
 probes.
 
-Every operation takes an internal lock: the service is probed from thread
-fan-outs (``search_batch`` over the thread executor, callers serving
-concurrent requests against one shared :class:`SimilarityService`), and an
+Every operation takes an internal lock: callers serving concurrent
+requests share one :class:`SimilarityService` across threads, and an
 unsynchronized ``OrderedDict`` corrupts under concurrent ``move_to_end``/
 ``popitem`` — ``tests/test_service_cache_stress.py`` hammers exactly that
 pattern.

@@ -7,8 +7,7 @@
   private path (``_serve``) as
 * ``search_batch(queries, theta, ...)`` — deduplicates the batch, serves
   repeats from one computation, and probes the distinct misses in one
-  ``probe_batch`` (optionally fanned out over the executor backends of
-  :mod:`repro.mapreduce.executors`);
+  ``probe_batch``;
 * ``apply_batch(new_records)`` — extends the index in place (and
   invalidates the cache), the online twin of
   :class:`~repro.core.incremental.IncrementalSelfJoin`;
@@ -35,7 +34,6 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 from repro.data.records import Record, RecordCollection
 from repro.errors import DataError, DeadlineExceededError
 from repro.mapreduce.counters import Counters
-from repro.mapreduce.executors import ExecutorKind, TaskExecutor, create_executor
 from repro.observability.histogram import LatencyHistogram
 from repro.observability.tracer import NOOP_TRACER, Tracer
 from repro.service.cache import LRUCache
@@ -60,22 +58,19 @@ class SimilarityService:
         self,
         index: SegmentIndex,
         cache_size: int = 1024,
-        executor: Union[ExecutorKind, str, TaskExecutor, None] = None,
         tracer: Optional[Tracer] = None,
         clock=time.monotonic,
     ) -> None:
-        """``executor`` sets the default backend for :meth:`search_batch`
-        (``None`` = in-process, fragment-grouped only); ``cache_size=0``
-        disables the result cache.  ``tracer`` (default: the free no-op
-        tracer) records one ``probe``/``batch`` span per request with
-        ``cache-lookup``, ``prefix-filter`` and ``verification`` children;
-        results are bit-identical with tracing on or off."""
+        """``cache_size=0`` disables the result cache.  ``tracer``
+        (default: the free no-op tracer) records one ``probe``/``batch``
+        span per request with ``cache-lookup``, ``prefix-filter`` and
+        ``verification`` children; results are bit-identical with tracing
+        on or off."""
         self.index = index
         self.metrics = Counters()
         self.tracer = tracer if tracer is not None else NOOP_TRACER
         self.latency = LatencyHistogram()
         self._cache: LRUCache[List[SearchHit]] = LRUCache(cache_size)
-        self._executor = executor
         #: injectable so deadline tests (and chaos replays) control time.
         self._clock = clock
 
@@ -100,7 +95,7 @@ class SimilarityService:
         that stopped waiting must not receive a late result, and the
         overrun is visible in ``service.deadline`` counters).
         """
-        (hits,), _misses = self._serve("probe", [tokens], theta, func, None,
+        (hits,), _misses = self._serve("probe", [tokens], theta, func,
                                        deadline)
         return view_hits(hits, k, exclude)
 
@@ -122,7 +117,6 @@ class SimilarityService:
         theta: float,
         k: Optional[int] = None,
         func: SimilarityFunction = SimilarityFunction.JACCARD,
-        executor: Union[ExecutorKind, str, TaskExecutor, None] = None,
         exclude: Optional[Sequence[Optional[int]]] = None,
         deadline: Optional[float] = None,
     ) -> List[List[SearchHit]]:
@@ -131,13 +125,11 @@ class SimilarityService:
         The batch is canonicalized and deduplicated first (repeated
         queries — the common case under real traffic — are computed once),
         then cache-checked, and only the distinct misses hit the index,
-        with posting scans grouped per fragment.  ``executor`` (or the
-        service default) fans the misses out over a
-        :mod:`repro.mapreduce.executors` backend; results are identical on
-        every backend.  ``exclude`` is a per-query sequence of record ids
-        to drop from the corresponding result (``None`` entries skip) —
-        the batched twin of :meth:`search`'s ``exclude``, applied after
-        the shared computation so duplicates still coalesce.
+        in one ``probe_batch`` with posting scans grouped per fragment.
+        ``exclude`` is a per-query sequence of record ids to drop from the
+        corresponding result (``None`` entries skip) — the batched twin of
+        :meth:`search`'s ``exclude``, applied after the shared computation
+        so duplicates still coalesce.
         """
         if exclude is not None and len(exclude) != len(queries):
             raise DataError(
@@ -147,7 +139,7 @@ class SimilarityService:
         self.metrics.increment("service.batch", "batches")
         self.metrics.increment("service.batch", "queries", len(queries))
         results, misses = self._serve("batch", queries, theta, func,
-                                      executor, deadline)
+                                      deadline)
         self.metrics.increment("service.batch", "unique_misses", misses)
         return [
             view_hits(hits, k, exclude[i] if exclude is not None else None)
@@ -160,7 +152,6 @@ class SimilarityService:
         queries: Sequence[Iterable[str]],
         theta: float,
         func: SimilarityFunction,
-        executor: Union[ExecutorKind, str, TaskExecutor, None],
         deadline: Optional[float],
     ) -> Tuple[List[List[SearchHit]], int]:
         """Every request's one way to the index: canonicalize, dedupe,
@@ -201,44 +192,18 @@ class SimilarityService:
                 span.attrs["unique_misses"] = len(misses)
                 span.attrs["cache"] = "miss" if misses else "hit"
                 if misses:
-                    for key, hits in zip(misses,
-                                         self._probe_misses(misses, theta,
-                                                            func, executor)):
+                    encoded = [self.index.encode_query(key[0])
+                               for key in misses]
+                    answers = self.index.probe_batch(
+                        encoded, theta, func, self.metrics, tracer=self.tracer
+                    )
+                    for key, hits in zip(misses, answers):
                         resolved[key] = hits
                         self._put(key, hits)
             self._check_deadline(deadline_at)
         finally:
             self.latency.record(self._clock() - started)
         return [resolved[key] for key in keys], len(misses)
-
-    def _probe_misses(
-        self,
-        misses: List[QueryKey],
-        theta: float,
-        func: SimilarityFunction,
-        executor: Union[ExecutorKind, str, TaskExecutor, None],
-    ) -> List[List[SearchHit]]:
-        encoded = [self.index.encode_query(key[0]) for key in misses]
-        backend = executor if executor is not None else self._executor
-        if backend is None or len(misses) <= 1:
-            return self.index.probe_batch(
-                encoded, theta, func, self.metrics, tracer=self.tracer
-            )
-        executor_obj = create_executor(backend)
-        chunks = _chunk(encoded, getattr(executor_obj, "max_workers", 1))
-        traced = self.tracer.enabled
-        outputs = executor_obj.run_tasks(
-            _probe_chunk_task,
-            [(self.index, chunk, theta, func, traced) for chunk in chunks],
-        )
-        results: List[List[SearchHit]] = []
-        # Merged in chunk order, like the runtime's task-index-order commit,
-        # so counters and adopted spans are deterministic per backend.
-        for chunk_hits, counters, spans in outputs:
-            results.extend(chunk_hits)
-            self.metrics.merge(counters)
-            self.tracer.adopt(spans)
-        return results
 
     # -- maintenance ---------------------------------------------------
     def apply_batch(
@@ -307,30 +272,3 @@ class SimilarityService:
         evicted = self._cache.evictions - before
         if evicted:
             self.metrics.increment(CACHE_GROUP, "evictions", evicted)
-
-
-def _chunk(items: Sequence, workers: int) -> List[List]:
-    """Split items into at most ``workers`` contiguous chunks."""
-    n_chunks = max(1, min(workers, len(items)))
-    size, extra = divmod(len(items), n_chunks)
-    chunks, start = [], 0
-    for i in range(n_chunks):
-        end = start + size + (1 if i < extra else 0)
-        chunks.append(list(items[start:end]))
-        start = end
-    return chunks
-
-
-def _probe_chunk_task(payload):
-    """Module-level task body so the process backend can pickle it.
-
-    Returns ``(hits, counters, spans)``: spans are recorded in a
-    chunk-local tracer (workers cannot reach the service's) and adopted by
-    the coordinator in chunk order.
-    """
-    index, chunk, theta, func, traced = payload
-    counters = Counters()
-    tracer = Tracer() if traced else NOOP_TRACER
-    with tracer.span("probe-chunk", phase="service", queries=len(chunk)):
-        hits = index.probe_batch(chunk, theta, func, counters, tracer)
-    return hits, counters, tracer.spans()

@@ -168,7 +168,7 @@ class TestIndexSearch:
 
     def test_search_batch_file(self, index_file, corpus_file, capsys):
         code = main(["search", index_file, "--query-file", corpus_file,
-                     "--theta", "0.6", "--executor", "thread"])
+                     "--theta", "0.6"])
         assert code == 0
         doc = json.loads(capsys.readouterr().out)
         assert len(doc["results"]) == 80

@@ -1,4 +1,4 @@
-"""Generations, manifest commit protocol, leveled compaction, pivot drift."""
+"""Generations, manifest commit protocol, leveled compaction."""
 
 from __future__ import annotations
 
@@ -10,20 +10,16 @@ import pytest
 from repro.chaos import ChaosConfig, FaultInjector, FaultSchedule
 from repro.core.ordering import GlobalOrder
 from repro.core.partitioning import VerticalPartitioner
-from repro.core.pivots import PivotMethod
 from repro.data.records import Record, RecordCollection
 from repro.errors import DFSError, IngestError
 from repro.ingest import (
-    CompactionPlan,
     GenerationStore,
     IngestConfig,
-    LeveledPolicy,
     ManifestStore,
-    Memtable,
     StreamingIndex,
-    merge_generations,
+    merge_tiers,
+    plan_compaction,
 )
-from repro.ingest.compaction import fragment_mass_cv, pivot_drift
 from repro.mapreduce.executors import create_executor
 from repro.mapreduce.hdfs import InMemoryDFS
 from repro.service import SegmentIndex
@@ -176,9 +172,10 @@ class TestGenerationStore:
         partitioner = VerticalPartitioner((250, 500, 750))
         gens = []
         for gen_id, frequencies in enumerate((small, large)):
-            memtable = Memtable(GlobalOrder(frequencies), partitioner)
+            memtable = SegmentIndex(GlobalOrder(frequencies), partitioner)
             memtable.apply_batch(records)
-            gens.append(store.persist(gen_id, 0, memtable.seal()))
+            memtable._seal()
+            gens.append(store.persist(gen_id, 0, memtable))
         assert [gen.order_size for gen in gens] == [1000, 20000]
         bodies = [dict(dfs.read(gen.path))["index"] for gen in gens]
         assert bodies[0] == bodies[1]
@@ -189,8 +186,7 @@ class TestManifestStore:
     def _doc(self, store, version, **overrides):
         doc = store.new_doc(
             version=version, generations=[], wal_applied_seq=-1,
-            next_gen=1, next_batch=0, cuts=(3, 7), pivot_epoch=0,
-            pivot_method="even_tf",
+            next_gen=1, next_batch=0, cuts=(3, 7), pivot_method="even_tf",
         )
         doc.update(overrides)
         return doc
@@ -198,10 +194,10 @@ class TestManifestStore:
     def test_commit_then_load_current(self):
         store = ManifestStore(InMemoryDFS(), "manifest")
         store.commit(self._doc(store, 1))
-        store.commit(self._doc(store, 2, pivot_epoch=1))
+        store.commit(self._doc(store, 2, next_gen=2))
         doc = store.load_current()
         assert doc["version"] == 2
-        assert doc["pivot_epoch"] == 1
+        assert doc["next_gen"] == 2
         assert doc["cuts"] == [3, 7]
 
     def test_old_versions_garbage_collected(self):
@@ -225,6 +221,20 @@ class TestManifestStore:
         with pytest.raises(IngestError):
             ManifestStore(InMemoryDFS(), "manifest").load_current()
 
+    def test_parent_v1_manifest_is_refused_by_version(self):
+        """A manifest written by the build that re-derived cuts (layout 1,
+        with a pivot epoch and seed) is refused with one typed line naming
+        both versions — even though its digest verifies."""
+        store = ManifestStore(InMemoryDFS(), "manifest")
+        store.commit(self._doc(store, 1, manifest_version=1, pivot_epoch=0,
+                               pivot_seed=0))
+        with pytest.raises(IngestError) as caught:
+            store.load_current()
+        message = str(caught.value)
+        assert "\n" not in message
+        assert "manifest has 1" in message and "reads 2" in message
+        assert "does not outlive the build that wrote it" in message
+
 
 class TestLeveledPolicy:
     def _gen(self, gen_id, level):
@@ -236,17 +246,13 @@ class TestLeveledPolicy:
         )
 
     def test_no_plan_when_in_shape(self):
-        policy = LeveledPolicy(fanout=3)
         gens = [self._gen(i, 0) for i in range(2)]
-        assert policy.plan(gens) is None
+        assert plan_compaction(gens, fanout=3) is None
 
     def test_plans_lowest_overfull_level_first(self):
-        policy = LeveledPolicy(fanout=2)
         gens = [self._gen(0, 1), self._gen(1, 1),
                 self._gen(2, 0), self._gen(3, 0)]
-        plan = policy.plan(gens)
-        assert plan == CompactionPlan(0, (2, 3))
-        assert plan.output_level == 1
+        assert plan_compaction(gens, fanout=2) == gens[2:]
 
 
 class TestMerge:
@@ -255,7 +261,9 @@ class TestMerge:
         self, corpus, executor
     ):
         """The acceptance property: merged generations pickle to exactly
-        the bytes of one index built from the union of their records."""
+        the bytes of one index built from the union of their records —
+        also when two merges of the same tiers run at once on worker
+        threads (the merge only reads its inputs)."""
         records = list(corpus)
         base = _sealed_index(records[:30])
         order, partitioner = base.order, base.partitioner
@@ -269,10 +277,11 @@ class TestMerge:
                 2, 0, _sealed_index(records[45:], order, partitioner)
             ),
         ]
-        merged = merge_generations(
-            gens, order, partitioner, PivotMethod.EVEN_TF,
-            create_executor(executor),
+        tiers = [gen.index for gen in gens]
+        merged, again = create_executor(executor, 2).run_tasks(
+            merge_tiers, [tiers, tiers]
         )
+        assert pickle.dumps(again) == pickle.dumps(merged)
         # All tokens are interned by now, so the fresh build takes the
         # same ascending-rid insert path the merge does.
         fresh = SegmentIndex(order, partitioner)
@@ -282,47 +291,13 @@ class TestMerge:
         assert pickle.dumps(merged) == pickle.dumps(fresh)
 
 
-class TestPivotDrift:
-    def test_balanced_cuts_do_not_drift(self, corpus):
-        index = SegmentIndex.build(corpus, n_vertical=4)
-        assert pivot_drift(
-            index.order, index.partitioner.cuts, PivotMethod.EVEN_TF
-        ) is None
-
-    def test_fragment_mass_cv_zero_when_even(self):
-        assert fragment_mass_cv([2, 2, 2, 2], [2]) == 0.0
-        assert fragment_mass_cv([8, 1, 1, 1], [1]) > 0.4
-        assert fragment_mass_cv([1, 2, 3], []) == 0.0
-
-    def test_skewed_append_triggers_rederivation(self):
-        """Batch-interned tokens all land after the original vocabulary,
-        so enough fresh mass drifts the Even-TF balance past threshold."""
-        base = RecordCollection(
-            [Record.make(i, [f"b{i}", f"b{i + 1}"]) for i in range(6)]
-        )
-        index = SegmentIndex.build(base, n_vertical=3)
-        order, cuts = index.order, index.partitioner.cuts
-        heavy = [
-            Record.make(100 + i, [f"hot{j}" for j in range(20)])
-            for i in range(10)
-        ]
-        index.apply_batch(heavy)
-        fresh = pivot_drift(order, cuts, PivotMethod.EVEN_TF)
-        assert fresh is not None
-        assert tuple(fresh) != tuple(cuts)
-        assert fragment_mass_cv(
-            order.rank_frequencies, fresh
-        ) < fragment_mass_cv(order.rank_frequencies, cuts)
-
-
 class TestCompactionKillPoints:
     """The manifest commit protocol under the chaos drill's kill-points."""
 
     def _streaming(self, corpus, dfs):
         return StreamingIndex.create(
             dfs, records=RecordCollection(list(corpus)[:30]), n_vertical=4,
-            config=IngestConfig(memtable_limit=8, fanout=2,
-                                auto_compact=False),
+            config=IngestConfig(memtable_limit=8, fanout=1_000),
         )
 
     def _kill_at(self, corpus, point):
@@ -334,9 +309,9 @@ class TestCompactionKillPoints:
         streaming.flush()
         streaming.apply_batch(batches[1])
         injector.schedule_kill(*streaming.kill_points()[point])
+        # The three level-0 generations merge into one at level 1.
         with pytest.raises(DFSError):
-            streaming.flush()
-            streaming.compact()
+            streaming.compact(major=True)
         return dfs, injector
 
     @pytest.mark.parametrize("point", ["pre-commit", "post-commit"])

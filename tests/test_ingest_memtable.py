@@ -1,9 +1,10 @@
 """Memtable tests, centered on the merge-exactness property.
 
-The streaming index's read path concatenates per-tier probe results
-(memtable + immutable generations) and sorts by ``(-score, rid)``.  That
-is only sound if it is bit-identical to probing one index built from the
-union of all tiers' records (and to a brute-force scan of them) — the
+The memtable is a plain :class:`SegmentIndex` over the tier's shared order
+and cuts.  The streaming index's read path concatenates per-tier probe
+results (memtable + immutable generations) and sorts by ``(-score, rid)``.
+That is only sound if it is bit-identical to probing one index built from
+the union of all tiers' records (and to a brute-force scan of them) — the
 property the hypothesis test below pins down for arbitrary tier splits
 and queries that mix known and memtable-only vocabulary.
 """
@@ -14,7 +15,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.data.records import Record, RecordCollection
-from repro.ingest import Memtable
+from repro.ingest import IngestConfig, StreamingIndex
+from repro.mapreduce.hdfs import InMemoryDFS
 from repro.service import SegmentIndex
 from tests.conftest import brute_force_search
 
@@ -56,7 +58,7 @@ class TestMergeExactness:
         ]
         order, partitioner = _shared_layout(base_records)
         generation = _build_tier(base_records, order, partitioner)
-        memtable = Memtable(order, partitioner)
+        memtable = SegmentIndex(order, partitioner)
         if fresh_records:
             memtable.apply_batch(fresh_records)
 
@@ -66,7 +68,7 @@ class TestMergeExactness:
         encoded = union.encode_query(query)
         merged = sorted(
             generation.probe_batch([encoded], theta)[0]
-            + memtable.index.probe_batch([encoded], theta)[0],
+            + memtable.probe_batch([encoded], theta)[0],
             key=lambda hit: (-hit.score, hit.rid),
         )
         assert [merged] == union.probe_batch([encoded], theta)
@@ -82,13 +84,13 @@ class TestMergeExactness:
         generation = _build_tier(base_records, order, partitioner)
         before = [generation.probe(r.tokens, 0.5) for r in base_records]
 
-        memtable = Memtable(order, partitioner)
+        memtable = SegmentIndex(order, partitioner)
         memtable.apply_batch(
             [Record.make(100, ["nv-a", "nv-b"] + TOKENS[:2])]
         )
         after = [generation.probe(r.tokens, 0.5) for r in base_records]
         assert before == after
-        hits = memtable.index.probe(["nv-a", "nv-b"], 0.4)
+        hits = memtable.probe(["nv-a", "nv-b"], 0.4)
         assert [hit.rid for hit in hits] == [100]
 
 
@@ -97,19 +99,29 @@ class TestMemtableLifecycle:
         order, partitioner = _shared_layout(
             [Record.make(0, TOKENS[:3])]
         )
-        memtable = Memtable(order, partitioner)
+        memtable = SegmentIndex(order, partitioner)
         memtable.apply_batch([Record.make(7, TOKENS[3:6]),
                               Record.make(3, TOKENS[1:4])])
         assert memtable.rids() == [3, 7]
-        assert set(memtable.index.tokens_of(3)) == set(TOKENS[1:4])
-        assert set(memtable.index.tokens_of(7)) == set(TOKENS[3:6])
+        assert set(memtable.tokens_of(3)) == set(TOKENS[1:4])
+        assert set(memtable.tokens_of(7)) == set(TOKENS[3:6])
         assert len(memtable) == 2
         assert 7 in memtable and 4 not in memtable
 
     def test_seal_hands_off_the_inner_index(self):
-        order, partitioner = _shared_layout([Record.make(0, TOKENS[:3])])
-        memtable = Memtable(order, partitioner)
-        memtable.apply_batch([Record.make(5, TOKENS[:4])])
-        sealed = memtable.seal()
-        assert sealed is memtable.index
+        """A flush seals the memtable in place: the very index that
+        absorbed the batch becomes the level-0 generation, and a fresh
+        empty memtable over the same order and cuts takes over."""
+        streaming = StreamingIndex.create(
+            InMemoryDFS(),
+            records=RecordCollection([Record.make(0, TOKENS[:3])]),
+            n_vertical=4, config=IngestConfig(memtable_limit=1_000),
+        )
+        memtable = streaming.memtable
+        streaming.apply_batch([Record.make(5, TOKENS[:4])])
+        sealed = streaming.flush().index
+        assert sealed is memtable
+        assert streaming.memtable is not memtable
+        assert not len(streaming.memtable)
+        assert streaming.memtable.partitioner is memtable.partitioner
         assert [hit.rid for hit in sealed.probe(TOKENS[:4], 0.9)] == [5]

@@ -72,7 +72,7 @@ class TestWritePath:
         assert len(streaming.generations) < status["flushes"] + 1
 
     def test_flush_truncates_the_wal(self, corpus):
-        streaming = _stream(corpus, auto_flush=False)
+        streaming = _stream(corpus, memtable_limit=1_000)
         streaming.apply_batch(list(corpus)[30:45])
         assert streaming.wal.stats()["segments"] == 1
         streaming.flush()
@@ -147,7 +147,7 @@ class TestRecovery:
 
     def test_recover_replays_unflushed_batches(self, corpus):
         dfs = InMemoryDFS()
-        streaming = _stream(corpus, dfs=dfs, auto_flush=False)
+        streaming = _stream(corpus, dfs=dfs, memtable_limit=1_000)
         streaming.apply_batch(list(corpus)[30:40])
         recovered = StreamingIndex.recover(dfs)
         assert len(recovered) == 40
@@ -161,7 +161,7 @@ class TestRecovery:
 
     def test_recovered_writer_continues_ingesting(self, corpus):
         dfs = InMemoryDFS()
-        streaming = _stream(corpus, dfs=dfs, auto_flush=False)
+        streaming = _stream(corpus, dfs=dfs, memtable_limit=1_000)
         streaming.apply_batch(list(corpus)[30:40])
         recovered = StreamingIndex.recover(dfs)
         recovered.apply_batch(list(corpus)[40:55])
@@ -180,8 +180,8 @@ class TestRecovery:
         sequence numbers the manifest already covers, or the next recovery
         skips — loses — batches it acknowledged."""
         dfs = InMemoryDFS()
-        config = IngestConfig(auto_flush=False)
-        streaming = _stream(corpus, dfs=dfs, auto_flush=False)
+        config = IngestConfig(memtable_limit=1_000)
+        streaming = _stream(corpus, dfs=dfs, memtable_limit=1_000)
         streaming.apply_batch(list(corpus)[30:40])
         streaming.flush()
         recovered = StreamingIndex.recover(dfs, config=config)

@@ -7,7 +7,7 @@ Hypothesis test draws a corpus whose record lengths sit on and beside every
 edge of that window — Lemma 1's lower and upper edges and the positional
 edge for each number of query tokens left — for a 12-point grid of
 θ × function, and drives it through the verbs that lay runs out or move
-them: appends with and without a seal, flush, minor and major (re-cut)
+them: appends with and without a seal, flush, minor and major
 compaction, a cluster carve, a rebalance migration and a
 ``save_cluster``/``load_cluster`` round trip.  After every step:
 
@@ -28,7 +28,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.cluster import build_cluster, load_cluster, save_cluster
-from repro.core.pivots import select_pivots
 from repro.data.records import Record, RecordCollection
 from repro.ingest import IngestConfig, StreamingIndex
 from repro.mapreduce.counters import Counters
@@ -41,7 +40,7 @@ from tests.conftest import brute_force_search, random_collection
 THETAS = (0.4, 0.6, 0.8, 0.95)
 FUNCS = ("jaccard", "dice", "cosine")
 VOCAB = [f"w{i:02d}" for i in range(24)]
-VERBS = ("append", "append+seal", "flush", "minor", "major-recut", "carve",
+VERBS = ("append", "append+seal", "flush", "minor", "major", "carve",
          "rebalance", "save-load")
 
 
@@ -116,8 +115,7 @@ class World:
         self.twin = SegmentIndex.build(RecordCollection(base), n_vertical=4)
         self.stream = StreamingIndex.create(
             InMemoryDFS(), records=RecordCollection(base), n_vertical=4,
-            config=IngestConfig(fanout=2, auto_flush=False,
-                                auto_compact=False),
+            config=IngestConfig(memtable_limit=1_000, fanout=2),
         )
         self.applied = list(base)
         self.router = None
@@ -137,10 +135,8 @@ class World:
         elif verb == "minor":
             self.stream.flush()
             self.stream.compact()
-        elif verb == "major-recut":
-            cuts = select_pivots(self.stream.order.rank_frequencies, 3,
-                                 method=self.stream.pivot_method)
-            self.stream.compact(major=True, cuts=tuple(cuts))
+        elif verb == "major":
+            self.stream.compact(major=True)
         elif verb == "carve":
             self.router = build_cluster(self.index, n_shards=2)
             self.carved = list(self.applied)
@@ -160,7 +156,7 @@ class World:
                 self.router = load_cluster(directory)
 
     def check(self, queries):
-        tiers = [self.index, self.twin, self.stream.memtable.index] + [
+        tiers = [self.index, self.twin, self.stream.memtable] + [
             gen.index for gen in self.stream.generations
         ]
         if self.router is not None:

@@ -11,6 +11,7 @@ import pytest
 from repro.analysis.report import format_phase_breakdown, phase_breakdown
 from repro.baselines.naive import naive_self_join
 from repro.core import FSJoin, FSJoinConfig
+from repro.mapreduce.executors import create_executor
 from repro.mapreduce.runtime import ClusterSpec, SimulatedCluster
 from repro.observability import (
     NOOP_TRACER,
@@ -30,6 +31,17 @@ from tests.conftest import random_collection
 from tests.test_mr_fault_tolerance import LINES, FailFirstAttempts, WordCount
 
 EXECUTORS = ["serial", "thread", "process"]
+
+
+def _batch_with_spans(task):
+    """Worker task (module-level: picklable): serve one batch, traced or
+    not, and return its hits with each span's (name, queries attribute)."""
+    index, queries, traced = task
+    tracer = Tracer() if traced else NOOP_TRACER
+    hits = SimilarityService(index, cache_size=0, tracer=tracer).search_batch(
+        queries, 0.5
+    )
+    return hits, [(s.name, s.attrs.get("queries")) for s in tracer.spans()]
 
 
 def span_shape(spans):
@@ -399,19 +411,22 @@ class TestServiceTracing:
 
     @pytest.mark.parametrize("executor", [None, "thread", "process"])
     def test_batch_bit_identical_traced_vs_untraced(self, corpus, executor):
+        """Tracing never changes a batch's answers, whether the untraced and
+        traced batches run in the caller or on workers of a backend (a
+        process worker serving an unpickled copy of the index)."""
         queries = [list(r.tokens) for r in corpus][:12]
         index = SegmentIndex.build(corpus, n_vertical=4)
-        plain = SimilarityService(index, cache_size=0).search_batch(
-            queries, 0.5, executor=executor
-        )
-        tracer = Tracer()
-        traced_service = SimilarityService(index, cache_size=0, tracer=tracer)
-        traced = traced_service.search_batch(queries, 0.5, executor=executor)
+        tasks = [(index, queries, False), (index, queries, True)]
+        if executor is None:
+            runs = [_batch_with_spans(task) for task in tasks]
+        else:
+            runs = create_executor(executor, 2).run_tasks(
+                _batch_with_spans, tasks
+            )
+        (plain, untraced_spans), (traced, spans) = runs
         assert traced == plain
-        batch = tracer.spans()[0]
-        assert batch.name == "batch" and batch.attrs["queries"] == 12
-        if executor is not None:
-            assert any(s.name == "probe-chunk" for s in tracer.spans())
+        assert untraced_spans == []
+        assert spans[0] == ("batch", 12)
 
     def test_latency_info(self, corpus):
         service = SimilarityService(SegmentIndex.build(corpus, n_vertical=4))

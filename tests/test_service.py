@@ -145,14 +145,6 @@ class TestSearchBatch:
         assert service.metrics.get(PROBE, "probes") == probes_before
         assert len(again) == 5
 
-    @pytest.mark.parametrize("backend", ["serial", "thread"])
-    def test_executor_backends_match_in_process(self, corpus, service, backend):
-        queries = [record.tokens for record in corpus]
-        plain = SimilarityService(service.index, cache_size=0)
-        fanned = SimilarityService(service.index, cache_size=0)
-        expected = plain.search_batch(queries, 0.6)
-        assert fanned.search_batch(queries, 0.6, executor=backend) == expected
-
     def test_empty_batch(self, service):
         assert service.search_batch([], 0.6) == []
 

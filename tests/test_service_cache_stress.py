@@ -1,8 +1,7 @@
 """Concurrency stress tests for the service's LRU cache.
 
-The service is probed from thread fan-outs (``search_batch`` over the
-thread executor, callers sharing one :class:`SimilarityService` across
-request threads).  Before the cache grew an internal lock, concurrent
+The service is probed from many request threads at once (callers sharing
+one :class:`SimilarityService`).  Before the cache grew an internal lock, concurrent
 ``move_to_end``/``popitem`` on the backing ``OrderedDict`` could corrupt
 it (KeyError from ``popitem`` on an entry another thread just moved,
 sizes drifting past capacity, evictions lost).  These tests hammer
@@ -96,7 +95,7 @@ class TestServiceUnderThreads:
             SegmentIndex.build(corpus, n_vertical=5), cache_size=1024
         ).search_batch(queries, theta)
 
-        service = SimilarityService(index, cache_size=3, executor="thread")
+        service = SimilarityService(index, cache_size=3)
 
         def probe(offset):
             rotated = queries[offset % len(queries):] + queries[:offset % len(queries)]

@@ -7,7 +7,8 @@ brute-force scan over token sets returns — same rids, same scores, same order 
 probes, batches and the self-join.  The oracle
 (:func:`tests.conftest.brute_force_search`, ``naive_self_join``,
 ``FSJoin.run``) shares no logic with the index.  Also pinned here: the
-``probe_batch`` result-ordering guarantee across executor fan-outs, the
+``probe_batch`` / ``search_batch`` result-ordering guarantee (also when a
+caller fans a batch out over serial/thread/process workers), the
 byte-accurate ``posting_stats``, and the v5 snapshot format.
 """
 
@@ -22,6 +23,7 @@ from repro.baselines.naive import naive_self_join
 from repro.core import FilterConfig, FSJoin, FSJoinConfig
 from repro.errors import SnapshotError
 from repro.mapreduce.counters import Counters
+from repro.mapreduce.executors import create_executor
 from repro.service import SegmentIndex, SimilarityService, load_index
 from repro.service.columnar import FragmentPostings
 from repro.service.snapshot import SNAPSHOT_FORMAT
@@ -124,7 +126,7 @@ class TestPathEquivalence:
 
 class TestBatchOrderingContract:
     """probe_batch: per-query hits sorted by (-score, rid), lists aligned
-    with input order, identical across serial/thread/process fan-out."""
+    with input order, and the service's batch serving the same lists."""
 
     @pytest.fixture(scope="class")
     def queries(self, corpus):
@@ -141,14 +143,41 @@ class TestBatchOrderingContract:
         for hits in index.probe_batch(encoded, 0.3):
             assert hits == sorted(hits, key=lambda h: (-h.score, h.rid))
 
+    def test_search_batch_preserves_order(self, index, queries):
+        service = SimilarityService(index, cache_size=0)
+        batch = service.search_batch(queries, 0.5)
+        assert batch == index.probe_batch(
+            [index.encode_query(q) for q in queries], 0.5
+        )
+        for hits in batch:
+            assert hits == sorted(hits, key=lambda h: (-h.score, h.rid))
+
     @pytest.mark.parametrize("executor", ["serial", "thread", "process"])
     def test_executor_fanout_preserves_order(self, index, queries, executor):
-        service = SimilarityService(index, cache_size=0)
-        fanned = service.search_batch(queries, 0.5, executor=executor)
-        baseline = service.search_batch(queries, 0.5, executor=None)
+        """A caller that fans a batch out in chunks over its own workers
+        (each serving its chunk from its own service; a process worker from
+        an unpickled copy of the index) gets back the in-process batch."""
+        chunks = [(index, queries[i:i + 16], 0.5)
+                  for i in range(0, len(queries), 16)]
+        fanned = [
+            hits
+            for chunk in create_executor(executor, 2).run_tasks(
+                _serve_chunk, chunks
+            )
+            for hits in chunk
+        ]
+        baseline = SimilarityService(index, cache_size=0).search_batch(
+            queries, 0.5
+        )
         assert fanned == baseline
         for hits in fanned:
             assert hits == sorted(hits, key=lambda h: (-h.score, h.rid))
+
+
+def _serve_chunk(task):
+    """Worker task: serve one chunk of a batch (module-level: picklable)."""
+    index, chunk, theta = task
+    return SimilarityService(index, cache_size=0).search_batch(chunk, theta)
 
 
 class TestPostingStats:

@@ -131,7 +131,7 @@ class TestStagedEqualsSealed:
         """Memtable over the bootstrap generation and a flushed one; more
         flushes as the batches fill it, one compaction at the end."""
         base, batches = _batches(scenario)
-        config = IngestConfig(memtable_limit=8, auto_compact=False)
+        config = IngestConfig(memtable_limit=8, fanout=1_000)
         streams = [
             StreamingIndex.create(
                 InMemoryDFS(), records=RecordCollection(base), n_vertical=4,
@@ -148,10 +148,10 @@ class TestStagedEqualsSealed:
         for batch in batches:
             stream.apply_batch(batch)
             twin.apply_batch(batch)
-            twin.memtable.index._seal()
+            twin.memtable._seal()
             applied += batch
             assert len(stream.generations) >= 2
-            assert not len(stream.memtable) or _staged(stream.memtable.index)
+            assert not len(stream.memtable) or _staged(stream.memtable)
             self._check(stream, twin, applied, scenario["queries"])
         for each in streams:
             each.compact(major=True)
@@ -189,7 +189,7 @@ class TestStagedEqualsSealed:
         for batch in batches:
             router.apply_batch(batch)
             twin.apply_batch(batch)
-            twin.ingest.streaming.memtable.index._seal()
+            twin.ingest.streaming.memtable._seal()
             applied += batch
             for func, theta in CASES:
                 expected = [
