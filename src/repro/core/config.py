@@ -35,10 +35,13 @@ class FilterConfig:
     ``early_verify`` enables PPJoin-style positional upper-bounding inside
     the fragment join's segment merges: the merge is abandoned as soon as
     the remaining suffixes cannot reach the smallest intersection that
-    would survive the post-intersection filters.  Join results are
-    provably unchanged (the bound only fires on pairs the filters would
-    prune anyway); the flag exists so the saved token comparisons can be
-    measured.
+    would survive the post-intersection filters.  It acts only where a
+    merge runs — the loop join, and prefix-join pairs whose segments are
+    not both inside their safe prefix; the index join and whole-prefix
+    pairs take the count from the scan and merge nothing.  Join results
+    are provably unchanged (the bound only fires on pairs the filters
+    would prune anyway); the flag exists so the saved token comparisons
+    can be measured.
     """
 
     strl: bool = True
@@ -77,8 +80,9 @@ class FSJoinConfig:
         n_horizontal: Number of *base* horizontal (length) partitions; 1
             disables horizontal partitioning (the paper's FS-Join-V).
         pivot_seed: Seed for the Random pivot method.
-        executor: Task-execution backend used when the driver builds its
-            own cluster (``serial``/``thread``/``process``); ``None``
+        executor: Task-execution backend used when a driver (``FSJoin``,
+            ``FSJoinRS``, ``IncrementalSelfJoin``) builds its own cluster
+            (``serial``/``thread``/``process``); ``None``
             inherits the :class:`~repro.mapreduce.runtime.ClusterSpec`
             default.  Ignored when an explicit cluster is passed in.
     """

@@ -35,7 +35,7 @@ from repro.errors import CheckpointError, ConfigError
 from repro.mapreduce.checkpoint import PipelineCheckpoint
 from repro.mapreduce.hdfs import InMemoryDFS
 from repro.mapreduce.pipeline import PipelineResult
-from repro.mapreduce.runtime import ClusterSpec, SimulatedCluster
+from repro.mapreduce.runtime import SimulatedCluster
 
 #: DFS root the per-job checkpoints live under.
 CHECKPOINT_ROOT = "fsjoin/ckpt"
@@ -67,14 +67,7 @@ class FSJoin:
         returned results are identical); lets callers audit the
         intermediate HDFS volume that dominates MassJoin's cost story."""
         self.config = config
-        if cluster is None:
-            spec = (
-                ClusterSpec(executor=config.executor)
-                if config.executor is not None
-                else ClusterSpec()
-            )
-            cluster = SimulatedCluster(spec)
-        self.cluster = cluster
+        self.cluster = cluster or SimulatedCluster(executor=config.executor)
         self.dfs = dfs
 
     @property

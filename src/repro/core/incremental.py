@@ -47,7 +47,7 @@ class IncrementalSelfJoin:
         cluster: Optional[SimulatedCluster] = None,
     ) -> None:
         self.config = config
-        self.cluster = cluster or SimulatedCluster()
+        self.cluster = cluster or SimulatedCluster(executor=config.executor)
         self._records = RecordCollection()
         self._results: Dict[Pair, float] = {}
 

@@ -42,8 +42,17 @@ Three ways of finding a probing segment's partners, as in the paper:
   partner (see DESIGN.md §4.1): if ``sim(s,t) ≥ θ`` the two segments are
   guaranteed to collide on a prefix token in every fragment where a similar
   pair must be counted, so the aggregated counts stay exact for every
-  reported result.  Candidate pairs found by prefix collision still get
-  their exact intersection via a merge of the full segments.
+  reported result.  A segment is *whole* when that prefix is all of it:
+  a pair of whole segments takes the scan's hit count, exact as the index
+  join's, and any other pair found by prefix collision gets its exact
+  intersection from a merge of the full segments.  Which pairs are whole
+  follows from θ, the function and the cuts; at the paper's 30 fragments
+  on short records nearly all are, and the prefix join merges nothing.
+
+The filter battery (Lemmas 2–4, ``core/filters.py``) runs inline in the
+partner loop, over flat columns of the sorted fragment, with ``τ``
+memoised per length pair and the counters kept in locals until the
+fragment is done.
 
 Posting lists hold ascending segment indices, so the window is one C
 ``bisect`` per list.
@@ -56,11 +65,11 @@ from itertools import accumulate, repeat
 from typing import Any, Dict, Iterable, Iterator, List, Optional, Tuple
 
 from repro.core.config import FilterConfig, JoinMethod
-from repro.core.filters import FragmentFilters
+from repro.core.filters import min_partner_len
 from repro.core.partitioning import Segment
 from repro.mapreduce.job import JobContext
 from repro.similarity.functions import SimilarityFunction
-from repro.similarity.thresholds import prefix_length
+from repro.similarity.thresholds import prefix_length, required_overlap
 from repro.similarity.verify import bounded_merge_intersection
 
 #: ``(owner, (len_owner, rid_t, len_t, common, …))`` — see the module docstring.
@@ -101,111 +110,152 @@ def join_fragment(
     ``pivot`` is the length pivot of a horizontal boundary partition (only
     pairs straddling it are joined); ``cross_side`` restricts an R-S join
     to pairs from different collections.  The ``fsjoin.filter`` counters
-    are tallied locally and added to ``context`` once, after the fragment
+    are tallied in locals and added to ``context`` once, after the fragment
     is joined: ``pairs_considered`` counts the pairs the filter battery ran
     on, ``candidates_emitted`` the pairs inside the ``stripes_emitted``
     records returned.
     """
     method = JoinMethod(method)
-    filters = FragmentFilters(theta, func, filter_config)
-    counts = dict.fromkeys(_COUNTER_NAMES, 0)
+    func = SimilarityFunction(func)
+    config = filter_config
     segments = sorted(
         segments, key=lambda s: (s.info.str_len, s.info.side, s.info.rid)
     )
-    lens = [segment.info.str_len for segment in segments]
+    # Flat columns, built once: the partner loop reads these, never a
+    # Segment or its info.
+    infos = [segment.info for segment in segments]
+    rids = [info.rid for info in infos]
+    sides = [info.side for info in infos]
+    lens = [info.str_len for info in infos]
+    aheads = [info.ahead for info in infos]
+    behinds = [info.behind for info in infos]
+    tokens = [segment.tokens for segment in segments]
+    sizes = [len(segment_tokens) for segment_tokens in tokens]
     # Segments [0, split) are partners, [first_probe, n) probe; without a
     # pivot every segment is both.
     split = len(segments) if pivot is None else bisect_left(lens, pivot)
     first_probe = 0 if pivot is None else split
     window_start = {
-        length: bisect_left(lens, filters.min_partner_len(length))
+        length: bisect_left(lens, min_partner_len(config, func, theta, length))
         for length in set(lens)
     }
     starts = [window_start[length] for length in lens]
     if cross_side:
         # right_before[k]: side-1 segments among the first k.
-        right_before = list(
-            accumulate((s.info.side for s in segments), initial=0)
-        )
+        right_before = list(accumulate(sides, initial=0))
     if method is JoinMethod.LOOP:
         probes = _loop_probes(starts, first_probe, split)
     elif method is JoinMethod.INDEX:
-        probes = _index_probes(segments, starts, first_probe, split)
+        probes = _index_probes(tokens, starts, first_probe, split)
     else:
         prefix_of = {
             length: prefix_length(func, theta, length) for length in set(lens)
         }
-        probes = _index_probes(segments, starts, first_probe, split, prefix_of)
+        probes = _index_probes(
+            tokens, starts, first_probe, split,
+            [prefix_of[length] for length in lens],
+        )
+    segl, segi, segd = config.segl, config.segi, config.segd
+    needs_tau = segl or segi or segd
+    early_verify = config.early_verify
+    # record length -> partner length -> τ
+    tau_rows: Dict[int, Dict[int, int]] = {}
+    considered = pruned_strl = pruned_segl = comparisons = 0
+    pruned_overlap_bound = disjoint = pruned_segi = pruned_segd = 0
+    candidates = 0
+    # Lemma 3's and Lemma 4's smallest surviving intersection: set for
+    # every pair while its lemma is on, 0 (never prunes) while it is off.
+    segi_min = segd_min = 0
     stripes: List[KeyedStripe] = []
     for current, partners in probes:
-        segment = segments[current]
-        info = segment.info
-        side = info.side
+        side = sides[current]
         skipped = min(starts[current], split)
         if cross_side:
             skipped = (
                 right_before[skipped] if side == 0
                 else skipped - right_before[skipped]
             )
-        counts["pruned_strl"] += skipped
-        stripe = [info.str_len]
+        pruned_strl += skipped
+        len_s = lens[current]
+        ahead_s, behind_s = aheads[current], behinds[current]
+        size_s, tokens_s = sizes[current], tokens[current]
+        taus = tau_rows.setdefault(len_s, {})
+        stripe = [len_s]
         for earlier, common in partners:
-            other = segments[earlier]
-            if cross_side and other.info.side == side:
+            if cross_side and sides[earlier] == side:
                 continue
-            common = _surviving_common(segment, other, filters, counts, common)
-            if common:
-                stripe += (other.info.rid, other.info.str_len, common)
+            considered += 1
+            if needs_tau:
+                len_t = lens[earlier]
+                tau = taus.get(len_t)
+                if tau is None:
+                    tau = taus[len_t] = required_overlap(func, theta, len_s, len_t)
+                ahead_t, behind_t = aheads[earlier], behinds[earlier]
+                size_t = sizes[earlier]
+                # Lemmas 2 and 3 share one slack: what the segments
+                # themselves must contribute once heads and tails overlap
+                # as fully as they can.
+                slack = (
+                    tau
+                    - (ahead_s if ahead_s < ahead_t else ahead_t)
+                    - (behind_s if behind_s < behind_t else behind_t)
+                )
+                # Lemma 2: even a full overlap of the shorter segment falls
+                # short.
+                if segl and (size_s if size_s < size_t else size_t) < slack:
+                    pruned_segl += 1
+                    continue
+                # Lemma 3 prunes when common < slack.
+                if segi:
+                    segi_min = slack
+                if segd:
+                    # Lemma 4 prunes when |seg_s| + |seg_t| − 2·common
+                    # exceeds the symmetric-difference budget left after
+                    # the unavoidable head/tail differences; i.e. the pair
+                    # survives iff common ≥ ⌈(|seg_s| + |seg_t| − budget) / 2⌉.
+                    budget = (
+                        (len_s + len_t - 2 * tau)
+                        - abs(ahead_s - ahead_t)
+                        - abs(behind_s - behind_t)
+                    )
+                    segd_min = -((budget - size_s - size_t) // 2)
+            if common is None:
+                # Early-termination merge: abandon as soon as the remaining
+                # suffixes cannot reach the smallest intersection Lemmas 3
+                # and 4 would keep; an abandoned pair was doomed either way.
+                common, spent, completed = bounded_merge_intersection(
+                    tokens_s, tokens[earlier],
+                    max(1, segi_min, segd_min) if early_verify else 1,
+                )
+                comparisons += spent
+                if not completed:
+                    pruned_overlap_bound += 1
+                    continue
+                if not common:
+                    disjoint += 1
+                    continue
+            if common < segi_min:
+                pruned_segi += 1
+                continue
+            if common < segd_min:
+                pruned_segd += 1
+                continue
+            stripe += (rids[earlier], lens[earlier], common)
         if len(stripe) > 1:
-            counts["candidates_emitted"] += len(stripe) // 3
+            candidates += len(stripe) // 3
             stripes.append(
-                ((side, info.rid) if cross_side else info.rid, tuple(stripe))
+                ((side, rids[current]) if cross_side else rids[current],
+                 tuple(stripe))
             )
-    counts["stripes_emitted"] = len(stripes)
     if context is not None:
-        for name, amount in counts.items():
+        for name, amount in zip(_COUNTER_NAMES, (
+            considered, pruned_strl, pruned_segl, comparisons,
+            pruned_overlap_bound, disjoint, pruned_segi, pruned_segd,
+            candidates, len(stripes),
+        )):
             if amount:
                 context.increment(_COUNTER_GROUP, name, amount)
     return stripes
-
-
-def _surviving_common(
-    seg_a: Segment,
-    seg_b: Segment,
-    filters: FragmentFilters,
-    counts: Dict[str, int],
-    common: Optional[int],
-) -> int:
-    """Run the filter battery on one segment pair; its exact intersection
-    if the pair survives, else 0."""
-    counts["pairs_considered"] += 1
-    pruned, segi_min, segd_min = filters.bounds(seg_a, seg_b)
-    if pruned is None:
-        if common is None:
-            # Early-termination merge: abandon as soon as the remaining
-            # suffixes cannot reach the smallest intersection the
-            # post-intersection filters would keep; an abandoned pair was
-            # doomed either way.
-            required = (
-                filters.min_required_common(segi_min, segd_min)
-                if filters.config.early_verify
-                else 1
-            )
-            common, comparisons, completed = bounded_merge_intersection(
-                seg_a.tokens, seg_b.tokens, required
-            )
-            counts["verify_token_comparisons"] += comparisons
-            if not completed:
-                counts["pruned_overlap_bound"] += 1
-                return 0
-        if common == 0:
-            counts["disjoint_segments"] += 1
-            return 0
-        pruned = filters.verdict(common, segi_min, segd_min)
-    if pruned is not None:
-        counts["pruned_" + pruned] += 1
-        return 0
-    return common
 
 
 def _loop_probes(
@@ -217,35 +267,51 @@ def _loop_probes(
 
 
 def _index_probes(
-    segments: List[Segment],
+    tokens: List[Tuple[int, ...]],
     starts: List[int],
     first_probe: int,
     split: int,
-    prefix_of: Optional[Dict[int, int]] = None,
+    prefixes: Optional[List[int]] = None,
 ) -> Iterator[Probe]:
-    """The index join; given ``prefix_of`` (record length → safe prefix
+    """The index join; given ``prefixes`` (each segment's safe prefix
     length) the prefix join, which indexes and probes only that many of a
-    segment's tokens and leaves the intersections to the merge."""
+    segment's tokens.  A segment is *whole* when its prefix is all of it:
+    a pair of whole segments gets its scan count, exact as the index
+    join's, and any other pair ``None``, left to the merge."""
+    whole = (
+        None if prefixes is None
+        else [prefix >= len(seg) for prefix, seg in zip(prefixes, tokens)]
+    )
+    # Whether a cut (not whole) segment has been indexed yet: until one
+    # is, a whole probing segment's scan counts are all exact.
+    cut_indexed = False
     # token rank -> ascending indices of earlier segments containing it.
     inverted: Dict[int, List[int]] = {}
-    for current, segment in enumerate(segments):
-        tokens = segment.tokens
-        if prefix_of is not None:
-            tokens = tokens[: prefix_of[segment.info.str_len]]
+    for current, probe_tokens in enumerate(tokens):
+        exact = whole is None or whole[current]
+        if not exact:
+            probe_tokens = probe_tokens[: prefixes[current]]
         if current >= first_probe:
             # Probing every token of the current segment against the index
             # of the earlier segments yields each one's exact intersection
             # count in one pass.
             start = starts[current]
             hits: Dict[int, int] = {}
-            for token in tokens:
+            for token in probe_tokens:
                 postings = inverted.get(token)
                 if postings:
                     for earlier in postings[bisect_left(postings, start):]:
                         hits[earlier] = hits.get(earlier, 0) + 1
-            yield current, (
-                hits.items() if prefix_of is None else zip(hits, repeat(None))
-            )
+            if not exact:
+                yield current, zip(hits, repeat(None))
+            elif cut_indexed:
+                yield current, [
+                    (earlier, common if whole[earlier] else None)
+                    for earlier, common in hits.items()
+                ]
+            else:
+                yield current, hits.items()
         if current < split:
-            for token in tokens:
+            cut_indexed = cut_indexed or not exact
+            for token in probe_tokens:
                 inverted.setdefault(token, []).append(current)

@@ -73,7 +73,7 @@ class FSJoinRS:
         cluster: Optional[SimulatedCluster] = None,
     ) -> None:
         self.config = config
-        self.cluster = cluster or SimulatedCluster()
+        self.cluster = cluster or SimulatedCluster(executor=config.executor)
 
     def run(
         self, left: RecordCollection, right: RecordCollection

@@ -525,24 +525,40 @@ def _run_map_task(
         part = buffer.get(index)
         if part is None:
             part = buffer[index] = _Partition()
+            if has_combiner:
+                key_bytes[index] = {}
         group = part.groups.get(key)
         if group is None:
             part.groups[key] = [value]
         else:
             group.append(value)
+        # A map that re-emits its input pair (an identity map) ships it at
+        # the size it was read at.
+        if value is in_value and key is in_key:
+            size = in_size
+        else:
+            size = estimate_pair_size(key, value)
         part.records += 1
-        part.nbytes += estimate_pair_size(key, value)
+        part.nbytes += size
+        if has_combiner:
+            sized = key_bytes[index]
+            sized[key] = sized.get(key, 0) + size
 
+    # partition index -> key -> bytes emitted under it, for the combiner.
+    key_bytes: Dict[int, Dict[Any, int]] = {}
+    in_key = in_value = None
+    in_size = 0
     started = time.perf_counter()
     job.setup(context)
     input_bytes = 0
-    for key, value in split:
-        input_bytes += estimate_pair_size(key, value)
-        job.map(key, value, emit, context)
+    for in_key, in_value in split:
+        in_size = estimate_pair_size(in_key, in_value)
+        input_bytes += in_size
+        job.map(in_key, in_value, emit, context)
     task.input_records = len(split)
     task.input_bytes = input_bytes
     if has_combiner:
-        _apply_combiner(job, context, buffer)
+        _apply_combiner(job, context, buffer, key_bytes)
     task.output_records = sum(part.records for part in buffer.values())
     task.output_bytes = sum(part.nbytes for part in buffer.values())
     task.compute_seconds = time.perf_counter() - started
@@ -550,19 +566,25 @@ def _run_map_task(
 
 
 def _apply_combiner(
-    job: MapReduceJob, context: JobContext, buffer: Dict[int, _Partition]
+    job: MapReduceJob,
+    context: JobContext,
+    buffer: Dict[int, _Partition],
+    key_bytes: Dict[int, Dict[Any, int]],
 ) -> None:
     """Run the combiner over each buffered key group, moving the
-    partition's totals from the pairs it replaces to the pairs it returns."""
-    for part in buffer.values():
+    partition's totals from the pairs it replaces to the pairs it returns.
+    ``key_bytes`` holds what each group was sized at when emitted, so the
+    replaced pairs are not sized again."""
+    for index, part in buffer.items():
         groups = part.groups
+        sized = key_bytes[index]
         for key in list(groups):
             values = groups[key]
             combined = job.combine(key, values, context)
             if combined is None:
                 continue
             part.records -= len(values)
-            part.nbytes -= sum(estimate_pair_size(key, v) for v in values)
+            part.nbytes -= sized[key]
             kept = groups[key] = []
             for new_key, new_value in combined:
                 if new_key != key:

@@ -38,8 +38,11 @@ def estimate_size(value: Any) -> int:
     if kind is tuple:
         size = _CONTAINER_OVERHEAD
         for item in value:
-            if type(item) is int:
+            item_kind = type(item)
+            if item_kind is int:
                 size += (item.bit_length() + 6) // 7 or 1
+            elif item_kind is str:
+                size += len(item) + 1
             else:
                 size += estimate_size(item)
         return size

@@ -12,11 +12,10 @@ from dataclasses import replace
 from itertools import product
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import Phase, find, given, settings
 from hypothesis import strategies as st
 
 from repro.core.config import FilterConfig, JoinMethod
-from repro.core.filters import FragmentFilters
 from repro.core.horizontal import HorizontalPlan
 from repro.core.joins import join_fragment
 from repro.core.partitioning import Segment, SegmentInfo, VerticalPartitioner
@@ -42,18 +41,24 @@ thetas = st.sampled_from([0.5, 0.6, 0.75, 0.8, 0.9, 0.95])
 funcs = st.sampled_from(list(SimilarityFunction))
 
 
-def _pre(filters, seg_s, seg_t):
-    """The length-only filter that prunes the pair, or None."""
-    small, large = sorted((seg_s.info.str_len, seg_t.info.str_len))
-    if small < filters.min_partner_len(large):
-        return "strl"
-    return filters.bounds(seg_s, seg_t)[0]
-
-
-def _post(filters, seg_s, seg_t, common):
-    """The intersection-dependent filter that prunes the pair, or None."""
-    _, segi_min, segd_min = filters.bounds(seg_s, seg_t)
-    return filters.verdict(common, segi_min, segd_min)
+def _outcome(theta, func, config, seg_s, seg_t):
+    """What ``join_fragment`` does with the two-segment fragment
+    ``{seg_s, seg_t}``: the lemma that pruned the pair (``"strl"``,
+    ``"segl"``, ``"segi"`` or ``"segd"``), ``"disjoint"`` when the segments
+    share no token, or None when the pair is emitted.  The loop join with
+    ``early_verify`` off merges every pair to the end, so a post-
+    intersection lemma decides on the exact segment intersection."""
+    _, counts = _join(
+        [seg_s, seg_t], JoinMethod.LOOP, theta, func,
+        replace(config, early_verify=False),
+    )
+    for lemma in ("strl", "segl", "segi", "segd"):
+        if counts.get(f"pruned_{lemma}"):
+            return lemma
+    if counts.get("disjoint_segments"):
+        return "disjoint"
+    assert counts["candidates_emitted"] == 1
+    return None
 
 
 class TestFilterConfig:
@@ -88,16 +93,10 @@ class TestKnownCases:
         partitioner = VerticalPartitioner((3, 6))  # cut ranks of D and G
         seg_s = dict(partitioner.split(0, (0, 1, 3, 4, 6)))
         seg_t = dict(partitioner.split(1, (1, 3, 4, 5, 10)))
-        filters = FragmentFilters(0.8, SimilarityFunction.JACCARD, FilterConfig())
         for i in set(seg_s) & set(seg_t):
-            pruned = _pre(filters, seg_s[i], seg_t[i])
-            if pruned is None:
-                common = len(set(seg_s[i].tokens) & set(seg_t[i].tokens))
-                pruned = (
-                    "disjoint"
-                    if common == 0
-                    else _post(filters, seg_s[i], seg_t[i], common)
-                )
+            pruned = _outcome(
+                0.8, SimilarityFunction.JACCARD, FilterConfig(), seg_s[i], seg_t[i]
+            )
             assert pruned is not None
 
     def test_strl_prunes_length_mismatch(self):
@@ -105,8 +104,9 @@ class TestKnownCases:
         partitioner = VerticalPartitioner(())
         (_, short), = partitioner.split(0, (1, 2))
         (_, long), = partitioner.split(1, tuple(range(20)))
-        filters = FragmentFilters(0.8, SimilarityFunction.JACCARD, FilterConfig())
-        assert _pre(filters, short, long) == "strl"
+        assert _outcome(
+            0.8, SimilarityFunction.JACCARD, FilterConfig(), short, long
+        ) == "strl"
         for method in JoinMethod:
             for strl, expected in (
                 (True, {"pruned_strl": 1}),
@@ -125,20 +125,22 @@ class TestKnownCases:
         partitioner = VerticalPartitioner((5,))
         segs_a = dict(partitioner.split(0, (1, 2, 7, 8)))
         segs_b = dict(partitioner.split(1, (1, 2, 7, 8)))
-        filters = FragmentFilters(0.9, SimilarityFunction.JACCARD, FilterConfig())
         for i in segs_a:
-            seg_a, seg_b = segs_a[i], segs_b[i]
-            assert _pre(filters, seg_a, seg_b) is None
-            common = len(set(seg_a.tokens) & set(seg_b.tokens))
-            assert _post(filters, seg_a, seg_b, common) is None
+            assert _outcome(
+                0.9, SimilarityFunction.JACCARD, FilterConfig(),
+                segs_a[i], segs_b[i],
+            ) is None
 
     def test_disabled_filters_never_prune(self):
         partitioner = VerticalPartitioner(())
         (_, short), = partitioner.split(0, (1,))
         (_, long), = partitioner.split(1, tuple(range(30)))
-        filters = FragmentFilters(0.9, SimilarityFunction.JACCARD, FilterConfig.none())
-        assert _pre(filters, short, long) is None
-        assert _post(filters, short, long, 0) is None
+        assert _outcome(
+            0.9, SimilarityFunction.JACCARD, FilterConfig.none(), short, long
+        ) is None
+
+
+LEMMAS = {"strl", "segl", "segi", "segd"}
 
 
 class TestFilterSafety:
@@ -152,14 +154,9 @@ class TestFilterSafety:
         partitioner = VerticalPartitioner(cuts)
         segs_s = dict(partitioner.split(0, ranks_s))
         segs_t = dict(partitioner.split(1, ranks_t))
-        filters = FragmentFilters(theta, func, FilterConfig())
         for i in set(segs_s) & set(segs_t):
-            seg_s, seg_t = segs_s[i], segs_t[i]
-            pruned = _pre(filters, seg_s, seg_t)
-            if pruned is None:
-                common = len(set(seg_s.tokens) & set(seg_t.tokens))
-                pruned = _post(filters, seg_s, seg_t, common)
-            if pruned is not None:
+            pruned = _outcome(theta, func, FilterConfig(), segs_s[i], segs_t[i])
+            if pruned in LEMMAS:
                 assert score < theta + 1e-9, (
                     f"filter {pruned} pruned a pair with sim={score} >= {theta}"
                 )
@@ -171,11 +168,11 @@ class TestFilterSafety:
         partitioner = VerticalPartitioner(cuts)
         segs_a = dict(partitioner.split(0, ranks))
         segs_b = dict(partitioner.split(1, ranks))
-        filters = FragmentFilters(theta, SimilarityFunction.JACCARD, FilterConfig())
         for i in segs_a:
-            assert _pre(filters, segs_a[i], segs_b[i]) is None
-            common = len(segs_a[i])
-            assert _post(filters, segs_a[i], segs_b[i], common) is None
+            assert _outcome(
+                theta, SimilarityFunction.JACCARD, FilterConfig(),
+                segs_a[i], segs_b[i],
+            ) is None
 
 
 class TestFilterPowerOrdering:
@@ -187,13 +184,17 @@ class TestFilterPowerOrdering:
         partitioner = VerticalPartitioner(cuts)
         segs_s = dict(partitioner.split(0, ranks_s))
         segs_t = dict(partitioner.split(1, ranks_t))
-        segl_only = FragmentFilters(theta, func, FilterConfig.only("segl"))
-        segi_only = FragmentFilters(theta, func, FilterConfig.only("segi"))
+        segl_only = FilterConfig.only("segl")
+        segi_only = FilterConfig.only("segi")
         for i in set(segs_s) & set(segs_t):
             seg_s, seg_t = segs_s[i], segs_t[i]
             common = len(set(seg_s.tokens) & set(seg_t.tokens))
-            if _pre(segl_only, seg_s, seg_t) == "segl":
-                assert _post(segi_only, seg_s, seg_t, common) == "segi"
+            if _outcome(theta, func, segl_only, seg_s, seg_t) == "segl":
+                # A pair with no common token is dropped before Lemma 3 is
+                # asked; any other pair SegL prunes, SegI prunes too.
+                assert _outcome(theta, func, segi_only, seg_s, seg_t) == (
+                    "segi" if common else "disjoint"
+                )
 
 
 def _join(segments, method, theta, func, config, pivot=None, cross_side=False):
@@ -216,8 +217,13 @@ def _join(segments, method, theta, func, config, pivot=None, cross_side=False):
     )
 
 
+#: Prefix-colliding pair kinds by how many of its two segments are whole.
+_KINDS = ("cut/cut", "whole/cut", "whole/whole")
+
+
 def _reference_join(
-    segments, method, theta, func, config, pivot=None, cross_side=False
+    segments, method, theta, func, config, pivot=None, cross_side=False,
+    kinds=None,
 ):
     """Lemma-by-lemma fragment join, each lemma as the paper states it.
 
@@ -231,6 +237,12 @@ def _reference_join(
     production join must reproduce: ``pruned_strl`` counts the admissible
     pairs Lemma 1 rejects — whatever the join method — and
     ``pairs_considered`` the pairs the method then finds.
+
+    The prefix join finds the pairs whose segment prefixes collide.  A
+    segment is *whole* when its safe prefix is all of it; a pair of whole
+    segments takes its intersection from the prefixes (the production
+    join's scan count), any other pair is merged.  ``kinds``, when given,
+    collects the kinds (``_KINDS``) of the colliding pairs.
     """
     emitted, counts = [], {}
     plan = HorizontalPlan(() if pivot is None else (pivot,), theta, func)
@@ -319,10 +331,13 @@ def _reference_join(
             )
         )
 
-    prefixes = [
-        set(seg.tokens[: prefix_length(func, theta, seg.info.str_len)])
-        for seg in segments
+    prefix_lens = [
+        prefix_length(func, theta, seg.info.str_len) for seg in segments
     ]
+    prefixes = [
+        set(seg.tokens[:prefix]) for seg, prefix in zip(segments, prefix_lens)
+    ]
+    whole = [prefix >= len(seg) for seg, prefix in zip(segments, prefix_lens)]
     for j, current in enumerate(segments):
         for i, earlier in enumerate(segments[:j]):
             if not admissible(earlier, current):
@@ -336,7 +351,14 @@ def _reference_join(
                 if common:
                     consider(current, earlier, common)
             elif prefixes[i] & prefixes[j]:
-                consider(current, earlier)
+                if kinds is not None:
+                    kinds.add(_KINDS[whole[i] + whole[j]])
+                if whole[i] and whole[j]:
+                    # Both prefixes are the whole segment: the prefix scan
+                    # has counted the intersection, and no merge runs.
+                    consider(current, earlier, len(prefixes[i] & prefixes[j]))
+                else:
+                    consider(current, earlier)
     bump("stripes_emitted", len({owner for owner, _, _ in emitted}))
     return sorted(emitted), counts
 
@@ -371,7 +393,7 @@ ALL_FILTER_CONFIGS = [
 
 
 class TestSinglePassMatchesLemmaByLemma:
-    """``FragmentFilters.bounds`` evaluates the four lemmas once per segment
+    """``join_fragment`` evaluates the four lemmas inline, once per segment
     pair; the joins must still emit and count exactly what a lemma-by-lemma
     evaluation does, under every filter combination."""
 
@@ -448,3 +470,102 @@ class TestWindowMatchesSpecification:
             ]
         args = (segments, method, theta, func, config, pivot, cross_side)
         assert _join(*args) == _reference_join(*args)
+
+
+@st.composite
+def prefix_fragments(draw):
+    """One vertical partition of a few records over a 20-rank vocabulary,
+    split at 0–3 cuts.  Few cuts leave long segments, often longer than
+    their record's safe prefix (*cut*), beside short ones that stay
+    *whole*.  Sides are drawn for R-S; record ids are unique."""
+    records = draw(st.lists(
+        st.lists(st.integers(0, 19), min_size=1, max_size=14, unique=True),
+        min_size=2, max_size=10,
+    ))
+    cuts = draw(st.lists(st.integers(1, 19), max_size=3, unique=True))
+    sides = draw(st.lists(
+        st.integers(0, 1), min_size=len(records), max_size=len(records)
+    ))
+    partitioner = VerticalPartitioner(sorted(cuts))
+    fragments = {}
+    for rid, (ranks, side) in enumerate(zip(records, sides)):
+        for partition, segment in partitioner.split(
+            rid, tuple(sorted(ranks)), side=side
+        ):
+            fragments.setdefault(partition, []).append(segment)
+    return fragments[draw(st.sampled_from(sorted(fragments)))]
+
+
+def _colliding_kinds(segments, theta, func):
+    """The kinds of the prefix join's pairs in a self-join fragment."""
+    kinds = set()
+    _reference_join(
+        segments, JoinMethod.PREFIX, theta, func, FilterConfig(), kinds=kinds
+    )
+    return kinds
+
+
+class TestPrefixScanCountsAreExact:
+    """The prefix join takes a pair's intersection from its own scan when
+    both segments are whole, and merges every other pair: whatever the
+    mix, each partial count it emits is the loop join's."""
+
+    def test_fragments_reach_every_pair_kind(self):
+        find(
+            prefix_fragments(),
+            lambda segments: _colliding_kinds(
+                [Segment(replace(seg.info, side=0), seg.tokens)
+                 for seg in segments],
+                0.8, SimilarityFunction.JACCARD,
+            ) == set(_KINDS),
+            settings=settings(
+                max_examples=2_000, database=None, derandomize=True,
+                phases=[Phase.generate],
+            ),
+        )
+
+    @settings(max_examples=400, deadline=None)
+    @given(
+        prefix_fragments(), thetas, funcs, st.sampled_from(ALL_FILTER_CONFIGS),
+        st.sampled_from(("self", "rs", "pivot")), st.integers(2, 15),
+    )
+    def test_prefix_join_counts_like_the_loop_join(
+        self, segments, theta, func, config, mode, pivot
+    ):
+        cross_side = mode == "rs"
+        if not cross_side:
+            segments = [
+                Segment(replace(seg.info, side=0), seg.tokens)
+                for seg in segments
+            ]
+        pivot = pivot if mode == "pivot" else None
+        args = (theta, func, config, pivot, cross_side)
+        loop, _ = _join(segments, JoinMethod.LOOP, *args)
+        prefix, counts = _join(segments, JoinMethod.PREFIX, *args)
+        kinds = set()
+        assert (prefix, counts) == _reference_join(
+            segments, JoinMethod.PREFIX, *args, kinds=kinds
+        )
+        # The prefix join emits exactly the loop join's pair records of the
+        # pairs whose prefixes collide: same owners, same counts.
+        prefixes = {
+            seg.info.rid: set(
+                seg.tokens[: prefix_length(func, theta, seg.info.str_len)]
+            )
+            for seg in segments
+        }
+        assert prefix == [
+            record for record in loop
+            if prefixes[record[1][0]] & prefixes[record[1][1]]
+        ]
+        # Without SegL or the opening bound every merge compares at least
+        # one token pair: comparisons are 0 exactly when no pair merged,
+        # i.e. when every considered pair is whole on both sides.
+        all_whole = kinds <= {"whole/whole"}
+        _, merged_counts = _join(
+            segments, JoinMethod.PREFIX, theta, func,
+            replace(config, segl=False, early_verify=False), pivot, cross_side,
+        )
+        assert (merged_counts.get("verify_token_comparisons", 0) == 0) == all_whole
+        if all_whole:
+            assert "verify_token_comparisons" not in counts

@@ -9,10 +9,14 @@ inside a pool worker.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 
 from repro.core import ExecutorKind, FSJoin, FSJoinConfig
-from repro.data import make_corpus
+from repro.core.incremental import IncrementalSelfJoin
+from repro.core.rsjoin import FSJoinRS
+from repro.data import RecordCollection, make_corpus
 from repro.errors import ConfigError, ExecutionError
 from repro.mapreduce.executors import (
     ProcessExecutor,
@@ -147,6 +151,33 @@ class TestCrossBackendDeterminism:
         )
         assert isinstance(threaded_join.cluster.executor, ThreadExecutor)
         assert threaded_join.run(records).result_pairs == serial.result_pairs
+
+    def test_every_driver_honours_the_executor_knob(self):
+        """FSJoinRS and IncrementalSelfJoin build their implicit cluster
+        the way FSJoin does: on FSJoinConfig.executor's backend."""
+        records = list(make_corpus("email", 60, seed=1))
+        left = RecordCollection(records[:30])
+        right = RecordCollection(records[30:])
+        serial_config = FSJoinConfig(theta=0.7, n_vertical=6)
+        thread_config = replace(serial_config, executor="thread")
+
+        serial_rs = FSJoinRS(serial_config)
+        threaded_rs = FSJoinRS(thread_config)
+        assert isinstance(serial_rs.cluster.executor, SerialExecutor)
+        assert isinstance(threaded_rs.cluster.executor, ThreadExecutor)
+        assert (
+            threaded_rs.run(left, right).result_pairs
+            == serial_rs.run(left, right).result_pairs
+        )
+
+        serial_inc = IncrementalSelfJoin(serial_config)
+        threaded_inc = IncrementalSelfJoin(thread_config)
+        assert isinstance(serial_inc.cluster.executor, SerialExecutor)
+        assert isinstance(threaded_inc.cluster.executor, ThreadExecutor)
+        for join in (serial_inc, threaded_inc):
+            join.initialize(left)
+            join.add_batch(right)
+        assert threaded_inc.results == serial_inc.results
 
 
 class TestFailureInjectionUnderPools:

@@ -23,8 +23,17 @@ states what moved and what may not:
 * ``stripes_emitted`` counts the records the reducers emit,
   ``candidates_emitted`` the pairs inside them.
 
+The filter counters were re-recorded once more when the prefix join
+began taking a pair's intersection from its own scan whenever both
+segments' prefixes are the whole segment; ``BEFORE_SCAN_COUNTS`` keeps
+what they read while every pair was merged, and
+``test_relations_to_the_scan_counts`` states the move: the pairs the
+merge's opening bound abandoned (``pruned_overlap_bound``) are pruned by
+Lemma 3 or 4 on the exact count instead, and nothing else changes but the
+token comparisons.
+
 The ordering job and the filter job's map side and shuffle are the
-literals recorded before, untouched.
+literals recorded before, untouched — as is every volume.
 """
 
 from __future__ import annotations
@@ -63,12 +72,11 @@ EXPECTED = {
             "fsjoin.filter": {
                 "pairs_considered": 11487,
                 "pruned_strl": 11651,
-                "verify_token_comparisons": 25122,
+                "verify_token_comparisons": 22,
                 "candidates_emitted": 9591,
                 "stripes_emitted": 2058,
                 "pruned_segl": 1277,
-                "pruned_overlap_bound": 438,
-                "pruned_segi": 181,
+                "pruned_segi": 619,
             },
         },
     },
@@ -80,6 +88,19 @@ EXPECTED = {
                    (69, 2853, 3, 42), (72, 2947, 0, 0), (86, 3428, 6, 84)],
         "counters": {"fsjoin.verify": {"candidates": 1483, "results": 17}},
     },
+}
+
+#: What the filter counters read while the prefix join still merged every
+#: pair it found, before whole-prefix pairs took the scan's count.
+BEFORE_SCAN_COUNTS = {
+    "pairs_considered": 11487,
+    "pruned_strl": 11651,
+    "verify_token_comparisons": 25122,
+    "candidates_emitted": 9591,
+    "stripes_emitted": 2058,
+    "pruned_segl": 1277,
+    "pruned_overlap_bound": 438,
+    "pruned_segi": 181,
 }
 
 #: What the one-record-per-pair layout recorded for the same join.
@@ -156,16 +177,34 @@ class TestAccountingIdentity:
             assert job.counters.get("mapreduce", "map_speculative_wins") == 1
         assert _snapshot(result) == EXPECTED
 
+    def test_relations_to_the_scan_counts(self):
+        _, filtering, _ = _join().job_results
+        new = filtering.counters.as_dict()["fsjoin.filter"]
+        assert new == EXPECTED["fsjoin-filter"]["counters"]["fsjoin.filter"]
+        old = BEFORE_SCAN_COUNTS
+        # A pair of whole-prefix segments is no longer merged, so the
+        # merge's opening bound no longer abandons it: Lemma 3 or 4 prunes
+        # it on the scan's exact count instead.
+        pruned = ("pruned_segi", "pruned_segd", "pruned_overlap_bound")
+        assert sum(new.get(name, 0) for name in pruned) == sum(
+            old.get(name, 0) for name in pruned
+        )
+        assert "pruned_overlap_bound" not in new
+        assert new["verify_token_comparisons"] < old["verify_token_comparisons"]
+        moved = set(pruned) | {"verify_token_comparisons"}
+        assert {k: v for k, v in new.items() if k not in moved} == {
+            k: v for k, v in old.items() if k not in moved
+        }
+
     def test_relations_to_the_pair_layout(self):
         ordering, filtering, verify = _join().job_results
         new = filtering.counters.as_dict()["fsjoin.filter"]
-        assert new == EXPECTED["fsjoin-filter"]["counters"]["fsjoin.filter"]
-        old = PAIR_LAYOUT["fsjoin.filter"]
+        stripes, old = BEFORE_SCAN_COUNTS, PAIR_LAYOUT["fsjoin.filter"]
         # The battery runs on exactly the pairs StrL used to let through;
         # what each later filter prunes, merges and keeps is untouched.
-        assert new["pairs_considered"] == old["pairs_considered"] - old["pruned_strl"]
+        assert stripes["pairs_considered"] == old["pairs_considered"] - old["pruned_strl"]
         moved = {"pairs_considered", "pruned_strl", "stripes_emitted"}
-        assert {k: v for k, v in new.items() if k not in moved} == {
+        assert {k: v for k, v in stripes.items() if k not in moved} == {
             k: v for k, v in old.items() if k not in moved
         }
         # The same candidates, in a fifth of the records ...
