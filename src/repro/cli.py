@@ -16,13 +16,7 @@ Subcommands:
   ``repro search``;
 * ``cluster`` — sharded, replicated serving: ``build`` a cluster directory,
   ``search`` it scatter-gather (with ``--fail-shard`` failure injection),
-  inspect ``status``, or replay skewed traffic with ``serve-sim``
-  (optionally rebalancing hot fragments);
-* ``gateway`` — async multi-tenant gateway over a cluster directory:
-  ``serve-sim`` replays multi-tenant Zipf traffic through request
-  coalescing, micro-batched scatter, per-tenant quotas and (with
-  ``--hedge``) hedged backup probes, printing shared-clock p50/p95/p99
-  per tenant; ``--verify`` diffs every answer against a direct router;
+  or inspect ``status``;
 * ``serve`` — the real TCP front door: load a cluster directory, stand a
   :class:`~repro.gateway.gateway.SimilarityGateway` behind an asyncio
   socket server, and serve length-prefixed JSON frames until SIGTERM /
@@ -61,10 +55,6 @@ Examples::
         --shards 4 --replication 2
     python -m repro cluster search wiki.cluster --rid 17 --theta 0.8 \\
         --fail-shard 1
-    python -m repro cluster serve-sim wiki.cluster --probes 500 --zipf 1.2 \\
-        --rebalance
-    python -m repro gateway serve-sim wiki.cluster --probes 400 --zipf 1.2 \\
-        --tenants 3 --storm 32 --hedge --slow-replica 0.02 --verify
     python -m repro ingest wiki.txt --base 100 --batch-size 32 --verify
     python -m repro serve wiki.cluster --port 7777 &
     python -m repro query --connect 127.0.0.1:7777 \\
@@ -196,7 +186,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     cluster = sub.add_parser(
         "cluster", help="sharded, replicated serving cluster (build/search/"
-                        "status/serve-sim)"
+                        "status)"
     )
     csub = cluster.add_subparsers(dest="cluster_command", required=True)
 
@@ -244,32 +234,6 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     cstatus.add_argument("cluster_dir")
 
-    cserve = csub.add_parser(
-        "serve-sim", help="replay simulated traffic against a cluster"
-    )
-    cserve.add_argument("cluster_dir")
-    cserve.add_argument("--probes", type=int, default=200)
-    cserve.add_argument("--zipf", type=float, default=1.1,
-                        help="query-popularity skew exponent (0 = uniform)")
-    cserve.add_argument("--seed", type=int, default=0)
-    cserve.add_argument("--theta", type=float, default=0.7)
-    cserve.add_argument("--func",
-                        choices=[f.value for f in SimilarityFunction],
-                        default="jaccard")
-    cserve.add_argument("--rebalance", action="store_true",
-                        help="after the traffic, migrate hot fragments and "
-                             "replay to show the before/after balance")
-    cserve.add_argument("--skew-threshold", type=float, default=1.5)
-    cserve.add_argument("--fail-shard", type=int, metavar="SHARD",
-                        help="kill replica 0 of this shard before the replay")
-    cserve.add_argument("--ingest-records", type=int, default=0,
-                        metavar="N",
-                        help="attach a streaming ingest tier and write N "
-                             "fresh records mid-replay (probes keep "
-                             "answering exactly while writes land)")
-    cserve.add_argument("--ingest-batch", type=int, default=16,
-                        metavar="M", help="ingest batch size (default 16)")
-
     ingest = sub.add_parser(
         "ingest",
         help="stream a corpus through the WAL + memtable + compaction "
@@ -299,61 +263,6 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="record ingest spans (wal-append, "
                              "memtable-apply, flush, compaction) as JSONL "
                              "plus a Chrome trace twin")
-
-    gateway = sub.add_parser(
-        "gateway",
-        help="async multi-tenant gateway over a cluster directory",
-    )
-    gsub = gateway.add_subparsers(dest="gateway_command", required=True)
-    gserve = gsub.add_parser(
-        "serve-sim",
-        help="replay multi-tenant Zipf traffic through the gateway "
-             "(coalescing, micro-batching, quotas, hedging)",
-    )
-    gserve.add_argument("cluster_dir")
-    gserve.add_argument("--probes", type=int, default=400)
-    gserve.add_argument("--zipf", type=float, default=1.2,
-                        help="query-popularity skew exponent (0 = uniform)")
-    gserve.add_argument("--seed", type=int, default=0)
-    gserve.add_argument("--theta", type=float, default=0.7)
-    gserve.add_argument("--func",
-                        choices=[f.value for f in SimilarityFunction],
-                        default="jaccard")
-    gserve.add_argument("--tenants", type=int, default=3, metavar="N",
-                        help="simulated tenants t0..t(N-1); t0 has weight 3, "
-                             "the rest weight 1 (default 3)")
-    gserve.add_argument("--concurrency", type=int, default=32,
-                        help="concurrent requests per scheduling wave "
-                             "(default 32)")
-    gserve.add_argument("--max-outstanding", type=int, default=16,
-                        help="per-tenant outstanding-request quota; waves "
-                             "larger than the quota shed typed (default 16)")
-    gserve.add_argument("--max-batch", type=int, default=32,
-                        help="largest micro-batch one dispatch round hands "
-                             "the router (default 32)")
-    gserve.add_argument("--cache-size", type=int, default=256,
-                        help="gateway result-cache capacity (default 256)")
-    gserve.add_argument("--storm", type=int, default=0, metavar="N",
-                        help="prepend a hot-key storm: N identical probes "
-                             "of the hottest record in one wave")
-    gserve.add_argument("--hedge", action="store_true",
-                        help="enable deadline-aware hedged scatter on the "
-                             "router's batched probe path")
-    gserve.add_argument("--flap-shard", type=int, metavar="SHARD",
-                        help="replica 0 of this shard fails its next 3 "
-                             "probe batches, then recovers (flapping node)")
-    gserve.add_argument("--slow-replica", type=float, metavar="SECONDS",
-                        help="stall one replica of a hot-path shard this "
-                             "many seconds "
-                             "per probe batch (with --hedge: drives backup "
-                             "probes and hedge wins)")
-    gserve.add_argument("--verify", action="store_true",
-                        help="check every gateway answer bit-identical to a "
-                             "direct router.search on a clean replica of "
-                             "the cluster; exit 1 on any diff")
-    gserve.add_argument("--trace", metavar="PATH",
-                        help="record gateway-dispatch and scatter spans as "
-                             "JSONL plus a Chrome trace twin")
 
     serve = sub.add_parser(
         "serve", help="TCP server: the gateway over a cluster directory "
@@ -760,101 +669,6 @@ def _cmd_cluster_status(args) -> int:
     return 0
 
 
-def _cmd_cluster_serve_sim(args) -> int:
-    import json
-    import random
-
-    from repro.cluster import load_cluster
-
-    router = load_cluster(args.cluster_dir)
-    if args.fail_shard is not None:
-        _fail_replica(router, args.fail_shard)
-    func = SimilarityFunction(args.func)
-    rids = router.rids()
-    rng = random.Random(args.seed)
-    weights = [1.0 / (i + 1) ** args.zipf for i in range(len(rids))]
-    probe_rids = rng.choices(rids, weights=weights, k=args.probes)
-    tokens = {rid: router.tokens_of(rid) for rid in set(probe_rids)}
-
-    # --ingest-records: a streaming write tier joins the cluster and the
-    # replay interleaves its batches with the probes — writes land while
-    # reads keep flowing, which is the whole point of the ingest path.
-    ingest_batches = []
-    if args.ingest_records:
-        from repro.data import Record, make_corpus
-        from repro.ingest import StreamingIndex
-        from repro.mapreduce.hdfs import InMemoryDFS
-
-        floor = max(rids) + 1 if rids else 0
-        fresh = [
-            Record(floor + record.rid, record.tokens)
-            for record in make_corpus(
-                "wiki", args.ingest_records, seed=args.seed + 1
-            )
-        ]
-        streaming = StreamingIndex.attach(
-            InMemoryDFS(), "ingest", router.order, router.partitioner
-        )
-        router.attach_ingest(streaming)
-        ingest_batches = [
-            fresh[i:i + args.ingest_batch]
-            for i in range(0, len(fresh), args.ingest_batch)
-        ]
-
-    def replay() -> float:
-        batches = list(ingest_batches)
-        every = max(1, len(probe_rids) // (len(batches) or 1))
-        started = time.perf_counter()
-        for i, rid in enumerate(probe_rids):
-            if batches and i % every == 0:
-                router.apply_batch(batches.pop(0))
-            router.search(tokens[rid], args.theta, func=func)
-        while batches:
-            router.apply_batch(batches.pop(0))
-        return time.perf_counter() - started
-
-    wall = replay()
-    ingest_batches = []  # the writes are in; a --rebalance replay is read-only
-    before = router.heat_report()
-    document = {
-        "probes": args.probes,
-        "distinct_queries": len(tokens),
-        "zipf": args.zipf,
-        "wall_s": round(wall, 4),
-        "throughput_qps": round(args.probes / wall, 1) if wall else None,
-        "latency": router.latency.snapshot(),
-        "shard_heat": router.shard_heat(),
-        "heat_cv": round(before.cv, 4),
-        "heat_max_over_mean": round(before.max_over_mean, 4),
-        "route": router.metrics.group("cluster.route"),
-    }
-    if args.ingest_records:
-        status = router.status()["ingest"]
-        document["ingest"] = {
-            "records": status["records"],
-            "flushes": status["flushes"],
-            "compactions": status["compactions"],
-            "manifest_version": status["manifest_version"],
-        }
-    if args.rebalance:
-        moves = router.rebalance(skew_threshold=args.skew_threshold)
-        router.reset_heat()
-        replay()
-        after = router.heat_report()
-        document["rebalance"] = {
-            "migrations": [
-                {"fragment": m.fragment, "src": m.src, "dst": m.dst,
-                 "heat": m.heat}
-                for m in moves
-            ],
-            "shard_heat_after": router.shard_heat(),
-            "heat_cv_after": round(after.cv, 4),
-            "heat_max_over_mean_after": round(after.max_over_mean, 4),
-        }
-    print(json.dumps(document))
-    return 0
-
-
 def _cmd_ingest(args) -> int:
     import json
     import pickle
@@ -957,186 +771,11 @@ _CLUSTER_COMMANDS = {
     "build": _cmd_cluster_build,
     "search": _cmd_cluster_search,
     "status": _cmd_cluster_status,
-    "serve-sim": _cmd_cluster_serve_sim,
 }
 
 
 def _cmd_cluster(args) -> int:
     return _CLUSTER_COMMANDS[args.cluster_command](args)
-
-
-def _cmd_gateway_serve_sim(args) -> int:
-    import json
-    import random
-
-    from repro.cluster import HedgeConfig, load_cluster
-    from repro.errors import ShardDownError
-    from repro.gateway import (
-        GatewayConfig,
-        GatewayRequest,
-        SimilarityGateway,
-        TenantConfig,
-    )
-
-    tracer = Tracer() if args.trace else NOOP_TRACER
-    hedge = None
-    if args.hedge:
-        # min_observations pins the timer at min_delay: with a
-        # deliberately stalled replica in the mix the rolling leg p95
-        # would grow to the stall itself and the hedge would never fire.
-        hedge = HedgeConfig(min_delay=0.002, max_delay=0.1,
-                            min_observations=10_000)
-    router = load_cluster(args.cluster_dir, tracer=tracer, hedge=hedge)
-
-    # Optional chaos switches: a flapping replica (fails its next few
-    # probe batches, then serves again) and a slow replica (stalls in
-    # real time, which is what the hedge timer races).
-    if args.flap_shard is not None:
-        flapping = router.replica(args.flap_shard, 0)
-        flap_state = {"left": 3}
-
-        def flap_hook(target) -> None:
-            if flap_state["left"] > 0:
-                flap_state["left"] -= 1
-                raise ShardDownError(f"{target.name}: injected flap")
-
-        flapping.fault_hook = flap_hook
-        print(f"injected flap: shard {args.flap_shard} replica 0 fails "
-              f"its next 3 probe batches", file=sys.stderr)
-    tenant_names = [f"t{i}" for i in range(max(1, args.tenants))]
-    tenants = {
-        name: TenantConfig(weight=3 if i == 0 else 1,
-                           max_outstanding=args.max_outstanding)
-        for i, name in enumerate(tenant_names)
-    }
-    gateway = SimilarityGateway(
-        router,
-        GatewayConfig(max_batch=args.max_batch, cache_size=args.cache_size,
-                      tenants=tenants),
-    )
-
-    func = SimilarityFunction(args.func)
-    rids = router.rids()
-    rng = random.Random(args.seed)
-    weights = [1.0 / (i + 1) ** args.zipf for i in range(len(rids))]
-    probe_rids = rng.choices(rids, weights=weights, k=args.probes)
-    tokens = {rid: router.tokens_of(rid) for rid in set(probe_rids)}
-
-    if args.slow_replica is not None:
-        # Stall a replica of a shard the hottest probe provably routes
-        # to — a fixed shard id could sit outside the Zipf mix's prefix
-        # fragments and never be contacted, making the stall (and the
-        # hedge race against it) a no-op.
-        hot_rid = max(set(probe_rids), key=probe_rids.count)
-        hot_targets = router.target_fragments(
-            router.encode_query(list(tokens[hot_rid])), args.theta, func
-        )
-        candidates = sorted({router.plan.shard_of(f) for f in hot_targets})
-        stall_shard = next(
-            (s for s in candidates if s != args.flap_shard),
-            candidates[0] if candidates else 0,
-        )
-        slow = router.replica(stall_shard, 0)
-
-        def slow_hook(target) -> None:
-            time.sleep(args.slow_replica)
-
-        slow.fault_hook = slow_hook
-        print(f"injected stall: shard {stall_shard} replica 0 sleeps "
-              f"{args.slow_replica}s per probe batch", file=sys.stderr)
-
-    requests = [
-        GatewayRequest(tuple(tokens[rid]), args.theta, func=func,
-                       tenant=rng.choice(tenant_names))
-        for rid in probe_rids
-    ]
-    waves = [
-        requests[i:i + args.concurrency]
-        for i in range(0, len(requests), args.concurrency)
-    ]
-    if args.storm:
-        hot = tuple(tokens[probe_rids[0]])
-        waves.insert(0, [
-            GatewayRequest(hot, args.theta, func=func, tenant=tenant_names[0])
-            for _ in range(args.storm)
-        ])
-
-    started = time.perf_counter()
-    responses = []
-    for wave in waves:
-        responses.extend(gateway.serve(wave))
-    wall = time.perf_counter() - started
-
-    total = len(responses)
-    shed: dict = {}
-    for response in responses:
-        if response.error:
-            shed[response.error] = shed.get(response.error, 0) + 1
-    stats = gateway.metrics.group("gateway")
-    route = router.metrics.group("cluster.route")
-    document = {
-        "probes": total,
-        "waves": len(waves),
-        "concurrency": args.concurrency,
-        "distinct_queries": len(tokens),
-        "zipf": args.zipf,
-        "tenants": {name: {"weight": conf.weight,
-                           "max_outstanding": conf.max_outstanding}
-                    for name, conf in tenants.items()},
-        "ok": total - sum(shed.values()),
-        "shed": shed,
-        "coalesce_rate": round(
-            stats.get("coalesced", 0) / max(1, stats.get("requests", 1)), 4
-        ),
-        "gateway": stats,
-        "quota_shed_by_tenant": gateway.metrics.group("gateway.quota"),
-        "latency": gateway.latency_info(),
-        "tenant_latency": gateway.tenant_latency_info(),
-        "route": route,
-        "wall_s": round(wall, 4),
-        "throughput_qps": round(total / wall, 1) if wall else None,
-    }
-
-    if args.verify:
-        # A clean twin of the same cluster directory answers directly —
-        # no gateway, no chaos switches — and every successful gateway
-        # answer must match it bit for bit.
-        direct = load_cluster(args.cluster_dir)
-        flat = [req for wave in waves for req in wave]
-        mismatches = 0
-        checked = 0
-        for request, response in zip(flat, responses):
-            if not response.ok:
-                continue
-            checked += 1
-            expected = direct.search(list(request.tokens), request.theta,
-                                     func=request.func)
-            if list(response.hits) != expected:
-                mismatches += 1
-        document["verify"] = {
-            "checked": checked,
-            "mismatches": mismatches,
-            "ok": mismatches == 0,
-        }
-
-    if args.trace:
-        _export_trace(tracer, args.trace)
-        _print_phase_breakdown(tracer)
-    print(json.dumps(document))
-    if args.verify and document["verify"]["mismatches"]:
-        print("error: gateway answers diverged from the direct router",
-              file=sys.stderr)
-        return 1
-    return 0
-
-
-_GATEWAY_COMMANDS = {
-    "serve-sim": _cmd_gateway_serve_sim,
-}
-
-
-def _cmd_gateway(args) -> int:
-    return _GATEWAY_COMMANDS[args.gateway_command](args)
 
 
 def _parse_connect(value: str):
@@ -1357,7 +996,6 @@ _COMMANDS = {
     "search": _cmd_search,
     "ingest": _cmd_ingest,
     "cluster": _cmd_cluster,
-    "gateway": _cmd_gateway,
     "serve": _cmd_serve,
     "query": _cmd_query,
     "chaos": _cmd_chaos,

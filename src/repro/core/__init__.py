@@ -27,7 +27,6 @@ from repro.core.partitioning import Segment, SegmentInfo, VerticalPartitioner
 from repro.core.horizontal import HorizontalPlan, build_horizontal_plan
 from repro.core.rsjoin import FSJoinRS
 from repro.core.topk import topk_similar_pairs
-from repro.core.incremental import IncrementalSelfJoin
 from repro.core.tuning import suggest_config, suggest_n_vertical
 
 __all__ = [
@@ -35,7 +34,6 @@ __all__ = [
     "suggest_n_vertical",
     "FSJoin",
     "FSJoinRS",
-    "IncrementalSelfJoin",
     "topk_similar_pairs",
     "FSJoinConfig",
     "FilterConfig",

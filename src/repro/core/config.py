@@ -81,7 +81,7 @@ class FSJoinConfig:
             disables horizontal partitioning (the paper's FS-Join-V).
         pivot_seed: Seed for the Random pivot method.
         executor: Task-execution backend used when a driver (``FSJoin``,
-            ``FSJoinRS``, ``IncrementalSelfJoin``) builds its own cluster
+            ``FSJoinRS``) builds its own cluster
             (``serial``/``thread``/``process``); ``None``
             inherits the :class:`~repro.mapreduce.runtime.ClusterSpec`
             default.  Ignored when an explicit cluster is passed in.

@@ -29,8 +29,8 @@ fast path.  Four mechanisms, layered:
 Everything reports on the **router's injectable clock** (the one-clock
 contract): per-tenant latency histograms, the gateway's own percentiles
 and every deadline check read the same clock the chaos harness advances,
-so injected latency is visible in exactly the numbers ``repro gateway
-serve-sim`` prints.  Deadlines are enforced per request at the gateway —
+so injected latency is visible in exactly the numbers ``stats()`` and
+``latency_info()`` report.  Deadlines are enforced per request at the gateway —
 a batch is never failed wholesale because one member ran out of budget.
 
 The event loop is single-threaded and the dispatch order is a pure

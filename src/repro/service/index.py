@@ -275,10 +275,9 @@ class SegmentIndex:
         self._resort = False
 
     def apply_batch(self, new_records: Iterable[Record]) -> int:
-        """Extend the index with new records (the incremental-join hook).
+        """Extend the index with new records.
 
-        Mirrors :class:`repro.core.incremental.IncrementalSelfJoin`:
-        duplicate record ids raise :class:`DataError` *before* anything is
+        Duplicate record ids raise :class:`DataError` *before* anything is
         inserted, so a rejected batch leaves the index untouched.  Tokens
         outside the vocabulary are interned after every existing id
         (ordered among themselves by batch frequency) via
@@ -296,6 +295,11 @@ class SegmentIndex:
         touched run re-sorted by record length — by whoever next needs
         them flat: a save, :meth:`posting_stats`, a content digest, a
         carve; the ingest tier's flush.
+
+        This is also an incremental self-join: after ``apply_batch(batch)``
+        one :meth:`probe_batch` of the batch's own records, each record's
+        hit on itself dropped, is the batch's delta — new×old and new×new
+        pairs alike, with the scores a full re-join gives.
         """
         batch = list(new_records)
         seen: set = set()

@@ -9,8 +9,7 @@
   repeats from one computation, and probes the distinct misses in one
   ``probe_batch``;
 * ``apply_batch(new_records)`` — extends the index in place (and
-  invalidates the cache), the online twin of
-  :class:`~repro.core.incremental.IncrementalSelfJoin`;
+  invalidates the cache);
 * ``save``/``load`` — versioned snapshot round-trip via
   :mod:`repro.service.snapshot`.
 
@@ -213,7 +212,7 @@ class SimilarityService:
 
         Raises :class:`~repro.errors.DataError` on duplicate record ids
         (before any mutation), exactly like
-        ``IncrementalSelfJoin.add_batch``.
+        :meth:`SegmentIndex.apply_batch`.
         """
         added = self.index.apply_batch(new_records)
         if len(self._cache):

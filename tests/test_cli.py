@@ -314,29 +314,6 @@ class TestCluster:
         assert doc["records"] == 80
         assert doc["health"] == [[True, True]] * 4
 
-    def test_serve_sim_with_rebalance(self, cluster_dir, capsys):
-        code = main(["cluster", "serve-sim", cluster_dir,
-                     "--probes", "40", "--zipf", "1.5", "--theta", "0.6",
-                     "--rebalance", "--skew-threshold", "1.0"])
-        assert code == 0
-        doc = json.loads(capsys.readouterr().out)
-        assert doc["probes"] == 40
-        assert doc["throughput_qps"] > 0
-        assert "rebalance" in doc
-        assert doc["rebalance"]["heat_cv_after"] <= doc["heat_cv"]
-
-    def test_serve_sim_deterministic(self, cluster_dir, capsys):
-        argv = ["cluster", "serve-sim", cluster_dir, "--probes", "20",
-                "--seed", "5"]
-        main(argv)
-        first = json.loads(capsys.readouterr().out)
-        main(argv)
-        second = json.loads(capsys.readouterr().out)
-        first.pop("wall_s"), second.pop("wall_s")
-        first.pop("throughput_qps"), second.pop("throughput_qps")
-        first.pop("latency"), second.pop("latency")
-        assert first == second
-
     def test_fail_shard_out_of_range(self, cluster_dir, capsys):
         code = main(["cluster", "search", cluster_dir, "--rid", "0",
                      "--theta", "0.6", "--fail-shard", "9"])

@@ -173,8 +173,6 @@ class TestEveryVerbFailsClosed:
     @pytest.mark.parametrize("verb", [
         ["cluster", "status"],
         ["cluster", "search", "--query", "a b"],
-        ["cluster", "serve-sim"],
-        ["gateway", "serve-sim"],
         ["serve", "--port", "0"],
     ])
     def test_every_cluster_dir_verb_refuses_a_swapped_snapshot(

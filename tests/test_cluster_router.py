@@ -9,13 +9,21 @@ including with a replica failed and after a rebalance migration.
 
 from __future__ import annotations
 
+import random
 import threading
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.cluster import ClusterRouter, HedgeConfig, build_cluster
+from repro.cluster import (
+    ClusterRouter,
+    HedgeConfig,
+    build_cluster,
+    load_cluster,
+    save_cluster,
+)
 from repro.cluster.node import ShardSlice
+from repro.data import make_corpus
 from repro.data.records import RecordCollection
 from repro.errors import (
     ClusterError,
@@ -56,6 +64,15 @@ def inject_skew(router):
         for fragment in router.plan.fragments_of(donor):
             router._heat[fragment] = 50
     return donor
+
+
+def zipf_replay(router, n_probes, exponent, theta, seed):
+    """Search ``n_probes`` indexed records drawn with Zipf popularity."""
+    rids = router.rids()
+    weights = [1.0 / (i + 1) ** exponent for i in range(len(rids))]
+    for rid in random.Random(seed).choices(rids, weights=weights,
+                                           k=n_probes):
+        router.search(router.tokens_of(rid), theta)
 
 
 @pytest.fixture(scope="module")
@@ -705,6 +722,34 @@ class TestRebalance:
     def test_threshold_validation(self, cluster):
         with pytest.raises(ConfigError):
             cluster.rebalance(skew_threshold=0.5)
+
+    @pytest.fixture
+    def saved(self, tmp_path):
+        """80 wiki records as a saved 4-shard × 2-replica directory."""
+        router = build_cluster(make_corpus("wiki", 80, seed=3), n_shards=4,
+                               replication=2, n_vertical=8)
+        save_cluster(router, tmp_path / "wiki.cluster")
+        return tmp_path / "wiki.cluster"
+
+    def test_rebalance_under_organic_traffic(self, saved):
+        """Heat from a Zipf replay, not planted: after a rebalance the
+        same replay spreads no worse."""
+        router = load_cluster(saved)
+        zipf_replay(router, 40, 1.5, 0.6, seed=0)
+        before = router.heat_report().cv
+        assert router.rebalance(skew_threshold=1.0)
+        router.reset_heat()
+        zipf_replay(router, 40, 1.5, 0.6, seed=0)
+        assert router.heat_report().cv <= before
+
+    def test_organic_traffic_is_deterministic(self, saved):
+        routers = [load_cluster(saved) for _ in range(2)]
+        for router in routers:
+            zipf_replay(router, 40, 1.5, 0.6, seed=5)
+        first, second = routers
+        assert first.shard_heat() == second.shard_heat()
+        assert (first.metrics.group("cluster.route")
+                == second.metrics.group("cluster.route"))
 
     @settings(max_examples=25, deadline=None)
     @given(moves=st.lists(

@@ -8,16 +8,12 @@ import pytest
 
 import repro.cluster
 import repro.core.fsjoin
-import repro.core.incremental
 import repro.core.rsjoin
-import repro.rdd.context
 
 MODULES = [
     repro.cluster,
     repro.core.fsjoin,
-    repro.core.incremental,
     repro.core.rsjoin,
-    repro.rdd.context,
 ]
 
 

@@ -14,7 +14,6 @@ from dataclasses import replace
 import pytest
 
 from repro.core import ExecutorKind, FSJoin, FSJoinConfig
-from repro.core.incremental import IncrementalSelfJoin
 from repro.core.rsjoin import FSJoinRS
 from repro.data import RecordCollection, make_corpus
 from repro.errors import ConfigError, ExecutionError
@@ -153,8 +152,8 @@ class TestCrossBackendDeterminism:
         assert threaded_join.run(records).result_pairs == serial.result_pairs
 
     def test_every_driver_honours_the_executor_knob(self):
-        """FSJoinRS and IncrementalSelfJoin build their implicit cluster
-        the way FSJoin does: on FSJoinConfig.executor's backend."""
+        """FSJoinRS builds its implicit cluster the way FSJoin does: on
+        FSJoinConfig.executor's backend."""
         records = list(make_corpus("email", 60, seed=1))
         left = RecordCollection(records[:30])
         right = RecordCollection(records[30:])
@@ -169,15 +168,6 @@ class TestCrossBackendDeterminism:
             threaded_rs.run(left, right).result_pairs
             == serial_rs.run(left, right).result_pairs
         )
-
-        serial_inc = IncrementalSelfJoin(serial_config)
-        threaded_inc = IncrementalSelfJoin(thread_config)
-        assert isinstance(serial_inc.cluster.executor, SerialExecutor)
-        assert isinstance(threaded_inc.cluster.executor, ThreadExecutor)
-        for join in (serial_inc, threaded_inc):
-            join.initialize(left)
-            join.add_batch(right)
-        assert threaded_inc.results == serial_inc.results
 
 
 class TestFailureInjectionUnderPools:

@@ -18,7 +18,6 @@ from repro.baselines import (
 )
 from repro.core import FSJoin, FSJoinConfig
 from repro.data.records import Record, RecordCollection
-from repro.rdd import MiniSparkContext, fsjoin_rdd
 
 THETA = 0.8
 
@@ -56,12 +55,6 @@ class TestAdversarialCorpora:
         oracle = frozenset(naive_self_join(records, THETA))
         config = FSJoinConfig(theta=THETA, n_vertical=4, n_horizontal=3)
         assert FSJoin(config, cluster).run(records).result_set() == oracle
-
-    def test_fsjoin_rdd(self, name):
-        records = CORPORA[name]
-        oracle = frozenset(naive_self_join(records, THETA))
-        config = FSJoinConfig(theta=THETA, n_vertical=4)
-        assert frozenset(fsjoin_rdd(MiniSparkContext(3), records, config)) == oracle
 
     def test_ridpairs(self, name, cluster):
         records = CORPORA[name]

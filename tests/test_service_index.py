@@ -9,7 +9,9 @@ for multiple thresholds and similarity functions.
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from repro.baselines.naive import naive_self_join
 from repro.core import FSJoin, FSJoinConfig
 from repro.data.records import Record, RecordCollection
 from repro.errors import DataError
@@ -134,6 +136,37 @@ class TestApplyBatch:
             FSJoinConfig(theta=0.6, n_vertical=5)
         ).run(everything).result_pairs
         assert grown.self_join(0.6) == oracle
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        func=st.sampled_from(["jaccard", "cosine", "dice"]),
+        theta=st.sampled_from([0.5, 0.7, 0.85]),
+        cuts=st.sets(st.integers(1, 59), max_size=4),
+    )
+    def test_apply_then_probe_maintains_the_self_join(self, corpus, func,
+                                                      theta, cuts):
+        """An incremental self-join: FS-Join the first batch, then per
+        later batch ``apply_batch`` and one ``probe_batch`` of the batch's
+        own records, self-hits dropped.  The accumulated pairs and scores
+        equal the all-pairs oracle over every record."""
+        records = list(corpus)
+        bounds = [0, *sorted(cuts), len(records)]
+        batches = [records[a:b] for a, b in zip(bounds, bounds[1:])]
+        first = RecordCollection(batches[0])
+        pairs = dict(FSJoin(
+            FSJoinConfig(theta=theta, func=func, n_vertical=5)
+        ).run(first).result_pairs)
+        grown = SegmentIndex.build(first, n_vertical=5)
+        for batch in batches[1:]:
+            grown.apply_batch(batch)
+            queries = [grown.encode_query(r.tokens) for r in batch]
+            for record, hits in zip(batch, grown.probe_batch(queries, theta,
+                                                             func)):
+                for hit in hits:
+                    if hit.rid != record.rid:
+                        key = tuple(sorted((record.rid, hit.rid)))
+                        pairs[key] = hit.score
+        assert pairs == naive_self_join(corpus, theta, func)
 
     def test_new_vocabulary_is_probeable(self, corpus):
         grown = SegmentIndex.build(corpus, n_vertical=5)
