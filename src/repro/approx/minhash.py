@@ -10,11 +10,12 @@ signature positions is an unbiased Jaccard estimator with standard error
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Dict, Iterable, Sequence
 
 from repro.errors import ConfigError
+
+if TYPE_CHECKING:
+    import numpy as np
 
 #: A Mersenne prime comfortably above any token-universe size we hash into.
 _PRIME = (1 << 61) - 1
@@ -30,6 +31,8 @@ class MinHasher:
     def __init__(self, num_perm: int = 128, seed: int = 0) -> None:
         if num_perm < 1:
             raise ConfigError("num_perm must be >= 1")
+        import numpy as np
+
         self.num_perm = num_perm
         rng = np.random.default_rng(seed)
         self._a = rng.integers(1, _PRIME, size=num_perm, dtype=np.uint64)
@@ -45,6 +48,8 @@ class MinHasher:
 
     def signature(self, tokens: Iterable[str]) -> np.ndarray:
         """MinHash signature of a token set (uint64 array of ``num_perm``)."""
+        import numpy as np
+
         ids = np.asarray(
             [self._token_id(token) for token in tokens], dtype=np.uint64
         )
@@ -60,6 +65,8 @@ class MinHasher:
 
 def estimate_jaccard(sig_a: Sequence, sig_b: Sequence) -> float:
     """Estimated Jaccard similarity: fraction of agreeing positions."""
+    import numpy as np
+
     a = np.asarray(sig_a)
     b = np.asarray(sig_b)
     if a.shape != b.shape:

@@ -852,13 +852,10 @@ def _cmd_serve(args) -> int:
         # Tick the control plane between request rounds, logging every
         # decision (suspect/dead/quarantine/rebuild/readmit) as a
         # one-line typed message — the operator-visible repair journal.
-        logged = 0
         while True:
             await asyncio.sleep(args.heal_interval)
-            plane.tick()
-            for event in plane.events[logged:]:
+            for event in plane.tick():
                 print(event.line(), file=sys.stderr, flush=True)
-            logged = len(plane.events)
 
     async def run() -> None:
         host, port = await server.start()

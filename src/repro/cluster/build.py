@@ -71,9 +71,17 @@ def build_cluster(
 
     ``router_options`` (``tracer``, ``hedge``, ``clock``, …) are
     :class:`ClusterRouter`'s, declared there.
+
+    A passed index stays the caller's, who may stage records into it:
+    its posting columns are copied here, once per fragment, and the
+    slices take the copies (:meth:`ShardSlice.carve` copies nothing).
+    The record id columns are shared — immutable once inserted.
     """
     if isinstance(source, SegmentIndex):
-        index = source
+        source._seal()
+        index = SegmentIndex(source.order, source.partitioner, source.pivot_method)
+        index._postings = [postings.copy() for postings in source._postings]
+        index._ranks = source._ranks
     else:
         index = SegmentIndex.build(
             source, n_vertical=n_vertical, pivot_method=pivot_method,
@@ -180,17 +188,22 @@ def load_saved_index(directory: Union[str, Path]) -> Tuple[Dict, SegmentIndex]:
     manifest = read_manifest(directory)
     path = Path(directory) / INDEX_NAME
     try:
-        stream = io.BytesIO(path.read_bytes())
+        data = path.read_bytes()
     except FileNotFoundError:
         raise ClusterError(f"no cluster snapshot at {path}") from None
     # One read: the bytes hashed here are the bytes read_index parses.
-    actual = hashlib.sha256(stream.getbuffer()).hexdigest()
+    # Hash before wrapping — exporting a buffer from a BytesIO that shares
+    # its initial bytes copies them — and leave the stream their only
+    # holder, which read_index closes before the payload is unpickled.
+    actual = hashlib.sha256(data).hexdigest()
     if actual != manifest["sha256"]:
         raise ClusterError(
             f"{path} (sha256 {actual[:12]}…) and its manifest (records "
             f"{manifest['sha256'][:12]}…) come from different saves, or the "
             "snapshot is damaged — rebuild with 'repro cluster build'"
         )
+    stream = io.BytesIO(data)
+    del data
     index = read_index(stream, path)
     placed = sorted(manifest["plan"].assignment)
     if placed != list(range(index.n_fragments)):

@@ -45,8 +45,9 @@ from __future__ import annotations
 
 import enum
 import time
+from collections import deque
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Deque, Dict, List, Optional, Tuple
 
 from repro.errors import ClusterError, ConfigError
 from repro.observability.tracer import NOOP_TRACER, Tracer
@@ -57,6 +58,9 @@ from repro.cluster.repair import RepairManager
 from repro.cluster.router import ClusterRouter
 
 HEALTH_GROUP = "cluster.health"
+#: Events a control plane keeps (the newest): a ``repro serve --heal``
+#: process ticks for its whole life, and its journal must not grow with it.
+EVENT_LOG_LIMIT = 1_000
 
 
 class ReplicaState(str, enum.Enum):
@@ -158,7 +162,12 @@ class ControlPlane:
         self._ingest_misses = 0
         #: repair queue: ``(shard, replica)`` or ``("ingest",)``, FIFO.
         self._queue: List[Tuple] = []
-        self.events: List[HealthEvent] = []
+        #: the newest :data:`EVENT_LOG_LIMIT` events, oldest first.
+        self.events: Deque[HealthEvent] = deque(maxlen=EVENT_LOG_LIMIT)
+        #: events emitted over the plane's life, kept or not.
+        self._emitted = 0
+        #: the events the current tick emitted.
+        self._tick_events: List[HealthEvent] = []
         #: shard → fragment → majority content digest at attach time.
         self._baseline: List[Dict[int, str]] = []
         self._plan_print: Tuple = ()
@@ -208,18 +217,18 @@ class ControlPlane:
         """One control-plane round: detect → scrub → repair.
 
         Returns the events this tick emitted (also appended to
-        :attr:`events`).  Emits one ``phase="health"`` span per tick so a
+        :attr:`events`, which keeps the newest :data:`EVENT_LOG_LIMIT`).
+        Emits one ``phase="health"`` span per tick so a
         trace shows when the plane looked and what it decided.
         """
         self._tick += 1
-        before = len(self.events)
+        emitted = self._tick_events = []
         start = time.perf_counter()
         self._detect()
         if self._tick % self.config.scrub_interval == 0:
             self._scrub()
         if self.config.auto_repair:
             self._drain_repairs()
-        emitted = self.events[before:]
         self.tracer.add(
             "health-tick", "health",
             start=start, duration=time.perf_counter() - start,
@@ -432,7 +441,10 @@ class ControlPlane:
 
     # -- introspection --------------------------------------------------
     def _event(self, kind: str, target: str, detail: str = "") -> None:
-        self.events.append(HealthEvent(self._tick, kind, target, detail))
+        event = HealthEvent(self._tick, kind, target, detail)
+        self.events.append(event)
+        self._tick_events.append(event)
+        self._emitted += 1
 
     @property
     def ticks(self) -> int:
@@ -466,8 +478,14 @@ class ControlPlane:
                 return False
         return not self._queue
 
+    @property
+    def events_dropped(self) -> int:
+        """Events emitted but no longer kept (older than the newest
+        :data:`EVENT_LOG_LIMIT`)."""
+        return self._emitted - len(self.events)
+
     def event_log(self) -> List[Tuple[int, str, str, str]]:
-        """The full decision log as plain tuples — what replay runs diff."""
+        """The kept decision log as plain tuples — what replay runs diff."""
         return [(e.tick, e.kind, e.target, e.detail) for e in self.events]
 
     def summary(self) -> Dict[str, object]:
@@ -476,7 +494,8 @@ class ControlPlane:
             "tick": self._tick,
             "scrub_epoch": self.scrub_epoch,
             "pending_repairs": [list(item) for item in self._queue],
-            "events": len(self.events),
+            "events": self._emitted,
+            "events_dropped": self.events_dropped,
             "all_healthy": self.all_healthy(),
             "health_counters": self.metrics.group(HEALTH_GROUP),
         }

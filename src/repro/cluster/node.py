@@ -33,9 +33,11 @@ fragment: every first hit is the pair's first common token, nothing to ask.
 A :class:`ShardNode` wraps one slice as a routable endpoint: replica
 identity, a liveness flag the failure injector flips, and per-node
 counters.  In this simulated cluster, replicas of one shard share the slice
-object (the data is read-only at serve time) and slices share the record
-columns of the index they were carved from; ``independent_replicas``
-gives each replica beyond the first its own copy (:meth:`ShardSlice.clone`).
+object (the data is read-only at serve time) and slices hold the columns
+of the index they were carved from — its posting columns, each fragment's
+in the one slice that owns it, and its record id columns, shared;
+``independent_replicas`` gives each replica beyond the first its own copy
+(:meth:`ShardSlice.clone`).
 """
 
 from __future__ import annotations
@@ -90,24 +92,29 @@ class ShardSlice(SegmentIndex):
     def carve(
         cls, index: SegmentIndex, fragments: Iterable[int]
     ) -> "ShardSlice":
-        """Slice a full index down to ``fragments``.
+        """Slice a full index down to ``fragments``, copying nothing.
 
-        Posting columns are copied per owned fragment; the records' id
-        columns are shared with the source index — they are immutable
-        after insert, so sharing is safe and keeps an in-memory cluster's
-        footprint near one index's.
+        The slice takes each owned fragment's posting columns — the
+        :class:`FragmentPostings` object itself — and the id column of
+        every record posting into them, keyed by the index's own rid
+        objects, so a record is one key however many slices hold it.
+        ``index`` must not be written to afterwards: a record staged into
+        it would show through the slice's runs.  That holds for an index
+        unpickled for the carve (:func:`~repro.cluster.build.load_cluster`,
+        a repair from the snapshot), and :func:`~repro.cluster.build.
+        build_cluster` hands over a copy of a caller's live index.
         """
         slice_ = cls(
             index.order, index.partitioner, index.pivot_method, fragments
         )
         index._seal()
-        touched: set = set()
+        posted: set = set()
         for v in slice_._owned:
-            source = index._postings[v]
-            slice_._postings[v] = source.copy()
-            touched.update(source.rids)
-        for rid in touched:
-            slice_._ranks[rid] = index._ranks[rid]
+            postings = slice_._postings[v] = index._postings[v]
+            posted.update(postings.rids)
+        slice_._ranks = {
+            rid: ranks for rid, ranks in index._ranks.items() if rid in posted
+        }
         return slice_
 
     # -- replica independence ------------------------------------------

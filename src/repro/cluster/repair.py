@@ -110,7 +110,8 @@ class RepairManager:
     ) -> ShardSlice:
         _manifest, index = load_saved_index(self.snapshot_dir)
         # ``index`` was unpickled for this call and is dropped after it,
-        # so the carved slice shares its columns with nothing live.
+        # so the slice takes its columns, posting and id alike, as they
+        # are: nothing live shares them and nothing is copied.
         slice_ = ShardSlice.carve(index, self.router.plan.fragments_of(shard))
         if baseline is not None:
             bad = differing_fragments(slice_.content_digests(), baseline)

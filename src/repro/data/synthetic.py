@@ -23,12 +23,13 @@ from __future__ import annotations
 import dataclasses
 import math
 from dataclasses import dataclass
-from typing import List, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, List, Sequence
 
 from repro.data.records import Record, RecordCollection
 from repro.errors import ConfigError
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 @dataclass(frozen=True)
@@ -111,11 +112,15 @@ _PRESETS = {spec.name: spec for spec in (EMAIL_LIKE, PUBMED_LIKE, WIKI_LIKE)}
 
 
 def _zipf_log_weights(vocab_size: int, s: float) -> np.ndarray:
+    import numpy as np
+
     ranks = np.arange(1, vocab_size + 1, dtype=np.float64)
     return -s * np.log(ranks)
 
 
 def _sample_lengths(spec: SyntheticSpec, rng: np.random.Generator, n: int) -> np.ndarray:
+    import numpy as np
+
     # Lognormal with the requested mean: mean = exp(mu + sigma^2/2).
     mu = math.log(spec.mean_len) - spec.sigma**2 / 2.0
     lengths = rng.lognormal(mean=mu, sigma=spec.sigma, size=n)
@@ -131,6 +136,8 @@ def _sample_token_sets(
     taking the k largest is equivalent to weighted sampling without
     replacement, in O(vocab) per record.
     """
+    import numpy as np
+
     vocab = len(log_weights)
     sets: List[np.ndarray] = []
     for k in lengths:
@@ -149,6 +156,8 @@ def _mutate(
     rng: np.random.Generator,
 ) -> np.ndarray:
     """Replace ~``rate`` of ``base``'s tokens with fresh Zipf draws."""
+    import numpy as np
+
     keep = base[rng.random(len(base)) >= rate]
     need = len(base) - len(keep)
     if need <= 0:
@@ -166,6 +175,8 @@ def _mutate(
 
 def generate(spec: SyntheticSpec, seed: int = 0) -> RecordCollection:
     """Generate a corpus for ``spec``; deterministic in ``seed``."""
+    import numpy as np
+
     rng = np.random.default_rng(seed)
     log_weights = _zipf_log_weights(spec.vocab_size, spec.zipf_s)
     n_dups = int(spec.n_records * spec.duplicate_fraction)

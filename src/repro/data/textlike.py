@@ -16,10 +16,13 @@ segment filters regaining pruning power on topical data.
 
 from __future__ import annotations
 
-import numpy as np
+from typing import TYPE_CHECKING
 
 from repro.data.records import Record, RecordCollection
 from repro.errors import ConfigError
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 def topic_corpus(
@@ -53,6 +56,8 @@ def topic_corpus(
         raise ConfigError("shared_fraction must be in [0, 1]")
     if not 0.0 <= duplicate_fraction < 1.0:
         raise ConfigError("duplicate_fraction must be in [0, 1)")
+    import numpy as np
+
     rng = np.random.default_rng(seed)
 
     shared_pool = [f"fn{i:03d}" for i in range(shared_vocab)]
@@ -94,6 +99,8 @@ def topic_corpus(
 
 
 def _zipf_weights(size: int, exponent: float) -> np.ndarray:
+    import numpy as np
+
     weights = 1.0 / np.arange(1, size + 1, dtype=np.float64) ** exponent
     return weights / weights.sum()
 

@@ -156,7 +156,10 @@ class FragmentPostings:
 
     # -- bulk ops ------------------------------------------------------
     def copy(self) -> "FragmentPostings":
-        """Deep copy of the sealed columns (fragment carve/migration)."""
+        """Deep copy of the sealed columns: what a fragment migration
+        ships and installs, and what :func:`~repro.cluster.build.
+        build_cluster` gives the slices of a caller's live index.  A carve
+        from an index nothing else holds takes the columns uncopied."""
         self._check_sealed()
         dup = FragmentPostings()
         dup.tokens = array(ID_TYPECODE, self.tokens)

@@ -543,6 +543,31 @@ class TestStatusSurfaces:
         assert status["self_heal"]["replicas"][0][0]["serving"]
         json.dumps(status)
 
+    def test_the_event_log_keeps_the_newest_and_counts_the_rest(
+            self, monkeypatch):
+        """A long-lived plane keeps :data:`EVENT_LOG_LIMIT` events: the
+        newest, exactly what its ticks returned, with the dropped ones
+        counted in the status surface."""
+        from repro.cluster import health
+
+        monkeypatch.setattr(health, "EVENT_LOG_LIMIT", 3)
+        records = make_corpus("wiki", 60, seed=8)
+        clock = ChaosClock()
+        _, router, plane = make_cluster(records, clock, miss_budget=3,
+                                        scrub_interval=100)
+        node = router.replica(0, 1)
+        returned = []
+        for _ in range(4):
+            node.fail()
+            returned += plane.tick()
+            node.restore()
+            returned += plane.tick()
+        assert [e.kind for e in returned] == ["suspect", "recovered"] * 4
+        assert list(plane.events) == returned[-3:]
+        summary = plane.summary()
+        assert summary["events"] == 8
+        assert summary["events_dropped"] == plane.events_dropped == 5
+
     def test_serve_event_lines_are_one_line_typed(self):
         records = make_corpus("wiki", 60, seed=8)
         clock = ChaosClock()
