@@ -25,7 +25,7 @@ import time
 
 from _common import corpus, record_table
 from repro.cluster import build_cluster
-from repro.service import SegmentIndex, SimilarityService
+from repro.service import SegmentIndex
 
 THETA = 0.6
 N_RECORDS = 400
@@ -51,9 +51,8 @@ def test_cluster_vs_single_node(benchmark):
 
     def sweep():
         rows = []
-        single = SimilarityService(index, cache_size=0)
         started = time.perf_counter()
-        expected = [single.search(q, THETA) for q in probe_mix]
+        expected = [index.probe(q, THETA) for q in probe_mix]
         single_wall = time.perf_counter() - started
         rows.append({
             "serving": "single node", "shards": 1, "wall_s": single_wall,
@@ -104,8 +103,7 @@ def test_cluster_rebalance_under_zipf(benchmark):
     records = corpus("wiki", N_RECORDS)
     index = SegmentIndex.build(records, n_vertical=N_VERTICAL)
     probe_mix = _zipf_mix(records, N_PROBES, 1.6, seed=29)
-    single = SimilarityService(index, cache_size=0)
-    expected = [single.search(q, THETA) for q in probe_mix]
+    expected = [index.probe(q, THETA) for q in probe_mix]
 
     def sweep():
         router = build_cluster(index, n_shards=4, replication=2)

@@ -1,21 +1,23 @@
-"""Extension: the online query service (probe latency, cache, batching).
+"""Extension: serving one index (probe latency, cache, batching).
 
 The serving layer answers per-query probes against a standing
 ``SegmentIndex`` instead of re-running a join.  This bench measures the
-three mechanisms that make it a *service* rather than a loop over
+two mechanisms that make it a *service* rather than a loop over
 ``FSJoin``:
 
-* the LRU result cache — repeating a probe mix against a warm cache must
-  not probe the index at all: every query is a hit, and the
-  ``service.probe`` counters do not move (the speed-up this buys is in
-  the table, but a wall-clock ratio is no floor to assert on);
+* the gateway's LRU result cache, over a one-shard cluster — repeating a
+  probe mix against a warm cache must not probe the index at all: every
+  query is a hit, and the node's ``service.probe`` counters do not move
+  (the speed-up this buys is in the table, but a wall-clock ratio is no
+  floor to assert on);
 * batched probing — 100 probes (drawn with duplicates from 60 distinct
-  records) answered by one ``search_batch`` must touch fewer tokens than
-  100 sequential ``search`` calls on an identical cache-disabled
-  service, because the batch dedups repeated queries and scans each
-  shared posting list once (the ``service.probe`` counters prove it).
+  records) answered by one ``SegmentIndex.probe_batch`` must look up
+  fewer posting lists than 100 sequential ``SegmentIndex.probe`` calls,
+  because the batch looks each distinct probe token up once (the
+  ``service.probe`` counters prove it); verification runs per query, so
+  token comparisons are equal.
 
-Expected shape: the warm pass runs zero probes; batched token comparisons
+Expected shape: the warm pass runs zero probes; batched posting lookups
 strictly below sequential; identical hit lists everywhere.
 """
 
@@ -24,7 +26,10 @@ from __future__ import annotations
 import time
 
 from _common import corpus, record_table
-from repro.service import SegmentIndex, SimilarityService
+from repro.cluster import build_cluster
+from repro.gateway import GatewayRequest, SimilarityGateway
+from repro.mapreduce.counters import Counters
+from repro.service import SegmentIndex
 
 THETA = 0.6
 N_RECORDS = 400
@@ -32,17 +37,21 @@ N_VERTICAL = 8
 N_PROBES = 100
 N_DISTINCT = 60
 PROBE = "service.probe"
-CACHE = "service.cache"
 
 
-def _token_comparisons(service):
-    return service.metrics.get(PROBE, "verify_token_comparisons")
+def _one_by_one(gateway, probe_mix):
+    """Each probe as its own request wave: repeats hit the cache instead
+    of coalescing with an in-flight twin."""
+    return [
+        list(gateway.serve([GatewayRequest(tuple(q), THETA)])[0].hits)
+        for q in probe_mix
+    ]
 
 
 def test_query_service(benchmark):
     records = corpus("wiki", N_RECORDS)
     # A skewed probe mix: 100 probes over 60 distinct records, so popular
-    # queries repeat — the situation caches and batch dedup exist for.
+    # queries repeat — the situation caches and batch lookups exist for.
     probe_mix = [records[i % N_DISTINCT].tokens for i in range(N_PROBES)]
 
     def sweep():
@@ -50,45 +59,54 @@ def test_query_service(benchmark):
         rows = []
 
         # --- cold vs warm cache -----------------------------------------
-        cached = SimilarityService(index)
+        gateway = SimilarityGateway(build_cluster(index, n_shards=1))
+        node = gateway.router.replica(0, 0)
         started = time.perf_counter()
-        cold_hits = [cached.search(q, THETA) for q in probe_mix]
+        cold_hits = _one_by_one(gateway, probe_mix)
         cold_wall = time.perf_counter() - started
-        cold_probe = cached.metrics.group(PROBE)
+        cold_probe = node.counters.group(PROBE)
         started = time.perf_counter()
-        warm_hits = [cached.search(q, THETA) for q in probe_mix]
+        warm_hits = _one_by_one(gateway, probe_mix)
         warm_wall = time.perf_counter() - started
-        warm_probe = cached.metrics.group(PROBE)
-        rows.append({"scenario": "sequential, cold cache", "wall_s": cold_wall,
-                     "speedup": 1.0, "token_cmp": ""})
-        rows.append({"scenario": "sequential, warm cache", "wall_s": warm_wall,
-                     "speedup": cold_wall / warm_wall, "token_cmp": ""})
-        cache_stats = cached.cache_info()
+        warm_probe = node.counters.group(PROBE)
+        rows.append({"scenario": "gateway, cold cache", "wall_s": cold_wall,
+                     "speedup": 1.0, "lookups": "", "token_cmp": ""})
+        rows.append({"scenario": "gateway, warm cache", "wall_s": warm_wall,
+                     "speedup": cold_wall / warm_wall, "lookups": "",
+                     "token_cmp": ""})
 
-        # --- batched vs sequential (caches off, counters on) ------------
-        sequential = SimilarityService(index, cache_size=0)
+        # --- batched vs sequential (index, counters on) -----------------
+        sequential = Counters()
         started = time.perf_counter()
-        seq_hits = [sequential.search(q, THETA) for q in probe_mix]
+        seq_hits = [index.probe(q, THETA, counters=sequential)
+                    for q in probe_mix]
         seq_wall = time.perf_counter() - started
-        batched = SimilarityService(index, cache_size=0)
+        batched = Counters()
         started = time.perf_counter()
-        bat_hits = batched.search_batch(probe_mix, THETA)
+        bat_hits = index.probe_batch(
+            [index.encode_query(q) for q in probe_mix], THETA,
+            counters=batched,
+        )
         bat_wall = time.perf_counter() - started
-        rows.append({"scenario": "sequential, no cache", "wall_s": seq_wall,
-                     "speedup": cold_wall / seq_wall,
-                     "token_cmp": _token_comparisons(sequential)})
-        rows.append({"scenario": "batched, no cache", "wall_s": bat_wall,
-                     "speedup": cold_wall / bat_wall,
-                     "token_cmp": _token_comparisons(batched)})
+        for scenario, wall, counters in (
+            ("index.probe x100", seq_wall, sequential),
+            ("index.probe_batch", bat_wall, batched),
+        ):
+            rows.append({
+                "scenario": scenario, "wall_s": wall,
+                "speedup": cold_wall / wall,
+                "lookups": counters.get(PROBE, "posting_lookups"),
+                "token_cmp": counters.get(PROBE, "verify_token_comparisons"),
+            })
 
         outcomes = {
             "cold": cold_hits, "warm": warm_hits, "seq": seq_hits,
             "bat": bat_hits,
         }
         counters = {
-            "seq_cmp": _token_comparisons(sequential),
-            "bat_cmp": _token_comparisons(batched),
-            "cache": cache_stats,
+            "seq": sequential.group(PROBE),
+            "bat": batched.group(PROBE),
+            "gateway": gateway.metrics.group("gateway"),
             "cold_probe": cold_probe,
             "warm_probe": warm_probe,
         }
@@ -100,7 +118,7 @@ def test_query_service(benchmark):
         rows,
         f"Extension — query service, wiki-like n={N_RECORDS}, θ={THETA}, "
         f"{N_PROBES} probes over {N_DISTINCT} distinct queries",
-        columns=("scenario", "wall_s", "speedup", "token_cmp"),
+        columns=("scenario", "wall_s", "speedup", "lookups", "token_cmp"),
     )
 
     # Every path answers every probe identically.
@@ -111,10 +129,13 @@ def test_query_service(benchmark):
     # The warm pass is pure cache hits: it probes nothing, so every
     # service.probe counter stands where the cold pass left it.  (The cold
     # pass already hits on its own repeats: 100 probes, 60 distinct.)
-    assert counters["cache"]["misses"] == N_DISTINCT
-    assert counters["cache"]["hits"] == 2 * N_PROBES - N_DISTINCT
+    assert counters["gateway"]["dispatched"] == N_DISTINCT
+    assert counters["gateway"]["cache_hits"] == 2 * N_PROBES - N_DISTINCT
     assert counters["cold_probe"]["probes"] == N_DISTINCT
     assert counters["warm_probe"] == counters["cold_probe"]
     # Batching beats sequential probing on work done, not just wall-clock:
-    # the counters show strictly fewer token comparisons.
-    assert 0 < counters["bat_cmp"] < counters["seq_cmp"]
+    # the counters show strictly fewer posting lookups, and verification
+    # (per query either way) compares the same tokens.
+    seq, bat = counters["seq"], counters["bat"]
+    assert 0 < bat["posting_lookups"] < seq["posting_lookups"]
+    assert bat["verify_token_comparisons"] == seq["verify_token_comparisons"]

@@ -54,36 +54,57 @@ def phase_breakdown(spans: Sequence[Span]) -> List[Dict[str, Any]]:
     """Aggregate spans into per-phase rows (count, total time, share).
 
     Phases are the span categories (``pipeline``/``job``/``map``/
-    ``reduce``/``shuffle``/``driver``/``service``).  ``share`` is each
-    phase's fraction of the summed *root*-span time — roots are the only
-    spans whose durations don't double-count their children — and retried
-    task attempts are reported separately (``map (retried)``) so
+    ``reduce``/``shuffle``/``driver``/``service``).  A phase's
+    ``total_s`` sums only its outermost spans — a span nested inside
+    another span of the same phase is already inside that span's time —
+    while ``mean_ms`` is the mean duration of all its spans.  ``share``
+    is ``total_s`` over the summed *root*-span time, and retried task
+    attempts are reported separately (``map (retried)``) so
     fault-injection runs show the re-execution cost as its own row.
     Rows are ordered by first span start, the execution order.
     """
     rows: Dict[str, Dict[str, Any]] = {}
+    by_id = {span.span_id: span for span in spans}
     root_total = sum(s.duration for s in spans if s.parent_id is None) or None
     for span in spans:
-        label = span.phase or "(untagged)"
-        if span.attrs.get("status") == "retried":
-            label = f"{label} (retried)"
+        label = _phase_label(span)
         row = rows.get(label)
         if row is None:
             row = rows[label] = {
                 "phase": label,
                 "spans": 0,
                 "total_s": 0.0,
+                "_sum": 0.0,
                 "_first": span.start,
             }
         row["spans"] += 1
-        row["total_s"] += span.duration
+        row["_sum"] += span.duration
+        if not _nested_in_phase(span, label, by_id):
+            row["total_s"] += span.duration
         row["_first"] = min(row["_first"], span.start)
     ordered = sorted(rows.values(), key=lambda row: row.pop("_first"))
     for row in ordered:
-        row["mean_ms"] = row["total_s"] / row["spans"] * 1e3
+        row["mean_ms"] = row.pop("_sum") / row["spans"] * 1e3
         if root_total:
             row["share"] = f"{row['total_s'] / root_total:.1%}"
     return ordered
+
+
+def _phase_label(span: Span) -> str:
+    label = span.phase or "(untagged)"
+    if span.attrs.get("status") == "retried":
+        label = f"{label} (retried)"
+    return label
+
+
+def _nested_in_phase(span: Span, label: str, by_id: Dict[int, Span]) -> bool:
+    """Does ``span`` have an ancestor whose row is ``label``?"""
+    parent = by_id.get(span.parent_id)
+    while parent is not None:
+        if _phase_label(parent) == label:
+            return True
+        parent = by_id.get(parent.parent_id)
+    return False
 
 
 def format_phase_breakdown(

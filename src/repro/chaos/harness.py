@@ -22,9 +22,10 @@ contract the repo promises:
   breaker must open *and* close again (the rejoin), and with a whole shard
   down ``search`` must fail typed while ``search_partial`` must flag its
   answer incomplete and name the missing fragments.
-* :func:`run_search_scenario` — the service layer: a snapshot corrupted on
-  disk must fail closed with a typed error on load, and a request that
-  overruns its deadline (latency injected on the chaos clock) must raise
+* :func:`run_search_scenario` — one node's serving path: a snapshot
+  corrupted on disk must fail closed with a typed error on load, and a
+  request to a one-shard router that overruns its deadline (latency
+  injected on the chaos clock) must raise
   :class:`~repro.errors.DeadlineExceededError` rather than return late.
 * :func:`run_ingest_scenario` — the streaming ingest subsystem: the
   driver is killed at each of the three crash points of the write path
@@ -79,7 +80,7 @@ from repro.errors import (
 from repro.mapreduce.hdfs import InMemoryDFS
 from repro.mapreduce.runtime import ClusterSpec, SimulatedCluster
 from repro.observability.tracer import NOOP_TRACER, Tracer
-from repro.service import SegmentIndex, SimilarityService, load_index, save_index
+from repro.service import SegmentIndex, load_index, save_index
 from repro.similarity.functions import SimilarityFunction
 
 #: DFS path whose read the join scenario's driver kill is armed on — the
@@ -498,29 +499,21 @@ def run_search_scenario(
         detail["corruption_detected"] = corruption_detected
 
     clock = rig.clock
-    service = SimilarityService(index, tracer=rig.tracer, clock=clock)
-    hits = service.search(probe_tokens, theta, func=func, deadline=60.0)
+    router = build_cluster(index, n_shards=1, tracer=rig.tracer, clock=clock)
+    hits = router.search(probe_tokens, theta, func=func, deadline=60.0)
     detail["in_deadline_ok"] = hits == expected
-    rig.injector.record("latency-spike", "service",
+    victim = router.replica(0, 0)
+    rig.injector.record("latency-spike", victim.name,
                         "+1.000s on the chaos clock mid-request")
-    original_probe = service.index.probe_batch
-
-    def slow_probe(*args, **kwargs):
-        clock.advance(1.0)
-        return original_probe(*args, **kwargs)
-
-    service.index.probe_batch = slow_probe  # type: ignore[method-assign]
-    service._cache.clear()
+    victim.fault_hook = lambda node: clock.advance(1.0)
     deadline_typed = False
     try:
-        service.search(probe_tokens, theta, func=func, deadline=0.5)
+        router.search(probe_tokens, theta, func=func, deadline=0.5)
     except DeadlineExceededError:
         deadline_typed = True
-    finally:
-        del service.index.probe_batch
     detail["deadline_typed"] = deadline_typed
-    detail["deadline_counter"] = service.metrics.get(
-        "service.deadline", "exceeded"
+    detail["deadline_counter"] = router.metrics.get(
+        "cluster.route", "deadline_exceeded"
     )
 
     matched = (

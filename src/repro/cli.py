@@ -180,7 +180,7 @@ def _build_parser() -> argparse.ArgumentParser:
     what.add_argument("--query-file",
                       help="batch probe: one record per line, corpus format")
     search.add_argument("--trace", metavar="PATH",
-                        help="record per-probe spans (cache lookup, prefix "
+                        help="record per-probe spans (scatter, prefix "
                              "filter, verification); writes JSONL to PATH "
                              "plus a Chrome trace twin")
 
@@ -570,30 +570,30 @@ def _rid_tokens(backend, rid):
         ) from None
 
 
-def _print_search(args, backend, rid_source, tracer) -> int:
+def _print_search(args, router, tracer) -> int:
     """Answer ``repro search`` / ``repro cluster search`` as one JSON
-    document: the service and the router take the same three calls."""
+    document from one router (one shard for a plain snapshot)."""
     import json
 
     func = SimilarityFunction(args.func)
     document = {"theta": args.theta, "func": func.value}
     if args.query_file:
         queries = [record.tokens for record in _read_query_file(args.query_file)]
-        results = backend.search_batch(queries, args.theta, k=args.k, func=func)
+        results = router.search_batch(queries, args.theta, k=args.k, func=func)
         document["results"] = [
             {"query": list(tokens), "hits": _hit_rows(hits)}
             for tokens, hits in zip(queries, results)
         ]
     else:
         if args.rid is not None:
-            tokens = _rid_tokens(rid_source, args.rid)
-            hits = backend.search_rid(args.rid, args.theta, k=args.k, func=func)
+            tokens = _rid_tokens(router, args.rid)
+            hits = router.search_rid(args.rid, args.theta, k=args.k, func=func)
         else:
             tokens = args.query.split()
-            hits = backend.search(tokens, args.theta, k=args.k, func=func)
+            hits = router.search(tokens, args.theta, k=args.k, func=func)
         document = {"query": tokens, **document, "hits": _hit_rows(hits)}
     if args.trace:
-        document["latency"] = backend.latency.snapshot()
+        document["latency"] = router.latency.snapshot()
         _export_trace(tracer, args.trace)
         _print_phase_breakdown(tracer)
     print(json.dumps(document))
@@ -601,11 +601,12 @@ def _print_search(args, backend, rid_source, tracer) -> int:
 
 
 def _cmd_search(args) -> int:
-    from repro.service import SimilarityService
+    from repro.cluster import build_cluster
+    from repro.service import load_index
 
     tracer = Tracer() if args.trace else NOOP_TRACER
-    service = SimilarityService.load(args.index, tracer=tracer)
-    return _print_search(args, service, service.index, tracer)
+    router = build_cluster(load_index(args.index), n_shards=1, tracer=tracer)
+    return _print_search(args, router, tracer)
 
 
 def _fail_replica(router, shard) -> None:
@@ -654,7 +655,7 @@ def _cmd_cluster_search(args) -> int:
     router = load_cluster(args.cluster_dir, tracer=tracer)
     if args.fail_shard is not None:
         _fail_replica(router, args.fail_shard)
-    return _print_search(args, router, router, tracer)
+    return _print_search(args, router, tracer)
 
 
 def _cmd_cluster_status(args) -> int:

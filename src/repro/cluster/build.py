@@ -60,7 +60,7 @@ def build_cluster(
     """Shard an index (or a corpus) into a routed, replicated cluster.
 
     Passing a prebuilt :class:`SegmentIndex` guarantees the cluster
-    answers bit-identically to a single-node service over that index —
+    answers bit-identically to :meth:`SegmentIndex.probe` over that index —
     same ordering, same pivots, same fragments, just placed.
 
     ``independent_replicas=True`` gives every replica beyond the first

@@ -586,8 +586,10 @@ class ClusterRouter:
         exclude: Optional[int] = None,
         deadline: Optional[float] = None,
     ) -> List[SearchHit]:
-        """Exact cluster-wide search; same contract as
-        :meth:`repro.service.service.SimilarityService.search`.
+        """Exact cluster-wide search: every indexed record with
+        ``sim(query, record) ≥ θ``, best first, bit-identical to
+        :meth:`SegmentIndex.probe` over the unsharded index.  ``k``
+        truncates the list; ``exclude`` drops one record id.
 
         ``deadline`` (seconds of budget for the whole request, measured on
         the router's clock) turns a slow request into a typed
@@ -737,7 +739,6 @@ class ClusterRouter:
         theta: float,
         k: Optional[int] = None,
         func: SimilarityFunction = SimilarityFunction.JACCARD,
-        exclude: Optional[Sequence[Optional[int]]] = None,
         deadline: Optional[float] = None,
         hedge_delay: Optional[float] = None,
     ) -> List[List[SearchHit]]:
@@ -752,11 +753,8 @@ class ClusterRouter:
         Results align with ``queries`` and are bit-identical to per-query
         :meth:`search` calls.
 
-        ``exclude`` (parity with
-        :meth:`~repro.service.service.SimilarityService.search_batch`) is
-        a per-query sequence of record ids to drop, ``None`` entries
-        skipping; ``deadline`` bounds the whole batch in seconds on the
-        router clock.  With a :class:`~repro.cluster.failover.HedgeConfig`
+        ``deadline`` bounds the whole batch in seconds on the router
+        clock.  With a :class:`~repro.cluster.failover.HedgeConfig`
         configured, slow shard legs are hedged onto a backup replica (the
         first answer wins; replicas serve the same slice, so the result
         is bit-identical either way).  ``hedge_delay`` overrides the
@@ -764,21 +762,12 @@ class ClusterRouter:
         per-tenant hedging rides this, and since hedging only picks
         *which replica answers*, any override keeps results bit-identical.
         """
-        if exclude is not None and len(exclude) != len(queries):
-            raise ConfigError(
-                f"exclude must align with queries: got {len(exclude)} "
-                f"entries for {len(queries)} queries"
-            )
         answers, slots = self._serve(queries, theta, func, deadline,
                                      hedge_delay)
         self.metrics.increment(ROUTE_GROUP, "batches")
         self.metrics.increment(ROUTE_GROUP, "batch_deduped",
                                len(queries) - len(answers))
-        return [
-            view_hits(answers[di][0], k,
-                      exclude[i] if exclude is not None else None)
-            for i, di in enumerate(slots)
-        ]
+        return [view_hits(answers[di][0], k, None) for di in slots]
 
     def _batch_scatter(
         self,

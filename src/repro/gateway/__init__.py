@@ -6,7 +6,7 @@ The pieces, front to back:
   coalescing over an LRU result cache, weighted-fair micro-batching into
   :meth:`ClusterRouter.search_batch`, per-tenant quotas with typed
   sheds, per-request deadlines, all reported on the router's clock.
-* :class:`GatewayConfig` / :class:`TenantConfig` — batching window,
+* :class:`GatewayConfig` / :class:`TenantConfig` — batch bound,
   cache size, and each tenant's weight + outstanding-request quota.
 * :class:`GatewayRequest` / :class:`GatewayResponse` — the replayable
   schedule format :meth:`SimilarityGateway.serve` consumes and returns.

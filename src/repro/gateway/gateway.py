@@ -91,11 +91,6 @@ class GatewayConfig:
 
     max_batch: int = 32
     """Most probes one dispatch round hands to the router batch path."""
-    window: float = 0.0
-    """Batching window in seconds of real time.  ``0`` batches exactly
-    the probes enqueued by the current scheduling wave (deterministic —
-    what the tests and chaos replays use); a positive window additionally
-    lets late arrivals join the batch."""
     cache_size: int = 1024
     """Capacity of the gateway result LRU (0 disables caching).  Entries
     are tagged with the router's :attr:`~ClusterRouter.index_epoch` at
@@ -116,8 +111,6 @@ class GatewayConfig:
     def __post_init__(self) -> None:
         if self.max_batch < 1:
             raise ConfigError("max_batch must be >= 1")
-        if self.window < 0:
-            raise ConfigError("window must be >= 0")
         if self.cache_size < 0:
             raise ConfigError("cache_size must be >= 0")
 
@@ -312,12 +305,8 @@ class SimilarityGateway:
         """Drain queued probes in weighted-fair batches until idle."""
         while True:
             # Yield so every request of the current scheduling wave gets
-            # to enqueue before the batch is cut; a positive window
-            # additionally waits out late arrivals in real time.
-            if self.config.window > 0:
-                await asyncio.sleep(self.config.window)
-            else:
-                await asyncio.sleep(0)
+            # to enqueue before the batch is cut.
+            await asyncio.sleep(0)
             batch = self._drain()
             if not batch:
                 self._dispatcher = None
@@ -364,7 +353,7 @@ class SimilarityGateway:
                 # Epoch before the probe: a write landing mid-probe may
                 # or may not be visible in these results, so tag them
                 # with the older epoch and let the next get recompute.
-                epoch = self._router_epoch()
+                epoch = self.router.index_epoch
                 hedge_delay = (
                     self._adaptive_hedge_delay(
                         {pending.tenant for pending in members}
@@ -421,10 +410,6 @@ class SimilarityGateway:
                 "gateway request ran past its deadline; result abandoned"
             )
 
-    def _router_epoch(self) -> int:
-        """The router's index epoch (0 for routers without one)."""
-        return getattr(self.router, "index_epoch", 0)
-
     def _cache_get(self, key: QueryKey) -> Optional[List[SearchHit]]:
         """A cached result, unless the index mutated since it was put —
         an epoch-stale entry counts as ``cache_invalidated`` and misses,
@@ -433,7 +418,7 @@ class SimilarityGateway:
         if entry is None:
             return None
         epoch, hits = entry
-        if epoch != self._router_epoch():
+        if epoch != self.router.index_epoch:
             self.metrics.increment(GATEWAY_GROUP, "cache_invalidated")
             return None
         return hits

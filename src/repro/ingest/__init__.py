@@ -9,7 +9,7 @@ compaction policy merges (:mod:`repro.ingest.generations`,
 :mod:`repro.ingest.compaction`).
 :class:`~repro.ingest.streaming.StreamingIndex` is the façade that ties
 the tiers together and duck-types :class:`~repro.service.index.SegmentIndex`
-so the service and cluster layers serve probes — bit-identical to a
+so the cluster layer serves probes — bit-identical to a
 single index built from the union — while writes keep flowing.
 """
 

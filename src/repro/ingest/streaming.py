@@ -37,8 +37,7 @@ every record is evaluated independently, so results are bit-identical
 to a single ``SegmentIndex`` over the union (property-tested in
 ``tests/test_ingest_memtable.py``).  The façade duck-types the index API
 (``probe``/``probe_batch``/``encode_query``/``apply_batch``/...), so
-:class:`~repro.service.service.SimilarityService` and the cluster layer
-serve it unchanged.
+the cluster layer serves it unchanged as its ingest tier.
 
 Recovery (:meth:`StreamingIndex.recover`) follows CURRENT to the live
 manifest, rebuilds the order from the log's committed prefix,

@@ -11,7 +11,7 @@ Public surface:
 
 Instrumentation lives with the instrumented code: the MapReduce runtime
 spans jobs/waves/task attempts, ``FSJoin`` spans its driver phases, and
-``SimilarityService``/``SegmentIndex`` span the probe path.  See
+the cluster router and ``SegmentIndex`` span the probe path.  See
 ``docs/architecture.md`` § Observability.
 """
 

@@ -1,6 +1,6 @@
 """A log-bucketed latency histogram with percentile snapshots.
 
-The service records one observation per probe; percentile queries walk the
+The router and the gateway record one observation per request; percentile queries walk the
 cumulative bucket counts.  Buckets double from 1 µs, so the p50/p95/p99
 estimates carry at most a 2× quantization error while ``record`` stays O(1)
 with a fixed ~70-slot footprint — always-on accounting, like a counter.
@@ -54,7 +54,7 @@ class LatencyHistogram:
             return self.max  # pragma: no cover - rank <= count always hits
 
     def snapshot(self) -> Dict[str, Union[int, float]]:
-        """`cache_info`-style summary (milliseconds, rounded for printing)."""
+        """Count and percentiles in milliseconds, rounded for printing."""
         p50, p95, p99 = (self.percentile(q) for q in (0.50, 0.95, 0.99))
         with self._lock:
             count, total = self.count, self.total

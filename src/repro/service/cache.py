@@ -1,19 +1,16 @@
 """A bounded, thread-safe LRU cache for probe results.
 
-The service keys entries by ``(canonical token tuple, θ, func)`` — the
+The gateway keys entries by ``(canonical token tuple, θ, func)`` — the
 full identity of an exact probe — and stores the *complete* hit list, so
 one cached entry serves every ``k`` truncation and every ``exclude``
 filter of the same query.  Capacity 0 disables caching (every ``get``
-misses, ``put`` is a no-op), which the benchmarks use to measure cold
-probes.
+misses, ``put`` is a no-op).
 
-Every operation takes an internal lock: callers serving concurrent
-requests share one :class:`SimilarityService` across threads, and an
-unsynchronized ``OrderedDict`` corrupts under concurrent ``move_to_end``/
-``popitem`` — ``tests/test_service_cache_stress.py`` hammers exactly that
-pattern.
+Every operation takes an internal lock: an unsynchronized
+``OrderedDict`` corrupts under concurrent ``move_to_end``/``popitem`` —
+``tests/test_service_cache_stress.py`` hammers exactly that pattern.
 
-Hit/miss/eviction accounting lives in the service's
+Hit/miss accounting lives in the caller's
 :class:`~repro.mapreduce.counters.Counters` (the cache itself stays a dumb
 container so it can be unit-tested in isolation).
 """

@@ -50,10 +50,9 @@ entries) and verification's ``required_overlap`` per partner size.
 **Result-ordering contract**: every probe's hit list is sorted by
 ``(-score, rid)`` — descending score, ascending record id on ties — and
 ``probe_batch`` returns lists aligned with its input queries in input
-order.  The order is deterministic across the serial, thread and process
-fan-outs of
-:meth:`repro.service.service.SimilarityService.search_batch`
-(``tests/test_service_columnar.py`` regression-tests this).
+order.  The order is deterministic across serial, thread and process
+fan-outs of one batch (``tests/test_service_columnar.py``
+regression-tests this).
 
 The index is θ- and function-agnostic: both are probe-time arguments, so
 one snapshot serves every threshold (this is what lets

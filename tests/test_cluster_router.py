@@ -36,7 +36,6 @@ from repro.mapreduce.counters import Counters
 from repro.mapreduce.hdfs import InMemoryDFS
 from repro.observability.tracer import Tracer
 from repro.service.index import SegmentIndex
-from repro.service.service import SimilarityService
 from repro.similarity.functions import SimilarityFunction
 from tests.conftest import (
     brute_force_search,
@@ -124,7 +123,6 @@ class TestBitIdentity:
         assert_parity(cluster, index, corpus, theta, func)
 
     def test_novel_queries_match(self, cluster, index):
-        service = SimilarityService(index, cache_size=0)
         queries = [
             ["t000", "t001", "t002"],
             ["t010", "t020", "t030", "t040", "t050"],
@@ -133,7 +131,7 @@ class TestBitIdentity:
         ]
         for tokens in queries:
             for theta in THETAS:
-                assert cluster.search(tokens, theta) == service.search(
+                assert cluster.search(tokens, theta) == index.probe(
                     tokens, theta
                 )
 
@@ -159,22 +157,21 @@ class TestBitIdentity:
             assert seen == expected
 
     def test_search_rid_excludes_self(self, cluster, index):
-        service = SimilarityService(index, cache_size=0)
         for rid in (0, 7, 42):
             got = cluster.search_rid(rid, 0.5)
             assert all(hit.rid != rid for hit in got)
-            assert got == service.search_rid(rid, 0.5)
+            assert got == [hit for hit in index.probe(index.tokens_of(rid), 0.5)
+                           if hit.rid != rid]
 
     def test_k_truncates(self, cluster):
         full = cluster.search(cluster.tokens_of(0), 0.3)
         assert cluster.search(cluster.tokens_of(0), 0.3, k=2) == full[:2]
 
     def test_search_batch(self, cluster, index):
-        service = SimilarityService(index, cache_size=0)
         queries = [cluster.tokens_of(rid) for rid in (0, 1, 2)]
-        assert cluster.search_batch(queries, 0.6) == service.search_batch(
-            queries, 0.6
-        )
+        assert cluster.search_batch(queries, 0.6) == [
+            index.probe(tokens, 0.6) for tokens in queries
+        ]
 
     def test_thread_executor_matches_serial(self, index, corpus):
         # With hedging on, every leg of every search runs on the hedge
@@ -386,7 +383,6 @@ class TestOneScan:
 def _entry_points(index):
     """name → ``call(queries, theta, func)`` over every in-process way to
     probe token lists (the wire's is in ``tests/test_net_server.py``)."""
-    service = SimilarityService(index)
     router = build_cluster(index, n_shards=3, replication=1)
     streaming = StreamingIndex.create(InMemoryDFS(), records=None,
                                       n_vertical=4)
@@ -402,11 +398,6 @@ def _entry_points(index):
     return {
         "index.probe": each(index.probe),
         "index.probe_batch": encoded(index, index.probe_batch),
-        "service.search": each(
-            lambda tokens, theta, func: service.search(tokens, theta,
-                                                       func=func)),
-        "service.search_batch": lambda queries, theta, func:
-            service.search_batch(queries, theta, func=func),
         "router.search": each(
             lambda tokens, theta, func: router.search(tokens, theta,
                                                       func=func)),

@@ -283,8 +283,6 @@ class TestConfig:
         with pytest.raises(ConfigError):
             GatewayConfig(max_batch=0)
         with pytest.raises(ConfigError):
-            GatewayConfig(window=-0.1)
-        with pytest.raises(ConfigError):
             GatewayConfig(cache_size=-1)
 
     def test_response_ok_property(self):

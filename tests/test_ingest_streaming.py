@@ -17,7 +17,7 @@ from repro.data.records import Record, RecordCollection
 from repro.errors import ClusterError, ConfigError, DataError
 from repro.ingest import IngestConfig, StreamingIndex
 from repro.mapreduce.hdfs import InMemoryDFS
-from repro.service import SegmentIndex, SimilarityService, load_index
+from repro.service import SegmentIndex, load_index, save_index
 from tests.conftest import brute_force_search, random_collection
 
 
@@ -193,27 +193,40 @@ class TestRecovery:
 
 class TestServiceIntegration:
     def test_similarity_service_over_streaming_index(self, corpus):
-        streaming = _feed(_stream(corpus), corpus)
-        service = SimilarityService(streaming)
+        """A one-shard router serves a streaming tier as its ingest leg:
+        search, search_batch and search_rid all answer like one index
+        over the union."""
+        from repro.cluster import build_cluster
+
+        router = build_cluster(
+            RecordCollection(list(corpus)[:30]), n_shards=1, n_vertical=5
+        )
+        router.attach_ingest(StreamingIndex.attach(
+            InMemoryDFS(), "ingest", router.order, router.partitioner,
+            config=IngestConfig(memtable_limit=12, fanout=2),
+        ))
+        tail = list(corpus)[30:]
+        for i in range(0, len(tail), 10):
+            router.apply_batch(tail[i:i + 10])
         oracle = SegmentIndex.build(corpus, n_vertical=5)
         for record in list(corpus)[::9]:
-            assert service.search(record.tokens, 0.5) == oracle.probe(
+            assert router.search(record.tokens, 0.5) == oracle.probe(
                 record.tokens, 0.5
             )
-        queries = [record.tokens for record in list(corpus)[:6]]
-        assert service.search_batch(queries, 0.5) == [
+        queries = [record.tokens for record in list(corpus)[25:35]]
+        assert router.search_batch(queries, 0.5) == [
             oracle.probe(query, 0.5) for query in queries
         ]
-        assert service.search_rid(corpus[0].rid, 0.5) == [
-            hit for hit in oracle.probe(corpus[0].tokens, 0.5)
-            if hit.rid != corpus[0].rid
-        ]
+        for record in (corpus[0], corpus[40]):
+            assert router.search_rid(record.rid, 0.5) == [
+                hit for hit in oracle.probe(record.tokens, 0.5)
+                if hit.rid != record.rid
+            ]
 
     def test_service_save_writes_a_plain_snapshot(self, corpus, tmp_path):
         streaming = _feed(_stream(corpus), corpus)
-        service = SimilarityService(streaming)
         path = tmp_path / "streamed.idx"
-        service.save(path)
+        save_index(streaming.to_segment_index(), path)
         loaded = load_index(path)
         assert isinstance(loaded, SegmentIndex)
         for record in list(corpus)[::9]:

@@ -26,7 +26,8 @@ from repro.observability import (
     write_chrome_trace,
     write_jsonl,
 )
-from repro.service import SegmentIndex, SimilarityService
+from repro.cluster import build_cluster
+from repro.service import SegmentIndex
 from tests.conftest import random_collection
 from tests.test_mr_fault_tolerance import LINES, FailFirstAttempts, WordCount
 
@@ -34,11 +35,12 @@ EXECUTORS = ["serial", "thread", "process"]
 
 
 def _batch_with_spans(task):
-    """Worker task (module-level: picklable): serve one batch, traced or
-    not, and return its hits with each span's (name, queries attribute)."""
+    """Worker task (module-level: picklable): serve one batch through a
+    one-shard router, traced or not, and return its hits with each span's
+    (name, queries attribute)."""
     index, queries, traced = task
     tracer = Tracer() if traced else NOOP_TRACER
-    hits = SimilarityService(index, cache_size=0, tracer=tracer).search_batch(
+    hits = build_cluster(index, n_shards=1, tracer=tracer).search_batch(
         queries, 0.5
     )
     return hits, [(s.name, s.attrs.get("queries")) for s in tracer.spans()]
@@ -391,23 +393,23 @@ class TestServiceTracing:
 
     def test_probe_span_coverage(self, corpus):
         tracer = Tracer()
-        service = SimilarityService(
-            SegmentIndex.build(corpus, n_vertical=4), tracer=tracer
+        router = build_cluster(
+            SegmentIndex.build(corpus, n_vertical=4), n_shards=1,
+            tracer=tracer,
         )
-        query = list(corpus[0].tokens)
-        service.search(query, 0.5)
-        names = [s.name for s in tracer.spans()]
-        assert names == ["probe", "cache-lookup", "prefix-filter",
-                         "verification"]
+        router.search(list(corpus[0].tokens), 0.5)
+        spans = tracer.spans()
+        names = [s.name for s in spans]
+        assert names == ["cluster-batch", "route", "shard-probe",
+                         "prefix-filter", "verification", "merge"]
         for retired in ("positional-bound", "fragment-filters"):
             assert retired not in names
-        probe = tracer.spans()[0]
-        children = tracer.spans()[1:]
-        assert all(child.parent_id == probe.span_id for child in children)
-        assert probe.attrs["cache"] == "miss"
-        service.search(query, 0.5)  # now cached
-        second = tracer.spans()[len(names)]
-        assert second.attrs["cache"] == "hit"
+        request, leg = spans[0], spans[2]
+        assert all(span.parent_id == request.span_id
+                   for span in spans if span.phase == "cluster"
+                   and span is not request)
+        assert all(span.parent_id == leg.span_id
+                   for span in spans if span.phase == "service")
 
     @pytest.mark.parametrize("executor", [None, "thread", "process"])
     def test_batch_bit_identical_traced_vs_untraced(self, corpus, executor):
@@ -426,13 +428,14 @@ class TestServiceTracing:
         (plain, untraced_spans), (traced, spans) = runs
         assert traced == plain
         assert untraced_spans == []
-        assert spans[0] == ("batch", 12)
+        assert spans[0] == ("cluster-batch", 12)
 
     def test_latency_info(self, corpus):
-        service = SimilarityService(SegmentIndex.build(corpus, n_vertical=4))
+        router = build_cluster(SegmentIndex.build(corpus, n_vertical=4),
+                               n_shards=1)
         for record in corpus[:5]:
-            service.search(list(record.tokens), 0.5)
-        info = service.latency_info()
+            router.search(list(record.tokens), 0.5)
+        info = router.latency_info()["latency"]
         assert info["count"] == 5
         assert info["p50_ms"] <= info["p95_ms"] <= info["p99_ms"]
         assert info["max_ms"] > 0
@@ -461,6 +464,22 @@ class TestPhaseBreakdown:
         ).run_job(WordCount(), LINES, num_map_tasks=2)
         labels = {row["phase"] for row in phase_breakdown(tracer.spans())}
         assert "map (retried)" in labels and "map" in labels
+
+    def test_nested_spans_of_one_phase_count_once(self):
+        """A router search nests ``cluster`` spans (route, shard-probe,
+        merge) inside its ``cluster`` request span: the phase's time is
+        the request's, never the request plus its own children."""
+        corpus = random_collection(40, seed=92)
+        tracer = Tracer()
+        router = build_cluster(SegmentIndex.build(corpus, n_vertical=4),
+                               n_shards=2, tracer=tracer)
+        router.search_batch([list(r.tokens) for r in corpus], 0.5)
+        rows = phase_breakdown(tracer.spans())
+        assert {row["phase"] for row in rows} == {"cluster", "service"}
+        for row in rows:
+            assert float(row["share"].rstrip("%")) <= 100.0
+        cluster = next(row for row in rows if row["phase"] == "cluster")
+        assert cluster["share"] == "100.0%"
 
     def test_format_renders_table(self):
         tracer = Tracer()

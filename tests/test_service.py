@@ -1,4 +1,5 @@
-"""Tests for the similarity service: caching, batching, snapshots."""
+"""Tests for the serving surface of one index: the gateway's result
+cache, one-node routing and batching, snapshots."""
 
 from __future__ import annotations
 
@@ -9,20 +10,15 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro.cluster import build_cluster
 from repro.errors import ConfigError, DataError, SnapshotError
-from repro.data.records import Record
-from repro.service import (
-    LRUCache,
-    SegmentIndex,
-    SimilarityService,
-    load_index,
-    save_index,
-)
+from repro.gateway import GatewayRequest, SimilarityGateway
+from repro.service import LRUCache, SegmentIndex, load_index, save_index
 from repro.service.snapshot import SNAPSHOT_FORMAT, SNAPSHOT_VERSION
+from repro.similarity.functions import SimilarityFunction
 from tests.conftest import random_collection
 
-CACHE = "service.cache"
-PROBE = "service.probe"
+GATEWAY = "gateway"
 
 
 @pytest.fixture(scope="module")
@@ -31,8 +27,26 @@ def corpus():
 
 
 @pytest.fixture()
-def service(corpus):
-    return SimilarityService(SegmentIndex.build(corpus, n_vertical=5))
+def index(corpus):
+    return SegmentIndex.build(corpus, n_vertical=5)
+
+
+@pytest.fixture()
+def router(index):
+    return build_cluster(index, n_shards=1)
+
+
+@pytest.fixture()
+def gateway(router):
+    return SimilarityGateway(router)
+
+
+def ask(gateway, tokens, theta, **options):
+    """One request through the gateway, as its own scheduling wave."""
+    (response,) = gateway.serve(
+        [GatewayRequest(tuple(tokens), theta, **options)]
+    )
+    return list(response.hits)
 
 
 class TestLRUCache:
@@ -69,109 +83,98 @@ class TestLRUCache:
 
 
 class TestSearch:
-    def test_hit_miss_counters(self, corpus, service):
+    """The one result cache in front of a node is the gateway's."""
+
+    def test_hit_miss_counters(self, corpus, gateway):
         tokens = corpus[0].tokens
-        first = service.search(tokens, 0.6)
-        second = service.search(tokens, 0.6)
+        first = ask(gateway, tokens, 0.6)
+        second = ask(gateway, tokens, 0.6)
         assert first == second
-        assert service.metrics.get(CACHE, "misses") == 1
-        assert service.metrics.get(CACHE, "hits") == 1
+        assert gateway.metrics.get(GATEWAY, "dispatched") == 1
+        assert gateway.metrics.get(GATEWAY, "cache_hits") == 1
 
-    def test_cached_result_is_exact(self, corpus, service):
+    def test_cached_result_is_exact(self, corpus, index, gateway):
         tokens = corpus[0].tokens
-        cold = service.search(tokens, 0.6)
-        warm = service.search(tokens, 0.6)
-        uncached = service.index.probe(tokens, 0.6)
-        assert cold == warm == uncached
+        cold = ask(gateway, tokens, 0.6)
+        warm = ask(gateway, tokens, 0.6)
+        assert cold == warm == index.probe(tokens, 0.6)
 
-    def test_cache_key_canonicalizes_token_order(self, corpus, service):
+    def test_cache_key_canonicalizes_token_order(self, corpus, gateway):
         tokens = list(corpus[0].tokens)
-        service.search(tokens, 0.6)
-        service.search(list(reversed(tokens)), 0.6)
-        assert service.metrics.get(CACHE, "hits") == 1
+        ask(gateway, tokens, 0.6)
+        ask(gateway, list(reversed(tokens)), 0.6)
+        assert gateway.metrics.get(GATEWAY, "cache_hits") == 1
 
-    def test_distinct_theta_and_func_miss(self, corpus, service):
+    def test_distinct_theta_and_func_miss(self, corpus, gateway):
         tokens = corpus[0].tokens
-        service.search(tokens, 0.6)
-        service.search(tokens, 0.7)
-        service.search(tokens, 0.6, func="cosine")
-        assert service.metrics.get(CACHE, "misses") == 3
-        assert service.metrics.get(CACHE, "hits") == 0
+        ask(gateway, tokens, 0.6)
+        ask(gateway, tokens, 0.7)
+        ask(gateway, tokens, 0.6, func=SimilarityFunction.COSINE)
+        assert gateway.metrics.get(GATEWAY, "dispatched") == 3
+        assert gateway.metrics.get(GATEWAY, "cache_hits") == 0
 
-    def test_k_truncates_after_cache(self, corpus, service):
+    def test_k_truncates_after_cache(self, corpus, gateway):
         tokens = corpus[0].tokens
-        full = service.search(tokens, 0.3)
-        top2 = service.search(tokens, 0.3, k=2)
+        full = ask(gateway, tokens, 0.3)
+        top2 = ask(gateway, tokens, 0.3, k=2)
         assert top2 == full[:2]
         # k is applied per call, so the truncated call still cache-hits.
-        assert service.metrics.get(CACHE, "hits") == 1
+        assert gateway.metrics.get(GATEWAY, "cache_hits") == 1
 
-    def test_search_rid_excludes_self(self, corpus, service):
+    def test_search_rid_excludes_self(self, corpus, index, router):
         rid = corpus[0].rid
-        hits = service.search_rid(rid, 0.3)
+        hits = router.search_rid(rid, 0.3)
         assert all(hit.rid != rid for hit in hits)
+        assert hits == [hit for hit in index.probe(corpus[0].tokens, 0.3)
+                        if hit.rid != rid]
 
-    def test_search_rid_unknown(self, service):
+    def test_search_rid_unknown(self, router):
         with pytest.raises(DataError):
-            service.search_rid(987654, 0.5)
-
-    def test_cache_info(self, corpus, service):
-        service.search(corpus[0].tokens, 0.6)
-        info = service.cache_info()
-        assert info["size"] == 1
-        assert info["misses"] == 1
+            router.search_rid(987654, 0.5)
 
 
 class TestSearchBatch:
-    def test_matches_sequential_search(self, corpus, service):
+    def test_matches_sequential_search(self, corpus, index, router):
         queries = [record.tokens for record in corpus]
-        batch = service.search_batch(queries, 0.6)
-        fresh = SimilarityService(service.index, cache_size=0)
-        assert batch == [fresh.search(q, 0.6) for q in queries]
+        assert router.search_batch(queries, 0.6) == [
+            index.probe(q, 0.6) for q in queries
+        ]
 
-    def test_duplicate_queries_probed_once(self, corpus, service):
+    def test_duplicate_queries_probed_once(self, corpus, router):
         queries = [corpus[0].tokens] * 5 + [corpus[1].tokens]
-        results = service.search_batch(queries, 0.6)
+        results = router.search_batch(queries, 0.6)
         assert len(results) == 6
         assert results[0] == results[4]
-        assert service.metrics.get(CACHE, "misses") == 2
-        assert service.metrics.get("service.batch", "unique_misses") == 2
+        assert router.metrics.get("cluster.route", "batch_deduped") == 4
+        assert router.replica(0, 0).counters.get("cluster.node",
+                                                 "probes") == 2
 
-    def test_batch_after_warm_cache_probes_nothing(self, corpus, service):
-        queries = [record.tokens for record in corpus[:5]]
-        service.search_batch(queries, 0.6)
-        probes_before = service.metrics.get(PROBE, "probes")
-        again = service.search_batch(queries, 0.6)
-        assert service.metrics.get(PROBE, "probes") == probes_before
-        assert len(again) == 5
+    def test_batch_after_warm_cache_probes_nothing(self, corpus, gateway):
+        requests = [GatewayRequest(tuple(record.tokens), 0.6)
+                    for record in corpus[:5]]
+        gateway.serve(requests)
+        node = gateway.router.replica(0, 0)
+        probes_before = node.counters.get("cluster.node", "probes")
+        again = gateway.serve(requests)
+        assert node.counters.get("cluster.node", "probes") == probes_before
+        assert len(again) == 5 and all(response.ok for response in again)
 
-    def test_empty_batch(self, service):
-        assert service.search_batch([], 0.6) == []
-
-
-class TestApplyBatch:
-    def test_invalidates_cache(self, corpus, service):
-        tokens = corpus[0].tokens
-        service.search(tokens, 0.6)
-        service.apply_batch([Record.make(900, list(tokens))])
-        assert service.metrics.get(CACHE, "invalidations") == 1
-        hits = service.search(tokens, 0.6)
-        assert 900 in {hit.rid for hit in hits}
-        assert service.metrics.get(CACHE, "hits") == 0
+    def test_empty_batch(self, router):
+        assert router.search_batch([], 0.6) == []
 
 
 class TestSnapshot:
-    def test_roundtrip_preserves_search_results(self, corpus, service, tmp_path):
+    def test_roundtrip_preserves_search_results(self, corpus, index, tmp_path):
         path = tmp_path / "corpus.idx"
-        service.save(path)
-        reloaded = SimilarityService.load(path)
+        save_index(index, path)
+        reloaded = load_index(path)
         for record in corpus[:10]:
-            assert reloaded.search(record.tokens, 0.6) == service.index.probe(
+            assert reloaded.probe(record.tokens, 0.6) == index.probe(
                 record.tokens, 0.6
             )
 
-    def test_no_tmp_file_left_behind(self, service, tmp_path):
-        service.save(tmp_path / "corpus.idx")
+    def test_no_tmp_file_left_behind(self, index, tmp_path):
+        save_index(index, tmp_path / "corpus.idx")
         assert [p.name for p in tmp_path.iterdir()] == ["corpus.idx"]
 
     def test_missing_file(self, tmp_path):
@@ -192,9 +195,9 @@ class TestSnapshot:
         with pytest.raises(SnapshotError, match="not a .*snapshot"):
             load_index(path)
 
-    def test_version_mismatch_names_both_versions(self, service, tmp_path):
+    def test_version_mismatch_names_both_versions(self, index, tmp_path):
         path = tmp_path / "old.idx"
-        save_index(service.index, path)
+        save_index(index, path)
         doc = pickle.loads(path.read_bytes())
         assert doc["format"] == SNAPSHOT_FORMAT
         doc["version"] = SNAPSHOT_VERSION + 1
@@ -225,16 +228,16 @@ class TestSnapshot:
 class TestSnapshotIntegrity:
     """Corruption coverage for the digest-carrying v2 snapshot layout."""
 
-    def test_truncated_file(self, service, tmp_path):
+    def test_truncated_file(self, index, tmp_path):
         path = tmp_path / "cut.idx"
-        size = save_index(service.index, path)
+        size = save_index(index, path)
         path.write_bytes(path.read_bytes()[: size // 2])
         with pytest.raises(SnapshotError, match="not a readable"):
             load_index(path)
 
-    def test_flipped_byte_fails_digest_check(self, service, tmp_path):
+    def test_flipped_byte_fails_digest_check(self, index, tmp_path):
         path = tmp_path / "flip.idx"
-        save_index(service.index, path)
+        save_index(index, path)
         doc = pickle.loads(path.read_bytes())
         body = bytearray(doc["index_bytes"])
         body[len(body) // 2] ^= 0x01
@@ -246,9 +249,9 @@ class TestSnapshotIntegrity:
         assert "integrity check" in message
         assert "repro index" in message
 
-    def test_non_bytes_body_rejected(self, service, tmp_path):
+    def test_non_bytes_body_rejected(self, index, tmp_path):
         path = tmp_path / "odd.idx"
-        save_index(service.index, path)
+        save_index(index, path)
         doc = pickle.loads(path.read_bytes())
         doc["index_bytes"] = "a string, not bytes"
         path.write_bytes(pickle.dumps(doc))
@@ -283,7 +286,7 @@ class TestSnapshotIntegrity:
         with pytest.raises(SnapshotError, match="despite a valid digest"):
             load_index(path)
 
-    def test_legacy_v1_loads_with_warning(self, service, tmp_path,
+    def test_legacy_v1_loads_with_warning(self, index, tmp_path,
                                           monkeypatch):
         """No longer: a version-1 file embeds the index object in its
         header, with no digest, so it is refused with the typed rebuild
@@ -292,8 +295,8 @@ class TestSnapshotIntegrity:
         path.write_bytes(pickle.dumps({
             "format": SNAPSHOT_FORMAT,
             "version": 1,
-            "stats": service.index.posting_stats(),
-            "index": service.index,
+            "stats": index.posting_stats(),
+            "index": index,
         }))
         restored = []
         monkeypatch.setattr(
@@ -305,11 +308,11 @@ class TestSnapshotIntegrity:
             load_index(path)
         assert not restored
 
-    def test_current_snapshots_load_without_warning(self, service, tmp_path):
+    def test_current_snapshots_load_without_warning(self, index, tmp_path):
         import warnings
 
         path = tmp_path / "v2.idx"
-        save_index(service.index, path)
+        save_index(index, path)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             load_index(path)

@@ -1,12 +1,13 @@
-"""Concurrency stress tests for the service's LRU cache.
+"""Concurrency stress tests for the LRU cache and the router above it.
 
-The service is probed from many request threads at once (callers sharing
-one :class:`SimilarityService`).  Before the cache grew an internal lock, concurrent
-``move_to_end``/``popitem`` on the backing ``OrderedDict`` could corrupt
-it (KeyError from ``popitem`` on an entry another thread just moved,
-sizes drifting past capacity, evictions lost).  These tests hammer
-exactly that pattern with a tiny capacity so evictions race refreshes on
-every operation.
+A cache shared by request threads is probed from many of them at once.
+Before the cache grew an internal lock, concurrent ``move_to_end``/
+``popitem`` on the backing ``OrderedDict`` could corrupt it (KeyError
+from ``popitem`` on an entry another thread just moved, sizes drifting
+past capacity, evictions lost).  These tests hammer exactly that pattern
+with a tiny capacity so evictions race refreshes on every operation, and
+then hammer a one-shard router — the serving front over one index — the
+same way.
 """
 
 from __future__ import annotations
@@ -14,7 +15,8 @@ from __future__ import annotations
 import threading
 from concurrent.futures import ThreadPoolExecutor
 
-from repro.service import LRUCache, SegmentIndex, SimilarityService
+from repro.cluster import build_cluster
+from repro.service import LRUCache, SegmentIndex
 from tests.conftest import random_collection
 
 THREADS = 8
@@ -84,22 +86,19 @@ class TestLRUCacheUnderThreads:
 
 class TestServiceUnderThreads:
     def test_search_batch_hammered_from_threads(self):
-        """Many threads share one service with a tiny cache; results must
-        match a single-threaded reference run and nothing may raise."""
+        """Many threads share one router; results must match a
+        single-threaded reference run and nothing may raise."""
         corpus = random_collection(60, seed=77)
         index = SegmentIndex.build(corpus, n_vertical=5)
         queries = [list(record.tokens) for record in corpus][:20]
         theta = 0.5
 
-        reference = SimilarityService(
-            SegmentIndex.build(corpus, n_vertical=5), cache_size=1024
-        ).search_batch(queries, theta)
-
-        service = SimilarityService(index, cache_size=3)
+        reference = [index.probe(tokens, theta) for tokens in queries]
+        router = build_cluster(index, n_shards=1)
 
         def probe(offset):
             rotated = queries[offset % len(queries):] + queries[:offset % len(queries)]
-            return service.search_batch(rotated, theta)
+            return router.search_batch(rotated, theta)
 
         with ThreadPoolExecutor(max_workers=THREADS) as pool:
             outcomes = list(pool.map(probe, range(24)))
@@ -108,21 +107,19 @@ class TestServiceUnderThreads:
             shift = offset % len(queries)
             expected = reference[shift:] + reference[:shift]
             assert hits == expected
-        # The tiny cache was thrashed but never corrupted.
-        info = service.cache_info()
-        assert info["size"] <= 3
-        assert info["capacity"] == 3
+        # The shared latency histogram counted every request.
+        assert router.latency.snapshot()["count"] == 24
 
     def test_single_search_hammered_from_threads(self):
         corpus = random_collection(40, seed=78)
-        service = SimilarityService(
-            SegmentIndex.build(corpus, n_vertical=4), cache_size=2
+        router = build_cluster(
+            SegmentIndex.build(corpus, n_vertical=4), n_shards=1
         )
         queries = [list(record.tokens) for record in corpus][:10]
-        expected = [service.search(tokens, 0.5) for tokens in queries]
+        expected = [router.search(tokens, 0.5) for tokens in queries]
 
         def probe(i):
-            return service.search(queries[i % len(queries)], 0.5)
+            return router.search(queries[i % len(queries)], 0.5)
 
         with ThreadPoolExecutor(max_workers=THREADS) as pool:
             outcomes = list(pool.map(probe, range(200)))

@@ -20,11 +20,12 @@ import pickle
 import pytest
 
 from repro.baselines.naive import naive_self_join
+from repro.cluster import build_cluster
 from repro.core import FilterConfig, FSJoin, FSJoinConfig
 from repro.errors import SnapshotError
 from repro.mapreduce.counters import Counters
 from repro.mapreduce.executors import create_executor
-from repro.service import SegmentIndex, SimilarityService, load_index
+from repro.service import SegmentIndex, load_index, save_index
 from repro.service.columnar import FragmentPostings
 from repro.service.snapshot import SNAPSHOT_FORMAT
 from tests.conftest import brute_force_search, random_collection
@@ -144,8 +145,7 @@ class TestBatchOrderingContract:
             assert hits == sorted(hits, key=lambda h: (-h.score, h.rid))
 
     def test_search_batch_preserves_order(self, index, queries):
-        service = SimilarityService(index, cache_size=0)
-        batch = service.search_batch(queries, 0.5)
+        batch = build_cluster(index, n_shards=1).search_batch(queries, 0.5)
         assert batch == index.probe_batch(
             [index.encode_query(q) for q in queries], 0.5
         )
@@ -155,8 +155,8 @@ class TestBatchOrderingContract:
     @pytest.mark.parametrize("executor", ["serial", "thread", "process"])
     def test_executor_fanout_preserves_order(self, index, queries, executor):
         """A caller that fans a batch out in chunks over its own workers
-        (each serving its chunk from its own service; a process worker from
-        an unpickled copy of the index) gets back the in-process batch."""
+        (each serving its chunk from its own index; a process worker from
+        an unpickled copy of it) gets back the in-process batch."""
         chunks = [(index, queries[i:i + 16], 0.5)
                   for i in range(0, len(queries), 16)]
         fanned = [
@@ -166,10 +166,7 @@ class TestBatchOrderingContract:
             )
             for hits in chunk
         ]
-        baseline = SimilarityService(index, cache_size=0).search_batch(
-            queries, 0.5
-        )
-        assert fanned == baseline
+        assert fanned == _serve_chunk((index, queries, 0.5))
         for hits in fanned:
             assert hits == sorted(hits, key=lambda h: (-h.score, h.rid))
 
@@ -177,7 +174,7 @@ class TestBatchOrderingContract:
 def _serve_chunk(task):
     """Worker task: serve one chunk of a batch (module-level: picklable)."""
     index, chunk, theta = task
-    return SimilarityService(index, cache_size=0).search_batch(chunk, theta)
+    return index.probe_batch([index.encode_query(q) for q in chunk], theta)
 
 
 class TestPostingStats:
@@ -263,9 +260,8 @@ class TestFragmentPostings:
 
 class TestSnapshotCompat:
     def test_v3_round_trip_preserves_results(self, corpus, index, tmp_path):
-        service = SimilarityService(index)
         path = tmp_path / "wiki.idx"
-        service.save(path)
+        save_index(index, path)
         restored = load_index(path)
         assert pickle.dumps(restored) == pickle.dumps(index)
         for record in list(corpus)[:15]:
