@@ -1,9 +1,10 @@
 #!/usr/bin/env python
 """Record linkage: joining a dirty feed against a clean master list.
 
-Uses the R-S join extension (two collections instead of a self-join): a
-"master" corpus and a "feed" whose records are mutated copies of master
-records plus unrelated noise.  Also shows the approximate (MinHash-LSH)
+Uses the R-S join, ``FSJoin.run(feed, right=master)``: two collections
+instead of a self-join, on the self-join's driver.  A "master" corpus is
+joined with a "feed" whose records are mutated copies of master records
+plus unrelated noise.  Also shows the approximate (MinHash-LSH)
 path on the same task and scores its recall against the exact join.
 
 Run:  python examples/record_linkage.py
@@ -17,7 +18,7 @@ import numpy as np
 
 from repro import ClusterSpec, SimulatedCluster
 from repro.approx import LSHJoin, evaluate_approximate
-from repro.core import FSJoinConfig, FSJoinRS
+from repro.core import FSJoin, FSJoinConfig
 from repro.data.records import Record, RecordCollection
 from repro.data.synthetic import WIKI_LIKE, generate
 
@@ -55,7 +56,7 @@ def main() -> None:
     # Exact R-S join with FS-Join.
     cluster = SimulatedCluster(ClusterSpec(workers=10))
     config = FSJoinConfig(theta=THETA, n_vertical=20, n_horizontal=4)
-    exact = FSJoinRS(config, cluster).run(feed, master)
+    exact = FSJoin(config, cluster).run(feed, right=master)
     print(f"exact FS-Join R-S: {len(exact.pairs)} links at jaccard >= {THETA}")
     matched_feed = {rid for rid, _ in exact.result_pairs}
     print(f"  feed records linked to a master record: {len(matched_feed)}")

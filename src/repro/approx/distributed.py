@@ -22,10 +22,9 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional
 
-from repro.approx.lsh import pick_bands
+from repro.approx.lsh import banding_of
 from repro.approx.minhash import MinHasher
 from repro.data.records import Record, RecordCollection
-from repro.errors import ConfigError
 from repro.mapreduce.job import JobContext, MapReduceJob
 from repro.mapreduce.pipeline import PipelineResult
 from repro.mapreduce.runtime import SimulatedCluster
@@ -112,14 +111,7 @@ class DistributedLSHJoin:
         rows: Optional[int] = None,
         seed: int = 0,
     ) -> None:
-        if not 0.0 < theta <= 1.0:
-            raise ConfigError("theta must be in (0, 1]")
-        if (bands is None) != (rows is None):
-            raise ConfigError("pass both bands and rows, or neither")
-        if bands is None:
-            bands, rows = pick_bands(num_perm, theta)
-        if bands * rows > num_perm:
-            raise ConfigError("bands * rows must not exceed num_perm")
+        bands, rows = banding_of(theta, num_perm, bands, rows)
         self.theta = theta
         self.func = SimilarityFunction(func)
         self.cluster = cluster or SimulatedCluster()

@@ -41,6 +41,22 @@ def pick_bands(num_perm: int, theta: float) -> Tuple[int, int]:
     return best[1], best[2]
 
 
+def banding_of(
+    theta: float, num_perm: int, bands: Optional[int], rows: Optional[int]
+) -> Tuple[int, int]:
+    """Validate an LSH join's parameters and return its ``(bands, rows)``:
+    both given, or neither (then :func:`pick_bands` chooses them)."""
+    if not 0.0 < theta <= 1.0:
+        raise ConfigError("theta must be in (0, 1]")
+    if (bands is None) != (rows is None):
+        raise ConfigError("pass both bands and rows, or neither")
+    if bands is None:
+        bands, rows = pick_bands(num_perm, theta)
+    if bands * rows > num_perm:
+        raise ConfigError("bands * rows must not exceed num_perm")
+    return bands, rows
+
+
 class LSHJoin:
     """Approximate self-join: MinHash + banding (+ optional verification)."""
 
@@ -55,14 +71,7 @@ class LSHJoin:
         seed: int = 0,
         verify: bool = True,
     ) -> None:
-        if not 0.0 < theta <= 1.0:
-            raise ConfigError("theta must be in (0, 1]")
-        if (bands is None) != (rows is None):
-            raise ConfigError("pass both bands and rows, or neither")
-        if bands is None:
-            bands, rows = pick_bands(num_perm, theta)
-        if bands * rows > num_perm:
-            raise ConfigError("bands * rows must not exceed num_perm")
+        bands, rows = banding_of(theta, num_perm, bands, rows)
         self.theta = theta
         self.num_perm = num_perm
         self.bands = bands

@@ -77,7 +77,6 @@ from typing import Optional, Sequence
 
 from repro.baselines import MassJoin, RIDPairsPPJoin, VSmartJoin
 from repro.core import FSJoin, FSJoinConfig, PivotMethod
-from repro.core.rsjoin import FSJoinRS
 from repro.core.topk import topk_similar_pairs
 from repro.data import dataset_stats, load_records, make_corpus, save_records
 from repro.errors import ReproError
@@ -449,19 +448,15 @@ def _cmd_join(args) -> int:
     )
     left = load_records(args.input)
     started = time.perf_counter()
+    algorithm = _make_algorithm(args, cluster)
     if args.right:
-        if args.algorithm not in ("fsjoin", "fsjoin-v"):
+        if not isinstance(algorithm, FSJoin):
             print("R-S joins are supported by the fsjoin algorithms only",
                   file=sys.stderr)
             return 2
-        config = FSJoinConfig(
-            theta=args.theta, func=SimilarityFunction(args.func),
-            n_vertical=args.vertical,
-            n_horizontal=args.horizontal if args.algorithm == "fsjoin" else 1,
-        )
-        result = FSJoinRS(config, cluster).run(left, load_records(args.right))
+        result = algorithm.run(left, right=load_records(args.right))
     else:
-        result = _make_algorithm(args, cluster).run(left)
+        result = algorithm.run(left)
     wall = time.perf_counter() - started
 
     for (rid_a, rid_b), score in sorted(result.result_pairs.items()):
@@ -680,6 +675,8 @@ def _cmd_ingest(args) -> int:
     from repro.mapreduce.hdfs import InMemoryDFS
     from repro.service import save_index
 
+    if args.batch_size < 1:
+        raise ConfigError(f"--batch-size must be >= 1, got {args.batch_size}")
     records = load_records(args.input)
     if not 0 <= args.base <= len(records):
         raise ConfigError(

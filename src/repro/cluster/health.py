@@ -9,8 +9,9 @@ wrong).  :class:`ControlPlane` closes both gaps with three loops, all
 driven by an explicit :meth:`~ControlPlane.tick` so a chaos run can
 interleave them deterministically with traffic:
 
-1. **Failure detection** — every tick pings every replica and reads its
-   breaker.  A replica that misses (ping fails or breaker OPEN) becomes
+1. **Failure detection** — every tick pings every target (each replica,
+   and the ingest node when one is attached) and reads a replica's
+   breaker.  A target that misses (ping fails or breaker OPEN) becomes
    ``SUSPECT``; after ``miss_budget`` consecutive misses it is declared
    ``DEAD`` and queued for repair.  A suspect that answers again before
    the budget runs out recovers silently (flapping is not death).
@@ -27,13 +28,15 @@ interleave them deterministically with traffic:
    the serving path cannot tell a wrong answer from a right one, the
    scrubber can.
 
-3. **Repair** — queued replicas are handed to the
-   :class:`~repro.cluster.repair.RepairManager`: re-hydrate from a
-   healthy peer clone or the digest-checked snapshot, catch up past the
-   snapshot's epoch, then *verified readmission*
-   (:meth:`~repro.cluster.router.ClusterRouter.readmit_replica`) — the
-   replica rejoins rotation only after answering bit-identically to a
-   healthy peer, which also force-closes its breaker.
+3. **Repair** — queued targets are handed to the
+   :class:`~repro.cluster.repair.RepairManager`.  A replica re-hydrates
+   from a healthy peer clone or the digest-checked snapshot, catches up
+   past the snapshot's epoch, then passes *verified readmission*
+   (:meth:`~repro.cluster.router.ClusterRouter.readmit_replica`) — it
+   rejoins rotation only after answering bit-identically to a healthy
+   peer, which also force-closes its breaker.  The ingest node recovers
+   from its WAL and generations on the DFS.  Both go through the same
+   state machine and retry bookkeeping; only the rebuild call differs.
 
 Everything observable is deterministic: events carry the tick number
 (never wall time), repair order is queue order, digest comparisons and
@@ -45,9 +48,9 @@ from __future__ import annotations
 
 import enum
 import time
-from collections import deque
+from collections import defaultdict, deque
 from dataclasses import dataclass
-from typing import Deque, Dict, List, Optional, Tuple
+from typing import DefaultDict, Deque, Dict, List, Optional, Tuple, Union
 
 from repro.errors import ClusterError, ConfigError
 from repro.observability.tracer import NOOP_TRACER, Tracer
@@ -62,9 +65,14 @@ HEALTH_GROUP = "cluster.health"
 #: process ticks for its whole life, and its journal must not grow with it.
 EVENT_LOG_LIMIT = 1_000
 
+#: A repair target: a replica's ``(shard, replica)`` or :data:`INGEST`.
+Target = Union[Tuple[int, int], Tuple[str]]
+#: The router's ingest node as a target.
+INGEST: Target = ("ingest",)
+
 
 class ReplicaState(str, enum.Enum):
-    """What the control plane currently believes about one replica."""
+    """What the control plane currently believes about one target."""
 
     HEALTHY = "healthy"
     SUSPECT = "suspect"
@@ -150,18 +158,14 @@ class ControlPlane:
         self.metrics = router.metrics
         self._tick = 0
         self.scrub_epoch = 0
-        self._states: List[List[ReplicaState]] = [
-            [ReplicaState.HEALTHY] * router.replication
-            for _ in range(router.n_shards)
-        ]
-        self._misses: List[List[int]] = [
-            [0] * router.replication for _ in range(router.n_shards)
-        ]
-        self._attempts: Dict[Tuple, int] = {}
-        self._ingest_state = ReplicaState.HEALTHY
-        self._ingest_misses = 0
-        #: repair queue: ``(shard, replica)`` or ``("ingest",)``, FIFO.
-        self._queue: List[Tuple] = []
+        #: target → belief, consecutive missed heartbeats, failed rebuilds.
+        self._states: DefaultDict[Target, ReplicaState] = defaultdict(
+            lambda: ReplicaState.HEALTHY
+        )
+        self._misses: DefaultDict[Target, int] = defaultdict(int)
+        self._attempts: DefaultDict[Target, int] = defaultdict(int)
+        #: repair queue of targets, FIFO.
+        self._queue: List[Target] = []
         #: the newest :data:`EVENT_LOG_LIMIT` events, oldest first.
         self.events: Deque[HealthEvent] = deque(maxlen=EVENT_LOG_LIMIT)
         #: events emitted over the plane's life, kept or not.
@@ -239,72 +243,57 @@ class ControlPlane:
         return emitted
 
     # -- loop 1: failure detection --------------------------------------
-    def _detect(self) -> None:
-        cfg = self.config
-        for shard in range(self.router.n_shards):
-            for rep in range(self.router.replication):
-                state = self._states[shard][rep]
-                if state in (ReplicaState.DEAD, ReplicaState.QUARANTINED,
-                             ReplicaState.REBUILDING):
-                    continue
-                node = self.router.replica(shard, rep)
-                breaker_open = (
-                    self.router.breaker(shard, rep).state
-                    is BreakerState.OPEN
-                )
-                if node.ping() and not breaker_open:
-                    if state is ReplicaState.SUSPECT:
-                        self._event("recovered", node.name,
-                                    f"after {self._misses[shard][rep]} misses")
-                        self.metrics.increment(HEALTH_GROUP, "recoveries")
-                    self._states[shard][rep] = ReplicaState.HEALTHY
-                    self._misses[shard][rep] = 0
-                    continue
-                self._misses[shard][rep] += 1
-                misses = self._misses[shard][rep]
-                why = "breaker open" if breaker_open else "ping failed"
-                if state is ReplicaState.HEALTHY:
-                    self._states[shard][rep] = ReplicaState.SUSPECT
-                    self._event("suspect", node.name,
-                                f"{why}; miss 1/{cfg.miss_budget}")
-                    self.metrics.increment(HEALTH_GROUP, "suspects")
-                if misses >= cfg.miss_budget and (
-                        self._states[shard][rep] is ReplicaState.SUSPECT):
-                    self._states[shard][rep] = ReplicaState.DEAD
-                    self._event("dead", node.name,
-                                f"{why}; missed {misses} heartbeats")
-                    self.metrics.increment(HEALTH_GROUP, "deaths")
-                    self._enqueue((shard, rep))
-        self._detect_ingest()
+    def _targets(self) -> List[Target]:
+        """Every replica in ``(shard, replica)`` order, then the ingest
+        node when one is attached."""
+        targets: List[Target] = [
+            (shard, rep)
+            for shard in range(self.router.n_shards)
+            for rep in range(self.router.replication)
+        ]
+        if self.router.ingest is not None:
+            targets.append(INGEST)
+        return targets
 
-    def _detect_ingest(self) -> None:
-        ingest = self.router.ingest
-        if ingest is None:
-            return
-        if self._ingest_state in (ReplicaState.DEAD,
-                                  ReplicaState.REBUILDING):
-            return
-        if ingest.ping():
-            if self._ingest_state is ReplicaState.SUSPECT:
-                self._event("recovered", ingest.name,
-                            f"after {self._ingest_misses} misses")
-                self.metrics.increment(HEALTH_GROUP, "recoveries")
-            self._ingest_state = ReplicaState.HEALTHY
-            self._ingest_misses = 0
-            return
-        self._ingest_misses += 1
-        if self._ingest_state is ReplicaState.HEALTHY:
-            self._ingest_state = ReplicaState.SUSPECT
-            self._event("suspect", ingest.name,
-                        f"ping failed; miss 1/{self.config.miss_budget}")
-            self.metrics.increment(HEALTH_GROUP, "suspects")
-        if self._ingest_misses >= self.config.miss_budget and (
-                self._ingest_state is ReplicaState.SUSPECT):
-            self._ingest_state = ReplicaState.DEAD
-            self._event("dead", ingest.name,
-                        f"missed {self._ingest_misses} heartbeats")
-            self.metrics.increment(HEALTH_GROUP, "deaths")
-            self._enqueue(("ingest",))
+    def _node(self, target: Target):
+        if target == INGEST:
+            return self.router.ingest
+        return self.router.replica(*target)
+
+    def _detect(self) -> None:
+        budget = self.config.miss_budget
+        for target in self._targets():
+            state = self._states[target]
+            if state in (ReplicaState.DEAD, ReplicaState.QUARANTINED,
+                         ReplicaState.REBUILDING):
+                continue
+            node = self._node(target)
+            breaker_open = target != INGEST and (
+                self.router.breaker(*target).state is BreakerState.OPEN
+            )
+            if node.ping() and not breaker_open:
+                if state is ReplicaState.SUSPECT:
+                    self._event("recovered", node.name,
+                                f"after {self._misses[target]} misses")
+                    self.metrics.increment(HEALTH_GROUP, "recoveries")
+                self._states[target] = ReplicaState.HEALTHY
+                self._misses[target] = 0
+                continue
+            self._misses[target] += 1
+            misses = self._misses[target]
+            why = "breaker open" if breaker_open else "ping failed"
+            if state is ReplicaState.HEALTHY:
+                self._states[target] = ReplicaState.SUSPECT
+                self._event("suspect", node.name,
+                            f"{why}; miss 1/{budget}")
+                self.metrics.increment(HEALTH_GROUP, "suspects")
+            if misses >= budget and (
+                    self._states[target] is ReplicaState.SUSPECT):
+                self._states[target] = ReplicaState.DEAD
+                self._event("dead", node.name,
+                            f"{why}; missed {misses} heartbeats")
+                self.metrics.increment(HEALTH_GROUP, "deaths")
+                self._enqueue(target)
 
     # -- loop 2: anti-entropy scrubbing ---------------------------------
     def _scrub(self) -> None:
@@ -323,7 +312,7 @@ class ControlPlane:
         for shard in range(self.router.n_shards):
             baseline = self._baseline[shard]
             for rep in range(self.router.replication):
-                if self._states[shard][rep] is not ReplicaState.HEALTHY:
+                if self._states[shard, rep] is not ReplicaState.HEALTHY:
                     continue
                 node = self.router.replica(shard, rep)
                 if not node.ping():
@@ -335,7 +324,7 @@ class ControlPlane:
                 if not bad:
                     continue
                 node.fence()
-                self._states[shard][rep] = ReplicaState.QUARANTINED
+                self._states[shard, rep] = ReplicaState.QUARANTINED
                 quarantined += 1
                 self._event("quarantine", node.name,
                             f"fragment digests diverge: {bad}")
@@ -356,84 +345,59 @@ class ControlPlane:
         self.metrics.increment(HEALTH_GROUP, "scrubs")
 
     # -- loop 3: repair -------------------------------------------------
-    def _enqueue(self, item: Tuple) -> None:
-        if item not in self._queue:
-            self._queue.append(item)
+    def _enqueue(self, target: Target) -> None:
+        if target not in self._queue:
+            self._queue.append(target)
 
     def _drain_repairs(self) -> None:
         budget = self.config.max_repairs_per_tick
         while self._queue and budget > 0:
             budget -= 1
-            item = self._queue.pop(0)
-            if item == ("ingest",):
-                self._repair_ingest()
-            else:
-                self._repair_replica(*item)
+            self._repair(self._queue.pop(0))
 
-    def _repair_replica(self, shard: int, rep: int) -> None:
-        node = self.router.replica(shard, rep)
-        prior = self._states[shard][rep]
-        self._states[shard][rep] = ReplicaState.REBUILDING
+    def _repair(self, target: Target) -> None:
+        node = self._node(target)
+        prior = self._states[target]
+        self._states[target] = ReplicaState.REBUILDING
         self._event("rebuild-start", node.name, f"was {prior.value}")
         start = time.perf_counter()
         try:
-            detail = self.repair.rebuild_replica(
-                shard, rep,
-                baseline=self._baseline[shard],
-                probes=self.config.verify_probes,
-            )
+            if target == INGEST:
+                detail = self.repair.rebuild_ingest()
+                attrs = {"action": "ingest-rebuild"}
+            else:
+                shard, rep = target
+                detail = self.repair.rebuild_replica(
+                    shard, rep,
+                    baseline=self._baseline[shard],
+                    probes=self.config.verify_probes,
+                )
+                attrs = {"action": "replica-rebuild", "shard": shard,
+                         "replica": rep}
         except ClusterError as exc:
-            self._rebuild_failed((shard, rep), prior, node.name, str(exc))
+            self._rebuild_failed(target, prior, node.name, str(exc))
             return
-        self._states[shard][rep] = ReplicaState.HEALTHY
-        self._misses[shard][rep] = 0
-        self._attempts.pop((shard, rep), None)
+        self._states[target] = ReplicaState.HEALTHY
+        self._misses[target] = 0
+        self._attempts.pop(target, None)
         self._event("readmit", node.name, detail)
         self.metrics.increment(HEALTH_GROUP, "rebuilds")
         self.tracer.add(
             f"rebuild:{node.name}", "recovery",
             start=start, duration=time.perf_counter() - start,
-            action="replica-rebuild", shard=shard, replica=rep,
-            detail=detail,
+            **attrs, detail=detail,
         )
 
-    def _repair_ingest(self) -> None:
-        ingest = self.router.ingest
-        if ingest is None:  # pragma: no cover - defensive
-            return
-        prior = self._ingest_state
-        self._ingest_state = ReplicaState.REBUILDING
-        self._event("rebuild-start", ingest.name, f"was {prior.value}")
-        start = time.perf_counter()
-        try:
-            detail = self.repair.rebuild_ingest()
-        except ClusterError as exc:
-            self._rebuild_failed(("ingest",), prior, ingest.name, str(exc))
-            return
-        self._ingest_state = ReplicaState.HEALTHY
-        self._ingest_misses = 0
-        self._attempts.pop(("ingest",), None)
-        self._event("readmit", ingest.name, detail)
-        self.metrics.increment(HEALTH_GROUP, "rebuilds")
-        self.tracer.add(
-            f"rebuild:{ingest.name}", "recovery",
-            start=start, duration=time.perf_counter() - start,
-            action="ingest-rebuild", detail=detail,
-        )
-
-    def _rebuild_failed(self, item: Tuple, prior: ReplicaState,
+    def _rebuild_failed(self, target: Target, prior: ReplicaState,
                         name: str, why: str) -> None:
-        attempts = self._attempts.get(item, 0) + 1
-        self._attempts[item] = attempts
+        self._attempts[target] += 1
+        attempts = self._attempts[target]
         self.metrics.increment(HEALTH_GROUP, "rebuild_failures")
-        if item == ("ingest",):
-            self._ingest_state = prior
-        else:
-            self._states[item[0]][item[1]] = prior
+        self._states[target] = prior
         if attempts < self.config.max_rebuild_attempts:
             self._event("rebuild-failed", name,
                         f"attempt {attempts}: {why}")
-            self._enqueue(item)
+            self._enqueue(target)
         else:
             self._event("rebuild-abandoned", name,
                         f"after {attempts} attempts: {why}")
@@ -452,31 +416,29 @@ class ControlPlane:
 
     def replica_states(self) -> List[List[str]]:
         """``result[shard][replica]`` is the plane's belief (string form)."""
-        return [[state.value for state in row] for row in self._states]
+        return [
+            [self._states[shard, rep].value
+             for rep in range(self.router.replication)]
+            for shard in range(self.router.n_shards)
+        ]
 
     def ingest_state(self) -> Optional[str]:
+        """The plane's belief about the ingest node, ``None`` without one."""
         if self.router.ingest is None:
             return None
-        return self._ingest_state.value
+        return self._states[INGEST].value
 
-    def pending_repairs(self) -> List[Tuple]:
+    def pending_repairs(self) -> List[Target]:
         return list(self._queue)
 
     def all_healthy(self) -> bool:
-        """Full replication restored: every replica serving and believed
+        """Full replication restored: every target serving and believed
         healthy, nothing queued for repair."""
-        for shard in range(self.router.n_shards):
-            for rep in range(self.router.replication):
-                if self._states[shard][rep] is not ReplicaState.HEALTHY:
-                    return False
-                if not self.router.replica(shard, rep).ping():
-                    return False
-        if self.router.ingest is not None:
-            if self._ingest_state is not ReplicaState.HEALTHY:
-                return False
-            if not self.router.ingest.ping():
-                return False
-        return not self._queue
+        return not self._queue and all(
+            self._states[target] is ReplicaState.HEALTHY
+            and self._node(target).ping()
+            for target in self._targets()
+        )
 
     @property
     def events_dropped(self) -> int:
@@ -490,7 +452,7 @@ class ControlPlane:
 
     def summary(self) -> Dict[str, object]:
         """JSON-safe control-plane state for ``status()`` surfaces."""
-        summary: Dict[str, object] = {
+        return {
             "tick": self._tick,
             "scrub_epoch": self.scrub_epoch,
             "pending_repairs": [list(item) for item in self._queue],
@@ -499,6 +461,3 @@ class ControlPlane:
             "all_healthy": self.all_healthy(),
             "health_counters": self.metrics.group(HEALTH_GROUP),
         }
-        if self.router.ingest is not None:
-            summary["ingest_state"] = self._ingest_state.value
-        return summary

@@ -397,6 +397,8 @@ class ClusterRouter:
                 "fenced": self._ingest.fenced,
                 "serving": self._ingest.ping(),
             }
+            if plane is not None:
+                summary["ingest"]["state"] = plane.ingest_state()
         if plane is not None:
             summary.update(plane.summary())
         return summary

@@ -16,7 +16,8 @@ The pipeline (Fig. 3 of the paper) is three MapReduce jobs:
    counts per record pair and apply the exact threshold test without ever
    re-reading the original strings.
 
-:class:`repro.core.fsjoin.FSJoin` drives the pipeline.
+:class:`repro.core.fsjoin.FSJoin` drives the pipeline, for a self-join or,
+given a second collection, an R-S join.
 """
 
 from repro.core.config import ExecutorKind, FilterConfig, FSJoinConfig, JoinMethod
@@ -25,7 +26,6 @@ from repro.core.ordering import GlobalOrder, compute_global_ordering
 from repro.core.pivots import PivotMethod, select_pivots
 from repro.core.partitioning import Segment, SegmentInfo, VerticalPartitioner
 from repro.core.horizontal import HorizontalPlan, build_horizontal_plan
-from repro.core.rsjoin import FSJoinRS
 from repro.core.topk import topk_similar_pairs
 from repro.core.tuning import suggest_config, suggest_n_vertical
 
@@ -33,7 +33,6 @@ __all__ = [
     "suggest_config",
     "suggest_n_vertical",
     "FSJoin",
-    "FSJoinRS",
     "topk_similar_pairs",
     "FSJoinConfig",
     "FilterConfig",

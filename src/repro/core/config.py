@@ -80,8 +80,8 @@ class FSJoinConfig:
         n_horizontal: Number of *base* horizontal (length) partitions; 1
             disables horizontal partitioning (the paper's FS-Join-V).
         pivot_seed: Seed for the Random pivot method.
-        executor: Task-execution backend used when a driver (``FSJoin``,
-            ``FSJoinRS``) builds its own cluster
+        executor: Task-execution backend used when ``FSJoin`` (self-join
+            or R-S) builds its own cluster
             (``serial``/``thread``/``process``); ``None``
             inherits the :class:`~repro.mapreduce.runtime.ClusterSpec`
             default.  Ignored when an explicit cluster is passed in.

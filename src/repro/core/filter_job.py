@@ -16,7 +16,7 @@ flag: both rules are data, applied inside the join's one order.
 
 from __future__ import annotations
 
-from typing import List
+from typing import List, Tuple
 
 from repro.core.config import FSJoinConfig
 from repro.core.horizontal import HorizontalPlan
@@ -32,7 +32,7 @@ class FilterJob(MapReduceJob):
 
     name = "fsjoin-filter"
 
-    #: R-S subclasses set this to join only cross-collection pairs.
+    #: :class:`RSFilterJob` sets this to join only cross-collection pairs.
     cross_side_only = False
 
     def __init__(
@@ -95,3 +95,16 @@ class FilterJob(MapReduceJob):
         )
         for owner, stripe in stripes:
             emit(owner, stripe)
+
+
+class RSFilterJob(FilterJob):
+    """FilterJob over ``(side, record)`` values; joins cross-side pairs only."""
+
+    name = "fsjoin-rs-filter"
+    cross_side_only = True
+
+    def map(
+        self, key, value: Tuple[int, Record], emit, context: JobContext
+    ) -> None:
+        side, record = value
+        self._map_record(record, side, emit, context)

@@ -8,6 +8,16 @@ loads, measured task times) that the benchmarks consume.
 ``FSJoin`` with ``n_horizontal == 1`` is the paper's **FS-Join-V** (pure
 vertical partitioning); with ``n_horizontal > 1`` it is full **FS-Join**.
 
+``run(left, right=right)`` is the R-S (two-collection) join, an extension
+beyond the paper's self-joins: the same three jobs over the *union* of
+the collections (one order, one set of pivots, one horizontal plan), with
+every record keyed and segment tagged by its side, so record ids may
+repeat across the collections.  The fragment joins consider only
+cross-side pairs and verification puts the left collection first, so the
+result keys are ``(rid_left, rid_right)``; filter safety, horizontal
+exactly-once coverage and safe segment prefixes are side-agnostic and
+carry over verbatim.  Its result names itself ``FS-Join-RS``.
+
 When a DFS is attached, every job's output is additionally materialised as
 a digest-validated checkpoint (``fsjoin/ckpt/<job>``), and
 ``run(records, resume=True)`` restarts a killed pipeline from the last
@@ -24,9 +34,9 @@ import time
 from typing import List, Optional
 
 from repro.core.config import FSJoinConfig
-from repro.core.filter_job import FilterJob
+from repro.core.filter_job import FilterJob, RSFilterJob
 from repro.core.horizontal import build_horizontal_plan
-from repro.core.ordering import GlobalOrder, compute_global_ordering
+from repro.core.ordering import GlobalOrder, TokenFrequencyJob
 from repro.core.partitioning import VerticalPartitioner
 from repro.core.pivots import select_pivots
 from repro.core.verify_job import VerificationJob
@@ -42,15 +52,20 @@ CHECKPOINT_ROOT = "fsjoin/ckpt"
 
 
 class FSJoin:
-    """Self-join a record collection under a similarity threshold.
+    """Self-join a record collection, or join two, under a similarity threshold.
 
     Example:
         >>> from repro.core import FSJoin, FSJoinConfig
-        >>> from repro.data import make_corpus
+        >>> from repro.data import RecordCollection, make_corpus
         >>> records = make_corpus("wiki", 200, seed=7)
         >>> result = FSJoin(FSJoinConfig(theta=0.8)).run(records)
         >>> isinstance(result.result_pairs, dict)
         True
+        >>> left = RecordCollection.from_token_lists([["a", "b", "c"]])
+        >>> right = RecordCollection.from_token_lists([["a", "b", "c"]])
+        >>> rs = FSJoin(FSJoinConfig(theta=0.9)).run(left, right=right)
+        >>> rs.algorithm, rs.result_pairs
+        ('FS-Join-RS', {(0, 0): 1.0})
     """
 
     def __init__(
@@ -75,9 +90,15 @@ class FSJoin:
         return "FS-Join" if self.config.uses_horizontal else "FS-Join-V"
 
     def run(
-        self, records: RecordCollection, resume: bool = False
+        self,
+        records: RecordCollection,
+        right: Optional[RecordCollection] = None,
+        resume: bool = False,
     ) -> PipelineResult:
         """Execute the three-job pipeline and return results + metrics.
+
+        With ``right``, join ``records`` (the left collection) against it
+        and return pairs ``(rid_left, rid_right) → score``.
 
         With ``resume=True`` (requires an attached DFS), jobs whose
         checkpoint from an earlier — possibly killed — run still passes
@@ -99,6 +120,19 @@ class FSJoin:
         config = self.config
         cluster = self.cluster
         tracer = cluster.tracer
+        if right is None:
+            name = self.algorithm_name
+            keyed = [(record.rid, record) for record in records]
+            filter_input, filter_job_type = keyed, FilterJob
+        else:
+            name = "FS-Join-RS"
+            keyed = [
+                ((side, record.rid), record)
+                for side, collection in enumerate((records, right))
+                for record in collection
+            ]
+            filter_input = [(key, (key[0], record)) for key, record in keyed]
+            filter_job_type = RSFilterJob
         mark = tracer.mark()
         ckpt = (
             PipelineCheckpoint(self.dfs, CHECKPOINT_ROOT)
@@ -130,11 +164,11 @@ class FSJoin:
             return pairs
 
         with tracer.span(
-            f"pipeline:{self.algorithm_name}",
+            f"pipeline:{name}",
             phase="pipeline",
             theta=config.theta,
             func=config.func.value,
-            records=len(records),
+            records=len(keyed),
         ):
             # Job 1 + driver-side planning, as the paper's SetUp does:
             # vertical pivots from the ordering, horizontal pivots from the
@@ -145,13 +179,13 @@ class FSJoin:
             with tracer.span("order-build", phase="driver"):
                 frequencies = restore("ordering")
                 if frequencies is None:
-                    order, ordering_result = compute_global_ordering(
-                        cluster, records
+                    ordering_result = cluster.run_job(
+                        TokenFrequencyJob(), keyed
                     )
+                    frequencies = ordering_result.output
                     if ckpt is not None:
-                        ckpt.store("ordering", ordering_result.output)
-                else:
-                    order = GlobalOrder(frequencies)
+                        ckpt.store("ordering", frequencies)
+                order = GlobalOrder(frequencies)
                 cuts = select_pivots(
                     order.rank_frequencies,
                     config.n_vertical,
@@ -160,7 +194,7 @@ class FSJoin:
                 )
                 partitioner = VerticalPartitioner(cuts)
                 horizontal = build_horizontal_plan(
-                    [record.size for record in records],
+                    [record.size for _, record in keyed],
                     config.n_horizontal,
                     config.theta,
                     config.func,
@@ -170,10 +204,10 @@ class FSJoin:
             with tracer.span("filter-job", phase="driver"):
                 verify_input = restore("filter")
                 if verify_input is None:
-                    filter_job = FilterJob(config, order, partitioner, horizontal)
-                    filter_result = cluster.run_job(
-                        filter_job, [(record.rid, record) for record in records]
+                    filter_job = filter_job_type(
+                        config, order, partitioner, horizontal
                     )
+                    filter_result = cluster.run_job(filter_job, filter_input)
                     if ckpt is not None:
                         ckpt.store("filter", filter_result.output)
                     verify_input = self._through_dfs(
@@ -184,7 +218,9 @@ class FSJoin:
             with tracer.span("verify-job", phase="driver"):
                 pairs = restore("verify")
                 if pairs is None:
-                    verify_job = VerificationJob(config.theta, config.func)
+                    verify_job = VerificationJob(
+                        config.theta, config.func, cross_side=right is not None
+                    )
                     verify_result = cluster.run_job(verify_job, verify_input)
                     if ckpt is not None:
                         ckpt.store("verify", verify_result.output)
@@ -194,7 +230,7 @@ class FSJoin:
                 self._through_dfs("fsjoin/results", pairs)
                 agg_span.attrs["pairs"] = len(pairs)
                 result = PipelineResult(
-                    algorithm=self.algorithm_name,
+                    algorithm=name,
                     pairs=pairs,
                     job_results=[
                         job_result

@@ -89,8 +89,3 @@ def _dedupe_cuts(cuts: Sequence[int], vocab: int) -> Tuple[int, ...]:
         result.append(cut)
         previous = cut
     return tuple(result)
-
-
-def partition_of_rank(cuts: Sequence[int], rank: int) -> int:
-    """Vertical partition id of a token rank under the given cuts."""
-    return bisect.bisect_right(cuts, rank)

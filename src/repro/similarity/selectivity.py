@@ -55,7 +55,7 @@ def estimate_result_count(
         return SelectivityEstimate(0.0, total, 0, ())
     if trials < 1:
         raise ConfigError("trials must be >= 1")
-    n = sample_size or max(50, total // 10)
+    n = max(50, total // 10) if sample_size is None else sample_size
     n = min(n, total)
     if n < 2:
         raise ConfigError("sample_size must be >= 2")

@@ -84,6 +84,22 @@ class TestEveryVerbFailsClosed:
     def test_estimate_missing_input(self, tmp_path, capsys):
         assert_one_line_error(capsys, ["estimate", str(tmp_path / "nope.txt")])
 
+    def test_estimate_zero_sample_size(self, corpus_file, capsys):
+        assert_one_line_error(
+            capsys, ["estimate", corpus_file, "--sample-size", "0"],
+            match="sample_size",
+        )
+
+    @pytest.mark.parametrize("batch_size", ["0", "-4"])
+    def test_ingest_batch_size_below_one(self, corpus_file, capsys,
+                                         batch_size):
+        assert_one_line_error(
+            capsys,
+            ["ingest", corpus_file, "--base", "0",
+             "--batch-size", batch_size],
+            match="--batch-size must be >= 1",
+        )
+
     def test_index_missing_input(self, tmp_path, capsys):
         assert_one_line_error(
             capsys,

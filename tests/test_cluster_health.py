@@ -527,6 +527,60 @@ class TestIngestRebuild:
             RepairManager(router).rebuild_ingest()
 
 
+class TestIngestIsOneMoreTarget:
+    """The ingest node runs the replicas' state machine: same detection
+    events, same retry-then-abandon bookkeeping, same status cell."""
+
+    def _rig(self, **health):
+        records = make_corpus("wiki", 40, seed=21)
+        clock = ChaosClock()
+        index = SegmentIndex.build(records, n_vertical=8)
+        router = build_cluster(index, n_shards=2, clock=clock,
+                               sleep=clock.sleep)
+        ingest = router.attach_ingest(StreamingIndex.attach(
+            InMemoryDFS(), "ingest", router.order, router.partitioner
+        ))
+        plane = ControlPlane(router, HealthConfig(scrub_interval=100,
+                                                  **health))
+        return router, ingest, plane
+
+    def test_a_flapping_ingest_node_recovers_like_a_replica(self):
+        router, ingest, plane = self._rig(miss_budget=3)
+        ingest.fail()
+        plane.tick()
+        assert router.health_summary()["ingest"]["state"] == "suspect"
+        ingest.restore()
+        plane.tick()
+        assert plane.event_log() == [
+            (1, "suspect", "ingest/r0", "ping failed; miss 1/3"),
+            (2, "recovered", "ingest/r0", "after 1 misses"),
+        ]
+        assert router.health_summary()["ingest"]["state"] == "healthy"
+        assert plane.all_healthy()
+
+    def test_failed_ingest_rebuilds_are_retried_then_abandoned(
+            self, monkeypatch):
+        router, ingest, plane = self._rig(miss_budget=1,
+                                          max_rebuild_attempts=2)
+
+        def refuse(self):
+            raise ClusterError("wal unreadable")
+
+        monkeypatch.setattr(RepairManager, "rebuild_ingest", refuse)
+        ingest.fail()
+        plane.tick()
+        plane.tick()
+        kinds = [e.kind for e in plane.events]
+        assert kinds == ["suspect", "dead", "rebuild-start", "rebuild-failed",
+                         "rebuild-start", "rebuild-abandoned"]
+        assert plane.ingest_state() == "dead"
+        assert plane.pending_repairs() == []
+        assert not plane.all_healthy()
+        counters = plane.summary()["health_counters"]
+        assert counters["rebuild_failures"] == 2
+        assert counters["rebuilds_abandoned"] == 1
+
+
 class TestStatusSurfaces:
     def test_net_status_frame_reports_health(self):
         from repro.gateway import SimilarityGateway

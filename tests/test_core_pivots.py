@@ -8,7 +8,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.core.pivots import PivotMethod, partition_of_rank, select_pivots
+from repro.core.partitioning import VerticalPartitioner
+from repro.core.pivots import PivotMethod, select_pivots
 from repro.errors import ConfigError
 
 frequency_vectors = st.lists(st.integers(1, 1000), min_size=1, max_size=200)
@@ -84,15 +85,17 @@ class TestSelectPivots:
 
 
 class TestPartitionOfRank:
+    """A token rank's vertical partition under a set of cuts."""
+
     def test_no_cuts(self):
-        assert partition_of_rank((), 5) == 0
+        assert VerticalPartitioner(()).partition_of(5) == 0
 
     def test_boundaries(self):
-        cuts = (10, 20)
-        assert partition_of_rank(cuts, 9) == 0
-        assert partition_of_rank(cuts, 10) == 1
-        assert partition_of_rank(cuts, 19) == 1
-        assert partition_of_rank(cuts, 20) == 2
+        partitioner = VerticalPartitioner((10, 20))
+        assert partitioner.partition_of(9) == 0
+        assert partitioner.partition_of(10) == 1
+        assert partitioner.partition_of(19) == 1
+        assert partitioner.partition_of(20) == 2
 
     @given(
         st.lists(st.integers(1, 99), min_size=1, max_size=10, unique=True),
@@ -101,4 +104,4 @@ class TestPartitionOfRank:
     def test_consistent_with_linear_scan(self, cuts, rank):
         cuts = tuple(sorted(cuts))
         expected = sum(1 for cut in cuts if cut <= rank)
-        assert partition_of_rank(cuts, rank) == expected
+        assert VerticalPartitioner(cuts).partition_of(rank) == expected

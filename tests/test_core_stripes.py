@@ -15,7 +15,7 @@ from itertools import product
 import pytest
 
 from repro.baselines.naive import naive_rs_join, naive_self_join
-from repro.core import FSJoin, FSJoinConfig, FSJoinRS
+from repro.core import FSJoin, FSJoinConfig
 from repro.core.config import FilterConfig, JoinMethod
 from repro.data.records import Record, RecordCollection
 from repro.similarity.functions import SimilarityFunction
@@ -71,7 +71,7 @@ class TestOwnerCanonicity:
     @pytest.mark.parametrize("n_horizontal", [1, 4, 10])
     def test_rs_join(self, n_horizontal, cluster):
         config = FSJoinConfig(theta=0.6, n_vertical=6, n_horizontal=n_horizontal)
-        result = FSJoinRS(config, cluster).run(LEFT, RIGHT)
+        result = FSJoin(config, cluster).run(LEFT, right=RIGHT)
         for (rid_l, rid_r), owners in self._owners(
             result.job_results[1].output, cross_side=True
         ).items():
@@ -99,6 +99,6 @@ class TestExactnessMatrix:
         assert FSJoin(config, cluster).run(CORPUS).result_pairs == naive_self_join(
             CORPUS, theta, func
         )
-        assert FSJoinRS(config, cluster).run(LEFT, RIGHT).result_pairs == (
+        assert FSJoin(config, cluster).run(LEFT, right=RIGHT).result_pairs == (
             naive_rs_join(LEFT, RIGHT, theta, func)
         )

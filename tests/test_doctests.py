@@ -8,12 +8,10 @@ import pytest
 
 import repro.cluster
 import repro.core.fsjoin
-import repro.core.rsjoin
 
 MODULES = [
     repro.cluster,
     repro.core.fsjoin,
-    repro.core.rsjoin,
 ]
 
 

@@ -14,7 +14,6 @@ from dataclasses import replace
 import pytest
 
 from repro.core import ExecutorKind, FSJoin, FSJoinConfig
-from repro.core.rsjoin import FSJoinRS
 from repro.data import RecordCollection, make_corpus
 from repro.errors import ConfigError, ExecutionError
 from repro.mapreduce.executors import (
@@ -152,21 +151,21 @@ class TestCrossBackendDeterminism:
         assert threaded_join.run(records).result_pairs == serial.result_pairs
 
     def test_every_driver_honours_the_executor_knob(self):
-        """FSJoinRS builds its implicit cluster the way FSJoin does: on
-        FSJoinConfig.executor's backend."""
+        """The R-S join runs on the one driver, so it inherits
+        FSJoinConfig.executor's backend for its implicit cluster too."""
         records = list(make_corpus("email", 60, seed=1))
         left = RecordCollection(records[:30])
         right = RecordCollection(records[30:])
         serial_config = FSJoinConfig(theta=0.7, n_vertical=6)
         thread_config = replace(serial_config, executor="thread")
 
-        serial_rs = FSJoinRS(serial_config)
-        threaded_rs = FSJoinRS(thread_config)
+        serial_rs = FSJoin(serial_config)
+        threaded_rs = FSJoin(thread_config)
         assert isinstance(serial_rs.cluster.executor, SerialExecutor)
         assert isinstance(threaded_rs.cluster.executor, ThreadExecutor)
         assert (
-            threaded_rs.run(left, right).result_pairs
-            == serial_rs.run(left, right).result_pairs
+            threaded_rs.run(left, right=right).result_pairs
+            == serial_rs.run(left, right=right).result_pairs
         )
 
 

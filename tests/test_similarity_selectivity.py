@@ -22,6 +22,16 @@ class TestValidation:
                 make_corpus("wiki", 20, seed=0), 0.8, sample_size=1
             )
 
+    @pytest.mark.parametrize("sample_size", [0, -5])
+    def test_zero_or_negative_sample_size_is_not_the_default(
+            self, sample_size):
+        """Only ``None`` means the default sample; 0 is refused, not
+        silently read as unset."""
+        with pytest.raises(ConfigError, match="sample_size"):
+            estimate_result_count(
+                make_corpus("wiki", 80, seed=0), 0.8, sample_size=sample_size
+            )
+
 
 class TestEstimates:
     def test_tiny_collection(self):
