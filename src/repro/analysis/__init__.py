@@ -4,13 +4,12 @@
   load-balancing column, Fig. 11's pivot comparison).
 * :mod:`repro.analysis.duplication` — duplication factors (Table I's
   duplication-free column).
-* :mod:`repro.analysis.report` — plain-text table rendering for benches.
+* :mod:`repro.analysis.report` — plain-text table rendering.
 """
 
 from repro.analysis.loadbalance import LoadBalanceReport, load_balance_report
 from repro.analysis.duplication import DuplicationReport, duplication_report
 from repro.analysis.explain import explain
-from repro.analysis.figures import render_series
 from repro.analysis.report import (
     format_phase_breakdown,
     format_table,
@@ -23,7 +22,6 @@ __all__ = [
     "DuplicationReport",
     "duplication_report",
     "explain",
-    "render_series",
     "format_table",
     "format_phase_breakdown",
     "phase_breakdown",

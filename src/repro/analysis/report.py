@@ -1,7 +1,7 @@
-"""Plain-text table rendering for bench output and trace reports.
+"""Plain-text table rendering for the paper evaluation and trace reports.
 
-Every benchmark prints the rows/series the corresponding paper table or
-figure reports; this module keeps that output aligned and consistent.
+``benchmarks/paper.py`` prints the rows each paper table or figure
+reports; this module keeps that output aligned and consistent.
 :func:`phase_breakdown` / :func:`format_phase_breakdown` turn a recorded
 span trace into the per-phase time table that used to be assembled from
 ad-hoc ``time.perf_counter()`` calls — the Fig. 10 phase story, driven by

@@ -10,7 +10,7 @@ work.  This subpackage implements the standard construction:
   recall/cost trade-off, plus optional exact verification of the candidate
   pairs (precision 1.0, recall < 1.0);
 * :mod:`repro.approx.quality` — recall/precision scoring against an exact
-  join, used by ``benchmarks/bench_ext_approx.py``.
+  join, used by the ``ext_approx`` entry of ``benchmarks/paper.py``.
 """
 
 from repro.approx.minhash import MinHasher, estimate_jaccard

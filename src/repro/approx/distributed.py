@@ -14,8 +14,8 @@ Pipeline:
 2. **Verify job** — dedup candidate pairs and verify exactly.
 
 Compared to FS-Join this trades exactness (recall < 1) for a radically
-smaller, skew-free shuffle; ``benchmarks/bench_ext_approx_distributed.py``
-measures that trade.
+smaller, skew-free shuffle; the ``ext_approx_distributed`` entry of
+``benchmarks/paper.py`` measures that trade.
 """
 
 from __future__ import annotations

@@ -4,7 +4,8 @@ The ancestor of PPJoin: prefix index plus length filter, but *no*
 positional and no suffix filtering — every prefix collision between
 length-compatible records becomes a candidate and is verified.  Included as
 the weakest member of the in-memory family so the filter lineage
-(AllPairs → PPJoin → PPJoin+) can be measured (``bench_ext_inmemory``).
+(AllPairs → PPJoin → PPJoin+) can be measured (the ``ext_inmemory`` entry
+of ``benchmarks/paper.py``).
 """
 
 from __future__ import annotations

@@ -27,11 +27,8 @@ from repro.core.pivots import PivotMethod, select_pivots
 from repro.core.partitioning import Segment, SegmentInfo, VerticalPartitioner
 from repro.core.horizontal import HorizontalPlan, build_horizontal_plan
 from repro.core.topk import topk_similar_pairs
-from repro.core.tuning import suggest_config, suggest_n_vertical
 
 __all__ = [
-    "suggest_config",
-    "suggest_n_vertical",
     "FSJoin",
     "topk_similar_pairs",
     "FSJoinConfig",

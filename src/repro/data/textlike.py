@@ -10,8 +10,8 @@ Real corpora are topical: a record concentrates its rare tokens inside its
 topic's vocabulary region.  This generator reproduces that structure —
 records mix a *shared* hot-word pool (function words) with one topic's
 content pool — so cross-topic pairs have strongly different fragment
-profiles.  ``benchmarks/bench_ext_table4_textlike.py`` uses it to show the
-segment filters regaining pruning power on topical data.
+profiles.  The ``ext_filter_power`` entry of ``benchmarks/paper.py`` uses
+it to show the segment filters regaining pruning power on topical data.
 """
 
 from __future__ import annotations

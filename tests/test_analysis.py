@@ -1,10 +1,11 @@
-"""Tests for the analysis helpers (load balance, duplication, reports)."""
+"""Tests for the analysis helpers (load balance, duplication, reports, explain)."""
 
 from __future__ import annotations
 
 import pytest
 
 from repro.analysis.duplication import duplication_report
+from repro.analysis.explain import explain
 from repro.analysis.loadbalance import load_balance_report, summarize_loads
 from repro.analysis.report import format_table
 from repro.core import FSJoin, FSJoinConfig
@@ -85,3 +86,30 @@ class TestFormatTable:
 
     def test_float_formatting(self):
         assert "0.1235" in format_table([{"x": 0.123456}])
+
+
+class TestExplain:
+    def test_report_contents(self, medium_records, cluster):
+        result = FSJoin(FSJoinConfig(theta=0.7, n_vertical=6), cluster).run(
+            medium_records
+        )
+        text = explain(result, cluster.spec)
+        assert "FS-Join-V" in text
+        assert "fsjoin-filter" in text
+        assert "pairs considered" in text
+        counters = result.counters().group("fsjoin.filter")
+        assert (
+            f"{counters['candidates_emitted']} candidate pairs in "
+            f"{counters['stripes_emitted']} stripes"
+        ) in text
+        assert "verification:" in text
+        assert "result pairs" in text
+
+    def test_report_on_baseline(self, medium_records, cluster):
+        """Non-FS-Join pipelines render without the filter sections."""
+        from repro.baselines import RIDPairsPPJoin
+
+        result = RIDPairsPPJoin(0.7, cluster=cluster).run(medium_records)
+        text = explain(result, cluster.spec)
+        assert "RIDPairsPPJoin" in text
+        assert "pairs considered" not in text
