@@ -19,7 +19,7 @@ interleave them deterministically with traffic:
 2. **Anti-entropy scrubbing** — every ``scrub_interval`` ticks, each
    serving replica's per-fragment content digests (sha256 over canonical
    posting content, see
-   :meth:`repro.service.index.SegmentIndex.fragment_digest`) are
+   :meth:`repro.service.index.SegmentIndex.content_digests`) are
    compared against the shard's *baseline* — the majority digest vote
    captured when the plane attached (refreshed when the plan changes,
    e.g. after a rebalance migration).  A divergent replica is fenced on
@@ -211,10 +211,6 @@ class ControlPlane:
                 for fragment, tally in votes.items()
             })
         self._plan_print = self._plan_fingerprint()
-
-    def baseline(self, shard: int) -> Dict[int, str]:
-        """The shard's reference digests (what a rebuild must match)."""
-        return dict(self._baseline[shard])
 
     # -- the tick -------------------------------------------------------
     def tick(self) -> List[HealthEvent]:

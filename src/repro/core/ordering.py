@@ -10,6 +10,7 @@ and compare fast.
 
 from __future__ import annotations
 
+from collections import Counter
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.data.records import Record, RecordCollection
@@ -19,16 +20,25 @@ from repro.mapreduce.runtime import JobResult, SimulatedCluster
 
 
 class TokenFrequencyJob(MapReduceJob):
-    """Classic word count over record token sets (with a combiner)."""
+    """Classic word count over record token sets, combined in the mapper.
+
+    Each map task counts its tokens on its context and emits one
+    ``(token, count)`` per distinct token from ``cleanup``, in first-seen
+    order: the pairs, bytes and group order a per-token emit folded by a
+    summing combiner would ship, without the per-token emits.
+    """
 
     name = "fsjoin-ordering"
 
-    def map(self, key, value: Record, emit, context: JobContext) -> None:
-        for token in value.tokens:
-            emit(token, 1)
+    def setup(self, context: JobContext) -> None:
+        context.token_counts = Counter()
 
-    def combine(self, key, values: List[int], context: JobContext):
-        return [(key, sum(values))]
+    def map(self, key, value: Record, emit, context: JobContext) -> None:
+        context.token_counts.update(value.tokens)
+
+    def cleanup(self, emit, context: JobContext) -> None:
+        for token, count in context.token_counts.items():
+            emit(token, count)
 
     def reduce(self, key, values: List[int], emit, context: JobContext) -> None:
         emit(key, sum(values))

@@ -23,7 +23,7 @@ from __future__ import annotations
 import dataclasses
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, List, Sequence
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence
 
 from repro.data.records import Record, RecordCollection
 from repro.errors import ConfigError
@@ -127,6 +127,88 @@ def _sample_lengths(spec: SyntheticSpec, rng: np.random.Generator, n: int) -> np
     return np.clip(np.rint(lengths), spec.min_len, spec.max_len).astype(np.int64)
 
 
+#: How far below the approximate k-th key a token may sit and still be a
+#: candidate for the top k.  The ``np.log`` and libm keys differ by at most
+#: 1.8e-15 over 10^6 draws (``tests/test_data_synthetic.py`` checks 1e-9);
+#: twice that error is all the margin the exactness argument in
+#: :func:`_top_k_exact` needs.
+_BOUNDARY_MARGIN = 1e-6
+
+
+def _approximate_keys(log_weights: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """``log_weights - log(-log(u))`` with numpy's vectorised ``log``.
+
+    Not bit-equal to the libm keys gumbel yields, only close; a draw of
+    exactly 1.0 keys to ``+inf``.
+    """
+    import numpy as np
+
+    with np.errstate(divide="ignore"):
+        return log_weights - np.log(-np.log(u))
+
+
+def _top_k_exact(
+    log_weights: np.ndarray, u: np.ndarray, k: int
+) -> Optional[np.ndarray]:
+    """The ``k`` tokens ``rng.gumbel`` + ``argpartition`` would pick from ``u``.
+
+    ``u`` holds ``1.0 - rng.random(vocab)``: the very doubles, in the very
+    order, that ``rng.gumbel(size=vocab)`` turns into ``0.0 - 1.0 *
+    log(-log(u))`` with libm's ``log``.  The record's tokens are the ``k``
+    largest exact keys ``log_weights[i] - log(-log(u[i]))``, found without
+    computing all of them:
+
+    * a vectorised ``np.log`` key, within ``e`` of the exact one, finds the
+      approximate k-th largest key.  An order statistic moves by at most
+      the largest per-element error, so every token of the exact top ``k``
+      has an approximate key at least the approximate k-th minus ``2e``:
+      the band :data:`_BOUNDARY_MARGIN` below it holds them all;
+    * a band of exactly ``k`` tokens (for the wiki preset, all but about
+      one record in 2 000) is therefore the top ``k``.  A wider one gets
+      the exact keys with :func:`math.log` — the same libm arithmetic
+      gumbel runs — and its ``k`` largest are the record's tokens.
+
+    The k-th largest of any ``m >= k`` keys is at most the k-th largest
+    of all, so the first ``4k`` keys bound the boundary from below and a
+    single comparison keeps the few tokens that can reach the band before
+    the partition that finds it.
+
+    Returns ``None`` where this cannot promise gumbel's answer, and the
+    caller redraws the record on the old path: a draw of exactly ``1.0``
+    (gumbel rejects it and consumes another double; its key is ``+inf``,
+    so it is always in the band) or an exact tie between the k-th and the
+    (k+1)-th key (argpartition's pick between them is its own).  Returned
+    ids are sorted, dtype ``intp``.
+    """
+    import numpy as np
+
+    keys = _approximate_keys(log_weights, u)
+    m = min(len(keys), 4 * k)
+    floor = np.partition(keys[:m], m - k)[m - k] - _BOUNDARY_MARGIN
+    near = np.flatnonzero(keys >= floor)
+    near_keys = keys[near]
+    boundary = np.partition(near_keys, len(near) - k)[len(near) - k]
+    ids = near[near_keys >= boundary - _BOUNDARY_MARGIN]
+    draws = u[ids]
+    if draws.max() == 1.0:
+        return None
+    if len(ids) == k:
+        return np.sort(ids)
+    log = math.log
+    exact = sorted(
+        (
+            (weight - log(-log(draw)), i)
+            for weight, draw, i in zip(
+                log_weights[ids].tolist(), draws.tolist(), ids.tolist()
+            )
+        ),
+        reverse=True,
+    )
+    if exact[k - 1][0] == exact[k][0]:
+        return None
+    return np.sort(np.array([i for _, i in exact[:k]], dtype=np.intp))
+
+
 def _sample_token_sets(
     log_weights: np.ndarray, lengths: Sequence[int], rng: np.random.Generator
 ) -> List[np.ndarray]:
@@ -134,18 +216,26 @@ def _sample_token_sets(
 
     Uses the Gumbel top-k trick: adding Gumbel noise to log-weights and
     taking the k largest is equivalent to weighted sampling without
-    replacement, in O(vocab) per record.
+    replacement.  :func:`_top_k_exact` reads the same uniform doubles
+    gumbel would and computes exact keys only near the k-th, so each set
+    — and the generator state after it — is the one
+    ``rng.gumbel(size=vocab)`` and ``argpartition`` produce; a record it
+    declines is redrawn that way from the restored generator state.
     """
     import numpy as np
 
     vocab = len(log_weights)
+    bit_generator = rng.bit_generator
     sets: List[np.ndarray] = []
     for k in lengths:
         k = min(int(k), vocab)
-        gumbel = rng.gumbel(size=vocab)
-        keys = log_weights + gumbel
-        top = np.argpartition(keys, vocab - k)[vocab - k :]
-        sets.append(np.sort(top))
+        state = bit_generator.state
+        top = _top_k_exact(log_weights, 1.0 - rng.random(vocab), k)
+        if top is None:
+            bit_generator.state = state
+            keys = log_weights + rng.gumbel(size=vocab)
+            top = np.sort(np.argpartition(keys, vocab - k)[vocab - k :])
+        sets.append(top)
     return sets
 
 
@@ -155,7 +245,14 @@ def _mutate(
     log_weights: np.ndarray,
     rng: np.random.Generator,
 ) -> np.ndarray:
-    """Replace ~``rate`` of ``base``'s tokens with fresh Zipf draws."""
+    """Replace ~``rate`` of ``base``'s tokens with fresh Zipf draws.
+
+    This keeps the full ``rng.gumbel`` vector that :func:`_top_k_exact`
+    spares the base records: the replacements are the first ``need``
+    non-kept ids in ``argpartition``'s own arrangement of the top ``draw``
+    keys, and that arrangement depends on every key, not only on which
+    keys are largest.
+    """
     import numpy as np
 
     keep = base[rng.random(len(base)) >= rate]
@@ -188,11 +285,18 @@ def generate(spec: SyntheticSpec, seed: int = 0) -> RecordCollection:
         source = token_sets[int(rng.integers(0, n_base))]
         token_sets.append(_mutate(source, spec.mutation_rate, log_weights, rng))
 
+    # Each distinct token id is formatted once and its string shared by
+    # every record holding it; the table grows with the ids drawn, never
+    # with ``vocab_size``.
     width = len(str(spec.vocab_size))
+    names: Dict[int, str] = {}
     collection = RecordCollection()
     for rid, tokens in enumerate(token_sets):
-        words = tuple(f"w{int(t):0{width}d}" for t in tokens)
-        collection.add(Record(rid, words))
+        ids = tokens.tolist()
+        for t in ids:
+            if t not in names:
+                names[t] = f"w{t:0{width}d}"
+        collection.add(Record(rid, tuple(map(names.__getitem__, ids))))
     return collection
 
 

@@ -492,19 +492,6 @@ class StreamingIndex:
     def n_fragments(self) -> int:
         return self.partitioner.n_partitions
 
-    def posting_stats(self) -> Dict[str, int]:
-        totals = {
-            "records": 0, "postings": 0,
-            "posting_bytes": 0, "record_bytes": 0,
-        }
-        for tier in self._tiers():
-            stats = tier.posting_stats()
-            for key in totals:
-                totals[key] += stats[key]
-        totals["fragments"] = self.n_fragments
-        totals["vocab"] = self.order.vocab_size
-        return totals
-
     def encode_query(self, tokens: Iterable[str]) -> EncodedQuery:
         ids, unknown = self.vocab.encode_known(tokens)
         return EncodedQuery(tuple(ids), unknown)

@@ -1,8 +1,9 @@
 """The MapReduce job contract.
 
 A job subclasses :class:`MapReduceJob` and overrides ``map`` and ``reduce``
-(plus optionally ``setup``, ``combine`` and ``partition``), mirroring the
-Hadoop programming model the paper's Algorithm 1 is written against:
+(plus optionally ``setup``, ``cleanup``, ``combine`` and ``partition``),
+mirroring the Hadoop programming model the paper's Algorithm 1 is written
+against:
 
 ``Map:    <k1, v1>        → list(<k2, v2>)``
 ``Reduce: <k2, list(v2)>  → list(<k3, v3>)``
@@ -51,6 +52,15 @@ class MapReduceJob:
     def map(self, key: Any, value: Any, emit: Emit, context: JobContext) -> None:
         """Process one input pair; default is the identity map."""
         emit(key, value)
+
+    def cleanup(self, emit: Emit, context: JobContext) -> None:
+        """Called once per map-task attempt, after its last ``map`` call.
+
+        Hadoop's ``Mapper.cleanup``: a map that aggregates on the
+        ``context`` (in-mapper combining) emits its totals here.  The pairs
+        are partitioned, sized and combined exactly like ``map``'s, and a
+        discarded attempt's go with the rest of its output.
+        """
 
     def combine(
         self, key: Any, values: List[Any], context: JobContext

@@ -1,8 +1,9 @@
 """The MapReduce execution engine.
 
 :class:`SimulatedCluster` executes a :class:`~repro.mapreduce.job.MapReduceJob`
-with full Hadoop semantics — input splits, per-task setup, map, optional
-combiner, hash (or custom) partitioning, sort/group, reduce — deterministically.
+with full Hadoop semantics — input splits, per-task setup, map, cleanup,
+optional combiner, hash (or custom) partitioning, sort/group, reduce —
+deterministically.
 Parallelism is both *accounted for* (every task's compute time is measured
 with a monotonic clock and :mod:`repro.mapreduce.costmodel` converts those
 observations into simulated cluster wall-clock for any worker count) and,
@@ -494,6 +495,11 @@ def _split(pairs: Sequence[Pair], n_splits: int) -> List[Sequence[Pair]]:
     return splits
 
 
+#: The "input pair" before the first ``map``: a ``cleanup`` that emits
+#: ``(None, None)`` from an empty split is sized, not taken for a re-emit.
+_NO_INPUT = object()
+
+
 def _run_map_task(
     job: MapReduceJob,
     task_id: int,
@@ -546,7 +552,7 @@ def _run_map_task(
 
     # partition index -> key -> bytes emitted under it, for the combiner.
     key_bytes: Dict[int, Dict[Any, int]] = {}
-    in_key = in_value = None
+    in_key = in_value = _NO_INPUT
     in_size = 0
     started = time.perf_counter()
     job.setup(context)
@@ -555,6 +561,7 @@ def _run_map_task(
         in_size = estimate_pair_size(in_key, in_value)
         input_bytes += in_size
         job.map(in_key, in_value, emit, context)
+    job.cleanup(emit, context)
     task.input_records = len(split)
     task.input_bytes = input_bytes
     if has_combiner:

@@ -376,22 +376,8 @@ class SegmentIndex:
             ),
         }
 
-    def fragment_digest(self, fragment: int) -> str:
-        """Canonical sha256 of one fragment's *content*.
-
-        Hashed over the fragment's posting runs in sorted token order plus
-        the id column of every record posting in it — every column a probe
-        reads, and not pickle bytes — so two indexes that answer
-        identically digest identically, however they were built, and any
-        silent mutation of a posting column or a rank array flips the
-        digest.  This is what the cluster's anti-entropy scrubber compares
-        across replicas of a shard.
-        """
-        self._seal()
-        return self._fragment_digest(fragment, {})
-
     def _fragment_digest(self, fragment: int, encoded: Dict[int, bytes]) -> str:
-        """:meth:`fragment_digest` of a sealed index, with each record's
+        """One fragment's :meth:`content_digests` entry, with each record's
         encoding memoized in ``encoded`` — a record posts into several
         fragments and its bytes are the same in each."""
         import hashlib
@@ -410,10 +396,18 @@ class SegmentIndex:
         return hasher.hexdigest()
 
     def content_digests(self) -> Dict[int, str]:
-        """Content digests (see :meth:`fragment_digest`) of the fragments
-        this index scans — what the anti-entropy scrubber compares across
-        a shard's replicas.  Each record is encoded once per call, not
-        once per fragment it posts into."""
+        """Canonical sha256 of the *content* of each fragment this index
+        scans — what the anti-entropy scrubber compares across a shard's
+        replicas.
+
+        A fragment's digest is hashed over its posting runs in sorted token
+        order plus the id column of every record posting in it — every
+        column a probe reads, and not pickle bytes — so two indexes that
+        answer identically digest identically, however they were built,
+        and any silent mutation of a posting column or a rank array flips
+        the digest.  Each record is encoded once per call, not once per
+        fragment it posts into.
+        """
         owned = range(self.n_fragments) if self._owned is None else self._owned
         self._seal()
         encoded: Dict[int, bytes] = {}

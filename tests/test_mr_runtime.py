@@ -9,9 +9,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.ordering import TokenFrequencyJob
+from repro.data.records import Record
 from repro.errors import ConfigError, ExecutionError
 from repro.mapreduce.job import JobContext, MapReduceJob
 from repro.mapreduce.runtime import ClusterSpec, SimulatedCluster
+from repro.mapreduce.sizer import estimate_pair_size
+from tests.test_mr_fault_tolerance import EXECUTORS, FailFirstAttempts, Straggle
 
 
 class WordCount(MapReduceJob):
@@ -32,6 +36,67 @@ class CombiningWordCount(WordCount):
 
 class IdentityJob(MapReduceJob):
     name = "identity"
+
+
+class DeferredWordCount(WordCount):
+    """``WordCount``'s pairs, in the same order, emitted from ``cleanup``."""
+
+    def setup(self, context):
+        context.pending = []
+
+    def map(self, key, value: str, emit, context):
+        context.pending.extend(value.split())
+
+    def cleanup(self, emit, context):
+        for token in context.pending:
+            emit(token, 1)
+
+
+class CombiningDeferredWordCount(DeferredWordCount):
+    def combine(self, key, values, context):
+        return [(key, sum(values))]
+
+
+class CleanupMarker(MapReduceJob):
+    """Emits, once per map task, how many ``map`` calls the task saw."""
+
+    name = "cleanup-marker"
+
+    def setup(self, context):
+        context.seen = 0
+
+    def map(self, key, value, emit, context):
+        context.seen += 1
+
+    def cleanup(self, emit, context):
+        context.increment("test", "cleanups")
+        emit(f"task-{context.task_id}", context.seen)
+
+
+class PerTokenWordCount(MapReduceJob):
+    """The ordering job's word count with one emit per token and a combiner."""
+
+    def map(self, key, value: Record, emit, context):
+        for token in value.tokens:
+            emit(token, 1)
+
+    def combine(self, key, values, context):
+        return [(key, sum(values))]
+
+    def reduce(self, key, values, emit, context):
+        emit(key, sum(values))
+
+
+def _volumes(metrics):
+    """Every record and byte count of a job, per task (timings left out)."""
+    return (
+        metrics.shuffle_records,
+        metrics.shuffle_bytes,
+        [
+            (t.input_records, t.input_bytes, t.output_records, t.output_bytes)
+            for t in metrics.map_tasks + metrics.reduce_tasks
+        ],
+    )
 
 
 def _wordcount_reference(lines):
@@ -181,6 +246,83 @@ class TestExecutionSemantics:
             num_map_tasks=n_map, num_reduce_tasks=n_reduce,
         )
         assert dict(result.output) == _wordcount_reference(lines)
+        records = [(i, Record.make(i, line.split())) for i, line in enumerate(lines)]
+        ordering, reference = (
+            cluster.run_job(job, records, num_map_tasks=n_map,
+                            num_reduce_tasks=n_reduce)
+            for job in (TokenFrequencyJob(), PerTokenWordCount())
+        )
+        assert (_volumes(ordering.metrics), ordering.output) == (
+            _volumes(reference.metrics), reference.output
+        )
+
+
+class TestCleanup:
+    """``cleanup`` is Hadoop's ``Mapper.cleanup``: once per map-task
+    attempt, after its last ``map``, with emits that are map output."""
+
+    PAIRS = [(i, f"w{i % 5} w{i % 3} common") for i in range(40)]
+
+    def test_once_per_map_task_after_its_last_map(self, cluster):
+        result = cluster.run_job(CleanupMarker(), self.PAIRS, num_map_tasks=4)
+        seen = [t.input_records for t in result.metrics.map_tasks]
+        assert sorted(result.output) == [(f"task-{i}", n) for i, n in enumerate(seen)]
+        assert result.counters.get("test", "cleanups") == 4
+
+    def test_runs_on_an_empty_split(self, cluster):
+        result = cluster.run_job(CleanupMarker(), [])
+        assert result.output == [("task-0", 0)]
+
+    def test_empty_split_emit_is_sized(self, cluster):
+        """Before any ``map`` there is no input pair a ``(None, None)``
+        emit could be re-shipping at its read size."""
+        class EmitsNone(IdentityJob):
+            def cleanup(self, emit, context):
+                emit(None, None)
+
+        result = cluster.run_job(EmitsNone(), [], num_reduce_tasks=1)
+        assert result.metrics.shuffle_bytes == estimate_pair_size(None, None) > 0
+
+    @pytest.mark.parametrize(
+        "eager, deferred",
+        [(WordCount, DeferredWordCount),
+         (CombiningWordCount, CombiningDeferredWordCount)],
+    )
+    def test_emits_are_partitioned_sized_and_combined_like_map_emits(
+        self, cluster, eager, deferred
+    ):
+        mapped, cleaned = (
+            cluster.run_job(job(), self.PAIRS, num_map_tasks=3, num_reduce_tasks=5)
+            for job in (eager, deferred)
+        )
+        assert (_volumes(mapped.metrics), mapped.output) == (
+            _volumes(cleaned.metrics), cleaned.output
+        )
+
+    @pytest.mark.parametrize("executor", EXECUTORS)
+    @pytest.mark.parametrize(
+        "faults",
+        [
+            {"failure_injector": FailFirstAttempts(("map",))},
+            {"straggler_injector": Straggle(tasks=(0, 2), backup_delay=0.0),
+             "speculative": True},
+            {"straggler_injector": Straggle(tasks=(0, 2), backup_delay=0.45),
+             "speculative": True},
+        ],
+        ids=["failed-attempts", "speculative-original-loses",
+             "speculative-backup-loses"],
+    )
+    def test_discarded_attempts_leave_no_cleanup_output(self, executor, faults):
+        spec = ClusterSpec(workers=2, map_slots=2, reduce_slots=2)
+        clean = SimulatedCluster(spec).run_job(
+            CleanupMarker(), self.PAIRS, num_map_tasks=4
+        )
+        faulty = SimulatedCluster(spec, executor=executor, **faults).run_job(
+            CleanupMarker(), self.PAIRS, num_map_tasks=4
+        )
+        assert faulty.output == clean.output
+        assert _volumes(faulty.metrics) == _volumes(clean.metrics)
+        assert faulty.counters.get("test", "cleanups") == 4
 
 
 class TestMetrics:
