@@ -50,9 +50,10 @@ Three ways of finding a probing segment's partners, as in the paper:
   on short records nearly all are, and the prefix join merges nothing.
 
 The filter battery (Lemmas 2–4, ``core/filters.py``) runs inline in the
-partner loop, over flat columns of the sorted fragment, with ``τ``
-memoised per length pair and the counters kept in locals until the
-fragment is done.
+partner loop, over flat columns of the sorted fragment, with ``(func, θ)``
+resolved once per fragment to a
+:class:`~repro.similarity.thresholds.ThresholdRule`, ``τ`` memoised per
+length pair and the counters kept in locals until the fragment is done.
 
 Posting lists hold ascending segment indices, so the window is one C
 ``bisect`` per list.
@@ -69,7 +70,7 @@ from repro.core.filters import min_partner_len
 from repro.core.partitioning import Segment
 from repro.mapreduce.job import JobContext
 from repro.similarity.functions import SimilarityFunction
-from repro.similarity.thresholds import prefix_length, required_overlap
+from repro.similarity.thresholds import prefix_length, threshold_rule
 from repro.similarity.verify import bounded_merge_intersection
 
 #: ``(owner, (len_owner, rid_t, len_t, common, …))`` — see the module docstring.
@@ -157,6 +158,7 @@ def join_fragment(
         )
     segl, segi, segd = config.segl, config.segi, config.segd
     needs_tau = segl or segi or segd
+    tau_of = threshold_rule(func, theta).tau
     early_verify = config.early_verify
     # record length -> partner length -> τ
     tau_rows: Dict[int, Dict[int, int]] = {}
@@ -189,7 +191,7 @@ def join_fragment(
                 len_t = lens[earlier]
                 tau = taus.get(len_t)
                 if tau is None:
-                    tau = taus[len_t] = required_overlap(func, theta, len_s, len_t)
+                    tau = taus[len_t] = tau_of(len_s, len_t)
                 ahead_t, behind_t = aheads[earlier], behinds[earlier]
                 size_t = sizes[earlier]
                 # Lemmas 2 and 3 share one slack: what the segments

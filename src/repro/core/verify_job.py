@@ -16,7 +16,7 @@ from typing import Any, Dict, List, Tuple
 
 from repro.mapreduce.job import JobContext, MapReduceJob
 from repro.similarity.functions import SimilarityFunction
-from repro.similarity.verify import verify_overlap
+from repro.similarity.thresholds import ThresholdRule, threshold_rule
 
 Stripe = Tuple[int, ...]  # (len_owner, rid_t, len_t, common, ...)
 
@@ -35,13 +35,13 @@ def merge_stripes(stripes: List[Stripe]) -> Tuple[Dict[int, int], Dict[int, int]
 
 
 def verify_stripes(
-    func: SimilarityFunction,
-    theta: float,
+    rule: ThresholdRule,
     owner: Any,
     stripes: List[Stripe],
     cross_side: bool = False,
 ) -> Tuple[int, List[Tuple[Tuple[int, int], float]]]:
-    """Sum one owner's partial counts per partner and threshold-test each.
+    """Sum one owner's partial counts per partner and threshold-test each
+    with the job's resolved ``(func, θ)`` rule.
 
     Returns the number of candidate pairs and ``((rid_left, rid_right),
     score)`` for those with ``sim ≥ θ``.  A self-join's owner is a record
@@ -52,13 +52,14 @@ def verify_stripes(
     len_owner = stripes[0][0]
     lens, totals = merge_stripes(stripes)
     side, owner = owner if cross_side else (0, owner)
+    verdict = rule.verdict
     results = []
     for rid, total in totals.items():
-        # Shared verification rule (Section V-B) — the same early-terminating
-        # verifier module the in-memory joins use, applied to the aggregated
-        # count (the token comparisons themselves were already saved in the
-        # filter job's bounded merges).
-        score = verify_overlap(func, theta, total, len_owner, lens[rid])
+        # Shared verification rule (Section V-B) — the same threshold rule
+        # the in-memory verifiers and the serving probe use, applied to the
+        # aggregated count (the token comparisons themselves were already
+        # saved in the filter job's bounded merges).
+        score = verdict(total, len_owner, lens[rid])
         if score is not None:
             owner_first = side == 0 if cross_side else owner <= rid
             results.append(((owner, rid) if owner_first else (rid, owner), score))
@@ -73,8 +74,8 @@ class VerificationJob(MapReduceJob):
     def __init__(
         self, theta: float, func: SimilarityFunction, cross_side: bool = False
     ) -> None:
-        self.theta = theta
-        self.func = SimilarityFunction(func)
+        #: ``(func, θ)`` validated and resolved once; pickles as the pair.
+        self.rule = threshold_rule(func, theta)
         self.cross_side = cross_side
 
     def combine(self, key, values: List[Stripe], context: JobContext):
@@ -90,7 +91,7 @@ class VerificationJob(MapReduceJob):
         self, key, values: List[Stripe], emit, context: JobContext
     ) -> None:
         candidates, results = verify_stripes(
-            self.func, self.theta, key, values, self.cross_side
+            self.rule, key, values, self.cross_side
         )
         context.increment("fsjoin.verify", "candidates", candidates)
         if results:

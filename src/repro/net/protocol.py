@@ -43,6 +43,12 @@ VERSION = 1
 _HEADER = struct.Struct(">2sBBI")
 HEADER_SIZE = _HEADER.size
 
+#: The one body encoder, shared by every frame (``encode`` keeps no state
+#: between calls): ``json.dumps`` given any keyword builds a fresh
+#: :class:`json.JSONEncoder` per call.  Output is ``json.dumps(body,
+#: separators=(",", ":"))``, byte for byte.
+_ENCODER = json.JSONEncoder(separators=(",", ":"))
+
 #: Largest body (bytes) either side accepts by default.
 DEFAULT_MAX_FRAME = 4 * 1024 * 1024
 
@@ -78,9 +84,8 @@ def encode_frame(frame: Frame, max_frame: int = DEFAULT_MAX_FRAME) -> bytes:
     """Serialize ``frame`` to header + JSON body bytes."""
     if frame.kind not in FRAME_KINDS:
         raise ProtocolError(f"unknown frame kind {frame.kind!r}")
-    body = json.dumps(
-        {"kind": frame.kind, "id": frame.request_id, "payload": frame.payload},
-        separators=(",", ":"),
+    body = _ENCODER.encode(
+        {"kind": frame.kind, "id": frame.request_id, "payload": frame.payload}
     ).encode("utf-8")
     if len(body) > max_frame:
         raise ProtocolError(

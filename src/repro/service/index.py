@@ -44,8 +44,13 @@ walks the owned set, which only :class:`~repro.cluster.node.ShardSlice`
 narrows, and cedes nothing; the cross-shard claim rule is asked of the
 pairs that pass verification, in :meth:`SegmentIndex._evaluate_columnar`).
 The scan is batched over the flat posting columns; each query shape's
-length window is memoized on the index (a bounded LRU, :data:`WINDOW_MEMO`
-entries) and verification's ``required_overlap`` per partner size.
+length window is memoized once per process (:func:`probe_window`, a
+bounded LRU of :data:`WINDOW_MEMO` entries shared by every index, slice
+and generation).  A probe resolves ``(func, θ)`` to one
+:class:`~repro.similarity.thresholds.ThresholdRule` and memoizes its τ per
+size pair; verification checks each candidate's opening positional bound
+before it calls the merge, and asks the rule for a verdict only when the
+merge's count reached τ.
 
 **Result-ordering contract**: every probe's hit list is sorted by
 ``(-score, rid)`` — descending score, ascending record id on ties — and
@@ -82,20 +87,22 @@ from repro.service.columnar import FragmentPostings
 from repro.service.vocab import TokenVocab
 from repro.similarity.functions import SimilarityFunction
 from repro.similarity.thresholds import (
+    ThresholdRule,
     check_threshold,
     length_lower_bound,
     length_upper_bound,
     prefix_length,
-    required_overlap,
+    threshold_rule,
 )
-from repro.similarity.verify import bounded_merge_intersection, verify_overlap
+from repro.similarity.verify import bounded_merge_intersection
 
 #: Counter group for probe-side work (mirrors ``fsjoin.filter`` naming).
 PROBE_GROUP = "service.probe"
 
-#: Query shapes — (func, θ, |q|, known tokens) — whose length windows an
-#: index remembers: a long-lived server sees as many θs as its clients
-#: send, so the memo is an LRU of this many entries.
+#: Query shapes — (func, θ, |q|, known tokens) — whose length windows the
+#: process remembers (:func:`probe_window` is one memo shared by every
+#: index): a long-lived server sees as many θs as its clients send, so the
+#: memo is an LRU of this many entries.
 WINDOW_MEMO = 1024
 
 
@@ -198,8 +205,6 @@ class SegmentIndex:
         #: Something was staged into an index that already held records,
         #: so the next seal re-sorts the runs it touches by length.
         self._resort = False
-        #: (func, θ, |q|, known) → :func:`probe_window`, bounded.
-        self._windows = lru_cache(maxsize=WINDOW_MEMO)(probe_window)
 
     # -- construction --------------------------------------------------
     @classmethod
@@ -462,6 +467,7 @@ class SegmentIndex:
         per query that has candidates.  Tracing never changes results.
         """
         func = checked_probe_args(theta, func)
+        rule = threshold_rule(func, theta)
         tracer = tracer if tracer is not None else NOOP_TRACER
         with tracer.span("prefix-filter", phase="service",
                          queries=len(queries)) as span:
@@ -474,8 +480,7 @@ class SegmentIndex:
         tau_cache: Dict[Tuple[int, int], int] = {}
         return [
             self._evaluate_columnar(
-                query, candidate_sets[qi], theta, func, counters, tracer,
-                tau_cache,
+                query, candidate_sets[qi], rule, counters, tracer, tau_cache,
             )
             for qi, query in enumerate(queries)
         ]
@@ -552,12 +557,11 @@ class SegmentIndex:
         """
         probes: List[Tuple[int, int, int, int, int, int]] = []
         owned = self._owned
-        windows = self._windows
         for qi, query in enumerate(queries):
             q_ids = query.ranks
             if not q_ids:
                 continue
-            lo, edges = windows(func, theta, query.size, len(q_ids))
+            lo, edges = probe_window(func, theta, query.size, len(q_ids))
             for v, start, end in self.partitioner.split_bounds(
                     q_ids[:len(edges)]):
                 if owned is not None and v not in owned:
@@ -591,8 +595,7 @@ class SegmentIndex:
         self,
         query: EncodedQuery,
         candidates: Dict[int, int],
-        theta: float,
-        func: SimilarityFunction,
+        rule: ThresholdRule,
         counters: Optional[Counters],
         tracer: Tracer,
         tau_cache: Dict[Tuple[int, int], int],
@@ -601,20 +604,32 @@ class SegmentIndex:
         claim the hits that are this index's to report.
 
         Every candidate already passes Lemma 1 (the scan's window), so a
-        candidate costs one early-terminating merge against τ.  Lemmas 2–4
-        bound a pair from one fragment because a filter-job reducer sees
-        nothing else; here both full columns are at hand, and the merge's
-        running bound (matches so far + shorter remaining suffix < τ) is
-        the tightest positional bound there is, so nothing runs ahead of
-        it.
+        candidate costs at most one early-terminating merge against τ.
+        Lemmas 2–4 bound a pair from one fragment because a filter-job
+        reducer sees nothing else; here both full columns are at hand, and
+        the merge's running bound (matches so far + shorter remaining
+        suffix < τ) is the tightest positional bound there is, so nothing
+        runs ahead of it.
 
         **The merge starts where the scan stopped**: at ``qpos`` in the
         query and ``tpos = bisect_left(t, q[qpos])`` in the candidate
         ``t``, which holds ``q[qpos]`` there.  The merge's bound ahead of
         its first comparison, ``min(|q| − qpos, |t| − tpos) < τ``, is then
         PPJoin's positional filter; its query half the window has already
-        applied, so what reaches the merge dies there only by ``t``'s
-        side.
+        applied, so what reaches it dies there only by ``t``'s side.
+
+        **The opening bound is checked before the merge.**  Most
+        candidates die at it (about three in four on the harness's
+        workloads), so it is asked here, with the ``tpos`` the merge is
+        then started at: a pair that fails it is dropped without a merge
+        call, exactly where the merge would have returned with no
+        comparison — ``verify_token_comparisons`` is the same either way.
+
+        **The verdict is asked only at τ.**  A merge that ends below τ
+        (abandoned or complete) is a miss: τ is the smallest count that
+        passes and the test is monotone in the count
+        (:class:`~repro.similarity.thresholds.ThresholdRule`), so only a
+        count of at least τ is scored.
 
         **The claim rule, on hits.**  A pair is reported by the slice that
         owns the fragment of its first common token (Theorem 1, across
@@ -633,17 +648,20 @@ class SegmentIndex:
         the pair either fails τ here or passes and is ceded by the check:
         per-slice hit lists are those of a scan that cedes up front.
 
-        Unknown query tokens only enlarge ``|q|``.  ``required_overlap``
-        is memoized per size pair in ``tau_cache`` across the batch, and
-        counters accumulate in locals and flush once per probe.
+        Unknown query tokens only enlarge ``|q|``.  ``rule`` is the probe's
+        ``(func, θ)``, resolved once by :meth:`probe_batch`; τ is memoized
+        per size pair in ``tau_cache`` across the batch, and counters
+        accumulate in locals and flush once per probe.
         """
         _bump(counters, "probes", 1)
         if not candidates:
             return []
         q_ranks = query.ranks
+        n_known = len(q_ranks)
         size_q = query.size
         ranks_of = self._ranks
         merge = bounded_merge_intersection
+        tau_of = rule.tau
         sliced = self._owned is not None
         hits: List[SearchHit] = []
         n_verify_cmp = n_ceded = 0
@@ -654,15 +672,19 @@ class SegmentIndex:
                 size_t = len(t_ranks)
                 tau = tau_cache.get((size_q, size_t))
                 if tau is None:
-                    tau = tau_cache[(size_q, size_t)] = required_overlap(
-                        func, theta, size_q, size_t
-                    )
+                    tau = tau_cache[(size_q, size_t)] = tau_of(size_q, size_t)
+                tpos = bisect_left(t_ranks, q_ranks[qpos])
+                rest_q = n_known - qpos
+                rest_t = size_t - tpos
+                if (rest_q if rest_q < rest_t else rest_t) < tau:
+                    continue
                 common, comparisons, _completed = merge(
-                    q_ranks, t_ranks, tau,
-                    qpos, bisect_left(t_ranks, q_ranks[qpos]),
+                    q_ranks, t_ranks, tau, qpos, tpos
                 )
                 n_verify_cmp += comparisons
-                score = verify_overlap(func, theta, common, size_q, size_t)
+                if common < tau:
+                    continue
+                score = rule.verdict(common, size_q, size_t)
                 if score is None:
                     continue
                 if sliced and qpos and _any_rank_present(
@@ -683,7 +705,7 @@ class SegmentIndex:
         state = dict(self.__dict__)
         # Rebuilt on load: the vocab shares the order object, and the
         # rest is derived state.
-        for name in ("vocab", "_resort", "_windows"):
+        for name in ("vocab", "_resort"):
             state.pop(name, None)
         return state
 
@@ -705,6 +727,7 @@ def checked_probe_args(theta: float, func) -> SimilarityFunction:
     return func
 
 
+@lru_cache(maxsize=WINDOW_MEMO)
 def probe_window(
     func: SimilarityFunction, theta: float, size: int, known: int
 ) -> Tuple[int, Tuple[int, ...]]:
@@ -721,7 +744,13 @@ def probe_window(
     on (``lo − 1``, an empty window, when none does): any longer record
     fails the merge's opening bound, and ``τ`` never falls as ``t`` grows,
     so ``edges`` never grows with ``qpos``.
+
+    A pure function of its arguments, so it is memoized once per process
+    (an LRU of :data:`WINDOW_MEMO` shapes, ``probe_window.cache_info()``):
+    every index, slice, memtable and generation shares the windows one of
+    them computed.
     """
+    tau_of = threshold_rule(func, theta).tau
     lo = length_lower_bound(func, theta, size)
     top = length_upper_bound(func, theta, size)
     while length_lower_bound(func, theta, top + 1) <= size:
@@ -731,7 +760,7 @@ def probe_window(
     # τ for lo, lo + 1, …: no room is larger than ``known``, so stop there.
     taus = list(takewhile(
         lambda tau: tau <= known,
-        (required_overlap(func, theta, size, t) for t in range(lo, top + 1)),
+        (tau_of(size, t) for t in range(lo, top + 1)),
     ))
     limit = min(prefix_length(func, theta, size), known)
     return lo, tuple(

@@ -18,11 +18,19 @@ end to end.
 Floating-point comparisons use a small symmetric epsilon (``EPS``) so that
 pairs lying exactly on the threshold are accepted, matching the paper's
 ``sim ≥ θ`` semantics.
+
+The per-pair quantities — required overlap, threshold test, score — live
+on one :class:`ThresholdRule` per ``(func, θ)``, resolved once by
+:func:`threshold_rule`; hot loops (the serving probe, the batch join's
+fragments and verification job) hold the rule, and
+:func:`required_overlap` / :func:`passes_threshold` are validating
+wrappers over it, so each formula has exactly one copy.
 """
 
 from __future__ import annotations
 
 import math
+from typing import Optional
 
 from repro.errors import ConfigError
 from repro.similarity.functions import SimilarityFunction
@@ -53,15 +61,10 @@ def required_overlap(
 
     Jaccard: ``c ≥ θ/(1+θ)·(|s|+|t|)`` — the bound used by the paper's
     SegI-Filter (Lemma 3).  Dice: ``c ≥ θ/2·(|s|+|t|)``.  Cosine:
-    ``c ≥ θ·sqrt(|s|·|t|)``.
+    ``c ≥ θ·sqrt(|s|·|t|)``.  A validating wrapper over
+    :meth:`ThresholdRule.tau`.
     """
-    check_threshold(theta)
-    func = SimilarityFunction(func)
-    if func is SimilarityFunction.JACCARD:
-        return _ceil(theta / (1.0 + theta) * (size_s + size_t))
-    if func is SimilarityFunction.DICE:
-        return _ceil(theta / 2.0 * (size_s + size_t))
-    return _ceil(theta * math.sqrt(size_s * size_t))
+    return threshold_rule(func, theta).tau(size_s, size_t)
 
 
 def length_lower_bound(func: SimilarityFunction, theta: float, size: int) -> int:
@@ -120,16 +123,7 @@ def similarity_from_overlap(
     original strings, it derives the score from the aggregated common-token
     count alone.
     """
-    func = SimilarityFunction(func)
-    if func is SimilarityFunction.JACCARD:
-        union = size_s + size_t - common
-        return common / union if union else 0.0
-    if func is SimilarityFunction.DICE:
-        total = size_s + size_t
-        return 2.0 * common / total if total else 0.0
-    if not size_s or not size_t:
-        return 0.0
-    return common / math.sqrt(size_s * size_t)
+    return _RULES[SimilarityFunction(func)].score(common, size_s, size_t)
 
 
 def passes_threshold(
@@ -138,17 +132,137 @@ def passes_threshold(
     """Whether ``sim(s, t) ≥ θ`` given ``|s ∩ t|`` and the set sizes.
 
     Uses cross-multiplied comparisons so no division is performed; ties at
-    the threshold are accepted.
+    the threshold are accepted.  A validating wrapper over
+    :meth:`ThresholdRule.passes`.
     """
+    return threshold_rule(func, theta).passes(common, size_s, size_t)
+
+
+class ThresholdRule:
+    """One ``(func, θ)``, validated and resolved once.
+
+    A join or a probe asks the same question of every pair: what overlap
+    does ``sim ≥ θ`` need, and does this count reach it.  The rule answers
+    both from set sizes alone — :meth:`tau` (the required overlap),
+    :meth:`passes` (the threshold test) and :meth:`verdict` (the score, or
+    ``None`` below θ) — with θ's constants computed once and no
+    per-pair validation or enum coercion.  Each subclass evaluates its
+    formulas in the float order the module always has, so a rule's τ,
+    test and score are bit for bit those of the wrappers over it.
+
+    ``verdict(c) is None`` for every ``c < tau``: τ is the smallest
+    passing count (``tests/test_similarity_thresholds.py`` checks it
+    exhaustively) and the test is monotone in ``c``, so a caller that
+    already knows ``c < τ`` need not ask.  A rule pickles as its
+    ``(func, θ)`` and is rebuilt on load.
+    """
+
+    __slots__ = ("func", "theta")
+
+    def __init__(self, func: SimilarityFunction, theta: float) -> None:
+        self.func = func
+        self.theta = theta
+
+    def __reduce__(self):
+        return threshold_rule, (self.func, self.theta)
+
+    def tau(self, size_s: int, size_t: int) -> int:
+        """Minimum ``|s ∩ t|`` for ``sim(s, t) ≥ θ``."""
+        raise NotImplementedError
+
+    def passes(self, common: int, size_s: int, size_t: int) -> bool:
+        """Whether ``common`` shared tokens reach θ.  Zero overlap means
+        similarity 0 under all three functions, which can never reach a
+        positive threshold (including the empty/empty pair, defined as 0
+        by the join semantics)."""
+        raise NotImplementedError
+
+    @staticmethod
+    def score(common: int, size_s: int, size_t: int) -> float:
+        """The exact similarity of a pair from its overlap and sizes."""
+        raise NotImplementedError
+
+    def verdict(self, common: int, size_s: int, size_t: int) -> Optional[float]:
+        """The pair's score if ``sim ≥ θ``, else ``None``."""
+        if self.passes(common, size_s, size_t):
+            return self.score(common, size_s, size_t)
+        return None
+
+
+class _JaccardRule(ThresholdRule):
+    __slots__ = ("_ratio", "_scale")
+
+    def __init__(self, func: SimilarityFunction, theta: float) -> None:
+        super().__init__(func, theta)
+        self._ratio = theta / (1.0 + theta)
+        self._scale = 1.0 + theta
+
+    def tau(self, size_s: int, size_t: int) -> int:
+        return _ceil(self._ratio * (size_s + size_t))
+
+    def passes(self, common: int, size_s: int, size_t: int) -> bool:
+        return common > 0 and (
+            common * self._scale + EPS >= self.theta * (size_s + size_t)
+        )
+
+    @staticmethod
+    def score(common: int, size_s: int, size_t: int) -> float:
+        union = size_s + size_t - common
+        return common / union if union else 0.0
+
+
+class _DiceRule(ThresholdRule):
+    __slots__ = ("_half",)
+
+    def __init__(self, func: SimilarityFunction, theta: float) -> None:
+        super().__init__(func, theta)
+        self._half = theta / 2.0
+
+    def tau(self, size_s: int, size_t: int) -> int:
+        return _ceil(self._half * (size_s + size_t))
+
+    def passes(self, common: int, size_s: int, size_t: int) -> bool:
+        return common > 0 and (
+            2.0 * common + EPS >= self.theta * (size_s + size_t)
+        )
+
+    @staticmethod
+    def score(common: int, size_s: int, size_t: int) -> float:
+        total = size_s + size_t
+        return 2.0 * common / total if total else 0.0
+
+
+class _CosineRule(ThresholdRule):
+    __slots__ = ("_square",)
+
+    def __init__(self, func: SimilarityFunction, theta: float) -> None:
+        super().__init__(func, theta)
+        self._square = theta * theta
+
+    def tau(self, size_s: int, size_t: int) -> int:
+        return _ceil(self.theta * math.sqrt(size_s * size_t))
+
+    def passes(self, common: int, size_s: int, size_t: int) -> bool:
+        return common > 0 and (
+            common * common + EPS >= self._square * size_s * size_t
+        )
+
+    @staticmethod
+    def score(common: int, size_s: int, size_t: int) -> float:
+        if not size_s or not size_t:
+            return 0.0
+        return common / math.sqrt(size_s * size_t)
+
+
+_RULES = {
+    SimilarityFunction.JACCARD: _JaccardRule,
+    SimilarityFunction.DICE: _DiceRule,
+    SimilarityFunction.COSINE: _CosineRule,
+}
+
+
+def threshold_rule(func: SimilarityFunction, theta: float) -> ThresholdRule:
+    """Validate ``(func, θ)`` once and resolve it to its :class:`ThresholdRule`."""
     check_threshold(theta)
     func = SimilarityFunction(func)
-    if common <= 0:
-        # Zero overlap means similarity 0 under all three functions, which
-        # can never reach a positive threshold (including the empty/empty
-        # pair, defined as 0 by the join semantics).
-        return False
-    if func is SimilarityFunction.JACCARD:
-        return common * (1.0 + theta) + EPS >= theta * (size_s + size_t)
-    if func is SimilarityFunction.DICE:
-        return 2.0 * common + EPS >= theta * (size_s + size_t)
-    return common * common + EPS >= theta * theta * size_s * size_t
+    return _RULES[func](func, theta)

@@ -12,6 +12,15 @@ plus the shorter remaining suffix, so as soon as that upper bound drops
 below the required overlap the pair provably fails the threshold and the
 merge is abandoned.  :func:`verify_pair` derives ``required`` from the
 similarity threshold, making the early-terminating merge its default path.
+
+The threshold side is one :class:`~repro.similarity.thresholds.
+ThresholdRule` per ``(func, θ)``, resolved once by the caller — per call
+in :func:`verify_pair`, per probe in the serving index, per fragment and
+per job in the batch join.  A count below the rule's τ never passes, so a
+caller that knows its count is below τ (an abandoned merge always is)
+need not ask for a verdict: the serving probe asks only at τ.  It also
+checks the merge's opening bound before calling the merge, since a pair
+that fails it would cost a call and no comparison.
 """
 
 from __future__ import annotations
@@ -19,11 +28,7 @@ from __future__ import annotations
 from typing import Optional, Sequence, Tuple
 
 from repro.similarity.functions import SimilarityFunction
-from repro.similarity.thresholds import (
-    passes_threshold,
-    required_overlap,
-    similarity_from_overlap,
-)
+from repro.similarity.thresholds import threshold_rule
 
 
 def intersection_size(
@@ -114,11 +119,10 @@ def verify_overlap(
     The shared verification rule of Section V-B: both the in-memory
     verifiers and FS-Join's count-aggregation
     :class:`~repro.core.verify_job.VerificationJob` derive the decision
-    from ``|s ∩ t|`` and the two set sizes alone.
+    from ``|s ∩ t|`` and the two set sizes alone.  A validating wrapper
+    over :meth:`~repro.similarity.thresholds.ThresholdRule.verdict`.
     """
-    if passes_threshold(func, theta, common, size_s, size_t):
-        return similarity_from_overlap(func, common, size_s, size_t)
-    return None
+    return threshold_rule(func, theta).verdict(common, size_s, size_t)
 
 
 def verify_pair(
@@ -137,11 +141,11 @@ def verify_pair(
     forces the full merge (the naive reference the property tests compare
     against).  Both paths return identical results: an abandoned merge can
     only happen when the true overlap is below the required bound, which
-    :func:`~repro.similarity.thresholds.passes_threshold` rejects.
+    the threshold test rejects.
     """
-    func = SimilarityFunction(func)
+    rule = threshold_rule(func, theta)
     required: Optional[int] = None
     if sorted_input and early_termination:
-        required = required_overlap(func, theta, len(s), len(t))
+        required = rule.tau(len(s), len(t))
     common = intersection_size(s, t, sorted_input=sorted_input, required=required)
-    return verify_overlap(func, theta, common, len(s), len(t))
+    return rule.verdict(common, len(s), len(t))

@@ -33,7 +33,7 @@ from repro.ingest import IngestConfig, StreamingIndex
 from repro.mapreduce.counters import Counters
 from repro.mapreduce.hdfs import InMemoryDFS
 from repro.service import SegmentIndex
-from repro.service.index import PROBE_GROUP, WINDOW_MEMO
+from repro.service.index import PROBE_GROUP, WINDOW_MEMO, probe_window
 from repro.similarity.thresholds import length_lower_bound, required_overlap
 from tests.conftest import brute_force_search, random_collection
 
@@ -196,13 +196,13 @@ def test_the_window_is_exact_under_every_verb(world):
 
 def test_the_window_memo_is_bounded():
     """A long-lived server meets every θ its clients send: 10 000 distinct
-    ones leave the memo at its bound, and answers unchanged."""
+    ones leave the process-wide memo at its bound, and answers unchanged."""
     corpus = random_collection(20, seed=3)
     index = SegmentIndex.build(corpus, n_vertical=4)
     tokens = corpus.get(0).tokens
     query = [index.encode_query(tokens)]
     for i in range(10_000):
         index.probe_batch(query, 0.5 + i * 1e-5)
-    info = index._windows.cache_info()
+    info = probe_window.cache_info()
     assert info.currsize == info.maxsize == WINDOW_MEMO
     assert index.probe(tokens, 0.55) == brute_force_search(corpus, tokens, 0.55)

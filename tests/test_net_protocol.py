@@ -144,6 +144,37 @@ class TestRoundTrip:
             f.payload for f in frames
         ]
 
+    def test_frames_are_the_json_dumps_bytes(self):
+        """The shared encoder writes what ``json.dumps`` with the same
+        separators writes: non-ASCII tokens escaped, floats as ``repr``,
+        ids near 2**62 exact."""
+        frames = [
+            search_frame(2 ** 62 - 1, ["naïve", "東京", "emoji-😀", "a\"b\\"],
+                         0.1 + 0.2, func="dice", k=3, exclude=2 ** 62 - 7),
+            search_batch_frame(2 ** 62, [["café"], ["ß", "ü"]], 0.6),
+            result_frame(2 ** 62 + 1, {"hits": hits_to_wire([
+                SearchHit(2 ** 62 - 3, 0.1 + 0.2),
+                SearchHit(2 ** 62 - 2, 1 / 3),
+                SearchHit(5, math.nextafter(0.5, 1.0)),
+            ])}),
+            append_frame(9, [_FakeRecord(2 ** 62 - 11, ("ĳ", "ω", "x"))]),
+            error_frame(3, QuotaExceededError("quota – exceeded")),
+        ]
+        for frame in frames:
+            body = json.dumps(
+                {"kind": frame.kind, "id": frame.request_id,
+                 "payload": frame.payload},
+                separators=(",", ":"),
+            ).encode("utf-8")
+            data = encode_frame(frame)
+            assert data[HEADER_SIZE:] == body
+            assert data[:HEADER_SIZE] == struct.pack(
+                ">2sBBI", MAGIC, VERSION, 0, len(body))
+        first = encode_frame(frames[0])
+        for literal in (b"0.30000000000000004", b"na\\u00efve",
+                        b"\\ud83d\\ude00", b"4611686018427387903"):
+            assert literal in first
+
     def test_torn_mid_header_and_mid_body(self):
         frame = search_frame(9, ["q"], 0.5)
         data = encode_frame(frame)

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import pickle
+
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -19,6 +22,7 @@ from repro.similarity.thresholds import (
     prefix_length,
     required_overlap,
     similarity_from_overlap,
+    threshold_rule,
 )
 
 FUNCS = list(SimilarityFunction)
@@ -169,3 +173,68 @@ class TestVerificationRules:
     def test_boundary_accepted(self):
         # Exactly θ: jaccard 4/(5+4-... ): c=4, a=5, b=5 → 4/6 = 0.666…
         assert passes_threshold(SimilarityFunction.JACCARD, 2 / 3, 4, 5, 5)
+
+
+def _reference(func, theta, s, t, common):
+    """The threshold algebra as literal formulas over numpy columns —
+    ``(τ before the ceiling, passes at common, score at common)`` — in the
+    float order the module documents (IEEE ``+ * / sqrt`` round the same
+    in numpy and in Python)."""
+    if func is SimilarityFunction.JACCARD:
+        return (theta / (1.0 + theta) * (s + t),
+                common * (1.0 + theta) + 1e-9 >= theta * (s + t),
+                common / (s + t - common))
+    if func is SimilarityFunction.DICE:
+        return (theta / 2.0 * (s + t),
+                2.0 * common + 1e-9 >= theta * (s + t),
+                2.0 * common / (s + t))
+    return (theta * np.sqrt(s * t),
+            common * common + 1e-9 >= theta * theta * s * t,
+            common / np.sqrt(s * t))
+
+
+class TestThresholdRule:
+    """The resolved ``(func, θ)`` rule every join and probe asks."""
+
+    @pytest.mark.parametrize("func", FUNCS)
+    def test_exhaustive_grid_matches_the_formulas_bit_for_bit(self, func):
+        """θ ∈ {1/3, 0.5, …, 1.0} × every size pair in 1..300: τ is the
+        literal formula's, no count below τ passes (the test is monotone
+        in the count, so τ − 1 is the one to ask), and the verdict at τ is
+        the formula's score (bit for bit) or ``None`` as the formula says."""
+        grid = np.arange(1, 301)
+        s, t = (axis.ravel() for axis in np.meshgrid(grid, grid, indexing="ij"))
+        s_list, t_list = s.tolist(), t.tolist()
+        for theta in (1 / 3, 0.5, 0.6, 0.7, 0.75, 0.8, 0.9, 0.95, 1.0):
+            rule = threshold_rule(func, theta)
+            taus = np.array(list(map(rule.tau, s_list, t_list)))
+            raw, _, _ = _reference(func, theta, s, t, 0)
+            assert np.array_equal(taus, np.ceil(raw - 1e-9).astype(np.int64))
+            below = list(map(rule.verdict, (taus - 1).tolist(), s_list, t_list))
+            assert below.count(None) == len(below), theta
+            _, passes, score = _reference(func, theta, s, t, taus)
+            got = np.array([
+                -1.0 if verdict is None else verdict
+                for verdict in map(rule.verdict, taus.tolist(), s_list, t_list)
+            ])
+            want = np.where(passes, score, -1.0)
+            assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+    def test_validation_happens_once_at_resolution(self):
+        with pytest.raises(ConfigError):
+            threshold_rule(SimilarityFunction.JACCARD, 0.0)
+        with pytest.raises(ConfigError):
+            threshold_rule(SimilarityFunction.COSINE, 1.5)
+        with pytest.raises(ValueError):
+            threshold_rule("hamming", 0.5)
+        rule = threshold_rule("dice", 0.8)
+        assert rule.func is SimilarityFunction.DICE and rule.theta == 0.8
+
+    @pytest.mark.parametrize("func", FUNCS)
+    def test_a_rule_pickles_as_its_func_and_theta(self, func):
+        rule = threshold_rule(func, 0.7)
+        twin = pickle.loads(pickle.dumps(rule))
+        assert type(twin) is type(rule)
+        assert (twin.func, twin.theta) == (rule.func, rule.theta)
+        assert [twin.tau(a, 9) for a in range(1, 20)] == [
+            rule.tau(a, 9) for a in range(1, 20)]
