@@ -163,6 +163,8 @@ def table1():
             "dup_records": duplication.record_factor, "dup_bytes": duplication.byte_factor,
             "reduce_cv": load_balance_report(kernel).cv,
             "shuffle_mb": result.total_shuffle_bytes() / 1e6, "results": len(result.pairs),
+            "_map_in": sum(task.input_records for task in kernel.map_tasks),
+            "_map_out": kernel.map_output_records,
         })
     return rows
 
@@ -177,8 +179,14 @@ def _(rows):
     assert key["FS-Join-V"]["dup_bytes"] < 1.6
     for name in ("RIDPairsPPJoin", "MassJoin-Merge"):
         assert key[name]["dup_records"] > 1.5, name
+    # V-Smart's kernel emits every token of every record.
+    vsmart = key["V-Smart-Join"]
+    assert vsmart["_map_out"] == vsmart["_map_in"] or vsmart["dup_records"] > 5
     # Load balancing: Even-TF fragments beat the token-keyed kernel.
     assert key["FS-Join-V"]["reduce_cv"] < key["V-Smart-Join"]["reduce_cv"]
+    # And FS-Join shuffles less than the duplicating kernels.
+    for name in ("V-Smart-Join", "MassJoin-Merge"):
+        assert key["FS-Join-V"]["shuffle_mb"] < key[name]["shuffle_mb"], name
     one_answer(rows)
 
 
@@ -282,12 +290,19 @@ def _(rows):
             if name == "email":
                 assert fs["shuffle_mb"] < rid["shuffle_mb"], theta
                 assert fs["sim_paper_s"] < rid["sim_paper_s"], theta
+                # So does it against MassJoin wherever MassJoin completes.
+                mass = key[name, theta, "MassJoin-Merge"]
+                if not mass["dnf"]:
+                    assert fs["shuffle_mb"] < mass["shuffle_mb"], theta
+                    assert fs["sim_paper_s"] < mass["sim_paper_s"], theta
         # Lower θ → longer prefixes → more RIDPairs duplication.
         assert (key[name, 0.75, "RIDPairsPPJoin"]["_kernel_map_records"]
                 > key[name, 0.95, "RIDPairsPPJoin"]["_kernel_map_records"]), name
         # MassJoin's partner-length enumeration explodes on long records.
         if name in ("email", "pubmed"):
             assert key[name, 0.75, "MassJoin-Merge"]["dnf"], name
+    # ...but completes on email at θ 0.95, where FS-Join is checked against it.
+    assert not key["email", 0.95, "MassJoin-Merge"]["dnf"]
 
 
 def fig7():

@@ -24,13 +24,6 @@ class DuplicationReport:
     """Map output bytes per input byte (replicated payload volume)."""
     shuffle_bytes: int
 
-    def as_row(self) -> dict:
-        return {
-            "record_factor": round(self.record_factor, 2),
-            "byte_factor": round(self.byte_factor, 2),
-            "shuffle_mb": round(self.shuffle_bytes / 1e6, 3),
-        }
-
 
 def duplication_report(metrics: JobMetrics) -> DuplicationReport:
     """Duplication factors of the given (join kernel) job."""

@@ -29,14 +29,6 @@ class LoadBalanceReport:
     max_over_mean: float
     """Straggler factor; the LPT makespan is at least this over ideal."""
 
-    def as_row(self) -> dict:
-        return {
-            "tasks": self.n_tasks,
-            "total_mb": round(self.total_bytes / 1e6, 3),
-            "cv": round(self.cv, 4),
-            "max_over_mean": round(self.max_over_mean, 3),
-        }
-
 
 def summarize_loads(loads: Sequence[float]) -> LoadBalanceReport:
     """Summarize any load vector (bytes, records or seconds)."""

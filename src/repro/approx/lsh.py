@@ -6,17 +6,17 @@ Jaccard ``s`` collides with probability ``1 − (1 − s^rows)^bands`` — the
 classic S-curve whose inflection sits near ``(1/bands)^(1/rows)``, which is
 how :func:`pick_bands` targets a threshold.
 
-``LSHJoin`` optionally verifies candidates exactly (precision 1.0; recall
-is whatever the S-curve gives), which mirrors how an approximate
-distributed join would be deployed: LSH for candidate generation, one
-verification pass for correctness of everything reported.
+``LSHJoin`` verifies candidates exactly (precision 1.0; recall is
+whatever the S-curve gives), which mirrors how an approximate distributed
+join would be deployed: LSH for candidate generation, one verification
+pass for correctness of everything reported.
 """
 
 from __future__ import annotations
 
 from typing import Dict, List, Optional, Tuple
 
-from repro.approx.minhash import MinHasher, estimate_jaccard
+from repro.approx.minhash import MinHasher
 from repro.data.records import RecordCollection
 from repro.errors import ConfigError
 from repro.similarity.functions import jaccard
@@ -58,7 +58,7 @@ def banding_of(
 
 
 class LSHJoin:
-    """Approximate self-join: MinHash + banding (+ optional verification)."""
+    """Approximate self-join: MinHash + banding + exact verification."""
 
     algorithm_name = "MinHash-LSH"
 
@@ -69,7 +69,6 @@ class LSHJoin:
         bands: Optional[int] = None,
         rows: Optional[int] = None,
         seed: int = 0,
-        verify: bool = True,
     ) -> None:
         bands, rows = banding_of(theta, num_perm, bands, rows)
         self.theta = theta
@@ -77,7 +76,6 @@ class LSHJoin:
         self.bands = bands
         self.rows = rows
         self.seed = seed
-        self.verify = verify
 
     def candidate_pairs(self, records: RecordCollection) -> set:
         """Unverified candidate id pairs from band-bucket collisions.
@@ -110,27 +108,13 @@ class LSHJoin:
     def run(self, records: RecordCollection) -> Dict[Tuple[int, int], float]:
         """Return approximate join results ``(rid_small, rid_large) → score``.
 
-        With ``verify=True`` scores are exact Jaccard and every reported
-        pair truly passes θ; with ``verify=False`` scores are signature
-        estimates (cheaper, but both false positives and estimation noise
-        pass through).
+        Scores are exact Jaccard and every reported pair truly passes θ.
         """
-        candidates = self.candidate_pairs(records)
         results: Dict[Tuple[int, int], float] = {}
-        if self.verify:
-            for rid_a, rid_b in candidates:
-                score = jaccard(
-                    records.get(rid_a).token_set(), records.get(rid_b).token_set()
-                )
-                if score + EPS >= self.theta:
-                    results[(rid_a, rid_b)] = score
-        else:
-            hasher = MinHasher(self.num_perm, seed=self.seed)
-            signatures = {
-                record.rid: hasher.signature(record.tokens) for record in records
-            }
-            for rid_a, rid_b in candidates:
-                estimate = estimate_jaccard(signatures[rid_a], signatures[rid_b])
-                if estimate + EPS >= self.theta:
-                    results[(rid_a, rid_b)] = estimate
+        for rid_a, rid_b in self.candidate_pairs(records):
+            score = jaccard(
+                records.get(rid_a).token_set(), records.get(rid_b).token_set()
+            )
+            if score + EPS >= self.theta:
+                results[(rid_a, rid_b)] = score
         return results

@@ -10,7 +10,7 @@ signature positions is an unbiased Jaccard estimator with standard error
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, Iterable, Sequence
+from typing import TYPE_CHECKING, Dict, Iterable
 
 from repro.errors import ConfigError
 
@@ -62,15 +62,3 @@ class MinHasher:
             ) % _PRIME
         return hashed.min(axis=1)
 
-
-def estimate_jaccard(sig_a: Sequence, sig_b: Sequence) -> float:
-    """Estimated Jaccard similarity: fraction of agreeing positions."""
-    import numpy as np
-
-    a = np.asarray(sig_a)
-    b = np.asarray(sig_b)
-    if a.shape != b.shape:
-        raise ConfigError("signatures must come from the same MinHasher")
-    if a.size == 0:
-        return 0.0
-    return float(np.count_nonzero(a == b) / a.size)

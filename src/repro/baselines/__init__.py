@@ -14,7 +14,7 @@ uniformly.
 """
 
 from repro.baselines.naive import naive_rs_join, naive_self_join
-from repro.baselines.allpairs import allpairs, allpairs_self_join
+from repro.baselines.allpairs import allpairs
 from repro.baselines.ppjoin import ppjoin, ppjoin_plus, ppjoin_self_join
 from repro.baselines.ridpairs import RIDPairsPPJoin
 from repro.baselines.vsmart import VSmartJoin
@@ -24,7 +24,6 @@ __all__ = [
     "naive_self_join",
     "naive_rs_join",
     "allpairs",
-    "allpairs_self_join",
     "ppjoin",
     "ppjoin_plus",
     "ppjoin_self_join",

@@ -12,8 +12,7 @@ from __future__ import annotations
 
 from typing import Dict, Optional, Sequence, Tuple
 
-from repro.baselines.ppjoin import EncodedRecord, JoinStats, encode_by_frequency
-from repro.data.records import RecordCollection
+from repro.baselines.ppjoin import EncodedRecord, JoinStats
 from repro.similarity.functions import SimilarityFunction
 from repro.similarity.thresholds import length_lower_bound, prefix_length
 from repro.similarity.verify import verify_pair
@@ -60,11 +59,3 @@ def allpairs(
             index.setdefault(tokens[position], []).append(item_index)
     return results
 
-
-def allpairs_self_join(
-    records: RecordCollection,
-    theta: float,
-    func: SimilarityFunction = SimilarityFunction.JACCARD,
-) -> Dict[Tuple[int, int], float]:
-    """Convenience wrapper: frequency-encode then AllPairs."""
-    return allpairs(encode_by_frequency(records), theta, func)

@@ -275,7 +275,7 @@ class FaultInjector:
         Unlike :meth:`crash_replica` this is not a flap — ``alive`` goes
         False and stays False, so liveness pings fail and the only way
         back into rotation is the control plane's rebuild + verified
-        readmission (or an operator's ``restore_replica``).
+        readmission (or an operator's ``restore()`` + ``readmit_replica``).
         """
         node.fail()
         self.record("replica-kill", node.name,

@@ -290,9 +290,6 @@ def _build_parser() -> argparse.ArgumentParser:
                             "before closing their sockets (default 5)")
     serve.add_argument("--hedge", action="store_true",
                        help="enable hedged backup probes on the router")
-    serve.add_argument("--adaptive-hedge", action="store_true",
-                       help="hedge with a per-tenant-p95-derived delay "
-                            "(implies --hedge)")
     serve.add_argument("--ingest", action="store_true",
                        help="attach a streaming ingest tier so ingest-append "
                             "frames land (otherwise appends fail typed)")
@@ -803,11 +800,18 @@ def _cmd_serve(args) -> int:
     import signal
 
     from repro.cluster import HedgeConfig, load_cluster
+    from repro.errors import ConfigError
     from repro.gateway import GatewayConfig, SimilarityGateway
     from repro.net import GatewayServer, ServerConfig
 
+    if args.heal_interval <= 0:
+        # A zero sleep would tick the control plane on every turn of the
+        # event loop that serves the requests.
+        raise ConfigError(
+            f"--heal-interval must be > 0, got {args.heal_interval}"
+        )
     tracer = Tracer() if args.trace else NOOP_TRACER
-    hedge = HedgeConfig() if (args.hedge or args.adaptive_hedge) else None
+    hedge = HedgeConfig() if args.hedge else None
     router = load_cluster(args.cluster_dir, tracer=tracer, hedge=hedge)
     if args.ingest:
         from repro.ingest import StreamingIndex
@@ -830,7 +834,6 @@ def _cmd_serve(args) -> int:
         GatewayConfig(
             max_batch=args.max_batch,
             cache_size=args.cache_size,
-            adaptive_hedge=args.adaptive_hedge,
         ),
         tracer=tracer,
     )

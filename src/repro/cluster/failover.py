@@ -33,7 +33,7 @@ import enum
 import threading
 import time
 from dataclasses import dataclass
-from typing import Any, Callable, List
+from typing import Any, Callable
 
 from repro.errors import ConfigError
 from repro.mapreduce.shuffle import stable_hash
@@ -45,9 +45,6 @@ class BreakerState(str, enum.Enum):
     CLOSED = "closed"
     OPEN = "open"
     HALF_OPEN = "half-open"
-
-    def __str__(self) -> str:  # pragma: no cover - trivial
-        return self.value
 
 
 @dataclass(frozen=True)
@@ -83,10 +80,6 @@ class RetryPolicy:
         raw = min(self.max_delay, self.base_delay * self.multiplier ** attempt)
         unit = stable_hash((self.seed, key, attempt)) % 10_000 / 10_000.0
         return raw * (1.0 - self.jitter + 2.0 * self.jitter * unit)
-
-    def backoffs(self, key: Any) -> List[float]:
-        """The full deterministic backoff schedule for one request."""
-        return [self.backoff(key, i) for i in range(self.max_retries)]
 
 
 @dataclass(frozen=True)
@@ -253,9 +246,3 @@ class CircuitBreaker:
                 self._probing = False
                 self.transitions["opened"] += 1
             return tripping
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"CircuitBreaker({self.state.value}, "
-            f"failures={self._consecutive_failures}/{self.failure_threshold})"
-        )

@@ -80,9 +80,6 @@ class ReplicaState(str, enum.Enum):
     QUARANTINED = "quarantined"
     REBUILDING = "rebuilding"
 
-    def __str__(self) -> str:  # pragma: no cover - trivial
-        return self.value
-
 
 @dataclass(frozen=True)
 class HealthConfig:
@@ -132,7 +129,8 @@ class HealthEvent:
     detail: str = ""
 
     def line(self) -> str:
-        """The one-line typed form ``repro serve`` logs."""
+        """The one-line typed form ``repro serve --heal`` logs to stderr
+        for every decision the control plane makes."""
         suffix = f" ({self.detail})" if self.detail else ""
         return f"health: [{self.tick}] {self.kind} {self.target}{suffix}"
 
@@ -386,6 +384,8 @@ class ControlPlane:
 
     def _rebuild_failed(self, target: Target, prior: ReplicaState,
                         name: str, why: str) -> None:
+        """Count a failed rebuild and retry or give the target up: the
+        path a ``repro serve --heal`` repair takes when its source is bad."""
         self._attempts[target] += 1
         attempts = self._attempts[target]
         self.metrics.increment(HEALTH_GROUP, "rebuild_failures")
@@ -419,13 +419,12 @@ class ControlPlane:
         ]
 
     def ingest_state(self) -> Optional[str]:
-        """The plane's belief about the ingest node, ``None`` without one."""
+        """The plane's belief about the ingest node, ``None`` without one
+        (the ``self_heal.ingest.state`` of ``repro serve --heal --ingest``
+        status)."""
         if self.router.ingest is None:
             return None
         return self._states[INGEST].value
-
-    def pending_repairs(self) -> List[Target]:
-        return list(self._queue)
 
     def all_healthy(self) -> bool:
         """Full replication restored: every target serving and believed
@@ -447,7 +446,8 @@ class ControlPlane:
         return [(e.tick, e.kind, e.target, e.detail) for e in self.events]
 
     def summary(self) -> Dict[str, object]:
-        """JSON-safe control-plane state for ``status()`` surfaces."""
+        """JSON-safe control-plane state for ``status()`` surfaces: the
+        ``self_heal`` block of a ``repro serve --heal`` status frame."""
         return {
             "tick": self._tick,
             "scrub_epoch": self.scrub_epoch,

@@ -212,10 +212,10 @@ class _ScatterNode:
         """Flip the liveness flag back.
 
         Note this alone does *not* rejoin the router's rotation cleanly —
-        the replica's circuit breaker may still be open.  Use
-        :meth:`~repro.cluster.router.ClusterRouter.restore_replica` for
-        the verified-readmission path (restore → verify against a healthy
-        peer → close the breaker).
+        the replica's circuit breaker may still be open.  Follow it with
+        :meth:`~repro.cluster.router.ClusterRouter.readmit_replica` for
+        the verified-readmission path (verify against a healthy peer →
+        close the breaker).
         """
         self.alive = True
 
@@ -255,6 +255,7 @@ class _ScatterNode:
         )
 
     def tokens_of(self, rid: int) -> Tuple[str, ...]:
+        """The record's tokens from this replica's slice (``--rid``)."""
         self._check_serving()
         return self.slice.tokens_of(rid)
 
@@ -267,6 +268,7 @@ class _ScatterNode:
             raise ShardDownError(f"{self.name} is {state}")
 
     def __contains__(self, rid: int) -> bool:
+        """Whether this replica holds ``rid``: how ``--rid`` finds a shard."""
         return rid in self.slice
 
 
@@ -298,15 +300,6 @@ class ShardNode(_ScatterNode):
             raise ConfigError("the serving probe takes no filter config")
         return self.probe_batch([query], theta, func, tracer)[0]
 
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        state = "up" if self.ping() else (
-            "FENCED" if self.alive else "DOWN"
-        )
-        return (
-            f"ShardNode({self.name}, {state}, "
-            f"fragments={sorted(self.slice.owned_fragments)})"
-        )
-
 
 class IngestNode(_ScatterNode):
     """The write tier as a routable scatter participant.
@@ -326,7 +319,3 @@ class IngestNode(_ScatterNode):
     @property
     def streaming(self):
         return self.slice
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        state = "up" if self.alive else "DOWN"
-        return f"IngestNode({state}, records={len(self.slice)})"

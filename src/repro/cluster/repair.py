@@ -108,6 +108,9 @@ class RepairManager:
     def _snapshot_slice(
         self, shard: int, baseline: Optional[Dict[int, str]]
     ) -> ShardSlice:
+        """Carve ``shard`` from the saved cluster: the rebuild source when
+        no live peer is left, which ``repro serve --heal`` points at the
+        served directory for."""
         _manifest, index = load_saved_index(self.snapshot_dir)
         # ``index`` was unpickled for this call and is dropped after it,
         # so the slice takes its columns, posting and id alike, as they
@@ -124,7 +127,8 @@ class RepairManager:
 
     # -- the ingest tier -------------------------------------------------
     def rebuild_ingest(self) -> str:
-        """Recover the streaming tier from its own DFS, WAL pinned.
+        """Recover the streaming tier from its own DFS, WAL pinned: the
+        repair ``repro serve --heal --ingest`` runs for a dead ingest node.
 
         The failed :class:`~repro.cluster.node.IngestNode` keeps its DFS
         root (manifest + segments + WAL) — only the in-memory tier died.

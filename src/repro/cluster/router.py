@@ -352,21 +352,6 @@ class ClusterRouter:
         )
         return verdict
 
-    def restore_replica(self, shard: int, replica: int,
-                        probes: int = 4) -> Dict[str, object]:
-        """Manual restore done right: revive *and* verifiably readmit.
-
-        ``ShardNode.restore()`` alone flips the liveness flag but leaves
-        the circuit breaker open, so the replica stays skipped until the
-        breaker's cooldown — and nothing ever checks its content.  This
-        path restores, then runs the same verified readmission as the
-        automatic rebuild: verify against a healthy peer, close the
-        breaker, emit the recovery span.
-        """
-        node = self._groups[shard][replica]
-        node.restore()
-        return self.readmit_replica(shard, replica, probes=probes)
-
     def health_summary(self) -> Dict[str, object]:
         """Per-replica health/breaker/fencing plus control-plane state.
 
@@ -404,7 +389,7 @@ class ClusterRouter:
         return summary
 
     def fragment_heat(self) -> Dict[int, int]:
-        """Observed per-fragment probe counts since start (or last reset)."""
+        """Observed per-fragment probe counts since start."""
         with self._lock:
             return dict(self._heat)
 
@@ -419,10 +404,6 @@ class ClusterRouter:
     def heat_report(self) -> LoadBalanceReport:
         """Skew summary of observed shard load (CV, max-over-mean)."""
         return summarize_loads(self.shard_heat())
-
-    def reset_heat(self) -> None:
-        with self._lock:
-            self._heat.clear()
 
     def storage_stats(self) -> Dict[str, int]:
         """The columnar storage the cluster holds, in actual array-buffer
@@ -502,19 +483,6 @@ class ClusterRouter:
         if self._ingest is not None:
             epoch += self._ingest.streaming.manifest_version
         return epoch
-
-    def latency_info(self) -> Dict[str, Dict]:
-        """Request- and scatter-leg latency percentiles.
-
-        Both histograms record on the router's injectable clock — the
-        same one the deadline checks and breakers read — so latency a
-        chaos run injects through that clock is visible here, and the
-        hedge timer's rolling leg p95 is auditable.
-        """
-        return {
-            "latency": self.latency.snapshot(),
-            "leg_latency": self.leg_latency.snapshot(),
-        }
 
     def status(self) -> Dict:
         """One JSON-safe snapshot: plan, health, heat, balance, storage."""
@@ -654,7 +622,6 @@ class ClusterRouter:
         theta: float,
         func: SimilarityFunction,
         deadline: Optional[float],
-        hedge_delay: Optional[float] = None,
         allow_partial: bool = False,
     ) -> Tuple[List[_Answer], List[int]]:
         """Admit once, scatter, enforce the deadline — every entry point's
@@ -664,7 +631,7 @@ class ClusterRouter:
         func = checked_probe_args(theta, func)
         # One clock for everything: deadlines, breakers and the latency
         # histogram all read ``self._clock``, so injected (chaos) latency
-        # is visible in ``latency_info()`` — and shed or deadline-exceeded
+        # is visible in ``latency`` — and shed or deadline-exceeded
         # requests are recorded too, not just successes.
         started = self._clock()
         deadline_at = None if deadline is None else started + deadline
@@ -678,8 +645,7 @@ class ClusterRouter:
             try:
                 self._check_deadline(deadline_at)
                 served = self._batch_scatter(
-                    queries, theta, func, deadline_at, hedge_delay,
-                    allow_partial,
+                    queries, theta, func, deadline_at, allow_partial,
                 )
             finally:
                 self._admission.release()
@@ -731,7 +697,8 @@ class ClusterRouter:
         k: Optional[int] = None,
         func: SimilarityFunction = SimilarityFunction.JACCARD,
     ) -> List[SearchHit]:
-        """Partners of an indexed record (itself excluded)."""
+        """Partners of an indexed record (itself excluded): ``repro search
+        --rid`` and ``repro cluster search --rid``."""
         return self.search(self.tokens_of(rid), theta, k=k, func=func,
                            exclude=rid)
 
@@ -742,7 +709,6 @@ class ClusterRouter:
         k: Optional[int] = None,
         func: SimilarityFunction = SimilarityFunction.JACCARD,
         deadline: Optional[float] = None,
-        hedge_delay: Optional[float] = None,
     ) -> List[List[SearchHit]]:
         """Batched exact search: dedupe, admit once, scatter per shard.
 
@@ -759,13 +725,9 @@ class ClusterRouter:
         clock.  With a :class:`~repro.cluster.failover.HedgeConfig`
         configured, slow shard legs are hedged onto a backup replica (the
         first answer wins; replicas serve the same slice, so the result
-        is bit-identical either way).  ``hedge_delay`` overrides the
-        rolling-p95 fire point for this batch — the gateway's adaptive
-        per-tenant hedging rides this, and since hedging only picks
-        *which replica answers*, any override keeps results bit-identical.
+        is bit-identical either way).
         """
-        answers, slots = self._serve(queries, theta, func, deadline,
-                                     hedge_delay)
+        answers, slots = self._serve(queries, theta, func, deadline)
         self.metrics.increment(ROUTE_GROUP, "batches")
         self.metrics.increment(ROUTE_GROUP, "batch_deduped",
                                len(queries) - len(answers))
@@ -777,7 +739,6 @@ class ClusterRouter:
         theta: float,
         func: SimilarityFunction,
         deadline_at: Optional[float],
-        hedge_delay: Optional[float],
         allow_partial: bool,
     ) -> Tuple[List[_Answer], List[int]]:
         """Dedupe, route, scatter shard-batched, gather.
@@ -830,7 +791,7 @@ class ClusterRouter:
                 try:
                     shard_hits = self._probe_shard_batch(
                         shard, [uniques[di] for di in dis], theta, func,
-                        self.tracer, deadline_at, hedge_delay,
+                        self.tracer, deadline_at,
                     )
                 except ClusterError:
                     # Deadline overruns are not ClusterErrors and always
@@ -893,7 +854,9 @@ class ClusterRouter:
         return sorted(seen)
 
     def tokens_of(self, rid: int) -> Tuple[str, ...]:
-        """Decode an indexed record's tokens from whichever shard holds it."""
+        """Decode an indexed record's tokens from whichever shard holds it
+        (the probe of :meth:`search_rid`, and the ``query`` the ``--rid``
+        verbs print)."""
         for group in self._groups:
             for node in group:
                 if node.ping() and rid in node:
@@ -912,7 +875,6 @@ class ClusterRouter:
         func: SimilarityFunction,
         tracer: Tracer,
         deadline_at: Optional[float] = None,
-        hedge_delay: Optional[float] = None,
     ) -> List[List[SearchHit]]:
         """Serve all of ``queries`` on one available replica of ``shard``.
 
@@ -979,8 +941,7 @@ class ClusterRouter:
                     continue
                 backup = self._hedge_backup(shard, index)
                 if backup is not None:
-                    outcomes = self._race_legs(attempt, node, backup,
-                                               hedge_delay)
+                    outcomes = self._race_legs(attempt, node, backup)
                 else:
                     outcomes = [(node, *attempt(node))]
                 result: Optional[List[List[SearchHit]]] = None
@@ -1053,10 +1014,9 @@ class ClusterRouter:
         return min(hedge.max_delay,
                    max(hedge.min_delay, self.leg_latency.percentile(0.95)))
 
-    def _race_legs(self, attempt, primary: ShardNode, backup: ShardNode,
-                   delay: Optional[float] = None):
+    def _race_legs(self, attempt, primary: ShardNode, backup: ShardNode):
         """Run ``attempt(primary)``; if it is still unanswered after the
-        hedge delay (``delay`` overrides the rolling-p95 default), race
+        hedge delay, race
         ``attempt(backup)`` and take the first success.
 
         Returns ``(node, hits, spans, error)`` outcomes in arrival order,
@@ -1069,9 +1029,7 @@ class ClusterRouter:
         if pool is None:
             pool = self._hedge_pool = ThreadPoolExecutor(max_workers=4)
         f1 = pool.submit(attempt, primary)
-        done, _pending = wait(
-            [f1], timeout=self._hedge_delay() if delay is None else delay
-        )
+        done, _pending = wait([f1], timeout=self._hedge_delay())
         if f1 in done:
             return [(primary, *f1.result())]
         self.metrics.increment(ROUTE_GROUP, "hedges")

@@ -51,12 +51,9 @@ class FilterConfig:
     early_verify: bool = True
 
     @staticmethod
-    def none() -> "FilterConfig":
-        return FilterConfig(strl=False, segl=False, segi=False, segd=False)
-
-    @staticmethod
     def only(*names: str) -> "FilterConfig":
-        """A config with just the named filters on, e.g. ``only("strl", "segd")``."""
+        """A config with just the named filters on, e.g. ``only("strl", "segd")``;
+        ``only()`` turns all four off."""
         valid = {"strl", "segl", "segi", "segd"}
         unknown = set(names) - valid
         if unknown:

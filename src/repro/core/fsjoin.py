@@ -56,13 +56,13 @@ class FSJoin:
 
     Example:
         >>> from repro.core import FSJoin, FSJoinConfig
-        >>> from repro.data import RecordCollection, make_corpus
+        >>> from repro.data import Record, RecordCollection, make_corpus
         >>> records = make_corpus("wiki", 200, seed=7)
         >>> result = FSJoin(FSJoinConfig(theta=0.8)).run(records)
         >>> isinstance(result.result_pairs, dict)
         True
-        >>> left = RecordCollection.from_token_lists([["a", "b", "c"]])
-        >>> right = RecordCollection.from_token_lists([["a", "b", "c"]])
+        >>> left = RecordCollection([Record.make(0, ["a", "b", "c"])])
+        >>> right = RecordCollection([Record.make(0, ["a", "b", "c"])])
         >>> rs = FSJoin(FSJoinConfig(theta=0.9)).run(left, right=right)
         >>> rs.algorithm, rs.result_pairs
         ('FS-Join-RS', {(0, 0): 1.0})
@@ -106,8 +106,8 @@ class FSJoin:
         skipped names are reported on ``PipelineResult.resumed_jobs``.
         Resume assumes the same records and config as the original run:
         checkpoints name jobs, not inputs, so resuming a *different* join
-        over a dirty DFS is caller error (call
-        ``PipelineCheckpoint(dfs).clear()`` between unrelated runs).
+        over a dirty DFS is caller error (give unrelated runs their own
+        DFS).
 
         When the cluster carries an enabled tracer, the run is wrapped in a
         ``pipeline:<name>`` span with one child per driver phase

@@ -46,11 +46,6 @@ class HorizontalPlan:
     def n_base(self) -> int:
         return len(self.pivots) + 1
 
-    @property
-    def n_partitions(self) -> int:
-        """Total horizontal partitions: ``2t + 1``."""
-        return 2 * len(self.pivots) + 1
-
     # ------------------------------------------------------------------
     def base_partition(self, length: int) -> int:
         """Base partition id of a record of ``length`` tokens."""

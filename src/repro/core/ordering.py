@@ -64,13 +64,6 @@ class GlobalOrder:
     def vocab_size(self) -> int:
         return len(self._tokens)
 
-    def rank(self, token: str) -> int:
-        """Rank of ``token``; raises :class:`DataError` for unknown tokens."""
-        try:
-            return self._rank[token]
-        except KeyError:
-            raise DataError(f"token {token!r} not in the global ordering") from None
-
     def knows(self, token: str) -> bool:
         """Whether ``token`` is part of the ordering."""
         return token in self._rank
@@ -126,11 +119,10 @@ class GlobalOrder:
         return tuple(zip(self._tokens[start:], self._freqs[start:]))
 
     def token(self, rank: int) -> str:
-        """Inverse lookup (rank → token)."""
+        """Inverse lookup (rank → token): how an order log recovered into
+        the live order checks it rank for rank (``rebuild_ingest`` under
+        ``repro serve --heal --ingest``)."""
         return self._tokens[rank]
-
-    def frequency_of_rank(self, rank: int) -> int:
-        return self._freqs[rank]
 
     @property
     def rank_frequencies(self) -> Sequence[int]:
@@ -149,7 +141,8 @@ class GlobalOrder:
             ) from None
 
     def decode(self, ranks: Sequence[int]) -> Tuple[str, ...]:
-        """Ranks back to tokens (mainly for debugging and tests)."""
+        """Ranks back to tokens: ``SegmentIndex.tokens_of``, which
+        ``repro search --rid`` and ``repro cluster search --rid`` probe."""
         return tuple(self._tokens[rank] for rank in ranks)
 
 

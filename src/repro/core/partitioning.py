@@ -40,13 +40,6 @@ class Segment:
     tokens: Tuple[int, ...]
     """Strictly increasing token ranks within this partition."""
 
-    @property
-    def rid(self) -> int:
-        return self.info.rid
-
-    def __len__(self) -> int:
-        return len(self.tokens)
-
     def payload_size(self) -> int:
         """Approximate serialized size (hook for the shuffle-byte sizer).
 
@@ -70,10 +63,6 @@ class VerticalPartitioner:
     @property
     def n_partitions(self) -> int:
         return len(self.cuts) + 1
-
-    def partition_of(self, rank: int) -> int:
-        """Partition id of a single token rank."""
-        return bisect.bisect_right(self.cuts, rank)
 
     def split_bounds(self, ranks: Sequence[int]) -> List[Tuple[int, int, int]]:
         """Split a rank-encoded record into ``(partition, start, end)`` bounds.

@@ -8,22 +8,11 @@ so once it holds ``k`` pairs, its top ``k`` are the global top ``k``.
 
 FS-Join fits this loop well because lower thresholds only lengthen
 prefixes and weaken filters — the pipeline itself is unchanged.
-
-When the corpus is already indexed for serving
-(:class:`repro.service.SegmentIndex`), pass the index in: every
-relaxation round then probes the standing index (one ``self_join`` per
-θ) instead of re-running the three-job pipeline — same exact pairs and
-scores, no repeated ordering/shuffle work
-(``tests/test_core_topk.py`` asserts bit-identical results).  The
-``self_join`` rounds run on the index's columnar batch path (every
-record probed through each posting run in one pass, threshold algebra
-memoized across the whole batch), so relaxation rounds get the full
-columnar speedup for free.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 from repro.core.config import FSJoinConfig
 from repro.core.fsjoin import FSJoin
@@ -31,9 +20,6 @@ from repro.data.records import RecordCollection
 from repro.errors import ConfigError
 from repro.mapreduce.runtime import SimulatedCluster
 from repro.similarity.functions import SimilarityFunction
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard (service uses core)
-    from repro.service.index import SegmentIndex
 
 PairScore = Tuple[Tuple[int, int], float]
 
@@ -47,7 +33,6 @@ def topk_similar_pairs(
     min_theta: float = 0.1,
     shrink: float = 0.75,
     config: Optional[FSJoinConfig] = None,
-    index: Optional["SegmentIndex"] = None,
 ) -> List[PairScore]:
     """Return the ``k`` highest-scoring pairs, best first.
 
@@ -63,11 +48,6 @@ def topk_similar_pairs(
         config: Optional template config; its θ/func are overridden per
             round, everything else (partitions, pivots, join method) is
             kept.
-        index: An already-built service index over ``records``.  When
-            given, relaxation rounds probe the index instead of running
-            the FS-Join pipeline; results are identical (the index
-            ``self_join`` returns the exact ``FSJoin.run`` pair map) and
-            no cluster or ``config`` is needed.
 
     Ties at the k-th score are broken by record-id pair, deterministically.
     """
@@ -77,16 +57,12 @@ def topk_similar_pairs(
         raise ConfigError("need 0 < min_theta <= start_theta <= 1")
     if not 0.0 < shrink < 1.0:
         raise ConfigError("shrink must be in (0, 1)")
-    if index is None:
-        cluster = cluster or SimulatedCluster()
+    cluster = cluster or SimulatedCluster()
 
     theta = start_theta
     while True:
-        if index is not None:
-            pairs: Dict[Tuple[int, int], float] = index.self_join(theta, func)
-        else:
-            round_config = _with_theta(config, theta, func)
-            pairs = FSJoin(round_config, cluster).run(records).result_pairs
+        round_config = _with_theta(config, theta, func)
+        pairs = FSJoin(round_config, cluster).run(records).result_pairs
         if len(pairs) >= k or theta <= min_theta:
             ranked = sorted(pairs.items(), key=lambda item: (-item[1], item[0]))
             return ranked[:k]

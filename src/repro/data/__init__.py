@@ -1,4 +1,4 @@
-"""Datasets: records, tokenizers, loaders and synthetic corpus generators.
+"""Datasets: records, loaders and synthetic corpus generators.
 
 The paper evaluates on three real corpora (Enron Email, PubMed abstracts,
 Wikipedia abstracts).  Those corpora are not bundled here; instead
@@ -8,12 +8,6 @@ each corpus's published statistics (Table III), at laptop scale.
 """
 
 from repro.data.records import Record, RecordCollection
-from repro.data.tokenize import (
-    QGramTokenizer,
-    Tokenizer,
-    WhitespaceTokenizer,
-    WordTokenizer,
-)
 from repro.data.datasets import load_records, sample, save_records
 from repro.data.stats import DatasetStats, dataset_stats
 from repro.data.synthetic import (
@@ -28,10 +22,6 @@ from repro.data.synthetic import (
 __all__ = [
     "Record",
     "RecordCollection",
-    "Tokenizer",
-    "WhitespaceTokenizer",
-    "WordTokenizer",
-    "QGramTokenizer",
     "load_records",
     "save_records",
     "sample",

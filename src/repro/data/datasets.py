@@ -10,10 +10,9 @@ from __future__ import annotations
 
 import random
 from pathlib import Path
-from typing import Optional, Union
+from typing import Union
 
 from repro.data.records import Record, RecordCollection
-from repro.data.tokenize import Tokenizer, WhitespaceTokenizer
 from repro.errors import ConfigError, DataError
 
 
@@ -25,15 +24,12 @@ def save_records(records: RecordCollection, path: Union[str, Path]) -> None:
             handle.write(f"{record.rid}\t{' '.join(record.tokens)}\n")
 
 
-def load_records(
-    path: Union[str, Path], tokenizer: Optional[Tokenizer] = None
-) -> RecordCollection:
-    """Read records from ``path``.
+def load_records(path: Union[str, Path]) -> RecordCollection:
+    """Read records from ``path``; tokens are split on runs of whitespace.
 
     Lines with a leading ``rid<TAB>`` keep that id; otherwise line numbers
-    are used.  ``tokenizer`` defaults to whitespace splitting.
+    are used.
     """
-    tokenizer = tokenizer or WhitespaceTokenizer()
     collection = RecordCollection()
     path = Path(path)
     with path.open("r", encoding="utf-8") as handle:
@@ -46,7 +42,7 @@ def load_records(
                 rid = int(rid_text)
             else:
                 rid, body = line_no, line
-            collection.add(Record.make(rid, tokenizer.tokenize(body)))
+            collection.add(Record.make(rid, body.split()))
     return collection
 
 

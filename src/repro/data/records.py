@@ -10,7 +10,7 @@ ordering and works with integer token ranks from then on.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, Iterator, List, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, Tuple
 
 from repro.errors import DataError
 
@@ -79,16 +79,3 @@ class RecordCollection:
         except KeyError:
             raise DataError(f"no record with id {rid}") from None
 
-    def __contains__(self, rid: int) -> bool:
-        return rid in self._by_rid
-
-    @staticmethod
-    def from_token_lists(token_lists: Sequence[Iterable[str]]) -> "RecordCollection":
-        """Build a collection from raw token lists, assigning rids 0..n-1."""
-        return RecordCollection(
-            Record.make(rid, tokens) for rid, tokens in enumerate(token_lists)
-        )
-
-    def sizes(self) -> List[int]:
-        """Record sizes, in collection order."""
-        return [record.size for record in self._records]

@@ -98,12 +98,6 @@ class GatewayConfig:
     via ``apply_batch`` or an ingest generation swap since) is treated
     as a miss and recomputed, so post-ingest probes never serve stale
     coalesced results."""
-    adaptive_hedge: bool = False
-    """Derive the hedge fire point from the dispatching tenants'
-    latency-histogram p95 instead of the router's global rolling leg
-    p95 (which remains the fallback below ``min_observations``).
-    Hedging only picks which replica answers, so results stay
-    bit-identical with or without this."""
     default_tenant: TenantConfig = field(default_factory=TenantConfig)
     tenants: Mapping[str, TenantConfig] = field(default_factory=dict)
     """Per-tenant overrides; unlisted tenants get ``default_tenant``."""
@@ -354,16 +348,9 @@ class SimilarityGateway:
                 # or may not be visible in these results, so tag them
                 # with the older epoch and let the next get recompute.
                 epoch = self.router.index_epoch
-                hedge_delay = (
-                    self._adaptive_hedge_delay(
-                        {pending.tenant for pending in members}
-                    )
-                    if self.config.adaptive_hedge else None
-                )
                 try:
                     results = self.router.search_batch(
                         queries, theta, func=SimilarityFunction(func_value),
-                        hedge_delay=hedge_delay,
                     )
                 except ReproError as exc:
                     for pending in members:
@@ -422,33 +409,6 @@ class SimilarityGateway:
             self.metrics.increment(GATEWAY_GROUP, "cache_invalidated")
             return None
         return hits
-
-    def _adaptive_hedge_delay(self, tenants) -> Optional[float]:
-        """The per-tenant-class hedge fire point for one dispatch group.
-
-        The most latency-sensitive tenant in the group wins: the lowest
-        per-tenant latency-histogram p95, clamped to the hedge config's
-        ``[min_delay, max_delay]``.  Tenants with fewer than
-        ``min_observations`` recorded requests don't vote; if nobody
-        votes this returns ``None`` and the router falls back to its
-        global rolling leg p95.  Either way the hedge only picks which
-        replica answers — the no-dedup race contract and bit-identical
-        results are untouched.
-        """
-        hedge = getattr(self.router, "hedge", None)
-        if hedge is None:
-            return None
-        best: Optional[float] = None
-        for tenant in sorted(tenants):
-            histogram = self._tenant_latency.get(tenant)
-            if histogram is None or len(histogram) < hedge.min_observations:
-                continue
-            p95 = histogram.percentile(0.95)
-            if best is None or p95 < best:
-                best = p95
-        if best is None:
-            return None
-        return min(hedge.max_delay, max(hedge.min_delay, best))
 
     def _tenant_histogram(self, tenant: str) -> LatencyHistogram:
         histogram = self._tenant_latency.get(tenant)

@@ -476,6 +476,8 @@ class StreamingIndex:
         return any(rid in tier for tier in self._tiers())
 
     def rids(self) -> List[int]:
+        """Every live record id, ascending.  ``ClusterRouter.rids`` must
+        count a router's ingested records too (``repro serve --ingest``)."""
         merged: List[int] = []
         for tier in self._tiers():
             merged.extend(tier.rids())
@@ -483,6 +485,9 @@ class StreamingIndex:
         return merged
 
     def tokens_of(self, rid: int) -> Tuple[str, ...]:
+        """A live record's tokens.  ``ClusterRouter.tokens_of`` (the
+        ``--rid`` probe) must find records that reached the cluster
+        through the ingest tier too (``repro serve --ingest``)."""
         for tier in self._tiers():
             if rid in tier:
                 return tier.tokens_of(rid)

@@ -268,7 +268,8 @@ class WriteAheadLog:
         :meth:`truncate_through` those very segments out from under it.
         Returns a pin id for :meth:`release` — released on readmission or
         abort, never leaked by a crashed rebuild (pins are in-memory; a
-        restarted writer starts unpinned).
+        restarted writer starts unpinned).  The caller is
+        ``RepairManager.rebuild_ingest`` (``repro serve --heal --ingest``).
         """
         pin_id = self._next_pin
         self._next_pin += 1
@@ -276,7 +277,8 @@ class WriteAheadLog:
         return pin_id
 
     def release(self, pin_id: int) -> None:
-        """Drop one pin; unknown/already-released ids are a no-op."""
+        """Drop one pin; unknown/already-released ids are a no-op (the end
+        of every ``rebuild_ingest``, success or not)."""
         self._pins.pop(pin_id, None)
 
     def pinned_through(self) -> Optional[int]:

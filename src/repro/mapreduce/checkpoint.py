@@ -39,9 +39,6 @@ class PipelineCheckpoint:
         """Materialise ``job``'s output (digest recorded by the DFS)."""
         return self.dfs.write(self.path(job), pairs, overwrite=True)
 
-    def exists(self, job: str) -> bool:
-        return self.dfs.exists(self.path(job))
-
     def valid(self, job: str) -> bool:
         """Does a digest-valid checkpoint for ``job`` exist?
 
@@ -76,21 +73,3 @@ class PipelineCheckpoint:
                 "re-run the job"
             )
         return self.dfs.read(path)
-
-    def clear(self) -> int:
-        """Drop every checkpoint under this root; returns how many."""
-        dropped = 0
-        for path in self.dfs.list_paths():
-            if path.startswith(self.root + "/"):
-                self.dfs.delete(path)
-                dropped += 1
-        return dropped
-
-    def jobs(self) -> List[str]:
-        """Names of the jobs that currently have a checkpoint (sorted)."""
-        prefix = self.root + "/"
-        return sorted(
-            path[len(prefix):]
-            for path in self.dfs.list_paths()
-            if path.startswith(prefix)
-        )

@@ -7,7 +7,7 @@ runtime aggregates them across tasks and exposes them on the job result.
 from __future__ import annotations
 
 from collections import defaultdict
-from typing import Dict, Iterator, Tuple
+from typing import Dict
 
 
 def _int_dict() -> Dict[str, int]:
@@ -41,15 +41,6 @@ class Counters:
             for name, value in names.items():
                 target[name] += value
 
-    def __iter__(self) -> Iterator[Tuple[str, str, int]]:
-        for group, names in sorted(self._groups.items()):
-            for name, value in sorted(names.items()):
-                yield group, name, value
-
     def as_dict(self) -> Dict[str, Dict[str, int]]:
         """Nested plain-dict snapshot (for assertions and reports)."""
         return {group: dict(names) for group, names in self._groups.items()}
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        entries = ", ".join(f"{g}:{n}={v}" for g, n, v in self)
-        return f"Counters({entries})"

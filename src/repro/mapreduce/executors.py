@@ -81,9 +81,6 @@ class TaskExecutor:
         workers = getattr(self, "max_workers", None)
         return f"{self.kind}[{workers}]" if workers else str(self.kind)
 
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"{type(self).__name__}()"
-
 
 class SerialExecutor(TaskExecutor):
     """Today's behaviour: tasks run sequentially in the calling thread."""

@@ -30,7 +30,7 @@ from repro.mapreduce.sizer import estimate_pair_size
 
 Pair = Tuple[Any, Any]
 
-#: Fault hook: ``(op, path)`` called before read/write/rename/delete; may
+#: Fault hook: ``(op, path)`` called before read/write/delete; may
 #: raise :class:`DFSError` to fail the operation.
 FaultHook = Callable[[str, str], None]
 
@@ -136,22 +136,6 @@ class InMemoryDFS:
         self._hashers[path] = hasher
         return size
 
-    def rename(self, src: str, dst: str) -> None:
-        """Atomically move ``src`` to ``dst`` (``dst`` must not exist).
-
-        Hadoop's rename is the primitive job commit is built on; modelling
-        it with no-clobber semantics keeps "swap a finished file into
-        place" explicit: write to a temp path, then ``rename``.
-        """
-        self._check("rename", src)
-        if src not in self._files:
-            raise DFSError(f"no such path: {src!r}")
-        if dst in self._files:
-            raise DFSError(f"destination already exists: {dst!r}")
-        self._files[dst] = self._files.pop(src)
-        self._sizes[dst] = self._sizes.pop(src)
-        self._hashers[dst] = self._hashers.pop(src)
-
     def read(self, path: str) -> List[Pair]:
         """Return the pairs stored at ``path``."""
         self._check("read", path)
@@ -212,9 +196,6 @@ class InMemoryDFS:
         else:
             data.append(("\x00bitflip", 1))
 
-    def list_paths(self) -> List[str]:
-        return sorted(self._files)
-
     def list_prefix(self, prefix: str) -> List[str]:
         """Sorted paths starting with ``prefix`` (a directory-listing stand-in).
 
@@ -223,7 +204,3 @@ class InMemoryDFS:
         separate catalogue file.
         """
         return sorted(p for p in self._files if p.startswith(prefix))
-
-    def total_bytes(self) -> int:
-        """Sum of all stored file sizes."""
-        return sum(self._sizes.values())

@@ -64,9 +64,6 @@ class PipelineResult:
     def total_shuffle_bytes(self) -> int:
         return sum(result.metrics.shuffle_bytes for result in self.job_results)
 
-    def total_shuffle_records(self) -> int:
-        return sum(result.metrics.shuffle_records for result in self.job_results)
-
     def simulated_time(
         self,
         cluster: ClusterSpec,

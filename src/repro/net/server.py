@@ -203,7 +203,6 @@ class GatewayServer:
         self.tracer = tracer if tracer is not None else gateway.tracer
         self.metrics = Counters()
         self._server: Optional[asyncio.AbstractServer] = None
-        self._address: Optional[Tuple[str, int]] = None
         self._connections: Set[_Connection] = set()
         self._handler_tasks: Set[asyncio.Task] = set()
         self._histograms: Dict[str, LatencyHistogram] = {}
@@ -222,18 +221,7 @@ class GatewayServer:
             self._handle, self.config.host, self.config.port
         )
         sockname = self._server.sockets[0].getsockname()
-        self._address = (sockname[0], sockname[1])
-        return self._address
-
-    @property
-    def address(self) -> Tuple[str, int]:
-        if self._address is None:
-            raise ConfigError("server not started; call start() first")
-        return self._address
-
-    @property
-    def draining(self) -> bool:
-        return self._draining
+        return sockname[0], sockname[1]
 
     def request_drain(self) -> None:
         """Signal-handler-safe drain trigger: schedules :meth:`drain` on

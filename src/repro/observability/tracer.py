@@ -58,10 +58,6 @@ class Span:
     parent_id: Optional[int] = None
     attrs: Dict[str, Any] = field(default_factory=dict)
 
-    @property
-    def end(self) -> float:
-        return self.start + self.duration
-
     def as_dict(self) -> Dict[str, Any]:
         """Plain-dict form, the JSONL record schema."""
         return {
@@ -193,11 +189,6 @@ class Tracer:
         """Spans recorded after ``mark`` (one run's slice of the tracer)."""
         return tuple(self._spans[mark:])
 
-    def clear(self) -> None:
-        self._spans.clear()
-        self._stack.clear()
-        self._next_id = 1
-
     def __len__(self) -> int:
         return len(self._spans)
 
@@ -210,9 +201,6 @@ class _AttrSink(dict):
 
     def update(self, *args: Any, **kwargs: Any) -> None:
         pass
-
-    def setdefault(self, key: Any, default: Any = None) -> Any:
-        return default
 
 
 class _NoopContext:

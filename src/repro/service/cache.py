@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import threading
 from collections import OrderedDict
-from typing import Generic, Hashable, Optional, Tuple, TypeVar
+from typing import Generic, Hashable, Optional, TypeVar
 
 from repro.errors import ConfigError
 
@@ -36,14 +36,6 @@ class LRUCache(Generic[V]):
         self._entries: "OrderedDict[Hashable, V]" = OrderedDict()
         self._lock = threading.Lock()
         self.evictions = 0
-
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._entries)
-
-    def __contains__(self, key: Hashable) -> bool:
-        with self._lock:
-            return key in self._entries
 
     def get(self, key: Hashable) -> Optional[V]:
         """Return the cached value (refreshing its recency) or ``None``."""
@@ -65,13 +57,3 @@ class LRUCache(Generic[V]):
             while len(self._entries) > self.capacity:
                 self._entries.popitem(last=False)
                 self.evictions += 1
-
-    def clear(self) -> None:
-        """Drop every entry (index mutation invalidates all results)."""
-        with self._lock:
-            self._entries.clear()
-
-    def keys(self) -> Tuple[Hashable, ...]:
-        """Keys from least to most recently used (for tests)."""
-        with self._lock:
-            return tuple(self._entries)

@@ -141,12 +141,6 @@ class FragmentPostings:
         """Total posting entries (staged entries included)."""
         return len(self.rids) + sum(map(len, self._pending.values()))
 
-    @property
-    def n_tokens(self) -> int:
-        return len(self.tokens) + sum(
-            1 for token in self._pending if token not in self._slots
-        )
-
     def nbytes(self) -> int:
         """Actual bytes held by the three columns (buffer × itemsize)."""
         return sum(
@@ -186,9 +180,3 @@ class FragmentPostings:
         self.tokens, self.offsets, self.rids = state
         self._slots = {token: slot for slot, token in enumerate(self.tokens)}
         self._pending = {}
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"FragmentPostings(tokens={self.n_tokens}, entries={len(self)}, "
-            f"bytes={self.nbytes()})"
-        )

@@ -239,9 +239,6 @@ class SegmentIndex:
         except DataError as exc:
             raise DataError(f"record {record.rid}: {exc}") from None
 
-    def _insert(self, record: Record) -> None:
-        self._insert_columns([self._encode(record)])
-
     def _insert_columns(self, columns: Sequence[Tuple[int, array]]) -> None:
         """Index records by their id columns (strictly increasing under
         :attr:`order`): keep the columns in the order given, split each at
@@ -346,12 +343,13 @@ class SegmentIndex:
         return sorted(self._ranks)
 
     def tokens_of(self, rid: int) -> Tuple[str, ...]:
-        """The indexed record's tokens (decoded, global-order sorted)."""
+        """The indexed record's tokens (decoded, global-order sorted): what
+        ``repro search --rid`` probes."""
         try:
             ranks = self._ranks[rid]
         except KeyError:
             raise DataError(f"no record with id {rid} in the index") from None
-        return self.vocab.decode(ranks)
+        return self.order.decode(ranks)
 
     def fragment_loads(self) -> List[int]:
         """Posting entries per fragment — the placement weights of
@@ -484,31 +482,6 @@ class SegmentIndex:
             )
             for qi, query in enumerate(queries)
         ]
-
-    def self_join(
-        self,
-        theta: float,
-        func: SimilarityFunction = SimilarityFunction.JACCARD,
-        counters: Optional[Counters] = None,
-    ) -> Dict[Tuple[int, int], float]:
-        """All indexed pairs with ``sim ≥ θ`` — the probe-side self-join.
-
-        Returns the same ``(rid_small, rid_large) → score`` map as
-        ``FSJoin.run(corpus).result_pairs`` over the indexed corpus; this
-        is what lets :func:`repro.core.topk.topk_similar_pairs` relax the
-        threshold without re-running the offline pipeline.
-        """
-        rids = self.rids()
-        queries = [EncodedQuery(tuple(self._ranks[rid]), 0) for rid in rids]
-        results = self.probe_batch(queries, theta, func, counters)
-        pairs: Dict[Tuple[int, int], float] = {}
-        for rid, hits in zip(rids, results):
-            for hit in hits:
-                if hit.rid == rid:
-                    continue
-                key = (rid, hit.rid) if rid < hit.rid else (hit.rid, rid)
-                pairs[key] = hit.score
-        return pairs
 
     # -- columnar hot path ---------------------------------------------
     def _scan_candidates(

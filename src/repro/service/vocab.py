@@ -47,23 +47,12 @@ class TokenVocab:
         self.order = order
 
     # -- introspection -------------------------------------------------
-    def __len__(self) -> int:
-        return self.order.vocab_size
-
     @property
     def size(self) -> int:
         return self.order.vocab_size
 
     def knows(self, token: str) -> bool:
         return self.order.knows(token)
-
-    def id_of(self, token: str) -> int:
-        """Dense id of ``token``; :class:`DataError` if not interned."""
-        return self.order.rank(token)
-
-    def token_of(self, token_id: int) -> str:
-        """Inverse lookup (id → token)."""
-        return self.order.token(token_id)
 
     # -- encoding ------------------------------------------------------
     def encode_record(self, tokens: Iterable[str]) -> array:
@@ -102,10 +91,6 @@ class TokenVocab:
         ids.sort()
         return ids, unknown
 
-    def decode(self, token_ids: Sequence[int]) -> Tuple[str, ...]:
-        """Ids back to tokens (debugging, ``tokens_of``, tests)."""
-        return self.order.decode(token_ids)
-
     # -- growth --------------------------------------------------------
     def extend(self, frequencies: Sequence[Tuple[str, int]]) -> int:
         """Intern unseen tokens *after* every existing id; returns the count.
@@ -115,6 +100,3 @@ class TokenVocab:
         never remapped.
         """
         return self.order.extend(frequencies)
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"TokenVocab(size={self.size})"

@@ -24,7 +24,7 @@ from repro.similarity.thresholds import (
     passes_threshold,
 )
 from repro.similarity.selectivity import SelectivityEstimate, estimate_result_count
-from repro.similarity.verify import intersection_size, verify_overlap, verify_pair
+from repro.similarity.verify import intersection_size, verify_pair
 
 __all__ = [
     "SimilarityFunction",
@@ -40,7 +40,6 @@ __all__ = [
     "similarity_from_overlap",
     "passes_threshold",
     "intersection_size",
-    "verify_overlap",
     "verify_pair",
     "SelectivityEstimate",
     "estimate_result_count",

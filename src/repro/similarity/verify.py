@@ -107,24 +107,6 @@ def bounded_merge_intersection(
     return count, comparisons, True
 
 
-def verify_overlap(
-    func: SimilarityFunction,
-    theta: float,
-    common: int,
-    size_s: int,
-    size_t: int,
-) -> Optional[float]:
-    """Threshold-test a known overlap; return the score if ``sim ≥ θ``.
-
-    The shared verification rule of Section V-B: both the in-memory
-    verifiers and FS-Join's count-aggregation
-    :class:`~repro.core.verify_job.VerificationJob` derive the decision
-    from ``|s ∩ t|`` and the two set sizes alone.  A validating wrapper
-    over :meth:`~repro.similarity.thresholds.ThresholdRule.verdict`.
-    """
-    return threshold_rule(func, theta).verdict(common, size_s, size_t)
-
-
 def verify_pair(
     s: Sequence,
     t: Sequence,

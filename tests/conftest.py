@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import bisect
 import enum
 import random
 from typing import Optional
@@ -113,6 +114,13 @@ shuffled_values = st.recursive(
 )
 
 
+def records_of(token_lists):
+    """A collection of the given token lists, with rids 0..n-1."""
+    return RecordCollection(
+        Record.make(rid, tokens) for rid, tokens in enumerate(token_lists)
+    )
+
+
 def brute_force_search(records, tokens, theta, func="jaccard"):
     """Every record with ``sim(tokens, record) ≥ θ``, best first.
 
@@ -131,13 +139,28 @@ def brute_force_search(records, tokens, theta, func="jaccard"):
     return sorted(hits, key=lambda hit: (-hit.score, hit.rid))
 
 
+def index_self_join(index, theta, func="jaccard"):
+    """Every indexed pair with ``sim ≥ θ``, keyed ``(rid_small, rid_large)``
+    like ``FSJoin.run(corpus).result_pairs``: each indexed record probed
+    through ``probe_batch`` once, self-hits dropped."""
+    rids = index.rids()
+    queries = [index.encode_query(index.tokens_of(rid)) for rid in rids]
+    pairs = {}
+    for rid, hits in zip(rids, index.probe_batch(queries, theta, func)):
+        for hit in hits:
+            if hit.rid != rid:
+                pairs[(min(rid, hit.rid), max(rid, hit.rid))] = hit.score
+    return pairs
+
+
 def first_common_fragment(index, tokens, record):
     """The claim oracle: the fragment holding the first token, in global
     order, that ``tokens`` and ``record`` share — the one fragment whose
     owner reports the pair (Theorem 1, across shards).  Set algebra, the
     order's ranks and the pivot cuts; no scan, prefix or merge."""
-    first = min(map(index.order.rank, set(tokens) & record.token_set()))
-    return index.partitioner.partition_of(first)
+    common = Record.make(-1, set(tokens) & record.token_set())
+    first = index.order.encode(common)[0]
+    return bisect.bisect_right(index.partitioner.cuts, first)
 
 
 def expand_stripes(stripes, cross_side=False):
@@ -167,7 +190,7 @@ def expand_stripes(stripes, cross_side=False):
 @pytest.fixture
 def small_records() -> RecordCollection:
     """A tiny deterministic collection with known near-duplicates."""
-    return RecordCollection.from_token_lists(
+    return records_of(
         [
             ["a", "b", "c", "d", "e"],
             ["a", "b", "c", "d", "f"],  # jaccard 4/6 with rid 0
@@ -200,4 +223,4 @@ PAPER_FIG2 = [
 
 @pytest.fixture
 def paper_records() -> RecordCollection:
-    return RecordCollection.from_token_lists(PAPER_FIG2)
+    return records_of(PAPER_FIG2)

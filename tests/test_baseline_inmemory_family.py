@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.baselines.allpairs import allpairs, allpairs_self_join
+from repro.baselines.allpairs import allpairs
 from repro.baselines.naive import naive_self_join
 from repro.baselines.ppjoin import (
     JoinStats,
@@ -49,14 +49,14 @@ class TestSuffixFilter:
 
 class TestAllPairs:
     def test_small_records(self, small_records):
-        results = allpairs_self_join(small_records, 0.6)
+        results = allpairs(encode_by_frequency(small_records), 0.6)
         assert set(results) == {(0, 1), (0, 2), (1, 2), (3, 4)}
 
     @pytest.mark.parametrize("theta", [0.5, 0.75, 0.9])
     @pytest.mark.parametrize("func", list(SimilarityFunction))
     def test_matches_oracle(self, theta, func):
         records = random_collection(60, seed=81)
-        got = allpairs_self_join(records, theta, func)
+        got = allpairs(encode_by_frequency(records), theta, func)
         want = naive_self_join(records, theta, func)
         assert set(got) == set(want)
         for pair, score in got.items():

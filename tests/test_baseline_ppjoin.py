@@ -10,12 +10,12 @@ from repro.baselines.naive import naive_self_join
 from repro.baselines.ppjoin import encode_by_frequency, ppjoin, ppjoin_self_join
 from repro.data.records import RecordCollection
 from repro.similarity.functions import SimilarityFunction
-from tests.conftest import random_collection
+from tests.conftest import random_collection, records_of
 
 
 class TestEncodeByFrequency:
     def test_rarest_first(self):
-        records = RecordCollection.from_token_lists(
+        records = records_of(
             [["common", "rare"], ["common"], ["common", "mid"], ["mid"]]
         )
         encoded = dict(encode_by_frequency(records))
@@ -39,7 +39,7 @@ class TestPPJoinKnown:
         assert ppjoin_self_join(RecordCollection(), 0.8) == {}
 
     def test_empty_records_ignored(self):
-        records = RecordCollection.from_token_lists([[], ["a"], ["a"]])
+        records = records_of([[], ["a"], ["a"]])
         assert set(ppjoin_self_join(records, 0.5)) == {(1, 2)}
 
     def test_threshold_one(self, small_records):

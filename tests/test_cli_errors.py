@@ -216,6 +216,20 @@ class TestEveryVerbFailsClosed:
             match="port",
         )
 
+    @pytest.mark.parametrize("interval", ["0", "-1"])
+    def test_serve_heal_interval_not_positive(self, tmp_path, corpus_file,
+                                              capsys, interval):
+        cluster_dir = tmp_path / "c"
+        assert main(["cluster", "build", corpus_file,
+                     "--output", str(cluster_dir)]) == 0
+        capsys.readouterr()
+        assert_one_line_error(
+            capsys,
+            ["serve", str(cluster_dir), "--port", "0", "--heal",
+             "--heal-interval", interval],
+            match="--heal-interval must be > 0",
+        )
+
     def test_serve_missing_cluster_dir(self, tmp_path, capsys):
         assert_one_line_error(
             capsys, ["serve", str(tmp_path / "nope"), "--port", "0"]

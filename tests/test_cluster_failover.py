@@ -32,13 +32,18 @@ from repro.similarity.functions import SimilarityFunction
 from tests.conftest import random_collection
 
 
+def backoffs(policy, key):
+    """One request's whole deterministic backoff schedule."""
+    return [policy.backoff(key, attempt) for attempt in range(policy.max_retries)]
+
+
 class TestRetryPolicy:
     def test_backoff_is_deterministic(self):
         policy = RetryPolicy(max_retries=3, seed=42)
-        assert policy.backoffs("req") == policy.backoffs("req")
+        assert backoffs(policy, "req") == backoffs(policy, "req")
         assert (
-            RetryPolicy(max_retries=3, seed=42).backoffs("req")
-            == policy.backoffs("req")
+            backoffs(RetryPolicy(max_retries=3, seed=42), "req")
+            == backoffs(policy, "req")
         )
 
     def test_backoff_grows_and_caps(self):
@@ -46,7 +51,7 @@ class TestRetryPolicy:
             max_retries=8, base_delay=0.01, multiplier=2.0, max_delay=0.05,
             jitter=0.0,
         )
-        delays = policy.backoffs("k")
+        delays = backoffs(policy, "k")
         assert delays[0] == pytest.approx(0.01)
         assert delays[1] == pytest.approx(0.02)
         assert max(delays) == pytest.approx(0.05)  # capped

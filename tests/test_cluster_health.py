@@ -116,7 +116,7 @@ class TestFailureDetector:
         router.replica(0, 0).fail()
         plane.tick()
         assert plane.replica_states()[0][0] == "dead"
-        assert plane.pending_repairs() == [(0, 0)]
+        assert plane.summary()["pending_repairs"] == [[0, 0]]
         assert not plane.all_healthy()
 
     def test_config_validation(self):
@@ -256,7 +256,8 @@ class TestVerifiedReadmission:
         assert breaker.state.value == "open"
         node.fail()
         # The fixed path: restore + verify + breaker force-closed.
-        verdict = router.restore_replica(2, 0)
+        node.restore()
+        verdict = router.readmit_replica(2, 0)
         assert verdict["ok"]
         assert breaker.state.value == "closed"
         assert node.ping()
@@ -283,7 +284,8 @@ class TestVerifiedReadmission:
         router = build_cluster(index, n_shards=2, replication=1,
                                clock=clock, sleep=clock.sleep)
         router.replica(0, 0).fail()
-        verdict = router.restore_replica(0, 0)
+        router.replica(0, 0).restore()
+        verdict = router.readmit_replica(0, 0)
         assert verdict["ok"]
         assert "self-check" in verdict["detail"]
 
@@ -574,7 +576,7 @@ class TestIngestIsOneMoreTarget:
         assert kinds == ["suspect", "dead", "rebuild-start", "rebuild-failed",
                          "rebuild-start", "rebuild-abandoned"]
         assert plane.ingest_state() == "dead"
-        assert plane.pending_repairs() == []
+        assert plane.summary()["pending_repairs"] == []
         assert not plane.all_healthy()
         counters = plane.summary()["health_counters"]
         assert counters["rebuild_failures"] == 2

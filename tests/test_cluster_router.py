@@ -22,6 +22,7 @@ from repro.cluster import (
     load_cluster,
     save_cluster,
 )
+from repro.analysis.loadbalance import summarize_loads
 from repro.cluster.node import ShardSlice
 from repro.data import make_corpus
 from repro.data.records import RecordCollection
@@ -546,8 +547,6 @@ class TestRouting:
         assert sum(cluster.shard_heat()) == sum(
             cluster.fragment_heat().values()
         )
-        cluster.reset_heat()
-        assert cluster.fragment_heat() == {}
 
     def test_no_heat_and_recorded_latency_on_failed_requests(self, index):
         """A request that dies on its deadline charges no fragment heat
@@ -568,7 +567,7 @@ class TestRouting:
         with pytest.raises(DeadlineExceededError):
             router.search(tokens, 0.5, deadline=0.5)
         assert sum(router.fragment_heat().values()) == 0
-        info = router.latency_info()["latency"]
+        info = router.latency.snapshot()
         assert info["count"] == 1
         assert info["max_ms"] >= 500.0
         # A served request on the same router does charge heat.
@@ -729,9 +728,10 @@ class TestRebalance:
         zipf_replay(router, 40, 1.5, 0.6, seed=0)
         before = router.heat_report().cv
         assert router.rebalance(skew_threshold=1.0)
-        router.reset_heat()
+        earlier = router.shard_heat()
         zipf_replay(router, 40, 1.5, 0.6, seed=0)
-        assert router.heat_report().cv <= before
+        replayed = [now - then for now, then in zip(router.shard_heat(), earlier)]
+        assert summarize_loads(replayed).cv <= before
 
     def test_organic_traffic_is_deterministic(self, saved):
         routers = [load_cluster(saved) for _ in range(2)]

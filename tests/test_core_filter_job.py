@@ -89,7 +89,7 @@ class TestReducePhase:
     def test_filters_reduce_candidates(self, medium_records, cluster):
         from repro.core.config import FilterConfig
 
-        base = FSJoinConfig(theta=0.8, n_vertical=6, filters=FilterConfig.none())
+        base = FSJoinConfig(theta=0.8, n_vertical=6, filters=FilterConfig.only())
         filtered = FSJoinConfig(theta=0.8, n_vertical=6)
         base_out = cluster.run_job(
             _build_job(medium_records, cluster, base),

@@ -67,7 +67,7 @@ class TestFilterConfig:
         assert config.strl and config.segl and config.segi and config.segd
 
     def test_none(self):
-        config = FilterConfig.none()
+        config = FilterConfig.only()
         assert not (config.strl or config.segl or config.segi or config.segd)
 
     def test_only(self):
@@ -115,7 +115,7 @@ class TestKnownCases:
             ):
                 stripes, counts = _join(
                     [long, short], method, 0.8, SimilarityFunction.JACCARD,
-                    FilterConfig.only("strl") if strl else FilterConfig.none(),
+                    FilterConfig.only("strl") if strl else FilterConfig.only(),
                 )
                 counts.pop("verify_token_comparisons", None)
                 assert counts == expected, (method, strl)
@@ -136,7 +136,7 @@ class TestKnownCases:
         (_, short), = partitioner.split(0, (1,))
         (_, long), = partitioner.split(1, tuple(range(30)))
         assert _outcome(
-            0.9, SimilarityFunction.JACCARD, FilterConfig.none(), short, long
+            0.9, SimilarityFunction.JACCARD, FilterConfig.only(), short, long
         ) is None
 
 
@@ -265,7 +265,7 @@ def _reference_join(
         return small < length_lower_bound(func, theta, large)
 
     def lemma2(s, t):
-        return min(len(s), len(t)) < (
+        return min(len(s.tokens), len(t.tokens)) < (
             tau(s, t)
             - min(s.info.ahead, t.info.ahead)
             - min(s.info.behind, t.info.behind)
@@ -284,7 +284,7 @@ def _reference_join(
             - abs(s.info.ahead - t.info.ahead)
             - abs(s.info.behind - t.info.behind)
         )
-        return len(s) + len(t) - 2 * common > budget
+        return len(s.tokens) + len(t.tokens) - 2 * common > budget
 
     def post(s, t, common):
         if config.segi and lemma3(s, t, common):
@@ -300,7 +300,7 @@ def _reference_join(
         if common is None:
             required = 1
             if config.early_verify:
-                shorter = min(len(s), len(t))
+                shorter = min(len(s.tokens), len(t.tokens))
                 required = next(
                     (c for c in range(1, shorter + 1) if post(s, t, c) is None),
                     shorter + 1,
@@ -337,7 +337,7 @@ def _reference_join(
     prefixes = [
         set(seg.tokens[:prefix]) for seg, prefix in zip(segments, prefix_lens)
     ]
-    whole = [prefix >= len(seg) for seg, prefix in zip(segments, prefix_lens)]
+    whole = [prefix >= len(seg.tokens) for seg, prefix in zip(segments, prefix_lens)]
     for j, current in enumerate(segments):
         for i, earlier in enumerate(segments[:j]):
             if not admissible(earlier, current):

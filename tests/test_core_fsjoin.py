@@ -11,7 +11,7 @@ from repro.core.config import FilterConfig
 from repro.baselines.naive import naive_self_join
 from repro.errors import ConfigError
 from repro.similarity.functions import SimilarityFunction
-from tests.conftest import random_collection
+from tests.conftest import random_collection, records_of
 
 
 class TestConfigValidation:
@@ -117,7 +117,7 @@ class TestConfigMatrix:
     @pytest.mark.parametrize(
         "filters",
         [
-            FilterConfig.none(),
+            FilterConfig.only(),
             FilterConfig.only("strl"),
             FilterConfig.only("strl", "segl"),
             FilterConfig.only("strl", "segi"),
@@ -161,14 +161,14 @@ class TestEdgeCases:
     def test_single_record(self, cluster):
         from repro.data.records import RecordCollection
 
-        records = RecordCollection.from_token_lists([["a", "b"]])
+        records = records_of([["a", "b"]])
         result = FSJoin(FSJoinConfig(theta=0.5), cluster).run(records)
         assert result.pairs == []
 
     def test_all_identical_records(self, cluster):
         from repro.data.records import RecordCollection
 
-        records = RecordCollection.from_token_lists([["a", "b", "c"]] * 5)
+        records = records_of([["a", "b", "c"]] * 5)
         result = FSJoin(FSJoinConfig(theta=1.0, n_vertical=2), cluster).run(records)
         assert len(result.pairs) == 10  # C(5, 2)
         assert all(score == pytest.approx(1.0) for score in result.result_pairs.values())
@@ -185,6 +185,6 @@ class TestEdgeCases:
     def test_more_partitions_than_tokens(self, cluster):
         from repro.data.records import RecordCollection
 
-        records = RecordCollection.from_token_lists([["a", "b"], ["a", "b"]])
+        records = records_of([["a", "b"], ["a", "b"]])
         config = FSJoinConfig(theta=0.9, n_vertical=50)
         assert FSJoin(config, cluster).run(records).result_set() == {(0, 1)}

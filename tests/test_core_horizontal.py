@@ -19,14 +19,13 @@ funcs = st.sampled_from(list(SimilarityFunction))
 class TestPlanStructure:
     def test_trivial_plan(self):
         plan = build_horizontal_plan([5, 5, 5], 1, 0.8, SimilarityFunction.JACCARD)
-        assert plan.n_partitions == 1
+        assert plan.n_pivots == 0
         assert plan.partitions_of(5) == [0]
 
     def test_partition_counts(self):
         plan = HorizontalPlan((10, 50), 0.8, SimilarityFunction.JACCARD)
         assert plan.n_pivots == 2
         assert plan.n_base == 3
-        assert plan.n_partitions == 5
 
     def test_base_partition_boundaries(self):
         """Paper: < L_1 → h_0; ≥ L_t → h_t."""

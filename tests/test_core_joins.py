@@ -39,7 +39,7 @@ def _run(segments, method, theta=0.5, filters=None, pivot=None, context=None):
         method=method,
         theta=theta,
         func=SimilarityFunction.JACCARD,
-        filter_config=filters or FilterConfig.none(),
+        filter_config=filters or FilterConfig.only(),
         context=context,
         pivot=pivot,
     )
@@ -162,7 +162,7 @@ class TestMethodEquivalence:
     )
     def test_filters_only_remove_pairs(self, rank_lists, theta):
         segments = _fragment_from(rank_lists)
-        unfiltered = _run(segments, JoinMethod.LOOP, theta, FilterConfig.none())
+        unfiltered = _run(segments, JoinMethod.LOOP, theta, FilterConfig.only())
         filtered = _run(segments, JoinMethod.LOOP, theta, FilterConfig())
         assert set(filtered) <= set(unfiltered)
         for pair, payload in filtered.items():

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import bisect
+
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -42,7 +44,7 @@ class TestVerticalPartitioner:
         partitioner = VerticalPartitioner((4, 9))
         for rank in range(12):
             (partition, segment), = partitioner.split(0, (rank,))
-            assert partition == partitioner.partition_of(rank)
+            assert partition == bisect.bisect_right(partitioner.cuts, rank)
 
     def test_n_partitions(self):
         assert VerticalPartitioner((1, 2, 3)).n_partitions == 4
@@ -63,7 +65,7 @@ class TestVerticalPartitioner:
         partitions = [partition for partition, _ in segments]
         assert partitions == sorted(partitions)
         assert len(set(partitions)) == len(partitions)
-        assert all(len(segment) > 0 for _, segment in segments)
+        assert all(len(segment.tokens) > 0 for _, segment in segments)
 
     @given(cut_tuples, rank_tuples)
     def test_seginfo_consistent(self, cuts, ranks):
@@ -72,14 +74,14 @@ class TestVerticalPartitioner:
             info = segment.info
             assert info.rid == 3
             assert info.str_len == len(ranks)
-            assert info.ahead + len(segment) + info.behind == info.str_len
+            assert info.ahead + len(segment.tokens) + info.behind == info.str_len
 
     @given(cut_tuples, rank_tuples)
     def test_tokens_in_their_partition(self, cuts, ranks):
         partitioner = VerticalPartitioner(cuts)
         for partition, segment in partitioner.split(0, ranks):
             for token in segment.tokens:
-                assert partitioner.partition_of(token) == partition
+                assert bisect.bisect_right(cuts, token) == partition
 
     @given(cut_tuples, rank_tuples)
     def test_ahead_counts_prior_tokens(self, cuts, ranks):
@@ -88,16 +90,10 @@ class TestVerticalPartitioner:
         running = 0
         for _, segment in segments:
             assert segment.info.ahead == running
-            running += len(segment)
+            running += len(segment.tokens)
 
 
 class TestSegment:
-    def test_len(self):
-        assert len(Segment(SegmentInfo(0, 5, 0, 2), (1, 2, 3))) == 3
-
-    def test_rid_property(self):
-        assert Segment(SegmentInfo(9, 1, 0, 0), (4,)).rid == 9
-
     def test_payload_size_monotone(self):
         short = Segment(SegmentInfo(0, 5, 0, 0), (1,))
         long = Segment(SegmentInfo(0, 5, 0, 0), (1, 2, 3))

@@ -84,18 +84,24 @@ class TestSelectPivots:
         assert max(sums) <= ideal + max(freqs) + 1e-9
 
 
+def partition_of(partitioner, rank):
+    """The partition a one-token record lands in."""
+    ((partition, _segment),) = partitioner.split(0, (rank,))
+    return partition
+
+
 class TestPartitionOfRank:
     """A token rank's vertical partition under a set of cuts."""
 
     def test_no_cuts(self):
-        assert VerticalPartitioner(()).partition_of(5) == 0
+        assert partition_of(VerticalPartitioner(()), 5) == 0
 
     def test_boundaries(self):
         partitioner = VerticalPartitioner((10, 20))
-        assert partitioner.partition_of(9) == 0
-        assert partitioner.partition_of(10) == 1
-        assert partitioner.partition_of(19) == 1
-        assert partitioner.partition_of(20) == 2
+        assert partition_of(partitioner, 9) == 0
+        assert partition_of(partitioner, 10) == 1
+        assert partition_of(partitioner, 19) == 1
+        assert partition_of(partitioner, 20) == 2
 
     @given(
         st.lists(st.integers(1, 99), min_size=1, max_size=10, unique=True),
@@ -104,4 +110,4 @@ class TestPartitionOfRank:
     def test_consistent_with_linear_scan(self, cuts, rank):
         cuts = tuple(sorted(cuts))
         expected = sum(1 for cut in cuts if cut <= rank)
-        assert VerticalPartitioner(cuts).partition_of(rank) == expected
+        assert partition_of(VerticalPartitioner(cuts), rank) == expected

@@ -11,38 +11,37 @@ from repro.core import FSJoin, FSJoinConfig
 from repro.core.fsjoin import CHECKPOINT_ROOT
 from repro.data.records import RecordCollection
 from repro.errors import DFSError
-from repro.mapreduce.checkpoint import PipelineCheckpoint
 from repro.mapreduce.hdfs import InMemoryDFS
 from repro.mapreduce.runtime import ClusterSpec, SimulatedCluster
 from repro.observability import Tracer
 from repro.similarity.functions import SimilarityFunction
-from tests.conftest import random_collection
+from tests.conftest import random_collection, records_of
 
 
 class TestKnownCases:
     def test_identical_singletons(self, cluster):
-        left = RecordCollection.from_token_lists([["a", "b", "c"]])
-        right = RecordCollection.from_token_lists([["a", "b", "c"]])
+        left = records_of([["a", "b", "c"]])
+        right = records_of([["a", "b", "c"]])
         result = FSJoin(FSJoinConfig(theta=0.9), cluster).run(left, right=right)
         assert result.result_pairs == {(0, 0): pytest.approx(1.0)}
 
     def test_key_order_is_left_right(self, cluster):
-        left = RecordCollection.from_token_lists([["x", "y", "z"]])
-        right = RecordCollection.from_token_lists([[], ["x", "y", "z"]])
+        left = records_of([["x", "y", "z"]])
+        right = records_of([[], ["x", "y", "z"]])
         result = FSJoin(FSJoinConfig(theta=0.9), cluster).run(left, right=right)
         assert set(result.result_pairs) == {(0, 1)}
 
     def test_same_side_pairs_excluded(self, cluster):
         """Two identical records in the same collection are not a result."""
-        left = RecordCollection.from_token_lists([["a", "b"], ["a", "b"]])
-        right = RecordCollection.from_token_lists([["q", "r"]])
+        left = records_of([["a", "b"], ["a", "b"]])
+        right = records_of([["q", "r"]])
         result = FSJoin(FSJoinConfig(theta=0.5), cluster).run(left, right=right)
         assert result.pairs == []
 
     def test_overlapping_rids_unambiguous(self, cluster):
         """rid 0 exists on both sides; the pair (0, 0) is a valid result."""
-        left = RecordCollection.from_token_lists([["m", "n", "o"]])
-        right = RecordCollection.from_token_lists([["m", "n", "o"]])
+        left = records_of([["m", "n", "o"]])
+        right = records_of([["m", "n", "o"]])
         result = FSJoin(FSJoinConfig(theta=1.0), cluster).run(left, right=right)
         assert set(result.result_pairs) == {(0, 0)}
 
@@ -135,8 +134,8 @@ class TestOneDriver:
         staged = FSJoin(self.CONFIG, dfs=dfs).run(left, right=right)
         assert staged.result_pairs == plain.result_pairs
         assert dict(dfs.read("fsjoin/results")) == plain.result_pairs
-        assert PipelineCheckpoint(dfs, CHECKPOINT_ROOT).jobs() == [
-            "filter", "ordering", "verify",
+        assert dfs.list_prefix(CHECKPOINT_ROOT + "/") == [
+            f"{CHECKPOINT_ROOT}/{job}" for job in ("filter", "ordering", "verify")
         ]
 
     def test_killed_after_filter_checkpoint_resumes(self):
@@ -152,8 +151,8 @@ class TestOneDriver:
         dfs = InMemoryDFS(fault_hook=kill)
         with pytest.raises(DFSError, match="driver killed"):
             FSJoin(self.CONFIG, dfs=dfs).run(left, right=right)
-        assert PipelineCheckpoint(dfs, CHECKPOINT_ROOT).jobs() == [
-            "filter", "ordering",
+        assert dfs.list_prefix(CHECKPOINT_ROOT + "/") == [
+            f"{CHECKPOINT_ROOT}/{job}" for job in ("filter", "ordering")
         ]
         dfs.fault_hook = None
         resumed = FSJoin(self.CONFIG, dfs=dfs).run(

@@ -34,7 +34,7 @@ MATRIX = list(
         (0.5, 0.7, 0.8, 0.95),
         list(JoinMethod),
         (1, 4, 10),
-        (FilterConfig(), FilterConfig.none(), FilterConfig(strl=False)),
+        (FilterConfig(), FilterConfig.only(), FilterConfig(strl=False)),
     )
 )
 

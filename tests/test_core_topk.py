@@ -66,48 +66,3 @@ class TestTopK:
         assert pair == want_pair
         assert score == pytest.approx(want_score)
 
-
-class TestIndexReuse:
-    """Threshold-relaxation rounds probing a standing service index."""
-
-    def test_bit_identical_to_pipeline_path(self, cluster):
-        from repro.service import SegmentIndex
-
-        records = random_collection(50, seed=5)
-        index = SegmentIndex.build(records, n_vertical=4)
-        for k in (1, 5, 12):
-            via_pipeline = topk_similar_pairs(records, k, cluster=cluster)
-            via_index = topk_similar_pairs(records, k, index=index)
-            # Bit-identical: same pairs, same float scores, same order.
-            assert via_index == via_pipeline
-
-    def test_bit_identical_for_cosine(self, cluster):
-        from repro.service import SegmentIndex
-
-        records = random_collection(40, seed=10)
-        index = SegmentIndex.build(records, n_vertical=4)
-        via_pipeline = topk_similar_pairs(records, 6, func="cosine", cluster=cluster)
-        via_index = topk_similar_pairs(records, 6, func="cosine", index=index)
-        assert via_index == via_pipeline
-
-    def test_index_path_needs_no_cluster(self):
-        from repro.service import SegmentIndex
-
-        records = random_collection(30, seed=11)
-        index = SegmentIndex.build(records, n_vertical=4)
-        got = topk_similar_pairs(records, 4, index=index)
-        expected = _oracle_topk(records, 4)
-        assert [pair for pair, _ in got] == [pair for pair, _ in expected]
-
-    def test_index_path_respects_template_filters(self, cluster):
-        from repro.core import FilterConfig
-        from repro.service import SegmentIndex
-
-        records = random_collection(40, seed=12)
-        index = SegmentIndex.build(records, n_vertical=4)
-        template = FSJoinConfig(theta=0.5, filters=FilterConfig.none())
-        via_pipeline = topk_similar_pairs(
-            records, 5, cluster=cluster, config=template
-        )
-        via_index = topk_similar_pairs(records, 5, config=template, index=index)
-        assert via_index == via_pipeline

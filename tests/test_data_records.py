@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from repro.data.records import Record, RecordCollection
 from repro.errors import DataError
+from tests.conftest import records_of
 
 
 class TestRecord:
@@ -44,14 +45,14 @@ class TestRecord:
 
 class TestRecordCollection:
     def test_iteration_order(self):
-        collection = RecordCollection.from_token_lists([["a"], ["b"], ["c"]])
+        collection = records_of([["a"], ["b"], ["c"]])
         assert [record.rid for record in collection] == [0, 1, 2]
 
     def test_len(self):
-        assert len(RecordCollection.from_token_lists([["a"], ["b"]])) == 2
+        assert len(records_of([["a"], ["b"]])) == 2
 
     def test_getitem(self):
-        collection = RecordCollection.from_token_lists([["a"], ["b"]])
+        collection = records_of([["a"], ["b"]])
         assert collection[1].tokens == ("b",)
 
     def test_get_by_rid(self):
@@ -62,22 +63,13 @@ class TestRecordCollection:
         with pytest.raises(DataError):
             RecordCollection().get(0)
 
-    def test_contains(self):
-        collection = RecordCollection([Record.make(3, ["x"])])
-        assert 3 in collection
-        assert 4 not in collection
-
     def test_duplicate_rid_rejected(self):
         collection = RecordCollection([Record.make(1, ["a"])])
         with pytest.raises(DataError):
             collection.add(Record.make(1, ["b"]))
 
-    def test_sizes(self):
-        collection = RecordCollection.from_token_lists([["a"], ["b", "c"]])
-        assert collection.sizes() == [1, 2]
-
     def test_copy_constructor(self):
-        original = RecordCollection.from_token_lists([["a"], ["b"]])
+        original = records_of([["a"], ["b"]])
         copy = RecordCollection(original)
         assert len(copy) == 2
         assert copy.get(0) is original.get(0)

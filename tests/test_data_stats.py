@@ -6,6 +6,7 @@ import pytest
 
 from repro.data.records import RecordCollection
 from repro.data.stats import DatasetStats, dataset_stats
+from tests.conftest import records_of
 
 
 class TestDatasetStats:
@@ -15,7 +16,7 @@ class TestDatasetStats:
         assert stats.mean_len == 0.0
 
     def test_counts(self):
-        records = RecordCollection.from_token_lists(
+        records = records_of(
             [["a", "b"], ["b", "c", "d"], ["a"]]
         )
         stats = dataset_stats(records)
@@ -24,25 +25,25 @@ class TestDatasetStats:
         assert stats.vocab_size == 4
 
     def test_length_bounds(self):
-        records = RecordCollection.from_token_lists([["a"], ["a", "b", "c"]])
+        records = records_of([["a"], ["a", "b", "c"]])
         stats = dataset_stats(records)
         assert stats.min_len == 1
         assert stats.max_len == 3
         assert stats.mean_len == pytest.approx(2.0)
 
     def test_top_token_share(self):
-        records = RecordCollection.from_token_lists(
+        records = records_of(
             [["a", "b"], ["a", "c"], ["a", "d"]]
         )
         stats = dataset_stats(records)
         assert stats.top_token_share == pytest.approx(3 / 6)
 
     def test_size_bytes_positive(self):
-        records = RecordCollection.from_token_lists([["hello", "world"]])
+        records = records_of([["hello", "world"]])
         assert dataset_stats(records).size_bytes == len("hello") + len("world") + 2
 
     def test_as_row_keys(self):
-        row = dataset_stats(RecordCollection.from_token_lists([["a"]])).as_row()
+        row = dataset_stats(records_of([["a"]])).as_row()
         assert {"records", "vocab", "min_len", "max_len", "mean_len"} <= set(row)
 
     def test_frozen(self):

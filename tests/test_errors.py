@@ -47,9 +47,10 @@ class TestErrorPaths:
 
     def test_data_error(self):
         from repro.core.ordering import GlobalOrder
+        from repro.data.records import Record
 
         with pytest.raises(DataError):
-            GlobalOrder([]).rank("missing")
+            GlobalOrder([]).encode(Record.make(0, ["missing"]))
 
     def test_dfs_error(self):
         from repro.mapreduce.hdfs import InMemoryDFS

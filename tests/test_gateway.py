@@ -237,7 +237,7 @@ class TestOneClock:
         assert response.ok
         assert gateway.latency_info()["max_ms"] >= 200.0
         assert gateway.tenant_latency_info()["acme"]["max_ms"] >= 200.0
-        assert gateway.router.latency_info()["latency"]["max_ms"] >= 200.0
+        assert gateway.router.latency.snapshot()["max_ms"] >= 200.0
 
     def test_shed_requests_are_recorded_too(self, corpus, index):
         gateway = make_gateway(
@@ -331,55 +331,3 @@ class TestCacheInvalidation:
         gateway = make_gateway(index)
         assert gateway.router.index_epoch == gateway.router.index_epoch
 
-
-class TestAdaptiveHedge:
-    def hedge(self):
-        return HedgeConfig(min_delay=0.002, max_delay=0.05,
-                           min_observations=4)
-
-    def test_delay_is_the_best_tenant_p95_clamped(self, index):
-        gateway = make_gateway(index, GatewayConfig(adaptive_hedge=True),
-                               hedge=self.hedge())
-        for _ in range(10):
-            gateway._tenant_histogram("paid").record(0.02)
-        assert gateway._adaptive_hedge_delay({"paid"}) == \
-            pytest.approx(0.02, rel=0.2)
-        # A slower tenant clamps to max_delay...
-        for _ in range(10):
-            gateway._tenant_histogram("slow").record(10.0)
-        assert gateway._adaptive_hedge_delay({"slow"}) == 0.05
-        # ...and the fastest tenant in a mixed group wins.
-        assert gateway._adaptive_hedge_delay({"slow", "paid"}) == \
-            pytest.approx(0.02, rel=0.2)
-
-    def test_cold_tenants_fall_back_to_global(self, index):
-        gateway = make_gateway(index, GatewayConfig(adaptive_hedge=True),
-                               hedge=self.hedge())
-        # Below min_observations nobody votes: the router's global
-        # rolling leg p95 takes over (delay None).
-        gateway._tenant_histogram("new").record(0.01)
-        assert gateway._adaptive_hedge_delay({"new"}) is None
-        # And with hedging off entirely, adaptive is inert.
-        unhedged = make_gateway(index, GatewayConfig(adaptive_hedge=True))
-        assert unhedged._adaptive_hedge_delay({"anyone"}) is None
-
-    def test_adaptive_hedge_keeps_bit_identity(self, corpus, index):
-        """With a stalled primary and a tenant-derived hedge delay in
-        force, answers still match the direct router exactly — the
-        adaptive delay only moves the fire point, never the contract."""
-        gateway = make_gateway(index, GatewayConfig(adaptive_hedge=True),
-                               hedge=self.hedge())
-        direct = build_cluster(index, n_shards=3, replication=2)
-        for _ in range(10):
-            gateway._tenant_histogram("acme").record(0.004)
-        stalled = gateway.router.replica(0, 0)
-        stalled.fault_hook = lambda target: time.sleep(0.05)
-        requests = [GatewayRequest(tuple(corpus[3].tokens), 0.5,
-                                   tenant="acme")]
-        for _ in range(2 * gateway.router.replication):
-            (response,) = gateway.serve(requests)
-            hits = list(response.hits)
-            assert hits == direct.search(list(corpus[3].tokens), 0.5)
-            assert len({hit.rid for hit in hits}) == len(hits)
-        route = gateway.router.metrics.group("cluster.route")
-        assert route.get("hedges", 0) >= 1

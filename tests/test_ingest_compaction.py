@@ -285,8 +285,8 @@ class TestMerge:
         # All tokens are interned by now, so the fresh build takes the
         # same ascending-rid insert path the merge does.
         fresh = SegmentIndex(order, partitioner)
-        for record in sorted(records, key=lambda r: r.rid):
-            fresh._insert(record)
+        fresh._insert_columns([fresh._encode(record) for record in
+                               sorted(records, key=lambda r: r.rid)])
         fresh._seal()
         assert pickle.dumps(merged) == pickle.dumps(fresh)
 

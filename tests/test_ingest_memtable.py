@@ -37,8 +37,8 @@ def _shared_layout(base_records, n_vertical=4):
 
 def _build_tier(records, order, partitioner):
     index = SegmentIndex(order, partitioner)
-    for record in sorted(records, key=lambda r: r.rid):
-        index._insert(record)
+    index._insert_columns([index._encode(record) for record in
+                           sorted(records, key=lambda r: r.rid)])
     index._seal()
     return index
 

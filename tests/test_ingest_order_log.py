@@ -217,5 +217,5 @@ class TestOrderLogRecovery:
                 token.encode("utf-8") in body for token in POOL
             )
         assert [
-            path for path in dfs.list_paths() if path.endswith("/order")
+            path for path in dfs.list_prefix("") if path.endswith("/order")
         ] == [streaming.order_log.path]

@@ -51,12 +51,6 @@ class TestCounters:
         left.increment("g", "n")
         assert right.get("g", "n") == 2
 
-    def test_iteration_sorted(self):
-        counters = Counters()
-        counters.increment("b", "y")
-        counters.increment("a", "x")
-        assert list(counters) == [("a", "x", 1), ("b", "y", 1)]
-
     def test_as_dict(self):
         counters = Counters()
         counters.increment("g", "n", 7)

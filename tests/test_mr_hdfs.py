@@ -57,7 +57,7 @@ class TestInMemoryDFS:
         large = dfs.write("large", [("k", "v" * 100)])
         assert large > small
         assert dfs.size_bytes("small") == small
-        assert dfs.total_bytes() == small + large
+        assert dfs.size_bytes("large") == large
 
     def test_size_missing_raises(self):
         with pytest.raises(DFSError):
@@ -67,49 +67,7 @@ class TestInMemoryDFS:
         dfs = InMemoryDFS()
         dfs.write("b", [])
         dfs.write("a", [])
-        assert dfs.list_paths() == ["a", "b"]
-
-
-class TestRename:
-    def test_moves_data_and_size(self):
-        dfs = InMemoryDFS()
-        size = dfs.write("tmp/part-0", [("k", "v" * 10)])
-        dfs.rename("tmp/part-0", "out/part-0")
-        assert not dfs.exists("tmp/part-0")
-        assert dfs.read("out/part-0") == [("k", "v" * 10)]
-        assert dfs.size_bytes("out/part-0") == size
-        assert dfs.total_bytes() == size
-
-    def test_missing_source_raises(self):
-        with pytest.raises(DFSError, match="no such path"):
-            InMemoryDFS().rename("ghost", "dst")
-
-    def test_existing_destination_raises(self):
-        dfs = InMemoryDFS()
-        dfs.write("src", [("a", 1)])
-        dfs.write("dst", [("b", 2)])
-        with pytest.raises(DFSError, match="destination already exists"):
-            dfs.rename("src", "dst")
-        # No-clobber failure leaves both files untouched.
-        assert dfs.read("src") == [("a", 1)]
-        assert dfs.read("dst") == [("b", 2)]
-
-    def test_rename_onto_itself_raises(self):
-        dfs = InMemoryDFS()
-        dfs.write("p", [("a", 1)])
-        with pytest.raises(DFSError):
-            dfs.rename("p", "p")
-        assert dfs.read("p") == [("a", 1)]
-
-    def test_write_then_swap_pattern(self):
-        """The convention the service snapshot mirrors on real disk."""
-        dfs = InMemoryDFS()
-        dfs.write("snap", [("v", 1)])
-        dfs.write("snap.tmp", [("v", 2)])
-        dfs.delete("snap")
-        dfs.rename("snap.tmp", "snap")
-        assert dfs.read("snap") == [("v", 2)]
-        assert dfs.list_paths() == ["snap"]
+        assert dfs.list_prefix("") == ["a", "b"]
 
 
 class TestAtomicOverwrite:
@@ -222,16 +180,12 @@ class TestAppendKeepsDamageVisible:
         dfs.append("log", [("d", 4)])
         assert not dfs.verify("log")
 
-    @pytest.mark.parametrize("moved", [False, True])
-    def test_nor_on_a_written_or_renamed_path(self, moved):
-        """``write`` keeps the state its digest came from and ``rename``
-        moves it, so a first append has no stored content to re-hash."""
+    def test_nor_on_a_written_path(self):
+        """``write`` keeps the state its digest came from, so a first
+        append has no stored content to re-hash."""
         dfs = InMemoryDFS()
         dfs.write("tmp", [("a", 1), ("b", 2)])
         path = "tmp"
-        if moved:
-            dfs.rename("tmp", "out")
-            path = "out"
         dfs.corrupt(path)
         dfs.append(path, [("c", 3)])
         dfs.append(path, [("d", 4)])
@@ -324,19 +278,6 @@ class DFSDigestMachine(RuleBasedStateMachine):
         assert self._state(path) == before
         assert self.dfs.exists(path) == (path in self.model)
 
-    @rule(src=st.sampled_from(PATHS), dst=st.sampled_from(PATHS))
-    def rename(self, src, dst):
-        if src not in self.model or dst in self.model:
-            with pytest.raises(DFSError):
-                self.dfs.rename(src, dst)
-            return
-        self.dfs.rename(src, dst)
-        self.model[dst] = self.model.pop(src)
-        self.sizes[dst] = self.sizes.pop(src)
-        if src in self.damaged:
-            self.damaged.remove(src)
-            self.damaged.add(dst)
-
     @rule(path=st.sampled_from(PATHS))
     def delete(self, path):
         if path not in self.model:
@@ -355,7 +296,7 @@ class DFSDigestMachine(RuleBasedStateMachine):
 
     @invariant()
     def digests_sizes_and_damage_agree_with_the_model(self):
-        assert self.dfs.list_paths() == sorted(self.model)
+        assert self.dfs.list_prefix("") == sorted(self.model)
         for path, pairs in self.model.items():
             assert self.dfs.size_bytes(path) == self.sizes[path]
             if path in self.damaged:

@@ -37,9 +37,6 @@ class TestPipelineResult:
     def test_shuffle_totals(self, pipeline_result):
         per_job = [r.metrics.shuffle_bytes for r in pipeline_result.job_results]
         assert pipeline_result.total_shuffle_bytes() == sum(per_job)
-        assert pipeline_result.total_shuffle_records() == sum(
-            r.metrics.shuffle_records for r in pipeline_result.job_results
-        )
 
     def test_simulated_time_sums_jobs(self, pipeline_result):
         spec = ClusterSpec(workers=10)

@@ -419,7 +419,7 @@ class TestDrain:
 
                 live.submit(kick())
                 deadline = time.perf_counter() + 5.0
-                while not live.server.draining:
+                while not live.server.status()["draining"]:
                     assert time.perf_counter() < deadline
                     time.sleep(0.01)
                 answers = [client.search(tokens, THETA)

@@ -93,7 +93,6 @@ class TestTracer:
         assert stage.parent_id == outer.span_id
         assert stage.start == 10.0 and stage.duration == 0.5
         assert stage.attrs["calls"] == 3
-        assert stage.end == 10.5
 
     def test_mark_and_spans_since(self):
         tracer = Tracer()
@@ -104,15 +103,6 @@ class TestTracer:
             pass
         assert [s.name for s in tracer.spans_since(mark)] == ["after"]
 
-    def test_clear_resets_ids(self):
-        tracer = Tracer()
-        with tracer.span("a"):
-            pass
-        tracer.clear()
-        with tracer.span("b") as span:
-            pass
-        assert len(tracer) == 1
-        assert span.span_id == 1
 
 
 class TestAdopt:
@@ -435,7 +425,7 @@ class TestServiceTracing:
                                n_shards=1)
         for record in corpus[:5]:
             router.search(list(record.tokens), 0.5)
-        info = router.latency_info()["latency"]
+        info = router.latency.snapshot()
         assert info["count"] == 5
         assert info["p50_ms"] <= info["p95_ms"] <= info["p99_ms"]
         assert info["max_ms"] > 0

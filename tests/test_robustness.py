@@ -17,23 +17,23 @@ from repro.baselines import (
     naive_self_join,
 )
 from repro.core import FSJoin, FSJoinConfig
-from repro.data.records import Record, RecordCollection
+from tests.conftest import records_of
 
 THETA = 0.8
 
 
 def _corpora():
-    identical = RecordCollection.from_token_lists([["a", "b", "c", "d"]] * 12)
-    one_hot_token = RecordCollection.from_token_lists(
+    identical = records_of([["a", "b", "c", "d"]] * 12)
+    one_hot_token = records_of(
         [["hot", f"u{i}", f"v{i}", f"w{i}"] for i in range(20)]
     )
-    singletons = RecordCollection.from_token_lists(
+    singletons = records_of(
         [[f"t{i % 4}"] for i in range(12)]
     )
-    disjoint = RecordCollection.from_token_lists(
+    disjoint = records_of(
         [[f"x{i}a", f"x{i}b", f"x{i}c"] for i in range(15)]
     )
-    mixed_sizes = RecordCollection.from_token_lists(
+    mixed_sizes = records_of(
         [["s"]] + [[f"m{j}" for j in range(10)]] * 3 + [[f"l{j}" for j in range(200)]] * 2
     )
     return {

@@ -28,7 +28,7 @@ from repro.mapreduce.executors import create_executor
 from repro.service import SegmentIndex, load_index, save_index
 from repro.service.columnar import FragmentPostings
 from repro.service.snapshot import SNAPSHOT_FORMAT
-from tests.conftest import brute_force_search, random_collection
+from tests.conftest import brute_force_search, index_self_join, random_collection
 
 
 @pytest.fixture(scope="module")
@@ -56,7 +56,7 @@ class TestPathEquivalence:
 
     @pytest.mark.parametrize(
         "filters",
-        [FilterConfig(), FilterConfig.none(), FilterConfig.only("strl"),
+        [FilterConfig(), FilterConfig.only(), FilterConfig.only("strl"),
          FilterConfig.only("segl"), FilterConfig.only("segi"),
          FilterConfig.only("segd"),
          FilterConfig(strl=True, segl=True, segi=True, segd=True,
@@ -68,7 +68,7 @@ class TestPathEquivalence:
         # The probe takes no filter config — it verifies whole id columns;
         # the lemmas are the batch reducers'.  Whichever of them the
         # filter job runs, the two sides report the same pairs.
-        assert index.self_join(0.5) == FSJoin(
+        assert index_self_join(index, 0.5) == FSJoin(
             FSJoinConfig(theta=0.5, n_vertical=5, filters=filters)
         ).run(corpus).result_pairs
 
@@ -79,7 +79,7 @@ class TestPathEquivalence:
         ]
 
     def test_self_join_identical_across_paths(self, corpus, index):
-        pairs = index.self_join(0.6)
+        pairs = index_self_join(index, 0.6)
         assert pairs == naive_self_join(corpus, 0.6)
         assert pairs == FSJoin(
             FSJoinConfig(theta=0.6, n_vertical=5)
@@ -254,7 +254,7 @@ class TestFragmentPostings:
         assert clone.nbytes() == fp.nbytes()
         # Three 8-byte columns: tokens, offsets (one more than tokens) and
         # one record id per posting entry — nothing else is stored.
-        assert fp.nbytes() == 8 * (fp.n_tokens + fp.n_tokens + 1 + len(fp))
+        assert fp.nbytes() == 8 * (len(fp.tokens) + len(fp.tokens) + 1 + len(fp))
         assert fp.nbytes() == 8 * (2 + 3 + 3)
 
 

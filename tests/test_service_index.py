@@ -17,7 +17,7 @@ from repro.data.records import Record, RecordCollection
 from repro.errors import DataError
 from repro.mapreduce.counters import Counters
 from repro.service import SegmentIndex
-from tests.conftest import random_collection
+from tests.conftest import index_self_join, random_collection
 
 
 def _partners_of(rid, pairs):
@@ -117,7 +117,7 @@ class TestSelfJoin:
         oracle = FSJoin(
             FSJoinConfig(theta=theta, n_vertical=5)
         ).run(corpus).result_pairs
-        assert index.self_join(theta) == oracle
+        assert index_self_join(index, theta) == oracle
 
 
 class TestApplyBatch:
@@ -135,7 +135,7 @@ class TestApplyBatch:
         oracle = FSJoin(
             FSJoinConfig(theta=0.6, n_vertical=5)
         ).run(everything).result_pairs
-        assert grown.self_join(0.6) == oracle
+        assert index_self_join(grown, 0.6) == oracle
 
     @settings(max_examples=30, deadline=None)
     @given(

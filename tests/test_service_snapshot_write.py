@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 
 from repro.data.records import Record, RecordCollection
 from repro.service import SegmentIndex, load_index, save_index
+from tests.conftest import records_of
 
 TOKENS = [f"w{i}" for i in range(25)]
 
@@ -40,7 +41,7 @@ class TestSnapshotBetweenWrites:
     def test_every_write_boundary_snapshots_consistently(
         self, base, batches, theta, tmp_path
     ):
-        records = RecordCollection.from_token_lists(base)
+        records = records_of(base)
         index = SegmentIndex.build(records, n_vertical=4)
         queries = list(base)
         next_rid = len(base)
@@ -65,7 +66,7 @@ class TestSnapshotBetweenWrites:
     def test_snapshot_bytes_equal_fresh_build(self, tmp_path):
         """Growing by batches then snapshotting equals building once: the
         snapshot carries no residue of the write history."""
-        base = RecordCollection.from_token_lists(
+        base = records_of(
             [TOKENS[i:i + 4] for i in range(10)]
         )
         grown = SegmentIndex.build(base, n_vertical=4)
@@ -77,7 +78,7 @@ class TestSnapshotBetweenWrites:
         # Same order/pivots as the grown index, records in rid order.
         fresh = SegmentIndex(grown.order, grown.partitioner,
                              grown.pivot_method)
-        for record in sorted(everything, key=lambda r: r.rid):
-            fresh._insert(record)
+        fresh._insert_columns([fresh._encode(record) for record in
+                               sorted(everything, key=lambda r: r.rid)])
         fresh._seal()
         assert pickle.dumps(grown) == pickle.dumps(fresh)

@@ -10,9 +10,14 @@ from repro.similarity.functions import SimilarityFunction, jaccard
 from repro.similarity.verify import (
     bounded_merge_intersection,
     intersection_size,
-    verify_overlap,
     verify_pair,
 )
+from repro.similarity.thresholds import threshold_rule
+
+
+def verify_overlap(func, theta, common, size_s, size_t):
+    """Section V-B's verdict on a known overlap: the score if ``sim ≥ θ``."""
+    return threshold_rule(func, theta).verdict(common, size_s, size_t)
 
 sorted_lists = st.lists(
     st.integers(0, 60), max_size=25, unique=True
