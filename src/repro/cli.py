@@ -1,44 +1,20 @@
-"""Command-line interface.
+"""Command-line interface: ``python -m repro <verb>``.
 
-Subcommands:
+The argparse tree below is the verb table — ``python -m repro -h`` and
+``python -m repro <verb> -h`` list the verbs and their flags.  Batch
+verbs (``generate``, ``stats``, ``join``, ``topk``, ``estimate``) run the
+FS-Join pipeline and its baselines; serving verbs (``index``, ``search``,
+``cluster build|search|status``, ``ingest``, ``serve``, ``query``) build
+and probe the search stack, in-process or over TCP; ``chaos`` drills
+fault recovery and ``trace`` summarizes a ``--trace`` file.  ``join``,
+``search``, ``cluster search``, ``ingest``, ``serve`` and ``chaos`` take
+``--trace PATH``: spans as JSONL plus a Chrome ``trace_event`` twin;
+results are bit-identical with or without it.
 
-* ``generate`` — write a synthetic corpus (email/pubmed/wiki shaped);
-* ``stats`` — print Table-III-style statistics of a corpus file;
-* ``join`` — self-join (or R-S join with ``--right``) a corpus file with a
-  chosen algorithm and print the similar pairs as TSV;
-* ``topk`` — print the k most similar pairs;
-* ``estimate`` — sampling-based estimate of the join's result count;
-* ``index`` — build a persistent similarity-search index (serving layer);
-* ``search`` — probe an index file and print the exact hits as JSON;
-* ``ingest`` — stream a corpus through the WAL + memtable + compaction
-  write path and print ingest statistics; ``--verify`` checks the streamed
-  index is bit-identical to an offline build, ``--snapshot`` saves it for
-  ``repro search``;
-* ``cluster`` — sharded, replicated serving: ``build`` a cluster directory,
-  ``search`` it scatter-gather (with ``--fail-shard`` failure injection),
-  or inspect ``status``;
-* ``serve`` — the real TCP front door: load a cluster directory, stand a
-  :class:`~repro.gateway.gateway.SimilarityGateway` behind an asyncio
-  socket server, and serve length-prefixed JSON frames until SIGTERM /
-  SIGINT triggers a graceful drain (final stats printed as JSON);
-* ``query`` — client end of the same wire: ``--connect HOST:PORT`` and
-  probe a running server (``--query`` / ``--query-file`` / ``--status``
-  / ``--drain``), printing the same JSON documents ``cluster search``
-  prints so the two paths diff cleanly;
-* ``chaos`` — seeded chaos drill: inject faults (task deaths, stragglers,
-  a driver kill, checkpoint corruption, replica flaps, hot-key storms,
-  snapshot bit-flips, torn frames and killed connections) across the
-  pipeline, cluster, service, gateway and network layers and print a
-  JSON recovery report; exits 1 unless every scenario recovered to
-  bit-identical output or a typed error;
-* ``trace`` — summarize/convert a trace written with ``--trace``.
-
-``join`` and ``search`` accept ``--trace PATH``: the run records one span
-per pipeline phase, job, map/reduce wave and task attempt (or per probe
-stage) and writes them as JSONL to ``PATH`` plus a Chrome
-``trace_event`` JSON twin (open in ``chrome://tracing`` or
-https://ui.perfetto.dev).  Results are bit-identical with or without
-``--trace``.
+Every failure — a bad flag value, a missing file, a typed
+:class:`~repro.errors.ReproError` from any layer — reaches ``main`` and
+exits 1 with one ``error: ...`` line on stderr (a drill or ``ingest
+--verify`` that fails prints its report first).
 
 Examples::
 
@@ -79,7 +55,7 @@ from repro.baselines import MassJoin, RIDPairsPPJoin, VSmartJoin
 from repro.core import FSJoin, FSJoinConfig, PivotMethod
 from repro.core.topk import topk_similar_pairs
 from repro.data import dataset_stats, load_records, make_corpus, save_records
-from repro.errors import ReproError
+from repro.errors import ClusterError, ConfigError, DataError, ReproError
 from repro.mapreduce.executors import ExecutorKind
 from repro.mapreduce.runtime import ClusterSpec, SimulatedCluster
 from repro.observability import (
@@ -103,14 +79,101 @@ ALGORITHMS = (
 )
 
 
+class _Parser(argparse.ArgumentParser):
+    """A usage error is a :class:`ConfigError`, so ``main`` prints it as
+    the one ``error: --flag ...`` line every other failure gets."""
+
+    def error(self, message):
+        if message.startswith("argument "):
+            flag, _, message = message[len("argument "):].partition(": ")
+            message = f"{flag} {message}"
+        raise ConfigError(message)
+
+
+# Types for the values no layer below the CLI range-checks.
+def positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
+def positive_float(text: str) -> float:
+    """A finite number > 0: a zero or NaN sleep would spin the event loop,
+    an infinite one overflows the socket timeout."""
+    value = float(text)
+    if not 0 < value < float("inf"):
+        raise argparse.ArgumentTypeError(
+            f"must be > 0 and finite, got {text}"
+        )
+    return value
+
+
+def host_port(text: str):
+    """``HOST:PORT`` -> ``(host, port)``."""
+    host, sep, port_text = text.rpartition(":")
+    if not sep or not host:
+        raise argparse.ArgumentTypeError(f"must be HOST:PORT, got {text!r}")
+    try:
+        port = int(port_text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"port must be an integer, got {port_text!r}"
+        ) from None
+    if not 0 < port <= 65535:
+        raise argparse.ArgumentTypeError(f"port out of range: {port}")
+    return host, port
+
+
+def _add_func(parser) -> None:
+    parser.add_argument("--func", default="jaccard",
+                        choices=[f.value for f in SimilarityFunction])
+
+
+def _add_trace(parser, spans: str) -> None:
+    parser.add_argument("--trace", metavar="PATH",
+                        help=f"record {spans}; writes JSONL to PATH plus a "
+                             "Chrome trace_event JSON twin")
+
+
+def _add_search(parser, rid: bool):
+    """θ, ``--func``, ``-k`` and the required one-of query group (returned
+    for verb-specific members)."""
+    parser.add_argument("--theta", type=float, default=0.8)
+    _add_func(parser)
+    parser.add_argument("-k", type=int, default=None,
+                        help="return at most k hits per query")
+    what = parser.add_mutually_exclusive_group(required=True)
+    what.add_argument("--query", help="probe tokens (whitespace-separated)")
+    if rid:
+        what.add_argument("--rid", type=int,
+                          help="probe an indexed record by id (itself "
+                               "excluded)")
+    what.add_argument("--query-file",
+                      help="batch probe: one record per line, corpus format "
+                           "(over the wire: one search_batch frame)")
+    return what
+
+
+def _add_layout(parser) -> None:
+    """How a build cuts the index into fragments."""
+    parser.add_argument("--vertical", type=int, default=30)
+    parser.add_argument("--pivot-method",
+                        choices=[m.value for m in PivotMethod],
+                        default=PivotMethod.EVEN_TF.value)
+    parser.add_argument("--pivot-seed", type=int, default=0)
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    executors = [k.value for k in ExecutorKind]
+    parser = _Parser(
         prog="repro",
         description="FS-Join reproduction: distributed set similarity joins.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
     generate = sub.add_parser("generate", help="write a synthetic corpus")
+    generate.set_defaults(handler=_cmd_generate)
     generate.add_argument("--corpus", choices=("email", "pubmed", "wiki"),
                           default="wiki")
     generate.add_argument("--records", type=int, default=500)
@@ -118,70 +181,53 @@ def _build_parser() -> argparse.ArgumentParser:
     generate.add_argument("--output", required=True)
 
     stats = sub.add_parser("stats", help="dataset statistics (Table III)")
+    stats.set_defaults(handler=_cmd_stats)
     stats.add_argument("input")
 
     join = sub.add_parser("join", help="similarity self-join or R-S join")
+    join.set_defaults(handler=_cmd_join)
     join.add_argument("input")
     join.add_argument("--right", help="second collection (R-S join)")
     join.add_argument("--theta", type=float, default=0.8)
-    join.add_argument("--func", choices=[f.value for f in SimilarityFunction],
-                      default="jaccard")
+    _add_func(join)
     join.add_argument("--algorithm", choices=ALGORITHMS, default="fsjoin")
     join.add_argument("--workers", type=int, default=10)
     join.add_argument("--vertical", type=int, default=30)
     join.add_argument("--horizontal", type=int, default=10)
-    join.add_argument("--executor", choices=[k.value for k in ExecutorKind],
-                      default="serial",
+    join.add_argument("--executor", choices=executors, default="serial",
                       help="task-execution backend: serial (default, "
                            "deterministic single process), thread, or "
                            "process (real cores)")
     join.add_argument("--quiet", action="store_true",
                       help="suppress the metrics summary on stderr")
-    join.add_argument("--trace", metavar="PATH",
-                      help="record spans for every pipeline phase, job and "
-                           "task attempt; writes JSONL to PATH plus a Chrome "
-                           "trace_event JSON twin (results are unchanged)")
+    _add_trace(join, "spans for every pipeline phase, job and task attempt "
+                     "(results are unchanged)")
 
     topk = sub.add_parser("topk", help="k most similar pairs")
+    topk.set_defaults(handler=_cmd_topk)
     topk.add_argument("input")
     topk.add_argument("-k", type=int, default=10)
-    topk.add_argument("--func", choices=[f.value for f in SimilarityFunction],
-                      default="jaccard")
+    _add_func(topk)
     topk.add_argument("--workers", type=int, default=10)
-    topk.add_argument("--executor", choices=[k.value for k in ExecutorKind],
-                      default="serial")
+    topk.add_argument("--executor", choices=executors, default="serial")
 
     index = sub.add_parser(
         "index", help="build a persistent similarity-search index"
     )
+    index.set_defaults(handler=_cmd_index)
     index.add_argument("input")
     index.add_argument("--output", required=True,
                        help="snapshot file the index is written to")
-    index.add_argument("--vertical", type=int, default=30)
-    index.add_argument("--pivot-method",
-                       choices=[m.value for m in PivotMethod],
-                       default=PivotMethod.EVEN_TF.value)
-    index.add_argument("--pivot-seed", type=int, default=0)
+    _add_layout(index)
 
     search = sub.add_parser(
         "search", help="probe a similarity-search index (JSON output)"
     )
+    search.set_defaults(handler=_cmd_search)
     search.add_argument("index", help="snapshot written by 'repro index'")
-    search.add_argument("--theta", type=float, default=0.8)
-    search.add_argument("--func", choices=[f.value for f in SimilarityFunction],
-                        default="jaccard")
-    search.add_argument("-k", type=int, default=None,
-                        help="return at most k hits per query")
-    what = search.add_mutually_exclusive_group(required=True)
-    what.add_argument("--query", help="probe tokens (whitespace-separated)")
-    what.add_argument("--rid", type=int,
-                      help="probe an indexed record by id (itself excluded)")
-    what.add_argument("--query-file",
-                      help="batch probe: one record per line, corpus format")
-    search.add_argument("--trace", metavar="PATH",
-                        help="record per-probe spans (scatter, prefix "
-                             "filter, verification); writes JSONL to PATH "
-                             "plus a Chrome trace twin")
+    _add_search(search, rid=True)
+    _add_trace(search, "per-probe spans (scatter, prefix filter, "
+                       "verification)")
 
     cluster = sub.add_parser(
         "cluster", help="sharded, replicated serving cluster (build/search/"
@@ -192,45 +238,31 @@ def _build_parser() -> argparse.ArgumentParser:
     cbuild = csub.add_parser(
         "build", help="shard a corpus into a cluster directory"
     )
+    cbuild.set_defaults(handler=_cmd_cluster_build)
     cbuild.add_argument("input", help="corpus file to index and shard")
     cbuild.add_argument("--output", required=True,
                         help="cluster directory (index.idx + manifest.json)")
     cbuild.add_argument("--shards", type=int, default=4)
     cbuild.add_argument("--replication", type=int, default=1)
-    cbuild.add_argument("--vertical", type=int, default=30)
-    cbuild.add_argument("--pivot-method",
-                        choices=[m.value for m in PivotMethod],
-                        default=PivotMethod.EVEN_TF.value)
-    cbuild.add_argument("--pivot-seed", type=int, default=0)
+    _add_layout(cbuild)
 
     csearch = csub.add_parser(
         "search", help="scatter-gather probe of a cluster (JSON output)"
     )
+    csearch.set_defaults(handler=_cmd_cluster_search)
     csearch.add_argument("cluster_dir",
                          help="directory written by 'repro cluster build'")
-    csearch.add_argument("--theta", type=float, default=0.8)
-    csearch.add_argument("--func",
-                         choices=[f.value for f in SimilarityFunction],
-                         default="jaccard")
-    csearch.add_argument("-k", type=int, default=None,
-                         help="return at most k hits per query")
-    cwhat = csearch.add_mutually_exclusive_group(required=True)
-    cwhat.add_argument("--query", help="probe tokens (whitespace-separated)")
-    cwhat.add_argument("--rid", type=int,
-                       help="probe an indexed record by id (itself excluded)")
-    cwhat.add_argument("--query-file",
-                       help="batch probe: one record per line, corpus format")
+    _add_search(csearch, rid=True)
     csearch.add_argument("--fail-shard", type=int, metavar="SHARD",
                          help="inject a failure: kill replica 0 of this shard "
                               "before searching (exercises failover)")
-    csearch.add_argument("--trace", metavar="PATH",
-                         help="record the cross-shard request tree (route, "
-                              "per-shard probes, merge); writes JSONL to PATH "
-                              "plus a Chrome trace twin")
+    _add_trace(csearch, "the cross-shard request tree (route, per-shard "
+                        "probes, merge)")
 
     cstatus = csub.add_parser(
         "status", help="plan, health, heat and balance of a cluster (JSON)"
     )
+    cstatus.set_defaults(handler=_cmd_cluster_status)
     cstatus.add_argument("cluster_dir")
 
     ingest = sub.add_parser(
@@ -238,11 +270,12 @@ def _build_parser() -> argparse.ArgumentParser:
         help="stream a corpus through the WAL + memtable + compaction "
              "write path and print ingest statistics",
     )
+    ingest.set_defaults(handler=_cmd_ingest)
     ingest.add_argument("input", help="corpus file to stream in")
     ingest.add_argument("--base", type=int, default=0, metavar="N",
                         help="records bootstrapped offline as generation 0 "
                              "(the rest stream through the WAL; default 0)")
-    ingest.add_argument("--batch-size", type=int, default=32)
+    ingest.add_argument("--batch-size", type=positive_int, default=32)
     ingest.add_argument("--memtable-limit", type=int, default=64,
                         help="records the memtable absorbs before an "
                              "automatic flush (default 64)")
@@ -258,15 +291,14 @@ def _build_parser() -> argparse.ArgumentParser:
     ingest.add_argument("--snapshot", metavar="PATH",
                         help="save the final index as a regular snapshot "
                              "loadable by 'repro search'")
-    ingest.add_argument("--trace", metavar="PATH",
-                        help="record ingest spans (wal-append, "
-                             "memtable-apply, flush, compaction) as JSONL "
-                             "plus a Chrome trace twin")
+    _add_trace(ingest, "ingest spans (wal-append, memtable-apply, flush, "
+                       "compaction)")
 
     serve = sub.add_parser(
         "serve", help="TCP server: the gateway over a cluster directory "
                       "behind real sockets (SIGTERM drains gracefully)"
     )
+    serve.set_defaults(handler=_cmd_serve)
     serve.add_argument("cluster_dir",
                        help="directory written by 'repro cluster build'")
     serve.add_argument("--host", default="127.0.0.1")
@@ -298,43 +330,35 @@ def _build_parser() -> argparse.ArgumentParser:
                             "detection, anti-entropy scrubbing and automatic "
                             "replica rebuild; repair events are logged as "
                             "one-line typed messages")
-    serve.add_argument("--heal-interval", type=float, default=1.0,
+    serve.add_argument("--heal-interval", type=positive_float, default=1.0,
                        help="seconds between control-plane ticks when --heal "
                             "is on (default 1.0)")
-    serve.add_argument("--trace", metavar="PATH",
-                       help="on exit, write the server's phase=\"net\" spans "
-                            "(one per connection and request) as JSONL plus "
-                            "a Chrome trace twin")
+    _add_trace(serve, "on exit, the server's phase=\"net\" spans (one per "
+                      "connection and request)")
 
     query = sub.add_parser(
         "query", help="query a running 'repro serve' over TCP"
     )
-    query.add_argument("--connect", required=True, metavar="HOST:PORT",
+    # No --rid or --trace here: their defaults let query share the printer.
+    query.set_defaults(handler=_cmd_query, rid=None, trace=None)
+    query.add_argument("--connect", required=True, type=host_port,
+                       metavar="HOST:PORT",
                        help="address of the running server")
-    qwhat = query.add_mutually_exclusive_group(required=True)
-    qwhat.add_argument("--query", help="probe tokens (whitespace-separated)")
-    qwhat.add_argument("--query-file",
-                       help="batch probe: one record per line, corpus "
-                            "format; sent as a single search_batch frame")
+    qwhat = _add_search(query, rid=False)
     qwhat.add_argument("--status", action="store_true",
                        help="print the server's status JSON instead")
     qwhat.add_argument("--drain", action="store_true",
                        help="ask the server to drain gracefully and exit")
-    query.add_argument("--theta", type=float, default=0.8)
-    query.add_argument("--func",
-                       choices=[f.value for f in SimilarityFunction],
-                       default="jaccard")
-    query.add_argument("-k", type=int, default=None,
-                       help="return at most k hits per query")
     query.add_argument("--tenant", default="default",
                        help="tenant name sent in the handshake (quotas and "
                             "per-tenant latency follow it)")
-    query.add_argument("--timeout", type=float, default=5.0,
+    query.add_argument("--timeout", type=positive_float, default=5.0,
                        help="per-call socket timeout in seconds (default 5)")
 
     chaos = sub.add_parser(
         "chaos", help="seeded chaos drill: inject faults, verify recovery"
     )
+    chaos.set_defaults(handler=_cmd_chaos)
     chaos.add_argument("--seed", type=int, default=0,
                        help="chaos seed; the same seed injects exactly the "
                             "same faults on every run")
@@ -344,21 +368,17 @@ def _build_parser() -> argparse.ArgumentParser:
                        default="all",
                        help="which layer to drill (default: all)")
     chaos.add_argument("--theta", type=float, default=0.7)
-    chaos.add_argument("--func",
-                       choices=[f.value for f in SimilarityFunction],
-                       default="jaccard")
-    chaos.add_argument("--executor", choices=[k.value for k in ExecutorKind],
-                       default="serial",
+    _add_func(chaos)
+    chaos.add_argument("--executor", choices=executors, default="serial",
                        help="executor the join scenario runs on")
-    chaos.add_argument("--trace", metavar="PATH",
-                       help="record the drill's spans — every injected "
-                            "fault (phase=\"fault\") next to every recovery "
-                            "action (phase=\"recovery\") — as JSONL plus a "
-                            "Chrome trace twin")
+    _add_trace(chaos, "the drill's spans — every injected fault "
+                      "(phase=\"fault\") next to every recovery action "
+                      "(phase=\"recovery\")")
 
     trace = sub.add_parser(
         "trace", help="summarize/convert a JSONL trace written with --trace"
     )
+    trace.set_defaults(handler=_cmd_trace)
     trace.add_argument("input", help="JSONL trace file")
     trace.add_argument("--chrome", metavar="PATH",
                        help="also write a Chrome trace_event JSON for "
@@ -367,10 +387,10 @@ def _build_parser() -> argparse.ArgumentParser:
     estimate = sub.add_parser(
         "estimate", help="sampling-based result-count estimate"
     )
+    estimate.set_defaults(handler=_cmd_estimate)
     estimate.add_argument("input")
     estimate.add_argument("--theta", type=float, default=0.8)
-    estimate.add_argument("--func", choices=[f.value for f in SimilarityFunction],
-                          default="jaccard")
+    _add_func(estimate)
     estimate.add_argument("--sample-size", type=int, default=None)
     estimate.add_argument("--trials", type=int, default=3)
     estimate.add_argument("--seed", type=int, default=0)
@@ -448,9 +468,9 @@ def _cmd_join(args) -> int:
     algorithm = _make_algorithm(args, cluster)
     if args.right:
         if not isinstance(algorithm, FSJoin):
-            print("R-S joins are supported by the fsjoin algorithms only",
-                  file=sys.stderr)
-            return 2
+            raise ConfigError(
+                "R-S joins are supported by the fsjoin algorithms only"
+            )
         result = algorithm.run(left, right=load_records(args.right))
     else:
         result = algorithm.run(left)
@@ -536,8 +556,6 @@ def _hit_rows(hits):
 def _read_query_file(path):
     """Load a query file, turning I/O and encoding failures into clear
     :class:`~repro.errors.DataError` messages (exit 1, never a traceback)."""
-    from repro.errors import DataError
-
     try:
         return load_records(path)
     except OSError as exc:
@@ -551,8 +569,6 @@ def _read_query_file(path):
 
 def _rid_tokens(backend, rid):
     """An indexed record's tokens, with a CLI-clear unknown-rid message."""
-    from repro.errors import DataError
-
     try:
         return list(backend.tokens_of(rid))
     except DataError:
@@ -562,30 +578,36 @@ def _rid_tokens(backend, rid):
         ) from None
 
 
-def _print_search(args, router, tracer) -> int:
-    """Answer ``repro search`` / ``repro cluster search`` as one JSON
-    document from one router (one shard for a plain snapshot)."""
+def _print_search(args, backend, tracer) -> int:
+    """Answer ``repro search`` / ``cluster search`` / ``query`` as one JSON
+    document.  ``backend`` is a router (one shard for a plain snapshot) or
+    a wire client: both answer ``search`` / ``search_batch(tokens, θ, k=,
+    func=)`` alike."""
     import json
 
     func = SimilarityFunction(args.func)
     document = {"theta": args.theta, "func": func.value}
     if args.query_file:
         queries = [record.tokens for record in _read_query_file(args.query_file)]
-        results = router.search_batch(queries, args.theta, k=args.k, func=func)
+        results = backend.search_batch(
+            queries, args.theta, k=args.k, func=func
+        )
         document["results"] = [
             {"query": list(tokens), "hits": _hit_rows(hits)}
             for tokens, hits in zip(queries, results)
         ]
     else:
         if args.rid is not None:
-            tokens = _rid_tokens(router, args.rid)
-            hits = router.search_rid(args.rid, args.theta, k=args.k, func=func)
+            tokens = _rid_tokens(backend, args.rid)
+            hits = backend.search_rid(
+                args.rid, args.theta, k=args.k, func=func
+            )
         else:
             tokens = args.query.split()
-            hits = router.search(tokens, args.theta, k=args.k, func=func)
+            hits = backend.search(tokens, args.theta, k=args.k, func=func)
         document = {"query": tokens, **document, "hits": _hit_rows(hits)}
     if args.trace:
-        document["latency"] = router.latency.snapshot()
+        document["latency"] = backend.latency.snapshot()
         _export_trace(tracer, args.trace)
         _print_phase_breakdown(tracer)
     print(json.dumps(document))
@@ -603,8 +625,6 @@ def _cmd_search(args) -> int:
 
 def _fail_replica(router, shard) -> None:
     """Apply the ``--fail-shard`` chaos switch (replica 0 of one shard)."""
-    from repro.errors import ClusterError
-
     if not 0 <= shard < router.n_shards:
         raise ClusterError(
             f"--fail-shard {shard} out of range (cluster has "
@@ -667,13 +687,10 @@ def _cmd_ingest(args) -> int:
     import pickle
 
     from repro.data import RecordCollection
-    from repro.errors import ConfigError
     from repro.ingest import IngestConfig, StreamingIndex
     from repro.mapreduce.hdfs import InMemoryDFS
     from repro.service import save_index
 
-    if args.batch_size < 1:
-        raise ConfigError(f"--batch-size must be >= 1, got {args.batch_size}")
     records = load_records(args.input)
     if not 0 <= args.base <= len(records):
         raise ConfigError(
@@ -762,37 +779,6 @@ def _cmd_ingest(args) -> int:
     return 0
 
 
-_CLUSTER_COMMANDS = {
-    "build": _cmd_cluster_build,
-    "search": _cmd_cluster_search,
-    "status": _cmd_cluster_status,
-}
-
-
-def _cmd_cluster(args) -> int:
-    return _CLUSTER_COMMANDS[args.cluster_command](args)
-
-
-def _parse_connect(value: str):
-    """``HOST:PORT`` -> ``(host, port)`` with CLI-clear failures."""
-    from repro.errors import ConfigError
-
-    host, sep, port_text = value.rpartition(":")
-    if not sep or not host:
-        raise ConfigError(
-            f"--connect must be HOST:PORT, got {value!r}"
-        )
-    try:
-        port = int(port_text)
-    except ValueError:
-        raise ConfigError(
-            f"--connect port must be an integer, got {port_text!r}"
-        ) from None
-    if not 0 < port <= 65535:
-        raise ConfigError(f"--connect port out of range: {port}")
-    return host, port
-
-
 def _cmd_serve(args) -> int:
     import asyncio
     import json
@@ -800,16 +786,9 @@ def _cmd_serve(args) -> int:
     import signal
 
     from repro.cluster import HedgeConfig, load_cluster
-    from repro.errors import ConfigError
     from repro.gateway import GatewayConfig, SimilarityGateway
     from repro.net import GatewayServer, ServerConfig
 
-    if args.heal_interval <= 0:
-        # A zero sleep would tick the control plane on every turn of the
-        # event loop that serves the requests.
-        raise ConfigError(
-            f"--heal-interval must be > 0, got {args.heal_interval}"
-        )
     tracer = Tracer() if args.trace else NOOP_TRACER
     hedge = HedgeConfig() if args.hedge else None
     router = load_cluster(args.cluster_dir, tracer=tracer, hedge=hedge)
@@ -895,43 +874,16 @@ def _cmd_query(args) -> int:
 
     from repro.net import GatewayClient
 
-    host, port = _parse_connect(args.connect)
-    func = SimilarityFunction(args.func)
+    host, port = args.connect
     with GatewayClient(host, port, tenant=args.tenant,
                        timeout=args.timeout) as client:
         if args.status:
             print(json.dumps(client.status()))
-            return 0
-        if args.drain:
+        elif args.drain:
             client.drain()
             print("server draining", file=sys.stderr)
-            return 0
-        if args.query_file:
-            queries = [
-                list(record.tokens)
-                for record in _read_query_file(args.query_file)
-            ]
-            results = client.search_batch(
-                queries, args.theta, k=args.k, func=func
-            )
-            document = {
-                "theta": args.theta,
-                "func": func.value,
-                "results": [
-                    {"query": tokens, "hits": _hit_rows(hits)}
-                    for tokens, hits in zip(queries, results)
-                ],
-            }
         else:
-            tokens = args.query.split()
-            hits = client.search(tokens, args.theta, k=args.k, func=func)
-            document = {
-                "query": tokens,
-                "theta": args.theta,
-                "func": func.value,
-                "hits": _hit_rows(hits),
-            }
-    print(json.dumps(document))
+            _print_search(args, client, NOOP_TRACER)
     return 0
 
 
@@ -975,8 +927,7 @@ def _cmd_trace(args) -> int:
     try:
         spans = read_jsonl(args.input)
     except (ValueError, KeyError) as exc:
-        print(f"error: invalid trace file {args.input}: {exc}", file=sys.stderr)
-        return 1
+        raise DataError(f"invalid trace file {args.input}: {exc}") from None
     if args.chrome:
         events = write_chrome_trace(spans, args.chrome)
         print(f"wrote {events} trace events to {args.chrome}", file=sys.stderr)
@@ -984,27 +935,10 @@ def _cmd_trace(args) -> int:
     return 0
 
 
-_COMMANDS = {
-    "generate": _cmd_generate,
-    "stats": _cmd_stats,
-    "join": _cmd_join,
-    "topk": _cmd_topk,
-    "estimate": _cmd_estimate,
-    "index": _cmd_index,
-    "search": _cmd_search,
-    "ingest": _cmd_ingest,
-    "cluster": _cmd_cluster,
-    "serve": _cmd_serve,
-    "query": _cmd_query,
-    "chaos": _cmd_chaos,
-    "trace": _cmd_trace,
-}
-
-
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    args = _build_parser().parse_args(argv)
     try:
-        return _COMMANDS[args.command](args)
+        args = _build_parser().parse_args(argv)
+        return args.handler(args)
     except (ReproError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

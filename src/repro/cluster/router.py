@@ -604,7 +604,7 @@ class ClusterRouter:
     ) -> PartialSearchResult:
         """A search is a batch of one through :meth:`_serve`."""
         answers, _slots = self._serve(
-            [tokens], theta, func, deadline, allow_partial=allow_partial,
+            [tokens], theta, func, k, deadline, allow_partial=allow_partial,
         )
         hits, missing_shards, missing_fragments = answers[0]
         if missing_shards:
@@ -621,14 +621,15 @@ class ClusterRouter:
         queries: Sequence[Iterable[str]],
         theta: float,
         func: SimilarityFunction,
+        k: Optional[int],
         deadline: Optional[float],
         allow_partial: bool = False,
     ) -> Tuple[List[_Answer], List[int]]:
         """Admit once, scatter, enforce the deadline — every entry point's
         one way into the cluster.  Returns :meth:`_batch_scatter`'s
-        per-distinct-query answers and input → answer slots.  θ/func are
+        per-distinct-query answers and input → answer slots.  θ/func/k are
         checked here: a batch that routes to no shard must not skip it."""
-        func = checked_probe_args(theta, func)
+        func = checked_probe_args(theta, func, k)
         # One clock for everything: deadlines, breakers and the latency
         # histogram all read ``self._clock``, so injected (chaos) latency
         # is visible in ``latency`` — and shed or deadline-exceeded
@@ -727,7 +728,7 @@ class ClusterRouter:
         first answer wins; replicas serve the same slice, so the result
         is bit-identical either way).
         """
-        answers, slots = self._serve(queries, theta, func, deadline)
+        answers, slots = self._serve(queries, theta, func, k, deadline)
         self.metrics.increment(ROUTE_GROUP, "batches")
         self.metrics.increment(ROUTE_GROUP, "batch_deduped",
                                len(queries) - len(answers))

@@ -57,7 +57,13 @@ from repro.mapreduce.counters import Counters
 from repro.observability.histogram import LatencyHistogram
 from repro.observability.tracer import Tracer
 from repro.service.cache import LRUCache
-from repro.service.index import QueryKey, SearchHit, query_key, view_hits
+from repro.service.index import (
+    QueryKey,
+    SearchHit,
+    checked_probe_args,
+    query_key,
+    view_hits,
+)
 from repro.similarity.functions import SimilarityFunction
 
 GATEWAY_GROUP = "gateway"
@@ -200,9 +206,11 @@ class SimilarityGateway:
         ``deadline`` (seconds on the gateway clock) is enforced *per
         request*: an overrun raises a typed
         :class:`~repro.errors.DeadlineExceededError` for this caller
-        only, never for the batch it rode in.
+        only, never for the batch it rode in.  θ, ``func`` and ``k`` are
+        checked before the request is admitted (a typed
+        :class:`~repro.errors.ConfigError`).
         """
-        func = SimilarityFunction(func)
+        func = checked_probe_args(theta, func, k)
         started = self._clock()
         deadline_at = None if deadline is None else started + deadline
         self.metrics.increment(GATEWAY_GROUP, "requests")

@@ -169,6 +169,10 @@ class StreamingIndex:
         and manifest v1 committed, so recovery always has a state to start
         from.
         """
+        if n_vertical < 1:
+            # Checked here, not only by the build: an empty bootstrap
+            # never reads it, and would take any value.
+            raise ConfigError(f"n_vertical must be >= 1, got {n_vertical}")
         if records is not None and len(records):
             base = SegmentIndex.build(
                 records, n_vertical=n_vertical, pivot_method=pivot_method,

@@ -103,10 +103,16 @@ class ServerConfig:
             raise ConfigError("max_frame must be >= 1")
         if self.max_inflight < 1:
             raise ConfigError("max_inflight must be >= 1")
-        if self.frame_timeout is not None and self.frame_timeout <= 0:
-            raise ConfigError("frame_timeout must be positive (or None)")
-        if self.drain_grace < 0:
-            raise ConfigError("drain_grace must be >= 0")
+        # Written so that NaN fails them: every comparison with NaN is False.
+        if self.frame_timeout is not None and not self.frame_timeout > 0:
+            raise ConfigError(
+                f"frame_timeout must be positive (or None), got "
+                f"{self.frame_timeout}"
+            )
+        if not self.drain_grace >= 0:
+            raise ConfigError(
+                f"drain_grace must be >= 0, got {self.drain_grace}"
+            )
 
 
 class _Connection:

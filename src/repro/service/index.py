@@ -144,7 +144,7 @@ def view_hits(
     else:
         hits = list(hits)
     if k is not None:
-        hits = hits[: max(k, 0)]
+        hits = hits[:k]
     return hits
 
 
@@ -688,15 +688,20 @@ class SegmentIndex:
         self._init_transient()
 
 
-def checked_probe_args(theta: float, func) -> SimilarityFunction:
-    """A probe's ``func`` as the enum and its θ in ``(0, 1]``, or a typed
-    :class:`ConfigError` — decided before the queries are looked at, so
-    an empty batch and an empty query are judged like any other."""
+def checked_probe_args(
+    theta: float, func, k: Optional[int] = None
+) -> SimilarityFunction:
+    """A probe's ``func`` as the enum, its θ in ``(0, 1]`` and its ``k``
+    (``None`` or ≥ 1), or a typed :class:`ConfigError` — decided before
+    the queries are looked at, so an empty batch and an empty query are
+    judged like any other."""
     try:
         func = SimilarityFunction(func)
     except ValueError:
         raise ConfigError(f"unknown similarity function {func!r}") from None
     check_threshold(theta)
+    if k is not None and k < 1:
+        raise ConfigError(f"k must be >= 1, got {k}")
     return func
 
 

@@ -8,6 +8,7 @@ import pytest
 
 from repro.cli import main
 from repro.data import load_records, make_corpus, save_records
+from tests.test_cli_errors import assert_one_line_error
 
 
 @pytest.fixture
@@ -70,9 +71,12 @@ class TestJoin:
     def test_rs_join_wrong_algorithm(self, corpus_file, tmp_path, capsys):
         right = tmp_path / "right.txt"
         save_records(make_corpus("wiki", 10, seed=4), right)
-        code = main(["join", corpus_file, "--right", str(right),
-                     "--algorithm", "vsmart"])
-        assert code == 2
+        assert_one_line_error(
+            capsys,
+            ["join", corpus_file, "--right", str(right),
+             "--algorithm", "vsmart"],
+            match="fsjoin algorithms only",
+        )
 
     def test_metrics_summary_on_stderr(self, corpus_file, capsys):
         main(["join", corpus_file, "--theta", "0.9", "--vertical", "6"])
@@ -177,15 +181,17 @@ class TestIndexSearch:
     def test_search_bad_snapshot(self, tmp_path, capsys):
         bad = tmp_path / "bad.idx"
         bad.write_bytes(b"garbage")
-        code = main(["search", str(bad), "--query", "a b", "--theta", "0.5"])
-        assert code == 1
-        assert "error:" in capsys.readouterr().err
+        assert_one_line_error(
+            capsys, ["search", str(bad), "--query", "a b", "--theta", "0.5"]
+        )
 
     def test_search_missing_snapshot(self, tmp_path, capsys):
-        code = main(["search", str(tmp_path / "absent.idx"),
-                     "--query", "a", "--theta", "0.5"])
-        assert code == 1
-        assert "no snapshot" in capsys.readouterr().err
+        assert_one_line_error(
+            capsys,
+            ["search", str(tmp_path / "absent.idx"),
+             "--query", "a", "--theta", "0.5"],
+            match="no snapshot",
+        )
 
 
 class TestTrace:
@@ -249,8 +255,9 @@ class TestTrace:
     def test_trace_subcommand_bad_file(self, tmp_path, capsys):
         bad = tmp_path / "bad.jsonl"
         bad.write_text("not json\n")
-        assert main(["trace", str(bad)]) == 1
-        assert "error:" in capsys.readouterr().err
+        assert_one_line_error(
+            capsys, ["trace", str(bad)], match="invalid trace file"
+        )
 
 
 class TestCluster:
@@ -315,15 +322,18 @@ class TestCluster:
         assert doc["health"] == [[True, True]] * 4
 
     def test_fail_shard_out_of_range(self, cluster_dir, capsys):
-        code = main(["cluster", "search", cluster_dir, "--rid", "0",
-                     "--theta", "0.6", "--fail-shard", "9"])
-        assert code == 1
-        assert "out of range" in capsys.readouterr().err
+        assert_one_line_error(
+            capsys,
+            ["cluster", "search", cluster_dir, "--rid", "0",
+             "--theta", "0.6", "--fail-shard", "9"],
+            match="out of range",
+        )
 
     def test_missing_cluster_dir(self, tmp_path, capsys):
-        code = main(["cluster", "status", str(tmp_path / "nowhere")])
-        assert code == 1
-        assert "no cluster manifest" in capsys.readouterr().err
+        assert_one_line_error(
+            capsys, ["cluster", "status", str(tmp_path / "nowhere")],
+            match="no cluster manifest",
+        )
 
 
 class TestIngest:
@@ -365,11 +375,10 @@ class TestIngest:
         assert "ingest" in phases
 
     def test_bad_base_is_typed(self, corpus_file, capsys):
-        code = main(["ingest", corpus_file, "--base", "999"])
-        assert code == 1
-        err = capsys.readouterr().err
-        assert "error:" in err
-        assert "Traceback" not in err
+        assert_one_line_error(
+            capsys, ["ingest", corpus_file, "--base", "999"],
+            match="--base 999 out of range",
+        )
 
     def test_chaos_ingest_scenario(self, capsys):
         code = main(["chaos", "--seed", "11", "--scenario", "ingest"])
@@ -462,15 +471,15 @@ class TestServeAndQuery:
 
 
 class TestErrors:
+    """Error paths, each held to ``assert_one_line_error``'s contract."""
+
     def test_missing_stats_file(self, capsys):
-        code = main(["stats", "/nonexistent/path.txt"])
-        assert code == 1
-        assert "error:" in capsys.readouterr().err
+        assert_one_line_error(capsys, ["stats", "/nonexistent/path.txt"])
 
     def test_missing_join_file(self, tmp_path, capsys):
-        code = main(["join", str(tmp_path / "missing.txt"), "--quiet"])
-        assert code == 1
-        assert "error:" in capsys.readouterr().err
+        assert_one_line_error(
+            capsys, ["join", str(tmp_path / "missing.txt"), "--quiet"]
+        )
 
     @pytest.fixture
     def index_file(self, corpus_file, tmp_path, capsys):
@@ -481,26 +490,25 @@ class TestErrors:
         return str(path)
 
     def test_search_unknown_rid(self, index_file, capsys):
-        code = main(["search", index_file, "--rid", "999", "--theta", "0.5"])
-        assert code == 1
-        err = capsys.readouterr().err
-        assert "error: unknown --rid 999" in err
-        assert "Traceback" not in err
+        assert_one_line_error(
+            capsys, ["search", index_file, "--rid", "999", "--theta", "0.5"],
+            match="error: unknown --rid 999",
+        )
 
     def test_search_missing_query_file(self, index_file, tmp_path, capsys):
-        code = main(["search", index_file, "--theta", "0.5",
-                     "--query-file", str(tmp_path / "absent.txt")])
-        assert code == 1
-        err = capsys.readouterr().err
-        assert "error: cannot read query file" in err
-        assert "Traceback" not in err
+        assert_one_line_error(
+            capsys,
+            ["search", index_file, "--theta", "0.5",
+             "--query-file", str(tmp_path / "absent.txt")],
+            match="error: cannot read query file",
+        )
 
     def test_search_binary_query_file(self, index_file, tmp_path, capsys):
         binary = tmp_path / "blob.bin"
         binary.write_bytes(b"\xff\xfe\x00garbage\x80")
-        code = main(["search", index_file, "--theta", "0.5",
-                     "--query-file", str(binary)])
-        assert code == 1
-        err = capsys.readouterr().err
-        assert "error:" in err and "not readable UTF-8" in err
-        assert "Traceback" not in err
+        assert_one_line_error(
+            capsys,
+            ["search", index_file, "--theta", "0.5",
+             "--query-file", str(binary)],
+            match="not readable UTF-8",
+        )

@@ -272,3 +272,149 @@ class TestEveryVerbFailsClosed:
 
     def test_trace_missing_file(self, tmp_path, capsys):
         assert_one_line_error(capsys, ["trace", str(tmp_path / "nope.jsonl")])
+
+
+@pytest.fixture
+def cluster_dir(tmp_path, corpus_file, capsys):
+    path = tmp_path / "c"
+    assert main(["cluster", "build", corpus_file, "--shards", "2",
+                 "--output", str(path)]) == 0
+    capsys.readouterr()
+    return str(path)
+
+
+class TestBadValuesBelowTheParser:
+    """Values of the right type that a library layer range-checks: the
+    CLI passes them through and prints the layer's typed error."""
+
+    @pytest.mark.parametrize("k", ["0", "-1"])
+    def test_search_k_below_one(self, index_file, capsys, k):
+        assert_one_line_error(
+            capsys, ["search", index_file, "--query", "a b", "-k", k],
+            match=f"k must be >= 1, got {k}",
+        )
+
+    @pytest.mark.parametrize("k", ["0", "-1"])
+    def test_cluster_search_k_below_one(self, cluster_dir, capsys, k):
+        assert_one_line_error(
+            capsys,
+            ["cluster", "search", cluster_dir, "--query", "a b", "-k", k],
+            match=f"k must be >= 1, got {k}",
+        )
+
+    def test_ingest_vertical_zero_with_no_base(self, corpus_file, capsys):
+        assert_one_line_error(
+            capsys, ["ingest", corpus_file, "--vertical", "0"],
+            match="n_vertical must be >= 1, got 0",
+        )
+
+    @pytest.mark.parametrize("flag, field", [
+        ("--frame-timeout", "frame_timeout"),
+        ("--drain-grace", "drain_grace"),
+    ])
+    def test_serve_nan_duration(self, cluster_dir, capsys, monkeypatch,
+                                flag, field):
+        import asyncio
+
+        def never_serve(coro):
+            coro.close()
+            raise AssertionError(f"serve {flag} nan started the server")
+
+        monkeypatch.setattr(asyncio, "run", never_serve)
+        assert_one_line_error(
+            capsys, ["serve", cluster_dir, "--port", "0", flag, "nan"],
+            match=f"{field} must be",
+        )
+
+
+class TestBadFlags:
+    """Usage errors take the same path as every other failure: exit 1 and
+    one ``error: --flag ...`` line, never argparse's exit 2 and usage
+    block.  Nothing here reads a file: parsing fails first."""
+
+    USAGE_ERRORS = [
+        (["query", "--connect", "h:1", "--query", "a", "--timeout", "-1"],
+         "--timeout must be > 0"),
+        (["query", "--connect", "h:1", "--query", "a", "--timeout", "0"],
+         "--timeout must be > 0"),
+        (["query", "--connect", "h:1", "--query", "a", "--timeout", "nan"],
+         "--timeout must be > 0"),
+        (["query", "--connect", "h:1", "--query", "a", "--timeout", "inf"],
+         "--timeout must be > 0"),
+        (["search", "x.idx", "--rid", "nan"], "--rid invalid int value"),
+        (["serve", "c", "--heal", "--heal-interval", "nan"],
+         "--heal-interval must be > 0"),
+        (["ingest", "x.txt", "--batch-size", "0"], "--batch-size must be >= 1"),
+        (["join", "x.txt", "--func", "hamming"], "--func invalid choice"),
+        (["search", "x.idx"], "one of the arguments --query"),
+        (["index", "x.txt"], "the following arguments are required: --output"),
+        (["cluster"], "required: cluster_command"),
+        (["nope"], "invalid choice: 'nope'"),
+        (["stats", "x.txt", "--bogus"], "unrecognized arguments: --bogus"),
+    ]
+
+    @pytest.mark.parametrize("argv, match", USAGE_ERRORS,
+                             ids=[" ".join(argv) for argv, _ in USAGE_ERRORS])
+    def test_usage_error_is_one_line(self, capsys, argv, match):
+        assert_one_line_error(capsys, argv, match=match)
+
+    def test_help_still_exits_zero(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["search", "-h"])
+        assert exit_info.value.code == 0
+        assert "--query-file" in capsys.readouterr().out
+
+    def test_every_typed_flag_of_every_verb(self, capsys, monkeypatch):
+        """Walk the parser: every option of every verb and sub-verb, fed
+        values its type refuses, is one ``error: <flag>`` line."""
+        import argparse
+        import functools
+
+        from repro import cli
+        from repro.cli import (
+            _build_parser,
+            host_port,
+            positive_float,
+            positive_int,
+        )
+
+        # A parser is reusable; building one per sample would be most of
+        # this test's time.
+        monkeypatch.setattr(cli, "_build_parser",
+                            functools.lru_cache()(_build_parser))
+
+        samples = {
+            int: ("x", "1.5", "nan"),
+            float: ("x",),
+            positive_int: ("0", "-1", "x"),
+            positive_float: ("0", "-1", "nan", "inf"),
+            host_port: ("nohost", "h:x", "h:0", "h:70000"),
+        }
+
+        def verbs(parser, path):
+            yield path, parser
+            for action in parser._actions:
+                if isinstance(action, argparse._SubParsersAction):
+                    for name, child in action.choices.items():
+                        yield from verbs(child, path + [name])
+
+        checked = 0
+        for path, parser in verbs(_build_parser(), []):
+            for action in parser._actions:
+                if not action.option_strings or action.type is None:
+                    continue
+                assert action.type in samples, (
+                    f"{' '.join(path)} {action.option_strings[0]}: no "
+                    f"invalid samples for type {action.type!r}"
+                )
+                flag = action.option_strings[0]
+                for sample in samples[action.type]:
+                    code = main(path + [flag, sample])
+                    err = capsys.readouterr().err
+                    lines = [line for line in err.splitlines() if line]
+                    assert code == 1, (path, flag, sample)
+                    assert len(lines) == 1, (path, flag, sample, lines)
+                    assert lines[0].startswith(f"error: {flag} "), lines
+                    assert "Traceback" not in err
+                    checked += 1
+        assert checked > 100

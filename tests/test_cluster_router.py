@@ -442,6 +442,18 @@ class TestThetaFuncValidation:
             with pytest.raises(ConfigError, match="similarity function"):
                 call(self.QUERIES[shape], 0.5, "bogus")
 
+    @pytest.mark.parametrize("k", [0, -1])
+    @pytest.mark.parametrize("shape", sorted(QUERIES))
+    def test_k_below_one_is_a_config_error(self, cluster, shape, k):
+        queries = self.QUERIES[shape]
+        calls = [lambda: cluster.search_batch(queries, 0.5, k=k)]
+        if shape != "empty-batch":
+            calls += [lambda: cluster.search(queries[0], 0.5, k=k),
+                      lambda: cluster.search_partial(queries[0], 0.5, k=k)]
+        for call in calls:
+            with pytest.raises(ConfigError, match=f"k must be >= 1, got {k}"):
+                call()
+
     @pytest.mark.parametrize("shape", sorted(QUERIES))
     def test_good_arguments_still_answer(self, entry_points, shape):
         for call in entry_points.values():

@@ -133,6 +133,13 @@ class TestWritePath:
         with pytest.raises(ConfigError):
             IngestConfig(fanout=1)
 
+    @pytest.mark.parametrize("records", [None, RecordCollection([])])
+    def test_n_vertical_below_one_is_typed_without_records(self, records):
+        """An empty bootstrap never builds, so nothing else would read it."""
+        with pytest.raises(ConfigError, match="n_vertical must be >= 1"):
+            StreamingIndex.create(InMemoryDFS(), records=records,
+                                  n_vertical=0)
+
 
 class TestRecovery:
     def test_recover_roundtrip_is_probe_identical(self, corpus):

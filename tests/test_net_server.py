@@ -311,6 +311,14 @@ class TestMalformedPayloads:
                 client.search([], 1.5)
             assert client.search([], THETA) == []
 
+    def test_k_below_one_is_the_local_typed_error(self, harness):
+        """``k`` is judged like θ: by the gateway, even for an empty query."""
+        host, port = harness.address
+        with GatewayClient(host, port, tenant="t") as client:
+            with pytest.raises(ConfigError, match="k must be >= 1, got 0"):
+                client.search([], THETA, k=0)
+            assert client.search([], THETA, k=1) == []
+
 
 class TestTornFramesAndRetry:
     def test_torn_frame_reassembles(self, corpus, index, harness):
@@ -436,6 +444,15 @@ class TestDrain:
             status = client.status()
         assert "net" in status and "gateway" in status
         assert status["draining"] is False
+
+
+class TestServerConfig:
+    @pytest.mark.parametrize("field", ["frame_timeout", "drain_grace"])
+    def test_nan_duration_is_refused(self, field):
+        """NaN fails every comparison, so a ``<= 0`` guard would let it
+        through to the event loop; the guards are written so it fails."""
+        with pytest.raises(ConfigError, match=f"{field} must be"):
+            ServerConfig(**{field: float("nan")})
 
 
 class TestStall:
