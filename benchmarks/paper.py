@@ -786,7 +786,7 @@ def ext_cluster_rebalance():
     router = build_cluster(index, n_shards=4, replication=2)
     before_hits = [router.search(q, 0.6) for q in probes]
     before = router.heat_report()
-    moves = router.rebalance(skew_threshold=1.0, max_moves=8)
+    moves = router.rebalance()
     after = router.heat_report()
     after_hits = [router.search(q, 0.6) for q in probes]
     return [

@@ -337,7 +337,6 @@ def run_join_scenario(
         ClusterSpec(executor=executor),
         failure_injector=rig.schedule.task_failure,
         straggler_injector=rig.schedule.straggler,
-        speculative=True,
         tracer=rig.tracer,
     )
     join = FSJoin(join_config, mr_cluster, dfs=dfs)

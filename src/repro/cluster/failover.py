@@ -39,6 +39,12 @@ from repro.errors import ConfigError
 from repro.mapreduce.shuffle import stable_hash
 
 
+#: Growth of the backoff per retry attempt.
+BACKOFF_MULTIPLIER = 2.0
+#: Half-width of the jitter factor's range around 1.
+BACKOFF_JITTER = 0.5
+
+
 class BreakerState(str, enum.Enum):
     """Where a replica's circuit breaker currently stands."""
 
@@ -53,18 +59,17 @@ class RetryPolicy:
 
     ``backoff(key, attempt)`` for attempt ``0..max_retries-1`` is::
 
-        min(max_delay, base_delay * multiplier**attempt) * jitter_factor
+        min(max_delay, base_delay * BACKOFF_MULTIPLIER**attempt) * jitter_factor
 
-    where ``jitter_factor`` is drawn uniformly from ``[1-jitter, 1+jitter]``
-    by hashing ``(seed, key, attempt)`` — no global RNG state, so two
-    requests (or two runs) with the same key wait identically.
+    where ``jitter_factor`` is drawn uniformly from
+    ``[1-BACKOFF_JITTER, 1+BACKOFF_JITTER]`` by hashing ``(seed, key,
+    attempt)`` — no global RNG state, so two requests (or two runs) with
+    the same key wait identically.
     """
 
     max_retries: int = 1
     base_delay: float = 0.005
-    multiplier: float = 2.0
     max_delay: float = 0.1
-    jitter: float = 0.5
     seed: int = 0
 
     def __post_init__(self) -> None:
@@ -72,14 +77,13 @@ class RetryPolicy:
             raise ConfigError("max_retries must be >= 0")
         if self.base_delay < 0 or self.max_delay < 0:
             raise ConfigError("backoff delays must be >= 0")
-        if not 0.0 <= self.jitter < 1.0:
-            raise ConfigError("jitter must be in [0, 1)")
 
     def backoff(self, key: Any, attempt: int) -> float:
         """Seconds to wait before retry number ``attempt`` (0-based)."""
-        raw = min(self.max_delay, self.base_delay * self.multiplier ** attempt)
+        raw = min(self.max_delay,
+                  self.base_delay * BACKOFF_MULTIPLIER ** attempt)
         unit = stable_hash((self.seed, key, attempt)) % 10_000 / 10_000.0
-        return raw * (1.0 - self.jitter + 2.0 * self.jitter * unit)
+        return raw * (1.0 - BACKOFF_JITTER + 2.0 * BACKOFF_JITTER * unit)
 
 
 @dataclass(frozen=True)

@@ -64,6 +64,11 @@ HEALTH_GROUP = "cluster.health"
 #: Events a control plane keeps (the newest): a ``repro serve --heal``
 #: process ticks for its whole life, and its journal must not grow with it.
 EVENT_LOG_LIMIT = 1_000
+#: Repairs drained per tick, so detection never starves behind rebuilds.
+MAX_REPAIRS_PER_TICK = 2
+#: Failed rebuilds of one target before it is abandoned (state stays
+#: terminal, event ``rebuild-abandoned``).
+MAX_REBUILD_ATTEMPTS = 3
 
 #: A repair target: a replica's ``(shard, replica)`` or :data:`INGEST`.
 Target = Union[Tuple[int, int], Tuple[str]]
@@ -88,19 +93,14 @@ class HealthConfig:
     ``miss_budget`` — consecutive missed heartbeats before a suspect is
     declared dead.  ``scrub_interval`` — ticks between anti-entropy
     digest sweeps.  ``verify_probes`` — seeded probes per readmission
-    verification.  ``auto_repair=False`` detects and quarantines but
-    leaves rebuilding to the operator.  ``max_repairs_per_tick`` bounds
-    repair work per tick so detection never starves behind rebuilds.
-    ``max_rebuild_attempts`` caps retries before a replica is abandoned
-    (state stays terminal, event ``rebuild-abandoned``).
+    verification.  Every tick drains up to :data:`MAX_REPAIRS_PER_TICK`
+    queued repairs, and a target is abandoned after
+    :data:`MAX_REBUILD_ATTEMPTS` failed rebuilds.
     """
 
     miss_budget: int = 3
     scrub_interval: int = 4
     verify_probes: int = 4
-    auto_repair: bool = True
-    max_repairs_per_tick: int = 2
-    max_rebuild_attempts: int = 3
 
     def __post_init__(self) -> None:
         if self.miss_budget < 1:
@@ -109,10 +109,6 @@ class HealthConfig:
             raise ConfigError("scrub_interval must be >= 1")
         if self.verify_probes < 1:
             raise ConfigError("verify_probes must be >= 1")
-        if self.max_repairs_per_tick < 1:
-            raise ConfigError("max_repairs_per_tick must be >= 1")
-        if self.max_rebuild_attempts < 1:
-            raise ConfigError("max_rebuild_attempts must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -225,8 +221,7 @@ class ControlPlane:
         self._detect()
         if self._tick % self.config.scrub_interval == 0:
             self._scrub()
-        if self.config.auto_repair:
-            self._drain_repairs()
+        self._drain_repairs()
         self.tracer.add(
             "health-tick", "health",
             start=start, duration=time.perf_counter() - start,
@@ -344,7 +339,7 @@ class ControlPlane:
             self._queue.append(target)
 
     def _drain_repairs(self) -> None:
-        budget = self.config.max_repairs_per_tick
+        budget = MAX_REPAIRS_PER_TICK
         while self._queue and budget > 0:
             budget -= 1
             self._repair(self._queue.pop(0))
@@ -390,7 +385,7 @@ class ControlPlane:
         attempts = self._attempts[target]
         self.metrics.increment(HEALTH_GROUP, "rebuild_failures")
         self._states[target] = prior
-        if attempts < self.config.max_rebuild_attempts:
+        if attempts < MAX_REBUILD_ATTEMPTS:
             self._event("rebuild-failed", name,
                         f"attempt {attempts}: {why}")
             self._enqueue(target)

@@ -52,8 +52,8 @@ trace shows *how* a degraded request was answered.
 
 The router also keeps per-fragment *heat* counters (how many probes
 touched each fragment).  :meth:`rebalance` turns observed heat into
-placement: while the hottest shard exceeds ``skew_threshold`` times the
-mean, its hottest fragment migrates to the lightest shard — postings and
+placement: while the hottest shard exceeds :data:`SKEW_THRESHOLD` times
+the mean, its hottest fragment migrates to the lightest shard — postings and
 record metadata ship peer-to-peer via
 :meth:`~repro.cluster.node.ShardSlice.extract_fragment` — and the plan is
 updated in place.  Search results are bit-identical before and after a
@@ -112,6 +112,15 @@ from repro.cluster.node import IngestNode, ShardNode
 from repro.cluster.plan import ShardPlan
 
 ROUTE_GROUP = "cluster.route"
+#: Requests a router admits at once.
+MAX_IN_FLIGHT = 64
+#: Seconds a request may wait for admission before it is shed.
+QUEUE_TIMEOUT = 0.25
+#: :meth:`ClusterRouter.rebalance` migrates while the hottest shard's
+#: load is above this multiple of the mean ...
+SKEW_THRESHOLD = 1.0
+#: ... and makes at most this many migrations per call.
+MAX_MOVES = 8
 
 #: One distinct query's gathered answer:
 #: ``(merged hits, missing shard ids, missing fragment ids)``.
@@ -156,8 +165,6 @@ class ClusterRouter:
         partitioner: VerticalPartitioner,
         plan: ShardPlan,
         groups: Sequence[Sequence[ShardNode]],
-        max_in_flight: int = 64,
-        queue_timeout: float = 0.25,
         tracer: Optional[Tracer] = None,
         retry: Optional[RetryPolicy] = None,
         breaker: Optional[BreakerConfig] = None,
@@ -166,9 +173,9 @@ class ClusterRouter:
         sleep=time.sleep,
     ) -> None:
         """``groups[s]`` is shard ``s``'s replica list (all non-empty, same
-        length = the replication factor).  ``max_in_flight`` bounds
+        length = the replication factor).  :data:`MAX_IN_FLIGHT` bounds
         concurrently admitted requests; one that cannot be admitted within
-        ``queue_timeout`` seconds is shed with
+        :data:`QUEUE_TIMEOUT` seconds is shed with
         :class:`ClusterOverloadError`.  ``retry`` is the per-leg retry
         budget, ``breaker`` shapes the per-replica circuit breakers;
         ``hedge`` (default off) enables deadline-aware hedged scatter — see
@@ -184,8 +191,6 @@ class ClusterRouter:
             )
         if any(not group for group in groups):
             raise ConfigError("every shard needs at least one replica")
-        if max_in_flight < 1:
-            raise ConfigError("max_in_flight must be >= 1")
         self.order = order
         self.vocab = TokenVocab(order)
         self.partitioner = partitioner
@@ -210,8 +215,7 @@ class ClusterRouter:
             [self._breaker_config.build(clock) for _ in group]
             for group in self._groups
         ]
-        self._admission = threading.BoundedSemaphore(max_in_flight)
-        self.queue_timeout = queue_timeout
+        self._admission = threading.BoundedSemaphore(MAX_IN_FLIGHT)
         self._lock = threading.Lock()
         #: fragment id → probes that touched it (the rebalancer's heat map).
         self._heat: Dict[int, int] = {}
@@ -637,11 +641,11 @@ class ClusterRouter:
         started = self._clock()
         deadline_at = None if deadline is None else started + deadline
         try:
-            if not self._admission.acquire(timeout=self.queue_timeout):
+            if not self._admission.acquire(timeout=QUEUE_TIMEOUT):
                 self.metrics.increment(ROUTE_GROUP, "shed")
                 raise ClusterOverloadError(
                     f"cluster at max in-flight capacity; request shed after "
-                    f"{self.queue_timeout:.3f}s in queue"
+                    f"{QUEUE_TIMEOUT:.3f}s in queue"
                 )
             try:
                 self._check_deadline(deadline_at)
@@ -1065,29 +1069,26 @@ class ClusterRouter:
                 )
 
     # -- skew-aware rebalancing ----------------------------------------
-    def rebalance(
-        self, skew_threshold: float = 1.5, max_moves: int = 8
-    ) -> List[Migration]:
+    def rebalance(self) -> List[Migration]:
         """Migrate hot fragments until observed shard load is balanced.
 
         While the hottest shard's observed probe load exceeds
-        ``skew_threshold`` × the mean, its hottest fragment moves to the
-        currently coldest shard — but only when the move strictly lowers
-        the maximum (otherwise greedy migration would oscillate).  Returns
-        the migrations performed; search results are identical before and
-        after (the claim rule only depends on *which* shard owns a
-        fragment, not on history).
+        :data:`SKEW_THRESHOLD` × the mean, its hottest fragment moves to
+        the currently coldest shard — but only when the move strictly
+        lowers the maximum (otherwise greedy migration would oscillate),
+        and at most :data:`MAX_MOVES` times.  Returns the migrations
+        performed; search results are identical before and after (the
+        claim rule only depends on *which* shard owns a fragment, not on
+        history).
         """
-        if skew_threshold < 1.0:
-            raise ConfigError("skew_threshold must be >= 1.0")
         moves: List[Migration] = []
-        for _ in range(max_moves):
+        for _ in range(MAX_MOVES):
             heat = self.fragment_heat()
             loads = [0] * self.n_shards
             for fragment, count in heat.items():
                 loads[self.plan.shard_of(fragment)] += count
             report = summarize_loads(loads)
-            if report.mean_bytes == 0 or report.max_over_mean <= skew_threshold:
+            if report.mean_bytes == 0 or report.max_over_mean <= SKEW_THRESHOLD:
                 break
             src = max(range(self.n_shards), key=lambda s: (loads[s], -s))
             dst = min(range(self.n_shards), key=lambda s: (loads[s], s))

@@ -91,6 +91,10 @@ class TenantConfig:
             raise ConfigError("max_outstanding must be >= 1")
 
 
+#: The policy of every tenant :attr:`GatewayConfig.tenants` does not list.
+DEFAULT_TENANT = TenantConfig()
+
+
 @dataclass(frozen=True)
 class GatewayConfig:
     """Shape of one gateway: batching bounds, cache, tenant policies."""
@@ -104,9 +108,8 @@ class GatewayConfig:
     via ``apply_batch`` or an ingest generation swap since) is treated
     as a miss and recomputed, so post-ingest probes never serve stale
     coalesced results."""
-    default_tenant: TenantConfig = field(default_factory=TenantConfig)
     tenants: Mapping[str, TenantConfig] = field(default_factory=dict)
-    """Per-tenant overrides; unlisted tenants get ``default_tenant``."""
+    """Per-tenant overrides; unlisted tenants get :data:`DEFAULT_TENANT`."""
 
     def __post_init__(self) -> None:
         if self.max_batch < 1:
@@ -115,7 +118,7 @@ class GatewayConfig:
             raise ConfigError("cache_size must be >= 0")
 
     def tenant(self, name: str) -> TenantConfig:
-        return self.tenants.get(name, self.default_tenant)
+        return self.tenants.get(name, DEFAULT_TENANT)
 
 
 @dataclass(frozen=True)

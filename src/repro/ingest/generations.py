@@ -64,6 +64,8 @@ from repro.service.snapshot import pack_payload, unpack_payload
 
 CURRENT_NAME = "CURRENT"
 COMMITTED_NAME = "COMMITTED"
+#: Manifest versions kept on the DFS: the live one and the two before it.
+KEEP_MANIFESTS = 3
 #: Format tag inside each persisted generation payload.
 SEGMENT_FORMAT = "repro-ingest-segment"
 #: Payload layout version.  6: the index's pickled state without its order,
@@ -265,10 +267,9 @@ class GenerationStore:
 class ManifestStore:
     """Versioned manifests plus the CURRENT commit pointer."""
 
-    def __init__(self, dfs: InMemoryDFS, root: str, keep: int = 3) -> None:
+    def __init__(self, dfs: InMemoryDFS, root: str) -> None:
         self.dfs = dfs
         self.root = root.rstrip("/")
-        self.keep = max(1, keep)
 
     # -- paths (also the chaos drill's kill-point targets) -------------
     @property
@@ -307,7 +308,7 @@ class ManifestStore:
             self.committed_path, [("version", version)], overwrite=True
         )
         for path in self.version_paths():
-            if path < self.version_path(version - self.keep + 1):
+            if path < self.version_path(version - KEEP_MANIFESTS + 1):
                 self.dfs.delete(path)
         return version
 

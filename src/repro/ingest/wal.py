@@ -38,6 +38,8 @@ from repro.mapreduce.hdfs import InMemoryDFS
 #: Entry kinds: a record belonging to a batch, and the batch's fsync point.
 KIND_RECORD = "record"
 KIND_COMMIT = "commit"
+#: Entries a segment holds before appends roll to the next one.
+SEGMENT_ENTRIES = 256
 
 
 def entry_digest(seq: int, kind: str, batch_id: int, payload) -> str:
@@ -88,17 +90,9 @@ class WriteAheadLog:
     sequence numbers are burned but never reused.
     """
 
-    def __init__(
-        self,
-        dfs: InMemoryDFS,
-        root: str,
-        segment_entries: int = 256,
-    ) -> None:
-        if segment_entries < 2:
-            raise WALError("segment_entries must be >= 2")
+    def __init__(self, dfs: InMemoryDFS, root: str) -> None:
         self.dfs = dfs
         self.root = root.rstrip("/")
-        self.segment_entries = segment_entries
         self._next_seq = 0
         self._next_batch = 0
         self._segment = 0
@@ -141,7 +135,7 @@ class WriteAheadLog:
         """
         if not records:
             raise WALError("cannot log an empty batch")
-        if self._entries_in_segment >= self.segment_entries:
+        if self._entries_in_segment >= SEGMENT_ENTRIES:
             self._segment += 1
             self._entries_in_segment = 0
         batch_id = self._next_batch
@@ -238,7 +232,7 @@ class WriteAheadLog:
         self._next_batch = result.next_batch_id
         self._segment = last_segment
         self._entries_in_segment = entries_in_last
-        if self._entries_in_segment >= self.segment_entries:
+        if self._entries_in_segment >= SEGMENT_ENTRIES:
             self._segment += 1
             self._entries_in_segment = 0
         return result

@@ -18,6 +18,8 @@ Three backends are provided:
   This is the backend that exercises real cores: FS-Join's fragments are
   independent by construction, so reduce tasks parallelize perfectly.
 
+Both parallel backends take :data:`WORKERS`, one worker per CPU core.
+
 All three backends return task results **in task-index order**, so the
 runtime's output merge and counter aggregation are bit-identical across
 backends (see ``tests/test_mapreduce_executors.py``).  Errors raised inside
@@ -42,7 +44,7 @@ import enum
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
-from typing import Any, Callable, List, Optional, Sequence, TypeVar
+from typing import Any, Callable, List, Sequence, TypeVar
 
 from repro.errors import ConfigError
 
@@ -50,6 +52,9 @@ T = TypeVar("T")
 
 #: A task function: applied to one ``(task_id, payload)`` item.
 TaskFn = Callable[[Any], T]
+
+#: Workers of a parallel backend: one per CPU core.
+WORKERS = os.cpu_count() or 1
 
 
 class ExecutorKind(str, enum.Enum):
@@ -63,10 +68,6 @@ class ExecutorKind(str, enum.Enum):
         return self.value
 
 
-def _default_workers() -> int:
-    return os.cpu_count() or 1
-
-
 class TaskExecutor:
     """Interface: run one phase's tasks and return results in task order."""
 
@@ -78,8 +79,9 @@ class TaskExecutor:
 
     def describe(self) -> str:
         """Short backend label for logs and trace span attributes."""
-        workers = getattr(self, "max_workers", None)
-        return f"{self.kind}[{workers}]" if workers else str(self.kind)
+        if self.kind is ExecutorKind.SERIAL:
+            return str(self.kind)
+        return f"{self.kind}[{WORKERS}]"
 
 
 class SerialExecutor(TaskExecutor):
@@ -96,16 +98,10 @@ class ThreadExecutor(TaskExecutor):
 
     kind = ExecutorKind.THREAD
 
-    def __init__(self, max_workers: Optional[int] = None) -> None:
-        if max_workers is not None and max_workers < 1:
-            raise ConfigError("max_workers must be >= 1")
-        self.max_workers = max_workers or _default_workers()
-
     def run_tasks(self, fn: TaskFn, items: Sequence[Any]) -> List[T]:
         if len(items) <= 1:
             return [fn(item) for item in items]
-        workers = min(self.max_workers, len(items))
-        with ThreadPoolExecutor(max_workers=workers) as pool:
+        with ThreadPoolExecutor(max_workers=min(WORKERS, len(items))) as pool:
             return list(pool.map(fn, items))
 
 
@@ -117,33 +113,18 @@ class ProcessExecutor(TaskExecutor):
     #: Target chunks per worker; >1 so a straggling chunk can be overlapped.
     CHUNKS_PER_WORKER = 4
 
-    def __init__(self, max_workers: Optional[int] = None) -> None:
-        if max_workers is not None and max_workers < 1:
-            raise ConfigError("max_workers must be >= 1")
-        self.max_workers = max_workers or _default_workers()
-
     def _chunksize(self, n_items: int) -> int:
-        return max(1, math.ceil(n_items / (self.max_workers * self.CHUNKS_PER_WORKER)))
+        return max(1, math.ceil(n_items / (WORKERS * self.CHUNKS_PER_WORKER)))
 
     def run_tasks(self, fn: TaskFn, items: Sequence[Any]) -> List[T]:
         if len(items) <= 1:
             return [fn(item) for item in items]
-        workers = min(self.max_workers, len(items))
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        with ProcessPoolExecutor(max_workers=min(WORKERS, len(items))) as pool:
             return list(pool.map(fn, items, chunksize=self._chunksize(len(items))))
 
 
-def create_executor(
-    kind: "ExecutorKind | str | TaskExecutor",
-    max_workers: Optional[int] = None,
-) -> TaskExecutor:
-    """Build a backend from its kind name (``serial``/``thread``/``process``).
-
-    A ready :class:`TaskExecutor` instance passes through unchanged so
-    callers can inject custom backends.
-    """
-    if isinstance(kind, TaskExecutor):
-        return kind
+def create_executor(kind: "ExecutorKind | str") -> TaskExecutor:
+    """Build a backend from its kind name (``serial``/``thread``/``process``)."""
     try:
         kind = ExecutorKind(kind)
     except ValueError:
@@ -152,5 +133,5 @@ def create_executor(
     if kind is ExecutorKind.SERIAL:
         return SerialExecutor()
     if kind is ExecutorKind.THREAD:
-        return ThreadExecutor(max_workers)
-    return ProcessExecutor(max_workers)
+        return ThreadExecutor()
+    return ProcessExecutor()

@@ -28,7 +28,7 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import ConfigError, ExecutionError
 from repro.mapreduce.counters import Counters
-from repro.mapreduce.executors import ExecutorKind, TaskExecutor, create_executor
+from repro.mapreduce.executors import ExecutorKind, create_executor
 from repro.mapreduce.job import JobContext, MapReduceJob
 from repro.mapreduce.metrics import JobMetrics, TaskMetrics
 from repro.mapreduce.shuffle import group_sort_key
@@ -44,6 +44,12 @@ FailureInjector = Callable[[str, int, int], bool]
 #: The delay is charged to the attempt's ``compute_seconds`` (it models a
 #: slow node, not slow work) and is what speculative execution races against.
 StragglerInjector = Callable[[str, int, int], float]
+
+#: Attempts a task gets before it aborts its job (Hadoop's default).
+MAX_TASK_ATTEMPTS = 4
+#: Simulated slowdown (seconds) past which an attempt gets a speculative
+#: backup.
+STRAGGLER_THRESHOLD = 0.1
 
 #: Attempt-id offset for speculative backup attempts: the backup of attempt
 #: ``k`` is presented to the injectors as attempt ``k + 1000``, so fault
@@ -63,21 +69,17 @@ class ClusterSpec:
         executor: Task-execution backend (``serial``/``thread``/``process``).
             ``serial`` keeps the historical single-process behaviour;
             ``process`` runs tasks on real cores.  Results are identical.
-        executor_workers: Worker cap for the parallel backends
-            (``None`` = one per CPU core).
+            The parallel backends take one worker per CPU core.
     """
 
     workers: int = 10
     map_slots: int = 3
     reduce_slots: int = 3
     executor: ExecutorKind = ExecutorKind.SERIAL
-    executor_workers: Optional[int] = None
 
     def __post_init__(self) -> None:
         if self.workers < 1 or self.map_slots < 1 or self.reduce_slots < 1:
             raise ConfigError("cluster dimensions must all be >= 1")
-        if self.executor_workers is not None and self.executor_workers < 1:
-            raise ConfigError("executor_workers must be >= 1")
         try:
             object.__setattr__(self, "executor", ExecutorKind(self.executor))
         except ValueError:
@@ -218,11 +220,8 @@ def _execute_task(
     n_reduce: int,
     has_combiner: bool,
     injector: Optional[FailureInjector],
-    max_attempts: int,
     traced: bool = False,
     straggler: Optional[StragglerInjector] = None,
-    speculative: bool = False,
-    straggler_threshold: float = 0.1,
 ) -> _TaskOutcome:
     """Run one task — including its Hadoop-style retry loop — to completion.
 
@@ -235,7 +234,7 @@ def _execute_task(
 
     **Speculative execution** (Hadoop's straggler defence): when an
     otherwise-successful attempt's injected slowdown exceeds
-    ``straggler_threshold``, a backup attempt is launched.  The race is
+    :data:`STRAGGLER_THRESHOLD`, a backup attempt is launched.  The race is
     decided deterministically from the schedule — the backup starts at the
     threshold and both attempts do identical work, so the backup wins iff
     ``threshold + backup_delay < original_delay`` — which keeps results,
@@ -248,14 +247,14 @@ def _execute_task(
     back on the outcome for the driver to adopt; a worker cannot reach the
     driver's tracer, and this keeps discarded attempts' costs visible.
 
-    After ``max_attempts`` failures the task aborts the job with an
+    After :data:`MAX_TASK_ATTEMPTS` failures the task aborts the job with an
     :class:`ExecutionError` carrying the full per-attempt failure history.
     """
     task_id, payload = item
     tracer = Tracer() if traced else NOOP_TRACER
     retries = 0
     history: List[Tuple[int, str, str]] = []
-    for attempt in range(1, max_attempts + 1):
+    for attempt in range(1, MAX_TASK_ATTEMPTS + 1):
         outcome = _run_attempt(
             job, phase, task_id, payload, n_reduce, has_combiner,
             injector, straggler, attempt, tracer, traced, history,
@@ -265,7 +264,7 @@ def _execute_task(
             continue
         metrics, out, counters, delay, span = outcome
         backups = wins = 0
-        if speculative and straggler is not None and delay > straggler_threshold:
+        if straggler is not None and delay > STRAGGLER_THRESHOLD:
             backups = 1
             backup = _run_attempt(
                 job, phase, task_id, payload, n_reduce, has_combiner,
@@ -275,7 +274,7 @@ def _execute_task(
             )
             if backup is not None:
                 b_metrics, b_out, b_counters, b_delay, b_span = backup
-                if straggler_threshold + b_delay < delay:
+                if STRAGGLER_THRESHOLD + b_delay < delay:
                     # Backup finishes first: commit it, discard the
                     # straggling original (its span stays, marked loser).
                     wins = 1
@@ -286,7 +285,7 @@ def _execute_task(
                             f"speculative-win:{phase}:{task_id}", "recovery",
                             start=time.perf_counter(), duration=0.0,
                             action="speculative-win", task_id=task_id,
-                            saved_seconds=delay - b_delay - straggler_threshold,
+                            saved_seconds=delay - b_delay - STRAGGLER_THRESHOLD,
                         )
                 else:
                     b_span.attrs["status"] = "speculative-loser"
@@ -300,7 +299,7 @@ def _execute_task(
             speculative_wins=wins,
         )
     raise ExecutionError(
-        f"{phase} task {task_id} failed {max_attempts} attempts",
+        f"{phase} task {task_id} failed {MAX_TASK_ATTEMPTS} attempts",
         attempts=tuple(history),
     )
 
@@ -314,11 +313,15 @@ class SimulatedCluster:
     attempt that may declare the attempt failed.  A failed attempt's
     partial output is discarded (tasks buffer locally and publish only on
     success, exactly like Hadoop's commit protocol) and the task is
-    retried up to ``max_task_attempts`` times before the job aborts.
+    retried up to :data:`MAX_TASK_ATTEMPTS` times before the job aborts.
+
+    ``straggler_injector`` charges simulated extra seconds to task
+    attempts; an attempt slowed past :data:`STRAGGLER_THRESHOLD` gets a
+    speculative backup attempt and the faster one wins (deterministically
+    — see :func:`_execute_task`).
 
     ``executor`` overrides the backend named by ``spec.executor``; it
-    accepts a kind name (``"serial"``/``"thread"``/``"process"``) or a
-    ready :class:`~repro.mapreduce.executors.TaskExecutor` instance.
+    accepts a kind name (``"serial"``/``"thread"``/``"process"``).
 
     ``tracer`` (default: the free no-op tracer) records one span per job,
     per map/reduce wave, and per task *attempt* — retries included, with
@@ -333,30 +336,15 @@ class SimulatedCluster:
         self,
         spec: Optional[ClusterSpec] = None,
         failure_injector: Optional[FailureInjector] = None,
-        max_task_attempts: int = 4,
-        executor: "Optional[ExecutorKind | str | TaskExecutor]" = None,
+        executor: "Optional[ExecutorKind | str]" = None,
         tracer: Optional[Tracer] = None,
         straggler_injector: Optional[StragglerInjector] = None,
-        speculative: bool = False,
-        straggler_threshold: float = 0.1,
     ) -> None:
-        """``straggler_injector`` charges simulated extra seconds to task
-        attempts; with ``speculative`` on, attempts slowed past
-        ``straggler_threshold`` get a backup attempt and the faster one
-        wins (deterministically — see :func:`_execute_task`)."""
-        if max_task_attempts < 1:
-            raise ConfigError("max_task_attempts must be >= 1")
-        if straggler_threshold <= 0:
-            raise ConfigError("straggler_threshold must be > 0")
         self.spec = spec or ClusterSpec()
         self.failure_injector = failure_injector
-        self.max_task_attempts = max_task_attempts
         self.straggler_injector = straggler_injector
-        self.speculative = speculative
-        self.straggler_threshold = straggler_threshold
         self.executor = create_executor(
-            executor if executor is not None else self.spec.executor,
-            self.spec.executor_workers,
+            executor if executor is not None else self.spec.executor
         )
         self.tracer = tracer if tracer is not None else NOOP_TRACER
 
@@ -446,11 +434,8 @@ class SimulatedCluster:
             n_reduce=n_reduce,
             has_combiner=has_combiner,
             injector=self.failure_injector,
-            max_attempts=self.max_task_attempts,
             traced=self.tracer.enabled,
             straggler=self.straggler_injector,
-            speculative=self.speculative,
-            straggler_threshold=self.straggler_threshold,
         )
         return self.executor.run_tasks(fn, list(enumerate(payloads)))
 

@@ -11,8 +11,8 @@ It pools connections (a bounded stack of idle sockets reused across
 calls), handshakes the tenant once per connection, times out reads with a
 configurable budget, and retries *idempotent* frames — search,
 search_batch, status — on connection-level failures by reconnecting and
-re-sending, with the cluster's deterministic-jitter
-:class:`~repro.cluster.failover.RetryPolicy` pacing the attempts.
+re-sending, with :data:`CLIENT_RETRY` (the cluster's deterministic-jitter
+:class:`~repro.cluster.failover.RetryPolicy`) pacing the attempts.
 ``ingest-append`` and ``drain`` are never retried: a torn connection
 leaves their outcome unknown, and re-sending could double-apply.
 
@@ -41,7 +41,6 @@ from repro.service.index import SearchHit
 from repro.similarity.functions import SimilarityFunction
 
 from .protocol import (
-    DEFAULT_MAX_FRAME,
     ERROR,
     IDEMPOTENT_KINDS,
     RESULT,
@@ -58,8 +57,8 @@ from .protocol import (
     status_frame,
 )
 
-#: Default reconnect/retry pacing: a couple of quick, jittered attempts.
-_DEFAULT_RETRY = RetryPolicy(max_retries=2, base_delay=0.02, max_delay=0.2)
+#: Reconnect/retry pacing: a couple of quick, jittered attempts.
+CLIENT_RETRY = RetryPolicy(max_retries=2, base_delay=0.02, max_delay=0.2)
 
 
 def _check_response(frame: Frame, request_id: int) -> Dict[str, Any]:
@@ -79,10 +78,9 @@ def _check_response(frame: Frame, request_id: int) -> Dict[str, Any]:
 class _SyncConnection:
     """One handshaken blocking socket plus its decode buffer."""
 
-    def __init__(self, host: str, port: int, tenant: str, timeout: float,
-                 max_frame: int) -> None:
-        self.decoder = FrameDecoder(max_frame)
-        self.max_frame = max_frame
+    def __init__(self, host: str, port: int, tenant: str,
+                 timeout: float) -> None:
+        self.decoder = FrameDecoder()
         try:
             self.sock = socket.create_connection((host, port),
                                                  timeout=timeout)
@@ -101,7 +99,7 @@ class _SyncConnection:
 
     def call(self, frame: Frame) -> Dict[str, Any]:
         try:
-            self.sock.sendall(encode_frame(frame, self.max_frame))
+            self.sock.sendall(encode_frame(frame))
             while True:
                 data = self.sock.recv(65536)
                 if not data:
@@ -135,15 +133,11 @@ class GatewayClient:
         tenant: str = "default",
         pool_size: int = 2,
         timeout: float = 5.0,
-        retry: Optional[RetryPolicy] = None,
-        max_frame: int = DEFAULT_MAX_FRAME,
     ) -> None:
         self.host = host
         self.port = port
         self.tenant = tenant
         self.timeout = timeout
-        self.retry = retry if retry is not None else _DEFAULT_RETRY
-        self.max_frame = max_frame
         self._idle: List[_SyncConnection] = []
         self._lock = threading.Lock()
         self._slots = threading.BoundedSemaphore(max(1, pool_size))
@@ -210,12 +204,12 @@ class GatewayClient:
         if self._closed:
             raise TransportError("client is closed")
         retries = (
-            self.retry.max_retries if frame.kind in IDEMPOTENT_KINDS else 0
+            CLIENT_RETRY.max_retries if frame.kind in IDEMPOTENT_KINDS else 0
         )
         with self._slots:
             for attempt in range(retries + 1):
                 if attempt:
-                    time.sleep(self.retry.backoff(
+                    time.sleep(CLIENT_RETRY.backoff(
                         ("net", frame.kind, frame.request_id), attempt - 1
                     ))
                 connection = None
@@ -244,7 +238,7 @@ class GatewayClient:
             if self._idle:
                 return self._idle.pop()
         return _SyncConnection(self.host, self.port, self.tenant,
-                               self.timeout, self.max_frame)
+                               self.timeout)
 
     def _checkin(self, connection: _SyncConnection) -> None:
         with self._lock:

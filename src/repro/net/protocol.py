@@ -13,9 +13,9 @@ Request kinds are ``hello`` (the handshake that names the tenant),
 ``drain``; responses are ``result`` or ``error``.  The header is
 versioned: a peer speaking a different :data:`VERSION` is rejected with
 a typed :class:`~repro.errors.ProtocolError` instead of being
-mis-parsed, and so is any frame whose body exceeds the receiver's
-``max_frame`` budget or fails to parse — malformed bytes can desync the
-length-prefixed stream, so both sides drop the connection after a
+mis-parsed, and so is any frame whose body exceeds the
+:data:`DEFAULT_MAX_FRAME` budget or fails to parse — malformed bytes can
+desync the length-prefixed stream, so both sides drop the connection after a
 protocol error.
 
 :class:`FrameDecoder` is the incremental half: feed it whatever byte
@@ -49,7 +49,7 @@ HEADER_SIZE = _HEADER.size
 #: separators=(",", ":"))``, byte for byte.
 _ENCODER = json.JSONEncoder(separators=(",", ":"))
 
-#: Largest body (bytes) either side accepts by default.
+#: Largest body (bytes) either side encodes or accepts.
 DEFAULT_MAX_FRAME = 4 * 1024 * 1024
 
 # Request kinds.
@@ -80,17 +80,17 @@ class Frame:
     payload: Dict[str, Any] = field(default_factory=dict)
 
 
-def encode_frame(frame: Frame, max_frame: int = DEFAULT_MAX_FRAME) -> bytes:
+def encode_frame(frame: Frame) -> bytes:
     """Serialize ``frame`` to header + JSON body bytes."""
     if frame.kind not in FRAME_KINDS:
         raise ProtocolError(f"unknown frame kind {frame.kind!r}")
     body = _ENCODER.encode(
         {"kind": frame.kind, "id": frame.request_id, "payload": frame.payload}
     ).encode("utf-8")
-    if len(body) > max_frame:
+    if len(body) > DEFAULT_MAX_FRAME:
         raise ProtocolError(
             f"frame body of {len(body)} bytes exceeds the "
-            f"{max_frame}-byte frame budget"
+            f"{DEFAULT_MAX_FRAME}-byte frame budget"
         )
     return _HEADER.pack(MAGIC, VERSION, 0, len(body)) + body
 
@@ -105,8 +105,7 @@ class FrameDecoder:
     offset is unreliable and the connection should be dropped.
     """
 
-    def __init__(self, max_frame: int = DEFAULT_MAX_FRAME) -> None:
-        self.max_frame = max_frame
+    def __init__(self) -> None:
         self._buffer = bytearray()
 
     @property
@@ -130,10 +129,10 @@ class FrameDecoder:
                     f"unsupported protocol version {version} "
                     f"(this side speaks {VERSION})"
                 )
-            if length > self.max_frame:
+            if length > DEFAULT_MAX_FRAME:
                 raise ProtocolError(
                     f"announced frame body of {length} bytes exceeds the "
-                    f"{self.max_frame}-byte frame budget"
+                    f"{DEFAULT_MAX_FRAME}-byte frame budget"
                 )
             if len(self._buffer) < HEADER_SIZE + length:
                 break

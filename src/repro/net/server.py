@@ -50,11 +50,11 @@ from repro.errors import ConfigError, DrainingError, ProtocolError, ReproError
 from repro.mapreduce.counters import Counters
 from repro.observability.histogram import LatencyHistogram
 from repro.observability.tracer import Tracer
+from repro.service.index import checked_probe_args
 from repro.similarity.functions import SimilarityFunction
 
 from .protocol import (
     APPEND,
-    DEFAULT_MAX_FRAME,
     DRAIN,
     HELLO,
     SEARCH,
@@ -78,13 +78,15 @@ _RETAINED_HISTOGRAMS = 64
 
 @dataclass(frozen=True)
 class ServerConfig:
-    """Shape of one server: bind address, frame and inflight budgets."""
+    """Shape of one server: bind address, inflight and time budgets.
+
+    Every frame is held to :data:`~repro.net.protocol.DEFAULT_MAX_FRAME`.
+    """
 
     host: str = "127.0.0.1"
     port: int = 0
     """``0`` binds an ephemeral port; :meth:`GatewayServer.start` returns
     the actual address either way."""
-    max_frame: int = DEFAULT_MAX_FRAME
     max_inflight: int = 32
     """Per-connection outstanding-request bound — the reader stops
     reading past it, so overload turns into TCP backpressure."""
@@ -99,8 +101,6 @@ class ServerConfig:
     def __post_init__(self) -> None:
         if not 0 <= self.port <= 65535:
             raise ConfigError(f"port must be in [0, 65535], got {self.port}")
-        if self.max_frame < 1:
-            raise ConfigError("max_frame must be >= 1")
         if self.max_inflight < 1:
             raise ConfigError("max_inflight must be >= 1")
         # Written so that NaN fails them: every comparison with NaN is False.
@@ -122,7 +122,7 @@ class _Connection:
         self.name = name
         self.reader = reader
         self.writer = writer
-        self.decoder = FrameDecoder(config.max_frame)
+        self.decoder = FrameDecoder()
         self.tenant: Optional[str] = None
         self.inflight = asyncio.Semaphore(config.max_inflight)
         self.write_lock = asyncio.Lock()
@@ -451,6 +451,11 @@ class GatewayServer:
             )
             return {"hits": hits_to_wire(hits)}
         if frame.kind == SEARCH_BATCH:
+            # θ, func and k are judged once here: an empty batch fans
+            # out to no gateway.search that would judge them.
+            func = checked_probe_args(payload["theta"],
+                                      payload.get("func") or "jaccard",
+                                      payload.get("k"))
             # One wire frame, many gateway requests submitted together:
             # they coalesce and micro-batch against each other (and
             # against other connections) like any scheduling wave.  The
@@ -459,7 +464,6 @@ class GatewayServer:
             # itself — the quota still bites across frames.
             quota = self.gateway.config.tenant(connection.tenant)
             gate = asyncio.Semaphore(max(1, quota.max_outstanding))
-            func = SimilarityFunction(payload.get("func") or "jaccard")
 
             async def one(tokens):
                 async with gate:
@@ -487,7 +491,7 @@ class GatewayServer:
         request tasks never interleave bytes); ``False`` if the peer is
         gone — the request was still served, only the response is lost,
         which is the peer's choice."""
-        data = encode_frame(frame, self.config.max_frame)
+        data = encode_frame(frame)
         async with connection.write_lock:
             try:
                 connection.writer.write(data)

@@ -46,11 +46,11 @@ pairs that pass verification, in :meth:`SegmentIndex._evaluate_columnar`).
 The scan is batched over the flat posting columns; each query shape's
 length window is memoized once per process (:func:`probe_window`, a
 bounded LRU of :data:`WINDOW_MEMO` entries shared by every index, slice
-and generation).  A probe resolves ``(func, θ)`` to one
-:class:`~repro.similarity.thresholds.ThresholdRule` and memoizes its τ per
-size pair; verification checks each candidate's opening positional bound
-before it calls the merge, and asks the rule for a verdict only when the
-merge's count reached τ.
+and generation), together with τ for every record length in it.  A probe
+resolves ``(func, θ)`` to one
+:class:`~repro.similarity.thresholds.ThresholdRule`; verification checks
+each candidate's opening positional bound before it calls the merge, and
+asks the rule for a verdict only when the merge's count reached τ.
 
 **Result-ordering contract**: every probe's hit list is sorted by
 ``(-score, rid)`` — descending score, ascending record id on ties — and
@@ -473,12 +473,9 @@ class SegmentIndex:
                 queries, theta, func, counters
             )
             span.attrs["candidates"] = sum(map(len, candidate_sets))
-        # One threshold-algebra memo for the whole batch: τ(|q|, |t|)
-        # depends only on sizes, so queries share every hit.
-        tau_cache: Dict[Tuple[int, int], int] = {}
         return [
             self._evaluate_columnar(
-                query, candidate_sets[qi], rule, counters, tracer, tau_cache,
+                query, candidate_sets[qi], rule, counters, tracer,
             )
             for qi, query in enumerate(queries)
         ]
@@ -534,7 +531,8 @@ class SegmentIndex:
             q_ids = query.ranks
             if not q_ids:
                 continue
-            lo, edges = probe_window(func, theta, query.size, len(q_ids))
+            lo, edges, _taus = probe_window(func, theta, query.size,
+                                            len(q_ids))
             for v, start, end in self.partitioner.split_bounds(
                     q_ids[:len(edges)]):
                 if owned is not None and v not in owned:
@@ -571,7 +569,6 @@ class SegmentIndex:
         rule: ThresholdRule,
         counters: Optional[Counters],
         tracer: Tracer,
-        tau_cache: Dict[Tuple[int, int], int],
     ) -> List[SearchHit]:
         """Verify one query's candidates from their first hit on, and
         claim the hits that are this index's to report.
@@ -622,9 +619,11 @@ class SegmentIndex:
         per-slice hit lists are those of a scan that cedes up front.
 
         Unknown query tokens only enlarge ``|q|``.  ``rule`` is the probe's
-        ``(func, θ)``, resolved once by :meth:`probe_batch`; τ is memoized
-        per size pair in ``tau_cache`` across the batch, and counters
-        accumulate in locals and flush once per probe.
+        ``(func, θ)``, resolved once by :meth:`probe_batch`.  τ is read from
+        the row :func:`probe_window` computed for the scan: every candidate
+        has ``lo ≤ t ≤ edges[qpos]`` and ``edges[qpos] < lo + len(taus)``,
+        so ``taus[t − lo]`` is τ(|q|, t) for each one.  Counters accumulate
+        in locals and flush once per probe.
         """
         _bump(counters, "probes", 1)
         if not candidates:
@@ -632,9 +631,9 @@ class SegmentIndex:
         q_ranks = query.ranks
         n_known = len(q_ranks)
         size_q = query.size
+        lo, _edges, taus = probe_window(rule.func, rule.theta, size_q, n_known)
         ranks_of = self._ranks
         merge = bounded_merge_intersection
-        tau_of = rule.tau
         sliced = self._owned is not None
         hits: List[SearchHit] = []
         n_verify_cmp = n_ceded = 0
@@ -643,9 +642,7 @@ class SegmentIndex:
             for rid, qpos in candidates.items():
                 t_ranks = ranks_of[rid]
                 size_t = len(t_ranks)
-                tau = tau_cache.get((size_q, size_t))
-                if tau is None:
-                    tau = tau_cache[(size_q, size_t)] = tau_of(size_q, size_t)
+                tau = taus[size_t - lo]
                 tpos = bisect_left(t_ranks, q_ranks[qpos])
                 rest_q = n_known - qpos
                 rest_t = size_t - tpos
@@ -708,9 +705,9 @@ def checked_probe_args(
 @lru_cache(maxsize=WINDOW_MEMO)
 def probe_window(
     func: SimilarityFunction, theta: float, size: int, known: int
-) -> Tuple[int, Tuple[int, ...]]:
+) -> Tuple[int, Tuple[int, ...], Tuple[int, ...]]:
     """The record lengths a query of ``size`` tokens, ``known`` of them in
-    the vocabulary, can be answered by: ``(lo, edges)``.
+    the vocabulary, can be answered by, and their τ: ``(lo, edges, taus)``.
 
     ``len(edges)`` is the prefix the scan probes; a record of length ``t``
     first hit at prefix position ``qpos`` is a candidate iff ``lo ≤ t ≤
@@ -721,7 +718,9 @@ def probe_window(
     ``τ(|q|, t)`` fits in the ``known − qpos`` query tokens from the hit
     on (``lo − 1``, an empty window, when none does): any longer record
     fails the merge's opening bound, and ``τ`` never falls as ``t`` grows,
-    so ``edges`` never grows with ``qpos``.
+    so ``edges`` never grows with ``qpos``.  ``taus[i]`` is ``τ(|q|, lo +
+    i)`` for every length below the first whose τ exceeds ``known``, so it
+    covers ``lo ≤ t ≤ edges[0]``.
 
     A pure function of its arguments, so it is memoized once per process
     (an LRU of :data:`WINDOW_MEMO` shapes, ``probe_window.cache_info()``):
@@ -736,14 +735,14 @@ def probe_window(
     while length_lower_bound(func, theta, top) > size:
         top -= 1
     # τ for lo, lo + 1, …: no room is larger than ``known``, so stop there.
-    taus = list(takewhile(
+    taus = tuple(takewhile(
         lambda tau: tau <= known,
         (tau_of(size, t) for t in range(lo, top + 1)),
     ))
     limit = min(prefix_length(func, theta, size), known)
     return lo, tuple(
         lo - 1 + bisect_right(taus, known - qpos) for qpos in range(limit)
-    )
+    ), taus
 
 
 def differing_fragments(a: Dict[int, str], b: Dict[int, str]) -> List[int]:

@@ -127,7 +127,7 @@ class TestSaveLoad:
                 router._heat[fragment] = 1
             for fragment in router.plan.fragments_of(donor):
                 router._heat[fragment] = 50
-        assert router.rebalance(skew_threshold=1.0)
+        assert router.rebalance()
         save_cluster(router, tmp_path / "rebalanced")
         restored = load_cluster(tmp_path / "rebalanced")
         assert restored.plan == router.plan

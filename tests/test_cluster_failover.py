@@ -47,23 +47,24 @@ class TestRetryPolicy:
         )
 
     def test_backoff_grows_and_caps(self):
-        policy = RetryPolicy(
-            max_retries=8, base_delay=0.01, multiplier=2.0, max_delay=0.05,
-            jitter=0.0,
-        )
-        delays = backoffs(policy, "k")
-        assert delays[0] == pytest.approx(0.01)
-        assert delays[1] == pytest.approx(0.02)
-        assert max(delays) == pytest.approx(0.05)  # capped
+        # A flat policy's delays are its jitter factors alone, so dividing
+        # them out leaves the exact raw schedule: 0.01, 0.02, 0.04, 0.05, ...
+        policy = RetryPolicy(max_retries=8, base_delay=0.01, max_delay=0.05)
+        flat = RetryPolicy(max_retries=8, base_delay=1.0, max_delay=1.0)
+        raw = [0.01, 0.02, 0.04, 0.05, 0.05, 0.05, 0.05, 0.05]
+        assert [
+            policy.backoff("k", attempt) / flat.backoff("k", attempt)
+            for attempt in range(policy.max_retries)
+        ] == pytest.approx(raw)
 
     def test_jitter_bounds(self):
-        policy = RetryPolicy(max_retries=1, base_delay=0.01, jitter=0.5)
+        policy = RetryPolicy(max_retries=1, base_delay=0.01)
         for key in range(50):
             delay = policy.backoff(key, 0)
             assert 0.005 <= delay <= 0.015
 
     def test_different_keys_jitter_differently(self):
-        policy = RetryPolicy(max_retries=1, base_delay=0.01, jitter=0.5)
+        policy = RetryPolicy(max_retries=1, base_delay=0.01)
         delays = {policy.backoff(key, 0) for key in range(20)}
         assert len(delays) > 1
 
@@ -72,8 +73,6 @@ class TestRetryPolicy:
         [
             {"max_retries": -1},
             {"base_delay": -0.1},
-            {"jitter": 1.0},
-            {"jitter": -0.1},
         ],
     )
     def test_validation(self, kwargs):

@@ -23,6 +23,7 @@ from repro.cluster import (
     load_cluster,
     save_cluster,
 )
+from repro.cluster.health import MAX_REBUILD_ATTEMPTS, MAX_REPAIRS_PER_TICK
 from repro.data import make_corpus
 from repro.errors import ClusterError, ConfigError, ShardDownError
 from repro.ingest import StreamingIndex
@@ -103,26 +104,30 @@ class TestFailureDetector:
         # The node itself still pings — only the breaker says otherwise.
         assert router.replica(0, 0).ping()
 
-    def test_no_rebuild_when_auto_repair_off(self):
+    def test_a_tick_detects_then_repairs_at_most_its_cap(self):
         records = make_corpus("wiki", 80, seed=3)
         clock = ChaosClock()
-        index = SegmentIndex.build(records, n_vertical=10)
-        router = build_cluster(index, n_shards=2, replication=2,
-                               clock=clock, sleep=clock.sleep,
-                               independent_replicas=True)
-        plane = ControlPlane(router, HealthConfig(
-            miss_budget=1, scrub_interval=100, auto_repair=False
-        ))
-        router.replica(0, 0).fail()
-        plane.tick()
-        assert plane.replica_states()[0][0] == "dead"
-        assert plane.summary()["pending_repairs"] == [[0, 0]]
+        _, router, plane = make_cluster(records, clock, miss_budget=1,
+                                        scrub_interval=100)
+        for shard in range(3):
+            router.replica(shard, 0).fail()
+        kinds = [e.kind for e in plane.tick()]
+        # Every death is declared before the first rebuild starts, and
+        # the tick rebuilds no more than its cap.
+        assert kinds.count("dead") == 3
+        assert kinds.index("rebuild-start") > max(
+            i for i, kind in enumerate(kinds) if kind == "dead"
+        )
+        assert kinds.count("readmit") == MAX_REPAIRS_PER_TICK == 2
+        assert plane.replica_states()[2][0] == "dead"
+        assert plane.summary()["pending_repairs"] == [[2, 0]]
         assert not plane.all_healthy()
+        assert [e.kind for e in plane.tick()] == ["rebuild-start", "readmit"]
+        assert plane.all_healthy()
 
     def test_config_validation(self):
         for kwargs in ({"miss_budget": 0}, {"scrub_interval": 0},
-                       {"verify_probes": 0}, {"max_repairs_per_tick": 0},
-                       {"max_rebuild_attempts": 0}):
+                       {"verify_probes": 0}):
             with pytest.raises(ConfigError):
                 HealthConfig(**kwargs)
 
@@ -229,7 +234,7 @@ class TestScrubber:
         # Heat one fragment hard enough to force a migration.
         for record in records[:40]:
             router.search(record.tokens, 0.5)
-        moves = router.rebalance(skew_threshold=1.01, max_moves=2)
+        moves = router.rebalance()
         if not moves:
             pytest.skip("no migration under this corpus/seed")
         events = plane.tick()
@@ -328,7 +333,7 @@ class TestRepairSources:
         with router._lock:
             for fragment in router.plan.fragments_of(donor):
                 router._heat[fragment] = 50
-        moves = router.rebalance(skew_threshold=1.0)
+        moves = router.rebalance()
         assert moves
         repair = RepairManager(router, snapshot_dir=tmp_path / "snap")
         for shard in {moves[0].src, moves[0].dst}:
@@ -386,11 +391,13 @@ class TestRepairSources:
                                clock=clock, sleep=clock.sleep,
                                independent_replicas=True)
         plane = ControlPlane(router, HealthConfig(
-            miss_budget=1, scrub_interval=100, max_rebuild_attempts=2
+            miss_budget=1, scrub_interval=100
         ))  # default RepairManager: no snapshot fallback
         router.replica(1, 0).fail()
         router.replica(1, 1).fail()
-        for _ in range(6):
+        # Two targets, MAX_REPAIRS_PER_TICK of them a tick: each gets
+        # one attempt a tick.
+        for _ in range(MAX_REBUILD_ATTEMPTS):
             plane.tick()
         kinds = [e.kind for e in plane.events]
         assert kinds.count("rebuild-abandoned") >= 1
@@ -562,24 +569,26 @@ class TestIngestIsOneMoreTarget:
 
     def test_failed_ingest_rebuilds_are_retried_then_abandoned(
             self, monkeypatch):
-        router, ingest, plane = self._rig(miss_budget=1,
-                                          max_rebuild_attempts=2)
+        router, ingest, plane = self._rig(miss_budget=1)
 
         def refuse(self):
             raise ClusterError("wal unreadable")
 
         monkeypatch.setattr(RepairManager, "rebuild_ingest", refuse)
         ingest.fail()
-        plane.tick()
-        plane.tick()
+        for _ in range(MAX_REBUILD_ATTEMPTS):
+            plane.tick()
         kinds = [e.kind for e in plane.events]
-        assert kinds == ["suspect", "dead", "rebuild-start", "rebuild-failed",
-                         "rebuild-start", "rebuild-abandoned"]
+        assert kinds == (
+            ["suspect", "dead"]
+            + ["rebuild-start", "rebuild-failed"] * (MAX_REBUILD_ATTEMPTS - 1)
+            + ["rebuild-start", "rebuild-abandoned"]
+        )
         assert plane.ingest_state() == "dead"
         assert plane.summary()["pending_repairs"] == []
         assert not plane.all_healthy()
         counters = plane.summary()["health_counters"]
-        assert counters["rebuild_failures"] == 2
+        assert counters["rebuild_failures"] == MAX_REBUILD_ATTEMPTS
         assert counters["rebuilds_abandoned"] == 1
 
 

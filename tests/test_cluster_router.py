@@ -24,6 +24,7 @@ from repro.cluster import (
 )
 from repro.analysis.loadbalance import summarize_loads
 from repro.cluster.node import ShardSlice
+from repro.cluster.router import MAX_IN_FLIGHT
 from repro.data import make_corpus
 from repro.data.records import RecordCollection
 from repro.errors import (
@@ -119,7 +120,7 @@ class TestBitIdentity:
     def test_matches_after_rebalance(self, cluster, index, corpus, theta,
                                      func):
         inject_skew(cluster)
-        moves = cluster.rebalance(skew_threshold=1.0, max_moves=8)
+        moves = cluster.rebalance()
         assert moves, "planted skew should trigger at least one migration"
         assert_parity(cluster, index, corpus, theta, func)
 
@@ -606,27 +607,26 @@ class TestRouting:
             ClusterRouter(router.order, router.partitioner, router.plan,
                           groups=[router._groups[0]])
         with pytest.raises(ConfigError):
-            build_cluster(index, n_shards=2, max_in_flight=0)
-        with pytest.raises(ConfigError):
             build_cluster(index, n_shards=2, replication=0)
 
 
 class TestAdmissionControl:
     def test_sheds_when_saturated(self, index):
-        router = build_cluster(index, n_shards=2, max_in_flight=1,
-                               queue_timeout=0.01)
-        assert router._admission.acquire(timeout=1)  # occupy the only slot
+        router = build_cluster(index, n_shards=2)
+        for _ in range(MAX_IN_FLIGHT):  # occupy every slot
+            assert router._admission.acquire(timeout=1)
         try:
             with pytest.raises(ClusterOverloadError):
                 router.search(router.tokens_of(0), 0.5)
         finally:
-            router._admission.release()
+            for _ in range(MAX_IN_FLIGHT):
+                router._admission.release()
         assert router.metrics.get("cluster.route", "shed") == 1
         # Capacity released: the next request is served normally.
         assert router.search(router.tokens_of(0), 0.3)
 
     def test_concurrent_searches_within_capacity(self, index):
-        router = build_cluster(index, n_shards=2, max_in_flight=8)
+        router = build_cluster(index, n_shards=2)
         errors: list = []
 
         def worker():
@@ -701,7 +701,7 @@ class TestRebalance:
     def test_migrations_cool_the_hot_shard(self, cluster):
         inject_skew(cluster)
         before = cluster.heat_report().max_over_mean
-        moves = cluster.rebalance(skew_threshold=1.0)
+        moves = cluster.rebalance()
         after = cluster.heat_report().max_over_mean
         assert moves
         assert after < before
@@ -712,7 +712,7 @@ class TestRebalance:
 
     def test_migration_moves_postings_between_slices(self, cluster, index):
         inject_skew(cluster)
-        moves = cluster.rebalance(skew_threshold=1.0)
+        moves = cluster.rebalance()
         assert moves
         move = moves[0]
         donor = cluster.replica(move.src, 0).slice
@@ -720,10 +720,6 @@ class TestRebalance:
         assert move.fragment not in donor.owned_fragments
         assert move.fragment in receiver.owned_fragments
         assert not donor._postings[move.fragment]
-
-    def test_threshold_validation(self, cluster):
-        with pytest.raises(ConfigError):
-            cluster.rebalance(skew_threshold=0.5)
 
     @pytest.fixture
     def saved(self, tmp_path):
@@ -739,7 +735,7 @@ class TestRebalance:
         router = load_cluster(saved)
         zipf_replay(router, 40, 1.5, 0.6, seed=0)
         before = router.heat_report().cv
-        assert router.rebalance(skew_threshold=1.0)
+        assert router.rebalance()
         earlier = router.shard_heat()
         zipf_replay(router, 40, 1.5, 0.6, seed=0)
         replayed = [now - then for now, then in zip(router.shard_heat(), earlier)]

@@ -20,6 +20,7 @@ from repro.ingest import (
     merge_tiers,
     plan_compaction,
 )
+from repro.ingest.generations import KEEP_MANIFESTS
 from repro.mapreduce.executors import create_executor
 from repro.mapreduce.hdfs import InMemoryDFS
 from repro.service import SegmentIndex
@@ -201,11 +202,12 @@ class TestManifestStore:
         assert doc["cuts"] == [3, 7]
 
     def test_old_versions_garbage_collected(self):
-        store = ManifestStore(InMemoryDFS(), "manifest", keep=2)
+        store = ManifestStore(InMemoryDFS(), "manifest")
         for version in range(1, 6):
             store.commit(self._doc(store, version))
         kept = store.version_paths()
-        assert kept == [store.version_path(4), store.version_path(5)]
+        assert kept == [store.version_path(v)
+                        for v in range(6 - KEEP_MANIFESTS, 6)]
 
     def test_tampered_manifest_fails_closed(self):
         dfs = InMemoryDFS()
@@ -278,7 +280,7 @@ class TestMerge:
             ),
         ]
         tiers = [gen.index for gen in gens]
-        merged, again = create_executor(executor, 2).run_tasks(
+        merged, again = create_executor(executor).run_tasks(
             merge_tiers, [tiers, tiers]
         )
         assert pickle.dumps(again) == pickle.dumps(merged)

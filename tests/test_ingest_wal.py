@@ -8,12 +8,24 @@ from repro.chaos import ChaosConfig, FaultInjector, FaultSchedule
 from repro.data.records import Record
 from repro.errors import DFSError, WALError
 from repro.ingest import WriteAheadLog
-from repro.ingest.wal import KIND_COMMIT, KIND_RECORD, entry_digest
+from repro.ingest.wal import (
+    KIND_COMMIT,
+    KIND_RECORD,
+    SEGMENT_ENTRIES,
+    entry_digest,
+)
 from repro.mapreduce.hdfs import InMemoryDFS
 
 
 def _records(*rids):
     return [Record.make(rid, [f"t{rid}", f"u{rid}"]) for rid in rids]
+
+
+def _segment_batch(i):
+    """Batch ``i`` sized to fill one segment: its records and its commit
+    marker are exactly :data:`SEGMENT_ENTRIES` entries."""
+    start = i * SEGMENT_ENTRIES
+    return _records(*range(start, start + SEGMENT_ENTRIES - 1))
 
 
 class TestAppendReplay:
@@ -72,26 +84,26 @@ class TestAppendReplay:
 
 class TestSegmentation:
     def test_segments_roll_and_list_in_order(self):
-        wal = WriteAheadLog(InMemoryDFS(), "wal", segment_entries=4)
-        for i in range(5):
+        wal = WriteAheadLog(InMemoryDFS(), "wal")
+        # Two entries a batch: the last batch rolls into a third segment.
+        n_batches = SEGMENT_ENTRIES + 1
+        for i in range(n_batches):
             wal.append_batch(_records(i))
         paths = wal.segment_paths()
-        assert len(paths) > 1
+        assert len(paths) == 3
         assert paths == sorted(paths)
-        result = WriteAheadLog(wal.dfs, "wal", segment_entries=4).replay()
-        assert [b.batch_id for b in result.batches] == list(range(5))
+        result = WriteAheadLog(wal.dfs, "wal").replay()
+        assert [b.batch_id for b in result.batches] == list(range(n_batches))
 
     def test_truncate_through_drops_only_covered_segments(self):
-        wal = WriteAheadLog(InMemoryDFS(), "wal", segment_entries=2)
-        commits = [wal.append_batch(_records(i))[1] for i in range(4)]
+        wal = WriteAheadLog(InMemoryDFS(), "wal")
+        commits = [wal.append_batch(_segment_batch(i))[1] for i in range(4)]
         before = len(wal.segment_paths())
         dropped = wal.truncate_through(commits[1])
         assert dropped >= 1
         assert len(wal.segment_paths()) == before - dropped
         # Batches beyond the applied point are still replayable.
-        result = WriteAheadLog(wal.dfs, "wal", segment_entries=2).replay(
-            after_seq=commits[1]
-        )
+        result = WriteAheadLog(wal.dfs, "wal").replay(after_seq=commits[1])
         assert [b.batch_id for b in result.batches] == [2, 3]
 
     def test_foreign_file_in_wal_dir_is_typed(self):
@@ -181,17 +193,17 @@ class TestTornWrites:
 
     def test_damage_in_earlier_segment_hides_later_segments(self):
         dfs = InMemoryDFS()
-        wal = WriteAheadLog(dfs, "wal", segment_entries=2)
+        wal = WriteAheadLog(dfs, "wal")
         for i in range(3):
-            wal.append_batch(_records(i))
+            wal.append_batch(_segment_batch(i))
         first = wal.segment_path(0)
         entries = dfs.read(first)
         entries[0] = ("garbage", "entry")
         dfs.write(first, entries, overwrite=True)
-        result = WriteAheadLog(dfs, "wal", segment_entries=2).replay()
+        result = WriteAheadLog(dfs, "wal").replay()
         assert result.batches == []
         assert result.truncated_at == 0
-        assert result.truncated_entries == 6
+        assert result.truncated_entries == 3 * SEGMENT_ENTRIES
 
     def test_entry_digest_is_canonical(self):
         a = entry_digest(3, KIND_COMMIT, 1, 2)

@@ -149,7 +149,7 @@ class World:
                     router._heat[fragment] = 1
                 for fragment in router.plan.fragments_of(donor):
                     router._heat[fragment] = 50
-            router.rebalance(skew_threshold=1.0)
+            router.rebalance()
         elif self.router is not None and verb == "save-load":
             with tempfile.TemporaryDirectory() as directory:
                 save_cluster(self.router, directory)

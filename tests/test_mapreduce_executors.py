@@ -23,7 +23,11 @@ from repro.mapreduce.executors import (
     create_executor,
 )
 from repro.mapreduce.job import MapReduceJob
-from repro.mapreduce.runtime import ClusterSpec, SimulatedCluster
+from repro.mapreduce.runtime import (
+    MAX_TASK_ATTEMPTS,
+    ClusterSpec,
+    SimulatedCluster,
+)
 
 BACKENDS = ("serial", "thread", "process")
 
@@ -64,7 +68,7 @@ LINES = [(i, f"w{i % 7} w{i % 3} x{i % 11} common") for i in range(60)]
 
 def _cluster(kind: str, **kwargs) -> SimulatedCluster:
     return SimulatedCluster(
-        ClusterSpec(workers=3, executor=kind, executor_workers=4), **kwargs
+        ClusterSpec(workers=3, executor=kind), **kwargs
     )
 
 
@@ -91,21 +95,11 @@ class TestExecutorConstruction:
         assert isinstance(create_executor("thread"), ThreadExecutor)
         assert isinstance(create_executor("process"), ProcessExecutor)
 
-    def test_create_passthrough_instance(self):
-        executor = ThreadExecutor(2)
-        assert create_executor(executor) is executor
-
     def test_unknown_kind_rejected(self):
         with pytest.raises(ConfigError):
             create_executor("gpu")
         with pytest.raises(ConfigError):
             ClusterSpec(executor="gpu")
-
-    def test_invalid_worker_counts_rejected(self):
-        with pytest.raises(ConfigError):
-            ThreadExecutor(0)
-        with pytest.raises(ConfigError):
-            ClusterSpec(executor_workers=0)
 
     def test_spec_normalizes_kind(self):
         assert ClusterSpec(executor="process").executor is ExecutorKind.PROCESS
@@ -192,7 +186,9 @@ class TestFailureInjectionUnderPools:
         cluster = _cluster(
             kind,
             failure_injector=AlwaysFailReduceTaskZero(),
-            max_task_attempts=2,
         )
-        with pytest.raises(ExecutionError, match="reduce task 0 failed 2 attempts"):
+        with pytest.raises(
+            ExecutionError,
+            match=f"reduce task 0 failed {MAX_TASK_ATTEMPTS} attempts",
+        ):
             cluster.run_job(WordCount(), LINES)

@@ -170,9 +170,7 @@ class TestAccountingIdentity:
         assert _snapshot(result) == EXPECTED
 
     def test_speculative_loser_does_not_leak(self):
-        result = _join(
-            straggler_injector=_map_task_zero_straggles, speculative=True
-        )
+        result = _join(straggler_injector=_map_task_zero_straggles)
         for job in result.job_results:
             assert job.counters.get("mapreduce", "map_speculative_wins") == 1
         assert _snapshot(result) == EXPECTED

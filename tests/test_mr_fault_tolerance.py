@@ -17,10 +17,12 @@ import pytest
 
 from repro.baselines.naive import naive_self_join
 from repro.core import FSJoin, FSJoinConfig
-from repro.errors import ConfigError, ExecutionError
+from repro.errors import ExecutionError
 from repro.mapreduce.job import MapReduceJob
 from repro.mapreduce.runtime import (
+    MAX_TASK_ATTEMPTS,
     SPECULATIVE_ATTEMPT_OFFSET,
+    STRAGGLER_THRESHOLD,
     ClusterSpec,
     SimulatedCluster,
 )
@@ -101,14 +103,10 @@ class TestRetries:
         cluster = SimulatedCluster(
             ClusterSpec(workers=2),
             failure_injector=lambda phase, task_id, attempt: phase == "map",
-            max_task_attempts=3,
         )
-        with pytest.raises(ExecutionError, match="failed 3 attempts"):
+        with pytest.raises(ExecutionError,
+                           match=f"failed {MAX_TASK_ATTEMPTS} attempts"):
             cluster.run_job(WordCount(), LINES)
-
-    def test_invalid_max_attempts(self):
-        with pytest.raises(ConfigError):
-            SimulatedCluster(max_task_attempts=0)
 
     def test_counters_not_duplicated_by_retries(self):
         """User counters from failed attempts are discarded with the output."""
@@ -241,14 +239,11 @@ class RaisingMap(WordCount):
 
 
 class TestSpeculativeExecution:
-    def spec_cluster(self, straggler, threshold=0.1, executor="serial",
-                     tracer=None):
+    def spec_cluster(self, straggler, executor="serial", tracer=None):
         kwargs = {"tracer": tracer} if tracer is not None else {}
         return SimulatedCluster(
             ClusterSpec(workers=3, map_slots=2, reduce_slots=2),
             straggler_injector=straggler,
-            speculative=True,
-            straggler_threshold=threshold,
             executor=executor,
             **kwargs,
         )
@@ -260,27 +255,27 @@ class TestSpeculativeExecution:
         assert result.counters.get("mapreduce", "map_speculative_wins") == 1
 
     def test_slow_backup_loses(self):
-        """The race is decided by threshold + backup_delay < delay."""
+        """The race is decided by STRAGGLER_THRESHOLD + backup_delay <
+        delay."""
         cluster = self.spec_cluster(Straggle(delay=0.5, backup_delay=0.45))
         result = cluster.run_job(WordCount(), LINES, num_map_tasks=4)
         assert result.counters.get("mapreduce", "map_speculative_backups") == 1
         assert result.counters.get("mapreduce", "map_speculative_wins") == 0
 
     def test_below_threshold_no_backup(self):
-        cluster = self.spec_cluster(Straggle(delay=0.05), threshold=0.1)
+        assert 0.05 < STRAGGLER_THRESHOLD
+        cluster = self.spec_cluster(Straggle(delay=0.05))
         result = cluster.run_job(WordCount(), LINES, num_map_tasks=4)
         assert result.counters.get("mapreduce", "map_speculative_backups") == 0
 
-    def test_speculation_off_by_default(self):
+    def test_a_straggler_hook_alone_gets_a_backup(self):
+        """Speculation is on whenever a straggler hook is set."""
         cluster = SimulatedCluster(
             ClusterSpec(workers=3), straggler_injector=Straggle(delay=0.5)
         )
         result = cluster.run_job(WordCount(), LINES, num_map_tasks=4)
-        assert result.counters.get("mapreduce", "map_speculative_backups") == 0
-
-    def test_invalid_threshold(self):
-        with pytest.raises(ConfigError):
-            SimulatedCluster(speculative=True, straggler_threshold=0.0)
+        assert result.counters.get("mapreduce", "map_speculative_backups") == 1
+        assert result.counters.get("mapreduce", "map_speculative_wins") == 1
 
     @pytest.mark.parametrize("executor", EXECUTORS)
     def test_output_bit_identical_per_backend(self, executor):
@@ -340,22 +335,22 @@ class TestFailureHistory:
         cluster = SimulatedCluster(
             ClusterSpec(workers=2),
             failure_injector=CrashAlways("map", 0),
-            max_task_attempts=3,
         )
         with pytest.raises(ExecutionError) as excinfo:
             cluster.run_job(WordCount(), LINES, num_map_tasks=2)
-        assert excinfo.value.attempts == (
-            (1, "map", "injected task failure"),
-            (2, "map", "injected task failure"),
-            (3, "map", "injected task failure"),
+        assert excinfo.value.attempts == tuple(
+            (attempt, "map", "injected task failure")
+            for attempt in range(1, MAX_TASK_ATTEMPTS + 1)
         )
 
     def test_raised_exceptions_recorded_with_repr(self):
-        cluster = SimulatedCluster(ClusterSpec(workers=2), max_task_attempts=2)
+        cluster = SimulatedCluster(ClusterSpec(workers=2))
         with pytest.raises(ExecutionError) as excinfo:
             cluster.run_job(RaisingMap(), LINES, num_map_tasks=1)
         attempts = excinfo.value.attempts
-        assert [a for a, _, _ in attempts] == [1, 2]
+        assert [a for a, _, _ in attempts] == list(
+            range(1, MAX_TASK_ATTEMPTS + 1)
+        )
         assert all(phase == "map" for _, phase, _ in attempts)
         assert all("ValueError" in error for _, _, error in attempts)
         assert "boom on key" in attempts[0][2]
@@ -366,14 +361,13 @@ class TestFailureHistory:
         cluster = SimulatedCluster(
             ClusterSpec(workers=2),
             failure_injector=CrashAlways("map", 0),
-            max_task_attempts=2,
             executor=executor,
         )
         with pytest.raises(ExecutionError) as excinfo:
             cluster.run_job(WordCount(), LINES, num_map_tasks=2)
-        assert excinfo.value.attempts == (
-            (1, "map", "injected task failure"),
-            (2, "map", "injected task failure"),
+        assert excinfo.value.attempts == tuple(
+            (attempt, "map", "injected task failure")
+            for attempt in range(1, MAX_TASK_ATTEMPTS + 1)
         )
 
     def test_history_pickle_roundtrip(self):
@@ -415,8 +409,6 @@ class TestRetryAccountingAudit:
             ClusterSpec(workers=3, map_slots=2, reduce_slots=2),
             failure_injector=FailFirstAttempts(),
             straggler_injector=Straggle(tasks=(0, 1, 2, 3), delay=0.4),
-            speculative=True,
-            straggler_threshold=0.1,
             executor=executor,
         ).run_job(self.Audited(), LINES, num_map_tasks=4, num_reduce_tasks=2)
         for group, name in (

@@ -304,10 +304,8 @@ class TestCleanup:
         "faults",
         [
             {"failure_injector": FailFirstAttempts(("map",))},
-            {"straggler_injector": Straggle(tasks=(0, 2), backup_delay=0.0),
-             "speculative": True},
-            {"straggler_injector": Straggle(tasks=(0, 2), backup_delay=0.45),
-             "speculative": True},
+            {"straggler_injector": Straggle(tasks=(0, 2), backup_delay=0.0)},
+            {"straggler_injector": Straggle(tasks=(0, 2), backup_delay=0.45)},
         ],
         ids=["failed-attempts", "speculative-original-loses",
              "speculative-backup-loses"],

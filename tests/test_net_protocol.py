@@ -199,15 +199,17 @@ class TestRejection:
 
     def test_oversized_announcement_rejected_before_body(self):
         # The length field alone must trip the budget — no buffering of
-        # a 100 MB body on a 64-byte decoder.
-        header = struct.Struct(">2sBBI").pack(MAGIC, VERSION, 0, 10 ** 8)
+        # a body one byte past it.
+        header = struct.Struct(">2sBBI").pack(
+            MAGIC, VERSION, 0, DEFAULT_MAX_FRAME + 1
+        )
         with pytest.raises(ProtocolError, match="budget"):
-            FrameDecoder(max_frame=64).feed(header)
+            FrameDecoder().feed(header)
 
     def test_oversized_encode_rejected(self):
-        frame = result_frame(1, {"blob": "x" * 100})
+        frame = result_frame(1, {"blob": "x" * DEFAULT_MAX_FRAME})
         with pytest.raises(ProtocolError, match="budget"):
-            encode_frame(frame, max_frame=64)
+            encode_frame(frame)
 
     def test_unparseable_body_is_typed(self):
         body = b"not json at all"

@@ -319,6 +319,17 @@ class TestMalformedPayloads:
                 client.search([], THETA, k=0)
             assert client.search([], THETA, k=1) == []
 
+    def test_empty_batch_is_judged_like_a_query(self, harness):
+        """An empty ``search_batch`` fans out to no search, yet its θ and
+        ``k`` get the typed error an in-process router batch raises."""
+        host, port = harness.address
+        with GatewayClient(host, port, tenant="t") as client:
+            with pytest.raises(ConfigError):
+                client.search_batch([], theta=1.5)
+            with pytest.raises(ConfigError, match="k must be >= 1, got 0"):
+                client.search_batch([], 0.5, k=0)
+            assert client.search_batch([], THETA) == []
+
 
 class TestTornFramesAndRetry:
     def test_torn_frame_reassembles(self, corpus, index, harness):

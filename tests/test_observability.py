@@ -412,7 +412,7 @@ class TestServiceTracing:
         if executor is None:
             runs = [_batch_with_spans(task) for task in tasks]
         else:
-            runs = create_executor(executor, 2).run_tasks(
+            runs = create_executor(executor).run_tasks(
                 _batch_with_spans, tasks
             )
         (plain, untraced_spans), (traced, spans) = runs

@@ -161,7 +161,7 @@ class TestBatchOrderingContract:
                   for i in range(0, len(queries), 16)]
         fanned = [
             hits
-            for chunk in create_executor(executor, 2).run_tasks(
+            for chunk in create_executor(executor).run_tasks(
                 _serve_chunk, chunks
             )
             for hits in chunk
