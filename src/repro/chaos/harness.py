@@ -685,10 +685,11 @@ def run_gateway_scenario(
     # min_observations high: the rolling p95 of chaos-clock legs is ~0,
     # so the hedge timer stays pinned at min_delay — deterministic.  The
     # race itself is wall-clock: min_delay sits far above a healthy leg
-    # (a few ms even on a loaded box, where 2 ms fired spurious hedges)
-    # and far below the 50 ms stall, so exactly the stalled legs hedge.
+    # (a few ms, tens beside a second test run, where 2 ms and then
+    # 20 ms fired spurious hedges) and far below the 250 ms stall, so
+    # exactly the stalled legs hedge.
     router = rig.cluster(n_shards=4, hedge=HedgeConfig(
-        min_delay=0.02, max_delay=0.05, min_observations=10_000,
+        min_delay=0.1, max_delay=0.1, min_observations=10_000,
     ))
     # cache_size=0: every wave re-dispatches, so flap/hedge waves keep
     # exercising the scatter path instead of the result cache.
@@ -757,11 +758,11 @@ def run_gateway_scenario(
     # is wall-clock); whenever it is the primary leg the timer fires its
     # twin and the fast answer wins — bit-identical either way.
     def stall(target) -> None:
-        _time.sleep(0.05)
+        _time.sleep(0.25)
 
     victim.fault_hook = stall
     injector.record("replica-stall", victim.name,
-                    "+50ms wall time per probe batch")
+                    "+250ms wall time per probe batch")
     for _ in range(3 * router.replication):
         mismatches += serve_flap()
     victim.fault_hook = None

@@ -24,17 +24,15 @@ that pickles to 9.8 MB (``docs/architecture.md`` §5 has the anatomy).
 
 from __future__ import annotations
 
-import hashlib
-import io
 import json
 from pathlib import Path
-from typing import Dict, Optional, Tuple, Union
+from typing import Collection, Dict, Optional, Tuple, Union
 
 from repro.core.pivots import PivotMethod
 from repro.data.records import RecordCollection
 from repro.errors import ClusterError, ConfigError
 from repro.service.index import SegmentIndex
-from repro.service.snapshot import read_index, save_index
+from repro.service.snapshot import read_index, save_index, sha256_rest
 
 from repro.cluster.node import ShardNode, ShardSlice
 from repro.cluster.plan import ShardPlan, plan_shards
@@ -43,7 +41,7 @@ from repro.cluster.router import ClusterRouter
 INDEX_NAME = "index.idx"
 MANIFEST_NAME = "manifest.json"
 MANIFEST_FORMAT = "repro-cluster"
-#: v4: format, version, replication, plan, sha256 — over a v5 snapshot.
+#: v4: format, version, replication, plan, sha256 — of the snapshot.
 MANIFEST_VERSION = 4
 
 
@@ -138,12 +136,14 @@ def save_cluster(router: ClusterRouter, directory: Union[str, Path]) -> int:
     index = _served_index(router)
     index_path = directory / INDEX_NAME
     total = save_index(index, index_path)
+    with index_path.open("rb", buffering=0) as handle:
+        digest, _size = sha256_rest(handle)
     manifest = {
         "format": MANIFEST_FORMAT,
         "version": MANIFEST_VERSION,
         "replication": router.replication,
         "plan": router.plan.as_dict(),
-        "sha256": hashlib.sha256(index_path.read_bytes()).hexdigest(),
+        "sha256": digest,
     }
     manifest_path = directory / MANIFEST_NAME
     tmp = manifest_path.with_name(MANIFEST_NAME + ".tmp")
@@ -181,30 +181,31 @@ def read_manifest(directory: Union[str, Path]) -> Dict:
     return manifest
 
 
-def load_saved_index(directory: Union[str, Path]) -> Tuple[Dict, SegmentIndex]:
+def load_saved_index(
+    directory: Union[str, Path], fragments: Optional[Collection[int]] = None
+) -> Tuple[Dict, SegmentIndex]:
     """A cluster directory's checked manifest and its ``index.idx`` —
     provided the snapshot is the file the manifest was written beside and
-    the saved plan places exactly its fragments."""
+    the saved plan places exactly its fragments.  ``fragments`` are
+    :func:`~repro.service.snapshot.read_index`'s: the postings kept."""
     manifest = read_manifest(directory)
     path = Path(directory) / INDEX_NAME
     try:
-        data = path.read_bytes()
+        handle = path.open("rb", buffering=0)
     except FileNotFoundError:
         raise ClusterError(f"no cluster snapshot at {path}") from None
-    # One read: the bytes hashed here are the bytes read_index parses.
-    # Hash before wrapping — exporting a buffer from a BytesIO that shares
-    # its initial bytes copies them — and leave the stream their only
-    # holder, which read_index closes before the payload is unpickled.
-    actual = hashlib.sha256(data).hexdigest()
-    if actual != manifest["sha256"]:
-        raise ClusterError(
-            f"{path} (sha256 {actual[:12]}…) and its manifest (records "
-            f"{manifest['sha256'][:12]}…) come from different saves, or the "
-            "snapshot is damaged — rebuild with 'repro cluster build'"
-        )
-    stream = io.BytesIO(data)
-    del data
-    index = read_index(stream, path)
+    # One open file, hashed here in chunks and then read by read_index,
+    # whose own passes refuse it if it is rewritten in place meanwhile.
+    with handle:
+        actual, _size = sha256_rest(handle)
+        if actual != manifest["sha256"]:
+            raise ClusterError(
+                f"{path} (sha256 {actual[:12]}…) and its manifest (records "
+                f"{manifest['sha256'][:12]}…) come from different saves, or "
+                "the snapshot is damaged — rebuild with 'repro cluster build'"
+            )
+        handle.seek(0)
+        index = read_index(handle, path, fragments)
     placed = sorted(manifest["plan"].assignment)
     if placed != list(range(index.n_fragments)):
         raise ClusterError(

@@ -42,7 +42,9 @@ in the one slice that owns it, and its record id columns, shared;
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
+from math import inf
 from typing import Dict, FrozenSet, Iterable, List, Sequence, Tuple
 
 from repro.errors import ClusterError, ConfigError, ShardDownError
@@ -108,12 +110,24 @@ class ShardSlice(SegmentIndex):
             index.order, index.partitioner, index.pivot_method, fragments
         )
         index._seal()
-        posted: set = set()
         for v in slice_._owned:
-            postings = slice_._postings[v] = index._postings[v]
-            posted.update(postings.rids)
+            slice_._postings[v] = index._postings[v]
+        # A record posts into a fragment iff its id column holds an id of
+        # the fragment's range, which one bisect finds: no set of the
+        # posted rids, as large as the table it filters, is built.
+        cuts = index.partitioner.cuts
+        ranges = [(cuts[v - 1] if v else 0, cuts[v] if v < len(cuts) else inf)
+                  for v in slice_._owned]
+
+        def posts(ranks) -> bool:
+            for lo, hi in ranges:
+                i = bisect_left(ranks, lo)
+                if i < len(ranks) and ranks[i] < hi:
+                    return True
+            return False
+
         slice_._ranks = {
-            rid: ranks for rid, ranks in index._ranks.items() if rid in posted
+            rid: ranks for rid, ranks in index._ranks.items() if posts(ranks)
         }
         return slice_
 

@@ -111,11 +111,14 @@ class RepairManager:
         """Carve ``shard`` from the saved cluster: the rebuild source when
         no live peer is left, which ``repro serve --heal`` points at the
         served directory for."""
-        _manifest, index = load_saved_index(self.snapshot_dir)
-        # ``index`` was unpickled for this call and is dropped after it,
-        # so the slice takes its columns, posting and id alike, as they
-        # are: nothing live shares them and nothing is copied.
-        slice_ = ShardSlice.carve(index, self.router.plan.fragments_of(shard))
+        fragments = self.router.plan.fragments_of(shard)
+        # Only the shard's posting lists are kept from the file: every
+        # other fragment is dropped as soon as it is read.  ``index`` was
+        # unpickled for this call and is dropped after it, so the slice
+        # takes its columns, posting and id alike, as they are: nothing
+        # live shares them and nothing is copied.
+        _manifest, index = load_saved_index(self.snapshot_dir, fragments)
+        slice_ = ShardSlice.carve(index, fragments)
         if baseline is not None:
             bad = differing_fragments(slice_.content_digests(), baseline)
             if bad:

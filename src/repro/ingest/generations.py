@@ -4,11 +4,11 @@ A **generation** is a sealed :class:`~repro.service.index.SegmentIndex`
 persisted to the DFS as a digest-checked payload: the pickle of its record
 columns, posting columns and partitioner (cuts) — everything the index
 holds *except* the shared :class:`~repro.core.ordering.GlobalOrder` —
-plus a sha256 over those bytes, verified before unpickling (the envelope
-discipline of :mod:`repro.service.snapshot`).  The payload's cost is its
-records': a 64-record flush writes the ~80 KB it owns whatever the size of
-the vocabulary, and :meth:`GenerationStore.load` re-attaches the order it
-is handed.  A payload of another :data:`SEGMENT_VERSION` is refused:
+plus a sha256 over those bytes, verified before unpickling (the digest
+discipline of :mod:`repro.service.snapshot`, whose item-by-item column
+pickling it shares).  The payload's cost is its records': a 64-record
+flush writes the ~35 KB it owns whatever the size of the vocabulary, and
+:meth:`GenerationStore.load` re-attaches the order it is handed.  A payload of another :data:`SEGMENT_VERSION` is refused:
 ingest state lives on the build's own in-memory DFS and does not outlive
 the build that wrote it.
 

@@ -18,8 +18,10 @@ insertion order.  The length is the record's (its id column's), read
 through the owning index's key function — nothing per entry is stored for
 it.  So the records of one run that a probe can use, the lengths Lemma 1
 admits and the merge's opening bound leaves alive, are one contiguous
-window of it: :meth:`window` finds it with two bisects and slices it out,
-with no per-entry work outside it.
+window of it: :meth:`window` finds the run in the sorted ``tokens``
+column (at the token's offset from the first id when the column holds
+every id of its range, else by a bisect) and the window with two
+bisects, and slices it out, with no per-entry work outside it.
 
 Mutation is staged: :meth:`add` appends into a small pending dict (token →
 rids, a plain list) and :meth:`seal` merges the stage into the flat
@@ -42,7 +44,9 @@ from bisect import bisect_left, bisect_right
 from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 #: Typecode of all three columns: token ids, offsets and record ids are
-#: native longs.
+#: native longs.  A posting is a record id, which may use 63 bits; the
+#: records' own id columns are 4 bytes (:data:`repro.service.vocab.
+#: ID_TYPECODE`).
 ID_TYPECODE = "l"
 
 #: A record id's length (its id column's): the sort key of every run.
@@ -52,14 +56,12 @@ LengthOf = Callable[[int], int]
 class FragmentPostings:
     """One fragment's token-id → rid-run inverted lists."""
 
-    __slots__ = ("tokens", "offsets", "rids", "_slots", "_pending")
+    __slots__ = ("tokens", "offsets", "rids", "_pending")
 
     def __init__(self) -> None:
         self.tokens = array(ID_TYPECODE)
         self.offsets = array(ID_TYPECODE, [0])
         self.rids = array(ID_TYPECODE)
-        #: token id → slot in ``tokens`` (rebuilt by :meth:`seal`).
-        self._slots: Dict[int, int] = {}
         #: staged inserts: token id → [rids].
         self._pending: Dict[int, List[int]] = {}
 
@@ -83,29 +85,29 @@ class FragmentPostings:
         if not self._pending:
             return
         pending = self._pending
-        old_offsets, old_rids = self.offsets, self.rids
-        merged = sorted(set(self.tokens) | pending.keys())
+        old_tokens, old_offsets, old_rids = self.tokens, self.offsets, self.rids
+        merged = sorted(set(old_tokens) | pending.keys())
         tokens = array(ID_TYPECODE, merged)
         offsets = array(ID_TYPECODE, [0])
         rids = array(ID_TYPECODE)
-        slots: Dict[int, int] = {}
-        for slot, token in enumerate(merged):
-            old_slot = self._slots.get(token)
+        # Both token lists ascend and ``merged`` holds every old token, so
+        # the old slots are met in order: ``old`` is the next one.
+        old = 0
+        for token in merged:
             staged = pending.get(token)
-            if old_slot is None:
-                run = staged
-            else:
-                run = old_rids[old_offsets[old_slot]:old_offsets[old_slot + 1]]
+            if old < len(old_tokens) and old_tokens[old] == token:
+                run = old_rids[old_offsets[old]:old_offsets[old + 1]]
+                old += 1
                 if staged is not None:
                     run = [*run, *staged]
+            else:
+                run = staged
             if staged is not None and length_of is not None and len(run) > 1:
                 # A new list: a probe may still be reading the stage.
                 run = sorted(run, key=length_of)
             rids.extend(run)
             offsets.append(len(rids))
-            slots[token] = slot
         self.tokens, self.offsets, self.rids = tokens, offsets, rids
-        self._slots = slots
         self._pending = {}
 
     # -- views ---------------------------------------------------------
@@ -113,12 +115,19 @@ class FragmentPostings:
         self, token: int, lo: int, hi: int, length_of: LengthOf
     ) -> Sequence[int]:
         """The record ids on ``token``'s run whose length lies in
-        ``[lo, hi]``: two bisects bound them in the sealed slice, and each
-        staged entry is tested alone.  Reads only; empty for a token never
-        posted."""
-        slot = self._slots.get(token)
+        ``[lo, hi]``: the sorted ``tokens`` column gives the run's slot —
+        no token → slot map is kept beside the columns — two bisects bound
+        the window in it, and each staged entry is tested alone.
+        Reads only; empty for a token never posted."""
+        tokens = self.tokens
+        # A built index posts every id of a fragment's range, so the slot
+        # is the offset from the first id; a sparse column (a memtable's)
+        # misses the guess and bisects.
+        slot = token - tokens[0] if tokens else 0
+        if not (0 <= slot < len(tokens) and tokens[slot] == token):
+            slot = bisect_left(tokens, token)
         run: Sequence[int] = ()
-        if slot is not None:
+        if slot < len(tokens) and tokens[slot] == token:
             rids, end = self.rids, self.offsets[slot + 1]
             start = bisect_left(rids, lo, self.offsets[slot], end, key=length_of)
             run = rids[start:bisect_right(rids, hi, start, end, key=length_of)]
@@ -159,7 +168,6 @@ class FragmentPostings:
         dup.tokens = array(ID_TYPECODE, self.tokens)
         dup.offsets = array(ID_TYPECODE, self.offsets)
         dup.rids = array(ID_TYPECODE, self.rids)
-        dup._slots = dict(self._slots)
         return dup
 
     def _check_sealed(self) -> None:
@@ -171,12 +179,11 @@ class FragmentPostings:
                 "them before the flat columns are read"
             )
 
-    # -- pickling (snapshot v5 payload) --------------------------------
+    # -- pickling (snapshot v6 payload) --------------------------------
     def __getstate__(self):
         self._check_sealed()
         return (self.tokens, self.offsets, self.rids)
 
     def __setstate__(self, state) -> None:
         self.tokens, self.offsets, self.rids = state
-        self._slots = {token: slot for slot, token in enumerate(self.tokens)}
         self._pending = {}

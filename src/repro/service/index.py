@@ -12,11 +12,11 @@ machinery into a *queryable index*:
   FragmentPostings` — flat ``array`` columns mapping token id → a
   contiguous run of record ids — so a probe batch scans each posting run
   with plain integer reads and zero per-entry allocations;
-* a record is its full id column (``array('l')``): all a probe reads of a
-  candidate, and all that is stored of it — the segment a fragment holds
-  of a record is ``partitioner.split_bounds`` of that column, computed by
-  the insert that posts it and the migration that asks which fragments a
-  record touches.
+* a record is its full id column (``array('I')``, 4 bytes an id): all a
+  probe reads of a candidate, and all that is stored of it — the segment
+  a fragment holds of a record is ``partitioner.split_bounds`` of that
+  column, computed by the insert that posts it and the migration that
+  asks which fragments a record touches.
 
 A probe is exact: candidate generation uses the record-level prefix filter
 (complete because the index stores *all* tokens while the probe scans only
@@ -69,7 +69,6 @@ from __future__ import annotations
 
 from array import array
 from bisect import bisect_left, bisect_right
-from collections import Counter as TokenCounter
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import takewhile
@@ -192,7 +191,7 @@ class SegmentIndex:
         self.vocab = TokenVocab(order)
         self.partitioner = partitioner
         self.pivot_method = PivotMethod(pivot_method)
-        #: rid → full token-id column (strictly increasing ``array('l')``).
+        #: rid → full token-id column (strictly increasing ``array('I')``).
         self._ranks: Dict[int, array] = {}
         #: fragment id → columnar posting lists.
         self._postings: List[FragmentPostings] = [
@@ -317,11 +316,10 @@ class SegmentIndex:
                     "64-bit posting columns"
                 )
             seen.add(record.rid)
-        fresh = TokenCounter(
-            token
-            for record in batch
-            for token in record.tokens
-            if not self.vocab.knows(token)
+        # Like the record id above, a token id that does not fit the id
+        # columns is refused before the vocab is extended.
+        fresh = self.vocab.unseen(
+            token for record in batch for token in record.tokens
         )
         self.vocab.extend(fresh.items())
         self._insert_columns([self._encode(record) for record in batch])
@@ -669,7 +667,7 @@ class SegmentIndex:
         hits.sort(key=lambda hit: (-hit.score, hit.rid))
         return hits
 
-    # -- persistence (snapshot v5 payload) ------------------------------
+    # -- persistence (snapshot v6 payload) ------------------------------
     def __getstate__(self):
         self._seal()
         state = dict(self.__dict__)

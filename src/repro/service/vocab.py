@@ -23,14 +23,25 @@ down:
 from __future__ import annotations
 
 from array import array
+from collections import Counter
 from typing import Iterable, List, Sequence, Tuple
 
 from repro.core.ordering import GlobalOrder
 from repro.errors import DataError
 
-#: Array typecode for token-id columns (signed native long, ≥ 32 bits;
-#: 64 bits on every mainstream platform we target).
-ID_TYPECODE = "l"
+#: Array typecode for token-id columns: 4-byte unsigned.  Ids are dense
+#: from 0, so 32 bits cover any vocabulary an index can hold in memory.
+ID_TYPECODE = "I"
+assert array(ID_TYPECODE).itemsize == 4, "token-id columns need 4 bytes"
+#: The largest token id an id column holds.
+ID_MAX = 2**32 - 1
+
+
+def _too_large(token: str, tid: int) -> DataError:
+    return DataError(
+        f"token {token!r} has id {tid}, beyond the {ID_MAX} the index's "
+        "4-byte id columns hold"
+    )
 
 
 class TokenVocab:
@@ -60,16 +71,21 @@ class TokenVocab:
 
         Raises :class:`DataError` when a token is not interned — records
         must be admitted through :meth:`extend` (or the ordering job)
-        first.
+        first — or when its id does not fit the column.
         """
         rank = self.order._rank
+        distinct = set(tokens)
         try:
-            ids = sorted(rank[token] for token in set(tokens))
+            ids = sorted(rank[token] for token in distinct)
         except KeyError as exc:
             raise DataError(
                 f"token {exc.args[0]!r} not in the vocabulary"
             ) from None
-        return array(ID_TYPECODE, ids)
+        try:
+            return array(ID_TYPECODE, ids)
+        except OverflowError:
+            token = max(distinct, key=rank.__getitem__)
+            raise _too_large(token, rank[token]) from None
 
     def encode_known(self, tokens: Iterable[str]) -> Tuple[List[int], int]:
         """Intern the known tokens of a probe; count the unknown ones.
@@ -92,6 +108,25 @@ class TokenVocab:
         return ids, unknown
 
     # -- growth --------------------------------------------------------
+    def unseen(self, tokens: Iterable[str]) -> Counter:
+        """Count the tokens not interned yet — what :meth:`extend` takes.
+
+        Interning nothing, it raises the :class:`DataError` that
+        :meth:`encode_record` would for a known token whose id does not
+        fit the id column.  (The ids :meth:`extend` hands out are dense,
+        so new tokens run out of room only past 2**32 interned strings,
+        more than a process holds.)
+        """
+        rank = self.order._rank
+        fresh: Counter = Counter()
+        for token in tokens:
+            tid = rank.get(token)
+            if tid is None:
+                fresh[token] += 1
+            elif tid > ID_MAX:
+                raise _too_large(token, tid)
+        return fresh
+
     def extend(self, frequencies: Sequence[Tuple[str, int]]) -> int:
         """Intern unseen tokens *after* every existing id; returns the count.
 

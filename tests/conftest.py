@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import bisect
 import enum
+import hashlib
+import pickle
 import random
 from typing import Optional
 
@@ -13,6 +15,7 @@ from hypothesis import strategies as st
 from repro.data.records import Record, RecordCollection
 from repro.mapreduce.runtime import ClusterSpec, SimulatedCluster
 from repro.service.index import SearchHit
+from repro.service.snapshot import SNAPSHOT_FORMAT, SNAPSHOT_VERSION
 from repro.similarity.functions import get_similarity_function
 from repro.similarity.thresholds import EPS
 
@@ -45,6 +48,21 @@ def random_collection(
             length = rng.randint(1, max_len)
             records.append(Record.make(rid, rng.sample(tokens, min(length, vocab))))
     return RecordCollection(records)
+
+
+def write_snapshot(path, body: bytes, **header) -> None:
+    """A snapshot file made by hand: a header — format, this build's
+    version, and ``body``'s length and sha256 unless ``header`` says
+    otherwise — then ``body``."""
+    fields = {
+        "format": SNAPSHOT_FORMAT,
+        "version": SNAPSHOT_VERSION,
+        "stats": {},
+        "length": len(body),
+        "sha256": hashlib.sha256(body).hexdigest(),
+        **header,
+    }
+    path.write_bytes(pickle.dumps(fields) + body)
 
 
 class Rank(enum.IntEnum):

@@ -56,7 +56,7 @@ class TestEveryVerbFailsClosed:
         path.write_bytes(pickle.dumps(envelope))
         assert_one_line_error(
             capsys, ["search", index_file, "--query", "a b"],
-            match="file has 4, this build reads 5 — rebuild the index with "
+            match="file has 4, this build reads 6 — rebuild the index with "
                   "'repro index'",
         )
 

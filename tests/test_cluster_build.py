@@ -208,16 +208,15 @@ class TestLoadFailures:
                 router.search(record.tokens, 0.5)
 
     def test_corrupted_shard_snapshot_fails_closed(self, saved):
-        """Flip one byte of ``index.idx`` (v1: of a shard file): the pair
-        binding refuses it, and — were the manifest re-pointed at the
-        damaged file — so does the snapshot's own sha256 digest."""
+        """Flip one byte of ``index.idx``'s body (v1: of a shard file):
+        the pair binding refuses it, and — were the manifest re-pointed at
+        the damaged file — so does the snapshot's own sha256 digest."""
         _, directory = saved
         path = directory / INDEX_NAME
-        payload = pickle.loads(path.read_bytes())
-        body = bytearray(payload["index_bytes"])
-        body[len(body) // 2] ^= 0xFF
-        payload["index_bytes"] = bytes(body)
-        path.write_bytes(pickle.dumps(payload))
+        raw = bytearray(path.read_bytes())
+        body_at = len(raw) - pickle.loads(raw)["length"]
+        raw[body_at + (len(raw) - body_at) // 2] ^= 0xFF
+        path.write_bytes(bytes(raw))
         with pytest.raises(ClusterError, match="different saves"):
             load_cluster(directory)
         manifest = json.loads((directory / MANIFEST_NAME).read_text())

@@ -3,7 +3,6 @@ cache, one-node routing and batching, snapshots."""
 
 from __future__ import annotations
 
-import hashlib
 import pickle
 
 import pytest
@@ -14,9 +13,10 @@ from repro.cluster import build_cluster
 from repro.errors import ConfigError, DataError, SnapshotError
 from repro.gateway import GatewayRequest, SimilarityGateway
 from repro.service import LRUCache, SegmentIndex, load_index, save_index
+from repro.service import snapshot
 from repro.service.snapshot import SNAPSHOT_FORMAT, SNAPSHOT_VERSION
 from repro.similarity.functions import SimilarityFunction
-from tests.conftest import random_collection, records_of
+from tests.conftest import random_collection, records_of, write_snapshot
 
 GATEWAY = "gateway"
 
@@ -219,36 +219,62 @@ class TestSnapshot:
             load_index(path)
 
 
+def _touch():
+    """What a hostile snapshot body would have the loader call."""
+    TOUCHED.append(True)
+
+
+TOUCHED: list = []
+
+
+class _Hostile:
+    def __reduce__(self):
+        return _touch, ()
+
+
 class TestSnapshotIntegrity:
-    """Corruption coverage for the digest-carrying v2 snapshot layout."""
+    """Corruption coverage for the version-6 layout: a builtins-only
+    header, then a body read twice — a digest pass, then an unpickling
+    pass that hashes again and names only the index's classes."""
 
     def test_truncated_file(self, index, tmp_path):
         path = tmp_path / "cut.idx"
         size = save_index(index, path)
         path.write_bytes(path.read_bytes()[: size // 2])
+        with pytest.raises(SnapshotError, match="truncated"):
+            load_index(path)
+        path.write_bytes(path.read_bytes()[:20])
         with pytest.raises(SnapshotError, match="not a readable"):
             load_index(path)
 
     def test_flipped_byte_fails_digest_check(self, index, tmp_path):
         path = tmp_path / "flip.idx"
-        save_index(index, path)
-        doc = pickle.loads(path.read_bytes())
-        body = bytearray(doc["index_bytes"])
-        body[len(body) // 2] ^= 0x01
-        doc["index_bytes"] = bytes(body)
-        path.write_bytes(pickle.dumps(doc))
+        size = save_index(index, path)
+        raw = bytearray(path.read_bytes())
+        raw[size // 2] ^= 0x01
+        path.write_bytes(bytes(raw))
         with pytest.raises(SnapshotError) as excinfo:
             load_index(path)
         message = str(excinfo.value)
         assert "integrity check" in message
         assert "repro index" in message
 
-    def test_non_bytes_body_rejected(self, index, tmp_path):
-        path = tmp_path / "odd.idx"
+    def test_flipped_header_byte_fails_digest_check(self, index, tmp_path):
+        path = tmp_path / "flip.idx"
         save_index(index, path)
-        doc = pickle.loads(path.read_bytes())
-        doc["index_bytes"] = "a string, not bytes"
-        path.write_bytes(pickle.dumps(doc))
+        raw = bytearray(path.read_bytes())
+        recorded = pickle.loads(raw)["sha256"]
+        at = raw.index(recorded.encode("ascii"))
+        raw[at] = ord("0" if raw[at] != ord("0") else "1")
+        path.write_bytes(bytes(raw))
+        with pytest.raises(SnapshotError, match="integrity check"):
+            load_index(path)
+
+    def test_non_bytes_body_rejected(self, index, tmp_path):
+        """A header whose body length is not a byte count (v5: whose
+        ``index_bytes`` was not bytes) names no payload to read."""
+        path = tmp_path / "odd.idx"
+        write_snapshot(path, b"", length="a string, not a count")
         with pytest.raises(SnapshotError, match="no index payload"):
             load_index(path)
 
@@ -256,28 +282,53 @@ class TestSnapshotIntegrity:
         # A consistent digest over a body that isn't a SegmentIndex must
         # still fail closed (the digest authenticates bytes, not meaning).
         path = tmp_path / "list.idx"
-        body = pickle.dumps(["not", "an", "index"])
-        path.write_bytes(pickle.dumps({
-            "format": SNAPSHOT_FORMAT,
-            "version": SNAPSHOT_VERSION,
-            "stats": {},
-            "digest": hashlib.sha256(body).hexdigest(),
-            "index_bytes": body,
-        }))
+        write_snapshot(path, pickle.dumps(["not", "an", "index"]))
         with pytest.raises(SnapshotError, match="no index payload"):
             load_index(path)
 
     def test_valid_digest_unpicklable_body(self, tmp_path):
         path = tmp_path / "mangled.idx"
-        body = b"\x80\x04 not a pickle stream"
-        path.write_bytes(pickle.dumps({
-            "format": SNAPSHOT_FORMAT,
-            "version": SNAPSHOT_VERSION,
-            "stats": {},
-            "digest": hashlib.sha256(body).hexdigest(),
-            "index_bytes": body,
-        }))
+        write_snapshot(path, b"\x80\x04 not a pickle stream")
         with pytest.raises(SnapshotError, match="despite a valid digest"):
+            load_index(path)
+
+    def test_body_naming_a_foreign_class_is_refused(self, tmp_path):
+        """A digest-valid body may name only the classes an index is made
+        of: anything else is refused before it is looked up, let alone
+        called."""
+        path = tmp_path / "hostile.idx"
+        write_snapshot(path, pickle.dumps({"order": _Hostile()}))
+        with pytest.raises(SnapshotError) as excinfo:
+            load_index(path)
+        assert "_touch" in str(excinfo.value)
+        assert "\n" not in str(excinfo.value)
+        assert TOUCHED == []
+
+    def test_file_rewritten_between_passes_is_refused(
+            self, index, tmp_path, monkeypatch):
+        """The file changes after its digest pass: one token of the order
+        renamed in place, which unpickles into a well-formed but wrong
+        index.  The unpickling pass hashes what it reads, so the load is
+        refused and nothing is returned."""
+        path = tmp_path / "race.idx"
+        save_index(index, path)
+        token = index.order.token(0).encode("utf-8")
+        raw = bytearray(path.read_bytes())
+        at = raw.index(token)
+        raw[at] = ord("x") if raw[at] != ord("x") else ord("y")
+        check_pass = snapshot._chunks
+
+        def rewritten_after(handle):
+            yield from check_pass(handle)
+            path.write_bytes(bytes(raw))  # in place: same inode, same handle
+
+        monkeypatch.setattr(snapshot, "_chunks", rewritten_after)
+        with pytest.raises(SnapshotError) as excinfo:
+            load_index(path)
+        assert "not the bytes checked" in str(excinfo.value)
+        monkeypatch.undo()
+        # Read afresh, the rewritten file fails its digest pass.
+        with pytest.raises(SnapshotError, match="integrity check"):
             load_index(path)
 
     def test_legacy_v1_loads_with_warning(self, index, tmp_path,

@@ -9,7 +9,7 @@ probes, batches and the self-join.  The oracle
 ``FSJoin.run``) shares no logic with the index.  Also pinned here: the
 ``probe_batch`` / ``search_batch`` result-ordering guarantee (also when a
 caller fans a batch out over serial/thread/process workers), the
-byte-accurate ``posting_stats``, and the v5 snapshot format.
+byte-accurate ``posting_stats``, and the v6 snapshot format.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from repro.mapreduce.counters import Counters
 from repro.mapreduce.executors import create_executor
 from repro.service import SegmentIndex, load_index, save_index
 from repro.service.columnar import FragmentPostings
-from repro.service.snapshot import SNAPSHOT_FORMAT
+from repro.service.snapshot import SNAPSHOT_FORMAT, SNAPSHOT_VERSION
 from tests.conftest import brute_force_search, index_self_join, random_collection
 
 
@@ -314,5 +314,33 @@ class TestSnapshotCompat:
             load_index(path)
         message = str(caught.value)
         assert "\n" not in message
-        assert "file has 3" in message and "reads 5" in message
+        assert "file has 3" in message
+        assert f"reads {SNAPSHOT_VERSION}" in message
         assert "rebuild the index with 'repro index'" in message
+
+    def test_parent_v5_snapshot_is_refused_not_unpickled(
+            self, index, tmp_path, monkeypatch):
+        """The parent format: one pickle whose header dict carries the
+        index's pickle as ``index_bytes`` (so a load held the whole file
+        beside the index it built).  Its version refuses it — one typed
+        line naming both versions and the command — and the index inside
+        is never unpickled."""
+        body = pickle.dumps(index)
+        path = tmp_path / "parent.idx"
+        path.write_bytes(pickle.dumps({
+            "format": SNAPSHOT_FORMAT,
+            "version": 5,
+            "stats": index.posting_stats(),
+            "digest": hashlib.sha256(body).hexdigest(),
+            "index_bytes": body,
+        }))
+        restored = []
+        monkeypatch.setattr(SegmentIndex, "__setstate__",
+                            lambda self, state: restored.append(state))
+        with pytest.raises(SnapshotError) as caught:
+            load_index(path)
+        message = str(caught.value)
+        assert "\n" not in message
+        assert "file has 5" in message and "reads 6" in message
+        assert "rebuild the index with 'repro index'" in message
+        assert restored == []

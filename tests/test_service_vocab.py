@@ -12,6 +12,8 @@ Three invariants the columnar hot path rests on:
 
 from __future__ import annotations
 
+from array import array
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -20,6 +22,7 @@ from repro.cluster import build_cluster
 from repro.data.records import Record
 from repro.errors import DataError
 from repro.service import SegmentIndex, TokenVocab
+from repro.service.vocab import ID_TYPECODE
 from repro.similarity.thresholds import prefix_length
 from tests.conftest import random_collection
 
@@ -98,6 +101,40 @@ class TestGrowthStability:
         encoded_before = tuple(index._ranks[rid])
         index.apply_batch([Record.make(999, ["z900", "z901", "t000"])])
         assert tuple(index._ranks[rid]) == encoded_before
+
+
+class TestIdColumnLimit:
+    """Id columns take 4 bytes an id: a token whose id does not fit is a
+    typed error that names it, and a batch holding one changes nothing."""
+
+    @pytest.fixture
+    def wide(self):
+        index = SegmentIndex.build(random_collection(30, seed=7), n_vertical=4)
+        # A test order: one token interned at the first id past the column.
+        index.order._rank["wide"] = 2**32
+        return index
+
+    def test_id_columns_are_four_bytes(self, index):
+        assert array(ID_TYPECODE).itemsize == 4
+        for column in index._ranks.values():
+            assert column.typecode == ID_TYPECODE
+
+    def test_encode_record_names_the_token(self, wide):
+        with pytest.raises(DataError, match="token 'wide' has id 4294967296"):
+            wide.vocab.encode_record(["t000", "wide"])
+        assert list(wide.vocab.encode_record(["t000"])) == [
+            id_of(wide.vocab, "t000")
+        ]
+
+    def test_apply_batch_checks_before_any_mutation(self, wide):
+        size, records = wide.vocab.size, wide.rids()
+        digests = wide.content_digests()
+        with pytest.raises(DataError, match="token 'wide'"):
+            wide.apply_batch([Record.make(500, ["z001", "t000"]),
+                              Record.make(501, ["t001", "wide"])])
+        assert wide.vocab.size == size and not wide.vocab.knows("z001")
+        assert wide.rids() == records
+        assert wide.content_digests() == digests
 
 
 class TestCrossPathEncoding:

@@ -1,18 +1,21 @@
 """A serving process holds its index and little else.
 
-Two things used to sit beside it: numpy, which every ``repro`` import
-pulled in through the corpus generators although serving never calls it,
-and a second copy of every posting column, made when a loaded index was
-carved into shard slices.  These tests pin that neither comes back, and
-that the answers and storage numbers are the ones the copying build gave.
+Three things used to sit beside it: numpy, which every ``repro`` import
+pulled in through the corpus generators although serving never calls it;
+a second copy of every posting column, made when a loaded index was
+carved into shard slices; and, at load, the snapshot file's bytes.  These
+tests pin that none comes back, and that the answers and storage numbers
+are the ones the copying build gave.
 """
 
 from __future__ import annotations
 
+import gc
 import os
 import subprocess
 import sys
 import textwrap
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -24,9 +27,11 @@ from repro.cluster import (
     load_cluster,
     save_cluster,
 )
+from repro.cluster.build import INDEX_NAME
 from repro.data import make_corpus
 from repro.service.columnar import FragmentPostings
 from repro.service.index import SegmentIndex
+from repro.service.snapshot import load_index
 from tests.conftest import brute_force_search
 
 #: sha256 of ``make_corpus("wiki", 20, seed=3)`` as ``rid<TAB>tokens``
@@ -36,8 +41,11 @@ WIKI_20_SEED_3 = (
 )
 
 #: ``storage_stats()`` of the cluster below, built and loaded, as the
-#: build that copied every carved posting column reported it.
-STORAGE = {"postings": 21148, "posting_bytes": 241872, "record_bytes": 169184}
+#: build that copied every carved posting column reported it — but for
+#: ``record_bytes``, halved since: the same ids, 4 bytes each instead of 8.
+STORAGE = {
+    "postings": 21148, "posting_bytes": 241872, "record_bytes": 169184 // 2,
+}
 
 
 def test_serving_imports_no_numpy():
@@ -137,3 +145,57 @@ class TestLoadHandsOver:
             index, n_shards=4, replication=2
         ).storage_stats() == STORAGE
         assert load_cluster(saved).storage_stats() == STORAGE
+
+
+def peak_above_kept(load):
+    """Run ``load``; the bytes its allocations peaked at above what they
+    left allocated, and what it returned."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        kept = load()
+        current, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return peak - current, kept
+
+
+class TestLoadPeak:
+    """A load's peak is the index it builds.  It used to hold the file's
+    bytes beside it, and the bytes every column was rebuilt from: about
+    twice the file above what it left (18.4 MB over a 9.85 MB file).  Now
+    each load below stays within a quarter of the file above it — the
+    repair too, which reads the whole file and keeps one shard."""
+
+    @pytest.fixture(scope="class")
+    def directory(self, tmp_path_factory):
+        index = SegmentIndex.build(make_corpus("wiki", 1500, seed=5),
+                                   n_vertical=8)
+        directory = tmp_path_factory.mktemp("cluster")
+        save_cluster(build_cluster(index, n_shards=4, replication=2),
+                     directory)
+        return directory
+
+    @pytest.fixture
+    def budget(self, directory):
+        return (directory / INDEX_NAME).stat().st_size / 4
+
+    def test_load_index(self, directory, budget):
+        above, index = peak_above_kept(lambda: load_index(directory /
+                                                          INDEX_NAME))
+        assert len(index) == 1500
+        assert above < budget
+
+    def test_load_cluster(self, directory, budget):
+        above, router = peak_above_kept(lambda: load_cluster(directory))
+        assert router.n_shards == 4
+        assert above < budget
+
+    def test_snapshot_repair(self, directory, budget):
+        router = load_cluster(directory)
+        router.replica(1, 0).fail()
+        router.replica(1, 1).fail()
+        repair = RepairManager(router, snapshot_dir=directory)
+        above, detail = peak_above_kept(lambda: repair.rebuild_replica(1, 0))
+        assert "rebuilt from snapshot" in detail
+        assert above < budget
