@@ -48,7 +48,7 @@ from repro.cluster.health import (
     HealthEvent,
     ReplicaState,
 )
-from repro.cluster.node import FragmentPayload, IngestNode, ShardNode, ShardSlice
+from repro.cluster.node import IngestNode, ShardNode, ShardSlice
 from repro.cluster.plan import ShardPlan, plan_shards
 from repro.cluster.repair import RepairManager
 from repro.cluster.router import ClusterRouter, Migration, PartialSearchResult
@@ -59,7 +59,6 @@ __all__ = [
     "CircuitBreaker",
     "ClusterRouter",
     "ControlPlane",
-    "FragmentPayload",
     "HealthConfig",
     "HealthEvent",
     "HedgeConfig",

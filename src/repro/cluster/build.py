@@ -15,11 +15,14 @@ replicas; a loaded cluster recomputes them, a saved one stores none).
 ``build_cluster`` runs*, along the saved plan.
 
 There is no file per shard because fragment sharding partitions *posting
-lists*, not records: a slice references the whole id column of every
-record posting into a fragment it owns (replication rate 7.8 at 8
-shards), and pickling each slice turned every shared reference into a
-copy — 51 MB on disk and eight private copies once loaded, for an index
-that pickles to 9.8 MB (``docs/architecture.md`` §5 has the anatomy).
+lists*, not records: a record's tokens are split across fragments, so
+verification on any shard reads the whole id column of nearly every
+record (replication rate 7.8 at 8 shards).  Every slice therefore shares
+the one record table of the index it was carved from, and the index a
+cluster serves is that table plus each shard's owned posting columns —
+which is what ``index.idx`` holds, byte for byte what
+:func:`~repro.service.snapshot.save_index` writes of the index the
+cluster was built from (``docs/architecture.md`` §5 has the anatomy).
 """
 
 from __future__ import annotations
@@ -71,15 +74,16 @@ def build_cluster(
     :class:`ClusterRouter`'s, declared there.
 
     A passed index stays the caller's, who may stage records into it:
-    its posting columns are copied here, once per fragment, and the
-    slices take the copies (:meth:`ShardSlice.carve` copies nothing).
-    The record id columns are shared — immutable once inserted.
+    its posting columns are copied here, once per fragment, and so is
+    its record table, as one new dict that every slice then shares
+    (:meth:`ShardSlice.carve` copies nothing).  The id columns the table
+    holds are shared with the caller's — immutable once inserted.
     """
     if isinstance(source, SegmentIndex):
         source._seal()
         index = SegmentIndex(source.order, source.partitioner, source.pivot_method)
         index._postings = [postings.copy() for postings in source._postings]
-        index._ranks = source._ranks
+        index._ranks = dict(source._ranks)
     else:
         index = SegmentIndex.build(
             source, n_vertical=n_vertical, pivot_method=pivot_method,
@@ -116,13 +120,13 @@ def _assemble(
 def _served_index(router: ClusterRouter) -> SegmentIndex:
     """The index ``router`` serves, reassembled from its shards without
     copying: each fragment's posting columns from the shard that owns it
-    under the current plan, each record's id column once."""
+    under the current plan, and the record table they all share."""
     slices = [router.replica(s, 0).slice for s in range(router.n_shards)]
     index = SegmentIndex(router.order, router.partitioner, slices[0].pivot_method)
     for slice_ in slices:
         for v in slice_.owned_fragments:
             index._postings[v] = slice_._postings[v]
-        index._ranks.update(slice_._ranks)
+    index._ranks = slices[0]._ranks
     return index
 
 

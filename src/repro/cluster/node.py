@@ -1,11 +1,17 @@
 """Shard-local state: a fragment-sliced index and the node that serves it.
 
 A :class:`ShardSlice` is a :class:`~repro.service.index.SegmentIndex`
-restricted to the fragments a shard owns: it keeps the columnar posting
-runs for owned fragments only, plus the *full* id column of every record
-that posts into them — the id column is exactly what verification and the
-claim rule read, and all a record is, so a slice probes with the
-unmodified single-node code: it defines no candidate generator of its own.
+that owns a set of fragments and shares its records.  Its own state is
+the owned set and those fragments' columnar posting runs; its record
+table — rid → the record's *full* id column, what verification and the
+claim rule read — is the one table of the index it was carved from, the
+same dict in every slice.  FS-Join splits a record's tokens across
+fragments, so a shard that verifies in place needs the whole column of
+nearly every record (a record is read on 7.8 of 8 shards on the wiki
+corpus): a per-slice table would be that table again, once per shard.
+So a slice probes with the unmodified single-node code: it defines no
+candidate generator of its own, and a fragment migration moves postings
+and nothing else.
 
 The one thing a slice changes is the *owned set* the base scan
 (:meth:`SegmentIndex._scan_candidates
@@ -33,19 +39,14 @@ fragment: every first hit is the pair's first common token, nothing to ask.
 A :class:`ShardNode` wraps one slice as a routable endpoint: replica
 identity, a liveness flag the failure injector flips, and per-node
 counters.  In this simulated cluster, replicas of one shard share the slice
-object (the data is read-only at serve time) and slices hold the columns
-of the index they were carved from — its posting columns, each fragment's
-in the one slice that owns it, and its record id columns, shared;
-``independent_replicas`` gives each replica beyond the first its own copy
-(:meth:`ShardSlice.clone`).
+object (the data is read-only at serve time); ``independent_replicas``
+gives each replica beyond the first its own deep copy, record table
+included (:meth:`ShardSlice.clone`).
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
-from dataclasses import dataclass
-from math import inf
-from typing import Dict, FrozenSet, Iterable, List, Sequence, Tuple
+from typing import FrozenSet, Iterable, List, Sequence, Tuple
 
 from repro.errors import ClusterError, ConfigError, ShardDownError
 from repro.mapreduce.counters import Counters
@@ -53,20 +54,6 @@ from repro.observability.tracer import NOOP_TRACER, Tracer
 from repro.service.columnar import FragmentPostings
 from repro.service.index import EncodedQuery, SearchHit, SegmentIndex
 from repro.similarity.functions import SimilarityFunction
-
-
-@dataclass
-class FragmentPayload:
-    """One fragment's shippable state (the unit a migration moves).
-
-    ``postings`` is the fragment's columnar inverted lists; ``records``
-    carries the full id column of every record posting in the fragment,
-    because the receiving slice may not know those records yet.
-    """
-
-    fragment: int
-    postings: FragmentPostings
-    records: Dict[int, Sequence[int]]
 
 
 class ShardSlice(SegmentIndex):
@@ -97,14 +84,16 @@ class ShardSlice(SegmentIndex):
         """Slice a full index down to ``fragments``, copying nothing.
 
         The slice takes each owned fragment's posting columns — the
-        :class:`FragmentPostings` object itself — and the id column of
-        every record posting into them, keyed by the index's own rid
-        objects, so a record is one key however many slices hold it.
+        :class:`FragmentPostings` object itself — and the index's record
+        table, the dict itself: every slice carved from one index shares
+        it, because a record's tokens are split across fragments and
+        verification reads its whole column on nearly every shard.
         ``index`` must not be written to afterwards: a record staged into
-        it would show through the slice's runs.  That holds for an index
-        unpickled for the carve (:func:`~repro.cluster.build.load_cluster`,
-        a repair from the snapshot), and :func:`~repro.cluster.build.
-        build_cluster` hands over a copy of a caller's live index.
+        it would show through the slice's runs and table.  That holds for
+        an index unpickled for the carve (:func:`~repro.cluster.build.
+        load_cluster`, a repair from the snapshot), and :func:`~repro.
+        cluster.build.build_cluster` hands over a copy of a caller's live
+        index.
         """
         slice_ = cls(
             index.order, index.partitioner, index.pivot_method, fragments
@@ -112,23 +101,7 @@ class ShardSlice(SegmentIndex):
         index._seal()
         for v in slice_._owned:
             slice_._postings[v] = index._postings[v]
-        # A record posts into a fragment iff its id column holds an id of
-        # the fragment's range, which one bisect finds: no set of the
-        # posted rids, as large as the table it filters, is built.
-        cuts = index.partitioner.cuts
-        ranges = [(cuts[v - 1] if v else 0, cuts[v] if v < len(cuts) else inf)
-                  for v in slice_._owned]
-
-        def posts(ranks) -> bool:
-            for lo, hi in ranges:
-                i = bisect_left(ranks, lo)
-                if i < len(ranks) and ranks[i] < hi:
-                    return True
-            return False
-
-        slice_._ranks = {
-            rid: ranks for rid, ranks in index._ranks.items() if posts(ranks)
-        }
+        slice_._ranks = index._ranks
         return slice_
 
     # -- replica independence ------------------------------------------
@@ -136,11 +109,11 @@ class ShardSlice(SegmentIndex):
         """A deep, independent copy of this slice.
 
         A pickle round-trip, so nothing is shared with the source — not
-        even the record columns slices carved from one index share:
+        even the record table every slice carved from one index shares:
         corrupting (or rebuilding) the clone cannot touch the original.
         ``independent_replicas`` and peer repair use it.  Nothing *saved*
         is a pickled slice (:mod:`repro.cluster.build`): it would copy
-        every column the slice references, 7.8 of 8 shards per record.
+        the record table once per shard.
         """
         import pickle
 
@@ -154,45 +127,24 @@ class ShardSlice(SegmentIndex):
         )
 
     # -- fragment migration --------------------------------------------
-    def extract_fragment(self, fragment: int) -> FragmentPayload:
-        """Package one owned fragment for shipping to another shard."""
-        if fragment not in self._owned:
-            raise ClusterError(f"fragment {fragment} is not owned by this slice")
-        postings = self._postings[fragment].copy()
-        records = {rid: self._ranks[rid] for rid in set(postings.rids)}
-        return FragmentPayload(fragment, postings, records)
-
-    def install_fragment(self, payload: FragmentPayload) -> None:
-        """Adopt a migrated fragment (postings + any unseen record data)."""
-        if payload.fragment in self._owned:
+    def install_fragment(
+        self, fragment: int, postings: FragmentPostings
+    ) -> None:
+        """Adopt a migrated fragment: a copy of its sealed postings.  The
+        records they name are in the table already."""
+        if fragment in self._owned:
             raise ClusterError(
-                f"fragment {payload.fragment} is already owned by this slice"
+                f"fragment {fragment} is already owned by this slice"
             )
-        self._owned.add(payload.fragment)
-        self._postings[payload.fragment] = payload.postings.copy()
-        for rid, ranks in payload.records.items():
-            self._ranks.setdefault(rid, ranks)
+        self._owned.add(fragment)
+        self._postings[fragment] = postings.copy()
 
     def drop_fragment(self, fragment: int) -> None:
-        """Release a migrated-away fragment and garbage-collect its records.
-
-        A record's id column stays only while some *other* owned fragment
-        still posts it; the fragments a record touches are
-        ``split_bounds`` of that column.
-        """
+        """Release a migrated-away fragment's postings."""
         if fragment not in self._owned:
             raise ClusterError(f"fragment {fragment} is not owned by this slice")
         self._owned.discard(fragment)
-        departing = self._postings[fragment]  # sealed: slices never stage
         self._postings[fragment] = FragmentPostings()
-        split_bounds = self.partitioner.split_bounds
-        for rid in set(departing.rids):
-            if rid not in self._ranks:
-                continue
-            if not any(
-                v in self._owned for v, _, _ in split_bounds(self._ranks[rid])
-            ):
-                del self._ranks[rid]
 
 
 class _ScatterNode:

@@ -16,7 +16,8 @@ order:
    out of a :func:`~repro.cluster.build.save_cluster` directory's index
    along the *live* plan — a full index does not depend on placement, so
    a directory saved before a rebalance still repairs — failing closed on
-   a bad manifest, an unbound pair, a damaged snapshot or a baseline
+   a bad manifest, an unbound pair, a damaged snapshot, a snapshot of
+   another order or other cuts than the router's, or a baseline
    mismatch.  No source → a typed :class:`~repro.errors.ClusterError`,
    replica stays fenced.
 
@@ -118,6 +119,23 @@ class RepairManager:
         # takes its columns, posting and id alike, as they are: nothing
         # live shares them and nothing is copied.
         _manifest, index = load_saved_index(self.snapshot_dir, fragments)
+        rank = index.order.divergence_from(self.router.order)
+        if rank is not None:
+            raise ClusterError(
+                f"snapshot for shard {shard} was saved under another global "
+                f"order (it diverges from the cluster's at rank {rank}) — "
+                "not this cluster's snapshot"
+            )
+        if index.partitioner.cuts != self.router.partitioner.cuts:
+            raise ClusterError(
+                f"snapshot for shard {shard} cuts its fragments at "
+                f"{index.partitioner.cuts}, the cluster at "
+                f"{self.router.partitioner.cuts} — not this cluster's snapshot"
+            )
+        # Its ids mean what the router's do.  The slice keeps the order it
+        # was read with: dropping it for the router's would make the whole
+        # vocabulary a transient of this call (1.6x ``index.idx``), and the
+        # repair's peak is budgeted at a quarter of the file.
         slice_ = ShardSlice.carve(index, fragments)
         if baseline is not None:
             bad = differing_fragments(slice_.content_digests(), baseline)

@@ -53,10 +53,10 @@ trace shows *how* a degraded request was answered.
 The router also keeps per-fragment *heat* counters (how many probes
 touched each fragment).  :meth:`rebalance` turns observed heat into
 placement: while the hottest shard exceeds :data:`SKEW_THRESHOLD` times
-the mean, its hottest fragment migrates to the lightest shard — postings and
-record metadata ship peer-to-peer via
-:meth:`~repro.cluster.node.ShardSlice.extract_fragment` — and the plan is
-updated in place.  Search results are bit-identical before and after a
+the mean, its hottest fragment migrates to the lightest shard — its
+postings ship peer-to-peer (:meth:`~repro.cluster.node.ShardSlice.
+install_fragment`; every slice already shares the record table) — and the
+plan is updated in place.  Search results are bit-identical before and after a
 migration (McCauley & Silvestri's adaptive-load argument, realised on the
 serving path).
 
@@ -1114,17 +1114,17 @@ class ClusterRouter:
         return moves
 
     def _migrate(self, fragment: int, src: int, dst: int) -> None:
-        """Ship one fragment's postings + record metadata between shards.
+        """Ship one fragment's postings between shards.
 
         Replicas of a shard share one slice object unless the cluster was
         assembled with ``independent_replicas``; migration therefore
-        applies to each *distinct* slice exactly once.
+        applies to each *distinct* slice exactly once, each target taking
+        its own copy of the donor's sealed postings.
         """
         donor_slices = _distinct_slices(self._groups[src])
-        target_slices = _distinct_slices(self._groups[dst])
-        payload = donor_slices[0].extract_fragment(fragment)
-        for slice_ in target_slices:
-            slice_.install_fragment(payload)
+        postings = donor_slices[0]._postings[fragment]
+        for slice_ in _distinct_slices(self._groups[dst]):
+            slice_.install_fragment(fragment, postings)
         for slice_ in donor_slices:
             slice_.drop_fragment(fragment)
         self.plan.move(fragment, dst)

@@ -119,10 +119,21 @@ class GlobalOrder:
         return tuple(zip(self._tokens[start:], self._freqs[start:]))
 
     def token(self, rank: int) -> str:
-        """Inverse lookup (rank → token): how an order log recovered into
-        the live order checks it rank for rank (``rebuild_ingest`` under
-        ``repro serve --heal --ingest``)."""
+        """Inverse lookup (rank → token)."""
         return self._tokens[rank]
+
+    def divergence_from(self, live: "GlobalOrder") -> Optional[int]:
+        """The first rank at which this order is not a prefix of ``live``
+        — a token ``live`` ranks elsewhere, or does not reach — or
+        ``None`` when it is one.  How a stored order (an ingest tier's
+        order log, a saved cluster's snapshot) is checked before data
+        encoded under it is served under ``live``, the order the router
+        encodes queries with: only a prefix's ids mean the same tokens."""
+        tokens = live._tokens
+        for rank, token in enumerate(self._tokens):
+            if rank >= len(tokens) or tokens[rank] != token:
+                return rank
+        return None
 
     @property
     def rank_frequencies(self) -> Sequence[int]:

@@ -131,12 +131,12 @@ class OrderLog:
         self.size = size
         if into is None:
             return order
-        for rank in range(size):
-            if rank >= into.vocab_size or into.token(rank) != order.token(rank):
-                raise IngestError(
-                    f"order log at {self.path!r} diverges from the live "
-                    f"order at rank {rank} — refusing to recover into it"
-                )
+        rank = order.divergence_from(into)
+        if rank is not None:
+            raise IngestError(
+                f"order log at {self.path!r} diverges from the live "
+                f"order at rank {rank} — refusing to recover into it"
+            )
         return into
 
     def tail(self) -> int:

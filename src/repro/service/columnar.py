@@ -137,8 +137,8 @@ class FragmentPostings:
         return [*run, *(rid for rid in staged if lo <= length_of(rid) <= hi)]
 
     def items(self) -> Iterator[Tuple[int, List[int]]]:
-        """Iterate ``(token, [rid, ...])`` in ascending token order — the
-        content-digest and debugging view (sealed columns only)."""
+        """Iterate ``(token, [rid, ...])`` in ascending token order — a
+        debugging view (sealed columns only)."""
         self._check_sealed()
         for slot, token in enumerate(self.tokens):
             yield token, self.rids[
@@ -160,7 +160,7 @@ class FragmentPostings:
     # -- bulk ops ------------------------------------------------------
     def copy(self) -> "FragmentPostings":
         """Deep copy of the sealed columns: what a fragment migration
-        ships and installs, and what :func:`~repro.cluster.build.
+        installs, and what :func:`~repro.cluster.build.
         build_cluster` gives the slices of a caller's live index.  A carve
         from an index nothing else holds takes the columns uncopied."""
         self._check_sealed()

@@ -67,11 +67,13 @@ rounds).
 
 from __future__ import annotations
 
+import hashlib
 from array import array
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import takewhile
+from struct import pack
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.core.ordering import GlobalOrder, compute_global_ordering
@@ -377,42 +379,41 @@ class SegmentIndex:
             ),
         }
 
-    def _fragment_digest(self, fragment: int, encoded: Dict[int, bytes]) -> str:
-        """One fragment's :meth:`content_digests` entry, with each record's
-        encoding memoized in ``encoded`` — a record posts into several
-        fragments and its bytes are the same in each."""
-        import hashlib
-
-        postings = self._postings[fragment]
-        hasher = hashlib.sha256()
-        for token, run in postings.items():
-            hasher.update(repr((token, sorted(run))).encode("utf-8"))
-        for rid in sorted(set(postings.rids)):
-            blob = encoded.get(rid)
-            if blob is None:
-                blob = encoded[rid] = repr(
-                    (rid, tuple(self._ranks[rid]))
-                ).encode("utf-8")
-            hasher.update(blob)
-        return hasher.hexdigest()
-
     def content_digests(self) -> Dict[int, str]:
         """Canonical sha256 of the *content* of each fragment this index
         scans — what the anti-entropy scrubber compares across a shard's
         replicas.
 
-        A fragment's digest is hashed over its posting runs in sorted token
-        order plus the id column of every record posting in it — every
-        column a probe reads, and not pickle bytes — so two indexes that
-        answer identically digest identically, however they were built,
-        and any silent mutation of a posting column or a rank array flips
-        the digest.  Each record is encoded once per call, not once per
-        fragment it posts into.
+        A fragment's digest is hashed over its column buffers: the token
+        and offset columns, each posting run sorted by record id, then the
+        rid, length and id column of every record posting in it, ascending
+        — every column a probe reads, fixed-width or length-prefixed so
+        the encoding stays injective, and not pickle bytes.  So two indexes
+        that answer identically digest identically, however they were
+        built (a run's ties are in insertion order, hence the sort), and
+        any silent mutation of a posting column or an id column flips the
+        digest.  Nothing is encoded beside the columns: a call holds one
+        run and one fragment's set of rids at a time.
         """
         owned = range(self.n_fragments) if self._owned is None else self._owned
         self._seal()
-        encoded: Dict[int, bytes] = {}
-        return {v: self._fragment_digest(v, encoded) for v in sorted(owned)}
+        return {v: self._fragment_digest(v) for v in sorted(owned)}
+
+    def _fragment_digest(self, fragment: int) -> str:
+        postings = self._postings[fragment]
+        tokens, offsets, rids = postings.tokens, postings.offsets, postings.rids
+        hasher = hashlib.sha256(pack("<q", len(tokens)))
+        hasher.update(tokens)
+        hasher.update(offsets)
+        for slot in range(len(tokens)):
+            hasher.update(array(
+                rids.typecode, sorted(rids[offsets[slot]:offsets[slot + 1]])
+            ))
+        for rid in sorted(set(rids)):
+            column = self._ranks[rid]
+            hasher.update(pack("<qq", rid, len(column)))
+            hasher.update(column)
+        return hasher.hexdigest()
 
     # -- probing -------------------------------------------------------
     def encode_query(self, tokens: Iterable[str]) -> EncodedQuery:

@@ -17,7 +17,7 @@ from repro.cluster.build import (
 )
 from repro.errors import ClusterError, ConfigError, SnapshotError
 from repro.service.index import SegmentIndex
-from repro.service.snapshot import load_index
+from repro.service.snapshot import load_index, save_index
 from tests.conftest import brute_force_search, random_collection
 
 
@@ -156,6 +156,34 @@ class TestSaveLoad:
         storage = router.storage_stats()
         assert storage["record_bytes"] == expected["record_bytes"]
         assert storage["postings"] == expected["postings"]
+
+    @pytest.mark.parametrize("loaded", [False, True])
+    def test_slices_share_one_record_table(self, saved, loaded):
+        """A slice owns fragments, not records: every shard references the
+        one record table of the index it was carved from."""
+        router, directory = saved
+        if loaded:
+            router = load_cluster(directory)
+        tables = {id(router.replica(s, 0).slice._ranks)
+                  for s in range(router.n_shards)}
+        assert len(tables) == 1
+
+    @pytest.mark.parametrize("rebalanced", [False, True])
+    def test_a_saved_cluster_is_the_snapshot_of_its_index(
+            self, index, tmp_path, rebalanced):
+        """``index.idx`` is byte for byte ``save_index`` of the index the
+        cluster was built from — migrations included, which move postings
+        and leave the record table as it was."""
+        router = build_cluster(index, n_shards=3, replication=2)
+        if rebalanced:
+            with router._lock:
+                for fragment in router.plan.fragments_of(0):
+                    router._heat[fragment] = 50
+            assert router.rebalance()
+        save_cluster(router, tmp_path / "cluster")
+        save_index(index, tmp_path / "single.idx")
+        assert (tmp_path / "cluster" / INDEX_NAME).read_bytes() == \
+            (tmp_path / "single.idx").read_bytes()
 
     def test_independent_replicas_share_nothing(self, saved, index):
         _, directory = saved

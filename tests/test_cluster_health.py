@@ -24,6 +24,7 @@ from repro.cluster import (
     save_cluster,
 )
 from repro.cluster.health import MAX_REBUILD_ATTEMPTS, MAX_REPAIRS_PER_TICK
+from repro.core.pivots import PivotMethod
 from repro.data import make_corpus
 from repro.errors import ClusterError, ConfigError, ShardDownError
 from repro.ingest import StreamingIndex
@@ -367,6 +368,39 @@ class TestRepairSources:
         router.replica(0, 0).fail()
         with pytest.raises(ClusterError):
             repair.rebuild_replica(0, 0)
+        assert router.replica(0, 0).fenced
+
+    def test_snapshot_of_another_corpus_is_refused_without_baseline(
+            self, tmp_path):
+        """No peer and no baseline to compare with: the snapshot's own
+        order, not a prefix of the router's, is what refuses it."""
+        records = make_corpus("wiki", 60, seed=13)
+        router = build_cluster(SegmentIndex.build(records, n_vertical=10),
+                               n_shards=2, replication=1)
+        other = make_corpus("wiki", 60, seed=14)
+        save_cluster(build_cluster(SegmentIndex.build(other, n_vertical=10),
+                                   n_shards=2), tmp_path / "snap")
+        repair = RepairManager(router, snapshot_dir=tmp_path / "snap")
+        router.replica(0, 0).fail()
+        with pytest.raises(ClusterError, match="another global order"):
+            repair.rebuild_replica(0, 0, baseline=None)
+        assert router.replica(0, 0).fenced
+
+    def test_snapshot_cut_elsewhere_is_refused_without_baseline(
+            self, tmp_path):
+        """Same corpus, same order, other pivots: the fragment ids name
+        other token ranges, so the file is not this cluster's."""
+        records = make_corpus("wiki", 60, seed=13)
+        router = build_cluster(SegmentIndex.build(records, n_vertical=10),
+                               n_shards=2, replication=1)
+        save_cluster(build_cluster(
+            SegmentIndex.build(records, n_vertical=10,
+                               pivot_method=PivotMethod.EVEN_INTERVAL),
+            n_shards=2), tmp_path / "snap")
+        repair = RepairManager(router, snapshot_dir=tmp_path / "snap")
+        router.replica(0, 0).fail()
+        with pytest.raises(ClusterError, match="cuts its fragments"):
+            repair.rebuild_replica(0, 0, baseline=None)
         assert router.replica(0, 0).fenced
 
     def test_no_source_is_typed_and_leaves_replica_fenced(self):

@@ -37,6 +37,16 @@ class TestGlobalOrder:
         order = GlobalOrder([("x", 2), ("y", 1)])
         assert order.token(rank_of(order, "x")) == "x"
 
+    def test_divergence_from_a_live_order(self):
+        stored = GlobalOrder([("a", 1), ("b", 2)])
+        live = GlobalOrder([("a", 1), ("b", 2)])
+        assert stored.divergence_from(live) is None
+        live.extend([("c", 5)])
+        assert stored.divergence_from(live) is None
+        assert live.divergence_from(stored) == 2
+        assert GlobalOrder([("a", 1), ("x", 2)]).divergence_from(live) == 1
+        assert GlobalOrder([]).divergence_from(live) is None
+
     def test_rank_frequencies_sorted(self):
         order = GlobalOrder([("a", 9), ("b", 1), ("c", 4)])
         assert list(order.rank_frequencies) == [1, 4, 9]
